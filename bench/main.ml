@@ -36,8 +36,8 @@ let json_rows : (string * Json.t) list ref = ref []
    --enforce-ceiling; the failure exit happens after the JSON dump. *)
 let ceiling_failures : string list ref = ref []
 
-(* Fleet rows that broke a floor (throughput, hit rate, cross-domain
-   determinism, scaling) under --enforce-floor; same deferred exit. *)
+(* Fleet rows that broke a floor (wall throughput, hit rate, cross-mode
+   determinism) under --enforce-floor; same deferred exit. *)
 let fleet_floor_failures : string list ref = ref []
 
 let add_json key to_json rows = json_rows := !json_rows @ [ (key, Json.Arr (List.map to_json rows)) ]
@@ -207,21 +207,15 @@ let memsync () =
     wrows;
   add_json "memsync_workload" E.memsync_workload_row_json wrows
 
-(* Fleet floors (recorded 2026-08 on the 1-core container that produced
-   BENCH_fleet.json; wall sessions/s there was ~2600 at every domain
-   count). Host-throughput floors carry large headroom — they catch
-   collapse, not jitter. The semantic-equality check across all rows is
-   exact and always enforced: the domain-parallel merge must not move a
-   single semantic column. The >= 2.5x scaling floor only arms on hosts
-   with at least 4 recommended domains — a 1-core runner cannot exhibit
-   wall-clock speedup, however correct the sharding. *)
+(* Fleet floors. The wall-throughput floor carries large headroom — it
+   catches collapse, not jitter. The semantic-equality check between the
+   multiplexed and sequential rows is exact and always enforced. *)
 let fleet_hit_rate_floor = 0.90
 let fleet_wall_sessions_floor = 300.
-let fleet_scaling_floor = 2.5
 
-(* The columns that must be bit-identical across execution modes and
-   domain counts (hits vs coalesced split differs between sequential and
-   scheduled runs, so only their sum is compared). *)
+(* The columns that must be bit-identical across execution modes (hits vs
+   coalesced split differs between sequential and scheduled runs, so only
+   their sum is compared). *)
 let fleet_semantic_sig (r : E.fleet_row) =
   ( r.E.fleet_clients,
     r.E.distinct_keys,
@@ -234,6 +228,8 @@ let fleet_semantic_sig (r : E.fleet_row) =
     r.E.spec_cross_hits,
     r.E.sync_cross_hits )
 
+let wall_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let fleet ~enforce () =
   hr
     (Printf.sprintf
@@ -241,59 +237,36 @@ let fleet ~enforce () =
        Grt.Service.default_fleet.Grt.Service.clients Grt.Service.default_fleet.Grt.Service.zipf_s
        (List.length Grt.Service.default_fleet.Grt.Service.nets)
        (List.length Grt.Service.default_fleet.Grt.Service.skus));
-  Printf.printf "%-22s %7s %5s %5s %6s %5s %9s %9s %9s %10s %8s %9s %9s\n" "mode"
-    "clients" "keys" "rec" "hits" "fail" "hitrate" "sess/s" "wall s/s" "sync(MB)"
-    "RTTs" "crossS" "crossM";
-  let show row =
-    Printf.printf "%-22s %7d %5d %5d %6d %5d %8.1f%% %9.0f %9.0f %10.2f %8d %9d %9d\n%!"
+  Printf.printf "%-12s %7s %5s %5s %6s %5s %9s %9s %10s %8s %9s %9s\n" "mode" "clients" "keys"
+    "rec" "hits" "fail" "hitrate" "wall s/s" "sync(MB)" "RTTs" "crossS" "crossM";
+  let go ~sequential =
+    let row, _ = E.fleet ~options:Grt.Service.default_fleet ~sequential ~wall:wall_clock () in
+    Printf.printf "%-12s %7d %5d %5d %6d %5d %8.1f%% %9.0f %10.2f %8d %9d %9d\n%!"
       row.E.fleet_label row.E.fleet_clients row.E.distinct_keys row.E.fleet_recordings
       (row.E.fleet_cache_hits + row.E.fleet_coalesced)
       row.E.fleet_failures
       (100. *. row.E.fleet_hit_rate)
-      row.E.sessions_per_s row.E.wall_sessions_per_s row.E.fleet_sync_wire_mb
-      row.E.fleet_blocking_rtts row.E.spec_cross_hits row.E.sync_cross_hits;
+      row.E.wall_sessions_per_s row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts
+      row.E.spec_cross_hits row.E.sync_cross_hits;
     row
   in
-  let go ?(sequential = false) ?(domains = 1) () =
-    show
-      (fst
-         (E.fleet ~options:Grt.Service.default_fleet ~sequential ~domains
-            ~wall:Unix.gettimeofday ()))
-  in
-  let d1 = go () in
-  let d2 = go ~domains:2 () in
-  let d4 = go ~domains:4 () in
-  let seq = go ~sequential:true () in
-  Printf.printf
-    "  virtual span %.1fs, p95 turnaround %.1fs, %d yields / %d switches, %d shards at d4\n"
-    d1.E.virtual_s d1.E.p95_turnaround_s d1.E.fleet_yields d1.E.fleet_switches
-    (List.length d4.E.fleet_shards);
-  add_json "fleet" E.fleet_row_json [ d1; d2; d4; seq ];
+  let mux = go ~sequential:false in
+  let seq = go ~sequential:true in
+  Printf.printf "  virtual span %.1fs, p95 turnaround %.1fs, %d yields / %d switches\n"
+    mux.E.virtual_s mux.E.p95_turnaround_s mux.E.fleet_yields mux.E.fleet_switches;
+  add_json "fleet" E.fleet_row_json [ mux; seq ];
   if enforce then begin
     let fail fmt = Printf.ksprintf (fun m -> fleet_floor_failures := m :: !fleet_floor_failures) fmt in
-    let sig1 = fleet_semantic_sig d1 in
-    List.iter
-      (fun r ->
-        if fleet_semantic_sig r <> sig1 then
-          fail "%s: semantic columns diverge from %s" r.E.fleet_label d1.E.fleet_label)
-      [ d2; d4; seq ];
-    if d1.E.fleet_hit_rate < fleet_hit_rate_floor then
-      fail "hit rate %.3f below floor %.2f" d1.E.fleet_hit_rate fleet_hit_rate_floor;
+    if fleet_semantic_sig seq <> fleet_semantic_sig mux then
+      fail "%s: semantic columns diverge from %s" seq.E.fleet_label mux.E.fleet_label;
+    if mux.E.fleet_hit_rate < fleet_hit_rate_floor then
+      fail "hit rate %.3f below floor %.2f" mux.E.fleet_hit_rate fleet_hit_rate_floor;
     List.iter
       (fun r ->
         if r.E.wall_sessions_per_s < fleet_wall_sessions_floor then
           fail "%s: %.0f wall sessions/s below floor %.0f" r.E.fleet_label
             r.E.wall_sessions_per_s fleet_wall_sessions_floor)
-      [ d1; d2; d4 ];
-    if Grt_util.Par.parallelism_available && Grt_util.Par.recommended_domains () >= 4 then begin
-      let scaling = d4.E.wall_sessions_per_s /. d1.E.wall_sessions_per_s in
-      if scaling < fleet_scaling_floor then
-        fail "d4/d1 wall scaling %.2fx below floor %.1fx" scaling fleet_scaling_floor
-    end
-    else
-      Printf.printf
-        "  scaling floor skipped: %d recommended domain(s) on this host\n"
-        (Grt_util.Par.recommended_domains ())
+      [ mux; seq ]
   end
 
 (* Simulator raw-speed smoke. Prints one row per recording configuration
@@ -469,7 +442,14 @@ let () =
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    output_string oc (Json.to_string (Json.Obj !json_rows));
+    let host =
+      Json.Obj
+        [
+          ("cores", Json.int (Grt_util.Par.recommended_domains ()));
+          ("ocaml", Json.Str Sys.ocaml_version);
+        ]
+    in
+    output_string oc (Json.to_string (Json.Obj (("host", host) :: !json_rows)));
     output_string oc "\n";
     close_out oc;
     Printf.printf "\nwrote %s (%d tables)\n" path (List.length !json_rows));

@@ -1,8 +1,11 @@
 (* grt-fleet: drive the multi-session recording service with a synthetic
-   Zipf client population and report fleet-level statistics.
+   Zipf client population and report fleet-level statistics. Sessions are
+   multiplexed over one virtual-time scheduler; --sequential runs the
+   reference semantics instead. Throughput is sessions per second of wall
+   time on a monotonic clock.
 
      dune exec bin/grt_fleet.exe -- --clients 10000
-     dune exec bin/grt_fleet.exe -- --clients 500 --backend threads --list-cache
+     dune exec bin/grt_fleet.exe -- --clients 500 --sequential --list-cache
      dune exec bin/grt_fleet.exe -- --clients 2000 --json fleet.json --cache-out cache.json
 *)
 
@@ -33,27 +36,13 @@ let interarrival_arg =
 
 let sequential_arg =
   let doc =
-    "Run sessions to completion in arrival order instead of multiplexing \
-     them over the virtual-time scheduler (the reference semantics; same \
-     blobs and counters)."
+    "Run each session to completion at its arrival instead of multiplexing \
+     the sessions over the virtual-time scheduler. This is the reference \
+     semantics the multiplexed run is tested against: same outcomes, blobs \
+     and per-session counters, with coalesced waiters reported as cache \
+     hits."
   in
   Arg.(value & flag & info [ "sequential" ] ~doc)
-
-let backend_arg =
-  let doc = "Scheduler backend: effects (OCaml 5) or threads." in
-  Arg.(
-    value
-    & opt (some (enum [ ("effects", `Effects); ("threads", `Threads) ])) None
-    & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let domains_arg =
-  let doc =
-    "Shard the fleet by share group across $(docv) OCaml domains, one \
-     virtual-time scheduler per shard (outcomes, blobs and svc.* totals \
-     are identical at any domain count). 1 = single scheduler; on OCaml \
-     4.14 shards run serially."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc = "Write the fleet row and cache listing as JSON to $(docv)." in
@@ -115,10 +104,10 @@ let write_json path json =
   output_string oc "\n";
   close_out oc
 
-let run clients zipf cache_cap seed interarrival sequential backend domains
-    json_file cache_out list_cache report_file trace_out =
-  if domains < 1 then `Error (false, "--domains must be >= 1")
-  else
+let wall_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let run clients zipf cache_cap seed interarrival sequential json_file cache_out list_cache
+    report_file trace_out =
   let options =
     {
       Service.default_fleet with
@@ -130,8 +119,7 @@ let run clients zipf cache_cap seed interarrival sequential backend domains
   in
   let observe = report_file <> None || trace_out <> None in
   let row, svc =
-    E.fleet ~options ?backend ~sequential ~observe ~cache_capacity:cache_cap
-      ~domains ~now:Unix.gettimeofday ~wall:Unix.gettimeofday ()
+    E.fleet ~options ~sequential ~observe ~cache_capacity:cache_cap ~wall:wall_clock ()
   in
   Printf.printf "fleet: %d clients, Zipf(%.2f) over %d NNs x %d SKUs (%s)\n"
     row.E.fleet_clients zipf
@@ -145,30 +133,17 @@ let run clients zipf cache_cap seed interarrival sequential backend domains
     row.E.fleet_cache_hits row.E.fleet_coalesced
     (100. *. row.E.fleet_hit_rate);
   Printf.printf "  failures        %6d\n" row.E.fleet_failures;
-  Printf.printf "  throughput      %8.1f sessions/s host (%.1fs host, %.1fs virtual)\n"
-    row.E.sessions_per_s row.E.host_s row.E.virtual_s;
+  Printf.printf "  throughput      %8.1f sessions/s wall (%.1fs wall, %.1fs virtual)\n"
+    row.E.wall_sessions_per_s row.E.host_wall_s row.E.virtual_s;
   Printf.printf "  turnaround      %8.2fs mean, %.2fs p95\n" row.E.mean_turnaround_s
     row.E.p95_turnaround_s;
   Printf.printf "  sync traffic    %8.2f MB wire, %d blocking RTTs\n"
     row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts;
   Printf.printf "  cross-session   %6d spec-history hits, %d shared-store page hits\n"
     row.E.spec_cross_hits row.E.sync_cross_hits;
-  if not sequential then begin
+  if not sequential then
     Printf.printf "  scheduler       %6d yields, %d switches\n" row.E.fleet_yields
       row.E.fleet_switches;
-    if row.E.fleet_domains > 1 then begin
-      Printf.printf "  domains         %6d requested (%s), %.1f sessions/s wall\n"
-        row.E.fleet_domains
-        (if row.E.fleet_parallel then "parallel" else "serial fallback")
-        row.E.wall_sessions_per_s;
-      List.iter
-        (fun (s : Service.shard_stat) ->
-          Printf.printf "    shard %d: %d groups, %d clients, %d yields, %d switches\n"
-            s.Service.shard_index s.Service.shard_groups s.Service.shard_clients
-            s.Service.shard_yields s.Service.shard_switches)
-        row.E.fleet_shards
-    end
-  end;
   let listing = Service.cache_listing svc in
   if list_cache then begin
     Printf.printf "\ncache contents (%d keys):\n" (List.length listing);
@@ -213,18 +188,14 @@ let run clients zipf cache_cap seed interarrival sequential backend domains
     List.iter
       (fun e -> Format.printf "  %a@." Grt_sim.Trace.pp_event e)
       (Grt_sim.Trace.all ring)
-  end;
-  `Ok ()
+  end
 
 let cmd =
   let doc = "drive the GR-T recording service with a Zipf client fleet" in
   let info = Cmd.info "grt-fleet" ~version:"1.0" ~doc in
   Cmd.v info
     Term.(
-      ret
-        (const run $ clients_arg $ zipf_arg $ cache_cap_arg $ seed_arg
-       $ interarrival_arg $ sequential_arg $ backend_arg $ domains_arg
-       $ json_arg $ cache_out_arg $ list_cache_arg $ report_arg
-       $ trace_out_arg))
+      const run $ clients_arg $ zipf_arg $ cache_cap_arg $ seed_arg $ interarrival_arg
+      $ sequential_arg $ json_arg $ cache_out_arg $ list_cache_arg $ report_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval cmd)

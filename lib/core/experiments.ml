@@ -706,10 +706,10 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
    One row per execution mode of the same generated fleet, so the printed
    table directly shows that multiplexed and sequential runs agree on every
    semantic column (recordings, hit rate, wire traffic) and differ only in
-   host cost and scheduler stats. *)
+   wall time and scheduler stats. *)
 
 type fleet_row = {
-  fleet_label : string;  (* "sequential", "multiplexed/<backend>", "parallel/<backend>/d<N>" *)
+  fleet_label : string;  (* "sequential" | "multiplexed" *)
   fleet_clients : int;
   distinct_keys : int;
   fleet_recordings : int;
@@ -718,10 +718,8 @@ type fleet_row = {
   fleet_failures : int;
   fleet_evictions : int;
   fleet_hit_rate : float;
-  host_s : float;
-  sessions_per_s : float;  (* clients / host_s *)
   host_wall_s : float;  (* elapsed host time, outside the virtual timeline *)
-  wall_sessions_per_s : float;  (* clients / host_wall_s — the scaling metric *)
+  wall_sessions_per_s : float;  (* clients / host_wall_s *)
   virtual_s : float;  (* fleet-wide virtual-time span *)
   mean_turnaround_s : float;
   p95_turnaround_s : float;
@@ -731,9 +729,6 @@ type fleet_row = {
   sync_cross_hits : int;  (* pages served from the shared content store *)
   fleet_yields : int;  (* 0 for sequential *)
   fleet_switches : int;
-  fleet_domains : int;  (* domains requested *)
-  fleet_parallel : bool;  (* shards actually ran on separate domains *)
-  fleet_shards : Service.shard_stat list;
 }
 
 let percentile sorted p =
@@ -741,17 +736,13 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
-    ?(observe = false) ?(cache_capacity = 0) ?(domains = 1) ?(now = Sys.time)
-    ?wall () =
-  let wall = match wall with Some w -> w | None -> now in
+let fleet ?(options = Service.default_fleet) ?(sequential = false) ?(observe = false)
+    ?(cache_capacity = 0) ~wall () =
   let specs = Service.zipf_fleet options in
   let svc = Service.create ~cache_capacity () in
-  let t0 = now () in
   let w0 = wall () in
-  let reports, rs = Service.run ?backend ~sequential ~observe ~domains svc specs in
+  let reports, rs = Service.run ~sequential ~observe svc specs in
   let host_wall_s = Float.max (wall () -. w0) 1e-9 in
-  let host_s = Float.max (now () -. t0) 1e-9 in
   let st = Service.stats svc in
   let agg = Service.aggregate svc reports in
   let g k = Grt_sim.Counters.get_int agg (Grt_sim.Metrics.name k) in
@@ -766,14 +757,7 @@ let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
   in
   let row =
     {
-      fleet_label =
-        (match (rs.Service.rs_mode, rs.Service.rs_backend) with
-        | "sequential", _ -> "sequential"
-        | mode, backend ->
-          let b = Option.value ~default:"?" backend in
-          if rs.Service.rs_domains > 1 then
-            Printf.sprintf "%s/%s/d%d" mode b rs.Service.rs_domains
-          else mode ^ "/" ^ b);
+      fleet_label = rs.Service.rs_mode;
       fleet_clients = st.Service.sessions;
       distinct_keys = List.length (Service.cache_listing svc);
       fleet_recordings = st.Service.recordings;
@@ -782,8 +766,6 @@ let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
       fleet_failures = st.Service.failures;
       fleet_evictions = st.Service.evictions;
       fleet_hit_rate = Service.hit_rate st;
-      host_s;
-      sessions_per_s = float_of_int st.Service.sessions /. host_s;
       host_wall_s;
       wall_sessions_per_s = float_of_int st.Service.sessions /. host_wall_s;
       virtual_s = Int64.to_float rs.Service.rs_virtual_ns /. 1e9;
@@ -799,9 +781,6 @@ let fleet ?(options = Service.default_fleet) ?backend ?(sequential = false)
       sync_cross_hits = g Grt_sim.Metrics.Sync_cross_hits;
       fleet_yields = rs.Service.rs_yields;
       fleet_switches = rs.Service.rs_switches;
-      fleet_domains = rs.Service.rs_domains;
-      fleet_parallel = rs.Service.rs_parallel;
-      fleet_shards = rs.Service.rs_shards;
     }
   in
   (row, svc)
@@ -1079,8 +1058,6 @@ let fleet_row_json (r : fleet_row) =
       ("failures", Json.int r.fleet_failures);
       ("evictions", Json.int r.fleet_evictions);
       ("hit_rate", Json.float r.fleet_hit_rate);
-      ("host_s", Json.float r.host_s);
-      ("sessions_per_s", Json.float r.sessions_per_s);
       ("host_wall_s", Json.float r.host_wall_s);
       ("wall_sessions_per_s", Json.float r.wall_sessions_per_s);
       ("virtual_s", Json.float r.virtual_s);
@@ -1092,21 +1069,6 @@ let fleet_row_json (r : fleet_row) =
       ("sync_cross_hits", Json.int r.sync_cross_hits);
       ("yields", Json.int r.fleet_yields);
       ("switches", Json.int r.fleet_switches);
-      ("domains", Json.int r.fleet_domains);
-      ("parallel", Json.Bool r.fleet_parallel);
-      ( "shards",
-        Json.Arr
-          (List.map
-             (fun (s : Service.shard_stat) ->
-               Json.Obj
-                 [
-                   ("index", Json.int s.Service.shard_index);
-                   ("groups", Json.int s.Service.shard_groups);
-                   ("clients", Json.int s.Service.shard_clients);
-                   ("yields", Json.int s.Service.shard_yields);
-                   ("switches", Json.int s.Service.shard_switches);
-                 ])
-             r.fleet_shards) );
     ]
 
 let speed_row_json (r : speed_row) =

@@ -170,11 +170,9 @@ val memsync_workload : ctx -> net:Grt_mlfw.Network.t -> memsync_workload_row lis
 (** Fleet benchmark: the {!Service} under a Zipf client population. One row
     per execution mode of the same generated fleet; multiplexed and
     sequential rows agree on every semantic column (recordings, hit rate,
-    wire traffic) and differ only in host cost and scheduler stats. *)
+    wire traffic) and differ only in wall time and scheduler stats. *)
 type fleet_row = {
-  fleet_label : string;
-      (** ["sequential"], ["multiplexed/<backend>"] or
-          ["parallel/<backend>/d<N>"] *)
+  fleet_label : string;  (** ["sequential"] or ["multiplexed"] *)
   fleet_clients : int;
   distinct_keys : int;  (** distinct cache keys the population hit *)
   fleet_recordings : int;
@@ -183,14 +181,10 @@ type fleet_row = {
   fleet_failures : int;
   fleet_evictions : int;
   fleet_hit_rate : float;  (** (hits + coalesced) / sessions *)
-  host_s : float;
-  sessions_per_s : float;  (** clients / host_s *)
   host_wall_s : float;
-      (** elapsed host seconds over the whole run, measured outside the
-          virtual timeline — with [domains > 1] on a multicore host this
-          drops below [host_s] (CPU seconds keep being spent on every
-          domain) *)
-  wall_sessions_per_s : float;  (** clients / host_wall_s — the scaling metric *)
+      (** elapsed host seconds over the whole run, on the [wall] clock,
+          outside the virtual timeline *)
+  wall_sessions_per_s : float;  (** clients / host_wall_s *)
   virtual_s : float;  (** fleet-wide virtual-time span *)
   mean_turnaround_s : float;
   p95_turnaround_s : float;
@@ -200,30 +194,20 @@ type fleet_row = {
   sync_cross_hits : int;  (** pages served from the shared content store *)
   fleet_yields : int;  (** 0 for sequential *)
   fleet_switches : int;
-  fleet_domains : int;  (** domains requested *)
-  fleet_parallel : bool;  (** shards actually ran on separate domains *)
-  fleet_shards : Service.shard_stat list;  (** per-shard scheduler stats *)
 }
 
 val fleet :
   ?options:Service.fleet_options ->
-  ?backend:Grt_sim.Sched.backend ->
   ?sequential:bool ->
   ?observe:bool ->
   ?cache_capacity:int ->
-  ?domains:int ->
-  ?now:(unit -> float) ->
-  ?wall:(unit -> float) ->
+  wall:(unit -> float) ->
   unit ->
   fleet_row * Service.t
 (** Generate [options]'s fleet ({!Service.zipf_fleet}), run it through a
-    fresh service, and summarize. [now] (default [Sys.time]) supplies the
-    host clock for [sessions_per_s]; [wall] (default [now]) supplies the
-    elapsed-time clock for [wall_sessions_per_s] — pass
-    [Unix.gettimeofday]. [domains] (default 1) shards the multiplexed run
-    across OCaml domains ({!Service.run}); semantic columns are identical
-    at any domain count, only host/wall costs and shard stats move.
-    [observe] (default false) enables the fleet observability plane
+    fresh service, and summarize. [wall] is the elapsed-time clock, in
+    seconds, for [host_wall_s] — pass a monotonic clock, never [Sys.time]
+    (CPU seconds). [observe] (default false) enables the fleet observability plane
     ({!Service.run}) so the returned service carries an
     {!Service.observation} for {!Report.of_fleet} / Perfetto export. The
     service is returned for {!Service.cache_listing}. *)

@@ -49,17 +49,13 @@ let encoding_name = function
    so it must remain FNV-1a — but the same page contents are hashed over
    and over as a workload resyncs, so a quick-keyed memo (full compare on
    hit, see [Hashing.quick]) avoids re-walking the page byte by byte. *)
-(* Domain-local: a private table per domain keeps parallel fleet shards
-   race-free; the digest itself is FNV-1a either way. *)
-let hash_memo_key : (int, bytes * int64) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 256)
+let hash_memo : (int, bytes * int64) Hashtbl.t = Hashtbl.create 256
 
 let hash_memo_cap = 1024
 
 let hash_stats = Grt_util.Memo_stats.register "memsync.hash_page"
 
 let hash_page b =
-  let hash_memo = Grt_util.Par.Dls.get hash_memo_key in
   let k = Grt_util.Hashing.quick b in
   match Hashtbl.find_opt hash_memo k with
   | Some (input, h) when Bytes.equal input b ->

@@ -347,16 +347,12 @@ let entry_copy = function
     Mem_load_enc { records = List.map (fun (p, e, b) -> (p, e, Bytes.copy b)) records }
   | e -> e
 
-(* Domain-local, like every content-keyed memo: parallel fleet shards sign
-   against private tables. *)
-let sign_memo_key : (int, bytes * entry array * bytes) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 16)
+let sign_memo : (int, bytes * entry array * bytes) Hashtbl.t = Hashtbl.create 16
 
 let sign_stats = Grt_util.Memo_stats.register "recording.sign"
 
 let sign ?(chunk_entries = default_chunk_entries) ~key t =
   if chunk_entries <= 0 then invalid_arg "Recording.sign: chunk_entries must be positive";
-  let sign_memo = Grt_util.Par.Dls.get sign_memo_key in
   let meta_buf = Byte_buf.create ~capacity:256 () in
   Byte_buf.add_varint meta_buf chunk_entries;
   Byte_buf.add_string meta_buf key;
@@ -507,8 +503,7 @@ let parse_signed ~key blob =
 let verify_chunk c =
   Int64.equal (Grt_util.Hashing.fnv1a_bytes c.chunk_raw) c.chunk_hash
 
-let verify_memo_key : (int, bytes * string * (t, string) result) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 16)
+let verify_memo : (int, bytes * string * (t, string) result) Hashtbl.t = Hashtbl.create 16
 
 let verify_stats = Grt_util.Memo_stats.register "recording.verify"
 
@@ -530,7 +525,6 @@ let verify_and_parse_raw ~key blob =
    hit — callers are free to patch entries of a parsed recording (the
    tamper-detection tests do) without poisoning the cache. *)
 let verify_and_parse ~key blob =
-  let verify_memo = Grt_util.Par.Dls.get verify_memo_key in
   let memo_key = Grt_util.Hashing.quick_sparse ~seed:(Hashtbl.hash key) blob in
   match Hashtbl.find_opt verify_memo memo_key with
   | Some (b, k, res) when String.equal k key && Bytes.equal b blob -> (

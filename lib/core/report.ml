@@ -280,17 +280,6 @@ let validate_fleet json =
           (fun ctx v ->
             match v with
             | Json.Num _ | Json.Str _ | Json.Bool _ -> Ok ()
-            | Json.Arr rows when ctx = "fleet.shards" ->
-              (* per-shard stat rows of a domain-parallel run *)
-              List.fold_left
-                (fun acc row ->
-                  let* () = acc in
-                  let* rf = need_obj ctx row in
-                  all_ok ctx
-                    (fun c v ->
-                      match v with Json.Num _ -> Ok () | _ -> Error (c ^ ": not a number"))
-                    rf)
-                (Ok ()) rows
             | _ -> Error (ctx ^ ": bad field"))
           ff
       in

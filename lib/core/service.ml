@@ -175,40 +175,6 @@ let service_trace t = t.svc_trace
 let observation t = t.obs
 let obs_tracer t = match t.obs with Some o -> Some o.obs_tracer | None -> None
 
-(* ---- execution planes ----
-
-   Everything a *running* session body writes on the service side — typed
-   counters, the service clock, the post-mortem ring, the observation — is
-   reached through a [worker] plane rather than [t] directly. A
-   single-domain run executes against the identity plane ({!worker_of}:
-   every field aliases [t]'s own, so behaviour is byte-identical to the
-   pre-sharding code). A parallel run gives each domain a private plane
-   and folds the planes back into [t] deterministically after the join
-   ([merge_worker]). [w_histories] is the exception: it aliases the shared
-   per-group table in every plane, and is read-only during execution (all
-   groups are materialized at plan time). *)
-
-type worker = {
-  w_svc : Counters.t;
-  w_svc_m : Metrics.t;
-  w_clock : Clock.t;
-  w_trace : Trace.t;
-  w_obs : observation option;
-  w_histories : (string, Spec_history.t) Hashtbl.t;
-}
-
-let worker_of t =
-  {
-    w_svc = t.svc;
-    w_svc_m = t.svc_m;
-    w_clock = t.svc_clock;
-    w_trace = t.svc_trace;
-    w_obs = t.obs;
-    w_histories = t.histories;
-  }
-
-let tracer_of_obs = function Some o -> Some o.obs_tracer | None -> None
-
 let key_hist tbl label =
   match Hashtbl.find_opt tbl label with
   | Some h -> h
@@ -219,8 +185,8 @@ let key_hist tbl label =
 
 (* Sample a session-local duration (ns so far on the session clock) into a
    fleet series, in µs, plus the per-key table when one is given. *)
-let obs_sample w ?label hkey ns =
-  match w.w_obs with
+let obs_sample t ?label hkey ns =
+  match t.obs with
   | None -> ()
   | Some o ->
     let us = Int64.to_int (Int64.div ns 1_000L) in
@@ -229,14 +195,14 @@ let obs_sample w ?label hkey ns =
     | Some (tbl, l) -> Hist.observe (key_hist (tbl o) l) us
     | None -> ())
 
-let obs_ttfb w (e : entry) ctx =
-  obs_sample w
+let obs_ttfb t (e : entry) ctx =
+  obs_sample t
     ~label:((fun o -> o.obs_key_ttfb), e.keyed.label)
     Hist.Svc_ttfb_us
     (Clock.now_ns ctx.Ctx.clock)
 
-let register_track w (spec : client_spec) ctx =
-  match (w.w_obs, ctx.Ctx.tracer) with
+let register_track t (spec : client_spec) ctx =
+  match (t.obs, ctx.Ctx.tracer) with
   | Some o, Some tr ->
     o.obs_tracks <-
       { track_client = spec.client_id; track_arrival_ns = spec.arrival_ns; track_tracer = tr }
@@ -269,16 +235,13 @@ let fleet_tracks t =
 let share_group_of ~(net : Network.t) ~(sku : Sku.t) = net.Network.name ^ "|" ^ sku.Sku.name
 let share_group (spec : client_spec) = share_group_of ~net:spec.net ~sku:spec.sku
 
-(* Plan-time lookup-or-create; during parallel execution the table is only
-   ever *read* (every group a session can name was materialized by its own
-   plan pass), so concurrent shards never mutate it. *)
-let history_for w spec =
+let history_for t spec =
   let g = share_group spec in
-  match Hashtbl.find_opt w.w_histories g with
+  match Hashtbl.find_opt t.histories g with
   | Some h -> h
   | None ->
     let h = Spec_history.create () in
-    Hashtbl.add w.w_histories g h;
+    Hashtbl.add t.histories g h;
     h
 
 let keyed_for t key ~label =
@@ -410,19 +373,19 @@ let decide t (spec : client_spec) =
    the scheduler the ctx clock is the task clock, so every blocking wait
    inside the session is a scheduler yield point. *)
 
-let serve_ctx w (spec : client_spec) ~seed =
-  let options = { Ctx.default_options with Ctx.observe = w.w_obs <> None } in
+let serve_ctx t (spec : client_spec) ~seed =
+  let options = { Ctx.default_options with Ctx.observe = t.obs <> None } in
   Ctx.create ~options ~cfg:spec.cfg ~profile:spec.profile ~sku:spec.sku ~net:spec.net ~seed
     ~granularity:`Monolithic ()
 
-let record_ctx ?clock w (spec : client_spec) (e : entry) =
+let record_ctx ?clock t (spec : client_spec) (e : entry) =
   let options =
     {
       Ctx.default_options with
-      Ctx.history = Some (history_for w spec);
+      Ctx.history = Some (history_for t spec);
       sync_store = Some e.keyed.sync_store;
       inject_fault_after = spec.inject_fault_after;
-      observe = w.w_obs <> None;
+      observe = t.obs <> None;
     }
   in
   Ctx.create ~options ?clock ~cfg:spec.cfg ~profile:spec.profile ~sku:spec.sku ~net:spec.net
@@ -441,22 +404,22 @@ let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
 
 (* Serve a resident blob over [ctx]: attested establishment + download +
    verification — everything of a session except the dry run. *)
-let serve w spec (e : entry) ctx ~coalesced =
+let serve t spec (e : entry) ctx ~coalesced =
   let blob = Option.get e.blob in
   Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_serve_cached
     ~args:[ ("key", e.keyed.label) ]
     ~name:"serve-cached"
     (fun () -> Orchestrate.serve_cached ctx ~blob);
   e.keyed.hits <- e.keyed.hits + 1;
-  Metrics.incr w.w_svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
+  Metrics.incr t.svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
   report_of ctx spec e
     (if coalesced then Coalesced else Cache_hit)
     ~blob_bytes:(Bytes.length blob)
 
 (* Record under the key-derived seed and publish the blob into the entry.
    The caller owns turnstile ordering and completion signalling. *)
-let record_into w spec (e : entry) ctx =
-  let history = history_for w spec in
+let record_into t spec (e : entry) ctx =
+  let history = history_for t spec in
   Spec_history.new_epoch history;
   let cross0 = Spec_history.cross_hits history in
   match
@@ -471,26 +434,26 @@ let record_into w spec (e : entry) ctx =
     e.blob <- Some outcome.Orchestrate.blob;
     e.inflight <- false;
     e.keyed.recordings <- e.keyed.recordings + 1;
-    Metrics.incr w.w_svc_m Metrics.Svc_recordings;
+    Metrics.incr t.svc_m Metrics.Svc_recordings;
     report_of ctx spec e (Recorded outcome) ~blob_bytes:(Bytes.length outcome.Orchestrate.blob)
   | exception exn ->
     e.inflight <- false;
-    Metrics.incr w.w_svc_m Metrics.Svc_failures;
+    Metrics.incr t.svc_m Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* Report a client that never got a session body to run. [ctx] is the
    session's real context, so turnaround and counters reflect any wait the
    client actually spent (not a fresh zeroed clock). *)
-let fail_report w spec (e : entry) ctx msg =
-  Metrics.incr w.w_svc_m Metrics.Svc_failures;
+let fail_report t spec (e : entry) ctx msg =
+  Metrics.incr t.svc_m Metrics.Svc_failures;
   report_of ctx spec e (Failed msg) ~blob_bytes:0
 
 (* A serve can fail live (ARQ collapse on a degraded channel, verification
    failure): keep the fleet running and report the client as failed. *)
-let serve_safe w spec (e : entry) ctx ~coalesced =
-  try serve w spec e ctx ~coalesced
+let serve_safe t spec (e : entry) ctx ~coalesced =
+  try serve t spec e ctx ~coalesced
   with exn ->
-    Metrics.incr w.w_svc_m Metrics.Svc_failures;
+    Metrics.incr t.svc_m Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* ---- sequential execution ----
@@ -500,29 +463,28 @@ let serve_safe w spec (e : entry) ctx ~coalesced =
    arrival is examined. *)
 
 let run_sequential t specs =
-  let w = worker_of t in
   List.map
     (fun spec ->
       Metrics.incr t.svc_m Metrics.Svc_sessions;
       match decide t spec with
       | D_serve e ->
-        let ctx = serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
-        register_track w spec ctx;
-        obs_ttfb w e ctx;
-        serve_safe w spec e ctx ~coalesced:false
+        let ctx = serve_ctx t spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
+        register_track t spec ctx;
+        obs_ttfb t e ctx;
+        serve_safe t spec e ctx ~coalesced:false
       | D_record e ->
-        let ctx = record_ctx w spec e in
-        register_track w spec ctx;
-        obs_ttfb w e ctx;
-        record_into w spec e ctx
+        let ctx = record_ctx t spec e in
+        register_track t spec ctx;
+        obs_ttfb t e ctx;
+        record_into t spec e ctx
       | D_wait e -> (
-        let ctx = serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
-        register_track w spec ctx;
+        let ctx = serve_ctx t spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id) in
+        register_track t spec ctx;
         match e.blob with
         | Some _ ->
-          obs_ttfb w e ctx;
-          serve_safe w spec e ctx ~coalesced:true
-        | None -> fail_report w spec e ctx "recording in flight with no scheduler"))
+          obs_ttfb t e ctx;
+          serve_safe t spec e ctx ~coalesced:true
+        | None -> fail_report t spec e ctx "recording in flight with no scheduler"))
     specs
 
 (* ---- multiplexed execution ----
@@ -550,10 +512,7 @@ type entry_sync = {
   mutable e_elected : int option;  (* waiter promoted to recorder, if any *)
 }
 
-(* Shared planning state. Fully populated by the plan pass (main domain);
-   during execution the tables themselves are only read — shards mutate
-   the *interior* of per-group/per-entry values they own (queue refs,
-   entry syncs), which sharding confines to one domain each. *)
+(* Per-run planning state, populated by the plan pass. *)
 type run_aux = {
   entry_syncs : (int, entry_sync) Hashtbl.t;  (* entry uid -> sync state *)
   group_queues : (string, int list ref) Hashtbl.t;  (* group -> ticket FIFO *)
@@ -585,12 +544,8 @@ let group_queue aux g =
     Hashtbl.add aux.group_queues g q;
     q
 
-(* Execute planned sessions over one scheduler against one worker plane.
-   [plans] must be share-group-complete: every planned session of every
-   group it contains is in the list, so the conds, entries, shared stores
-   and speculation histories those sessions touch are driven by exactly
-   one scheduler — this is the invariant the sharding below maintains. *)
-let exec_sessions aux sched w reports plans =
+(* Spawn one scheduler task per planned session and run them all. *)
+let exec_sessions t aux sched reports plans =
   let put (spec : client_spec) r = Hashtbl.replace reports spec.client_id r in
   (* Record while holding (or acquiring) a group-turnstile ticket. On
      failure, promote the next planned waiter so the key retries exactly
@@ -632,9 +587,9 @@ let exec_sessions aux sched w reports plans =
         Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_turnstile_wait
           ~args:[ ("group", share_group spec) ]
           ~name:"turnstile-wait" turn;
-        obs_sample w Hist.Svc_turnstile_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
-        obs_ttfb w e ctx;
-        let r = record_into w spec e ctx in
+        obs_sample t Hist.Svc_turnstile_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
+        obs_ttfb t e ctx;
+        let r = record_into t spec e ctx in
         (match r.outcome with
         | Failed _ -> (
           match es.e_waiting with
@@ -645,14 +600,14 @@ let exec_sessions aux sched w reports plans =
             es.e_elected <- Some wid;
             e.inflight <- true;
             promoted := Some wid;
-            Metrics.incr w.w_svc_m Metrics.Svc_promotions;
+            Metrics.incr t.svc_m Metrics.Svc_promotions;
             (* the promoted waiter re-records: the miss a sequential run
                would charge at its retry arrival *)
-            Metrics.incr w.w_svc_m Metrics.Svc_cache_misses;
-            Clock.advance_to w.w_clock
+            Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+            Clock.advance_to t.svc_clock
               (Int64.add spec.arrival_ns (Clock.now_ns ctx.Ctx.clock));
-            Trace.event w.w_trace (Trace.Promote { label = e.keyed.label; client = wid });
-            Tracer.instant_opt (tracer_of_obs w.w_obs) ~cat:Tracer.Svc_promotion
+            Trace.event t.svc_trace (Trace.Promote { label = e.keyed.label; client = wid });
+            Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_promotion
               ~args:
                 [
                   ("label", e.keyed.label);
@@ -670,8 +625,8 @@ let exec_sessions aux sched w reports plans =
       let body () =
         match d with
         | D_serve e ->
-          obs_ttfb w e ctx;
-          put spec (serve_safe w spec e ctx ~coalesced:false)
+          obs_ttfb t e ctx;
+          put spec (serve_safe t spec e ctx ~coalesced:false)
         | D_wait e ->
           let es = entry_sync aux e.uid in
           let rec wait () =
@@ -690,23 +645,23 @@ let exec_sessions aux sched w reports plans =
               ~args:[ ("key", e.keyed.label) ]
               ~name:"coalesce-wait" wait
           in
-          obs_sample w Hist.Svc_coalesce_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
+          obs_sample t Hist.Svc_coalesce_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
           (match got with
           | `Serve ->
-            obs_ttfb w e ctx;
-            put spec (serve_safe w spec e ctx ~coalesced:true)
+            obs_ttfb t e ctx;
+            put spec (serve_safe t spec e ctx ~coalesced:true)
           | `Record ->
             es.e_elected <- None;
             (* Promoted: re-record on this task's scheduler-registered
                clock, under the same key-derived seed and options a planned
                recorder uses. *)
-            let rctx = record_ctx w spec e ~clock:ctx.Ctx.clock in
-            register_track w spec rctx;
+            let rctx = record_ctx t spec e ~clock:ctx.Ctx.clock in
+            register_track t spec rctx;
             record_with_ticket spec e rctx
           | `Orphaned ->
             (* Unreachable while promotion elects every remaining waiter;
                kept so an unexpected settle still yields a report. *)
-            put spec (fail_report w spec e ctx "recording failed upstream"))
+            put spec (fail_report t spec e ctx "recording failed upstream"))
         | D_record e -> record_with_ticket spec e ctx
       in
       ignore
@@ -716,14 +671,9 @@ let exec_sessions aux sched w reports plans =
     plans;
   Sched.run sched
 
-(* Plan pass: decisions + session contexts, taken on the calling domain in
-   arrival order — identically whatever [domains] the execution then uses,
-   so eviction, recorder identity and the shared stores never depend on the
-   execution geometry. Pre-creates every cond/sync/queue a planned session
-   can name, leaving the [aux] tables structurally read-only during
-   (possibly parallel) execution. *)
+(* Plan pass: decisions + session contexts, taken in arrival order.
+   Pre-creates every cond/sync/queue a planned session can name. *)
 let plan_fleet t aux specs =
-  let w = worker_of t in
   List.mapi
     (fun i (spec : client_spec) ->
       Hashtbl.replace aux.decision_idx spec.client_id i;
@@ -737,124 +687,27 @@ let plan_fleet t aux specs =
           q := !q @ [ spec.client_id ];
           ignore (aux_cond aux.group_conds g);
           ignore (entry_sync aux e.uid);
-          record_ctx w spec e
+          record_ctx t spec e
         | D_wait e ->
           let es = entry_sync aux e.uid in
           es.e_waiting <- es.e_waiting @ [ spec.client_id ];
-          serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
-        | D_serve e -> serve_ctx w spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
+          serve_ctx t spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
+        | D_serve e -> serve_ctx t spec ~seed:(serve_seed e.keyed.key ~client_id:spec.client_id)
       in
-      register_track w spec ctx;
+      register_track t spec ctx;
       (spec, d, ctx))
     specs
 
-(* ---- sharded (domain-parallel) execution ----
-
-   Sessions only share mutable state *within* a share group: the group's
-   turnstile queue/cond, its speculation history, and — because the cache
-   key refines the group with runtime and mode flags — every entry, keyed
-   record and memsync store a session can touch. Partitioning the plan by
-   share group therefore yields shards with no shared mutable session
-   state, and each shard's virtual-time facts (waits, signal instants,
-   turnstile order) are intrinsic to the shard: a scheduler only ever
-   interleaves tasks that could interact anyway. That is why running the
-   shards on separate domains and folding the worker planes back in shard
-   order reproduces the single-scheduler run's outcomes bit for bit. *)
-
-let distinct_groups plans =
-  let seen = Hashtbl.create 16 in
-  List.iter (fun ((spec : client_spec), _, _) -> Hashtbl.replace seen (share_group spec) ()) plans;
-  Hashtbl.length seen
-
-(* Partition a plan into at most [domains] share-group-complete shards.
-   Greedy bin-packing: groups by descending session count (ties: earliest
-   first decision), each to the least-loaded shard (ties: lowest index).
-   Deterministic — shard composition is a pure function of the plan. *)
-let shard_plans ~domains plans =
-  let first_idx = Hashtbl.create 16 and counts = Hashtbl.create 16 in
-  List.iteri
-    (fun i ((spec : client_spec), _, _) ->
-      let g = share_group spec in
-      if not (Hashtbl.mem first_idx g) then Hashtbl.add first_idx g i;
-      Hashtbl.replace counts g (1 + Option.value ~default:0 (Hashtbl.find_opt counts g)))
-    plans;
-  let groups =
-    Hashtbl.fold (fun g c acc -> (g, Hashtbl.find first_idx g, c) :: acc) counts []
-    |> List.sort (fun (_, ia, ca) (_, ib, cb) ->
-           match compare (cb : int) ca with 0 -> compare (ia : int) ib | c -> c)
-  in
-  let loads = Array.make domains 0 in
-  let assign = Hashtbl.create 16 in
-  List.iter
-    (fun (g, _, c) ->
-      let best = ref 0 in
-      for k = 1 to domains - 1 do
-        if loads.(k) < loads.(!best) then best := k
-      done;
-      Hashtbl.replace assign g !best;
-      loads.(!best) <- loads.(!best) + c)
-    groups;
-  let buckets = Array.make domains [] in
-  List.iter
-    (fun (((spec : client_spec), _, _) as p) ->
-      let k = Hashtbl.find assign (share_group spec) in
-      buckets.(k) <- p :: buckets.(k))
-    plans;
-  Array.to_list buckets
-  |> List.filter_map (function [] -> None | b -> Some (List.rev b))
-  |> Array.of_list
-
-(* One executed shard: its worker plane, scheduler and private report
-   table, kept for the deterministic merge and the run stats. *)
-type shard = {
-  sh_worker : worker;
-  sh_sched : Sched.t;
-  sh_reports : (int, session_report) Hashtbl.t;
-  sh_groups : int;
-  sh_clients : int;
-}
-
-let new_observation_over clock =
+let new_observation t =
   {
     obs_hists = Hist.create_set ();
-    obs_tracer = Tracer.create clock;
+    obs_tracer = Tracer.create t.svc_clock;
     obs_tracks = [];
     obs_key_ttfb = Hashtbl.create 32;
     obs_key_turnaround = Hashtbl.create 32;
   }
 
-let new_observation t = new_observation_over t.svc_clock
-
-let observe_switches sched = function
-  | Some o ->
-    Sched.set_switch_observer sched
-      (Some (fun runnable -> Hist.record o.obs_hists Hist.Sched_runnable runnable))
-  | None -> ()
-
-(* Fold one shard's private planes back into [t]. Called in shard-index
-   order; every fold is either commutative (counter sums, histogram bucket
-   sums) or made deterministic by that fixed order (tracer streams, track
-   lists), so the merged run is a pure function of the plan — never of
-   domain scheduling. *)
-let merge_shard t sh =
-  let w = sh.sh_worker in
-  Counters.merge_into ~dst:t.svc ~src:w.w_svc;
-  Clock.advance_to t.svc_clock (Clock.now_ns w.w_clock);
-  match (t.obs, w.w_obs) with
-  | Some o, Some wo ->
-    Hist.merge_set ~into:o.obs_hists wo.obs_hists;
-    Tracer.absorb ~into:o.obs_tracer wo.obs_tracer;
-    o.obs_tracks <- wo.obs_tracks @ o.obs_tracks;
-    let merge_keyed dst src =
-      Hashtbl.fold (fun l h acc -> (l, h) :: acc) src []
-      |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
-      |> List.iter (fun (l, h) -> Hist.merge ~into:(key_hist dst l) h)
-    in
-    merge_keyed o.obs_key_ttfb wo.obs_key_ttfb;
-    merge_keyed o.obs_key_turnaround wo.obs_key_turnaround
-  | _ -> ()
-
-let run_multiplexed ?backend ~domains t specs =
+let run_multiplexed t specs =
   let aux =
     {
       entry_syncs = Hashtbl.create 64;
@@ -864,93 +717,20 @@ let run_multiplexed ?backend ~domains t specs =
     }
   in
   let plans = plan_fleet t aux specs in
-  let shards =
-    if domains <= 1 then begin
-      (* Identity plane on a single scheduler: byte-identical to the
-         pre-sharding code path, with nothing to merge. *)
-      let sched = Sched.create ?backend () in
-      observe_switches sched t.obs;
-      let sh =
-        {
-          sh_worker = worker_of t;
-          sh_sched = sched;
-          sh_reports = Hashtbl.create 256;
-          sh_groups = distinct_groups plans;
-          sh_clients = List.length plans;
-        }
-      in
-      exec_sessions aux sched sh.sh_worker sh.sh_reports plans;
-      [ sh ]
-    end
-    else begin
-      let parts = shard_plans ~domains plans in
-      let observing = t.obs <> None in
-      let mk plans_k =
-        let sched = Sched.create ?backend () in
-        let c = Counters.create () in
-        let w_clock = Clock.create () in
-        let w =
-          {
-            w_svc = c;
-            w_svc_m = Metrics.of_counters c;
-            w_clock;
-            w_trace = Trace.create ~capacity:1024 w_clock;
-            w_obs = (if observing then Some (new_observation_over w_clock) else None);
-            w_histories = t.histories;
-          }
-        in
-        observe_switches sched w.w_obs;
-        {
-          sh_worker = w;
-          sh_sched = sched;
-          sh_reports = Hashtbl.create 64;
-          sh_groups = distinct_groups plans_k;
-          sh_clients = List.length plans_k;
-        }
-      in
-      let shards = Array.map mk parts in
-      (* Run the shards (across domains when the compiler has them); each
-         returns its domain-local memo-cache profile, exported on the
-         domain that owns the tables. Export only when shards really run
-         on spawned domains — on the serial fallback (4.14, or a single
-         shard) they execute on the calling domain and already count into
-         its cells, so absorbing an export would double-count. *)
-      let exported = Grt_util.Par.parallelism_available && Array.length parts > 1 in
-      let memo =
-        Grt_util.Par.run_shards
-          (fun k plans_k ->
-            let sh = shards.(k) in
-            exec_sessions aux sh.sh_sched sh.sh_worker sh.sh_reports plans_k;
-            if exported then Grt_util.Memo_stats.export () else [])
-          parts
-      in
-      Array.iter Grt_util.Memo_stats.absorb memo;
-      Array.iter (merge_shard t) shards;
-      (* The service ring holds timestamped events: interleave the
-         per-shard rings on the global timeline (stable sort — shard order
-         breaks ties deterministically). *)
-      Array.to_list shards
-      |> List.concat_map (fun sh -> Trace.all sh.sh_worker.w_trace)
-      |> List.stable_sort (fun (a : Trace.event) b -> Int64.compare a.Trace.at_ns b.Trace.at_ns)
-      |> Trace.absorb t.svc_trace;
-      Array.to_list shards
-    end
+  let sched = Sched.create () in
+  (match t.obs with
+  | Some o ->
+    Sched.set_switch_observer sched
+      (Some (fun runnable -> Hist.record o.obs_hists Hist.Sched_runnable runnable))
+  | None -> ());
+  let reports = Hashtbl.create 256 in
+  exec_sessions t aux sched reports plans;
+  let report (spec : client_spec) =
+    match Hashtbl.find_opt reports spec.client_id with
+    | Some r -> r
+    | None -> failwith (Printf.sprintf "Service: client %d produced no report" spec.client_id)
   in
-  let reports =
-    List.map
-      (fun (spec : client_spec) ->
-        let rec find = function
-          | [] ->
-            failwith (Printf.sprintf "Service: client %d produced no report" spec.client_id)
-          | sh :: tl -> (
-            match Hashtbl.find_opt sh.sh_reports spec.client_id with
-            | Some r -> r
-            | None -> find tl)
-        in
-        find shards)
-      specs
-  in
-  (reports, shards)
+  (List.map report specs, sched)
 
 (* Turnaround series are filled from the finished reports — one place, both
    execution modes, labels included. *)
@@ -965,27 +745,14 @@ let finalize_obs t reports =
         Hist.observe (key_hist o.obs_key_turnaround r.label) us)
       reports
 
-type shard_stat = {
-  shard_index : int;
-  shard_groups : int;
-  shard_clients : int;
-  shard_yields : int;
-  shard_switches : int;
-}
-
 type run_stats = {
-  rs_mode : string;  (* "sequential" | "multiplexed" | "parallel" *)
-  rs_domains : int;  (* domains requested (1 for sequential/multiplexed) *)
-  rs_parallel : bool;  (* shards actually ran on separate domains *)
-  rs_backend : string option;  (* scheduler engine; [None] for sequential *)
+  rs_mode : string;  (* "sequential" | "multiplexed" *)
   rs_virtual_ns : int64;  (* fleet makespan on the virtual timeline *)
   rs_yields : int;
   rs_switches : int;
-  rs_shards : shard_stat list;  (* one row per executed shard *)
 }
 
-let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs =
-  if domains < 1 then invalid_arg "Service.run: domains must be >= 1";
+let run ?(sequential = false) ?(observe = false) t specs =
   t.run_epoch <- t.run_epoch + 1;
   t.obs <- (if observe then Some (new_observation t) else None);
   let specs =
@@ -1008,52 +775,16 @@ let run ?backend ?(sequential = false) ?(observe = false) ?(domains = 1) t specs
             if Int64.compare fin acc > 0 then fin else acc)
           0L reports
       in
-      ( reports,
-        {
-          rs_mode = "sequential";
-          rs_domains = 1;
-          rs_parallel = false;
-          rs_backend = None;
-          rs_virtual_ns = virtual_ns;
-          rs_yields = 0;
-          rs_switches = 0;
-          rs_shards = [];
-        } )
+      (reports, { rs_mode = "sequential"; rs_virtual_ns = virtual_ns; rs_yields = 0; rs_switches = 0 })
     end
     else begin
-      let reports, shards = run_multiplexed ?backend ~domains t specs in
-      let backend_name =
-        match shards with
-        | sh :: _ -> Sched.backend_name (Sched.backend sh.sh_sched)
-        | [] -> Sched.backend_name Sched.default_backend
-      in
-      let shard_stats =
-        List.mapi
-          (fun i sh ->
-            {
-              shard_index = i;
-              shard_groups = sh.sh_groups;
-              shard_clients = sh.sh_clients;
-              shard_yields = Sched.yields sh.sh_sched;
-              shard_switches = Sched.switches sh.sh_sched;
-            })
-          shards
-      in
+      let reports, sched = run_multiplexed t specs in
       ( reports,
         {
-          rs_mode = (if domains > 1 then "parallel" else "multiplexed");
-          rs_domains = domains;
-          rs_parallel = domains > 1 && Grt_util.Par.parallelism_available && List.length shards > 1;
-          rs_backend = Some backend_name;
-          rs_virtual_ns =
-            List.fold_left
-              (fun acc sh ->
-                let v = Sched.now_ns sh.sh_sched in
-                if Int64.compare v acc > 0 then v else acc)
-              0L shards;
-          rs_yields = List.fold_left (fun acc sh -> acc + Sched.yields sh.sh_sched) 0 shards;
-          rs_switches = List.fold_left (fun acc sh -> acc + Sched.switches sh.sh_sched) 0 shards;
-          rs_shards = shard_stats;
+          rs_mode = "multiplexed";
+          rs_virtual_ns = Sched.now_ns sched;
+          rs_yields = Sched.yields sched;
+          rs_switches = Sched.switches sched;
         } )
     end
   in

@@ -84,51 +84,21 @@ val create : ?cache_capacity:int -> unit -> t
     (default) = unbounded. Per-key shared stores and per-group histories
     survive eviction — only the signed blob is dropped. *)
 
-type shard_stat = {
-  shard_index : int;
-  shard_groups : int;  (** distinct share groups executed on this shard *)
-  shard_clients : int;
-  shard_yields : int;
-  shard_switches : int;
-}
-
 type run_stats = {
-  rs_mode : string;  (** ["sequential"], ["multiplexed"] or ["parallel"] *)
-  rs_domains : int;  (** domains requested (1 unless mode is parallel) *)
-  rs_parallel : bool;
-      (** the shards actually ran on separate domains — [false] on 4.14's
-          serial fallback or when only one shard materialized *)
-  rs_backend : string option;  (** scheduler engine; [None] for sequential *)
+  rs_mode : string;  (** ["sequential"] or ["multiplexed"] *)
   rs_virtual_ns : int64;  (** fleet makespan on the virtual timeline *)
-  rs_yields : int;  (** task suspensions, summed over shards *)
-  rs_switches : int;  (** task resumptions, summed over shards *)
-  rs_shards : shard_stat list;  (** one row per executed shard *)
+  rs_yields : int;  (** task suspensions (0 for sequential) *)
+  rs_switches : int;  (** task resumptions (0 for sequential) *)
 }
 
 val run :
-  ?backend:Grt_sim.Sched.backend ->
-  ?sequential:bool ->
-  ?observe:bool ->
-  ?domains:int ->
-  t ->
-  client_spec list ->
-  session_report list * run_stats
+  ?sequential:bool -> ?observe:bool -> t -> client_spec list -> session_report list * run_stats
 (** Process a fleet. Clients are ordered by (arrival, id) first. With
     [sequential] (default false) each session runs to completion at its
     arrival — the reference semantics; otherwise sessions are multiplexed
-    over a virtual-time scheduler. Reports come back in arrival order. The
-    service may be reused across runs — the cache and shared stores
+    over one virtual-time scheduler. Reports come back in arrival order.
+    The service may be reused across runs — the cache and shared stores
     persist.
-
-    [domains] (default 1; ignored when [sequential]) shards the fleet by
-    share group across up to that many OCaml domains, one scheduler per
-    shard. Cache decisions are still taken serially at plan time in
-    arrival order, sessions that share any mutable state stay on one
-    shard, and the per-domain planes are folded back in deterministic
-    shard order — so outcomes, signed blobs, per-session counters and
-    every [svc.*] total are identical to [~domains:1] (the qcheck fleet
-    property pins this). On OCaml 4.14 the shards run serially with the
-    same observable results. Raises [Invalid_argument] when [domains < 1].
 
     [observe] (default false) turns on the fleet observability plane for
     this run: per-session span tracers (one Perfetto track each, see

@@ -10,13 +10,9 @@ exception Need_drain
    so write expressions resolve their reads by a backwards linear scan —
    the last read of a sym wins, matching the replace semantics of the
    hash-table this replaces. *)
-(* Domain-local: the scratch is mutated in place on every commit, so
-   parallel fleet shards each get their own. *)
-let scratch_ids_key : int array ref Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> ref (Array.make 64 0))
+let scratch_ids = ref (Array.make 64 0)
 
 let to_wire queue =
-  let scratch_ids = Grt_util.Par.Dls.get scratch_ids_key in
   let n_reads = ref 0 in
   List.iter
     (function
@@ -66,10 +62,8 @@ let read_syms queue =
    and building one allocates (printf, boxed 64-bit hash chain). Memoize
    the exact key string under a cheap native-int hash of the same
    (fn, trigger, access-signature) triple; the key is a pure function of
-   the triple, so the memo is shared by every caller — per domain
-   (Par.Dls), which keeps parallel fleet shards off each other's table. *)
-let site_memo_key : (int, string) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 256)
+   the triple, so the memo is shared by every caller. *)
+let site_memo : (int, string) Hashtbl.t = Hashtbl.create 256
 
 let int_fnv_prime = 0x100000001B3
 
@@ -81,7 +75,6 @@ let fold_string h s =
   !h
 
 let site_key ~fn ~trigger queue =
-  let site_memo = Grt_util.Par.Dls.get site_memo_key in
   let h = fold_string (fold_string 0x3BF29CE484222325 fn) trigger in
   let h =
     List.fold_left

@@ -357,15 +357,9 @@ let powered_up t =
    for silicon — on real hardware the GPU fetches and runs the chain itself
    and the host pays only the doorbell MMIO write — so benchmarks of the
    replayer subtract this from their wall-clock samples. *)
-(* Domain-local so parallel fleet shards don't race the accumulator; the
-   replayer benches that subtract it run single-domain, where one slot sees
-   every sample. *)
-let gpu_host_acc_key : float ref Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> ref 0.)
+let gpu_host_acc = ref 0.
 
-let gpu_host_acc () = Grt_util.Par.Dls.get gpu_host_acc_key
-
-let gpu_host_seconds () = !(gpu_host_acc ())
+let gpu_host_seconds () = !gpu_host_acc
 
 let job_duration_ns t (d : Job_desc.t) =
   let f = Int64.to_float d.params.Job_desc.flops_hint in
@@ -374,8 +368,7 @@ let job_duration_ns t (d : Job_desc.t) =
 
 let start_job_chain t ~slot_idx =
   let host_t0 = Sys.time () in
-  let acc = gpu_host_acc () in
-  Fun.protect ~finally:(fun () -> acc := !acc +. Sys.time () -. host_t0)
+  Fun.protect ~finally:(fun () -> gpu_host_acc := !gpu_host_acc +. Sys.time () -. host_t0)
   @@ fun () ->
   let slot = t.slots.(slot_idx) in
   let as_idx = Int64.to_int (Int64.logand slot.config 0x7L) in

@@ -204,11 +204,9 @@ let name_uncached r =
    the access itself, so resolved names are cached per offset. The register
    space a driver touches is small; the cap only guards against a caller
    probing arbitrary offsets. *)
-let name_cache_key : (int, string) Hashtbl.t Grt_util.Par.Dls.key =
-  Grt_util.Par.Dls.key (fun () -> Hashtbl.create 256)
+let name_cache : (int, string) Hashtbl.t = Hashtbl.create 256
 
 let name r =
-  let name_cache = Grt_util.Par.Dls.get name_cache_key in
   match Hashtbl.find_opt name_cache r with
   | Some s -> s
   | None ->

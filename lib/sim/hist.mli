@@ -87,8 +87,8 @@ val record_opt : set option -> key -> int -> unit
 (** No-op on [None] — the zero-cost-when-disabled path. *)
 
 val merge_set : into:set -> set -> unit
-(** {!merge} every keyed histogram pointwise — how a parallel fleet run
-    folds per-domain SLO sets into one. Commutative up to the exact
+(** {!merge} every keyed histogram pointwise — how SLO sets from several
+    runs fold into one. Commutative up to the exact
     min/max/bucket sums, so merge order cannot change a report. *)
 
 val set_json : set -> Grt_util.Json.t

@@ -12,24 +12,54 @@
    always resumes the runnable task with the smallest global time (FIFO on
    ties, by spawn order), so sessions interleave in global virtual-time
    order and the interleaving is a pure function of the task set — no host
-   clocks, no OS scheduling, bit-for-bit reproducible on both coroutine
-   engines. *)
+   clocks, no OS scheduling, bit-for-bit reproducible. *)
 
-type backend = Sched_backend.kind
+type status = Yielded | Done | Raised of exn * Printexc.raw_backtrace
 
-let default_backend : backend = Sched_backend.default
-let backend_available = Sched_backend.available
-let backend_name = function `Effects -> "effects" | `Threads -> "threads"
+type _ Effect.t += Yield : unit Effect.t
 
 type task = {
   id : int;
   name : string;
   clock : Clock.t;
   arrival_ns : int;
-  mutable coro : Sched_backend.t option;
+  body : unit -> unit;
+  mutable k : (unit, status) Effect.Deep.continuation option;
+      (* the suspended rest of [body]; [None] until its first yield *)
   mutable st : [ `Ready | `Running | `Blocked | `Done | `Failed of exn * Printexc.raw_backtrace ];
   mutable wake_ns : int;  (* global ns at which the task next becomes runnable *)
 }
+
+(* Run [task] until its next [Yield], its return or an escaping exception.
+   The deep handler installed by the first [match_with] stays in force
+   across every [continue], so each of the three lands in the same
+   [effc]/[retc]/[exnc] and becomes the value of whichever [resume] call
+   was driving. *)
+let resume task =
+  let open Effect.Deep in
+  match task.k with
+  | Some k ->
+    task.k <- None;
+    continue k ()
+  | None ->
+    match_with
+      (fun () ->
+        task.body ();
+        Done)
+      ()
+      {
+        retc = (fun st -> st);
+        exnc = (fun e -> Raised (e, Printexc.get_raw_backtrace ()));
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Yield ->
+              Some
+                (fun (k : (a, status) continuation) ->
+                  task.k <- Some k;
+                  Yielded)
+            | _ -> None);
+      }
 
 (* Binary min-heap on (wake_ns, seq): seq is a monotonic push counter, so
    equal wake times pop in push order — the deterministic FIFO tie-break. *)
@@ -96,7 +126,6 @@ module Heap = struct
 end
 
 type t = {
-  backend : backend;
   heap : Heap.h;
   mutable tasks : task list;  (* newest first *)
   mutable running : task option;
@@ -111,11 +140,8 @@ type t = {
 
 type cond = { mutable waiters : task list (* newest first *) }
 
-let create ?backend () =
-  let backend = match backend with Some b -> b | None -> Sched_backend.default in
-  let backend = if Sched_backend.available backend then backend else Sched_backend.default in
+let create () =
   {
-    backend;
     heap = Heap.create ();
     tasks = [];
     running = None;
@@ -126,7 +152,6 @@ let create ?backend () =
     on_switch = None;
   }
 
-let backend t = t.backend
 let now_ns t = Int64.of_int t.global_ns
 let yields t = t.yields
 let switches t = t.switches
@@ -137,30 +162,28 @@ let task_global task = task.arrival_ns + Clock.now_int task.clock
 
 let spawn t ?(arrival_ns = 0L) ~name ~clock body =
   if Int64.compare arrival_ns 0L < 0 then invalid_arg "Sched.spawn: negative arrival";
-  let task =
+  (* Yield points record the task's new global position, then hand control
+     to the run loop. The hook lives exactly as long as the task body so a
+     clock outliving the scheduler is safe. *)
+  let rec task =
     {
       id = t.next_id;
       name;
       clock;
       arrival_ns = Int64.to_int arrival_ns;
-      coro = None;
+      body =
+        (fun () ->
+          Clock.set_yield_hook clock (fun () ->
+              task.wake_ns <- task_global task;
+              t.yields <- t.yields + 1;
+              Effect.perform Yield);
+          Fun.protect ~finally:(fun () -> Clock.clear_yield_hook clock) body);
+      k = None;
       st = `Ready;
       wake_ns = Int64.to_int arrival_ns;
     }
   in
   t.next_id <- t.next_id + 1;
-  let coro =
-    Sched_backend.spawn t.backend (fun yield_coro ->
-        (* Yield points record the task's new global position, then hand
-           control to the run loop. The hook lives exactly as long as the
-           task body so a clock outliving the scheduler is safe. *)
-        Clock.set_yield_hook clock (fun () ->
-            task.wake_ns <- task_global task;
-            t.yields <- t.yields + 1;
-            yield_coro ());
-        Fun.protect ~finally:(fun () -> Clock.clear_yield_hook clock) body)
-  in
-  task.coro <- Some coro;
   t.tasks <- task :: t.tasks;
   Heap.push t.heap task;
   task
@@ -212,18 +235,18 @@ let run t =
         t.running <- Some task;
         t.switches <- t.switches + 1;
         (match t.on_switch with Some f -> f t.heap.Heap.n | None -> ());
-        let status = Sched_backend.resume (Option.get task.coro) in
+        let status = resume task in
         t.running <- None;
         (match status with
-        | Sched_threads.Yielded ->
+        | Yielded ->
           (* [`Blocked] means the task parked itself on a cond mid-yield;
              the signaller will re-queue it. *)
           if task.st = `Running then begin
             task.st <- `Ready;
             Heap.push t.heap task
           end
-        | Sched_threads.Done -> task.st <- `Done
-        | Sched_threads.Raised (e, bt) -> task.st <- `Failed (e, bt))
+        | Done -> task.st <- `Done
+        | Raised (e, bt) -> task.st <- `Failed (e, bt))
       | _ -> ());
       loop ()
   in

@@ -10,30 +10,15 @@
     is invisible to the session — and the interleaving is a deterministic
     function of the task set.
 
-    Two coroutine engines back the suspension: effect handlers (OCaml >= 5,
-    the default there) and a thread-baton handshake ({!Sched_threads}, the
-    only engine on 4.14). Both are strictly serial — exactly one task or the
-    scheduler runs at any instant — so recordings are bit-identical across
-    engines and compilers. *)
+    Tasks are one-shot effect-handler coroutines, strictly serial: exactly
+    one task or the scheduler runs at any instant. *)
 
 type t
 type task
 type cond
 
-type backend = [ `Effects | `Threads ]
-
-val default_backend : backend
-(** [`Effects] on OCaml >= 5, [`Threads] on 4.14. *)
-
-val backend_available : backend -> bool
-
-val backend_name : backend -> string
-
-val create : ?backend:backend -> unit -> t
-(** A fresh scheduler. An unavailable [backend] request (effects on 4.14)
-    silently falls back to {!default_backend}. *)
-
-val backend : t -> backend
+val create : unit -> t
+(** A fresh scheduler. *)
 
 val spawn :
   t -> ?arrival_ns:int64 -> name:string -> clock:Clock.t -> (unit -> unit) -> task

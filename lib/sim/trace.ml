@@ -70,8 +70,6 @@ let push t e =
 
 let event t payload = push t { at_ns = Clock.now_ns t.clock; payload }
 
-let absorb t events = List.iter (push t) events
-
 let event_opt t payload = match t with Some t -> event t payload | None -> ()
 
 let emit t ~topic text = event t (Message { topic; text })

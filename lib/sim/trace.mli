@@ -55,12 +55,6 @@ val event_opt : t option -> payload -> unit
 (** The shared optional-trace helper (formerly duplicated in [Link] and
     [Shim_engine]); no-op on [None]. *)
 
-val absorb : t -> event list -> unit
-(** Append already-timestamped events (e.g. {!all} of another ring) in
-    list order, keeping their [at_ns] — how a parallel fleet run folds its
-    per-domain service rings into the main one. The ring stays bounded:
-    absorbing more than [capacity] events drops the oldest. *)
-
 val emit : t -> topic:string -> string -> unit
 (** [Message] convenience. *)
 

@@ -158,40 +158,6 @@ let instant t ~cat ?(args = []) name =
 let instant_opt t ~cat ?args name =
   match t with None -> () | Some t -> instant t ~cat ?args name
 
-(* Fold [src]'s retained spans and markers into [into], reassigning
-   sequence numbers from [into]'s stream while preserving [src]'s own
-   event order; timestamps come over unchanged (both tracers are assumed
-   to read clocks on the same global timeline). Used by parallel fleet
-   runs to merge per-domain service tracers. *)
-let absorb ~into src =
-  let evs =
-    List.concat_map
-      (fun c -> [ (c.c_open_seq, `Open c); (c.c_close_seq, `Close c) ])
-      src.closed
-    @ List.map (fun m -> (m.m_seq, `Mark m)) src.markers
-  in
-  let evs = List.sort (fun (a, _) (b, _) -> compare a b) evs in
-  let opens = Hashtbl.create 16 in
-  List.iter
-    (fun (_, e) ->
-      match e with
-      | `Open c -> Hashtbl.replace opens c.c_open_seq (next_seq into)
-      | `Close c ->
-        let o =
-          match Hashtbl.find_opt opens c.c_open_seq with
-          | Some o -> o
-          | None -> next_seq into
-        in
-        let cl = next_seq into in
-        if into.closed_count >= into.limit then into.dropped <- into.dropped + 1
-        else begin
-          into.closed <- { c_span = c.c_span; c_open_seq = o; c_close_seq = cl } :: into.closed;
-          into.closed_count <- into.closed_count + 1
-        end
-      | `Mark m -> into.markers <- { m with m_seq = next_seq into } :: into.markers)
-    evs;
-  into.dropped <- into.dropped + src.dropped
-
 let spans t = List.rev_map (fun c -> c.c_span) t.closed
 let span_count t = t.closed_count
 let dropped t = t.dropped

@@ -74,14 +74,6 @@ val instant : t -> cat:category -> ?args:(string * string) list -> string -> uni
 
 val instant_opt : t option -> cat:category -> ?args:(string * string) list -> string -> unit
 
-val absorb : into:t -> t -> unit
-(** Fold another tracer's retained spans and markers into [into]: sequence
-    numbers are reassigned from [into]'s stream (preserving the source's
-    internal order, so its exports render after [into]'s own events) and
-    timestamps carry over unchanged — both tracers must read clocks on the
-    same global timeline. Parallel fleet runs use this to merge per-domain
-    service-plane tracers into the main one. *)
-
 val spans : t -> span list
 (** Completed spans, in completion order. *)
 

@@ -11,15 +11,6 @@
     are deliberately outside the virtual clock, the typed {!Metrics} plane
     and every recorded blob, so instrumentation cannot perturb outcomes.
 
-    Cells are *domain-local* (via {!Par.Dls}), matching the memo tables
-    they profile: each domain counts against its own private caches, so a
-    parallel fleet run is race-free by construction. [t] itself is a
-    process-wide handle — register at module-initialisation time, before
-    any domain is spawned. A worker domain hands its numbers back with
-    {!export}; the spawning domain folds them in with {!absorb}, after
-    which {!to_json} reports the whole run. On 4.14 there is one implicit
-    domain and export/absorb degenerate to a copy.
-
     - [hits]        full-verification hits ([Bytes.equal] passed)
     - [misses]      lookups that had to recompute (absent or mismatched)
     - [mismatches]  quick-key matched but the full compare failed (the
@@ -63,15 +54,7 @@ type snap = {
 }
 
 val snapshot : t -> snap
-(** The calling domain's counters for [t]. *)
-
-val export : unit -> (string * snap) list
-(** Every cell of the *calling domain*, sorted by name — a worker domain
-    calls this just before finishing so the spawner can {!absorb} it. *)
-
-val absorb : (string * snap) list -> unit
-(** Fold an {!export}ed worker profile into the calling domain's cells
-    (counters and resident gauges sum; unknown names are ignored). *)
+(** The current counters for [t]. *)
 
 val all : unit -> t list
 (** Every registered cell, sorted by name. *)

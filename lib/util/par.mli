@@ -1,52 +1,5 @@
-(** Domain-level parallelism, portable across compilers.
-
-    OCaml 5 exposes true shared-memory parallelism through [Domain]; 4.14
-    has neither domains nor domain-local storage. This module is the one
-    place the rest of the tree touches either, provided as two build-time
-    variants (see the version-select rules in [lib/util/dune], the same
-    mechanism as [Grt_sim.Sched_backend]):
-
-    - [par.domains.ml-gen] (OCaml >= 5.0): [Dls] is [Domain.DLS],
-      {!run_shards} spawns one domain per shard beyond the first.
-    - [par.serial.ml-gen]  (OCaml < 5.0): [Dls] keys are lazily-initialised
-      process globals (a single implicit domain), {!run_shards} maps
-      shards in index order on the calling thread.
-
-    Both variants satisfy this interface, so callers are written once. The
-    serial variant is semantically the [domains = 1] degenerate case: code
-    that is correct when every shard runs on the calling domain in index
-    order is correct under both variants. *)
-
-module Dls : sig
-  type 'a key
-
-  val key : (unit -> 'a) -> 'a key
-  (** [key init] allocates a storage key. Each domain lazily initialises
-      its own slot with [init] on first {!get}; the serial variant has one
-      process-wide slot. Call at module-initialisation time (before any
-      domain is spawned). *)
-
-  val get : 'a key -> 'a
-  (** The calling domain's slot (initialising it if needed). *)
-end
-
-val parallelism_available : bool
-(** Whether {!run_shards} can actually overlap shards (OCaml >= 5.0). *)
+(** Host parallelism facts. *)
 
 val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] on OCaml 5, [1] on 4.14 — an
-    upper bound worth using for fleet sharding on this host. *)
-
-val run_shards : (int -> 'a -> 'b) -> 'a array -> 'b array
-(** [run_shards f shards] computes [[| f 0 shards.(0); f 1 shards.(1); .. |]].
-
-    On OCaml 5 with two or more shards, every shard runs on a fresh
-    spawned domain (the caller only joins), so [f]'s domain-local state is
-    private to its shard. On 4.14 (or with a single shard) the shards run
-    serially in index order on the calling domain.
-
-    [f] must therefore tolerate both executions: shards may only share
-    state that is immutable (or domain-local) for the duration of the
-    call. If any shard raises, the remaining shards still run to
-    completion (domains must be joined) and the lowest-indexed shard's
-    exception is re-raised. *)
+(** [Domain.recommended_domain_count ()]: the host's usable core count, as
+    recorded in benchmark host metadata. *)

@@ -97,12 +97,7 @@ end
    can keep mutating their buffers. *)
 let memo_limit = 1024
 
-(* Domain-local (Par.Dls): each domain gets a private table, so parallel
-   fleet shards never contend on — or corrupt — a shared Hashtbl. The memo
-   is a pure cache, so per-domain cold starts change hit counts only,
-   never output bytes. *)
-let memo_key : (int, bytes * bytes) Hashtbl.t Par.Dls.key =
-  Par.Dls.key (fun () -> Hashtbl.create 256)
+let memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
 
 let content_key data = Hashing.quick data
 
@@ -182,7 +177,6 @@ let memo_insert stats tbl key ~input ~output ~prior =
   Hashtbl.replace tbl key (input, output)
 
 let encode data =
-  let memo = Par.Dls.get memo_key in
   let key = content_key data in
   match Hashtbl.find_opt memo key with
   | Some (input, coded) when Bytes.equal input data ->
@@ -241,11 +235,9 @@ let decode_raw blob =
 (* Decode gets the same memo treatment as encode: the client applies the
    same coded pages every time a workload's sync stream repeats, and decode
    is a pure function of the blob. *)
-let decode_memo_key : (int, bytes * bytes) Hashtbl.t Par.Dls.key =
-  Par.Dls.key (fun () -> Hashtbl.create 256)
+let decode_memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
 
 let decode blob =
-  let decode_memo = Par.Dls.get decode_memo_key in
   let key = content_key blob in
   match Hashtbl.find_opt decode_memo key with
   | Some (input, data) when Bytes.equal input blob ->

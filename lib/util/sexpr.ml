@@ -19,12 +19,10 @@ let const v = Const v
 let of_int v = Const (Int64.of_int v)
 
 (* Sym ids only correlate reads *within* a session (they never reach the
-   wire or a signed blob), so a per-domain counter (Par.Dls) is enough:
-   ids stay unique inside each domain and allocation stays a plain incr. *)
-let counter_key : int ref Par.Dls.key = Par.Dls.key (fun () -> ref 0)
+   wire or a signed blob), so one process-wide counter is enough. *)
+let counter = ref 0
 
 let fresh_sym ~origin =
-  let counter = Par.Dls.get counter_key in
   incr counter;
   { id = !counter; origin; binding = None; speculative = false }
 

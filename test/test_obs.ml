@@ -442,7 +442,7 @@ let tiny_fleet =
          degraded_fraction = 0.;
        }
      in
-     E.fleet ~options ~observe:true ())
+     E.fleet ~options ~observe:true ~wall:(fun () -> Int64.to_float (Monotonic_clock.now ()) *. 1e-9) ())
 
 let fleet_report_of (row, svc) =
   Grt.Report.of_fleet ~fleet:(E.fleet_row_json row) ~stats:(Grt.Service.stats svc)

@@ -1,5 +1,5 @@
-(* Multi-session recording service tests: the virtual-time scheduler (both
-   coroutine engines), solo-session identity through the scheduler, the
+(* Multi-session recording service tests: the virtual-time scheduler,
+   solo-session identity through the scheduler, the
    content-addressed recording cache (hits, coalescing, LRU eviction +
    cheap re-record through the shared stores), and the interleaving-
    determinism property — N multiplexed sessions produce exactly the blobs
@@ -19,14 +19,12 @@ module Profile = Grt_net.Profile
 
 let check = Alcotest.check
 
-let backends = List.filter Sched.backend_available [ `Effects; `Threads ]
-
-(* ---- scheduler unit tests, parameterized over the backend ---- *)
+(* ---- scheduler unit tests ---- *)
 
 (* Tasks resume in global virtual-time order (arrival + private clock),
    regardless of spawn order. *)
-let sched_order backend () =
-  let s = Sched.create ~backend () in
+let sched_order () =
+  let s = Sched.create () in
   let log = ref [] in
   let mk name arrival_ns advance_s =
     let clock = Clock.create () in
@@ -51,8 +49,8 @@ let sched_order backend () =
 
 (* await consumes virtual time: the waiter wakes at the signaller's global
    instant, with its private clock advanced to match. *)
-let sched_cond backend () =
-  let s = Sched.create ~backend () in
+let sched_cond () =
+  let s = Sched.create () in
   let cond = Sched.new_cond () in
   let a_clock = Clock.create () in
   let woke_at = ref (-1.0) in
@@ -70,8 +68,8 @@ let sched_cond backend () =
   (* signaller's global time at the signal: 10ms arrival + 20ms burned *)
   check (Alcotest.float 1e-9) "woke at the signal instant" 0.030 !woke_at
 
-let sched_deadlock backend () =
-  let s = Sched.create ~backend () in
+let sched_deadlock () =
+  let s = Sched.create () in
   let cond = Sched.new_cond () in
   let clock = Clock.create () in
   ignore (Sched.spawn s ~name:"stuck" ~clock (fun () -> Sched.await s cond));
@@ -82,8 +80,8 @@ let sched_deadlock backend () =
       Alcotest.failf "wrong deadlock set: %s" (String.concat "," names)
 
 (* A raising task is recorded, not propagated; other tasks finish. *)
-let sched_failure backend () =
-  let s = Sched.create ~backend () in
+let sched_failure () =
+  let s = Sched.create () in
   let finished = ref false in
   let c1 = Clock.create () and c2 = Clock.create () in
   ignore (Sched.spawn s ~name:"bad" ~clock:c1 (fun () -> failwith "boom"));
@@ -97,7 +95,7 @@ let sched_failure backend () =
 (* ---- solo identity: one session under the scheduler is byte-identical
    to the same session run directly (golden preservation) ---- *)
 
-let solo_identity backend () =
+let solo_identity () =
   let seed = 42L in
   let direct =
     Orchestrate.record ~profile:Profile.wifi ~mode:Mode.Ours_mds
@@ -109,7 +107,7 @@ let solo_identity backend () =
       ~seed ~granularity:`Monolithic ()
   in
   let pipeline = Orchestrate.Pipeline.create ctx in
-  let s = Sched.create ~backend () in
+  let s = Sched.create () in
   let result = ref None in
   ignore
     (Sched.spawn s ~name:"solo" ~clock:ctx.Ctx.clock (fun () ->
@@ -182,10 +180,10 @@ let second_client_hits () =
 
 (* Simultaneous same-key arrivals under the scheduler: exactly one records,
    the rest coalesce onto the in-flight recording. *)
-let coalescing backend () =
+let coalescing () =
   let svc = Service.create () in
   let specs = List.init 4 (fun i -> spec ~id:i ~at_ms:i ()) in
-  let reports, _ = Service.run ~backend svc specs in
+  let reports, _ = Service.run svc specs in
   let st = Service.stats svc in
   check Alcotest.int "one recording" 1 st.Service.recordings;
   check Alcotest.int "rest coalesced" 3 st.Service.coalesced;
@@ -231,8 +229,8 @@ let eviction_rerecord () =
       | _ -> Alcotest.fail "expected both MNIST sessions to record")
   | _ -> Alcotest.fail "expected 3 reports"
 
-(* ---- interleaving determinism (qcheck): any small fleet, multiplexed on
-   any available backend, ≡ the same fleet sequential — same outcomes
+(* ---- interleaving determinism (qcheck): any small fleet, multiplexed,
+   ≡ the same fleet sequential — same outcomes
    (coalesced ≡ cache hit), same blob bytes, same per-session counters.
    The generator mixes lossy channels (recordings that genuinely collapse,
    exercising the failure retry hand-off), two mode configs per (net, sku)
@@ -298,8 +296,8 @@ let print_fleet (cap, specs) =
               | None -> "-"))
           specs))
 
-let dump_mismatch backend seq mux =
-  Printf.eprintf "--- %s diverges from sequential ---\n" (Sched.backend_name backend);
+let dump_mismatch seq mux =
+  Printf.eprintf "--- multiplexed diverges from sequential ---\n";
   List.iter2
     (fun (id, o1, b1, c1) (_, o2, b2, c2) ->
       if (o1, b1, c1) <> (o2, b2, c2) then begin
@@ -322,15 +320,10 @@ let interleaving_deterministic =
            Service.run ~sequential:true (Service.create ~cache_capacity:cap ()) specs
          in
          let seq = List.map normalized seq in
-         List.for_all
-           (fun backend ->
-             let mux, _ =
-               Service.run ~backend (Service.create ~cache_capacity:cap ()) specs
-             in
-             let mux = List.map normalized mux in
-             if mux <> seq then dump_mismatch backend seq mux;
-             mux = seq)
-           backends))
+         let mux, _ = Service.run (Service.create ~cache_capacity:cap ()) specs in
+         let mux = List.map normalized mux in
+         if mux <> seq then dump_mismatch seq mux;
+         mux = seq))
 
 (* ---- failure retry hand-off: a lossy first client whose recording
    collapses must not doom later same-key clients. Sequential mode retries
@@ -340,7 +333,7 @@ let interleaving_deterministic =
 
 let lossy = Profile.degrade ~drop_prob:0.75 Profile.wifi
 
-let failed_recording_retries backend () =
+let failed_recording_retries () =
   let specs =
     [
       spec ~id:0 ~profile:lossy ~at_ms:0 ();
@@ -348,9 +341,9 @@ let failed_recording_retries backend () =
       spec ~id:2 ~at_ms:2 ();
     ]
   in
-  let go ?backend ~sequential () =
+  let go ~sequential () =
     let svc = Service.create () in
-    let reports, _ = Service.run ?backend ~sequential svc specs in
+    let reports, _ = Service.run ~sequential svc specs in
     (reports, Service.stats svc)
   in
   let seq, seq_st = go ~sequential:true () in
@@ -359,7 +352,7 @@ let failed_recording_retries backend () =
     "sequential: fail, retry, hit"
     [ "failed"; "recorded"; "cache_hit" ]
     (List.map (fun r -> Service.outcome_name r.Service.outcome) seq);
-  let mux, mux_st = go ~backend ~sequential:false () in
+  let mux, mux_st = go ~sequential:false () in
   check
     Alcotest.(list string)
     "multiplexed: fail, promoted waiter records, coalesced"
@@ -376,93 +369,11 @@ let failed_recording_retries backend () =
   | Some b1, Some b2 -> check Alcotest.bool "retry blob identical" true (Bytes.equal b1 b2)
   | _ -> Alcotest.fail "expected the second client to record in both modes"
 
-(* ---- domain-parallel determinism (qcheck): the same fleet sharded by
-   share group across 2 or 4 domains ≡ the single-scheduler multiplexed
-   run — identical normalized reports (outcome, blob bytes, per-session
-   counters), identical recorded-blob digests, identical svc.* totals,
-   identical cache listing, and the same virtual-time facts (makespan,
-   yields, switches — they are intrinsic per session, not artifacts of
-   which scheduler interleaved it). ---- *)
-
-let digested (r : Service.session_report) =
-  (normalized r, Option.map Digest.bytes (blob_of r))
-
-let svc_totals svc = Counters.to_alist (Service.service_counters svc)
-
-let dump_domain_mismatch domains base run =
-  Printf.eprintf "--- domains=%d diverges from multiplexed ---\n" domains;
-  List.iter2
-    (fun ((id, o1, b1, _), _) ((_, o2, b2, _), _) ->
-      if (o1, b1) <> (o2, b2) then
-        Printf.eprintf "  client %d: d1 %s/%d d%d %s/%d\n" id o1 b1 domains o2 b2)
-    base run;
-  flush stderr
-
-let domain_parallel_deterministic =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:8 ~name:"domain-sharded fleet == multiplexed fleet"
-       ~print:print_fleet gen_fleet (fun (cap, specs) ->
-         let go domains =
-           let svc = Service.create ~cache_capacity:cap () in
-           let reports, rs = Service.run ~domains svc specs in
-           ( List.map digested reports,
-             svc_totals svc,
-             Service.cache_listing svc,
-             (rs.Service.rs_virtual_ns, rs.Service.rs_yields, rs.Service.rs_switches) )
-         in
-         let base, base_totals, base_cache, base_virt = go 1 in
-         List.for_all
-           (fun domains ->
-             let run, totals, cache, virt = go domains in
-             if run <> base then dump_domain_mismatch domains base run;
-             run = base && totals = base_totals && cache = base_cache
-             && virt = base_virt)
-           [ 2; 4 ]))
-
-(* ---- promoted-waiter retry across a domain boundary: a lossy MNIST
-   group rides one shard while two AlexNet groups fill the others. The
-   MNIST shard must still fail client 0, promote client 1 to recorder and
-   coalesce client 2 — byte-identical to the single-scheduler run — and
-   the 4-domain run must actually have split the fleet into >1 shard. ---- *)
-
-let promoted_waiter_across_domains () =
-  let specs =
-    [
-      spec ~id:0 ~profile:lossy ~at_ms:0 ();
-      spec ~id:1 ~at_ms:1 ();
-      spec ~id:2 ~at_ms:2 ();
-      spec ~id:3 ~net:Zoo.alexnet ~at_ms:5 ();
-      spec ~id:4 ~net:Zoo.alexnet ~sku:Sku.g31_mp2 ~at_ms:6 ();
-    ]
-  in
-  let go domains =
-    let svc = Service.create () in
-    let reports, rs = Service.run ~domains svc specs in
-    ( List.map (fun r -> Service.outcome_name r.Service.outcome) reports,
-      List.map digested reports,
-      Service.stats svc,
-      rs )
-  in
-  let _, d1, st1, _ = go 1 in
-  let o4, d4, st4, rs4 = go 4 in
-  check
-    Alcotest.(list string)
-    "d4: fail, promoted waiter records, coalesced; other groups record"
-    [ "failed"; "recorded"; "coalesced"; "recorded"; "recorded" ]
-    o4;
-  check Alcotest.bool "d4 reports byte-identical to d1" true (d4 = d1);
-  check Alcotest.int "same recordings" st1.Service.recordings st4.Service.recordings;
-  check Alcotest.int "same failures" st1.Service.failures st4.Service.failures;
-  check Alcotest.bool "fleet split across shards" true
-    (List.length rs4.Service.rs_shards > 1);
-  (* three share groups -> at most three shards even with four domains *)
-  check Alcotest.int "one shard per share group" 3 (List.length rs4.Service.rs_shards)
-
 (* ---- the observability plane is write-only: same outcomes, same blobs,
    same per-session counters with observe on or off, in both execution
    modes — and the observed run actually collects tracks and samples. ---- *)
 
-let observation_write_only backend () =
+let observation_write_only () =
   let specs =
     [
       spec ~id:0 ~profile:lossy ~at_ms:0 ();
@@ -473,7 +384,7 @@ let observation_write_only backend () =
   in
   let go ~sequential ~observe =
     let svc = Service.create ~cache_capacity:1 () in
-    let reports, _ = Service.run ~backend ~sequential ~observe svc specs in
+    let reports, _ = Service.run ~sequential ~observe svc specs in
     (List.map normalized reports, svc)
   in
   List.iter
@@ -539,39 +450,40 @@ let service_counter_view () =
   check Alcotest.int "aggregate includes svc counters" 2
     (Counters.get_int agg "svc.sessions")
 
-let backend_cases name f =
-  List.map
-    (fun b ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Sched.backend_name b)) `Quick (f b))
-    backends
-
 let () =
   Alcotest.run "service"
     [
       ( "sched",
-        backend_cases "virtual-time order" sched_order
-        @ backend_cases "cond wait advances to signal time" sched_cond
-        @ backend_cases "deadlock detected" sched_deadlock
-        @ backend_cases "failure isolated" sched_failure );
+        [
+          Alcotest.test_case "virtual-time order (effects)" `Quick sched_order;
+          Alcotest.test_case "cond wait advances to signal time (effects)" `Quick sched_cond;
+          Alcotest.test_case "deadlock detected (effects)" `Quick sched_deadlock;
+          Alcotest.test_case "failure isolated (effects)" `Quick sched_failure;
+        ] );
       ( "identity",
-        backend_cases "solo session byte-identical under scheduler" solo_identity
-        @ [ Alcotest.test_case "service recording = direct record of key seed" `Quick
-              recording_matches_direct ] );
+        [
+          Alcotest.test_case "solo session byte-identical under scheduler (effects)" `Quick
+            solo_identity;
+          Alcotest.test_case "service recording = direct record of key seed" `Quick
+            recording_matches_direct;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "second client hits" `Quick second_client_hits;
           Alcotest.test_case "eviction + cheap re-record" `Quick eviction_rerecord;
           Alcotest.test_case "service counters + aggregate" `Quick service_counter_view;
-        ]
-        @ backend_cases "simultaneous arrivals coalesce" coalescing
-        @ backend_cases "failed recording promotes a waiter" failed_recording_retries );
+          Alcotest.test_case "simultaneous arrivals coalesce (effects)" `Quick coalescing;
+          Alcotest.test_case "failed recording promotes a waiter (effects)" `Quick
+            failed_recording_retries;
+        ] );
       ( "determinism",
         [
           interleaving_deterministic;
-          domain_parallel_deterministic;
-          Alcotest.test_case "promoted waiter across a domain boundary" `Quick
-            promoted_waiter_across_domains;
           Alcotest.test_case "fleet generation" `Quick fleet_generation;
         ] );
-      ("observability", backend_cases "observation is write-only" observation_write_only);
+      ( "observability",
+        [
+          Alcotest.test_case "observation is write-only (effects)" `Quick
+            observation_write_only;
+        ] );
     ]
