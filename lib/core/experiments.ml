@@ -826,8 +826,9 @@ type speed_row = {
       (** per-memo hit/miss profile over this row's measured window *)
 }
 
-(* Measured on the flat-store + memoized-sign hot path (2026-08): Naive
-   334.6, OursMDS 450.5, dedup 460.5, w4 419.9 minor-words/access. The
+(* Measured on the flat-store + memoized-sign hot path with the
+   local-state range-coder kernels (BENCH_speed.json): Naive 333.2,
+   OursMDS 449.7, dedup 459.3, w4 419.1 minor-words/access. The
    ceilings leave ~25% headroom for hashtable-resize and iteration-count
    jitter; a breach means a new per-access allocation crept into the
    record path, not machine noise (allocation counts are deterministic). *)

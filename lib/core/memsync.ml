@@ -86,7 +86,11 @@ module Store = struct
   type s = (int64, bytes) Hashtbl.t
 
   let create () : s = Hashtbl.create 64
-  let learn (s : s) data = Hashtbl.replace s (hash_page data) (Bytes.copy data)
+
+  (* [h] must be [hash_page data]: lets a sender that already hashed the
+     page for its lookups insert it without hashing it again. *)
+  let learn_hashed (s : s) h data = Hashtbl.replace s h (Bytes.copy data)
+  let learn s data = learn_hashed s (hash_page data) data
   let find (s : s) h = Hashtbl.find_opt s h
 end
 
@@ -449,16 +453,23 @@ let encode_tagged t ~previous ~pfn ~current =
       mk Enc_hash_ref body
     end
     else if t.cfg.Mode.memsync_adaptive then begin
-      let candidates =
-        (Enc_raw, current)
-        :: (Enc_raw_rc, Grt_util.Range_coder.encode current)
-        ::
-        (match previous with
+      let deltas =
+        match previous with
         | Some prev ->
           let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
           [ (Enc_delta, d); (Enc_delta_rc, Grt_util.Range_coder.encode d) ]
-        | None -> [])
+        | None -> []
       in
+      (* A delta body shorter than any possible range coding of the page
+         beats [Enc_raw_rc] whatever it codes to, so that encode (the most
+         expensive candidate) is skipped. Dropping a strictly losing
+         candidate leaves the first minimum of the fold unchanged. *)
+      let best_delta = List.fold_left (fun m (_, b) -> min m (Bytes.length b)) max_int deltas in
+      let raw_rc =
+        if best_delta < Grt_util.Range_coder.min_coded_length (Bytes.length current) then []
+        else [ (Enc_raw_rc, Grt_util.Range_coder.encode current) ]
+      in
+      let candidates = ((Enc_raw, current) :: raw_rc) @ deltas in
       let enc, body =
         List.fold_left
           (fun (e0, b0) (e, b) ->
@@ -494,8 +505,8 @@ let encode_tagged t ~previous ~pfn ~current =
       | _ -> r)
     | _ -> r
   in
-  Store.learn t.sent_store current;
-  (match t.shared with Some sh -> Store.learn sh current | None -> ());
+  Store.learn_hashed t.sent_store h current;
+  (match t.shared with Some sh -> Store.learn_hashed sh h current | None -> ());
   r
 
 (* Stand-in contents of a never-materialized page: compared against (and
@@ -575,8 +586,9 @@ let note_peer_page t pfn contents =
 let note_shipped t pfn contents =
   Hashtbl.replace t.baseline (Int64.to_int pfn) (Bytes.copy contents);
   if tagged_wire t.cfg then begin
-    Store.learn t.sent_store contents;
-    match t.shared with Some sh -> Store.learn sh contents | None -> ()
+    let h = hash_page contents in
+    Store.learn_hashed t.sent_store h contents;
+    match t.shared with Some sh -> Store.learn_hashed sh h contents | None -> ()
   end
 
 (* Walk the descriptor chain in local memory and apply [f] to every data

@@ -225,5 +225,10 @@ let compile ?tracer (v : Recording.verified) =
     stats = stats_of groups ~entries:(Array.length entries);
   }
 
+(* Static lowering decodes [Enc_raw_rc] bodies before any chunk hash is
+   checked, so a tampered body surfaces here as [Failure]: report it as a
+   typed error like a bad header. *)
 let of_blob ?tracer ~key blob =
-  Result.map (compile ?tracer) (Recording.parse_signed ~key blob)
+  match Recording.parse_signed ~key blob with
+  | Error _ as e -> e
+  | Ok v -> ( try Ok (compile ?tracer v) with Failure msg -> Error ("replay_prog: " ^ msg))

@@ -82,4 +82,6 @@ val compile : ?tracer:Grt_sim.Tracer.t -> Recording.verified -> t
 
 val of_blob : ?tracer:Grt_sim.Tracer.t -> key:Grt_tee.Crypto.key -> bytes -> (t, string) result
 (** [parse_signed] + [compile]: header-verified, chunk hashes left to the
-    executor's streaming check. *)
+    executor's streaming check. A body that fails to decode during static
+    lowering (possible only if a chunk was tampered with, since chunk hashes
+    are not checked yet) is an [Error] too, not an exception. *)

@@ -3,13 +3,15 @@
    an adaptive byte-frequency model whose total is kept below 2^16 so that
    [range * cum] stays within integer precision.
 
-   This runs on every changed page the recorder ships, so the hot loop is
-   engineered to do no per-byte allocation and no linear scans: interval
-   registers are native ints (every intermediate fits in 48 bits, so 63-bit
-   int arithmetic is exact and truncating division matches the historical
-   Int64 formulation bit for bit). The adaptive model keeps a plain
-   frequency array: the recorder's pages are zero-dominated, so the
-   prefix scan for the common low symbols is shorter than any tree. *)
+   This runs on every changed page the recorder ships, so the kernels keep
+   all of their state in locals: the frequency array, the interval
+   registers and the bit accumulator are native ints updated in place, with
+   no record indirection and no call per bit. Every intermediate fits in 48
+   bits, so 63-bit int arithmetic is exact and truncating division matches
+   the historical Int64 formulation bit for bit. The model is a plain
+   frequency array: the recorder's pages are zero-dominated, so the prefix
+   scan for the common low symbols is shorter than any tree, and symbol 0
+   gets a path of its own in both directions. *)
 
 let code_bits = 32
 let whole = 1 lsl code_bits
@@ -17,74 +19,141 @@ let half = whole lsr 1
 let quarter = whole lsr 2
 let three_quarter = half + quarter
 let max_total = (1 lsl 16) - 1
+let increment = 24
 
-module Model = struct
-  type t = { freq : int array; mutable total : int }
+(* Halve every count (keeping each >= 1); returns the new total. *)
+let rescale freq =
+  let total = ref 0 in
+  for i = 0 to 255 do
+    let f = (Array.unsafe_get freq i / 2) + 1 in
+    Array.unsafe_set freq i f;
+    total := !total + f
+  done;
+  !total
 
-  let create () = { freq = Array.make 256 1; total = 256 }
+let varint_len n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
 
-  let cumulative t sym =
-    let freq = t.freq in
-    let c = ref 0 in
-    for i = 0 to sym - 1 do
-      c := !c + Array.unsafe_get freq i
-    done;
-    !c
+(* Lower bound on the coded size of any [n]-byte input (proof in the mli).
+   [step i] bounds the bits symbol [i] costs; from [saturated] on the
+   model total is capped, so the step is constant and [prefix] stops. *)
+let saturated = (max_total - 1 - 256 + increment - 1) / increment
 
-  let find t target =
-    let freq = t.freq in
-    let c = ref 0 and sym = ref 0 in
-    while !c + Array.unsafe_get freq !sym <= target do
-      c := !c + Array.unsafe_get freq !sym;
-      incr sym
-    done;
-    (!sym, !c)
+let step i =
+  let t = float_of_int (min (256 + (increment * i)) (max_total - 1)) in
+  -.Float.log2 (((t -. 255.) /. t) +. ldexp 1. (-30))
 
-  let update t sym =
-    Array.unsafe_set t.freq sym (Array.unsafe_get t.freq sym + 24);
-    t.total <- t.total + 24;
-    if t.total >= max_total then begin
-      t.total <- 0;
-      for i = 0 to 255 do
-        t.freq.(i) <- (t.freq.(i) / 2) + 1;
-        t.total <- t.total + t.freq.(i)
-      done
-    end
-end
+let prefix =
+  let a = Array.make (saturated + 1) 0. in
+  for i = 1 to saturated do
+    a.(i) <- a.(i - 1) +. step (i - 1)
+  done;
+  a
 
-module Bit_writer = struct
-  type t = { buf : Byte_buf.t; mutable acc : int; mutable nbits : int }
+let min_coded_length n =
+  if n < 0 then invalid_arg "Range_coder.min_coded_length: negative length";
+  let bits =
+    if n <= saturated then prefix.(n)
+    else prefix.(saturated) +. (float_of_int (n - saturated) *. step saturated)
+  in
+  (* Shave a relative 1e-9 so float rounding can only loosen the bound. *)
+  varint_len n + int_of_float (Float.ceil (bits *. (1. -. 1e-9) /. 8.))
 
-  let create buf = { buf; acc = 0; nbits = 0 }
+(* Encoder output goes to one reusable buffer, sized up front past the
+   worst case: a step leaves the range above 2^30 / 65534 > 2^13, so it
+   emits at most 18 bits (2.25 bytes) per input byte. Like the memos
+   below, this assumes a single domain. *)
+let scratch = ref (Bytes.create 4096)
 
-  let put t bit =
-    t.acc <- (t.acc lsl 1) lor bit;
-    t.nbits <- t.nbits + 1;
-    if t.nbits = 8 then begin
-      Byte_buf.add_u8 t.buf t.acc;
-      t.acc <- 0;
-      t.nbits <- 0
-    end
-
-  let flush t =
-    while t.nbits <> 0 do
-      put t 0
-    done
-end
-
-module Bit_reader = struct
-  type t = { r : Byte_buf.Reader.r; mutable acc : int; mutable nbits : int }
-
-  let create r = { r; acc = 0; nbits = 0 }
-
-  let get t =
-    if t.nbits = 0 then begin
-      t.acc <- (if Byte_buf.Reader.remaining t.r > 0 then Byte_buf.Reader.u8 t.r else 0);
-      t.nbits <- 8
+let encode_raw data =
+  let n = Bytes.length data in
+  let need = 16 + (9 * n / 4) + 2 in
+  if Bytes.length !scratch < need then scratch := Bytes.create need;
+  let out = !scratch in
+  let pos = ref 0 and v = ref n in
+  while !v >= 0x80 do
+    Bytes.set out !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
+    incr pos;
+    v := !v lsr 7
+  done;
+  Bytes.set out !pos (Char.unsafe_chr !v);
+  incr pos;
+  let freq = Array.make 256 1 and total = ref 256 in
+  let low = ref 0 and high = ref (whole - 1) and pending = ref 0 in
+  let acc = ref 0 and nbits = ref 0 in
+  for i = 0 to n - 1 do
+    let sym = Char.code (Bytes.unsafe_get data i) in
+    let f = Array.unsafe_get freq sym in
+    let t = !total in
+    let range = !high - !low + 1 in
+    (* [cum_lo = 0] (symbol 0, most of every page) and [cum_hi = total]
+       make a quotient trivial ([0] resp. [range]); skipping that division
+       is exact. *)
+    if sym = 0 then high := !low + (range * f / t) - 1
+    else begin
+      let cum_lo = ref 0 in
+      for s = 0 to sym - 1 do
+        cum_lo := !cum_lo + Array.unsafe_get freq s
+      done;
+      let cum_hi = !cum_lo + f in
+      if cum_hi <> t then high := !low + (range * cum_hi / t) - 1;
+      low := !low + (range * !cum_lo / t)
     end;
-    t.nbits <- t.nbits - 1;
-    (t.acc lsr t.nbits) land 1
-end
+    let continue = ref true in
+    while !continue do
+      if !high < half || !low >= half then begin
+        (* Emit one bit, then the pending underflow bits as its inverse. *)
+        let bit = if !high < half then 0 else 1 in
+        for k = 0 to !pending do
+          acc := (!acc lsl 1) lor (if k = 0 then bit else 1 - bit);
+          incr nbits;
+          if !nbits = 8 then begin
+            Bytes.set out !pos (Char.unsafe_chr !acc);
+            incr pos;
+            acc := 0;
+            nbits := 0
+          end
+        done;
+        pending := 0;
+        if bit = 1 then begin
+          low := !low - half;
+          high := !high - half
+        end
+      end
+      else if !low >= quarter && !high < three_quarter then begin
+        incr pending;
+        low := !low - quarter;
+        high := !high - quarter
+      end
+      else continue := false;
+      if !continue then begin
+        low := !low lsl 1;
+        high := (!high lsl 1) + 1
+      end
+    done;
+    Array.unsafe_set freq sym (f + increment);
+    total := t + increment;
+    if !total >= max_total then total := rescale freq
+  done;
+  (* Disambiguate the final interval: one bit plus its pending inverses,
+     then zero padding to the byte boundary. *)
+  let bit = if !low < quarter then 0 else 1 in
+  for k = 0 to !pending + 1 do
+    acc := (!acc lsl 1) lor (if k = 0 then bit else 1 - bit);
+    incr nbits;
+    if !nbits = 8 then begin
+      Bytes.set out !pos (Char.unsafe_chr !acc);
+      incr pos;
+      acc := 0;
+      nbits := 0
+    end
+  done;
+  if !nbits > 0 then begin
+    Bytes.set out !pos (Char.unsafe_chr (!acc lsl (8 - !nbits)));
+    incr pos
+  end;
+  Bytes.sub out 0 !pos
 
 (* [encode] is a pure function of its input, and the recorder feeds it the
    same page contents over and over — identical pages recur within a session
@@ -100,59 +169,6 @@ let memo_limit = 1024
 let memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
 
 let content_key data = Hashing.quick data
-
-let encode_raw data =
-  let n = Bytes.length data in
-  let out = Byte_buf.create ~capacity:(max 16 (n / 4)) () in
-  Byte_buf.add_varint out n;
-  let bw = Bit_writer.create out in
-  let model = Model.create () in
-  let low = ref 0 and high = ref (whole - 1) and pending = ref 0 in
-  let emit bit =
-    Bit_writer.put bw bit;
-    let inverse = 1 - bit in
-    while !pending > 0 do
-      Bit_writer.put bw inverse;
-      decr pending
-    done
-  in
-  for i = 0 to n - 1 do
-    let sym = Char.code (Bytes.unsafe_get data i) in
-    let cum_lo = Model.cumulative model sym in
-    let cum_hi = cum_lo + Array.unsafe_get model.Model.freq sym in
-    let total = model.Model.total in
-    let range = !high - !low + 1 in
-    (* [cum_hi = total] and [cum_lo = 0] make the quotient trivial ([range]
-       resp. [0]); skipping the division is exact and saves the dominant
-       cost of coding the most- and least-significant symbols. *)
-    if cum_hi <> total then high := !low + (range * cum_hi / total) - 1;
-    if cum_lo <> 0 then low := !low + (range * cum_lo / total);
-    let continue = ref true in
-    while !continue do
-      if !high < half then emit 0
-      else if !low >= half then begin
-        emit 1;
-        low := !low - half;
-        high := !high - half
-      end
-      else if !low >= quarter && !high < three_quarter then begin
-        incr pending;
-        low := !low - quarter;
-        high := !high - quarter
-      end
-      else continue := false;
-      if !continue then begin
-        low := !low lsl 1;
-        high := (!high lsl 1) + 1
-      end
-    done;
-    Model.update model sym
-  done;
-  (* Disambiguate the final interval. *)
-  incr pending;
-  if !low < quarter then emit 0 else emit 1;
-  Bit_writer.flush bw;
-  Byte_buf.contents out
 
 let encode_stats = Memo_stats.register "rc.encode"
 let decode_stats = Memo_stats.register "rc.decode"
@@ -189,24 +205,51 @@ let encode data =
     Bytes.copy coded
 
 let decode_raw blob =
+  let len = Bytes.length blob in
   let r = Byte_buf.Reader.of_bytes blob in
   let n = Byte_buf.Reader.varint r in
+  (* Every valid encoding is at least [min_coded_length n] long, so a
+     shorter body is corrupt: reject it before trusting [n] with an
+     allocation. *)
+  if n < 0 || len < min_coded_length n then
+    failwith "Range_coder.decode: body too short for its declared length";
   let out = Bytes.create n in
-  let br = Bit_reader.create r in
-  let model = Model.create () in
-  let low = ref 0 and high = ref (whole - 1) and value = ref 0 in
-  for _ = 1 to code_bits do
-    value := (!value lsl 1) lor Bit_reader.get br
+  let pos = ref (Byte_buf.Reader.pos r) in
+  (* Past the end of the body the code stream reads as zeros. *)
+  let value = ref 0 in
+  for _ = 1 to code_bits / 8 do
+    value := (!value lsl 8) lor (if !pos < len then Char.code (Bytes.unsafe_get blob !pos) else 0);
+    incr pos
   done;
+  let freq = Array.make 256 1 and total = ref 256 in
+  let low = ref 0 and high = ref (whole - 1) in
+  let acc = ref 0 and nbits = ref 0 in
   for i = 0 to n - 1 do
-    let total = model.Model.total in
+    let t = !total in
     let range = !high - !low + 1 in
-    let target = (((!value - !low + 1) * total) - 1) / range in
-    let target = if target > total - 1 then total - 1 else target in
-    let sym, cum_lo = Model.find model target in
-    let cum_hi = cum_lo + Array.unsafe_get model.Model.freq sym in
-    if cum_hi <> total then high := !low + (range * cum_hi / total) - 1;
-    if cum_lo <> 0 then low := !low + (range * cum_lo / total);
+    let f0 = Array.unsafe_get freq 0 in
+    (* Symbol 0 iff [target < f0], where [target = (x - 1) / range] for
+       [x = (value - low + 1) * total]; as [floor (y / r) < f <=> y < f * r],
+       that is [x <= f0 * range], which needs no division. *)
+    let sym =
+      if (!value - !low + 1) * t <= f0 * range then begin
+        high := !low + (range * f0 / t) - 1;
+        0
+      end
+      else begin
+        let target = (((!value - !low + 1) * t) - 1) / range in
+        let target = if target > t - 1 then t - 1 else target in
+        let cum_lo = ref f0 and s = ref 1 in
+        while !cum_lo + Array.unsafe_get freq !s <= target do
+          cum_lo := !cum_lo + Array.unsafe_get freq !s;
+          incr s
+        done;
+        let cum_hi = !cum_lo + Array.unsafe_get freq !s in
+        if cum_hi <> t then high := !low + (range * cum_hi / t) - 1;
+        low := !low + (range * !cum_lo / t);
+        !s
+      end
+    in
     let continue = ref true in
     while !continue do
       if !high < half then ()
@@ -224,10 +267,18 @@ let decode_raw blob =
       if !continue then begin
         low := !low lsl 1;
         high := (!high lsl 1) + 1;
-        value := (!value lsl 1) lor Bit_reader.get br
+        if !nbits = 0 then begin
+          acc := (if !pos < len then Char.code (Bytes.unsafe_get blob !pos) else 0);
+          incr pos;
+          nbits := 8
+        end;
+        decr nbits;
+        value := (!value lsl 1) lor ((!acc lsr !nbits) land 1)
       end
     done;
-    Model.update model sym;
+    Array.unsafe_set freq sym (Array.unsafe_get freq sym + increment);
+    total := t + increment;
+    if !total >= max_total then total := rescale freq;
     Bytes.unsafe_set out i (Char.unsafe_chr sym)
   done;
   out

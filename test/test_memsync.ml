@@ -18,10 +18,10 @@ let qtest ?(count = 200) name gen prop =
 
 let region_pages = 16
 
-let mk_pair cfg ~pages =
+let mk_pair ?shared cfg ~pages =
   let mem_s = Mem.create () and mem_r = Mem.create () in
   let pa = Mem.alloc_pages mem_s pages in
-  let sender = Memsync.create cfg and receiver = Memsync.create cfg in
+  let sender = Memsync.create ?shared cfg and receiver = Memsync.create cfg in
   Memsync.register_region sender
     {
       Memsync.name = "cmd";
@@ -133,6 +133,88 @@ let memsync_qcheck_reproduces =
   qtest ~count:15 "any mutation script reproduces exactly under every flag combination"
     gen_script
     (fun script -> List.for_all (fun combo -> run_script combo script) all_flag_combos)
+
+(* ---- adaptive selection ----
+
+   The sender skips the full-page range coding when a delta is provably
+   shorter. Whatever it skips, every full-bodied record must carry exactly
+   the first minimum of all four candidates, computed here the long way. *)
+
+type page_edit =
+  | Span of int * int * int  (* offset, length, seed: random bytes *)
+  | Fill of int * int * int  (* offset, length, byte *)
+  | Fresh of (int * int) list  (* a new zero page with these bytes set *)
+
+let gen_edit_script =
+  let open QCheck2.Gen in
+  let len = frequency [ (3, int_range 1 16); (2, int_range 17 512); (2, int_range 513 4000) ] in
+  let edit =
+    frequency
+      [
+        (3, map3 (fun o l s -> Span (o, l, s)) (int_bound 4095) len small_nat);
+        (2, map3 (fun o l b -> Fill (o, l, b)) (int_bound 4095) len (int_bound 255));
+        (1, map (fun e -> Fresh e) (list_size (int_bound 24) (pair (int_bound 4095) (int_bound 255))));
+      ]
+  in
+  list_size (int_range 1 5) (list_size (int_range 1 6) (pair (int_bound (region_pages - 1)) edit))
+
+let exhaustive_choice ~previous current =
+  let rc = Grt_util.Range_coder.encode in
+  let candidates =
+    (Memsync.Enc_raw, current)
+    :: (Memsync.Enc_raw_rc, rc current)
+    ::
+    (match previous with
+    | Some prev ->
+      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
+      [ (Memsync.Enc_delta, d); (Memsync.Enc_delta_rc, rc d) ]
+    | None -> [])
+  in
+  List.fold_left
+    (fun (e0, b0) (e, b) -> if Bytes.length b < Bytes.length b0 then (e, b) else (e0, b0))
+    (List.hd candidates) (List.tl candidates)
+
+let selection_matches_exhaustive ~shared script =
+  let cfg = cfg_of_combo (true, true, true, true, true) in
+  let shared = if shared then Some (Memsync.Store.create ()) else None in
+  let mem_s, _, sender, _, first = mk_pair ?shared cfg ~pages:region_pages in
+  let shipped = Hashtbl.create 16 in
+  let ok = ref true in
+  List.iter
+    (fun round ->
+      List.iter
+        (fun (idx, edit) ->
+          let pfn = Int64.add first (Int64.of_int idx) in
+          let page = Bytes.copy (Mem.get_page mem_s pfn) in
+          (match edit with
+          | Span (o, l, seed) ->
+            let l = min l (Mem.page_size - o) in
+            Bytes.blit (Rng.bytes (Rng.create ~seed:(Int64.of_int (seed + 1))) l) 0 page o l
+          | Fill (o, l, b) -> Bytes.fill page o (min l (Mem.page_size - o)) (Char.chr b)
+          | Fresh edits ->
+            Bytes.fill page 0 Mem.page_size '\000';
+            List.iter (fun (i, v) -> Bytes.set page i (Char.chr v)) edits);
+          Mem.set_page mem_s pfn page)
+        round;
+      let p = Memsync.sync_meta sender mem_s in
+      List.iter
+        (fun (r : Memsync.page_record) ->
+          let previous = Hashtbl.find_opt shipped r.Memsync.pfn in
+          (match r.Memsync.enc with
+          | Memsync.Enc_hash_ref -> ()
+          | enc ->
+            let want_enc, want_body = exhaustive_choice ~previous r.Memsync.data in
+            if enc <> want_enc || not (Bytes.equal r.Memsync.body want_body) then ok := false);
+          Hashtbl.replace shipped r.Memsync.pfn r.Memsync.data)
+        p.Memsync.records)
+    script;
+  !ok
+
+let selection_qcheck =
+  qtest ~count:40 "adaptive selection equals the exhaustive four-candidate minimum" gen_edit_script
+    (fun script ->
+      selection_matches_exhaustive ~shared:false script
+      && selection_matches_exhaustive ~shared:true script)
 
 (* ---- dirty tracking ---- *)
 
@@ -262,6 +344,7 @@ let () =
       ( "fastpath",
         [
           memsync_qcheck_reproduces;
+          selection_qcheck;
           Alcotest.test_case "visited scales with dirtied pages" `Quick visited_scales_with_dirty;
           Alcotest.test_case "full rescan when disabled" `Quick visited_full_rescan_when_disabled;
           Alcotest.test_case "dedup re-ships as hash reference" `Quick

@@ -119,6 +119,58 @@ let tampered_header_rejected_at_compile () =
   | Ok _ -> Alcotest.fail "tampered header compiled"
   | Error _ -> ()
 
+(* A chunk body is not hash-checked before static lowering decodes its
+   [Enc_raw_rc] images, so a tampered length field inside one must come back
+   as an [Error] from [of_blob] — without first allocating what it
+   declares. *)
+let fastpath_recording =
+  lazy
+    (Orchestrate.record ~config:Grt.Service.fastpath_cfg ~profile:Profile.wifi ~mode:Mode.Ours_mds
+       ~sku ~net:Zoo.mnist ~seed:42L ())
+
+let find_sub hay needle =
+  let n = Bytes.length needle in
+  let rec go i =
+    if i + n > Bytes.length hay then None
+    else if Bytes.equal (Bytes.sub hay i n) needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let tampered_rc_body_rejected_at_compile () =
+  let blob = (Lazy.force fastpath_recording).Orchestrate.blob in
+  let key = Orchestrate.cloud_signing_key in
+  let v =
+    match Recording.parse_signed ~key blob with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  let body =
+    Array.to_list v.Recording.vrec.Recording.entries
+    |> List.concat_map (function
+         | Recording.Mem_load_enc { records } ->
+           List.filter_map
+             (fun (_, enc, body) -> if enc = Grt.Memsync.Enc_raw_rc then Some body else None)
+             records
+         | _ -> [])
+    |> List.find_opt (fun b -> Bytes.length b >= 16)
+  in
+  let body = match body with Some b -> b | None -> Alcotest.fail "no raw+rc record in the blob" in
+  let at = match find_sub blob body with Some i -> i | None -> Alcotest.fail "body not in blob" in
+  List.iter
+    (fun prefix ->
+      let tampered = Bytes.copy blob in
+      Bytes.blit_string prefix 0 tampered at (String.length prefix);
+      let before = Gc.allocated_bytes () in
+      let result = Replay_prog.of_blob ~key tampered in
+      let allocated = Gc.allocated_bytes () -. before in
+      (match result with
+      | Ok _ -> Alcotest.failf "tampered body compiled (prefix %S)" prefix
+      | Error _ -> ());
+      if allocated > 4e6 then
+        Alcotest.failf "rejecting the tampered body allocated %.0f bytes" allocated)
+    [ "\x80\x80\x80\x80\x02"; "\x80\x80\x80\x80\x80\x80\x80\x80\x40" ]
+
 let v1_blob_compiles_and_replays () =
   (* Old-format blobs (whole-body MAC, no chunks) still verify, compile and
      replay bit-identically. *)
@@ -286,6 +338,8 @@ let () =
             streaming_rejects_tampered_chunk;
           Alcotest.test_case "tampered header rejected at compile" `Quick
             tampered_header_rejected_at_compile;
+          Alcotest.test_case "tampered rc body rejected at compile" `Quick
+            tampered_rc_body_rejected_at_compile;
           Alcotest.test_case "v1 blob compiles and replays" `Quick v1_blob_compiles_and_replays;
           Alcotest.test_case "divergence releases GPU" `Quick divergence_releases_gpu;
         ] );

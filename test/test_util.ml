@@ -252,6 +252,89 @@ let rc_qcheck_guarded =
       let enc = Range_coder.encode_guarded b in
       Bytes.length enc <= Bytes.length b + 1 && Bytes.equal b (Range_coder.decode_guarded enc))
 
+(* Differential against [Rc_reference], the kernels as they were before
+   their state moved into locals: coded bytes must be identical, and so
+   must decoding, on valid and on damaged blobs alike. The one allowed
+   difference is the length guard, which rejects (with [Failure]) bodies
+   too short for the length they declare. *)
+let gen_rc_input =
+  QCheck2.Gen.(
+    let seeded n = map (fun seed -> Rng.bytes (Rng.create ~seed:(Int64.of_int seed)) n) int in
+    let sparse n =
+      map
+        (fun seed ->
+          let r = Rng.create ~seed:(Int64.of_int seed) in
+          Bytes.init n (fun _ -> if Rng.int r 100 = 0 then Char.chr (1 + Rng.int r 255) else '\000'))
+        int
+    in
+    (* The model total first reaches the rescale threshold after 2720
+       symbols. *)
+    let len = oneof [ int_bound 8192; return 4096; int_range 2700 2740 ] in
+    oneof
+      [
+        len >>= seeded;
+        map2 (fun n c -> Bytes.make n c) len char;
+        len >>= sparse;
+      ])
+
+let rc_qcheck_matches_reference =
+  qtest ~count:300 "range coder codes and decodes exactly as the reference" gen_rc_input (fun b ->
+      let enc = Range_coder.encode b in
+      Bytes.equal enc (Rc_reference.encode_raw b)
+      && Bytes.equal (Range_coder.decode enc) (Rc_reference.decode_raw enc))
+
+(* Outcome of a decoder on a damaged blob, exceptions included. *)
+let decode_outcome f blob = match f blob with v -> Ok v | exception Failure _ -> Error ()
+
+let declared_length blob =
+  match Byte_buf.Reader.varint (Byte_buf.Reader.of_bytes blob) with
+  | n -> Some n
+  | exception Failure _ -> None
+
+let rc_qcheck_damaged_matches_reference =
+  qtest ~count:300 "range coder decodes damaged blobs like the reference"
+    QCheck2.Gen.(triple gen_rc_input bool (pair nat (int_bound 7)))
+    (fun (b, flip, (at, bit)) ->
+      let enc = Range_coder.encode b in
+      let len = Bytes.length enc in
+      let damaged =
+        if flip then begin
+          let d = Bytes.copy enc in
+          let i = at mod len in
+          Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor (1 lsl bit)));
+          d
+        end
+        else Bytes.sub enc 0 (at mod (len + 1))
+      in
+      let guarded =
+        match declared_length damaged with
+        | Some n -> n < 0 || Bytes.length damaged < Range_coder.min_coded_length n
+        | None -> false
+      in
+      match decode_outcome Range_coder.decode damaged with
+      | Ok v -> (not guarded) && decode_outcome Rc_reference.decode_raw damaged = Ok v
+      | Error () -> guarded || decode_outcome Rc_reference.decode_raw damaged = Error ())
+
+let rc_qcheck_min_coded_length =
+  qtest ~count:300 "coded size never below min_coded_length" gen_rc_input (fun b ->
+      Bytes.length (Range_coder.encode b) >= Range_coder.min_coded_length (Bytes.length b))
+
+let rc_min_coded_length_zero_page () =
+  let zero = Bytes.make 4096 '\000' in
+  check Alcotest.int "bound for a page" 17 (Range_coder.min_coded_length 4096);
+  check Alcotest.int "the bound is tight on the zero page" 17
+    (Bytes.length (Range_coder.encode zero))
+
+let rc_rejects_inflated_length () =
+  (* 512 MiB declared by a 5-byte body, and a 9-byte varint that wraps
+     negative: both must fail before any allocation of that size. *)
+  List.iter
+    (fun s ->
+      match Range_coder.decode (Bytes.of_string s) with
+      | _ -> Alcotest.failf "decoded %S" s
+      | exception Failure _ -> ())
+    [ "\x80\x80\x80\x80\x02"; "\x80\x80\x80\x80\x80\x80\x80\x80\x40" ]
+
 (* ---- Delta ---- *)
 
 let delta_identity () =
@@ -461,6 +544,11 @@ let () =
           rc_qcheck_sparse;
           rc_qcheck_shaped;
           rc_qcheck_guarded;
+          Alcotest.test_case "min_coded_length of a zero page" `Quick rc_min_coded_length_zero_page;
+          Alcotest.test_case "rejects inflated length" `Quick rc_rejects_inflated_length;
+          rc_qcheck_min_coded_length;
+          rc_qcheck_matches_reference;
+          rc_qcheck_damaged_matches_reference;
         ] );
       ( "delta",
         [
