@@ -36,8 +36,8 @@ let json_rows : (string * Json.t) list ref = ref []
    --enforce-ceiling; the failure exit happens after the JSON dump. *)
 let ceiling_failures : string list ref = ref []
 
-(* Fleet rows that broke a floor (wall throughput, hit rate, cross-mode
-   determinism) under --enforce-floor; same deferred exit. *)
+(* Fleet checks that failed under --enforce-floor (pinned columns, hit
+   rate, wall throughput, allocation ceilings); same deferred exit. *)
 let fleet_floor_failures : string list ref = ref []
 
 let add_json key to_json rows = json_rows := !json_rows @ [ (key, Json.Arr (List.map to_json rows)) ]
@@ -208,27 +208,26 @@ let memsync () =
   add_json "memsync_workload" E.memsync_workload_row_json wrows
 
 (* Fleet floors. The wall-throughput floor carries large headroom — it
-   catches collapse, not jitter. The semantic-equality check between the
-   multiplexed and sequential rows is exact and always enforced. It leaves
-   out the allocation column: the two executors allocate differently, and
-   the process-wide memos warm between the rows. *)
+   catches collapse, not jitter. *)
 let fleet_hit_rate_floor = 0.90
 let fleet_wall_sessions_floor = 300.
 
-(* The columns that must be bit-identical across execution modes (hits vs
-   coalesced split differs between sequential and scheduled runs, so only
-   their sum is compared). *)
-let fleet_semantic_sig (r : E.fleet_row) =
-  ( r.E.fleet_clients,
-    r.E.distinct_keys,
-    r.E.fleet_recordings,
-    r.E.fleet_cache_hits + r.E.fleet_coalesced,
+(* The default fleet pinned exactly: recordings, coalesced, failures,
+   blocking RTTs, sync MB, spec/sync cross hits, virtual span, mean and
+   p95 turnaround. Virtual clocks are deterministic and this fleet has no
+   failed recording, so every column must match bit for bit. *)
+let fleet_pin_sig (r : E.fleet_row) =
+  ( r.E.fleet_recordings,
+    r.E.fleet_coalesced,
     r.E.fleet_failures,
-    r.E.fleet_evictions,
-    r.E.fleet_sync_wire_mb,
     r.E.fleet_blocking_rtts,
-    r.E.spec_cross_hits,
-    r.E.sync_cross_hits )
+    r.E.fleet_sync_wire_mb,
+    (r.E.spec_cross_hits, r.E.sync_cross_hits),
+    r.E.virtual_s,
+    r.E.mean_turnaround_s,
+    r.E.p95_turnaround_s )
+
+let fleet_pin = (30, 9970, 0, 23570, 0.641148, (0, 0), 50.43346988, 1.2175483681595014, 8.949741546)
 
 let wall_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
@@ -239,40 +238,34 @@ let fleet ~enforce () =
        Grt.Service.default_fleet.Grt.Service.clients Grt.Service.default_fleet.Grt.Service.zipf_s
        (List.length Grt.Service.default_fleet.Grt.Service.nets)
        (List.length Grt.Service.default_fleet.Grt.Service.skus));
-  Printf.printf "%-12s %7s %5s %5s %6s %5s %9s %9s %10s %8s %9s %9s %10s\n" "mode" "clients"
-    "keys" "rec" "hits" "fail" "hitrate" "wall s/s" "sync(MB)" "RTTs" "crossS" "crossM"
-    "words/ses";
-  let go ~sequential =
-    let row, _ = E.fleet ~options:Grt.Service.default_fleet ~sequential ~wall:wall_clock () in
-    Printf.printf "%-12s %7d %5d %5d %6d %5d %8.1f%% %9.0f %10.2f %8d %9d %9d %10.0f\n%!"
-      row.E.fleet_label row.E.fleet_clients row.E.distinct_keys row.E.fleet_recordings
-      (row.E.fleet_cache_hits + row.E.fleet_coalesced)
-      row.E.fleet_failures
-      (100. *. row.E.fleet_hit_rate)
-      row.E.wall_sessions_per_s row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts
-      row.E.spec_cross_hits row.E.sync_cross_hits row.E.minor_words_per_session;
-    row
-  in
-  let mux = go ~sequential:false in
-  let seq = go ~sequential:true in
-  Printf.printf "  virtual span %.1fs, p95 turnaround %.1fs, %d yields / %d switches\n"
-    mux.E.virtual_s mux.E.p95_turnaround_s mux.E.fleet_yields mux.E.fleet_switches;
-  add_json "fleet" E.fleet_row_json [ mux; seq ];
+  Printf.printf "%7s %5s %5s %6s %5s %9s %9s %10s %8s %9s %9s %10s %10s\n" "clients" "keys" "rec"
+    "hits" "fail" "hitrate" "wall s/s" "sync(MB)" "RTTs" "crossS" "crossM" "words/ses" "prom/ses";
+  let row, _ = E.fleet ~options:Grt.Service.default_fleet ~wall:wall_clock () in
+  Printf.printf "%7d %5d %5d %6d %5d %8.1f%% %9.0f %10.2f %8d %9d %9d %10.0f %10.0f\n"
+    row.E.fleet_clients row.E.distinct_keys row.E.fleet_recordings
+    (row.E.fleet_cache_hits + row.E.fleet_coalesced)
+    row.E.fleet_failures
+    (100. *. row.E.fleet_hit_rate)
+    row.E.wall_sessions_per_s row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts
+    row.E.spec_cross_hits row.E.sync_cross_hits row.E.minor_words_per_session
+    row.E.promoted_words_per_session;
+  Printf.printf "  virtual span %.8fs, turnaround mean %.6fs, p95 %.9fs\n" row.E.virtual_s
+    row.E.mean_turnaround_s row.E.p95_turnaround_s;
+  add_json "fleet" E.fleet_row_json [ row ];
   if enforce then begin
     let fail fmt = Printf.ksprintf (fun m -> fleet_floor_failures := m :: !fleet_floor_failures) fmt in
-    if fleet_semantic_sig seq <> fleet_semantic_sig mux then
-      fail "%s: semantic columns diverge from %s" seq.E.fleet_label mux.E.fleet_label;
-    if mux.E.fleet_hit_rate < fleet_hit_rate_floor then
-      fail "hit rate %.3f below floor %.2f" mux.E.fleet_hit_rate fleet_hit_rate_floor;
-    List.iter
-      (fun r ->
-        if r.E.wall_sessions_per_s < fleet_wall_sessions_floor then
-          fail "%s: %.0f wall sessions/s below floor %.0f" r.E.fleet_label
-            r.E.wall_sessions_per_s fleet_wall_sessions_floor;
-        if r.E.minor_words_per_session > E.fleet_minor_words_ceiling then
-          fail "%s: %.0f minor words/session above ceiling %.0f" r.E.fleet_label
-            r.E.minor_words_per_session E.fleet_minor_words_ceiling)
-      [ mux; seq ]
+    if fleet_pin_sig row <> fleet_pin then fail "default fleet diverges from its pinned columns";
+    if row.E.fleet_hit_rate < fleet_hit_rate_floor then
+      fail "hit rate %.3f below floor %.2f" row.E.fleet_hit_rate fleet_hit_rate_floor;
+    if row.E.wall_sessions_per_s < fleet_wall_sessions_floor then
+      fail "%.0f wall sessions/s below floor %.0f" row.E.wall_sessions_per_s
+        fleet_wall_sessions_floor;
+    if row.E.minor_words_per_session > E.fleet_minor_words_ceiling then
+      fail "%.0f minor words/session above ceiling %.0f" row.E.minor_words_per_session
+        E.fleet_minor_words_ceiling;
+    if row.E.promoted_words_per_session > E.fleet_promoted_words_ceiling then
+      fail "%.0f promoted words/session above ceiling %.0f" row.E.promoted_words_per_session
+        E.fleet_promoted_words_ceiling
   end
 
 (* Simulator raw-speed smoke. Prints one row per recording configuration

@@ -1,11 +1,9 @@
 (* grt-fleet: drive the multi-session recording service with a synthetic
-   Zipf client population and report fleet-level statistics. Sessions are
-   multiplexed over one virtual-time scheduler; --sequential runs the
-   reference semantics instead. Throughput is sessions per second of wall
-   time on a monotonic clock.
+   Zipf client population and report fleet-level statistics. Throughput is
+   sessions per second of wall time on a monotonic clock.
 
      dune exec bin/grt_fleet.exe -- --clients 10000
-     dune exec bin/grt_fleet.exe -- --clients 500 --sequential --list-cache
+     dune exec bin/grt_fleet.exe -- --clients 500 --list-cache
      dune exec bin/grt_fleet.exe -- --clients 2000 --json fleet.json --cache-out cache.json
 *)
 
@@ -33,16 +31,6 @@ let seed_arg =
 let interarrival_arg =
   let doc = "Mean client interarrival time in seconds (exponential)." in
   Arg.(value & opt float 0.005 & info [ "interarrival" ] ~docv:"SECONDS" ~doc)
-
-let sequential_arg =
-  let doc =
-    "Run each session to completion at its arrival instead of multiplexing \
-     the sessions over the virtual-time scheduler. This is the reference \
-     semantics the multiplexed run is tested against: same outcomes, blobs \
-     and per-session counters, with coalesced waiters reported as cache \
-     hits."
-  in
-  Arg.(value & flag & info [ "sequential" ] ~doc)
 
 let json_arg =
   let doc = "Write the fleet row and cache listing as JSON to $(docv)." in
@@ -106,7 +94,7 @@ let write_json path json =
 
 let wall_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let run clients zipf cache_cap seed interarrival sequential json_file cache_out list_cache
+let run clients zipf cache_cap seed interarrival json_file cache_out list_cache
     report_file trace_out =
   let options =
     {
@@ -119,13 +107,12 @@ let run clients zipf cache_cap seed interarrival sequential json_file cache_out 
   in
   let observe = report_file <> None || trace_out <> None in
   let row, svc =
-    E.fleet ~options ~sequential ~observe ~cache_capacity:cache_cap ~wall:wall_clock ()
+    E.fleet ~options ~observe ~cache_capacity:cache_cap ~wall:wall_clock ()
   in
-  Printf.printf "fleet: %d clients, Zipf(%.2f) over %d NNs x %d SKUs (%s)\n"
+  Printf.printf "fleet: %d clients, Zipf(%.2f) over %d NNs x %d SKUs\n"
     row.E.fleet_clients zipf
     (List.length options.Service.nets)
-    (List.length options.Service.skus)
-    row.E.fleet_label;
+    (List.length options.Service.skus);
   Printf.printf "  recordings      %6d  (distinct keys %d, evictions %d)\n"
     row.E.fleet_recordings row.E.distinct_keys row.E.fleet_evictions;
   Printf.printf "  served          %6d  (%d resident hits + %d coalesced; %.1f%% hit rate)\n"
@@ -141,9 +128,6 @@ let run clients zipf cache_cap seed interarrival sequential json_file cache_out 
     row.E.fleet_sync_wire_mb row.E.fleet_blocking_rtts;
   Printf.printf "  cross-session   %6d spec-history hits, %d shared-store page hits\n"
     row.E.spec_cross_hits row.E.sync_cross_hits;
-  if not sequential then
-    Printf.printf "  scheduler       %6d yields, %d switches\n" row.E.fleet_yields
-      row.E.fleet_switches;
   let listing = Service.cache_listing svc in
   if list_cache then begin
     Printf.printf "\ncache contents (%d keys):\n" (List.length listing);
@@ -196,6 +180,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ clients_arg $ zipf_arg $ cache_cap_arg $ seed_arg $ interarrival_arg
-      $ sequential_arg $ json_arg $ cache_out_arg $ list_cache_arg $ report_arg $ trace_out_arg)
+      $ json_arg $ cache_out_arg $ list_cache_arg $ report_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -701,15 +701,9 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
       })
     nets
 
-(* ---- Fleet: the recording service under a Zipf client population ----
-
-   One row per execution mode of the same generated fleet, so the printed
-   table directly shows that multiplexed and sequential runs agree on every
-   semantic column (recordings, hit rate, wire traffic) and differ only in
-   wall time and scheduler stats. *)
+(* ---- Fleet: the recording service under a Zipf client population ---- *)
 
 type fleet_row = {
-  fleet_label : string;  (* "sequential" | "multiplexed" *)
   fleet_clients : int;
   distinct_keys : int;
   fleet_recordings : int;
@@ -727,9 +721,8 @@ type fleet_row = {
   fleet_blocking_rtts : int;
   spec_cross_hits : int;  (* §7.3 history hits across sessions *)
   sync_cross_hits : int;  (* pages served from the shared content store *)
-  fleet_yields : int;  (* 0 for sequential *)
-  fleet_switches : int;
   minor_words_per_session : float;  (* minor-heap words allocated by the run, per client *)
+  promoted_words_per_session : float;  (* words promoted to the major heap, per client *)
 }
 
 let percentile sorted p =
@@ -737,14 +730,15 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let fleet ?(options = Service.default_fleet) ?(sequential = false) ?(observe = false)
-    ?(cache_capacity = 0) ~wall () =
+let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity = 0) ~wall () =
   let specs = Service.zipf_fleet options in
   let svc = Service.create ~cache_capacity () in
   let w0 = wall () in
   let words0 = Gc.minor_words () in
-  let reports, rs = Service.run ~sequential ~observe svc specs in
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let reports, rs = Service.run ~observe svc specs in
   let minor_words = Gc.minor_words () -. words0 in
+  let promoted_words = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
   let host_wall_s = Float.max (wall () -. w0) 1e-9 in
   let st = Service.stats svc in
   let agg = Service.aggregate svc reports in
@@ -760,7 +754,6 @@ let fleet ?(options = Service.default_fleet) ?(sequential = false) ?(observe = f
   in
   let row =
     {
-      fleet_label = rs.Service.rs_mode;
       fleet_clients = st.Service.sessions;
       distinct_keys = List.length (Service.cache_listing svc);
       fleet_recordings = st.Service.recordings;
@@ -782,20 +775,22 @@ let fleet ?(options = Service.default_fleet) ?(sequential = false) ?(observe = f
       fleet_blocking_rtts = g Grt_sim.Metrics.Net_blocking_rtts;
       spec_cross_hits = g Grt_sim.Metrics.Spec_cross_hits;
       sync_cross_hits = g Grt_sim.Metrics.Sync_cross_hits;
-      fleet_yields = rs.Service.rs_yields;
-      fleet_switches = rs.Service.rs_switches;
       minor_words_per_session = minor_words /. float_of_int (max 1 st.Service.sessions);
+      promoted_words_per_session = promoted_words /. float_of_int (max 1 st.Service.sessions);
     }
   in
   (row, svc)
 
 (* Measured on the default 10k-client fleet run by [bench/main.exe fleet]
-   (2026-10, OCaml 5.1.1): 10.9k words/session multiplexed, 12.3k
-   sequential; expanding every client's network plan at context creation
-   brings it back to ~28k. The ceiling leaves ~1.5x headroom
-   over the higher row; allocation counts are deterministic, so a breach is
-   a code change, not noise. *)
+   (2-core x86-64, OCaml 5.1.1): 7.2k minor and 621 promoted words per
+   session. Expanding every client's network plan at context creation
+   brings the minor count back to ~28k; keeping every share group's
+   recording live at once (the old interleaving executor) doubled the
+   promoted count. Allocation counts are deterministic, so a breach is a
+   code change, not noise. *)
 let fleet_minor_words_ceiling = 18_000.
+
+let fleet_promoted_words_ceiling = 930.
 
 (* ---- Simulator raw speed (ROADMAP item 5) ----
 
@@ -1062,7 +1057,6 @@ let fault_row_json (r : fault_row) =
 let fleet_row_json (r : fleet_row) =
   Json.Obj
     [
-      ("label", Json.Str r.fleet_label);
       ("clients", Json.int r.fleet_clients);
       ("distinct_keys", Json.int r.distinct_keys);
       ("recordings", Json.int r.fleet_recordings);
@@ -1080,9 +1074,8 @@ let fleet_row_json (r : fleet_row) =
       ("blocking_rtts", Json.int r.fleet_blocking_rtts);
       ("spec_cross_hits", Json.int r.spec_cross_hits);
       ("sync_cross_hits", Json.int r.sync_cross_hits);
-      ("yields", Json.int r.fleet_yields);
-      ("switches", Json.int r.fleet_switches);
       ("minor_words_per_session", Json.float r.minor_words_per_session);
+      ("promoted_words_per_session", Json.float r.promoted_words_per_session);
     ]
 
 let speed_row_json (r : speed_row) =

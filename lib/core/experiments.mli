@@ -167,12 +167,8 @@ type memsync_workload_row = {
 
 val memsync_workload : ctx -> net:Grt_mlfw.Network.t -> memsync_workload_row list
 
-(** Fleet benchmark: the {!Service} under a Zipf client population. One row
-    per execution mode of the same generated fleet; multiplexed and
-    sequential rows agree on every semantic column (recordings, hit rate,
-    wire traffic) and differ only in wall time and scheduler stats. *)
+(** Fleet benchmark: the {!Service} under a Zipf client population. *)
 type fleet_row = {
-  fleet_label : string;  (** ["sequential"] or ["multiplexed"] *)
   fleet_clients : int;
   distinct_keys : int;  (** distinct cache keys the population hit *)
   fleet_recordings : int;
@@ -192,15 +188,15 @@ type fleet_row = {
   fleet_blocking_rtts : int;
   spec_cross_hits : int;  (** §7.3 history hits across sessions *)
   sync_cross_hits : int;  (** pages served from the shared content store *)
-  fleet_yields : int;  (** 0 for sequential *)
-  fleet_switches : int;
   minor_words_per_session : float;
       (** minor-heap words allocated during {!Service.run}, per client *)
+  promoted_words_per_session : float;
+      (** words promoted to the major heap during {!Service.run}, per
+          client ([Gc.quick_stat] delta) *)
 }
 
 val fleet :
   ?options:Service.fleet_options ->
-  ?sequential:bool ->
   ?observe:bool ->
   ?cache_capacity:int ->
   wall:(unit -> float) ->
@@ -219,6 +215,12 @@ val fleet_minor_words_ceiling : float
     default fleet. It catches per-client work creeping back onto the
     session path (e.g. expanding every client's network plan); the
     [bench/main.exe fleet --enforce-floor] smoke fails above it. *)
+
+val fleet_promoted_words_ceiling : float
+(** Checked-in ceiling on {!fleet_row.promoted_words_per_session} for the
+    default fleet: words that survive into the major heap grow with the
+    recordings held live at once, so this catches executors that keep many
+    sessions' working sets alive. Same smoke, same failure. *)
 
 (** {2 JSON row export}
 

@@ -301,8 +301,7 @@ let dump_trace (ctx : Ctx.t) =
 
 (* Re-entrant per-session pipeline state: the stage reached so far plus the
    artifacts later stages need, so a session is a value that can be stepped
-   (and multiplexed by {!Grt_sim.Sched}) rather than a call stack. Stage
-   boundaries are yield points — free for a solo session. *)
+   rather than a call stack. *)
 module Pipeline = struct
   type stage =
     | Created
@@ -354,9 +353,7 @@ module Pipeline = struct
   let run t =
     let rec go () =
       match step t with
-      | `More ->
-        Grt_sim.Clock.yield t.ctx.Ctx.clock;
-        go ()
+      | `More -> go ()
       | `Done outcome -> outcome
     in
     try go ()

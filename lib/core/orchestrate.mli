@@ -43,10 +43,9 @@ type record_outcome = {
 
 (** One recording session as a steppable value: establish → boot → attempt
     loop → finalize/sign held as re-entrant per-session state instead of a
-    call stack, so the {!Service} can multiplex many sessions over one
-    {!Grt_sim.Sched}. Stage boundaries are yield points (free for a solo
-    session), and [run] under a scheduler produces byte-identical blobs,
-    counters and clock readings to a direct {!record} call. *)
+    call stack, so callers can step it stage by stage. [run] produces
+    byte-identical blobs, counters and clock readings to a direct
+    {!record} call. *)
 module Pipeline : sig
   type t
 
@@ -58,8 +57,8 @@ module Pipeline : sig
       {!run} dumps the trace ring). *)
 
   val run : t -> record_outcome
-  (** Step to completion, yielding the session clock between stages; dumps
-      the diagnostic trace ring and re-raises if a stage fails. *)
+  (** Step to completion; dumps the diagnostic trace ring and re-raises if
+      a stage fails. *)
 
   val ctx : t -> Session_ctx.t
 

@@ -71,7 +71,6 @@ let slo_keys =
     ("ttfb_us", Hist.Svc_ttfb_us);
     ("coalesce_wait_us", Hist.Svc_coalesce_wait_us);
     ("turnstile_wait_us", Hist.Svc_turnstile_wait_us);
-    ("queue_depth", Hist.Sched_runnable);
   ]
 
 let of_fleet ~fleet ~(stats : Service.stats) ?memo ~observation () =
@@ -391,8 +390,8 @@ let pp_fleet ppf json =
   | Json.Obj top ->
     (match List.assoc_opt "fleet" top with
     | Some (Json.Obj f) ->
-      Format.fprintf ppf "fleet: %s — %.0f clients, %.0f distinct keys@." (str f "label")
-        (num f "clients") (num f "distinct_keys")
+      Format.fprintf ppf "fleet: %.0f clients, %.0f distinct keys@." (num f "clients")
+        (num f "distinct_keys")
     | _ -> Format.fprintf ppf "fleet: n/a@.");
     (match List.assoc_opt "service" top with
     | Some (Json.Obj s) ->

@@ -1,4 +1,3 @@
-module Sched = Grt_sim.Sched
 module Clock = Grt_sim.Clock
 module Counters = Grt_sim.Counters
 module Metrics = Grt_sim.Metrics
@@ -100,10 +99,11 @@ type keyed = {
 }
 
 type entry = {
-  uid : int;  (* identity for per-run condition variables *)
   keyed : keyed;
   mutable blob : bytes option;
   mutable inflight : bool;
+  mutable settled_ns : int64;  (* global instant the latest recording ended *)
+  mutable settled_by : int;  (* the client that ran it *)
   mutable last_touch : int;  (* decision sequence number (LRU order) *)
   mutable touch_epoch : int;  (* run counter at the last touch *)
 }
@@ -111,10 +111,9 @@ type entry = {
 (* ---- observability plane ----
 
    The fleet plane is strictly write-only with respect to outcomes: its
-   clock is advanced with [advance_to] (never yielded), its histograms and
-   tracer read clocks without moving them, and nothing here feeds back into
-   decisions, seeds or session counters — so a run with the plane enabled
-   is outcome-identical to one without (the differential test pins this). *)
+   histograms and tracer read clocks without moving them, and nothing here
+   feeds back into decisions, seeds or session counters — so a run with the
+   plane enabled is outcome-identical to one without (the tests pin this). *)
 
 type track = {
   track_client : int;
@@ -142,13 +141,13 @@ type t = {
   svc : Counters.t;
   svc_m : Metrics.t;  (* typed write-through view over [svc] *)
   svc_clock : Clock.t;
-      (* service-plane timeline: advanced (never yielded) to each admission's
-         arrival, so service events carry fleet-global timestamps *)
+      (* service-plane timeline: advanced to each admission's arrival and
+         each promotion's failure instant, so service events carry
+         fleet-global timestamps *)
   svc_trace : Trace.t;
       (* always-on bounded post-mortem ring (topic "service"): evictions,
          waiter promotions, re-arms — dumped when a fleet run fails *)
   mutable touch_seq : int;
-  mutable uid_seq : int;
   mutable run_epoch : int;  (* bumped per [run]; feeds eviction preference *)
   mutable obs : observation option;  (* present for the duration of an observed run *)
 }
@@ -167,7 +166,6 @@ let create ?(cache_capacity = 0) () =
     svc_clock;
     svc_trace = Trace.create ~capacity:1024 svc_clock;
     touch_seq = 0;
-    uid_seq = 0;
     run_epoch = 0;
     obs = None;
   }
@@ -203,15 +201,11 @@ let obs_ttfb t (e : entry) ctx =
     Hist.Svc_ttfb_us
     (Clock.now_ns ctx.Ctx.clock)
 
-let register_track ?(promoted = false) t (spec : client_spec) ctx =
+let track_of t (spec : client_spec) ctx =
   match (t.obs, ctx.Ctx.tracer) with
-  | Some o, Some tr ->
-    let track =
-      { track_client = spec.client_id; track_arrival_ns = spec.arrival_ns; track_tracer = tr }
-    in
-    if promoted then o.obs_promoted_tracks <- track :: o.obs_promoted_tracks
-    else o.obs_tracks <- track :: o.obs_tracks
-  | _ -> ()
+  | Some _, Some tr ->
+    Some { track_client = spec.client_id; track_arrival_ns = spec.arrival_ns; track_tracer = tr }
+  | _ -> None
 
 (* Perfetto lanes: tid 0 is the service plane, client [i] renders on lane
    [i + 1], shifted onto global time by its arrival. Session tracks come in
@@ -263,11 +257,9 @@ let keyed_for t key ~label =
 (* ---- arrival-time decisions ----
 
    The cache decision for every client is taken at its *arrival*, in
-   arrival order, before any session work runs. Decisions therefore form
-   the same sequence whether the sessions then run multiplexed or
-   sequentially — which makes eviction, recorder identity and the shared
-   stores deterministic across execution modes (the interleaving-
-   determinism property leans on this). *)
+   arrival order, before any session work runs. Eviction, recorder
+   identity and the order in which the shared stores mutate are therefore
+   functions of the arrival sequence alone. *)
 
 type decision =
   | D_serve of entry  (* blob resident *)
@@ -277,18 +269,12 @@ type decision =
 let evict_if_full t ~for_client =
   if t.capacity > 0 && Hashtbl.length t.cache >= t.capacity then begin
     (* LRU victim, preferring entries idle since before this run: an entry
-       touched this run may (under multiplexed execution) carry an
-       in-flight recording or coalesced waiters, so it is the worse
-       victim. The preference is computed from the decision sequence
-       alone — never from [inflight], which reads differently under the
-       two execution modes at decision time (sequential settles every
-       recording before the next arrival is examined), so consulting it
-       would break cross-mode determinism. When every resident entry is
+       touched this run may carry a planned recording or coalesced
+       waiters, so it is the worse victim. When every resident entry is
        active this run this degrades to plain LRU, and evicting an entry
        mid-recording stays safe: its waiters keep their reference and are
        served when it settles, while a later same-key miss re-records
-       through the key-shared stores — the exact analogue of sequential
-       mode's re-record after eviction. *)
+       through the key-shared stores. *)
     let worse (a : entry) (b : entry) =
       (a.touch_epoch = t.run_epoch, a.last_touch) > (b.touch_epoch = t.run_epoch, b.last_touch)
     in
@@ -348,13 +334,13 @@ let decide t (spec : client_spec) =
     | None ->
       evict_if_full t ~for_client:spec.client_id;
       let keyed = keyed_for t key ~label:(key_label ~cfg:spec.cfg ~sku:spec.sku ~net:spec.net) in
-      t.uid_seq <- t.uid_seq + 1;
       let e =
         {
-          uid = t.uid_seq;
           keyed;
           blob = None;
           inflight = true;
+          settled_ns = 0L;
+          settled_by = spec.client_id;
           last_touch = touch;
           touch_epoch = t.run_epoch;
         }
@@ -376,8 +362,7 @@ let decide t (spec : client_spec) =
 (* ---- session bodies ----
 
    A session's context is built when the session starts and dropped when it
-   ends. Under the scheduler it is built on the task's clock, so every
-   blocking wait inside the session is a scheduler yield point. *)
+   ends, so at most one recording's working set is live at a time. *)
 
 let serve_ctx ~clock t (spec : client_spec) (e : entry) =
   let options = { Ctx.default_options with Ctx.observe = t.obs <> None } in
@@ -399,15 +384,16 @@ let record_ctx ~clock t (spec : client_spec) (e : entry) =
     ~seed:(recording_seed e.keyed.key) ~granularity:`Monolithic ()
 
 (* Build a session's context on [clock] and register its track. *)
-let start_session ~clock t spec = function
-  | D_record e ->
-    let ctx = record_ctx ~clock t spec e in
-    register_track t spec ctx;
-    ctx
-  | D_serve e | D_wait e ->
-    let ctx = serve_ctx ~clock t spec e in
-    register_track t spec ctx;
-    ctx
+let start_session ~clock t spec d =
+  let ctx =
+    match d with
+    | D_record e -> record_ctx ~clock t spec e
+    | D_serve e | D_wait e -> serve_ctx ~clock t spec e
+  in
+  (match (t.obs, track_of t spec ctx) with
+  | Some o, Some track -> o.obs_tracks <- track :: o.obs_tracks
+  | _ -> ());
+  ctx
 
 let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
   {
@@ -421,21 +407,28 @@ let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
   }
 
 (* Serve a resident blob over [ctx]: attested establishment + download +
-   verification — everything of a session except the dry run. *)
+   verification — everything of a session except the dry run. A serve can
+   fail live (ARQ collapse on a degraded channel, verification failure):
+   keep the fleet running and report the client as failed. *)
 let serve t spec (e : entry) ctx ~coalesced =
   let blob = Option.get e.blob in
-  Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_serve_cached
-    ~args:[ ("key", e.keyed.label) ]
-    ~name:"serve-cached"
-    (fun () -> Orchestrate.serve_cached ctx ~blob);
-  e.keyed.hits <- e.keyed.hits + 1;
-  Metrics.incr t.svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
-  report_of ctx spec e
-    (if coalesced then Coalesced else Cache_hit)
-    ~blob_bytes:(Bytes.length blob)
+  match
+    Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_serve_cached
+      ~args:[ ("key", e.keyed.label) ]
+      ~name:"serve-cached"
+      (fun () -> Orchestrate.serve_cached ctx ~blob)
+  with
+  | () ->
+    e.keyed.hits <- e.keyed.hits + 1;
+    Metrics.incr t.svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
+    report_of ctx spec e
+      (if coalesced then Coalesced else Cache_hit)
+      ~blob_bytes:(Bytes.length blob)
+  | exception exn ->
+    Metrics.incr t.svc_m Metrics.Svc_failures;
+    report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
-(* Record under the key-derived seed and publish the blob into the entry.
-   The caller owns turnstile ordering and completion signalling. *)
+(* Record under the key-derived seed and publish the blob into the entry. *)
 let record_into t spec (e : entry) ctx =
   let history = history_for t spec in
   Spec_history.new_epoch history;
@@ -459,264 +452,138 @@ let record_into t spec (e : entry) ctx =
     Metrics.incr t.svc_m Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
-(* Report a client that never got a session body to run. [ctx] is the
-   session's real context, so turnaround and counters reflect any wait the
-   client actually spent (not a fresh zeroed clock). *)
-let fail_report t spec (e : entry) ctx msg =
-  Metrics.incr t.svc_m Metrics.Svc_failures;
-  report_of ctx spec e (Failed msg) ~blob_bytes:0
+(* ---- execution ----
 
-(* A serve can fail live (ARQ collapse on a degraded channel, verification
-   failure): keep the fleet running and report the client as failed. *)
-let serve_safe t spec (e : entry) ctx ~coalesced =
-  try serve t spec e ctx ~coalesced
-  with exn ->
-    Metrics.incr t.svc_m Metrics.Svc_failures;
-    report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
+   After the plan pass every session runs to completion on its own clock,
+   one after another in decision order. A session's global instant is
+   [arrival + Clock.now clock]. Sessions meet at three points only, and
+   each is a [Clock.advance_to] (a no-op when the instant is already past):
+   - a recorder waits at its share group's turnstile until the previous
+     recording of the group in this run has finished: group recordings
+     mutate the shared speculation history and stores, so they take turns
+     in decision order;
+   - a coalesced waiter is served from the instant its entry's successful
+     recording settled;
+   - a failed recording re-arms its entry: the earliest waiter still
+     queued on it is promoted to recorder, re-records from the failure
+     instant at its own decision position, and the waiters behind it are
+     served when that recording settles.
+   Every instant a session needs belongs to a session earlier in decision
+   order, so it is known when the session runs. *)
 
-(* ---- sequential execution ----
-
-   Each session runs to completion at its decision point. [D_wait] is
-   unreachable: a recording always finishes (or fails) before the next
-   arrival is examined. *)
-
-let run_sequential t specs =
-  List.map
-    (fun spec ->
-      Metrics.incr t.svc_m Metrics.Svc_sessions;
-      let d = decide t spec in
-      let ctx = start_session ~clock:(Clock.create ()) t spec d in
-      match d with
-      | D_serve e ->
-        obs_ttfb t e ctx;
-        serve_safe t spec e ctx ~coalesced:false
-      | D_record e ->
-        obs_ttfb t e ctx;
-        record_into t spec e ctx
-      | D_wait e -> (
-        match e.blob with
-        | Some _ ->
-          obs_ttfb t e ctx;
-          serve_safe t spec e ctx ~coalesced:true
-        | None -> fail_report t spec e ctx "recording in flight with no scheduler"))
-    specs
-
-(* ---- multiplexed execution ----
-
-   Decisions are taken up front (arrival order), then every session becomes
-   a scheduler task entering the shared timeline at its arrival time.
-   Same-key sessions coalesce on the entry's condition; recordings of the
-   same share group are serialized through a FIFO turnstile (they mutate
-   the shared speculation history, and the ticket order — assigned at
-   decision time — keeps that mutation order identical to the sequential
-   mode's).
-
-   Recording failure re-arms the entry: sequential mode retries a failed
-   key at the next same-key arrival, so the failed recorder promotes the
-   earliest planned waiter into the recorder role. The promoted waiter
-   takes the turnstile slot its own decision position dictates — behind
-   group recorders that were decided between the failed recording and the
-   waiter's arrival — keeping the shared history/store mutation order, and
-   therefore every signed blob and counter, identical to the sequential
-   schedule. *)
-
-type entry_sync = {
-  e_cond : Sched.cond;  (* signalled whenever the entry's recording settles *)
-  mutable e_waiting : int list;  (* plan-order FIFO of coalesced client ids *)
-  mutable e_elected : int option;  (* waiter promoted to recorder, if any *)
+type promotion = {
+  p_failed_ns : int64;  (* when the replaced recording failed *)
+  p_takeover_ns : int64;  (* when the promoted waiter's record phase began *)
+  p_label : string;
+  p_failed : int;
+  p_promoted : int;
+  p_track : track option;
 }
 
-(* Per-run planning state, populated by the plan pass. *)
-type run_aux = {
-  entry_syncs : (int, entry_sync) Hashtbl.t;  (* entry uid -> sync state *)
-  group_queues : (string, int list ref) Hashtbl.t;  (* group -> ticket FIFO *)
-  group_conds : (string, Sched.cond) Hashtbl.t;
-  decision_idx : (int, int) Hashtbl.t;  (* client id -> plan (decision) order *)
+type exec = {
+  group_free_ns : (string, int64) Hashtbl.t;
+      (* share group -> finish instant of its latest recording this run *)
+  mutable promotions : promotion list;  (* newest first *)
+  mutable makespan_ns : int64;
 }
 
-let aux_cond tbl k =
-  match Hashtbl.find_opt tbl k with
-  | Some c -> c
-  | None ->
-    let c = Sched.new_cond () in
-    Hashtbl.add tbl k c;
-    c
+let global_ns (spec : client_spec) clock = Int64.add spec.arrival_ns (Clock.now_ns clock)
 
-let entry_sync aux uid =
-  match Hashtbl.find_opt aux.entry_syncs uid with
-  | Some s -> s
-  | None ->
-    let s = { e_cond = Sched.new_cond (); e_waiting = []; e_elected = None } in
-    Hashtbl.add aux.entry_syncs uid s;
-    s
+(* Take the share group's turnstile, then record. *)
+let record_in_turn t x (spec : client_spec) (e : entry) ctx =
+  let g = share_group spec in
+  let clock = ctx.Ctx.clock in
+  let t0 = Clock.now_ns clock in
+  Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_turnstile_wait
+    ~args:[ ("group", g) ]
+    ~name:"turnstile-wait"
+    (fun () ->
+      match Hashtbl.find_opt x.group_free_ns g with
+      | Some free_ns -> Clock.advance_to clock (Int64.sub free_ns spec.arrival_ns)
+      | None -> ());
+  obs_sample t Hist.Svc_turnstile_wait_us (Int64.sub (Clock.now_ns clock) t0);
+  obs_ttfb t e ctx;
+  let r = record_into t spec e ctx in
+  let fin = global_ns spec clock in
+  Hashtbl.replace x.group_free_ns g fin;
+  e.settled_ns <- fin;
+  e.settled_by <- spec.client_id;
+  r
 
-let group_queue aux g =
-  match Hashtbl.find_opt aux.group_queues g with
-  | Some q -> q
+(* A waiter on [e]. Its entry's latest recording ran earlier in decision
+   order: if it succeeded the waiter is served once it settled; if it
+   failed, this is the earliest waiter left and it takes over as
+   recorder. *)
+let wait_on t x (spec : client_spec) (e : entry) ctx =
+  let clock = ctx.Ctx.clock in
+  let t0 = Clock.now_ns clock in
+  Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_coalesce_wait
+    ~args:[ ("key", e.keyed.label) ]
+    ~name:"coalesce-wait"
+    (fun () -> Clock.advance_to clock (Int64.sub e.settled_ns spec.arrival_ns));
+  obs_sample t Hist.Svc_coalesce_wait_us (Int64.sub (Clock.now_ns clock) t0);
+  match e.blob with
+  | Some _ ->
+    obs_ttfb t e ctx;
+    serve t spec e ctx ~coalesced:true
   | None ->
-    let q = ref [] in
-    Hashtbl.add aux.group_queues g q;
-    q
+    e.inflight <- true;
+    Metrics.incr t.svc_m Metrics.Svc_promotions;
+    (* the promoted waiter re-records: a second miss on the key *)
+    Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+    (* same key-derived seed and options a planned recorder uses, on the
+       waiter's clock *)
+    let rctx = record_ctx ~clock t spec e in
+    x.promotions <-
+      {
+        p_failed_ns = e.settled_ns;
+        p_takeover_ns = global_ns spec clock;
+        p_label = e.keyed.label;
+        p_failed = e.settled_by;
+        p_promoted = spec.client_id;
+        p_track = track_of t spec rctx;
+      }
+      :: x.promotions;
+    record_in_turn t x spec e rctx
 
-(* Spawn one scheduler task per planned session and run them all. *)
-let exec_sessions t aux sched reports plans =
-  let put (spec : client_spec) r = Hashtbl.replace reports spec.client_id r in
-  (* Record while holding (or acquiring) a group-turnstile ticket. On
-     failure, promote the next planned waiter so the key retries exactly
-     where sequential mode would. *)
-  let record_with_ticket (spec : client_spec) (e : entry) ctx =
-    let q = group_queue aux (share_group spec) in
-    let gcond = aux_cond aux.group_conds (share_group spec) in
-    let es = entry_sync aux e.uid in
-    let promoted = ref None in
-    (* Sequential mode runs a group's recordings in decision order — the
-       promoted waiter's retry included, at the waiter's own decision
-       position. Insert accordingly: group recorders decided between the
-       failed recording and the waiter's arrival keep their earlier
-       turnstile slots. *)
-    let insert_by_decision wid rest =
-      let idx id = Hashtbl.find aux.decision_idx id in
-      let rec ins = function
-        | x :: tl when idx x < idx wid -> x :: ins tl
-        | tl -> wid :: tl
-      in
-      ins rest
-    in
-    let finish () =
-      (match !promoted with
-      | Some wid -> q := insert_by_decision wid (List.tl !q)
-      | None -> q := List.filter (fun id -> id <> spec.client_id) !q);
-      Sched.signal_all sched gcond;
-      Sched.signal_all sched es.e_cond
-    in
-    Fun.protect ~finally:finish (fun () ->
-        let rec turn () =
-          match !q with
-          | head :: _ when head = spec.client_id -> ()
-          | _ ->
-            Sched.await sched gcond;
-            turn ()
-        in
-        let t0 = Clock.now_ns ctx.Ctx.clock in
-        Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_turnstile_wait
-          ~args:[ ("group", share_group spec) ]
-          ~name:"turnstile-wait" turn;
-        obs_sample t Hist.Svc_turnstile_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
-        obs_ttfb t e ctx;
-        let r = record_into t spec e ctx in
-        (match r.outcome with
-        | Failed _ -> (
-          match es.e_waiting with
-          | wid :: rest ->
-            (* Re-arm the entry for the promoted waiter — the retry this
-               key would get at its next arrival in sequential mode. *)
-            es.e_waiting <- rest;
-            es.e_elected <- Some wid;
-            e.inflight <- true;
-            promoted := Some wid;
-            Metrics.incr t.svc_m Metrics.Svc_promotions;
-            (* the promoted waiter re-records: the miss a sequential run
-               would charge at its retry arrival *)
-            Metrics.incr t.svc_m Metrics.Svc_cache_misses;
-            Clock.advance_to t.svc_clock
-              (Int64.add spec.arrival_ns (Clock.now_ns ctx.Ctx.clock));
-            Trace.event t.svc_trace (Trace.Promote { label = e.keyed.label; client = wid });
-            Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_promotion
-              ~args:
-                [
-                  ("label", e.keyed.label);
-                  ("failed", Printf.sprintf "client-%d" spec.client_id);
-                  ("promoted", Printf.sprintf "client-%d" wid);
-                ]
-              "waiter-promotion"
-          | [] -> ())
-        | Recorded _ | Cache_hit | Coalesced -> ());
-        put spec r)
+let run_session t x ((spec : client_spec), d) =
+  let clock = Clock.create () in
+  let ctx = start_session ~clock t spec d in
+  let r =
+    match d with
+    | D_serve e ->
+      obs_ttfb t e ctx;
+      serve t spec e ctx ~coalesced:false
+    | D_record e -> record_in_turn t x spec e ctx
+    | D_wait e -> wait_on t x spec e ctx
   in
-  (* Spawn pass: one task per session, entering at its arrival time. The
-     body builds the session's context on the task clock when it first
-     runs; tasks first run in arrival order, so tracks register in plan
-     order. *)
+  let fin = global_ns spec clock in
+  if Int64.compare fin x.makespan_ns > 0 then x.makespan_ns <- fin;
+  r
+
+(* Promotions land on the service plane in failure-instant order, and
+   promoted tracks in the order their record phases began. *)
+let publish_promotions t x =
+  let by f = List.stable_sort (fun a b -> Int64.compare (f a) (f b)) (List.rev x.promotions) in
   List.iter
-    (fun ((spec : client_spec), d, clock) ->
-      let body () =
-        let ctx = start_session ~clock t spec d in
-        match d with
-        | D_serve e ->
-          obs_ttfb t e ctx;
-          put spec (serve_safe t spec e ctx ~coalesced:false)
-        | D_wait e ->
-          let es = entry_sync aux e.uid in
-          let rec wait () =
-            if es.e_elected = Some spec.client_id then `Record
-            else
-              match e.blob with
-              | Some _ -> `Serve
-              | None when e.inflight ->
-                Sched.await sched es.e_cond;
-                wait ()
-              | None -> `Orphaned
-          in
-          let t0 = Clock.now_ns ctx.Ctx.clock in
-          let got =
-            Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_coalesce_wait
-              ~args:[ ("key", e.keyed.label) ]
-              ~name:"coalesce-wait" wait
-          in
-          obs_sample t Hist.Svc_coalesce_wait_us (Int64.sub (Clock.now_ns ctx.Ctx.clock) t0);
-          (match got with
-          | `Serve ->
-            obs_ttfb t e ctx;
-            put spec (serve_safe t spec e ctx ~coalesced:true)
-          | `Record ->
-            es.e_elected <- None;
-            (* Promoted: re-record on this task's scheduler-registered
-               clock, under the same key-derived seed and options a planned
-               recorder uses. *)
-            let rctx = record_ctx ~clock t spec e in
-            register_track ~promoted:true t spec rctx;
-            record_with_ticket spec e rctx
-          | `Orphaned ->
-            (* Unreachable while promotion elects every remaining waiter;
-               kept so an unexpected settle still yields a report. *)
-            put spec (fail_report t spec e ctx "recording failed upstream"))
-        | D_record e -> record_with_ticket spec e ctx
-      in
-      ignore
-        (Sched.spawn sched ~arrival_ns:spec.arrival_ns
-           ~name:(Printf.sprintf "client-%d" spec.client_id)
-           ~clock body))
-    plans;
-  Sched.run sched
-
-(* Plan pass: decisions, taken in arrival order, plus one task clock per
-   session. Pre-creates every cond/sync/queue a planned session can name.
-   Ticket queues and waiter lists are built newest-first and reversed once
-   at the end, keeping them FIFO without quadratic appends. *)
-let plan_fleet t aux specs =
-  let plans =
-    List.mapi
-      (fun i (spec : client_spec) ->
-        Hashtbl.replace aux.decision_idx spec.client_id i;
-        Metrics.incr t.svc_m Metrics.Svc_sessions;
-        let d = decide t spec in
-        (match d with
-        | D_record e ->
-          let g = share_group spec in
-          let q = group_queue aux g in
-          q := spec.client_id :: !q;
-          ignore (aux_cond aux.group_conds g);
-          ignore (entry_sync aux e.uid)
-        | D_wait e ->
-          let es = entry_sync aux e.uid in
-          es.e_waiting <- spec.client_id :: es.e_waiting
-        | D_serve _ -> ());
-        (spec, d, Clock.create ()))
-      specs
-  in
-  Hashtbl.iter (fun _ q -> q := List.rev !q) aux.group_queues;
-  Hashtbl.iter (fun _ es -> es.e_waiting <- List.rev es.e_waiting) aux.entry_syncs;
-  plans
+    (fun p ->
+      Clock.advance_to t.svc_clock p.p_failed_ns;
+      Trace.event t.svc_trace (Trace.Promote { label = p.p_label; client = p.p_promoted });
+      Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_promotion
+        ~args:
+          [
+            ("label", p.p_label);
+            ("failed", Printf.sprintf "client-%d" p.p_failed);
+            ("promoted", Printf.sprintf "client-%d" p.p_promoted);
+          ]
+        "waiter-promotion")
+    (by (fun p -> p.p_failed_ns));
+  match t.obs with
+  | Some o ->
+    List.iter
+      (fun p -> Option.iter (fun tr -> o.obs_promoted_tracks <- tr :: o.obs_promoted_tracks) p.p_track)
+      (by (fun p -> p.p_takeover_ns))
+  | None -> ()
 
 let new_observation t =
   {
@@ -728,33 +595,8 @@ let new_observation t =
     obs_key_turnaround = Hashtbl.create 32;
   }
 
-let run_multiplexed t specs =
-  let aux =
-    {
-      entry_syncs = Hashtbl.create 64;
-      group_queues = Hashtbl.create 16;
-      group_conds = Hashtbl.create 16;
-      decision_idx = Hashtbl.create 64;
-    }
-  in
-  let plans = plan_fleet t aux specs in
-  let sched = Sched.create () in
-  (match t.obs with
-  | Some o ->
-    Sched.set_switch_observer sched
-      (Some (fun runnable -> Hist.record o.obs_hists Hist.Sched_runnable runnable))
-  | None -> ());
-  let reports = Hashtbl.create 256 in
-  exec_sessions t aux sched reports plans;
-  let report (spec : client_spec) =
-    match Hashtbl.find_opt reports spec.client_id with
-    | Some r -> r
-    | None -> failwith (Printf.sprintf "Service: client %d produced no report" spec.client_id)
-  in
-  (List.map report specs, sched)
-
-(* Turnaround series are filled from the finished reports — one place, both
-   execution modes, labels included. *)
+(* Turnaround series are filled from the finished reports, labels
+   included. *)
 let finalize_obs t reports =
   match t.obs with
   | None -> ()
@@ -767,13 +609,12 @@ let finalize_obs t reports =
       reports
 
 type run_stats = {
-  rs_mode : string;  (* "sequential" | "multiplexed" *)
-  rs_virtual_ns : int64;  (* fleet makespan on the virtual timeline *)
+  rs_virtual_ns : int64;
   rs_yields : int;
   rs_switches : int;
 }
 
-let run ?(sequential = false) ?(observe = false) t specs =
+let run ?(observe = false) t specs =
   t.run_epoch <- t.run_epoch + 1;
   t.obs <- (if observe then Some (new_observation t) else None);
   let specs =
@@ -784,33 +625,34 @@ let run ?(sequential = false) ?(observe = false) t specs =
         | c -> c)
       specs
   in
-  let reports, stats =
-    if sequential then begin
-      let reports = run_sequential t specs in
-      (* Sequential sessions run back-to-back off the shared timeline; the
-         fleet makespan is still the last session's completion instant. *)
-      let virtual_ns =
-        List.fold_left
-          (fun acc r ->
-            let fin = Int64.add r.spec.arrival_ns (Int64.of_float (r.turnaround_s *. 1e9)) in
-            if Int64.compare fin acc > 0 then fin else acc)
-          0L reports
-      in
-      (reports, { rs_mode = "sequential"; rs_virtual_ns = virtual_ns; rs_yields = 0; rs_switches = 0 })
-    end
-    else begin
-      let reports, sched = run_multiplexed t specs in
-      ( reports,
-        {
-          rs_mode = "multiplexed";
-          rs_virtual_ns = Sched.now_ns sched;
-          rs_yields = Sched.yields sched;
-          rs_switches = Sched.switches sched;
-        } )
-    end
+  (* Plan pass: every decision, in arrival order, before any session runs. *)
+  let plans =
+    List.map
+      (fun spec ->
+        Metrics.incr t.svc_m Metrics.Svc_sessions;
+        (spec, decide t spec))
+      specs
   in
+  let x = { group_free_ns = Hashtbl.create 16; promotions = []; makespan_ns = 0L } in
+  let reports = List.map (run_session t x) plans in
+  (* Run-end invariants: every entry settled, every client one report. *)
+  List.iter
+    (fun (_, d) ->
+      let e = decision_entry d in
+      if e.inflight then
+        failwith (Printf.sprintf "Service.run: entry %s still in flight after the run" e.keyed.label))
+    plans;
+  let reported = Hashtbl.create (List.length reports) in
+  List.iter (fun r -> Hashtbl.add reported r.spec.client_id ()) reports;
+  List.iter
+    (fun (spec : client_spec) ->
+      match Hashtbl.find_all reported spec.client_id with
+      | [ () ] -> ()
+      | rs -> failwith (Printf.sprintf "Service.run: client %d has %d reports" spec.client_id (List.length rs)))
+    specs;
+  publish_promotions t x;
   finalize_obs t reports;
-  (reports, stats)
+  (reports, { rs_virtual_ns = x.makespan_ns; rs_yields = 0; rs_switches = 0 })
 
 (* ---- aggregation, stats, cache listing ---- *)
 

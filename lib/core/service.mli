@@ -1,9 +1,8 @@
 (** The multi-session recording service.
 
     The cloud side of §3.1 at fleet scale: many clients request recordings;
-    the service multiplexes their sessions over one virtual timeline
-    ({!Grt_sim.Sched}) and answers repeat requests from a content-addressed
-    cache of already-signed blobs, so the expensive dry run happens once per
+    the service answers repeat requests from a content-addressed cache of
+    already-signed blobs, so the expensive dry run happens once per
     distinct (workload, GPU, stack, wire format) and every other client
     pays only the attested download.
 
@@ -13,16 +12,14 @@
     re-recording after eviction ships mostly hash references.
 
     Determinism: cache decisions are taken at client *arrival*, in arrival
-    order, and recordings of a share group are serialized in ticket order
-    assigned at decision time. A failed recording re-arms its entry by
-    promoting the earliest coalesced waiter into the recorder role (it
-    inherits the failed ticket's turnstile slot), mirroring sequential
-    mode's retry at the next same-key arrival. The multiplexed and
-    sequential execution modes therefore produce identical signed blobs
-    and identical per-session counters (only waiting time and outcome
-    labelling — [Cache_hit] vs [Coalesced] — differ), which the
-    interleaving-determinism property test checks, lossy channels and
-    bounded caches included. *)
+    order, before any session runs. Sessions then run to completion one
+    after another in that decision order, each on its own clock, and the
+    few cross-session waits are clock arithmetic on one virtual timeline: a
+    coalesced waiter is served from the instant its entry's recording
+    settled, a share group's recordings take turns in decision order, and a
+    failed recording promotes its earliest waiter to recorder from the
+    failure instant. Signed blobs are therefore a function of the key and
+    the decision sequence alone. *)
 
 type key = int64
 
@@ -85,20 +82,35 @@ val create : ?cache_capacity:int -> unit -> t
     survive eviction — only the signed blob is dropped. *)
 
 type run_stats = {
-  rs_mode : string;  (** ["sequential"] or ["multiplexed"] *)
-  rs_virtual_ns : int64;  (** fleet makespan on the virtual timeline *)
-  rs_yields : int;  (** task suspensions (0 for sequential) *)
-  rs_switches : int;  (** task resumptions (0 for sequential) *)
+  rs_virtual_ns : int64;
+      (** fleet makespan on the virtual timeline: the latest
+          [arrival + turnaround] of the run *)
+  rs_yields : int;
+      (** always 0: no session is suspended. Kept because the end-to-end
+          benchmark reads it. *)
+  rs_switches : int;
+      (** always 0: no session is resumed. Kept because the end-to-end
+          benchmark reads it. *)
 }
 
-val run :
-  ?sequential:bool -> ?observe:bool -> t -> client_spec list -> session_report list * run_stats
-(** Process a fleet. Clients are ordered by (arrival, id) first. With
-    [sequential] (default false) each session runs to completion at its
-    arrival — the reference semantics; otherwise sessions are multiplexed
-    over one virtual-time scheduler. Reports come back in arrival order.
-    The service may be reused across runs — the cache and shared stores
-    persist.
+val run : ?observe:bool -> t -> client_spec list -> session_report list * run_stats
+(** Process a fleet. Clients are ordered by (arrival, id) and every cache
+    decision is taken in that order first; then each session runs to
+    completion in decision order. Turnarounds include real waiting on the
+    shared timeline:
+    - a recorder (planned, or a promoted waiter) starts no earlier than
+      the finish of the previous recording of its (network, SKU) share
+      group in this run;
+    - a [Coalesced] session is served no earlier than its entry's
+      successful recording settled;
+    - a waiter promoted after a failed recording re-records no earlier
+      than the failure.
+    Reports come back in arrival order. The service may be reused across
+    runs — the cache and shared stores persist.
+
+    Raises [Failure] naming the key or client if a run ends with an entry
+    still in flight or with a client that has no report or more than one
+    (duplicate [client_id]s).
 
     [observe] (default false) turns on the fleet observability plane for
     this run: per-session span tracers (one Perfetto track each, see
@@ -114,8 +126,7 @@ val aggregate : t -> session_report list -> Grt_sim.Counters.t
 val service_counters : t -> Grt_sim.Counters.t
 (** The service's own counters ([svc.sessions], [svc.cache_hits],
     [svc.coalesced], [svc.recordings], [svc.evictions], [svc.failures],
-    plus [svc.cache_misses] and — multiplexed runs only —
-    [svc.promotions]). *)
+    [svc.cache_misses] and [svc.promotions]). *)
 
 val service_trace : t -> Grt_sim.Trace.t
 (** The service's always-on bounded post-mortem ring (topic ["service"]):
@@ -129,7 +140,7 @@ type stats = {
   cache_hits : int;
   cache_misses : int;  (** admissions that had to record (retries included) *)
   coalesced : int;
-  promotions : int;  (** waiters promoted to recorder (multiplexed runs only) *)
+  promotions : int;  (** waiters promoted to recorder after a failed recording *)
   failures : int;
   evictions : int;
   resident : int;  (** entries currently in the cache *)
@@ -142,9 +153,9 @@ val hit_rate : stats -> float
 (** {2 The fleet observability plane}
 
     Enabled per run with [run ~observe:true]; everything below reads back
-    what that run collected. The plane is write-only: its clock is advanced
-    but never yielded, and nothing it records feeds back into decisions,
-    seeds or counters — outcomes are bit-identical with it on or off. *)
+    what that run collected. The plane is write-only: nothing it records
+    feeds back into decisions, seeds or counters — outcomes are
+    bit-identical with it on or off. *)
 
 type track = {
   track_client : int;
@@ -155,8 +166,7 @@ type track = {
 type observation = {
   obs_hists : Grt_sim.Hist.set;
       (** fleet SLO series: [Svc_turnaround_us], [Svc_ttfb_us],
-          [Svc_coalesce_wait_us], [Svc_turnstile_wait_us],
-          [Sched_runnable] *)
+          [Svc_coalesce_wait_us], [Svc_turnstile_wait_us] *)
   obs_tracer : Grt_sim.Tracer.t;
       (** the service's own track: cache-lookup/evict/promotion markers on
           the service-plane clock *)
@@ -174,7 +184,7 @@ val fleet_tracks : t -> Grt_sim.Tracer.track list
 (** The last observed run as Perfetto tracks: tid 0 is the service plane,
     client [i] renders on lane [i+1] offset by its arrival. Session tracks
     come in arrival order, then each promoted waiter's record tracer, on
-    its client's lane, in promotion order. Empty when
+    its client's lane, in the order the record phases began. Empty when
     unobserved. Feed to {!Grt_sim.Tracer.tracks_chrome_json}. *)
 
 type listing_row = {

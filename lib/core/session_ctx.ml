@@ -87,7 +87,6 @@ let session_salt t = Grt_util.Hashing.combine t.seed 0x5a17L
 let charge_rollback t cost =
   t.rollbacks <- t.rollbacks + 1;
   t.rollback_s <- t.rollback_s +. cost;
-  Grt_sim.Clock.advance_s t.clock cost;
-  Grt_sim.Clock.yield t.clock
+  Grt_sim.Clock.advance_s t.clock cost
 
 let stat t key = Grt_sim.Metrics.get_int t.metrics key

@@ -76,10 +76,9 @@ val create :
     cached blob stays cheap to build.
 
     [clock] threads an existing session clock instead of creating a fresh
-    one — the recording service builds each multiplexed session's context
-    on the clock the scheduler registered at spawn, when the task first
-    runs, and again on that clock to promote a coalesced waiter into a
-    recorder mid-task. All time accounting
+    one — the recording service builds a promoted waiter's recording
+    context on the clock its coalesced wait already advanced. All time
+    accounting
     (energy integration, link costs, watchdogs) is delta-based, so a
     context built on an already-advanced clock behaves identically to one
     starting at zero. *)
@@ -98,8 +97,7 @@ val session_salt : t -> int64
     device, stable across rollback attempts within a session. *)
 
 val charge_rollback : t -> float -> unit
-(** Account one rollback of the given cost, advance the clock by it, and
-    yield to the scheduler (no-op for a solo session). *)
+(** Account one rollback of the given cost and advance the clock by it. *)
 
 val stat : t -> Grt_sim.Metrics.key -> int
 (** Typed counter lookup, for assembling the outcome record. *)

@@ -184,7 +184,6 @@ let rec stall_for_slot t =
     count t Metrics.Net_window_stalls 1;
     Trace.event_opt t.trace (Trace.Window_stall { inflight = t.pipe_count });
     Grt_sim.Clock.advance_to_int t.clock t.pipe_done.(t.pipe_head);
-    Grt_sim.Clock.yield t.clock;
     pipe_pop t;
     stall_for_slot t
   end
@@ -337,12 +336,11 @@ let round_trip_run t ~send_bytes ~recv_bytes =
   ignore (deliver_at t (Grt_sim.Clock.now_int t.clock))
 
 let round_trip t ~send_bytes ~recv_bytes =
-  (match t.tracer with
+  match t.tracer with
   | None -> round_trip_run t ~send_bytes ~recv_bytes
   | Some _ ->
     Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:"round_trip" (fun () ->
-        round_trip_run t ~send_bytes ~recv_bytes));
-  Grt_sim.Clock.yield t.clock
+        round_trip_run t ~send_bytes ~recv_bytes)
 
 let async_send_run t ~send_bytes ~recv_bytes =
   if t.window > 1 then stall_for_slot t;
@@ -377,8 +375,7 @@ let async_send t ~send_bytes ~recv_bytes =
 let wait_until_int t deadline =
   if deadline > Grt_sim.Clock.now_int t.clock then begin
     count t Metrics.Net_stall_waits 1;
-    Grt_sim.Clock.advance_to_int t.clock deadline;
-    Grt_sim.Clock.yield t.clock
+    Grt_sim.Clock.advance_to_int t.clock deadline
   end
 
 let wait_until t deadline = wait_until_int t (Int64.to_int deadline)
@@ -397,8 +394,7 @@ let one_way_to_client t ~bytes =
       in
       Grt_sim.Clock.advance_int t.clock
         (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
-      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)));
-  Grt_sim.Clock.yield t.clock
+      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)))
 
 let one_way_from_client t ~bytes =
   Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:"one_way_from_client" (fun () ->
@@ -412,8 +408,7 @@ let one_way_from_client t ~bytes =
       in
       Grt_sim.Clock.advance_int t.clock
         (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
-      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)));
-  Grt_sim.Clock.yield t.clock
+      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)))
 
 let counter_int t key = match t.metrics with Some m -> Metrics.get_int m key | None -> 0
 

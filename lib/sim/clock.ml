@@ -6,23 +6,9 @@
    below let same-process hot paths (the device's event queue, the energy
    integrator) avoid the boxing entirely. *)
 
-type t = {
-  mutable now : int;
-  mutable observers : (int -> int -> unit) list;
-  mutable yield_hook : (unit -> unit) option;
-      (* cooperative-scheduling hook: blocking waits (network exchanges,
-         rollback recompute) call [yield] after advancing, handing control to
-         a multiplexing scheduler. [None] (the default) makes [yield] free,
-         so solo sessions are unaffected. *)
-}
+type t = { mutable now : int; mutable observers : (int -> int -> unit) list }
 
-let create () = { now = 0; observers = []; yield_hook = None }
-
-let set_yield_hook t f = t.yield_hook <- Some f
-
-let clear_yield_hook t = t.yield_hook <- None
-
-let yield t = match t.yield_hook with Some f -> f () | None -> ()
+let create () = { now = 0; observers = [] }
 
 let now_int t = t.now
 

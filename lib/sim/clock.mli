@@ -3,7 +3,11 @@
     Every delay in the reproduction — register MMIO latency, network round
     trips, GPU job execution, driver compute — is modeled by advancing a
     virtual clock measured in nanoseconds. Observers (e.g. the energy meter)
-    can subscribe to advances to integrate over time. *)
+    can subscribe to advances to integrate over time.
+
+    Every session owns its clock. A fleet run places a session on the
+    shared timeline at [arrival + now] and expresses a wait on another
+    session as {!advance_to} that session's instant. *)
 
 type t
 
@@ -44,20 +48,6 @@ val on_advance : t -> (int64 -> int64 -> unit) -> unit
 val on_advance_int : t -> (int -> int -> unit) -> unit
 (** [on_advance] without the per-advance boxing; preferred for observers
     that fire on every advance (the energy integrator). *)
-
-val set_yield_hook : t -> (unit -> unit) -> unit
-(** Install the cooperative-scheduling hook: {!yield} will call [f],
-    suspending the caller in favour of whatever {!Sched} decides should run
-    next on the shared virtual timeline. One hook per clock (sessions own
-    their clocks); installing replaces any previous hook. *)
-
-val clear_yield_hook : t -> unit
-
-val yield : t -> unit
-(** Yield point. Blocking waits ({!Grt_net.Link} exchanges, rollback
-    recompute) call this after advancing the clock; with no hook installed
-    (the default, every solo session) it is a no-op, so yield points are
-    free outside a scheduler. *)
 
 type span = { start_ns : int64; stop_ns : int64 }
 

@@ -72,7 +72,9 @@ type key =
           hit; the coalesce/turnstile wait otherwise) *)
   | Svc_coalesce_wait_us  (** fleet: time spent waiting on an in-flight recording *)
   | Svc_turnstile_wait_us  (** fleet: time queued behind the per-key turnstile *)
-  | Sched_runnable  (** fleet: runnable tasks queued at each scheduler switch *)
+  | Sched_runnable
+      (** never sampled: fleet sessions run to completion, so no task
+          queue exists. Kept because the end-to-end benchmark reads it. *)
 
 val key_name : key -> string
 val all_keys : key list

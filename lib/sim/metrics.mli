@@ -85,15 +85,13 @@ type key =
   | Svc_cache_hits  (** sessions served straight from the recording cache *)
   | Svc_cache_misses
       (** admission decisions that had to record (includes recordings that
-          later failed, and waiters promoted to recorder after a failure —
-          the same count a sequential run would charge as retry misses) *)
+          later failed, and waiters promoted to recorder after a failure) *)
   | Svc_coalesced  (** sessions that waited on an in-flight recording *)
   | Svc_failures  (** sessions that ended in a failed recording *)
   | Svc_evictions  (** cache entries evicted to make room *)
   | Svc_promotions
       (** coalesced waiters promoted to recorder after the elected
-          recorder failed (multiplexed runs only; sequential runs retry at
-          the next arrival instead, so this reads 0 there) *)
+          recorder failed *)
 
 val name : key -> string
 (** Legacy counter name of a key (e.g. [Net_blocking_rtts] ->

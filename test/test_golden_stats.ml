@@ -161,26 +161,26 @@ let rerun_stable () =
   check Alcotest.string "re-record is identical" (tuple_of a) (tuple_of b)
 
 (* ---- fleet smoke pin: a fixed six-client fleet through the recording
-   service (multiplexed scheduler path), with every outcome, blob size and
+   service, with every outcome, blob size and
    — for the sessions that actually record — the signed blob's hash pinned.
    This freezes the service-layer bytes the per-mode rows above cannot see:
    cache keying, coalescing and the shared-store replays. ---- *)
 
 module Service = Grt.Service
 
+let spec ?(cfg = Service.fastpath_cfg) ?(net = Grt_mlfw.Zoo.mnist) ?(sku = Grt_gpu.Sku.g71_mp8)
+    ?(profile = Grt_net.Profile.wifi) ~id ~at_ms () =
+  {
+    Service.client_id = id;
+    arrival_ns = Int64.mul (Int64.of_int at_ms) 1_000_000L;
+    net;
+    sku;
+    profile;
+    cfg;
+    inject_fault_after = None;
+  }
+
 let fleet_specs () =
-  let spec ?(cfg = Service.fastpath_cfg) ?(net = Grt_mlfw.Zoo.mnist) ?(sku = Grt_gpu.Sku.g71_mp8)
-      ~id ~at_ms () =
-    {
-      Service.client_id = id;
-      arrival_ns = Int64.mul (Int64.of_int at_ms) 1_000_000L;
-      net;
-      sku;
-      profile = Grt_net.Profile.wifi;
-      cfg;
-      inject_fault_after = None;
-    }
-  in
   [
     spec ~id:0 ~at_ms:0 ();
     (* same key as 0: coalesces with or hits 0's recording *)
@@ -213,13 +213,60 @@ let fleet_expected =
 
 let fleet_pin () = check Alcotest.string "fleet smoke digest" fleet_expected (fleet_digest ())
 
+(* ---- fleet clock pins: every client's turnaround and the observed run's
+   TTFB / coalesce-wait / turnstile-wait series (count, sum, min, max in
+   µs) for the golden fleet above and for a lossy fleet whose first
+   recording collapses and promotes a waiter. Virtual clocks are
+   deterministic, so these are exact. ---- *)
+
+module Hist = Grt_sim.Hist
+
+let lossy_fleet_specs () =
+  [
+    spec ~id:0 ~profile:(Grt_net.Profile.degrade ~drop_prob:0.75 Grt_net.Profile.wifi) ~at_ms:0 ();
+    spec ~id:1 ~at_ms:1 ();
+    spec ~id:2 ~at_ms:2 ();
+  ]
+
+let fleet_clocks specs =
+  let svc = Service.create () in
+  let reports, _ = Service.run ~observe:true svc specs in
+  let obs = Option.get (Service.observation svc) in
+  let series k =
+    let h = Hist.get obs.Service.obs_hists k in
+    Printf.sprintf "%s=%d/%Ld/%d/%d" (Hist.key_name k) (Hist.count h) (Hist.sum h)
+      (Hist.min_value h) (Hist.max_value h)
+  in
+  String.concat " "
+    (List.map
+       (fun (r : Service.session_report) ->
+         Printf.sprintf "%d:%.9f" r.Service.spec.Service.client_id r.Service.turnaround_s)
+       reports
+    @ List.map series [ Hist.Svc_ttfb_us; Hist.Svc_coalesce_wait_us; Hist.Svc_turnstile_wait_us ])
+
+let fleet_clocks_expected =
+  "0:2.773474344 1:2.816012144 2:5.025833188 3:5.851159511 4:2.771764240 5:0.052537800 \
+   svc.ttfb_us=6/5516948/0/2763474 svc.coalesce_wait_us=2/2763474/0/2763474 \
+   svc.turnstile_wait_us=4/2753474/0/2753474"
+
+let lossy_clocks_expected =
+  "0:44.492561696 1:47.265036040 2:47.316573840 svc.ttfb_us=3/91755597/0/47264036 \
+   svc.coalesce_wait_us=2/91755597/44491561/47264036 svc.turnstile_wait_us=2/0/0/0"
+
+let fleet_clock_pins () =
+  check Alcotest.string "golden fleet clocks" fleet_clocks_expected (fleet_clocks (fleet_specs ()));
+  check Alcotest.string "lossy fleet clocks" lossy_clocks_expected
+    (fleet_clocks (lossy_fleet_specs ()))
+
 let () =
   (* Capture mode: GOLDEN_CAPTURE=1 prints the actual tuples instead of
      asserting, for refreshing the expected table after an intentional
      behaviour change. *)
   if Sys.getenv_opt "GOLDEN_CAPTURE" <> None then begin
     List.iter (fun (name, t) -> Printf.printf "    (%S, %S);\n" name t) (actuals ());
-    Printf.printf "  fleet: %S\n" (fleet_digest ())
+    Printf.printf "  fleet: %S\n" (fleet_digest ());
+    Printf.printf "  fleet clocks: %S\n" (fleet_clocks (fleet_specs ()));
+    Printf.printf "  lossy clocks: %S\n" (fleet_clocks (lossy_fleet_specs ()))
   end
   else
     Alcotest.run "grt_golden_stats"
@@ -230,5 +277,6 @@ let () =
             Alcotest.test_case "six blobs byte-identical" `Quick six_blobs_byte_identical;
             Alcotest.test_case "re-record stability" `Quick rerun_stable;
             Alcotest.test_case "fleet smoke pin" `Quick fleet_pin;
+            Alcotest.test_case "fleet clock pins" `Quick fleet_clock_pins;
           ] );
       ]

@@ -1,14 +1,13 @@
-(* Multi-session recording service tests: the virtual-time scheduler,
-   solo-session identity through the scheduler, the
-   content-addressed recording cache (hits, coalescing, LRU eviction +
-   cheap re-record through the shared stores), and the interleaving-
-   determinism property — N multiplexed sessions produce exactly the blobs
-   and counters of the same sessions run sequentially. *)
+(* Multi-session recording service tests: the content-addressed recording
+   cache (hits, coalescing, LRU eviction + cheap re-record through the
+   shared stores), failure hand-off to a promoted waiter, and the fleet
+   timeline invariants — share-group recordings take turns in decision
+   order, waiters are served only after the recording they waited on, and
+   every recorded blob is the direct recording of its key. *)
 
-module Sched = Grt_sim.Sched
-module Clock = Grt_sim.Clock
 module Counters = Grt_sim.Counters
 module Metrics = Grt_sim.Metrics
+module Tracer = Grt_sim.Tracer
 module Service = Grt.Service
 module Orchestrate = Grt.Orchestrate
 module Ctx = Grt.Session_ctx
@@ -18,111 +17,6 @@ module Sku = Grt_gpu.Sku
 module Profile = Grt_net.Profile
 
 let check = Alcotest.check
-
-(* ---- scheduler unit tests ---- *)
-
-(* Tasks resume in global virtual-time order (arrival + private clock),
-   regardless of spawn order. *)
-let sched_order () =
-  let s = Sched.create () in
-  let log = ref [] in
-  let mk name arrival_ns advance_s =
-    let clock = Clock.create () in
-    ignore
-      (Sched.spawn s ~arrival_ns ~name ~clock (fun () ->
-           log := (name ^ ":start") :: !log;
-           Clock.advance_s clock advance_s;
-           Clock.yield clock;
-           log := (name ^ ":end") :: !log))
-  in
-  (* A enters at 0 and burns 100ms before its yield point; B enters at
-     50ms and burns 10ms. B's yield (global 60ms) beats A's (100ms). *)
-  mk "A" 0L 0.100;
-  mk "B" 50_000_000L 0.010;
-  Sched.run s;
-  check
-    Alcotest.(list string)
-    "virtual-time order" [ "A:start"; "B:start"; "B:end"; "A:end" ]
-    (List.rev !log);
-  check Alcotest.int "every suspension resumed" (Sched.yields s + 2) (Sched.switches s);
-  check Alcotest.bool "high-water time is A's end" true (Sched.now_ns s = 100_000_000L)
-
-(* await consumes virtual time: the waiter wakes at the signaller's global
-   instant, with its private clock advanced to match. *)
-let sched_cond () =
-  let s = Sched.create () in
-  let cond = Sched.new_cond () in
-  let a_clock = Clock.create () in
-  let woke_at = ref (-1.0) in
-  ignore
-    (Sched.spawn s ~name:"waiter" ~clock:a_clock (fun () ->
-         Sched.await s cond;
-         woke_at := Clock.now_s a_clock));
-  let b_clock = Clock.create () in
-  ignore
-    (Sched.spawn s ~arrival_ns:10_000_000L ~name:"signaller" ~clock:b_clock
-       (fun () ->
-         Clock.advance_s b_clock 0.020;
-         Sched.signal_all s cond));
-  Sched.run s;
-  (* signaller's global time at the signal: 10ms arrival + 20ms burned *)
-  check (Alcotest.float 1e-9) "woke at the signal instant" 0.030 !woke_at
-
-let sched_deadlock () =
-  let s = Sched.create () in
-  let cond = Sched.new_cond () in
-  let clock = Clock.create () in
-  ignore (Sched.spawn s ~name:"stuck" ~clock (fun () -> Sched.await s cond));
-  match Sched.run s with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception Sched.Deadlock [ "stuck" ] -> ()
-  | exception Sched.Deadlock names ->
-      Alcotest.failf "wrong deadlock set: %s" (String.concat "," names)
-
-(* A raising task is recorded, not propagated; other tasks finish. *)
-let sched_failure () =
-  let s = Sched.create () in
-  let finished = ref false in
-  let c1 = Clock.create () and c2 = Clock.create () in
-  ignore (Sched.spawn s ~name:"bad" ~clock:c1 (fun () -> failwith "boom"));
-  ignore (Sched.spawn s ~name:"good" ~clock:c2 (fun () -> finished := true));
-  Sched.run s;
-  check Alcotest.bool "good task finished" true !finished;
-  match Sched.failures s with
-  | [ ("bad", Failure msg, _) ] -> check Alcotest.string "exn carried" "boom" msg
-  | fs -> Alcotest.failf "wrong failures: %d entries" (List.length fs)
-
-(* ---- solo identity: one session under the scheduler is byte-identical
-   to the same session run directly (golden preservation) ---- *)
-
-let solo_identity () =
-  let seed = 42L in
-  let direct =
-    Orchestrate.record ~profile:Profile.wifi ~mode:Mode.Ours_mds
-      ~sku:Sku.g71_mp8 ~net:Zoo.mnist ~seed ()
-  in
-  let cfg = Mode.default_config Mode.Ours_mds in
-  let ctx =
-    Ctx.create ~cfg ~profile:Profile.wifi ~sku:Sku.g71_mp8 ~net:Zoo.mnist
-      ~seed ~granularity:`Monolithic ()
-  in
-  let pipeline = Orchestrate.Pipeline.create ctx in
-  let s = Sched.create () in
-  let result = ref None in
-  ignore
-    (Sched.spawn s ~name:"solo" ~clock:ctx.Ctx.clock (fun () ->
-         result := Some (Orchestrate.Pipeline.run pipeline)));
-  Sched.run s;
-  match !result with
-  | None -> Alcotest.fail "pipeline did not finish"
-  | Some o ->
-      check Alcotest.bool "blob identical" true
-        (Bytes.equal direct.Orchestrate.blob o.Orchestrate.blob);
-      check Alcotest.bool "counters identical" true
-        (Counters.to_alist direct.Orchestrate.counters
-        = Counters.to_alist o.Orchestrate.counters);
-      check (Alcotest.float 1e-9) "clock readings identical"
-        direct.Orchestrate.total_s o.Orchestrate.total_s
 
 (* ---- service semantics ---- *)
 
@@ -146,7 +40,7 @@ let blob_of = function
    key-derived seed — cacheable because it depends on the key alone. *)
 let recording_matches_direct () =
   let sp = spec ~id:0 ~at_ms:0 () in
-  let reports, _ = Service.run ~sequential:true (Service.create ()) [ sp ] in
+  let reports, _ = Service.run (Service.create ()) [ sp ] in
   let key =
     Service.cache_key ~cfg:sp.Service.cfg ~sku:sp.Service.sku ~net:sp.Service.net
   in
@@ -164,22 +58,23 @@ let recording_matches_direct () =
       | None -> Alcotest.failf "expected Recorded, got %s" (Service.outcome_name r.Service.outcome))
   | rs -> Alcotest.failf "expected 1 report, got %d" (List.length rs)
 
+(* A blob resident from an earlier run is a cache hit. *)
 let second_client_hits () =
   let svc = Service.create () in
-  let specs = [ spec ~id:0 ~at_ms:0 (); spec ~id:1 ~at_ms:60_000 () ] in
-  let reports, _ = Service.run ~sequential:true svc specs in
+  ignore (Service.run svc [ spec ~id:0 ~at_ms:0 () ]);
+  let reports, _ = Service.run svc [ spec ~id:1 ~at_ms:60_000 () ] in
   let st = Service.stats svc in
   check Alcotest.int "one recording" 1 st.Service.recordings;
   check Alcotest.int "one hit" 1 st.Service.cache_hits;
   match reports with
-  | [ _; hit ] ->
-      check Alcotest.bool "second client served" true
-        (Service.served hit.Service.outcome);
+  | [ hit ] ->
+      check Alcotest.string "second client hits" "cache_hit"
+        (Service.outcome_name hit.Service.outcome);
       check Alcotest.bool "served the recorded bytes" true (hit.Service.blob_bytes > 0)
-  | _ -> Alcotest.fail "expected 2 reports"
+  | _ -> Alcotest.fail "expected 1 report"
 
-(* Simultaneous same-key arrivals under the scheduler: exactly one records,
-   the rest coalesce onto the in-flight recording. *)
+(* Simultaneous same-key arrivals: exactly one records, the rest coalesce
+   onto the in-flight recording. *)
 let coalescing () =
   let svc = Service.create () in
   let specs = List.init 4 (fun i -> spec ~id:i ~at_ms:i ()) in
@@ -209,7 +104,7 @@ let eviction_rerecord () =
       spec ~id:2 ~net:Zoo.mnist ~at_ms:120_000 ();
     ]
   in
-  let reports, _ = Service.run ~sequential:true svc specs in
+  let reports, _ = Service.run svc specs in
   let st = Service.stats svc in
   check Alcotest.int "all three recorded" 3 st.Service.recordings;
   check Alcotest.int "two evictions" 2 st.Service.evictions;
@@ -229,14 +124,13 @@ let eviction_rerecord () =
       | _ -> Alcotest.fail "expected both MNIST sessions to record")
   | _ -> Alcotest.fail "expected 3 reports"
 
-(* ---- interleaving determinism (qcheck): any small fleet, multiplexed,
-   ≡ the same fleet sequential — same outcomes
-   (coalesced ≡ cache hit), same blob bytes, same per-session counters.
+(* ---- fleet timeline invariants (qcheck) ----
+
    The generator mixes lossy channels (recordings that genuinely collapse,
-   exercising the failure retry hand-off), two mode configs per (net, sku)
-   (distinct keys in one share group, so the recording turnstile sees
-   contention), and bounded cache capacities (eviction, including eviction
-   of inflight entries). ---- *)
+   exercising the promotion hand-off), two mode configs per (net, sku)
+   (distinct keys in one share group, so the turnstile sees contention),
+   and bounded cache capacities (eviction, including eviction of inflight
+   entries). ---- *)
 
 let gen_fleet =
   let open QCheck2.Gen in
@@ -267,16 +161,19 @@ let gen_fleet =
   let* specs = flatten_l (List.init n client) in
   return (cap, specs)
 
+(* Everything a report carries except the parsed outcome record: client,
+   outcome, turnaround, blob bytes and the session's counters. *)
 let normalized (r : Service.session_report) =
   let outcome =
     match r.Service.outcome with
-    | Service.Coalesced -> "served"
-    | Service.Cache_hit -> "served"
-    | Service.Recorded _ -> "recorded"
-    | Service.Failed _ -> "failed"
+    | Service.Failed msg -> "failed: " ^ msg
+    | o -> Service.outcome_name o
   in
-  (r.Service.spec.Service.client_id, outcome, r.Service.blob_bytes,
-   Counters.to_alist r.Service.counters)
+  ( r.Service.spec.Service.client_id,
+    outcome,
+    r.Service.turnaround_s,
+    r.Service.blob_bytes,
+    Counters.to_alist r.Service.counters )
 
 let print_fleet (cap, specs) =
   Printf.sprintf "capacity=%d\n%s" cap
@@ -296,40 +193,173 @@ let print_fleet (cap, specs) =
               | None -> "-"))
           specs))
 
-let dump_mismatch seq mux =
-  Printf.eprintf "--- multiplexed diverges from sequential ---\n";
-  List.iter2
-    (fun (id, o1, b1, c1) (_, o2, b2, c2) ->
-      if (o1, b1, c1) <> (o2, b2, c2) then begin
-        Printf.eprintf "  client %d: seq %s/%d mux %s/%d\n" id o1 b1 o2 b2;
-        if c1 <> c2 then
-          List.iter
-            (fun (k, v) ->
-              let v' = try List.assoc k c2 with Not_found -> Int64.min_int in
-              if v <> v' then Printf.eprintf "    %s: seq %Ld mux %Ld\n" k v v')
-            c1
-      end)
-    seq mux;
-  flush stderr
+let finish_s (r : Service.session_report) =
+  (Int64.to_float r.Service.spec.Service.arrival_ns *. 1e-9) +. r.Service.turnaround_s
 
-let interleaving_deterministic =
+(* One recording read back from an observed run's tracks: who ran it, its
+   decision index, and its "record" span on the global timeline. *)
+type recording = {
+  rc_idx : int;
+  rc_key : Service.key;
+  rc_group : string;
+  rc_ok : bool;
+  rc_start : float;
+  rc_stop : float;
+  rc_promoted : bool;
+}
+
+let fail_inv fmt = Printf.ksprintf (fun m -> Printf.eprintf "invariant: %s\n%!" m; false) fmt
+
+(* The recording client's session run directly under the key-derived seed,
+   memoized across property cases. The client's channel and fault are part
+   of the memo key: a heavy loss on a slow channel can change the blob
+   (e.g. MNIST/G31 OursMDS over cellular with 31% loss). *)
+let direct_blobs = Hashtbl.create 8
+
+let direct_blob (sp : Service.client_spec) key =
+  let memo_key =
+    (key, sp.Service.profile.Profile.name, sp.Service.profile.Profile.faults.Profile.drop_prob,
+     sp.Service.inject_fault_after)
+  in
+  match Hashtbl.find_opt direct_blobs memo_key with
+  | Some b -> b
+  | None ->
+    let o =
+      Orchestrate.record ?inject_fault_after:sp.Service.inject_fault_after ~config:sp.Service.cfg
+        ~profile:sp.Service.profile ~mode:sp.Service.cfg.Mode.mode ~sku:sp.Service.sku
+        ~net:sp.Service.net ~seed:(Service.recording_seed key) ()
+    in
+    Hashtbl.add direct_blobs memo_key o.Orchestrate.blob;
+    o.Orchestrate.blob
+
+let timeline_invariants (cap, specs) =
+  let run observe =
+    let svc = Service.create ~cache_capacity:cap () in
+    let reports, rs = Service.run ~observe svc specs in
+    (svc, reports, rs)
+  in
+  let _, plain, _ = run false in
+  let svc, reports, rs = run true in
+  let sorted =
+    List.stable_sort
+      (fun (a : Service.client_spec) b ->
+        compare (a.Service.arrival_ns, a.Service.client_id) (b.Service.arrival_ns, b.Service.client_id))
+      specs
+  in
+  let ids l = List.map (fun (s : Service.client_spec) -> s.Service.client_id) l in
+  let reported = List.map (fun (r : Service.session_report) -> r.Service.spec) reports in
+  let n = List.length specs in
+  let report = Array.of_list reports in
+  let idx_of = Hashtbl.create n in
+  List.iteri (fun i id -> Hashtbl.replace idx_of id i) (ids sorted);
+  let group (sp : Service.client_spec) = sp.Service.net.Grt_mlfw.Network.name ^ "|" ^ sp.Service.sku.Sku.name in
+  (* every record span of the run, session tracks first, then promoted *)
+  let tracks = List.tl (Service.fleet_tracks svc) in
+  let recordings =
+    List.concat
+      (List.mapi
+         (fun ti (tr : Tracer.track) ->
+           let i = Hashtbl.find idx_of (tr.Tracer.track_tid - 1) in
+           let r = report.(i) in
+           let shift ns = Int64.to_float (Int64.add tr.Tracer.track_offset_ns ns) *. 1e-9 in
+           List.filter_map
+             (fun (sp : Tracer.span) ->
+               if sp.Tracer.sp_cat <> Tracer.Svc_record then None
+               else
+                 Some
+                   {
+                     rc_idx = i;
+                     rc_key = r.Service.key;
+                     rc_group = group r.Service.spec;
+                     rc_ok = (match r.Service.outcome with Service.Recorded _ -> true | _ -> false);
+                     rc_start = shift sp.Tracer.sp_start_ns;
+                     rc_stop = shift sp.Tracer.sp_stop_ns;
+                     rc_promoted = ti >= n;
+                   })
+             (Tracer.spans tr.Tracer.track_tracer))
+         tracks)
+  in
+  let by_idx = List.sort (fun a b -> compare a.rc_idx b.rc_idx) recordings in
+  (* the latest recording of [key] decided before [i] satisfying [p] *)
+  let latest_before i key p =
+    List.fold_left
+      (fun acc rc -> if rc.rc_idx < i && rc.rc_key = key && p rc then Some rc else acc)
+      None by_idx
+  in
+  let one_report_each =
+    ids reported = ids sorted || fail_inv "reports not one per client in arrival order"
+  in
+  let observe_neutral =
+    List.map normalized plain = List.map normalized reports
+    || fail_inv "observed run differs from the unobserved one"
+  in
+  let turns =
+    let rec ok = function
+      | a :: (b :: _ as rest) ->
+        (a.rc_group <> b.rc_group || b.rc_start >= a.rc_stop
+        || fail_inv "group %s: recording of #%d starts at %.9f before #%d ends at %.9f" a.rc_group
+             b.rc_idx b.rc_start a.rc_idx a.rc_stop)
+        && ok rest
+      | _ -> true
+    in
+    List.for_all
+      (fun g -> ok (List.filter (fun rc -> rc.rc_group = g) by_idx))
+      (List.sort_uniq compare (List.map (fun rc -> rc.rc_group) by_idx))
+  in
+  let coalesced_after_recording =
+    Array.to_list report
+    |> List.mapi (fun i r -> (i, r))
+    |> List.for_all (fun (i, (r : Service.session_report)) ->
+           match r.Service.outcome with
+           | Service.Coalesced -> (
+             match latest_before i r.Service.key (fun rc -> rc.rc_ok) with
+             | Some rc ->
+               finish_s r >= rc.rc_stop
+               || fail_inv "client #%d served at %.9f before its recording settled at %.9f" i
+                    (finish_s r) rc.rc_stop
+             | None -> fail_inv "client #%d coalesced onto no successful recording" i)
+           | _ -> true)
+  in
+  let promoted_after_failure =
+    List.for_all
+      (fun rc ->
+        (not rc.rc_promoted)
+        ||
+        match latest_before rc.rc_idx rc.rc_key (fun f -> not f.rc_ok) with
+        | Some f ->
+          rc.rc_start >= f.rc_stop
+          || fail_inv "promoted #%d records at %.9f before the failure at %.9f" rc.rc_idx rc.rc_start
+               f.rc_stop
+        | None -> fail_inv "promoted #%d replaces no failed recording" rc.rc_idx)
+      recordings
+  in
+  let makespan =
+    List.for_all
+      (fun r -> Int64.to_float rs.Service.rs_virtual_ns *. 1e-9 >= finish_s r -. 1e-9)
+      reports
+    || fail_inv "makespan below a session's finish"
+  in
+  let blobs_direct =
+    List.for_all
+      (fun (r : Service.session_report) ->
+        match r.Service.outcome with
+        | Service.Recorded o ->
+          Bytes.equal o.Orchestrate.blob (direct_blob r.Service.spec r.Service.key)
+          || fail_inv "client %d: blob differs from the direct recording" r.Service.spec.Service.client_id
+        | _ -> true)
+      reports
+  in
+  one_report_each && observe_neutral && turns && coalesced_after_recording && promoted_after_failure
+  && makespan && blobs_direct
+
+let fleet_timeline =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:8 ~name:"multiplexed fleet == sequential fleet"
-       ~print:print_fleet gen_fleet (fun (cap, specs) ->
-         let seq, _ =
-           Service.run ~sequential:true (Service.create ~cache_capacity:cap ()) specs
-         in
-         let seq = List.map normalized seq in
-         let mux, _ = Service.run (Service.create ~cache_capacity:cap ()) specs in
-         let mux = List.map normalized mux in
-         if mux <> seq then dump_mismatch seq mux;
-         mux = seq))
+    (QCheck2.Test.make ~count:20 ~name:"fleet timeline invariants" ~print:print_fleet gen_fleet
+       timeline_invariants)
 
 (* ---- failure retry hand-off: a lossy first client whose recording
-   collapses must not doom later same-key clients. Sequential mode retries
-   at the next same-key arrival; multiplexed mode promotes the first
-   coalesced waiter to recorder. Both agree: client 0 fails, client 1
-   records, client 2 is served. ---- *)
+   collapses must not doom later same-key clients. The first coalesced
+   waiter is promoted to recorder; the waiter behind it is served. ---- *)
 
 let lossy = Profile.degrade ~drop_prob:0.75 Profile.wifi
 
@@ -341,37 +371,68 @@ let failed_recording_retries () =
       spec ~id:2 ~at_ms:2 ();
     ]
   in
-  let go ~sequential () =
-    let svc = Service.create () in
-    let reports, _ = Service.run ~sequential svc specs in
-    (reports, Service.stats svc)
-  in
-  let seq, seq_st = go ~sequential:true () in
+  let svc = Service.create () in
+  let reports, _ = Service.run svc specs in
+  let st = Service.stats svc in
   check
     Alcotest.(list string)
-    "sequential: fail, retry, hit"
-    [ "failed"; "recorded"; "cache_hit" ]
-    (List.map (fun r -> Service.outcome_name r.Service.outcome) seq);
-  let mux, mux_st = go ~sequential:false () in
-  check
-    Alcotest.(list string)
-    "multiplexed: fail, promoted waiter records, coalesced"
+    "fail, promoted waiter records, coalesced"
     [ "failed"; "recorded"; "coalesced" ]
-    (List.map (fun r -> Service.outcome_name r.Service.outcome) mux);
-  check Alcotest.bool "normalized reports identical" true
-    (List.map normalized mux = List.map normalized seq);
-  check Alcotest.int "one successful recording each" seq_st.Service.recordings
-    mux_st.Service.recordings;
-  check Alcotest.int "one failure each" seq_st.Service.failures mux_st.Service.failures;
+    (List.map (fun r -> Service.outcome_name r.Service.outcome) reports);
+  check Alcotest.int "one successful recording" 1 st.Service.recordings;
+  check Alcotest.int "one failure" 1 st.Service.failures;
+  check Alcotest.int "one promotion" 1 st.Service.promotions;
   (* The promoted waiter's blob is the same key-derived artifact a planned
      recorder would have produced. *)
-  match (blob_of (List.nth seq 1), blob_of (List.nth mux 1)) with
-  | Some b1, Some b2 -> check Alcotest.bool "retry blob identical" true (Bytes.equal b1 b2)
-  | _ -> Alcotest.fail "expected the second client to record in both modes"
+  let sp = List.nth specs 1 in
+  let key = Service.cache_key ~cfg:sp.Service.cfg ~sku:sp.Service.sku ~net:sp.Service.net in
+  match blob_of (List.nth reports 1) with
+  | Some b -> check Alcotest.bool "retry blob = direct record" true (Bytes.equal b (direct_blob sp key))
+  | None -> Alcotest.fail "expected the second client to record"
+
+(* ---- the failure window: c0's recording collapses seconds after c1
+   arrives, inside one long ARQ backoff. c1 is promoted and must record
+   from c0's failure instant, not from its own arrival. ---- *)
+
+let failure_window () =
+  let cfg = Mode.default_config Mode.Ours_mds in
+  let specs =
+    [
+      spec ~cfg ~profile:(Profile.degrade ~drop_prob:0.6862 Profile.lan) ~fault:3 ~id:0 ~at_ms:3788 ();
+      spec ~cfg ~profile:Profile.lan ~fault:3 ~id:1 ~at_ms:4051 ();
+    ]
+  in
+  let reports, rs = Service.run (Service.create ()) specs in
+  match reports with
+  | [ c0; c1 ] ->
+    check
+      Alcotest.(list string)
+      "c0 fails, c1 is promoted and records" [ "failed"; "recorded" ]
+      (List.map (fun r -> Service.outcome_name r.Service.outcome) reports);
+    check Alcotest.bool
+      (Printf.sprintf "c1 finishes (%.3fs) after c0's failure (%.3fs)" (finish_s c1) (finish_s c0))
+      true
+      (finish_s c1 >= finish_s c0);
+    List.iter
+      (fun r ->
+        check Alcotest.bool "makespan covers every session" true
+          (Int64.to_float rs.Service.rs_virtual_ns *. 1e-9 >= finish_s r -. 1e-9))
+      reports
+  | _ -> Alcotest.fail "expected 2 reports"
+
+(* ---- run-end checks: a client id given twice gets two reports, which
+   the run refuses, naming the client. ---- *)
+
+let duplicate_client_rejected () =
+  let specs = [ spec ~id:7 ~at_ms:0 (); spec ~id:7 ~at_ms:5 () ] in
+  match Service.run (Service.create ()) specs with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+    check Alcotest.string "names the client" "Service.run: client 7 has 2 reports" msg
 
 (* ---- the observability plane is write-only: same outcomes, same blobs,
-   same per-session counters with observe on or off, in both execution
-   modes — and the observed run actually collects tracks and samples. ---- *)
+   same per-session counters with observe on or off — and the observed run
+   actually collects tracks and samples. ---- *)
 
 let observation_write_only () =
   let specs =
@@ -382,42 +443,32 @@ let observation_write_only () =
       spec ~id:3 ~net:Zoo.alexnet ~at_ms:5 ();
     ]
   in
-  let go ~sequential ~observe =
+  let go ~observe =
     let svc = Service.create ~cache_capacity:1 () in
-    let reports, _ = Service.run ~sequential ~observe svc specs in
+    let reports, _ = Service.run ~observe svc specs in
     (List.map normalized reports, svc)
   in
-  List.iter
-    (fun sequential ->
-      let mode = if sequential then "seq" else "mux" in
-      let off, svc_off = go ~sequential ~observe:false in
-      let on, svc_on = go ~sequential ~observe:true in
-      check Alcotest.bool (mode ^ ": observe changes no outcome/blob/counter") true (on = off);
-      check Alcotest.bool (mode ^ ": unobserved run has no observation") true
-        (Service.observation svc_off = None);
-      check Alcotest.int (mode ^ ": unobserved run has no tracks") 0
-        (List.length (Service.fleet_tracks svc_off));
-      (match Service.observation svc_on with
-      | None -> Alcotest.fail (mode ^ ": observed run carries an observation")
-      | Some obs ->
-        check Alcotest.int
-          (mode ^ ": turnaround sampled once per session")
-          (List.length specs)
-          (Grt_sim.Hist.count (Grt_sim.Hist.get obs.Service.obs_hists Grt_sim.Hist.Svc_turnaround_us));
-        check Alcotest.int
-          (mode ^ ": ttfb sampled once per session")
-          (List.length specs)
-          (Grt_sim.Hist.count (Grt_sim.Hist.get obs.Service.obs_hists Grt_sim.Hist.Svc_ttfb_us)));
-      (* service plane + one track per session (a promoted waiter may add
-         a second lane for its client) *)
-      check Alcotest.bool (mode ^ ": service + per-session tracks") true
-        (List.length (Service.fleet_tracks svc_on) >= 1 + List.length specs))
-    [ true; false ]
+  let off, svc_off = go ~observe:false in
+  let on, svc_on = go ~observe:true in
+  check Alcotest.bool "observe changes no outcome/blob/counter" true (on = off);
+  check Alcotest.bool "unobserved run has no observation" true (Service.observation svc_off = None);
+  check Alcotest.int "unobserved run has no tracks" 0 (List.length (Service.fleet_tracks svc_off));
+  (match Service.observation svc_on with
+  | None -> Alcotest.fail "observed run carries an observation"
+  | Some obs ->
+    check Alcotest.int "turnaround sampled once per session" (List.length specs)
+      (Grt_sim.Hist.count (Grt_sim.Hist.get obs.Service.obs_hists Grt_sim.Hist.Svc_turnaround_us));
+    check Alcotest.int "ttfb sampled once per session" (List.length specs)
+      (Grt_sim.Hist.count (Grt_sim.Hist.get obs.Service.obs_hists Grt_sim.Hist.Svc_ttfb_us)));
+  (* service plane + one track per session (a promoted waiter may add
+     a second lane for its client) *)
+  check Alcotest.bool "service + per-session tracks" true
+    (List.length (Service.fleet_tracks svc_on) >= 1 + List.length specs)
 
 (* ---- session context lifetime: a served session never expands its
-   network plan (only the recording stages read it), and building contexts
-   when each task starts keeps the observed run's track order — arrival
-   order, then promoted waiters' record-phase tracks. ---- *)
+   network plan (only the recording stages read it), and the observed
+   run's track order is arrival order, then promoted waiters' record-phase
+   tracks. ---- *)
 
 let served_session_leaves_plan_unexpanded () =
   let cfg = Service.fastpath_cfg in
@@ -444,18 +495,13 @@ let track_order () =
       spec ~id:4 ~net:Zoo.alexnet ~at_ms:600_000 ();
     ]
   in
-  let lanes ~sequential =
-    let svc = Service.create () in
-    ignore (Service.run ~sequential ~observe:true svc specs);
-    List.map (fun (tr : Grt_sim.Tracer.track) -> tr.Grt_sim.Tracer.track_name) (Service.fleet_tracks svc)
-  in
-  let sessions = [ "service"; "client-0"; "client-1"; "client-2"; "client-3"; "client-4" ] in
-  check Alcotest.(list string) "sequential: arrival order" sessions (lanes ~sequential:true);
+  let svc = Service.create () in
+  ignore (Service.run ~observe:true svc specs);
   check
     Alcotest.(list string)
-    "multiplexed: arrival order, then the promoted waiter's record track"
-    (sessions @ [ "client-1" ])
-    (lanes ~sequential:false)
+    "arrival order, then the promoted waiter's record track"
+    [ "service"; "client-0"; "client-1"; "client-2"; "client-3"; "client-4"; "client-1" ]
+    (List.map (fun (tr : Tracer.track) -> tr.Tracer.track_name) (Service.fleet_tracks svc))
 
 (* ---- fleet generation ---- *)
 
@@ -482,11 +528,11 @@ let fleet_generation () =
 let service_counter_view () =
   let svc = Service.create () in
   let specs = [ spec ~id:0 ~at_ms:0 (); spec ~id:1 ~at_ms:60_000 () ] in
-  let reports, _ = Service.run ~sequential:true svc specs in
+  let reports, _ = Service.run svc specs in
   let c = Service.service_counters svc in
   check Alcotest.int "svc.sessions" 2 (Counters.get_int c "svc.sessions");
   check Alcotest.int "svc.recordings" 1 (Counters.get_int c "svc.recordings");
-  check Alcotest.int "svc.cache_hits" 1 (Counters.get_int c "svc.cache_hits");
+  check Alcotest.int "svc.coalesced" 1 (Counters.get_int c "svc.coalesced");
   let agg = Service.aggregate svc reports in
   check Alcotest.bool "aggregate includes sessions' counters" true
     (Counters.get_int agg "net.blocking_rtts" > 0);
@@ -496,17 +542,8 @@ let service_counter_view () =
 let () =
   Alcotest.run "service"
     [
-      ( "sched",
-        [
-          Alcotest.test_case "virtual-time order (effects)" `Quick sched_order;
-          Alcotest.test_case "cond wait advances to signal time (effects)" `Quick sched_cond;
-          Alcotest.test_case "deadlock detected (effects)" `Quick sched_deadlock;
-          Alcotest.test_case "failure isolated (effects)" `Quick sched_failure;
-        ] );
       ( "identity",
         [
-          Alcotest.test_case "solo session byte-identical under scheduler (effects)" `Quick
-            solo_identity;
           Alcotest.test_case "service recording = direct record of key seed" `Quick
             recording_matches_direct;
           Alcotest.test_case "served session leaves the plan unexpanded" `Quick
@@ -520,10 +557,12 @@ let () =
           Alcotest.test_case "simultaneous arrivals coalesce (effects)" `Quick coalescing;
           Alcotest.test_case "failed recording promotes a waiter (effects)" `Quick
             failed_recording_retries;
+          Alcotest.test_case "promoted waiter records after the failure" `Quick failure_window;
+          Alcotest.test_case "duplicate client id rejected" `Quick duplicate_client_rejected;
         ] );
       ( "determinism",
         [
-          interleaving_deterministic;
+          fleet_timeline;
           Alcotest.test_case "fleet generation" `Quick fleet_generation;
         ] );
       ( "observability",
