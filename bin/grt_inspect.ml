@@ -56,9 +56,11 @@ let read_file path =
     close_in ic;
     b
 
+(* The verified recording and the byte length of the blob it came from. *)
 let load path =
-  match Grt.Recording.verify_and_parse ~key:Grt.Orchestrate.cloud_signing_key (read_file path) with
-  | Ok r -> Ok r
+  let blob = read_file path in
+  match Grt.Recording.verify_and_parse ~key:Grt.Orchestrate.cloud_signing_key blob with
+  | Ok r -> Ok (r, Bytes.length blob)
   | Error e -> Error (path ^ ": " ^ e)
 
 let pp_entry ppf = function
@@ -88,7 +90,7 @@ let pp_entry ppf = function
 let inspect path dump_n =
   match load path with
   | Error e -> `Error (false, e)
-  | Ok r ->
+  | Ok (r, size) ->
     let count k = Grt.Recording.count_entries r k in
     Printf.printf "recording: %s\n" path;
     Printf.printf "  workload:   %s\n" r.Grt.Recording.workload;
@@ -96,7 +98,7 @@ let inspect path dump_n =
     | Some sku -> Printf.printf "  GPU:        %s (%Lx)\n" sku.Grt_gpu.Sku.name r.Grt.Recording.gpu_id
     | None -> Printf.printf "  GPU:        unknown (%Lx)\n" r.Grt.Recording.gpu_id);
     Printf.printf "  size:       %s\n"
-      (Grt_util.Hexdump.size_to_string (Grt.Recording.size_bytes r));
+      (Grt_util.Hexdump.size_to_string size);
     Printf.printf "  entries:    %d (writes %d, reads %d, polls %d, irqs %d, pages %d)\n"
       (Array.length r.Grt.Recording.entries)
       (count `Writes) (count `Reads) (count `Polls) (count `Irqs) (count `Mem_pages);
@@ -228,7 +230,7 @@ and run_inner path diff timeline_path dump_n cache_path fleet_path =
   | None, None, None, Some path, Some subject_path -> (
     match (load path, load subject_path) with
     | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok reference, Ok subject ->
+    | Ok (reference, _), Ok (subject, _) ->
       let report = Grt.Debugcheck.compare_logs ~reference ~subject in
       Format.printf "%a@." Grt.Debugcheck.pp_report report;
       if Grt.Debugcheck.healthy report then `Ok () else `Error (false, "logs diverge"))

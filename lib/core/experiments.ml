@@ -821,9 +821,9 @@ type speed_row = {
       (** per-memo hit/miss profile over this row's measured window *)
 }
 
-(* Measured on the flat-store + memoized-sign hot path with the
-   local-state range-coder kernels (BENCH_speed.json): Naive 333.2,
-   OursMDS 449.7, dedup 459.3, w4 419.1 minor-words/access. The
+(* Measured on the flat-store hot path with the local-state range-coder
+   kernels and no sign or page-hash memo (BENCH_speed.json): Naive 334.6,
+   OursMDS 451.4, dedup 461.9, w4 420.8 minor-words/access. The
    ceilings leave ~25% headroom for hashtable-resize and iteration-count
    jitter; a breach means a new per-access allocation crept into the
    record path, not machine noise (allocation counts are deterministic). *)

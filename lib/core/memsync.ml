@@ -46,39 +46,8 @@ let encoding_name = function
   | Enc_hash_ref -> "hash-ref"
 
 (* Page content hash. The digest is wire format (hash-ref bodies ship it),
-   so it must remain FNV-1a — but the same page contents are hashed over
-   and over as a workload resyncs, so a quick-keyed memo (full compare on
-   hit, see [Hashing.quick]) avoids re-walking the page byte by byte. *)
-let hash_memo : (int, bytes * int64) Hashtbl.t = Hashtbl.create 256
-
-let hash_memo_cap = 1024
-
-let hash_stats = Grt_util.Memo_stats.register "memsync.hash_page"
-
-let hash_page b =
-  let k = Grt_util.Hashing.quick b in
-  match Hashtbl.find_opt hash_memo k with
-  | Some (input, h) when Bytes.equal input b ->
-    Grt_util.Memo_stats.hit hash_stats;
-    h
-  | prior ->
-    Grt_util.Memo_stats.miss hash_stats;
-    (match prior with
-    | Some (old_in, _) ->
-      Grt_util.Memo_stats.mismatch hash_stats;
-      Grt_util.Memo_stats.replaced hash_stats
-        ~old_bytes:(Bytes.length old_in + 8)
-        ~bytes:(Bytes.length b + 8)
-    | None -> ());
-    let h = Grt_util.Hashing.fnv1a_bytes b in
-    if Hashtbl.length hash_memo >= hash_memo_cap then begin
-      Grt_util.Memo_stats.evicted hash_stats ~entries:(Hashtbl.length hash_memo);
-      Hashtbl.reset hash_memo
-    end;
-    if not (Hashtbl.mem hash_memo k) then
-      Grt_util.Memo_stats.added hash_stats ~bytes:(Bytes.length b + 8);
-    Hashtbl.replace hash_memo k (Bytes.copy b, h);
-    h
+   so it must remain FNV-1a. *)
+let hash_page b = Grt_util.Hashing.fnv1a_bytes b
 
 (* Content-addressed page store: hash of a full page body -> the body.
    Collisions are guarded at the lookup sites with [Bytes.equal]. *)

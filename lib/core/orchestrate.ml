@@ -244,8 +244,8 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
   let blob = Recording.sign ~key:cloud_signing_key recording in
   (* The client downloads and verifies the recording. *)
   Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  (match Recording.verify_and_parse ~key:cloud_signing_key blob with
-  | Ok _ -> ()
+  (match Recording.verify ~key:cloud_signing_key blob with
+  | Ok () -> ()
   | Error e -> failwith ("client rejected recording: " ^ e));
   Gpushim.release gpushim;
   Cloudvm.end_session vm;
@@ -371,8 +371,8 @@ end
 let serve_cached (ctx : Ctx.t) ~blob =
   establish ctx;
   Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  match Recording.verify_and_parse ~key:cloud_signing_key blob with
-  | Ok _ -> ()
+  match Recording.verify ~key:cloud_signing_key blob with
+  | Ok () -> ()
   | Error e -> failwith ("client rejected recording: " ^ e)
 
 let record ?history ?inject_fault_after ?inject_outage_after ?config ?(granularity = `Monolithic)

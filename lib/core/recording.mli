@@ -58,27 +58,27 @@ val input_slot : t -> slot option
 val output_slot : t -> slot option
 val param_slots : t -> slot list
 
-val serialize : t -> bytes
-(** Version-1 flat body (no signature): the legacy on-wire entry log. *)
-
-val deserialize : bytes -> (t, string) result
-
 val default_chunk_entries : int
 (** Entries per chunk used by [sign] unless overridden (64). *)
 
 val sign : ?chunk_entries:int -> key:Grt_tee.Crypto.key -> t -> bytes
-(** Signed version-2 chunked blob — the artifact the client downloads.
-    The entry log is split into chunks of [chunk_entries]; the signed
-    header carries each chunk's FNV hash and their Merkle root, so a
-    replayer can verify chunks as it streams them. *)
+(** The signed blob the client downloads. There is one wire format
+    (version 2): the entry log is split into chunks of [chunk_entries]; the
+    MACed header carries each chunk's FNV hash and their Merkle root, so a
+    replayer can verify chunks as it streams them. Any other version is
+    rejected with [Error "recording: unsupported version N"]. *)
 
-val sign_v1 : key:Grt_tee.Crypto.key -> t -> bytes
-(** Legacy version-1 blob: flat body with an appended MAC. Still produced
-    by old cloud services; [verify_and_parse] accepts both formats. *)
+val verify : key:Grt_tee.Crypto.key -> bytes -> (unit, string) result
+(** The client's yes/no check before it accepts a blob: header MAC, Merkle
+    root, body layout, then every chunk hash over its byte range in the
+    blob. Decodes no entries and copies no chunk. [Ok ()] exactly when
+    [verify_and_parse] would succeed on a blob [sign] produced, or on any
+    tampering of one. Verdicts are memoized (keyed on key and blob
+    content, hits confirmed by a full comparison). *)
 
 val verify_and_parse : key:Grt_tee.Crypto.key -> bytes -> (t, string) result
-(** Full eager verification: signature, and for v2 blobs every chunk hash
-    and the Merkle root. Accepts v1 and v2 blobs. *)
+(** [parse_signed] followed by an eager [verify_chunk] on every chunk: the
+    full check for callers that need the entries. Not memoized. *)
 
 (** {2 Streaming access}
 
@@ -94,16 +94,18 @@ type chunk = {
 
 type verified = {
   vrec : t;
-  vversion : int;  (** wire version the blob used: 1 or 2 *)
-  vchunks : chunk array;  (** empty for v1 blobs (verified up front) *)
+  vchunks : chunk array;
   vroot : int64;  (** Merkle root over chunk hashes — the recording's identity *)
 }
 
 val parse_signed : key:Grt_tee.Crypto.key -> bytes -> (verified, string) result
-(** Verify the MACed portion (whole blob for v1, header for v2) and parse.
-    v2 chunk bodies are {e not} hash-checked here — callers stream-verify
-    them with [verify_chunk], or use [verify_and_parse] for the eager
-    contract. *)
+(** Verify the MACed header, check that the chunks it declares tile the
+    rest of the blob, then slice and parse every chunk. Chunk bodies are
+    {e not} hash-checked here: callers stream-verify them with
+    [verify_chunk], or use [verify_and_parse] for the eager contract.
+    Malformed or hostile bytes anywhere give [Error], never an exception,
+    and allocation stays in proportion to the blob, not to the counts and
+    lengths it declares. *)
 
 val verify_chunk : chunk -> bool
 (** [verify_chunk c] recomputes [c.chunk_raw]'s hash against the signed
@@ -112,5 +114,4 @@ val verify_chunk : chunk -> bool
 val merkle_root : int64 list -> int64
 (** Pairwise [Hashing.combine] fold; the identity attested for a replay. *)
 
-val size_bytes : t -> int
 val count_entries : t -> [ `Writes | `Reads | `Polls | `Irqs | `Mem_pages ] -> int

@@ -19,8 +19,7 @@
      first execution and memoized — sound because the metastate they
      patch is input-independent (§2.3).
 
-   Verification is streaming for version-2 blobs: [of_blob] checks only
-   the signed header; each chunk's hash is checked by the executor just
+   Verification is streaming: [of_blob] checks only the signed header; each chunk's hash is checked by the executor just
    before that chunk's ops run (and never again for the same program). *)
 
 module Device = Grt_gpu.Device
@@ -53,7 +52,7 @@ type op =
 
 type group = {
   ops : op array;
-  chunk : Recording.chunk option;  (** [None]: covered by the v1 whole-blob MAC *)
+  chunk : Recording.chunk;
   mutable checked : bool;
 }
 
@@ -69,14 +68,12 @@ type stats = {
 type t = {
   source : Recording.t;
   root : int64;
-  wire_version : int;
   groups : group array;
   stats : stats;
 }
 
 let source t = t.source
 let root t = t.root
-let wire_version t = t.wire_version
 let stats t = t.stats
 
 (* Decode one tagged record without touching live memory, when its encoding
@@ -140,7 +137,7 @@ let lower_range store entries ~first ~count =
       match Recording.irq_line_of_int line with
       | Some want -> ops := Wait_irq { want; line; index = !i } :: !ops
       | None ->
-        (* [Recording.deserialize] rejects these; belt and braces. *)
+        (* [Recording.parse_signed] rejects these; belt and braces. *)
         failwith (Printf.sprintf "replay_prog: invalid IRQ line %d" line))
     | Recording.Mem_load { pages } ->
       ops := Load_static { pages = Array.of_list pages; learn = false; stamps = None } :: !ops
@@ -199,28 +196,19 @@ let compile ?tracer (v : Recording.verified) =
   let entries = rec_t.Recording.entries in
   let store = Memsync.Store.create () in
   let groups =
-    if Array.length v.Recording.vchunks = 0 then
-      (* v1 blob: the whole-body MAC already covered every entry. *)
-      [|
-        { ops = lower_range store entries ~first:0 ~count:(Array.length entries); chunk = None; checked = true };
-      |]
-    else
-      Array.map
-        (fun c ->
-          {
-            ops =
-              lower_range store entries ~first:c.Recording.chunk_first
-                ~count:c.Recording.chunk_count;
-            chunk = Some c;
-            checked = false;
-          })
-        v.Recording.vchunks
+    Array.map
+      (fun c ->
+        {
+          ops = lower_range store entries ~first:c.Recording.chunk_first ~count:c.Recording.chunk_count;
+          chunk = c;
+          checked = false;
+        })
+      v.Recording.vchunks
   in
   let groups = compact_groups groups in
   {
     source = rec_t;
     root = v.Recording.vroot;
-    wire_version = v.Recording.vversion;
     groups;
     stats = stats_of groups ~entries:(Array.length entries);
   }

@@ -302,19 +302,17 @@ let exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists (prog : Replay_prog.t) ~r
   Array.iter
     (fun (g : group) ->
       if not g.checked then begin
-        (match g.chunk with
-        | Some c ->
-          Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_verify ~name:"chunk"
-            ~args:[ ("entry", string_of_int c.Recording.chunk_first) ]
-          @@ fun () ->
-          Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_chunk_bytes
-            (Bytes.length c.Recording.chunk_raw);
-          if not (Recording.verify_chunk c) then
-            raise
-              (Rejected
-                 (Printf.sprintf "recording: chunk at entry %d failed verification"
-                    c.Recording.chunk_first))
-        | None -> ());
+        let c = g.chunk in
+        Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_verify ~name:"chunk"
+          ~args:[ ("entry", string_of_int c.Recording.chunk_first) ]
+          (fun () ->
+            Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_chunk_bytes
+              (Bytes.length c.Recording.chunk_raw);
+            if not (Recording.verify_chunk c) then
+              raise
+                (Rejected
+                   (Printf.sprintf "recording: chunk at entry %d failed verification"
+                      c.Recording.chunk_first)));
         g.checked <- true
       end;
       Array.iter

@@ -93,15 +93,22 @@ module Reader = struct
     r.pos <- r.pos + 8;
     v
 
+  (* At most 9 bytes (63 bits, enough for [max_int]); a longer run or one
+     that sets the sign bit is malformed, not a huge or negative count. *)
   let varint r =
     let rec go shift acc =
       let b = u8 r in
       let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 = 0 then acc
+      else if shift = 56 then failwith "Byte_buf.Reader: varint longer than 9 bytes"
+      else go (shift + 7) acc
     in
-    go 0 0
+    let v = go 0 0 in
+    if v < 0 then failwith "Byte_buf.Reader: varint out of range";
+    v
 
   let bytes r n =
+    if n < 0 then failwith "Byte_buf.Reader: negative length";
     need r n;
     let b = Bytes.sub r.src r.pos n in
     r.pos <- r.pos + n;

@@ -22,9 +22,10 @@ val add_sub : t -> bytes -> pos:int -> len:int -> unit
 val add_string : t -> string -> unit
 (** Length-prefixed string. *)
 
-(** Sequential reader over a [bytes] value. All [read_*] functions raise
-    [Failure] on truncated input — deliberately, since recordings are
-    integrity-checked before parsing. *)
+(** Sequential reader over a [bytes] value. Every reader raises [Failure]
+    on truncated input, [varint] also on a run longer than 9 bytes or a
+    negative result, and [bytes] on a negative length — never
+    [Invalid_argument]. *)
 module Reader : sig
   type r
 

@@ -1,7 +1,7 @@
 (** Process-wide profiling registry for the content-keyed memo tables.
 
-    The hot-path memos (range-coder encode/decode, page hashing, recording
-    sign/verify) are pure caches: they can only change performance, never
+    The hot-path memos (range-coder encode/decode, recording verify) are
+    pure caches: they can only change performance, never
     bytes. That also makes them invisible — a memo that thrashes or whose
     quick-key collides shows up as wall-clock, not as a counter. Each memo
     registers one [t] here and bumps it from its own hit/miss branches, so

@@ -74,7 +74,7 @@ let sample_recording () =
 
 let recording_roundtrip () =
   let r = sample_recording () in
-  match Recording.deserialize (Recording.serialize r) with
+  match Recording.verify_and_parse ~key:"cloudkey" (Recording.sign ~key:"cloudkey" r) with
   | Ok r' ->
     check Alcotest.string "workload" r.Recording.workload r'.Recording.workload;
     check Alcotest.int64 "gpu id" r.Recording.gpu_id r'.Recording.gpu_id;
@@ -160,34 +160,81 @@ let recording_qcheck_roundtrip =
              slots = [];
            }
          in
-         match Recording.deserialize (Recording.serialize r) with
+         match Recording.verify_and_parse ~key:"k" (Recording.sign ~key:"k" r) with
          | Ok r' -> r'.Recording.entries = r.Recording.entries
          | Error _ -> false))
+
+(* [verify] gives a verdict without decoding entries; it must agree with the
+   full parse on every blob [sign] produces and on every tampering of one. *)
+let verdicts_agree blob =
+  Result.is_ok (Recording.verify ~key:"k" blob)
+  = Result.is_ok (Recording.verify_and_parse ~key:"k" blob)
+
+let rejected blob = verdicts_agree blob && Result.is_error (Recording.verify ~key:"k" blob)
+
+(* Offsets of each chunk body in a signed blob, and their lengths. *)
+let chunk_spans blob =
+  match Recording.parse_signed ~key:"k" blob with
+  | Error e -> failwith e
+  | Ok v ->
+    let lens = Array.map (fun c -> Bytes.length c.Recording.chunk_raw) v.Recording.vchunks in
+    let pos = ref (Bytes.length blob - Array.fold_left ( + ) 0 lens) in
+    Array.map
+      (fun len ->
+        let at = !pos in
+        pos := at + len;
+        (at, len))
+      lens
 
 let recording_qcheck_signature =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60 ~name:"bit flips anywhere break the signature"
-       QCheck2.Gen.(pair (list_size (int_range 1 20) gen_entry) (pair small_nat (int_range 1 255)))
-       (fun (entries, (pos, delta)) ->
-         let r =
-           {
-             Recording.workload = "prop";
-             gpu_id = 0x1234L;
-             entries = Array.of_list entries;
-             slots = [];
-           }
+       QCheck2.Gen.(
+         pair
+           (pair (list_size (int_range 1 20) gen_entry) (list_size (int_range 1 20) gen_entry))
+           (pair (pair small_nat (int_range 1 255)) (pair small_nat (pair small_nat small_nat))))
+       (fun ((entries, other), ((pos, delta), (cut, (into, from)))) ->
+         (* Small chunks give the splice several chunk boundaries. *)
+         let signed entries =
+           Recording.sign ~chunk_entries:4 ~key:"k"
+             { Recording.workload = "prop"; gpu_id = 0x1234L; entries = Array.of_list entries; slots = [] }
          in
-         let blob = Recording.sign ~key:"k" r in
+         let blob = signed entries in
+         let donor = signed other in
+         let flipped = Bytes.copy blob in
          let pos = pos mod Bytes.length blob in
-         Bytes.set blob pos (Char.chr (Char.code (Bytes.get blob pos) lxor delta));
-         match Recording.verify_and_parse ~key:"k" blob with
-         | Error _ -> true
-         | Ok _ -> false))
+         Bytes.set flipped pos (Char.chr (Char.code (Bytes.get blob pos) lxor delta));
+         let truncated = Bytes.sub blob 0 (cut mod Bytes.length blob) in
+         let spans = chunk_spans blob and donor_spans = chunk_spans donor in
+         let at, len = spans.(into mod Array.length spans) in
+         let d_at, d_len = donor_spans.(from mod Array.length donor_spans) in
+         let spliced =
+           Bytes.concat Bytes.empty
+             [
+               Bytes.sub blob 0 at;
+               Bytes.sub donor d_at d_len;
+               Bytes.sub blob (at + len) (Bytes.length blob - at - len);
+             ]
+         in
+         Result.is_ok (Recording.verify ~key:"k" blob)
+         && verdicts_agree blob && rejected flipped && rejected truncated
+         && if Bytes.equal spliced blob then verdicts_agree spliced else rejected spliced))
 
 let recording_garbage_rejected () =
-  match Recording.deserialize (Bytes.of_string "not a recording at all....") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage parsed"
+  (* There is one wire format: a version-1 header gets a typed error. *)
+  let v1 = Recording.sign ~key:"k" (sample_recording ()) in
+  Bytes.set_uint16_le v1 4 1;
+  List.iter
+    (fun (what, blob) ->
+      (match Recording.verify ~key:"k" blob with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s verified" what);
+      match Recording.verify_and_parse ~key:"k" blob with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s parsed" what)
+    [ ("garbage", Bytes.of_string "not a recording at all...."); ("a version-1 blob", v1) ];
+  check Alcotest.(result unit string) "version named" (Error "recording: unsupported version 1")
+    (Recording.verify ~key:"k" v1)
 
 (* ---- Memsync ---- *)
 

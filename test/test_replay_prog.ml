@@ -1,7 +1,8 @@
 (* The replay compiler and its streaming verifier: differential equivalence
    against the interpreted replayer (property-tested and across the full
-   model zoo), streaming chunk-tamper detection, v1 blob compatibility,
-   replay attestation tokens, and the bench-row JSON schema. *)
+   model zoo), streaming chunk-tamper detection, hostile blobs rejected
+   without raising or over-allocating, replay attestation tokens, and the
+   bench-row JSON schema. *)
 
 module Orchestrate = Grt.Orchestrate
 module Replayer = Grt.Replayer
@@ -89,8 +90,7 @@ let compile_stats_sensible () =
     st.Replay_prog.entries;
   check Alcotest.bool "write runs fused" true (st.Replay_prog.fused_writes > 0);
   check Alcotest.bool "memory image precompiled" true (st.Replay_prog.static_pages > 0);
-  check Alcotest.bool "ops below entries" true (st.Replay_prog.ops < st.Replay_prog.entries);
-  check Alcotest.int "v2 wire format" 2 (Replay_prog.wire_version prog)
+  check Alcotest.bool "ops below entries" true (st.Replay_prog.ops < st.Replay_prog.entries)
 
 let streaming_rejects_tampered_chunk () =
   (* v2 layout is header ∥ mac ∥ chunk bodies: flipping the blob's last
@@ -171,25 +171,65 @@ let tampered_rc_body_rejected_at_compile () =
         Alcotest.failf "rejecting the tampered body allocated %.0f bytes" allocated)
     [ "\x80\x80\x80\x80\x02"; "\x80\x80\x80\x80\x80\x80\x80\x80\x40" ]
 
-let v1_blob_compiles_and_replays () =
-  (* Old-format blobs (whole-body MAC, no chunks) still verify, compile and
-     replay bit-identically. *)
-  let o = Lazy.force mnist_recording in
-  let v1 = Recording.sign_v1 ~key:Orchestrate.cloud_signing_key o.Orchestrate.recording in
-  let prog =
-    match Replay_prog.of_blob ~key:Orchestrate.cloud_signing_key v1 with
-    | Ok p -> p
-    | Error e -> Alcotest.fail ("v1 blob rejected: " ^ e)
+(* Hostile bytes at the trust boundary: every decoder must answer [Error]
+   without raising and without allocating what the bytes declare. The base
+   is a signed 200-entry blob with no slots whose first entry is a one-page
+   [Mem_load], so each field sits at a known offset. *)
+let hostile_blobs_rejected_cheaply () =
+  let key = Orchestrate.cloud_signing_key in
+  let workload = "hostile" in
+  let page = Bytes.make Grt_gpu.Mem.page_size '\x5a' in
+  let entries =
+    Array.init 200 (fun i ->
+        if i = 0 then Recording.Mem_load { pages = [ (0x80000L, page) ] }
+        else Recording.Reg_write { reg = 4 * (i mod 64); value = Int64.of_int i })
   in
-  check Alcotest.int "v1 wire format" 1 (Replay_prog.wire_version prog);
-  let i, c = replay_both ~blob:v1 ~net:Zoo.mnist ~input_seed:5L () in
-  check Alcotest.bool "v1 compiled bit-identical" true (i.Replayer.output = c.Replayer.output);
-  (* And a v1 blob tampered anywhere is rejected up front. *)
-  let bad = Bytes.copy v1 in
-  Bytes.set bad (Bytes.length bad - 1) '\x00';
-  match Replay_prog.of_blob ~key:Orchestrate.cloud_signing_key bad with
-  | Ok _ -> Alcotest.fail "tampered v1 blob compiled"
-  | Error _ -> ()
+  let blob = Recording.sign ~key { Recording.workload; gpu_id = sku.Sku.gpu_id; entries; slots = [] } in
+  (* magic ∥ version ∥ workload ∥ gpu_id ∥ n_slots ∥ varint 200 (2 bytes) ∥ n_chunks *)
+  let slots_at = 6 + 1 + String.length workload + 8 in
+  let chunks_at = slots_at + 3 in
+  (* tag 5 ∥ page count ∥ pfn (8) ∥ varint 4096 (2) ∥ page *)
+  let count_at =
+    match find_sub blob page with Some i -> i - 11 | None -> Alcotest.fail "page not in blob"
+  in
+  check Alcotest.(list int) "fields where expected" [ 0; 4; 5; 1 ]
+    (List.map (fun i -> Char.code (Bytes.get blob i)) [ slots_at; chunks_at; count_at - 1; count_at ]);
+  let tamper at s =
+    let b = Bytes.copy blob in
+    Bytes.blit_string s 0 b at (String.length s);
+    b
+  in
+  let wide = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  let decoders =
+    [
+      ("parse_signed", fun b -> Result.is_ok (Recording.parse_signed ~key b));
+      ("verify_and_parse", fun b -> Result.is_ok (Recording.verify_and_parse ~key b));
+      ("verify", fun b -> Result.is_ok (Recording.verify ~key b));
+      ("of_blob", fun b -> Result.is_ok (Replay_prog.of_blob ~key b));
+    ]
+  in
+  List.iter
+    (fun (what, bad) ->
+      List.iter
+        (fun (decoder, accepts) ->
+          let before = Gc.allocated_bytes () in
+          let accepted =
+            match accepts bad with
+            | ok -> ok
+            | exception e -> Alcotest.failf "%s raised %s on %s" decoder (Printexc.to_string e) what
+          in
+          let allocated = Gc.allocated_bytes () -. before in
+          if accepted then Alcotest.failf "%s accepted %s" decoder what;
+          if allocated > 4e6 then
+            Alcotest.failf "%s allocated %.0f bytes rejecting %s" decoder allocated what)
+        decoders)
+    [
+      ("a 63-bit workload length", tamper 6 wide);
+      ("a 63-bit slot count", tamper slots_at wide);
+      ("2^26 chunks", tamper chunks_at "\x80\x80\x80\x20");
+      ("2^40 chunks", tamper chunks_at "\x80\x80\x80\x80\x80\x20");
+      ("a 63-bit page count in a chunk body", tamper count_at wide);
+    ]
 
 let divergence_releases_gpu () =
   (* An exception mid-execution must still reset and release the GPU so the
@@ -340,7 +380,7 @@ let () =
             tampered_header_rejected_at_compile;
           Alcotest.test_case "tampered rc body rejected at compile" `Quick
             tampered_rc_body_rejected_at_compile;
-          Alcotest.test_case "v1 blob compiles and replays" `Quick v1_blob_compiles_and_replays;
+          Alcotest.test_case "hostile blobs rejected cheaply" `Quick hostile_blobs_rejected_cheaply;
           Alcotest.test_case "divergence releases GPU" `Quick divergence_releases_gpu;
         ] );
       ( "attestation",
