@@ -126,14 +126,14 @@ let run recording_path sku_name input_seed param_seed top compiled batch attest 
               Grt.Orchestrate.replay_gpushim ~sku ~seed:(Int64.of_int input_seed) ()
             in
             let last = ref None in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Monotonic_clock.now () in
             for i = 0 to batch - 1 do
               let seed = Int64.of_int (input_seed + i) in
               let input = Grt_mlfw.Runner.input_values plan ~seed in
               let r = Grt.Replayer.replay_compiled ~gpushim:g ~prog ~input ~params () in
               last := Some r
             done;
-            let host_s = Unix.gettimeofday () -. t0 in
+            let host_s = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
             if batch > 1 then
               Printf.printf "batch: %d replays in %.1f ms host time (%.0f replays/s)\n" batch
                 (1e3 *. host_s)

@@ -597,8 +597,9 @@ let memsync_workload ctx ~net =
      decoded memory images live across iterations. This is the paper's
      deployment shape: one recording, millions of replays.
 
-   Rates use [Sys.time] (host CPU seconds); the measurement loop grows
-   until the sample is long enough for the timer's resolution. Outputs are
+   Rates use the monotonic wall clock, the one [Device.gpu_host_seconds]
+   accumulates on; the measurement loop grows until the sample is long
+   enough to time reliably. Outputs are
    additionally checked bit-identical between the interpreted and compiled
    paths across several fresh input seeds. *)
 
@@ -623,16 +624,16 @@ type replay_bench_row = {
    every replay path, and on real hardware costs the replayer nothing — so the
    rate isolates the machinery the compiled path actually optimizes:
    parse, verify, decode, entry dispatch, slot and memory-image I/O. *)
+let wall_seconds () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let host_rate ?(min_elapsed = 0.05) ~reps ~max_reps f =
   let rec go reps =
     let k0 = Grt_gpu.Device.gpu_host_seconds () in
-    let t0 = Sys.time () in
+    let t0 = wall_seconds () in
     for _ = 1 to reps do
       f ()
     done;
-    let dt =
-      Sys.time () -. t0 -. (Grt_gpu.Device.gpu_host_seconds () -. k0)
-    in
+    let dt = wall_seconds () -. t0 -. (Grt_gpu.Device.gpu_host_seconds () -. k0) in
     if dt < min_elapsed && reps < max_reps then go (min max_reps (reps * 4))
     else float_of_int reps /. Float.max dt 1e-9
   in
@@ -852,17 +853,17 @@ let speed ?(iters = 6) ctx =
     (* Memo profile covers only the measured iterations: the warm-up's
        compulsory misses would otherwise drown the steady-state hit rate. *)
     Grt_util.Memo_stats.reset_counters ();
-    (* Grow the batch until the sample comfortably exceeds [Sys.time]'s
-       resolution; recording sessions are milliseconds-scale, so this
-       settles after at most a couple of rounds. *)
+    (* Grow the batch until the sample is comfortably long enough to time;
+       recording sessions are milliseconds-scale, so this settles after at
+       most a couple of rounds. *)
     let rec sample iters =
       let k0 = Grt_gpu.Device.gpu_host_seconds () in
       let w0 = Gc.minor_words () in
-      let t0 = Sys.time () in
+      let t0 = wall_seconds () in
       for _ = 1 to iters do
         ignore (f ())
       done;
-      let host_s = Sys.time () -. t0 -. (Grt_gpu.Device.gpu_host_seconds () -. k0) in
+      let host_s = wall_seconds () -. t0 -. (Grt_gpu.Device.gpu_host_seconds () -. k0) in
       let minor_words = Gc.minor_words () -. w0 in
       if host_s < 0.08 && iters < 4096 then sample (iters * 4)
       else (iters, Float.max host_s 1e-9, minor_words)

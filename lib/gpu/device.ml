@@ -351,15 +351,16 @@ let validate_shader t mmu ~as_idx ~va ~op =
 let powered_up t =
   Int64.compare t.shader_dom.ready 0L > 0 && Int64.compare t.l2_dom.ready 0L > 0
 
-(* Host (wall-clock) seconds this process has spent doing the GPU's side of
-   job execution, across every device: descriptor-chain walk, MMU
-   translation, shader validation and the kernel math. All of it stands in
-   for silicon — on real hardware the GPU fetches and runs the chain itself
-   and the host pays only the doorbell MMIO write — so benchmarks of the
-   replayer subtract this from their wall-clock samples. *)
-let gpu_host_acc = ref 0.
+(* Host wall-clock seconds (monotonic clock) this process has spent doing
+   the GPU's side of job execution, across every device: descriptor-chain
+   walk, MMU translation, shader validation and the kernel math. All of it
+   stands in for silicon — on real hardware the GPU fetches and runs the
+   chain itself and the host pays only the doorbell MMIO write — so
+   benchmarks of the replayer subtract this from their wall-clock samples,
+   which must come from the same clock. *)
+let gpu_host_ns = ref 0L
 
-let gpu_host_seconds () = !gpu_host_acc
+let gpu_host_seconds () = Int64.to_float !gpu_host_ns *. 1e-9
 
 let job_duration_ns t (d : Job_desc.t) =
   let f = Int64.to_float d.params.Job_desc.flops_hint in
@@ -367,8 +368,9 @@ let job_duration_ns t (d : Job_desc.t) =
   Int64.add Grt_sim.Costs.gpu_job_fixed_ns (Int64.of_float (compute_s *. 1e9))
 
 let start_job_chain t ~slot_idx =
-  let host_t0 = Sys.time () in
-  Fun.protect ~finally:(fun () -> gpu_host_acc := !gpu_host_acc +. Sys.time () -. host_t0)
+  let host_t0 = Monotonic_clock.now () in
+  Fun.protect ~finally:(fun () ->
+      gpu_host_ns := Int64.add !gpu_host_ns (Int64.sub (Monotonic_clock.now ()) host_t0))
   @@ fun () ->
   let slot = t.slots.(slot_idx) in
   let as_idx = Int64.to_int (Int64.logand slot.config 0x7L) in

@@ -57,13 +57,13 @@ val jobs_executed : t -> int
 (** Total jobs completed since creation (test/bench introspection). *)
 
 val gpu_host_seconds : unit -> float
-(** Cumulative host (wall-clock) seconds this process has spent doing the
-    GPU's side of job execution (descriptor-chain walk, MMU translation,
-    shader validation, kernel math), across all devices. That work stands
-    in for silicon — on real hardware the GPU fetches and runs the chain
+(** Cumulative host wall-clock seconds, on bechamel's monotonic clock,
+    this process has spent doing the GPU's side of job execution
+    (descriptor-chain walk, MMU translation, shader validation, kernel
+    math), across all devices. That work stands in for silicon — on real hardware the GPU fetches and runs the chain
     itself and the host pays only the doorbell write — so benchmarks of
-    replayer machinery subtract the delta of this counter from their
-    wall-clock samples. *)
+    replayer machinery subtract the delta of this counter from wall-clock
+    samples taken on the same clock. *)
 
 val last_fault : t -> string option
 (** Description of the most recent job/MMU fault, for diagnostics. *)

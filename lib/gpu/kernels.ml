@@ -97,10 +97,26 @@ let check_conv_geometry p =
    the f32 at [base + 4*idx]. The stream accessors index bytes within a
    4 KiB page, so bases must be 4-aligned — [execute] checks this once. *)
 
-let conv2d ctx (d : Job_desc.t) =
+(* ---- conv2d ----
+
+   The per-element loop is the semantics; the staged path computes the same
+   floats in the same order from a scratch copy of the job's read set (see
+   kernels.mli for the rules that keep the two indistinguishable). Run as a
+   loop, each input element is decoded about [n_oc * kh * kw / stride^2]
+   times and each multiply-add pays two page checks.
+
+   Pages are told apart by object identity. The device serves reads of
+   unmaterialized pages from one shared zero page and materializes a fresh
+   page on the first write, so a page read through one VA and first written
+   through another is not caught; the loop, too, keeps reading zeros there
+   from its cached translation, unless the device's TLB evicts it. *)
+
+let[@inline] imax (a : int) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
+
+let conv2d_elements ctx (d : Job_desc.t) ~first_oc ~n_oc =
   let p = d.params in
-  check_conv_geometry p;
-  let first_oc, n_oc = partition_range ~total:p.out_c ~part_idx:p.part_idx ~part_count:p.part_count in
+  let s = p.stride and pad = p.pad in
   let in_idx = chw ~h:p.in_h ~w:p.in_w in
   let out_idx = chw ~h:p.out_h ~w:p.out_w in
   let inb = Int64.to_int d.input_va
@@ -110,21 +126,20 @@ let conv2d ctx (d : Job_desc.t) =
   for oc = first_oc to first_oc + n_oc - 1 do
     let bias = if bb = 0 then 0.0 else getf ctx.c_bias (bb + (4 * oc)) in
     for oy = 0 to p.out_h - 1 do
+      let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin p.kh (p.in_h + pad - (oy * s)) in
       for ox = 0 to p.out_w - 1 do
+        let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin p.kw (p.in_w + pad - (ox * s)) in
         let acc = ref bias in
         for ic = 0 to p.in_c - 1 do
-          for ky = 0 to p.kh - 1 do
-            let iy = (oy * p.stride) + ky - p.pad in
-            if iy >= 0 && iy < p.in_h then
-              for kx = 0 to p.kw - 1 do
-                let ix = (ox * p.stride) + kx - p.pad in
-                if ix >= 0 && ix < p.in_w then begin
-                  let wi = (((((oc * p.in_c) + ic) * p.kh) + ky) * p.kw) + kx in
-                  let v = getf ctx.c_in (inb + (4 * in_idx ic iy ix)) in
-                  let w = getf ctx.c_in2 (wb + (4 * wi)) in
-                  acc := !acc +. (v *. w)
-                end
-              done
+          for ky = ky0 to ky1 - 1 do
+            let iy = (oy * s) + ky - pad in
+            for kx = kx0 to kx1 - 1 do
+              let ix = (ox * s) + kx - pad in
+              let wi = (((((oc * p.in_c) + ic) * p.kh) + ky) * p.kw) + kx in
+              let v = getf ctx.c_in (inb + (4 * in_idx ic iy ix)) in
+              let w = getf ctx.c_in2 (wb + (4 * wi)) in
+              acc := !acc +. (v *. w)
+            done
           done
         done;
         let r = if p.relu && !acc < 0.0 then 0.0 else !acc in
@@ -132,6 +147,212 @@ let conv2d ctx (d : Job_desc.t) =
       done
     done
   done
+
+(* The staging scratch, grow-only and sized by the largest conv job seen
+   (kernels run on one domain). [xs] holds the input in CHW order, then the
+   job's weights, then its biases; only read-set cells are written. [mask]
+   flags which input rows and columns and kernel rows and columns the loop
+   reads. [pages] lists the page objects staging read from; it is cleared
+   before the job computes, so it keeps no page alive. *)
+type staging = {
+  mutable xs : Float.Array.t;
+  mutable mask : Bytes.t;
+  mutable pages : bytes array;
+  mutable n_pages : int;
+}
+
+let st = { xs = Float.Array.create 0; mask = Bytes.empty; pages = [||]; n_pages = 0 }
+
+(* Larger jobs (only malformed descriptors come near) run the per-element
+   loop rather than allocate scratch for them. *)
+let stage_max = 1 lsl 20
+
+(* Some [o] in [0, n) has [o * stride] in [lo, lo + len). *)
+let hits ~lo ~len ~stride ~n =
+  let o = if lo <= 0 then 0 else (lo + stride - 1) / stride in
+  o < n && o * stride < lo + len
+
+let note_page p =
+  let n = st.n_pages in
+  if n = 0 || Array.unsafe_get st.pages (n - 1) != p then begin
+    if n = Array.length st.pages then begin
+      let grown = Array.make (imax 16 (2 * n)) Bytes.empty in
+      Array.blit st.pages 0 grown 0 n;
+      st.pages <- grown
+    end;
+    st.pages.(n) <- p;
+    st.n_pages <- n + 1
+  end
+
+let[@inline] flag m i b = Bytes.unsafe_set m i (if b then '\001' else '\000')
+let[@inline] flagged m i = Bytes.unsafe_get m i <> '\000'
+
+let[@inline] stage_get (s : stream) va =
+  let page = va land lnot 0xFFF in
+  let p = if page = s.sbase then s.spage else s.smiss s va in
+  note_page p;
+  Int32.float_of_bits (get32_le p (va land 0xFFF))
+
+let staged_page p =
+  let rec go i = i < st.n_pages && (Array.unsafe_get st.pages i == p || go (i + 1)) in
+  go 0
+
+let clear_pages () =
+  Array.fill st.pages 0 st.n_pages Bytes.empty;
+  st.n_pages <- 0
+
+(* [n] f32s from element [lo] of the buffer at [base] lie outside the
+   bytes [[ob, oe)]. *)
+let apart ~ob ~oe base lo n = base + (4 * (lo + n)) <= ob || oe <= base + (4 * lo)
+
+(* Whether the job fits the staged path: positive sizes within
+   [stage_max], VAs within 48 bits, and no output byte on a source byte. *)
+let stageable (d : Job_desc.t) ~first_oc ~n_oc =
+  let p = d.params in
+  let small n = n >= 1 && n <= stage_max in
+  let va_ok v = Int64.compare v 0L >= 0 && Int64.compare v 0x1_0000_0000_0000L < 0 in
+  small p.in_c && small p.in_h && small p.in_w
+  && small (p.in_c * p.in_h)
+  && small (p.in_c * p.in_h * p.in_w)
+  && small n_oc && small p.kh && small p.kw
+  && small (n_oc * p.in_c)
+  && small (n_oc * p.in_c * p.kh)
+  && small (n_oc * p.in_c * p.kh * p.kw)
+  && small p.out_h && small p.out_w && small p.stride
+  && p.pad >= 0 && p.pad <= stage_max
+  && va_ok d.input_va && va_ok d.input2_va && va_ok d.bias_va && va_ok d.output_va
+  &&
+  let plane = p.out_h * p.out_w and per_oc = p.in_c * p.kh * p.kw in
+  let ob = Int64.to_int d.output_va + (4 * first_oc * plane) in
+  let oe = ob + (4 * n_oc * plane) in
+  apart ~ob ~oe (Int64.to_int d.input_va) 0 (p.in_c * p.in_h * p.in_w)
+  && apart ~ob ~oe (Int64.to_int d.input2_va) (first_oc * per_oc) (n_oc * per_oc)
+  && (d.bias_va = 0L || apart ~ob ~oe (Int64.to_int d.bias_va) first_oc n_oc)
+
+(* Decode the job's read set into [st.xs], then resolve its output pages in
+   order. False when an output page is a page object staging read from;
+   raises what the streams raise. *)
+let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
+  let p = d.params in
+  let in_c = p.in_c and in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
+  let s = p.stride and pad = p.pad in
+  let plane = in_h * in_w and per_oc = in_c * kh * kw in
+  let w_off = in_c * plane in
+  let b_off = w_off + (n_oc * per_oc) in
+  if Float.Array.length st.xs < b_off + n_oc then
+    st.xs <- Float.Array.create (imax (b_off + n_oc) (2 * Float.Array.length st.xs));
+  let nm = in_h + in_w + kh + kw in
+  if Bytes.length st.mask < nm then st.mask <- Bytes.create (imax nm (2 * Bytes.length st.mask));
+  let xs = st.xs and m = st.mask in
+  (* mask layout: input rows, input columns, kernel rows, kernel columns *)
+  let cols = in_h and krows = in_h + in_w in
+  let kcols = krows + kh in
+  for iy = 0 to in_h - 1 do
+    flag m iy (hits ~lo:(iy + pad - kh + 1) ~len:kh ~stride:s ~n:p.out_h)
+  done;
+  for ix = 0 to in_w - 1 do
+    flag m (cols + ix) (hits ~lo:(ix + pad - kw + 1) ~len:kw ~stride:s ~n:p.out_w)
+  done;
+  for ky = 0 to kh - 1 do
+    flag m (krows + ky) (hits ~lo:(pad - ky) ~len:in_h ~stride:s ~n:p.out_h)
+  done;
+  for kx = 0 to kw - 1 do
+    flag m (kcols + kx) (hits ~lo:(pad - kx) ~len:in_w ~stride:s ~n:p.out_w)
+  done;
+  st.n_pages <- 0;
+  let bb = Int64.to_int d.bias_va in
+  for r = 0 to n_oc - 1 do
+    Float.Array.unsafe_set xs (b_off + r)
+      (if bb = 0 then 0.0 else stage_get ctx.c_bias (bb + (4 * (first_oc + r))))
+  done;
+  let wb = Int64.to_int d.input2_va + (4 * first_oc * per_oc) in
+  for r = 0 to n_oc - 1 do
+    for ic = 0 to in_c - 1 do
+      for ky = 0 to kh - 1 do
+        if flagged m (krows + ky) then
+          for kx = 0 to kw - 1 do
+            if flagged m (kcols + kx) then begin
+              let wi = (((((r * in_c) + ic) * kh) + ky) * kw) + kx in
+              Float.Array.unsafe_set xs (w_off + wi) (stage_get ctx.c_in2 (wb + (4 * wi)))
+            end
+          done
+      done
+    done
+  done;
+  let inb = Int64.to_int d.input_va in
+  for ic = 0 to in_c - 1 do
+    for iy = 0 to in_h - 1 do
+      if flagged m iy then
+        for ix = 0 to in_w - 1 do
+          if flagged m (cols + ix) then begin
+            let i = (((ic * in_h) + iy) * in_w) + ix in
+            Float.Array.unsafe_set xs i (stage_get ctx.c_in (inb + (4 * i)))
+          end
+        done
+    done
+  done;
+  let out_plane = p.out_h * p.out_w in
+  let ob = Int64.to_int d.output_va + (4 * first_oc * out_plane) in
+  let oe = ob + (4 * n_oc * out_plane) in
+  let out = ctx.c_out and va = ref ob and apart = ref true in
+  while !apart && !va < oe do
+    let page = !va land lnot 0xFFF in
+    let p = if page = out.sbase then out.spage else out.smiss out !va in
+    apart := not (staged_page p);
+    va := page + 0x1000
+  done;
+  clear_pages ();
+  !apart
+
+(* The per-element loop's float operations, over the staged scratch. *)
+let conv2d_staged ctx (d : Job_desc.t) ~first_oc ~n_oc =
+  let p = d.params in
+  let in_c = p.in_c and in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
+  let out_h = p.out_h and out_w = p.out_w and s = p.stride and pad = p.pad in
+  let plane = in_h * in_w and per_oc = in_c * kh * kw in
+  let w_off = in_c * plane in
+  let b_off = w_off + (n_oc * per_oc) in
+  let xs = st.xs and ob = Int64.to_int d.output_va in
+  for r = 0 to n_oc - 1 do
+    let oc = first_oc + r in
+    let bias = Float.Array.unsafe_get xs (b_off + r) in
+    let w_oc = w_off + (r * per_oc) in
+    for oy = 0 to out_h - 1 do
+      let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin kh (in_h + pad - (oy * s)) in
+      for ox = 0 to out_w - 1 do
+        let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin kw (in_w + pad - (ox * s)) in
+        (* index of input (0, oy*s - pad, ox*s - pad), maybe in the padding *)
+        let x0 = ((((oy * s) - pad) * in_w) + (ox * s)) - pad in
+        let acc = ref bias in
+        for ic = 0 to in_c - 1 do
+          for ky = ky0 to ky1 - 1 do
+            let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
+            for kx = kx0 to kx1 - 1 do
+              acc :=
+                !acc +. (Float.Array.unsafe_get xs (xrow + kx) *. Float.Array.unsafe_get xs (wrow + kx))
+            done
+          done
+        done;
+        let v = if p.relu && !acc < 0.0 then 0.0 else !acc in
+        setf ctx.c_out (ob + (4 * ((((oc * out_h) + oy) * out_w) + ox))) v
+      done
+    done
+  done
+
+let conv2d ctx (d : Job_desc.t) =
+  let p = d.params in
+  check_conv_geometry p;
+  let first_oc, n_oc = partition_range ~total:p.out_c ~part_idx:p.part_idx ~part_count:p.part_count in
+  let staged =
+    stageable d ~first_oc ~n_oc
+    &&
+    match stage ctx d ~first_oc ~n_oc with
+    | apart -> apart
+    | exception _ ->
+      clear_pages ();
+      false
+  in
+  if staged then conv2d_staged ctx d ~first_oc ~n_oc else conv2d_elements ctx d ~first_oc ~n_oc
 
 let depthwise ctx (d : Job_desc.t) =
   let p = d.params in
@@ -143,21 +364,21 @@ let depthwise ctx (d : Job_desc.t) =
   and wb = Int64.to_int d.input2_va
   and bb = Int64.to_int d.bias_va
   and ob = Int64.to_int d.output_va in
+  let s = p.stride and pad = p.pad in
   for c = 0 to p.out_c - 1 do
     let bias = if bb = 0 then 0.0 else getf ctx.c_bias (bb + (4 * c)) in
     for oy = 0 to p.out_h - 1 do
+      let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin p.kh (p.in_h + pad - (oy * s)) in
       for ox = 0 to p.out_w - 1 do
+        let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin p.kw (p.in_w + pad - (ox * s)) in
         let acc = ref bias in
-        for ky = 0 to p.kh - 1 do
-          let iy = (oy * p.stride) + ky - p.pad in
-          if iy >= 0 && iy < p.in_h then
-            for kx = 0 to p.kw - 1 do
-              let ix = (ox * p.stride) + kx - p.pad in
-              if ix >= 0 && ix < p.in_w then begin
-                let wi = (((c * p.kh) + ky) * p.kw) + kx in
-                acc := !acc +. (getf ctx.c_in (inb + (4 * in_idx c iy ix)) *. getf ctx.c_in2 (wb + (4 * wi)))
-              end
-            done
+        for ky = ky0 to ky1 - 1 do
+          let iy = (oy * s) + ky - pad in
+          for kx = kx0 to kx1 - 1 do
+            let ix = (ox * s) + kx - pad in
+            let wi = (((c * p.kh) + ky) * p.kw) + kx in
+            acc := !acc +. (getf ctx.c_in (inb + (4 * in_idx c iy ix)) *. getf ctx.c_in2 (wb + (4 * wi)))
+          done
         done;
         let r = if p.relu && !acc < 0.0 then 0.0 else !acc in
         setf ctx.c_out (ob + (4 * out_idx c oy ox)) r
@@ -191,20 +412,20 @@ let maxpool ctx (d : Job_desc.t) =
   let in_idx = chw ~h:p.in_h ~w:p.in_w in
   let out_idx = chw ~h:p.out_h ~w:p.out_w in
   let inb = Int64.to_int d.input_va and ob = Int64.to_int d.output_va in
+  let s = p.stride and pad = p.pad in
   for c = 0 to p.out_c - 1 do
     for oy = 0 to p.out_h - 1 do
+      let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin p.kh (p.in_h + pad - (oy * s)) in
       for ox = 0 to p.out_w - 1 do
+        let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin p.kw (p.in_w + pad - (ox * s)) in
         let best = ref neg_infinity in
-        for ky = 0 to p.kh - 1 do
-          let iy = (oy * p.stride) + ky - p.pad in
-          if iy >= 0 && iy < p.in_h then
-            for kx = 0 to p.kw - 1 do
-              let ix = (ox * p.stride) + kx - p.pad in
-              if ix >= 0 && ix < p.in_w then begin
-                let v = getf ctx.c_in (inb + (4 * in_idx c iy ix)) in
-                if v > !best then best := v
-              end
-            done
+        for ky = ky0 to ky1 - 1 do
+          let iy = (oy * s) + ky - pad in
+          for kx = kx0 to kx1 - 1 do
+            let ix = (ox * s) + kx - pad in
+            let v = getf ctx.c_in (inb + (4 * in_idx c iy ix)) in
+            if v > !best then best := v
+          done
         done;
         setf ctx.c_out (ob + (4 * out_idx c oy ox)) !best
       done

@@ -6,9 +6,37 @@
     the device), exactly as real shader cores fetch through their own TLBs.
     Distinct streams per operand keep alternating input/weight accesses from
     thrashing a shared cache, and the stream hit path is free of [int64] and
-    float boxing, which keeps simulated job execution cheap. Output-channel
-    partitioning ([part_idx]/[part_count]) lets the runtime split one logical
-    operator across several GPU jobs. *)
+    float boxing. Output-channel partitioning ([part_idx]/[part_count]) lets
+    the runtime split one logical operator across several GPU jobs.
+
+    {b Staged convolution.} Every operator is defined by its per-element
+    loop: each output is its bias, then [v *. w] summed over input channel,
+    kernel row and kernel column in that order (taps in the padding
+    skipped), then ReLU, read and written through the streams. [Conv2d]
+    gets the same floats cheaper: it decodes the job's read set once — the
+    input rows and columns and the kernel taps the loop reads, nothing else
+    — into a grow-only float scratch, and runs the multiply-adds there in
+    the loop's order, with each output position's valid tap range computed
+    once. Outputs are bit-identical, and three rules keep the job
+    indistinguishable from the loop at the streams:
+    - staging resolves exactly the pages the loop reads, then the output
+      pages in write order (translation has no side effects), though not in
+      the loop's order;
+    - a raise while staging reruns the loop from the start, so the job
+      raises the loop's own first fault after the loop's own writes;
+    - a job whose output bytes overlap a source operand's by VA, or whose
+      output pages include a page object staging read from (one page at two
+      VAs), runs the loop, because its writes would change what it reads.
+    Pages are told apart by object identity, so a provider must give every
+    written page its own object ([Device]'s shared zero page only serves
+    reads). Jobs too large to stage (malformed descriptors only) also run
+    the loop. [Depthwise] and [Maxpool] keep the streams but compute each
+    output position's valid tap range once.
+
+    [Fc] is left as its loop: each weight is read exactly once per job, so
+    decoding the weights into a scratch first would not save a single
+    decode, and the input vector is read once per output with a stream hit
+    each time. *)
 
 exception Kernel_fault of string
 

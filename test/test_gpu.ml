@@ -13,8 +13,8 @@ module Device = Grt_gpu.Device
 module Clock = Grt_sim.Clock
 
 let check = Alcotest.check
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ?print gen prop)
 
 (* ---- Regs ---- *)
 
@@ -590,7 +590,224 @@ let kernels_flops_positive () =
       if Int64.compare (Kernels.flops op p) 0L <= 0 then
         Alcotest.failf "flops of %s not positive" (Shader.op_name op))
     [ Shader.Conv2d; Shader.Depthwise; Shader.Fc; Shader.Maxpool; Shader.Avgpool; Shader.Relu;
-      Shader.Copy; Shader.Add; Shader.Concat2; Shader.Softmax ]
+      Shader.Copy; Shader.Add; Shader.Concat2; Shader.Softmax; Shader.Tanh; Shader.Sigmoid;
+      Shader.Mul ]
+
+(* ---- Kernels against the frozen reference ----
+
+   [Kernels_reference] is the kernel code as it was before [conv2d] staged
+   its read set. Random conv, depthwise and maxpool jobs run through both,
+   over page-straddling bases, strides below and above the kernel, padding,
+   partition splits, outputs placed inside the input and (in the mock
+   memory) outputs aliasing the input through a second VA, holes that fault
+   and input pages that read as zeros until a write materializes them. *)
+
+type placement = Fresh | Same_va of int | Second_va of int
+
+type kcase = {
+  desc : Job_desc.t;
+  span : int;  (** bytes of VA from 0 holding the four regions; a second VA of
+                   the input's region starts here *)
+  region : int;  (** bytes per region, a page multiple *)
+  place : placement;
+  hole : int option;  (** a page of the span or of the input's alias left unmapped *)
+  lazy_input : bool;  (** input pages unmaterialized: read as zeros until written *)
+  seed : int64;
+}
+
+let print_kcase c =
+  let p = c.desc.Job_desc.params in
+  Printf.sprintf
+    "%s in %dx%dx%d out %dx%dx%d k%dx%d s%d p%d relu %b part %d/%d va in %Lx w %Lx b %Lx out %Lx \
+     %s hole %s lazy %b seed %Ld"
+    (Shader.op_name c.desc.Job_desc.op) p.Job_desc.in_c p.in_h p.in_w p.out_c p.out_h p.out_w p.kh
+    p.kw p.stride p.pad p.relu p.part_idx p.part_count c.desc.input_va c.desc.input2_va
+    c.desc.bias_va c.desc.output_va
+    (match c.place with
+    | Fresh -> "fresh"
+    | Same_va i -> Printf.sprintf "same-va@%d" i
+    | Second_va i -> Printf.sprintf "second-va@%d" i)
+    (match c.hole with Some h -> Printf.sprintf "%x" h | None -> "none")
+    c.lazy_input c.seed
+
+let gen_kcase ~mock =
+  let open QCheck2.Gen in
+  let* op = oneofl [ Shader.Conv2d; Shader.Conv2d; Shader.Conv2d; Shader.Depthwise; Shader.Maxpool ] in
+  (* Wide rows put whole pages between read rows, so a staged read outside
+     the reference's read set shows as an extra page resolved. *)
+  let* wide = frequency [ (4, return false); (1, return true) ] in
+  let* in_c = int_range 1 (if wide then 2 else 4) in
+  let* in_h = int_range 1 (if wide then 5 else 9) in
+  let* in_w = if wide then int_range 2048 2600 else int_range 1 9 in
+  let* kh = int_range 1 (if wide then 2 else 5) in
+  let* kw = int_range 1 (if wide then 2 else 5) in
+  let* stride = int_range 1 6 in
+  let* pad = int_range 0 3 in
+  let out_h = ((in_h + (2 * pad) - kh) / stride) + 1
+  and out_w = ((in_w + (2 * pad) - kw) / stride) + 1 in
+  let* out_c = if op = Shader.Conv2d then int_range 1 6 else return in_c in
+  let* part_count = int_range 1 (out_c + 1) in
+  let* part_idx = int_range 0 (part_count - 1) in
+  let* relu = bool in
+  let* has_bias = bool in
+  let in_n = in_c * in_h * in_w in
+  let w_n =
+    match op with Shader.Conv2d -> out_c * in_c * kh * kw | Shader.Depthwise -> in_c * kh * kw | _ -> 0
+  in
+  let out_n = out_c * max 0 out_h * max 0 out_w in
+  let region = ((4 * List.fold_left max out_c [ in_n; w_n; out_n ]) / 4096 * 4096) + 8192 in
+  let off = map (fun i -> 4 * i) (int_bound 1023) in
+  let* o_in = off and* o_w = off and* o_b = off and* o_out = off in
+  let* place =
+    let* inside = int_bound (in_n - 1) in
+    frequency
+      ([ (3, return Fresh); (1, return (Same_va inside)) ]
+      @ if mock then [ (1, return (Second_va inside)) ] else [])
+  in
+  let span = 4 * region in
+  let* hole =
+    if mock then
+      frequency
+        [ (2, return None); (1, map (fun i -> Some (4096 * i)) (int_bound (((span + region) / 4096) - 1))) ]
+    else return None
+  in
+  let* lazy_input = match place with Second_va _ -> return false | Fresh | Same_va _ -> if mock then bool else return false in
+  let* seed = map Int64.of_int int in
+  let input_va = o_in in
+  let output_va =
+    match place with
+    | Fresh -> (3 * region) + o_out
+    | Same_va i -> input_va + (4 * i)
+    | Second_va i -> span + input_va + (4 * i)
+  in
+  let desc =
+    {
+      Job_desc.op;
+      shader_va = 0L;
+      input_va = Int64.of_int input_va;
+      input2_va = Int64.of_int (region + o_w);
+      bias_va = (if has_bias then Int64.of_int ((2 * region) + o_b) else 0L);
+      output_va = Int64.of_int output_va;
+      params =
+        {
+          Job_desc.default_params with
+          Job_desc.in_c;
+          in_h;
+          in_w;
+          out_c;
+          out_h;
+          out_w;
+          kh;
+          kw;
+          stride;
+          pad;
+          relu;
+          part_idx;
+          part_count;
+        };
+      next_va = 0L;
+    }
+  in
+  return { desc; span; region; place; hole; lazy_input; seed }
+
+(* A quarter of the values are +-2^30, so +-2^60 products cancel inside a
+   sum and which small terms survive depends on the order of the adds; the
+   rest span 16 binades. *)
+let kernel_value rng =
+  if Grt_util.Rng.int rng 4 = 0 then if Grt_util.Rng.bool rng then 0x1p30 else -0x1p30
+  else (Grt_util.Rng.float rng 2.0 -. 1.0) *. ldexp 1.0 (Grt_util.Rng.int rng 17 - 8)
+
+let outcome f = match f () with () -> "ok" | exception e -> Printexc.to_string e
+
+let kernels_qcheck_flat_matches_reference =
+  qtest ~count:400 "kernels write the reference's bytes (Flat)" ~print:print_kcase
+    (gen_kcase ~mock:false) (fun c ->
+      let run exec =
+        let flat = Kernels.Flat.create () in
+        let rng = Grt_util.Rng.create ~seed:c.seed in
+        for i = 0 to (c.span / 4) - 1 do
+          Kernels.Flat.write_f32 flat (Int64.of_int (4 * i)) (kernel_value rng)
+        done;
+        let r = outcome (fun () -> exec (Kernels.Flat.ctx flat) c.desc) in
+        (r, Array.init (c.span / 4) (fun i -> Int64.bits_of_float (Kernels.Flat.read_f32 flat (Int64.of_int (4 * i)))))
+      in
+      run Kernels.execute = run Kernels_reference.execute)
+
+(* A mock memory: a VA-page table whose misses are logged per stream, with
+   an optional hole and the input's pages mapped a second time past the
+   span. Unmaterialized pages behave as the device's do: a read sees a
+   shared zero page, and a write materializes the page and drops it from
+   every read stream caching that VA. *)
+exception Hole of int
+
+let mock_memory c =
+  let rng = Grt_util.Rng.create ~seed:c.seed in
+  let table = Hashtbl.create 64 in
+  for pg = 0 to (c.span / 4096) - 1 do
+    let b = Bytes.create 4096 in
+    for i = 0 to 1023 do
+      Bytes.set_int32_le b (4 * i) (Int32.bits_of_float (kernel_value rng))
+    done;
+    Hashtbl.replace table (4096 * pg) b
+  done;
+  (match c.place with
+  | Second_va _ ->
+    for pg = 0 to (c.region / 4096) - 1 do
+      Hashtbl.replace table (c.span + (4096 * pg)) (Hashtbl.find table (4096 * pg))
+    done
+  | Fresh | Same_va _ -> ());
+  let unmaterialized = Hashtbl.create 8 in
+  if c.lazy_input then
+    for pg = 0 to (c.region / 4096) - 1 do
+      Hashtbl.remove table (4096 * pg);
+      Hashtbl.replace unmaterialized (4096 * pg) ()
+    done;
+  Option.iter
+    (fun h ->
+      Hashtbl.remove table h;
+      Hashtbl.remove unmaterialized h)
+    c.hole;
+  let zero = Bytes.make 4096 '\000' and log = ref [] and readers = ref [] in
+  let stream name ~write =
+    Kernels.new_stream (fun s va ->
+        let page = va land lnot 0xFFF in
+        log := (name, page) :: !log;
+        let p =
+          match Hashtbl.find_opt table page with
+          | Some p -> p
+          | None when not (Hashtbl.mem unmaterialized page) -> raise (Hole page)
+          | None when not write -> zero
+          | None ->
+            let p = Bytes.make 4096 '\000' in
+            Hashtbl.remove unmaterialized page;
+            Hashtbl.replace table page p;
+            List.iter (fun (r : Kernels.stream) -> if r.sbase = page then r.sbase <- -1) !readers;
+            p
+        in
+        s.Kernels.sbase <- page;
+        s.Kernels.spage <- p;
+        p)
+  in
+  let c_in = stream "in" ~write:false
+  and c_in2 = stream "in2" ~write:false
+  and c_bias = stream "bias" ~write:false in
+  readers := [ c_in; c_in2; c_bias ];
+  (table, log, { Kernels.c_in; c_in2; c_bias; c_out = stream "out" ~write:true })
+
+let kernels_qcheck_mock_matches_reference =
+  qtest ~count:400 "kernels resolve, fault and write as the reference (mock memory)"
+    ~print:print_kcase (gen_kcase ~mock:true) (fun c ->
+      let run exec =
+        let table, log, ctx = mock_memory c in
+        let r = outcome (fun () -> exec ctx c.desc) in
+        let pages =
+          Hashtbl.fold (fun va b acc -> (va, Bytes.to_string b) :: acc) table [] |> List.sort compare
+        in
+        (r, pages, List.sort_uniq compare !log)
+      in
+      let r, mem, resolved = run Kernels.execute
+      and r', mem', resolved' = run Kernels_reference.execute in
+      r = r' && mem = mem' && (r <> "ok" || resolved = resolved'))
 
 (* ---- Device ---- *)
 
@@ -844,6 +1061,8 @@ let () =
           kernels_partition_range_props;
           Alcotest.test_case "shape check" `Quick kernels_shape_check;
           Alcotest.test_case "flops positive" `Quick kernels_flops_positive;
+          kernels_qcheck_flat_matches_reference;
+          kernels_qcheck_mock_matches_reference;
         ] );
       ( "device",
         [
