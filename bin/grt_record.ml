@@ -177,8 +177,8 @@ let run net_name mode_name profile_name sku_name seed drop_prob window max_infli
           o.Grt.Orchestrate.retransmits o.Grt.Orchestrate.link_downs;
       if window > 1 then
         Printf.printf "  window:          %d (%d window stalls, %d go-back-N resends)\n" window
-          (Grt_sim.Counters.get_int o.Grt.Orchestrate.counters "net.window_stalls")
-          (Grt_sim.Counters.get_int o.Grt.Orchestrate.counters "net.gbn_retransmits");
+          (Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters Grt_sim.Metrics.Net_window_stalls)
+          (Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters Grt_sim.Metrics.Net_gbn_retransmits);
       (match out with
       | Some path ->
         let oc = open_out_bin path in
@@ -200,7 +200,7 @@ let run net_name mode_name profile_name sku_name seed drop_prob window max_infli
         write_text path (Grt_util.Json.to_string report ^ "\n");
         Printf.printf "  wrote report %s\n" path
       | None -> ());
-      if stats then Format.printf "%a" Grt_sim.Counters.pp o.Grt.Orchestrate.counters;
+      if stats then Format.printf "%a" Grt_sim.Metrics.pp o.Grt.Orchestrate.counters;
       `Ok ()
       end
 

@@ -58,7 +58,7 @@ val create :
   link:Grt_net.Link.t ->
   gpushim:Gpushim.t ->
   cloud_mem:Grt_gpu.Mem.t ->
-  ?counters:Grt_sim.Counters.t ->
+  ?metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   ?tracer:Grt_sim.Tracer.t ->
   ?hists:Grt_sim.Hist.set ->

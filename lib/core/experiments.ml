@@ -367,7 +367,7 @@ let fault_campaign ctx ?(drops = [ 0.0; 0.01; 0.05; 0.1 ]) ?(windows = [ 1; 4 ])
                 total_s = o.Orchestrate.total_s;
                 retransmits = o.Orchestrate.retransmits;
                 degraded_entries =
-                  Grt_sim.Counters.get_int o.Orchestrate.counters "net.degraded_entries";
+                  Grt_sim.Metrics.get_int o.Orchestrate.counters Grt_sim.Metrics.Net_degraded_entries;
                 rollbacks = o.Orchestrate.rollbacks;
                 link_downs = o.Orchestrate.link_downs;
                 blob_identical = Bytes.equal o.Orchestrate.blob reference.Orchestrate.blob;
@@ -409,6 +409,10 @@ let memsync_variants =
     ( "dirty+dedup+adaptive",
       fun c -> { c with Mode.memsync_dedup = true; memsync_adaptive = true } );
   ]
+
+(* Host wall seconds from the monotonic clock. [Sys.time] would give CPU
+   seconds instead. *)
+let wall_seconds () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let memsync_sweep_one ~variant ~tweak ~pages ~rounds ~dirtied ~dup_rate =
   let module Mem = Grt_gpu.Mem in
@@ -453,7 +457,7 @@ let memsync_sweep_one ~variant ~tweak ~pages ~rounds ~dirtied ~dup_rate =
   in
   let wire = ref 0 and raw = ref 0 and visited = ref 0 and hash_hits = ref 0 in
   let enc_counts = Hashtbl.create 8 in
-  let t0 = Sys.time () in
+  let t0 = wall_seconds () in
   for _round = 1 to rounds do
     for _i = 1 to dirtied do
       let pfn = Int64.add first (Int64.of_int (Grt_util.Rng.int rng pages)) in
@@ -477,7 +481,7 @@ let memsync_sweep_one ~variant ~tweak ~pages ~rounds ~dirtied ~dup_rate =
       p.Memsync.records;
     Memsync.apply receiver mem_r p
   done;
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = wall_seconds () -. t0 in
   let reproduced =
     List.for_all
       (fun i ->
@@ -556,23 +560,20 @@ let memsync_workload ctx ~net =
              (fun a b -> Int32.equal (Int32.bits_of_float a) (Int32.bits_of_float b))
              ro.Orchestrate.r.Replayer.output nat.Native.output
       in
-      let c k = Grt_sim.Counters.get_int o.Orchestrate.counters k in
+      let c k = Grt_sim.Metrics.get_int o.Orchestrate.counters k in
       {
         config_label;
         net_name = net.Network.name;
-        down_wire_bytes = c "sync.down_wire_bytes";
-        up_wire_bytes = c "sync.up_wire_bytes";
+        down_wire_bytes = c Grt_sim.Metrics.Sync_down_wire_bytes;
+        up_wire_bytes = c Grt_sim.Metrics.Sync_up_wire_bytes;
         blob_bytes = Bytes.length o.Orchestrate.blob;
-        mpages_visited = c "sync.pages_visited";
-        mpages_meta = c "sync.pages_meta";
+        mpages_visited = c Grt_sim.Metrics.Sync_pages_visited;
+        mpages_meta = c Grt_sim.Metrics.Sync_pages_meta;
         workload_enc_mix =
           List.filter_map
             (fun e ->
-              let n = Memsync.encoding_name e in
-              let v =
-                c ("sync.enc_" ^ String.map (function '+' | '-' -> '_' | ch -> ch) n)
-              in
-              if v > 0 then Some (n, v) else None)
+              let v = c (Sync_flow.enc_key e) in
+              if v > 0 then Some (Memsync.encoding_name e, v) else None)
             [
               Memsync.Enc_raw;
               Memsync.Enc_raw_rc;
@@ -624,8 +625,6 @@ type replay_bench_row = {
    every replay path, and on real hardware costs the replayer nothing — so the
    rate isolates the machinery the compiled path actually optimizes:
    parse, verify, decode, entry dispatch, slot and memory-image I/O. *)
-let wall_seconds () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 let host_rate ?(min_elapsed = 0.05) ~reps ~max_reps f =
   let rec go reps =
     let k0 = Grt_gpu.Device.gpu_host_seconds () in
@@ -743,7 +742,7 @@ let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity
   let host_wall_s = Float.max (wall () -. w0) 1e-9 in
   let st = Service.stats svc in
   let agg = Service.aggregate svc reports in
-  let g k = Grt_sim.Counters.get_int agg (Grt_sim.Metrics.name k) in
+  let g k = Grt_sim.Metrics.get_int agg k in
   let turnarounds =
     Array.of_list (List.map (fun r -> r.Service.turnaround_s) reports)
   in

@@ -36,7 +36,7 @@ let irq_gpu = 34
 let irq_mmu = 35
 let gpu_irqs = [ irq_job; irq_gpu; irq_mmu ]
 
-let create ~clock ~sku ?energy ?counters ~session_salt ~cfg () =
+let create ~clock ~sku ?energy ?metrics ~session_salt ~cfg () =
   let mem = Mem.create () in
   let device = Device.create ?energy ~clock ~mem ~sku ~session_salt () in
   let worlds = Worlds.create () in
@@ -52,7 +52,7 @@ let create ~clock ~sku ?energy ?counters ~session_salt ~cfg () =
     worlds;
     monitor;
     uplink = Memsync.create cfg;
-    metrics = Option.map Metrics.of_counters counters;
+    metrics;
     isolated = false;
   }
 

@@ -24,7 +24,7 @@ val create :
   clock:Grt_sim.Clock.t ->
   sku:Grt_gpu.Sku.t ->
   ?energy:Grt_sim.Energy.t ->
-  ?counters:Grt_sim.Counters.t ->
+  ?metrics:Grt_sim.Metrics.t ->
   session_salt:int64 ->
   cfg:Mode.config ->
   unit ->

@@ -3,8 +3,7 @@ module Device = Grt_gpu.Device
 module Sexpr = Grt_util.Sexpr
 module Metrics = Grt_sim.Metrics
 
-let backend ?counters dev =
-  let metrics = Option.map Metrics.of_counters counters in
+let backend ?metrics dev =
   let count key = match metrics with Some m -> Metrics.incr m key | None -> () in
   let clock = Device.clock dev in
   let read_reg reg =
@@ -64,14 +63,14 @@ type run_result = {
   energy_j : float option;
 }
 
-let run_inference ?energy ?counters ~clock ~sku ~net ~seed ~input () =
+let run_inference ?energy ?metrics ~clock ~sku ~net ~seed ~input () =
   let mem = Grt_gpu.Mem.create () in
   let dev =
     Device.create ?energy ~clock ~mem ~sku
       ~session_salt:(Grt_util.Hashing.fnv1a_string ("native:" ^ net.Grt_mlfw.Network.name))
       ()
   in
-  let b = backend ?counters dev in
+  let b = backend ?metrics dev in
   let drv = Grt_driver.Kbase.create ~backend:b ~mem ~coherency_ace:true in
   let start = Grt_sim.Clock.now_s clock in
   let energy_start = Option.map Grt_sim.Energy.total_j energy in

@@ -6,7 +6,7 @@
     {!Grt_gpu.Device.t} and returns concrete values. *)
 
 val backend :
-  ?counters:Grt_sim.Counters.t ->
+  ?metrics:Grt_sim.Metrics.t ->
   Grt_gpu.Device.t ->
   Grt_driver.Backend.t
 (** Counters recorded: [reg.reads], [reg.writes], [poll.instances],
@@ -22,7 +22,7 @@ type run_result = {
 
 val run_inference :
   ?energy:Grt_sim.Energy.t ->
-  ?counters:Grt_sim.Counters.t ->
+  ?metrics:Grt_sim.Metrics.t ->
   clock:Grt_sim.Clock.t ->
   sku:Grt_gpu.Sku.t ->
   net:Grt_mlfw.Network.t ->

@@ -29,7 +29,7 @@ type record_outcome = {
   rollback_s : float;
   retransmits : int;
   link_downs : int;
-  counters : Grt_sim.Counters.t;
+  counters : Grt_sim.Metrics.t;
   segments : bytes list;
       (* per-layer recording segments when recorded with [`Per_layer]
          granularity (Figure 2); empty otherwise *)
@@ -100,13 +100,13 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
   let rec attempt n prefix =
     if n > 8 then failwith "recording failed: too many rollbacks";
     let gpushim =
-      Gpushim.create ~clock:ctx.clock ~sku:ctx.sku ~energy:ctx.energy ~counters:ctx.counters
+      Gpushim.create ~clock:ctx.clock ~sku:ctx.sku ~energy:ctx.energy ~metrics:ctx.metrics
         ~session_salt:(Ctx.session_salt ctx) ~cfg:ctx.cfg ()
     in
     Gpushim.isolate gpushim;
     let cloud_mem = Grt_gpu.Mem.create () in
     let shim =
-      Drivershim.create ~cfg:ctx.cfg ~link:ctx.link ~gpushim ~cloud_mem ~counters:ctx.counters
+      Drivershim.create ~cfg:ctx.cfg ~link:ctx.link ~gpushim ~cloud_mem ~metrics:ctx.metrics
         ~trace:ctx.trace ?tracer:ctx.tracer ?hists:ctx.hists ~history:ctx.history
         ?sync_store:ctx.sync_store ~wire_overhead:Grt_tee.Channel.wire_overhead
         ~replay_prefix:prefix ()
@@ -269,7 +269,7 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
     rollback_s = ctx.rollback_s;
     retransmits = get Metrics.Net_retransmits;
     link_downs = get Metrics.Recovery_link_downs;
-    counters = ctx.counters;
+    counters = ctx.metrics;
     segments;
     tracer = ctx.tracer;
     hists = ctx.hists;

@@ -31,7 +31,7 @@ type record_outcome = {
   rollback_s : float;  (** time spent in misprediction recovery *)
   retransmits : int;  (** link-level retransmitted exchanges *)
   link_downs : int;  (** mid-session link losses recovered from *)
-  counters : Grt_sim.Counters.t;
+  counters : Grt_sim.Metrics.t;
   segments : bytes list;
       (** per-layer recording segments when recorded with [`Per_layer]
           granularity (Figure 2); empty otherwise *)

@@ -38,7 +38,7 @@ let of_outcome ~workload ~mode ~profile ~seed (o : Orchestrate.record_outcome) =
   in
   let metrics =
     Json.Obj
-      (List.map (fun (k, v) -> (k, Json.int64 v)) (Grt_sim.Counters.to_alist o.counters))
+      (List.map (fun (k, v) -> (k, Json.int v)) (Grt_sim.Metrics.to_alist o.counters))
   in
   let base =
     [

@@ -1,5 +1,4 @@
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
 module Metrics = Grt_sim.Metrics
 module Hist = Grt_sim.Hist
 module Tracer = Grt_sim.Tracer
@@ -80,7 +79,7 @@ type session_report = {
   outcome : outcome;
   turnaround_s : float;
   blob_bytes : int;
-  counters : Counters.t;
+  counters : Metrics.t;
 }
 
 (* ---- service state ---- *)
@@ -138,8 +137,7 @@ type t = {
   histories : (string, Spec_history.t) Hashtbl.t;
       (* (net, sku) -> speculation history shared across all sessions of
          that pair, whatever their mode flags (§7.3) *)
-  svc : Counters.t;
-  svc_m : Metrics.t;  (* typed write-through view over [svc] *)
+  svc : Metrics.t;
   svc_clock : Clock.t;
       (* service-plane timeline: advanced to each admission's arrival and
          each promotion's failure instant, so service events carry
@@ -154,15 +152,13 @@ type t = {
 
 let create ?(cache_capacity = 0) () =
   if cache_capacity < 0 then invalid_arg "Service.create: negative capacity";
-  let svc = Counters.create () in
   let svc_clock = Clock.create () in
   {
     capacity = cache_capacity;
     cache = Hashtbl.create 64;
     keyed_tbl = Hashtbl.create 64;
     histories = Hashtbl.create 16;
-    svc;
-    svc_m = Metrics.of_counters svc;
+    svc = Metrics.create ();
     svc_clock;
     svc_trace = Trace.create ~capacity:1024 svc_clock;
     touch_seq = 0;
@@ -287,7 +283,7 @@ let evict_if_full t ~for_client =
     | Some e ->
       Hashtbl.remove t.cache e.keyed.key;
       e.keyed.evictions <- e.keyed.evictions + 1;
-      Metrics.incr t.svc_m Metrics.Svc_evictions;
+      Metrics.incr t.svc Metrics.Svc_evictions;
       let blob_bytes = match e.blob with Some b -> Bytes.length b | None -> 0 in
       Trace.event t.svc_trace
         (Trace.Evict { label = e.keyed.label; client = for_client; blob_bytes });
@@ -328,7 +324,7 @@ let decide t (spec : client_spec) =
       (* resident but its recording failed: this client retries *)
       touch_entry e;
       e.inflight <- true;
-      Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+      Metrics.incr t.svc Metrics.Svc_cache_misses;
       Trace.event t.svc_trace (Trace.Rearm { label = e.keyed.label; client = spec.client_id });
       D_record e
     | None ->
@@ -346,7 +342,7 @@ let decide t (spec : client_spec) =
         }
       in
       Hashtbl.replace t.cache key e;
-      Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+      Metrics.incr t.svc Metrics.Svc_cache_misses;
       D_record e
   in
   Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_cache_lookup
@@ -403,7 +399,7 @@ let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
     outcome;
     turnaround_s = Grt_sim.Clock.now_s ctx.Ctx.clock;
     blob_bytes;
-    counters = ctx.Ctx.counters;
+    counters = ctx.Ctx.metrics;
   }
 
 (* Serve a resident blob over [ctx]: attested establishment + download +
@@ -420,12 +416,12 @@ let serve t spec (e : entry) ctx ~coalesced =
   with
   | () ->
     e.keyed.hits <- e.keyed.hits + 1;
-    Metrics.incr t.svc_m (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
+    Metrics.incr t.svc (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
     report_of ctx spec e
       (if coalesced then Coalesced else Cache_hit)
       ~blob_bytes:(Bytes.length blob)
   | exception exn ->
-    Metrics.incr t.svc_m Metrics.Svc_failures;
+    Metrics.incr t.svc Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* Record under the key-derived seed and publish the blob into the entry. *)
@@ -445,11 +441,11 @@ let record_into t spec (e : entry) ctx =
     e.blob <- Some outcome.Orchestrate.blob;
     e.inflight <- false;
     e.keyed.recordings <- e.keyed.recordings + 1;
-    Metrics.incr t.svc_m Metrics.Svc_recordings;
+    Metrics.incr t.svc Metrics.Svc_recordings;
     report_of ctx spec e (Recorded outcome) ~blob_bytes:(Bytes.length outcome.Orchestrate.blob)
   | exception exn ->
     e.inflight <- false;
-    Metrics.incr t.svc_m Metrics.Svc_failures;
+    Metrics.incr t.svc Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
 
 (* ---- execution ----
@@ -528,9 +524,9 @@ let wait_on t x (spec : client_spec) (e : entry) ctx =
     serve t spec e ctx ~coalesced:true
   | None ->
     e.inflight <- true;
-    Metrics.incr t.svc_m Metrics.Svc_promotions;
+    Metrics.incr t.svc Metrics.Svc_promotions;
     (* the promoted waiter re-records: a second miss on the key *)
-    Metrics.incr t.svc_m Metrics.Svc_cache_misses;
+    Metrics.incr t.svc Metrics.Svc_cache_misses;
     (* same key-derived seed and options a planned recorder uses, on the
        waiter's clock *)
     let rctx = record_ctx ~clock t spec e in
@@ -629,7 +625,7 @@ let run ?(observe = false) t specs =
   let plans =
     List.map
       (fun spec ->
-        Metrics.incr t.svc_m Metrics.Svc_sessions;
+        Metrics.incr t.svc Metrics.Svc_sessions;
         (spec, decide t spec))
       specs
   in
@@ -657,9 +653,9 @@ let run ?(observe = false) t specs =
 (* ---- aggregation, stats, cache listing ---- *)
 
 let aggregate t reports =
-  let dst = Counters.create () in
-  List.iter (fun r -> Counters.merge_into ~dst ~src:r.counters) reports;
-  Counters.merge_into ~dst ~src:t.svc;
+  let dst = Metrics.create () in
+  List.iter (fun r -> Metrics.merge_into ~dst ~src:r.counters) reports;
+  Metrics.merge_into ~dst ~src:t.svc;
   dst
 
 type stats = {
@@ -676,7 +672,7 @@ type stats = {
 }
 
 let stats t =
-  let get k = Metrics.get_int t.svc_m k in
+  let get k = Metrics.get_int t.svc k in
   let resident, resident_bytes =
     Hashtbl.fold
       (fun _ e (n, b) ->

@@ -70,7 +70,7 @@ type session_report = {
       (** session-clock time from arrival to served/recorded, including any
           coalescing wait *)
   blob_bytes : int;
-  counters : Grt_sim.Counters.t;  (** this session's counter set *)
+  counters : Grt_sim.Metrics.t;  (** this session's counter store *)
 }
 
 type t
@@ -118,12 +118,12 @@ val run : ?observe:bool -> t -> client_spec list -> session_report list * run_st
     set exposed via {!observation}. Observation is write-only — outcomes,
     blobs and per-session counters are identical with it on or off. *)
 
-val aggregate : t -> session_report list -> Grt_sim.Counters.t
-(** Fleet-wide counter set: every session's counters merged
-    ({!Grt_sim.Counters.merge_into}) plus the service's own [svc.*]
+val aggregate : t -> session_report list -> Grt_sim.Metrics.t
+(** Fleet-wide counter store: every session's counters merged
+    ({!Grt_sim.Metrics.merge_into}) plus the service's own [svc.*]
     counters. *)
 
-val service_counters : t -> Grt_sim.Counters.t
+val service_counters : t -> Grt_sim.Metrics.t
 (** The service's own counters ([svc.sessions], [svc.cache_hits],
     [svc.coalesced], [svc.recordings], [svc.evictions], [svc.failures],
     [svc.cache_misses] and [svc.promotions]). *)

@@ -30,7 +30,6 @@ type t = {
   granularity : [ `Monolithic | `Per_layer ];
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t;
-  counters : Grt_sim.Counters.t;
   metrics : Grt_sim.Metrics.t;
   trace : Grt_sim.Trace.t;
   tracer : Grt_sim.Tracer.t option;
@@ -46,14 +45,14 @@ type t = {
 let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~granularity () =
   let clock = match clock with Some c -> c | None -> Grt_sim.Clock.create () in
   let energy = Grt_sim.Energy.create clock in
-  let counters = Grt_sim.Counters.create () in
+  let metrics = Grt_sim.Metrics.create () in
   let trace = Grt_sim.Trace.create ?capacity:options.trace_capacity clock in
   let tracer = if options.observe then Some (Grt_sim.Tracer.create clock) else None in
   let hists = if options.observe then Some (Grt_sim.Hist.create_set ()) else None in
   (* The link's fault draws derive from the session seed so a lossy run is
      exactly reproducible. *)
   let link =
-    Link.create ~clock ~energy ~counters ~trace ?tracer ?hists
+    Link.create ~clock ~energy ~metrics ~trace ?tracer ?hists
       ~seed:(Grt_util.Hashing.combine seed 0x6C696E6BL)
       ~window:options.window profile
   in
@@ -66,8 +65,7 @@ let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~gr
     granularity;
     clock;
     energy;
-    counters;
-    metrics = Grt_sim.Metrics.of_counters counters;
+    metrics;
     trace;
     tracer;
     hists;

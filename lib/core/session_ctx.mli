@@ -41,8 +41,7 @@ type t = {
   granularity : [ `Monolithic | `Per_layer ];
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t;
-  counters : Grt_sim.Counters.t;
-  metrics : Grt_sim.Metrics.t;  (** typed view over [counters] *)
+  metrics : Grt_sim.Metrics.t;  (** the session's one counter store *)
   trace : Grt_sim.Trace.t;  (** link + shim event ring, dumped on failure *)
   tracer : Grt_sim.Tracer.t option;  (** span tracer; present iff [observe] *)
   hists : Grt_sim.Hist.set option;  (** latency/size histograms; iff [observe] *)
@@ -66,7 +65,7 @@ val create :
   granularity:[ `Monolithic | `Per_layer ] ->
   unit ->
   t
-(** Build the session infrastructure: clock, energy, counters/metrics,
+(** Build the session infrastructure: clock, energy, metrics,
     trace ring, and the link (fault-seeded from [seed]). [options] defaults
     to {!default_options}; with [observe] unset the default path carries
     [None]s and stays byte-identical to an unobserved build.

@@ -107,9 +107,8 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
   if reg = Regs.js_head_lo 0 || reg = Regs.js_head_next_lo 0 then head.lo <- v;
   if reg = Regs.js_head_hi 0 || reg = Regs.js_head_next_hi 0 then head.hi <- v
 
-let create ~cfg ~link ~gpushim ~cloud_mem ?counters ?trace ?tracer ?hists ?history ?sync_store
+let create ~cfg ~link ~gpushim ~cloud_mem ?metrics ?trace ?tracer ?hists ?history ?sync_store
     ?(wire_overhead = 0) ?(replay_prefix = []) () =
-  let metrics = Option.map Metrics.of_counters counters in
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
   let log = Recording.new_log () in

@@ -10,6 +10,9 @@
     downlink dump is also appended to the interaction log as a [Mem_load]
     entry so recovery and replay can reproduce it. *)
 
+val enc_key : Memsync.encoding -> Grt_sim.Metrics.key
+(** The [sync.enc_*] metric that counts pages shipped in an encoding. *)
+
 val down : Shim_engine.t -> unit
 (** Cloud→client metastate dump. Under continuous validation the dumped
     pages are CPU-protected until {!up} returns them (§5). *)

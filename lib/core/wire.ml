@@ -60,10 +60,16 @@ let read_syms queue =
 
 (* Site keys repeat heavily — the driver has a fixed set of commit sites —
    and building one allocates (printf, boxed 64-bit hash chain). Memoize
-   the exact key string under a cheap native-int hash of the same
-   (fn, trigger, access-signature) triple; the key is a pure function of
-   the triple, so the memo is shared by every caller. *)
-let site_memo : (int, string) Hashtbl.t = Hashtbl.create 256
+   the key string under a cheap native-int hash of the (fn, trigger,
+   access-signature) triple. The hash can collide (fn and trigger are
+   folded with no separator), so an entry stores its triple and a hit
+   must match it; a mismatch recomputes and replaces the entry. The key is
+   a pure function of the triple, so the memo is shared by every caller.
+   The driver's sites are few; the cap only guards against a caller
+   generating unbounded distinct sites. *)
+type site = { fn : string; trigger : string; signature : int array; key : string }
+
+let site_memo : (int, site) Hashtbl.t = Hashtbl.create 256
 
 let int_fnv_prime = 0x100000001B3
 
@@ -74,26 +80,34 @@ let fold_string h s =
   done;
   !h
 
+let access_code = function Qr { reg; _ } -> (reg * 2) + 1 | Qw { reg; _ } -> reg * 2
+
+let rec same_signature signature i = function
+  | [] -> i = Array.length signature
+  | q :: rest ->
+    i < Array.length signature
+    && signature.(i) = access_code q
+    && same_signature signature (i + 1) rest
+
+let build_site_key ~fn ~trigger queue =
+  let sig_hash =
+    List.fold_left
+      (fun acc q -> Grt_util.Hashing.combine acc (Int64.of_int (access_code q)))
+      (Grt_util.Hashing.fnv1a_string fn)
+      queue
+  in
+  Printf.sprintf "%s@%s#%Lx" fn trigger sig_hash
+
 let site_key ~fn ~trigger queue =
   let h = fold_string (fold_string 0x3BF29CE484222325 fn) trigger in
-  let h =
-    List.fold_left
-      (fun h q ->
-        let v = match q with Qr { reg; _ } -> (reg * 2) + 1 | Qw { reg; _ } -> reg * 2 in
-        (h lxor v) * int_fnv_prime)
-      h queue
-  in
+  let h = List.fold_left (fun h q -> (h lxor access_code q) * int_fnv_prime) h queue in
   match Hashtbl.find site_memo h with
-  | s -> s
-  | exception Not_found ->
-    let sig_hash =
-      List.fold_left
-        (fun acc q ->
-          let v = match q with Qr { reg; _ } -> (reg * 2) + 1 | Qw { reg; _ } -> reg * 2 in
-          Grt_util.Hashing.combine acc (Int64.of_int v))
-        (Grt_util.Hashing.fnv1a_string fn)
-        queue
-    in
-    let s = Printf.sprintf "%s@%s#%Lx" fn trigger sig_hash in
-    Hashtbl.add site_memo h s;
-    s
+  | s when String.equal s.fn fn && String.equal s.trigger trigger && same_signature s.signature 0 queue
+    ->
+    s.key
+  | _ | (exception Not_found) ->
+    let key = build_site_key ~fn ~trigger queue in
+    if Hashtbl.length site_memo >= 4096 then Hashtbl.reset site_memo;
+    Hashtbl.replace site_memo h
+      { fn; trigger; signature = Array.of_list (List.map access_code queue); key };
+    key

@@ -78,7 +78,7 @@ let open_full frame =
         let len = Grt_util.Byte_buf.Reader.u32 r in
         let payload = Grt_util.Byte_buf.Reader.bytes r len in
         let crc = Grt_util.Byte_buf.Reader.u32 r in
-        if Bytes.length frame < 4 + 9 + len then Error "frame: truncated"
+        if Grt_util.Byte_buf.Reader.remaining r <> 0 then Error "frame: trailing bytes"
         else if crc <> crc_of_body (Bytes.sub frame 4 (9 + len)) then
           Error "frame: CRC mismatch"
         else Ok { kind; seq; payload }

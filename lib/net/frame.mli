@@ -31,7 +31,11 @@ val ack : seq:int -> bytes
 (** An empty [Ack] frame carrying [seq]. *)
 
 val open_ : bytes -> (kind * bytes, string) result
-(** [open_ frame] validates magic, length and CRC and returns the payload. *)
+(** [open_ frame] validates magic, kind, length and CRC and returns the
+    payload. Any input gets [Ok] or [Error], never an exception; bytes after
+    the trailer are an [Error], so an [Ok] frame is exactly the {!seal} of
+    what it returns. Allocation is bounded by a small multiple of the
+    input's size, whatever its length field says. *)
 
 val open_full : bytes -> (msg, string) result
 (** Like [open_] but also exposes the sequence number. The CRC covers the

@@ -46,14 +46,14 @@ type t = {
   mutable outage_countdown : int option;
 }
 
-let create ~clock ?energy ?counters ?trace ?tracer ?hists ?(seed = 0x4C494E4BL) ?(window = 1)
+let create ~clock ?energy ?metrics ?trace ?tracer ?hists ?(seed = 0x4C494E4BL) ?(window = 1)
     profile =
   if window < 1 then invalid_arg "Link.create: window must be >= 1";
   {
     profile;
     clock;
     energy;
-    metrics = Option.map Metrics.of_counters counters;
+    metrics;
     trace;
     tracer;
     hists;

@@ -37,7 +37,7 @@ exception Link_down of { attempts : int; op : string }
 val create :
   clock:Grt_sim.Clock.t ->
   ?energy:Grt_sim.Energy.t ->
-  ?counters:Grt_sim.Counters.t ->
+  ?metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   ?tracer:Grt_sim.Tracer.t ->
   ?hists:Grt_sim.Hist.set ->

@@ -1,34 +1,3 @@
-type t = (string, int64 ref) Hashtbl.t
+type t = Metrics.t
 
-let create () : t = Hashtbl.create 64
-
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some c -> c
-  | None ->
-    let c = ref 0L in
-    Hashtbl.add t name c;
-    c
-
-let add64 t name v =
-  let c = cell t name in
-  c := Int64.add !c v
-
-let add t name v = add64 t name (Int64.of_int v)
-
-let incr t name = add t name 1
-
-let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0L
-
-let get_int t name = Int64.to_int (get t name)
-
-let reset t = Hashtbl.reset t
-
-let to_alist t =
-  Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let merge_into ~dst ~src = List.iter (fun (k, v) -> add64 dst k v) (to_alist src)
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %Ld@\n" k v) (to_alist t)
+let get_int t name = match Metrics.of_name name with Some k -> Metrics.get_int t k | None -> 0

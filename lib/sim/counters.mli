@@ -1,31 +1,11 @@
-(** Named statistic counters.
+(** String-name reads of the counter store.
 
-    The recorder, shims and network layer account everything they do
-    (register accesses, commits, round trips, bytes, speculation hits) into a
-    counter set which the benchmark harness turns into the paper's tables. *)
+    {!Metrics} owns every counter. This module stays only because the
+    end-to-end benchmark ([bench/e2e/workloads.ml]) reads counters by name
+    through it. New code uses {!Metrics} and its typed keys. *)
 
-type t
-
-val create : unit -> t
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-val add64 : t -> string -> int64 -> unit
-val get : t -> string -> int64
-(** Unknown counters read as zero. *)
+type t = Metrics.t
 
 val get_int : t -> string -> int
-
-val cell : t -> string -> int64 ref
-(** The live cell behind a counter, created at zero if absent. Typed
-    front-ends ([Metrics]) cache these so repeated bumps skip the string
-    hash; the cell is shared, so updates through it and through
-    [add]/[incr] stay in agreement. Cached cells do not survive [reset]. *)
-
-val reset : t -> unit
-val to_alist : t -> (string * int64) list
-(** Sorted by counter name. *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Adds every counter of [src] into [dst]. *)
-
-val pp : Format.formatter -> t -> unit
+(** The value of the key called [name] ({!Metrics.of_name}); names outside
+    the typed set read as zero. *)

@@ -164,10 +164,10 @@ let all =
 
 let of_name s = List.find_opt (fun k -> String.equal (name k) s) all
 
-(* Dense ordinal of a key, in declaration order; [n_keys] bounds the cell
-   cache below. Kept in lock-step with [name]. *)
-let n_keys = 65
+let n_keys = List.length all
 
+(* Dense ordinal of a key, in declaration order; checked against [all] when
+   the module loads. *)
 let index = function
   | Net_msgs -> 0
   | Net_bytes_tx -> 1
@@ -235,39 +235,48 @@ let index = function
   | Svc_evictions -> 63
   | Svc_promotions -> 64
 
-(* Write-through onto a legacy counter set: the typed spine and the stringly
-   world always agree, and [Counters.pp] output is byte-identical to what it
-   was when every call site spelled the name out. Each typed key caches the
-   counter's live cell (shared with the string table) the first time it is
-   bumped, so the steady-state cost of a bump is an array load and an int64
-   add -- no string hashing. Cells are cached lazily, never eagerly: a key
-   that is read but never bumped must stay absent from [Counters.to_alist].
-*)
-type t = { counters : Counters.t; cells : int64 ref option array }
+let () = List.iteri (fun i k -> assert (index k = i)) all
 
-let create () = { counters = Counters.create (); cells = Array.make n_keys None }
-let of_counters counters = { counters; cells = Array.make n_keys None }
-let to_counters t = t.counters
+(* The store: one int cell per key at [index], plus a bitmap of the keys
+   ever bumped. A bump is an array update and a byte update, and allocates
+   nothing. The bitmap keeps "never bumped" apart from "bumped by 0": only
+   touched keys appear in [to_alist] and [pp]. *)
+type t = { cells : int array; touched : Bytes.t }
 
-let cell t k =
+let create () = { cells = Array.make n_keys 0; touched = Bytes.make ((n_keys + 7) / 8) '\000' }
+
+let is_touched t i = Char.code (Bytes.unsafe_get t.touched (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let touch t i =
+  let b = i lsr 3 in
+  Bytes.unsafe_set t.touched b
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.touched b) lor (1 lsl (i land 7))))
+
+let add t k v =
   let i = index k in
-  match Array.unsafe_get t.cells i with
-  | Some c -> c
-  | None ->
-    let c = Counters.cell t.counters (name k) in
-    t.cells.(i) <- Some c;
-    c
+  Array.unsafe_set t.cells i (Array.unsafe_get t.cells i + v);
+  touch t i
 
-let add64 t k v =
-  let c = cell t k in
-  c := Int64.add !c v
-
-let add t k v = add64 t k (Int64.of_int v)
+let add64 t k v = add t k (Int64.to_int v)
 let incr t k = add t k 1
+let get_int t k = Array.unsafe_get t.cells (index k)
+let get t k = Int64.of_int (get_int t k)
 
-(* Reads go through the string table so they neither create a cell nor
-   observe anything the stringly API would not. *)
-let get t k = Counters.get t.counters (name k)
-let get_int t k = Counters.get_int t.counters (name k)
+let merge_into ~dst ~src =
+  for i = 0 to n_keys - 1 do
+    if is_touched src i then begin
+      dst.cells.(i) <- dst.cells.(i) + src.cells.(i);
+      touch dst i
+    end
+  done
 
-let pp ppf t = Counters.pp ppf t.counters
+let by_name = List.sort (fun a b -> String.compare (name a) (name b)) all
+
+let to_alist t =
+  List.filter_map
+    (fun k ->
+      let i = index k in
+      if is_touched t i then Some (name k, t.cells.(i)) else None)
+    by_name
+
+let pp ppf t = List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %d@\n" k v) (to_alist t)

@@ -1,16 +1,16 @@
-(** Typed metric registry — the telemetry spine of the recorder.
+(** Typed metric registry — the telemetry spine of the recorder and the
+    only counter store.
 
     Every statistic the engine layers account (link exchanges, register
     traffic, commit pipeline, speculation, polling offload, memory sync,
-    recovery, the client-side shim) has a variant key here, so a typo in a
-    counter name is a compile error and the set of metrics is enumerable.
+    recovery, the client-side shim, the recording service) has a variant key
+    here, so a typo in a counter name is a compile error and the set of
+    metrics is enumerable. Each key also has a dotted {!name}; dumps and
+    reports use it.
 
-    A [t] is a thin write-through wrapper over a legacy {!Counters.t}: every
-    typed [add]/[incr] lands on the counter named {!name}[ key], which keeps
-    [Counters.pp] dumps, test assertions on counter strings, and merged
-    counter sets byte-identical to the stringly-typed era. Use
-    {!to_counters} to hand the underlying set to code that still speaks
-    strings. *)
+    A [t] keeps one int cell per key and remembers which keys were ever
+    bumped. A key that was never bumped is absent from {!to_alist} and
+    {!pp}; a key bumped by 0 is present. Bumps allocate nothing. *)
 
 type key =
   | Net_msgs
@@ -94,7 +94,7 @@ type key =
           recorder failed *)
 
 val name : key -> string
-(** Legacy counter name of a key (e.g. [Net_blocking_rtts] ->
+(** Dotted name of a key (e.g. [Net_blocking_rtts] ->
     ["net.blocking_rtts"]). *)
 
 val all : key list
@@ -106,17 +106,23 @@ val of_name : string -> key option
 type t
 
 val create : unit -> t
-(** Fresh registry over a private counter set. *)
-
-val of_counters : Counters.t -> t
-(** Typed view over an existing counter set; writes land in [counters]. *)
-
-val to_counters : t -> Counters.t
-(** The underlying counter set (the legacy-name bridge). *)
+(** A fresh store: every key at zero, none touched. *)
 
 val add : t -> key -> int -> unit
 val add64 : t -> key -> int64 -> unit
 val incr : t -> key -> unit
+
 val get : t -> key -> int64
 val get_int : t -> key -> int
+(** Untouched keys read as zero. *)
+
+val to_alist : t -> (string * int) list
+(** The touched keys as [(name, value)], sorted by name. *)
+
+val merge_into : dst:t -> src:t -> unit
+(** Adds every touched key of [src] into [dst], which marks it touched
+    there too. *)
+
 val pp : Format.formatter -> t -> unit
+(** One line per touched key, in {!to_alist} order: the name padded to 40
+    columns, a space, the value. *)

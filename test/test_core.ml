@@ -17,7 +17,7 @@ module Session = Grt_runtime.Session
 module Profile = Grt_net.Profile
 module Link = Grt_net.Link
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 
 let check = Alcotest.check
 
@@ -410,19 +410,19 @@ type rig = {
   gpushim : Gpushim.t;
   drv : Kbase.t;
   cloud_mem : Mem.t;
-  counters : Counters.t;
+  counters : Metrics.t;
   clock : Clock.t;
 }
 
 let mk_rig ?(mode = Mode.Ours_md) ?history ?config () =
   let clock = Clock.create () in
-  let counters = Counters.create () in
-  let link = Link.create ~clock ~counters Profile.wifi in
+  let counters = Metrics.create () in
+  let link = Link.create ~clock ~metrics:counters Profile.wifi in
   let cfg = match config with Some c -> c | None -> Mode.default_config mode in
-  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~counters ~session_salt:4L ~cfg () in
+  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~metrics:counters ~session_salt:4L ~cfg () in
   Gpushim.isolate gpushim;
   let cloud_mem = Mem.create () in
-  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~counters ?history () in
+  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~metrics:counters ?history () in
   let drv = Kbase.create ~backend:(Drivershim.backend shim) ~mem:cloud_mem ~coherency_ace:true in
   { shim; gpushim; drv; cloud_mem; counters; clock }
 
@@ -452,7 +452,7 @@ let drivershim_naive_one_rtt_per_access () =
   Kbase.init r.drv;
   Drivershim.finalize r.shim;
   let accesses = Drivershim.accesses_total r.shim in
-  let rtts = Counters.get_int r.counters "net.blocking_rtts" in
+  let rtts = Metrics.get_int r.counters Metrics.Net_blocking_rtts in
   (* every register access is one blocking round trip (plus sync traffic) *)
   check Alcotest.bool "rtts >= accesses" true (rtts >= accesses)
 
@@ -464,8 +464,8 @@ let drivershim_md_fewer_rtts_than_naive () =
   Kbase.init md.drv;
   Drivershim.finalize md.shim;
   check Alcotest.bool "deferral cuts RTTs" true
-    (Counters.get_int md.counters "net.blocking_rtts"
-    < Counters.get_int naive.counters "net.blocking_rtts")
+    (Metrics.get_int md.counters Metrics.Net_blocking_rtts
+    < Metrics.get_int naive.counters Metrics.Net_blocking_rtts)
 
 let drivershim_speculation_warms_up () =
   let history = Drivershim.fresh_history () in
@@ -473,7 +473,7 @@ let drivershim_speculation_warms_up () =
     let r = mk_rig ~mode:Mode.Ours_mds ~history () in
     Kbase.init r.drv;
     Drivershim.finalize r.shim;
-    (Drivershim.commits_speculated r.shim, Counters.get_int r.counters "net.blocking_rtts")
+    (Drivershim.commits_speculated r.shim, Metrics.get_int r.counters Metrics.Net_blocking_rtts)
   in
   let spec1, rtts1 = run () in
   let _ = run () in
@@ -528,10 +528,10 @@ let drivershim_poll_offload_one_message () =
   let r = mk_rig ~config:cfg ~mode:Mode.Ours_mds () in
   Kbase.init r.drv;
   Drivershim.finalize r.shim;
-  check Alcotest.bool "polls offloaded" true (Counters.get_int r.counters "poll.offloaded" > 0);
+  check Alcotest.bool "polls offloaded" true (Metrics.get_int r.counters Metrics.Poll_offloaded > 0);
   check Alcotest.int "offloaded = instances"
-    (Counters.get_int r.counters "poll.instances")
-    (Counters.get_int r.counters "poll.offloaded")
+    (Metrics.get_int r.counters Metrics.Poll_instances)
+    (Metrics.get_int r.counters Metrics.Poll_offloaded)
 
 let drivershim_entries_replayable_order () =
   (* The log must put the job-start Mem_load before the START write. *)
@@ -554,6 +554,17 @@ let drivershim_entries_replayable_order () =
     | [] -> false
   in
   check Alcotest.bool "reset write precedes its poll" true (find_order entries)
+
+(* ---- Wire ---- *)
+
+let wire_site_key_memo_checks_triple () =
+  (* The memo hash folds fn and trigger with no separator, so these two
+     sites share a hash; each must still get its own key. *)
+  let k1 = Grt.Wire.site_key ~fn:"ab" ~trigger:"c" [] in
+  let k2 = Grt.Wire.site_key ~fn:"a" ~trigger:"bc" [] in
+  check Alcotest.bool "first key" true (String.starts_with ~prefix:"ab@c#" k1);
+  check Alcotest.bool "second key" true (String.starts_with ~prefix:"a@bc#" k2);
+  check Alcotest.string "first key again" k1 (Grt.Wire.site_key ~fn:"ab" ~trigger:"c" [])
 
 let () =
   Alcotest.run "grt_core"
@@ -597,4 +608,5 @@ let () =
           Alcotest.test_case "poll offload" `Quick drivershim_poll_offload_one_message;
           Alcotest.test_case "replayable entry order" `Quick drivershim_entries_replayable_order;
         ] );
+      ("wire", [ Alcotest.test_case "site-key memo checks the triple" `Quick wire_site_key_memo_checks_triple ]);
     ]

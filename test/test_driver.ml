@@ -12,16 +12,16 @@ module Sku = Grt_gpu.Sku
 module Shader = Grt_gpu.Shader
 module Job_desc = Grt_gpu.Job_desc
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 
 let check = Alcotest.check
 
 let make ?(sku = Sku.g71_mp8) ?(coherency_ace = true) () =
   let clock = Clock.create () in
-  let counters = Counters.create () in
+  let counters = Metrics.create () in
   let mem = Mem.create () in
   let dev = Device.create ~clock ~mem ~sku ~session_salt:7L () in
-  let b = Grt.Native.backend ~counters dev in
+  let b = Grt.Native.backend ~metrics:counters dev in
   let drv = Kbase.create ~backend:b ~mem ~coherency_ace in
   (drv, dev, mem, clock, counters)
 
@@ -159,10 +159,10 @@ let driver_register_traffic_profile () =
      Check the gross counts are in sane ranges. *)
   let drv, _, _, _, counters = make () in
   Kbase.init drv;
-  let reads = Counters.get_int counters "reg.reads" in
-  let writes = Counters.get_int counters "reg.writes" in
+  let reads = Metrics.get_int counters Metrics.Reg_reads in
+  let writes = Metrics.get_int counters Metrics.Reg_writes in
   check Alcotest.bool "init does >40 accesses" true (reads + writes > 40);
-  check Alcotest.bool "polls happened" true (Counters.get_int counters "poll.instances" > 0)
+  check Alcotest.bool "polls happened" true (Metrics.get_int counters Metrics.Poll_instances > 0)
 
 let driver_block_mapping () =
   let drv, _, mem, _, _ = make () in

@@ -16,7 +16,7 @@ module Sexpr = Grt_util.Sexpr
 module Profile = Grt_net.Profile
 module Link = Grt_net.Link
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 
 let check = Alcotest.check
 
@@ -67,22 +67,22 @@ let outage_recovery_bit_identical () =
    shader cores on, then offload-poll SHADER_READY until the domain comes
    up. The device answers the poll deterministically with 0xFF, so the
    site becomes history-confident after [spec_history_k] runs. *)
-type rig = { shim : Drivershim.t; counters : Counters.t; link : Link.t }
+type rig = { shim : Drivershim.t; counters : Metrics.t; link : Link.t }
 
 let mk_rig ?link ?counters ~history () =
-  let counters = match counters with Some c -> c | None -> Counters.create () in
+  let counters = match counters with Some c -> c | None -> Metrics.create () in
   let cfg = Mode.default_config Mode.Ours_mds in
   let clock, link =
     match link with
     | Some l -> (Link.clock l, l)
     | None ->
       let clock = Clock.create () in
-      (clock, Link.create ~clock ~counters Profile.wifi)
+      (clock, Link.create ~clock ~metrics:counters Profile.wifi)
   in
-  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~counters ~session_salt:4L ~cfg () in
+  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~metrics:counters ~session_salt:4L ~cfg () in
   Gpushim.isolate gpushim;
   let cloud_mem = Mem.create () in
-  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~counters ~history () in
+  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~metrics:counters ~history () in
   { shim; counters; link }
 
 let power_on_and_poll r =
@@ -109,9 +109,9 @@ let expect_speculated_poll ~msg history =
   | Backend.Poll_ok _ -> ()
   | Backend.Poll_timeout -> Alcotest.fail "poll timed out");
   check Alcotest.int (msg ^ ": no sync poll commit") 0
-    (Counters.get_int r.counters "commits.sync");
+    (Metrics.get_int r.counters Metrics.Commits_sync);
   check Alcotest.bool (msg ^ ": poll was speculated") true
-    (Counters.get_int r.counters "commits.speculated" >= 1)
+    (Metrics.get_int r.counters Metrics.Commits_speculated >= 1)
 
 let poll_fault_keeps_history_confident () =
   let history = Drivershim.fresh_history () in
@@ -126,9 +126,9 @@ let poll_fault_keeps_history_confident () =
   | exception e when is_mispredict e -> ()
   | _ -> Alcotest.fail "injected poll fault was not detected");
   check Alcotest.bool "fault hit a speculated poll" true
-    (Counters.get_int faulted.counters "spec.mispredicts" >= 1);
+    (Metrics.get_int faulted.counters Metrics.Spec_mispredicts >= 1);
   check Alcotest.int "the faulted poll was speculated, not sync" 0
-    (Counters.get_int faulted.counters "commits.sync");
+    (Metrics.get_int faulted.counters Metrics.Commits_sync);
   (* Regression: the history recorded the true observation, not the
      corrupted check value, so the very next run still speculates. With
      the old code the injected value entered the history, the site lost
@@ -162,7 +162,7 @@ let poll_timeout_sentinel_not_recorded () =
   | Backend.Poll_ok _ -> ()
   | Backend.Poll_timeout -> Alcotest.fail "recovery poll timed out");
   check Alcotest.int "after timeout: poll goes synchronous" 1
-    (Counters.get_int next.counters "commits.sync");
+    (Metrics.get_int next.counters Metrics.Commits_sync);
   warm_poll_site history;
   expect_speculated_poll ~msg:"re-warmed after the timeout" history
 
@@ -184,42 +184,42 @@ let trip_degraded link =
 
 let degraded_link_suppresses_speculation () =
   let clock = Clock.create () in
-  let link_counters = Counters.create () in
-  let link = Link.create ~clock ~counters:link_counters ~seed:7L Profile.wifi in
+  let link_counters = Metrics.create () in
+  let link = Link.create ~clock ~metrics:link_counters ~seed:7L Profile.wifi in
   trip_degraded link;
   (* Default config: degraded_mode = true, so commits go synchronous. *)
-  let counters = Counters.create () in
+  let counters = Metrics.create () in
   let r = mk_rig ~link ~counters ~history:(Drivershim.fresh_history ()) () in
   let b = Drivershim.backend r.shim in
   b.Backend.write_reg Regs.shader_pwron_lo (Sexpr.const 0xFFL);
   Drivershim.finalize r.shim;
   check Alcotest.bool "speculation suppressed while degraded" true
-    (Counters.get_int counters "spec.degraded_suppressed" >= 1);
+    (Metrics.get_int counters Metrics.Spec_degraded_suppressed >= 1);
   check Alcotest.int "no speculative commits while degraded" 0
-    (Counters.get_int counters "commits.speculated");
+    (Metrics.get_int counters Metrics.Commits_speculated);
   check Alcotest.bool "commits went synchronous" true
-    (Counters.get_int counters "commits.sync" >= 1);
+    (Metrics.get_int counters Metrics.Commits_sync >= 1);
   (* Opting out (degraded_mode = false) keeps speculating on the same
      degraded link. *)
   check Alcotest.bool "link still degraded" true (Link.health link = Link.Degraded);
-  let counters2 = Counters.create () in
+  let counters2 = Metrics.create () in
   let cfg = { (Mode.default_config Mode.Ours_mds) with Mode.degraded_mode = false } in
   let gpushim =
-    Gpushim.create ~clock:(Link.clock link) ~sku:Sku.g71_mp8 ~counters:counters2
+    Gpushim.create ~clock:(Link.clock link) ~sku:Sku.g71_mp8 ~metrics:counters2
       ~session_salt:4L ~cfg ()
   in
   Gpushim.isolate gpushim;
   let shim =
-    Drivershim.create ~cfg ~link ~gpushim ~cloud_mem:(Mem.create ()) ~counters:counters2
+    Drivershim.create ~cfg ~link ~gpushim ~cloud_mem:(Mem.create ()) ~metrics:counters2
       ~history:(Drivershim.fresh_history ()) ()
   in
   let b2 = Drivershim.backend shim in
   b2.Backend.write_reg Regs.shader_pwron_lo (Sexpr.const 0xFFL);
   Drivershim.finalize shim;
   check Alcotest.int "policy off: nothing suppressed" 0
-    (Counters.get_int counters2 "spec.degraded_suppressed");
+    (Metrics.get_int counters2 Metrics.Spec_degraded_suppressed);
   check Alcotest.bool "policy off: write-only commit still speculated" true
-    (Counters.get_int counters2 "commits.speculated" >= 1)
+    (Metrics.get_int counters2 Metrics.Commits_speculated >= 1)
 
 let () =
   Alcotest.run "faultlink"

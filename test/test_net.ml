@@ -6,7 +6,7 @@ module Profile = Grt_net.Profile
 module Link = Grt_net.Link
 module Frame = Grt_net.Frame
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 
 let check = Alcotest.check
 
@@ -48,45 +48,45 @@ let profile_ordering () =
 
 let make_link profile =
   let clock = Clock.create () in
-  let counters = Counters.create () in
-  (Link.create ~clock ~counters profile, clock, counters)
+  let counters = Metrics.create () in
+  (Link.create ~clock ~metrics:counters profile, clock, counters)
 
 let link_round_trip_blocks () =
   let link, clock, counters = make_link Profile.wifi in
   Link.round_trip link ~send_bytes:100 ~recv_bytes:100;
   check Alcotest.bool "clock advanced by ~rtt" true (Clock.now_s clock >= 0.020);
-  check Alcotest.int "one blocking rtt" 1 (Counters.get_int counters "net.blocking_rtts");
-  check Alcotest.int64 "tx counted" 100L (Counters.get counters "net.bytes_tx");
-  check Alcotest.int64 "rx counted" 100L (Counters.get counters "net.bytes_rx")
+  check Alcotest.int "one blocking rtt" 1 (Metrics.get_int counters Metrics.Net_blocking_rtts);
+  check Alcotest.int64 "tx counted" 100L (Metrics.get counters Metrics.Net_bytes_tx);
+  check Alcotest.int64 "rx counted" 100L (Metrics.get counters Metrics.Net_bytes_rx)
 
 let link_async_does_not_block () =
   let link, clock, counters = make_link Profile.wifi in
   let completion = Link.async_send link ~send_bytes:64 ~recv_bytes:64 in
   check Alcotest.int64 "clock unchanged" 0L (Clock.now_ns clock);
-  check Alcotest.int "no blocking rtt" 0 (Counters.get_int counters "net.blocking_rtts");
+  check Alcotest.int "no blocking rtt" 0 (Metrics.get_int counters Metrics.Net_blocking_rtts);
   check Alcotest.bool "completion in future" true (Int64.compare completion 0L > 0)
 
 let link_wait_until_counts_only_real_waits () =
   let link, clock, counters = make_link Profile.wifi in
   let completion = Link.async_send link ~send_bytes:64 ~recv_bytes:64 in
   Link.wait_until link completion;
-  check Alcotest.int "stalled once" 1 (Counters.get_int counters "net.stall_waits");
+  check Alcotest.int "stalled once" 1 (Metrics.get_int counters Metrics.Net_stall_waits);
   (* A stall is not a blocking round trip: the RTT was already charged by
      async_send's completion time. Counting both would double-report. *)
   check Alcotest.int "no blocking rtt for a stall" 0
-    (Counters.get_int counters "net.blocking_rtts");
+    (Metrics.get_int counters Metrics.Net_blocking_rtts);
   check Alcotest.int64 "clock at completion" completion (Clock.now_ns clock);
   (* Second wait on the same (past) deadline is free. *)
   Link.wait_until link completion;
-  check Alcotest.int "no extra stall" 1 (Counters.get_int counters "net.stall_waits");
-  check Alcotest.int "still no blocking rtt" 0 (Counters.get_int counters "net.blocking_rtts")
+  check Alcotest.int "no extra stall" 1 (Metrics.get_int counters Metrics.Net_stall_waits);
+  check Alcotest.int "still no blocking rtt" 0 (Metrics.get_int counters Metrics.Net_blocking_rtts)
 
 let link_accessors_match_counters () =
   let link, _, counters = make_link Profile.wifi in
   Link.round_trip link ~send_bytes:10 ~recv_bytes:10;
   Link.round_trip link ~send_bytes:10 ~recv_bytes:10;
   Link.wait_until link (Link.async_send link ~send_bytes:10 ~recv_bytes:10);
-  check Alcotest.int "blocking_rtts" (Counters.get_int counters "net.blocking_rtts")
+  check Alcotest.int "blocking_rtts" (Metrics.get_int counters Metrics.Net_blocking_rtts)
     (Link.blocking_rtts link);
   check Alcotest.int "blocking_rtts value" 2 (Link.blocking_rtts link);
   check Alcotest.int "stall_waits" 1 (Link.stall_waits link);
@@ -98,8 +98,8 @@ let link_one_ways () =
   let after_down = Clock.now_s clock in
   check Alcotest.bool "half rtt-ish" true (after_down >= 0.010);
   Link.one_way_from_client link ~bytes:500;
-  check Alcotest.int64 "down counted as tx" 1000L (Counters.get counters "net.bytes_tx");
-  check Alcotest.int64 "up counted as rx" 500L (Counters.get counters "net.bytes_rx")
+  check Alcotest.int64 "down counted as tx" 1000L (Metrics.get counters Metrics.Net_bytes_tx);
+  check Alcotest.int64 "up counted as rx" 500L (Metrics.get counters Metrics.Net_bytes_rx)
 
 let link_async_fifo_order () =
   let link, _, _ = make_link Profile.wifi in
@@ -119,8 +119,8 @@ let link_bandwidth_matters () =
 let make_lossy ?(seed = 11L) ?(drop = 0.3) ?dup ?corrupt ?jitter profile =
   let p = Profile.degrade ?dup_prob:dup ?corrupt_prob:corrupt ?jitter_s:jitter ~drop_prob:drop profile in
   let clock = Clock.create () in
-  let counters = Counters.create () in
-  (Link.create ~clock ~counters ~seed p, clock, counters)
+  let counters = Metrics.create () in
+  (Link.create ~clock ~metrics:counters ~seed p, clock, counters)
 
 let drive link n =
   for _ = 1 to n do
@@ -135,7 +135,7 @@ let link_lossy_retransmits () =
   done;
   drive link 50;
   check Alcotest.bool "retransmits happened" true (Link.retransmits link > 0);
-  check Alcotest.bool "drops counted" true (Counters.get_int counters "net.drops" > 0);
+  check Alcotest.bool "drops counted" true (Metrics.get_int counters Metrics.Net_drops > 0);
   check Alcotest.bool "loss costs time" true (Clock.now_s clock > Clock.now_s clean_clock)
 
 let link_lossy_deterministic () =
@@ -152,8 +152,8 @@ let link_corruption_counted_separately () =
   let link, _, counters = make_lossy ~drop:0.0 ~corrupt:0.4 Profile.wifi in
   drive link 50;
   check Alcotest.bool "corrupt drops counted" true
-    (Counters.get_int counters "net.corrupt_drops" > 0);
-  check Alcotest.int "no plain drops" 0 (Counters.get_int counters "net.drops")
+    (Metrics.get_int counters Metrics.Net_corrupt_drops > 0);
+  check Alcotest.int "no plain drops" 0 (Metrics.get_int counters Metrics.Net_drops)
 
 let link_dups_cost_nothing_but_counted () =
   let link, clock, counters = make_lossy ~drop:0.0 ~dup:0.5 Profile.wifi in
@@ -162,7 +162,7 @@ let link_dups_cost_nothing_but_counted () =
   for _ = 1 to 30 do
     Link.round_trip clean ~send_bytes:64 ~recv_bytes:64
   done;
-  check Alcotest.bool "dups counted" true (Counters.get_int counters "net.dups" > 0);
+  check Alcotest.bool "dups counted" true (Metrics.get_int counters Metrics.Net_dups > 0);
   check Alcotest.int "no retransmits from dups" 0 (Link.retransmits link);
   (* Duplicates are discarded by sequence number; they add no latency. *)
   check (Alcotest.float 1e-9) "same virtual time" (Clock.now_s clean_clock) (Clock.now_s clock)
@@ -178,7 +178,7 @@ let link_outage_raises_link_down () =
     check Alcotest.int "gave up after max attempts" Grt_sim.Costs.link_max_attempts attempts;
     check Alcotest.string "op" "round_trip" op);
   check Alcotest.bool "timeouts charged to the clock" true (Clock.now_s clock > before);
-  check Alcotest.int "link_down counted" 1 (Counters.get_int counters "net.link_downs");
+  check Alcotest.int "link_down counted" 1 (Metrics.get_int counters Metrics.Net_link_downs);
   check Alcotest.bool "retransmit attempts counted" true (Link.retransmits link > 0)
 
 let link_heavy_loss_eventually_down () =
@@ -195,12 +195,12 @@ let link_degraded_state_machine () =
   check Alcotest.bool "starts healthy" true (Link.health link = Link.Healthy);
   drive link 64;
   check Alcotest.bool "tripped degraded" true (Link.health link = Link.Degraded);
-  check Alcotest.bool "entry counted" true (Counters.get_int counters "net.degraded_entries" >= 1);
+  check Alcotest.bool "entry counted" true (Metrics.get_int counters Metrics.Net_degraded_entries >= 1);
   (* The channel clears up: hysteresis exits after a quiet stretch. *)
   Link.set_profile link Profile.wifi;
   drive link 128;
   check Alcotest.bool "recovered" true (Link.health link = Link.Healthy);
-  check Alcotest.bool "exit counted" true (Counters.get_int counters "net.degraded_exits" >= 1)
+  check Alcotest.bool "exit counted" true (Metrics.get_int counters Metrics.Net_degraded_exits >= 1)
 
 let link_jitter_keeps_fifo () =
   let link, _, _ = make_lossy ~seed:5L ~drop:0.2 ~jitter:0.080 Profile.wifi in
@@ -315,6 +315,85 @@ let frame_overhead_accurate () =
   let framed = Frame.seal Frame.Control (Bytes.create 10) in
   check Alcotest.int "overhead constant" Frame.overhead_bytes (Bytes.length framed - 10)
 
+(* Hostile frames: seeded from [seal] outputs, mutated by bit flips,
+   truncation, an inflated length field, a random kind byte or appended
+   bytes. [open_full] must answer without raising, allocate within a fixed
+   multiple of the input, and accept only exactly what [seal] produces. *)
+type frame_mutation = Intact | Flip of int * int | Truncate of int | Length of int | Kind of int | Append of string
+
+let show_mutation = function
+  | Intact -> "intact"
+  | Flip (i, b) -> Printf.sprintf "flip byte %d bit %d" i b
+  | Truncate n -> Printf.sprintf "truncate to %d" n
+  | Length l -> Printf.sprintf "length field %d" l
+  | Kind k -> Printf.sprintf "kind byte %d" k
+  | Append s -> Printf.sprintf "append %d bytes" (String.length s)
+
+let mutate frame = function
+  | Intact -> frame
+  | Flip (i, bit) ->
+    let b = Bytes.copy frame in
+    let i = i mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+    b
+  | Truncate n -> Bytes.sub frame 0 (n mod Bytes.length frame)
+  | Length l ->
+    (* magic (4) ∥ kind (1) ∥ seq (4) ∥ length (4, little-endian) *)
+    let b = Bytes.copy frame in
+    Bytes.set_int32_le b 9 (Int32.of_int l);
+    b
+  | Kind k ->
+    let b = Bytes.copy frame in
+    Bytes.set b 4 (Char.chr k);
+    b
+  | Append s -> Bytes.cat frame (Bytes.of_string s)
+
+let gen_hostile_frame =
+  let open QCheck2.Gen in
+  let kinds =
+    Frame.
+      [
+        Commit_request; Commit_response; Poll_offload; Poll_result; Mem_sync; Mem_sync_ack;
+        Irq_notify; Recording_download; Control; Ack; Nak;
+      ]
+  in
+  let* kind = oneofl kinds in
+  let* seq = int_bound 0x3FFFFFFF in
+  let* payload = string_size (int_bound 96) in
+  let* mutation =
+    oneof
+      [
+        return Intact;
+        map2 (fun i b -> Flip (i, b)) nat (int_bound 7);
+        map (fun n -> Truncate n) nat;
+        map (fun l -> Length l) (oneof [ int_bound 256; return 0xFFFFFFFF; int_bound 0x7FFFFFFF ]);
+        map (fun k -> Kind k) (int_bound 255);
+        map (fun s -> Append s) (string_size (int_range 1 16));
+      ]
+  in
+  return (Frame.seal ~seq kind (Bytes.of_string payload), mutation)
+
+let frame_open_full_hostile =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"open_full: typed result, bounded allocation, exact accepts"
+       ~print:(fun (frame, m) -> Printf.sprintf "%d-byte frame, %s" (Bytes.length frame) (show_mutation m))
+       gen_hostile_frame
+       (fun (frame, m) ->
+         let input = mutate frame m in
+         let before = Gc.allocated_bytes () in
+         let result =
+           match Frame.open_full input with
+           | r -> r
+           | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+         in
+         let allocated = Gc.allocated_bytes () -. before in
+         if allocated > 1024. +. (8. *. float_of_int (Bytes.length input)) then
+           QCheck2.Test.fail_reportf "allocated %.0f bytes for a %d-byte input" allocated
+             (Bytes.length input);
+         match result with
+         | Error _ -> m <> Intact
+         | Ok msg -> Bytes.equal (Frame.seal ~seq:msg.Frame.seq msg.Frame.kind msg.Frame.payload) input))
+
 let () =
   Alcotest.run "grt_net"
     [
@@ -361,5 +440,6 @@ let () =
           Alcotest.test_case "default seq is 0" `Quick frame_default_seq_zero;
           Alcotest.test_case "ack frame" `Quick frame_ack;
           Alcotest.test_case "corrupt seq detected" `Quick frame_corrupt_seq_detected;
+          frame_open_full_hostile;
         ] );
     ]

@@ -248,10 +248,10 @@ let observation_is_zero_cost () =
   check (Alcotest.float 0.0) "virtual delay identical" d.Grt.Orchestrate.total_s
     o.Grt.Orchestrate.total_s;
   check
-    Alcotest.(list (pair string int64))
+    Alcotest.(list (pair string int))
     "counters identical"
-    (Grt_sim.Counters.to_alist d.Grt.Orchestrate.counters)
-    (Grt_sim.Counters.to_alist o.Grt.Orchestrate.counters);
+    (Grt_sim.Metrics.to_alist d.Grt.Orchestrate.counters)
+    (Grt_sim.Metrics.to_alist o.Grt.Orchestrate.counters);
   check Alcotest.bool "default run carries no tracer" true (d.Grt.Orchestrate.tracer = None);
   check Alcotest.bool "default run carries no hists" true (d.Grt.Orchestrate.hists = None)
 

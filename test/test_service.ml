@@ -5,7 +5,6 @@
    order, waiters are served only after the recording they waited on, and
    every recorded blob is the direct recording of its key. *)
 
-module Counters = Grt_sim.Counters
 module Metrics = Grt_sim.Metrics
 module Tracer = Grt_sim.Tracer
 module Service = Grt.Service
@@ -114,7 +113,7 @@ let eviction_rerecord () =
       | Some b1, Some b2 ->
           check Alcotest.bool "re-record reproduces the evicted blob" true
             (Bytes.equal b1 b2);
-          let g r k = Counters.get_int r.Service.counters (Metrics.name k) in
+          let g r k = Metrics.get_int r.Service.counters k in
           check Alcotest.bool "cross-store hash refs on re-record" true
             (g a2 Metrics.Sync_cross_hits > 0);
           check Alcotest.bool "cross-epoch history hits on re-record" true
@@ -173,7 +172,7 @@ let normalized (r : Service.session_report) =
     outcome,
     r.Service.turnaround_s,
     r.Service.blob_bytes,
-    Counters.to_alist r.Service.counters )
+    Metrics.to_alist r.Service.counters )
 
 let print_fleet (cap, specs) =
   Printf.sprintf "capacity=%d\n%s" cap
@@ -530,14 +529,14 @@ let service_counter_view () =
   let specs = [ spec ~id:0 ~at_ms:0 (); spec ~id:1 ~at_ms:60_000 () ] in
   let reports, _ = Service.run svc specs in
   let c = Service.service_counters svc in
-  check Alcotest.int "svc.sessions" 2 (Counters.get_int c "svc.sessions");
-  check Alcotest.int "svc.recordings" 1 (Counters.get_int c "svc.recordings");
-  check Alcotest.int "svc.coalesced" 1 (Counters.get_int c "svc.coalesced");
+  check Alcotest.int "svc.sessions" 2 (Metrics.get_int c Metrics.Svc_sessions);
+  check Alcotest.int "svc.recordings" 1 (Metrics.get_int c Metrics.Svc_recordings);
+  check Alcotest.int "svc.coalesced" 1 (Metrics.get_int c Metrics.Svc_coalesced);
   let agg = Service.aggregate svc reports in
   check Alcotest.bool "aggregate includes sessions' counters" true
-    (Counters.get_int agg "net.blocking_rtts" > 0);
+    (Metrics.get_int agg Metrics.Net_blocking_rtts > 0);
   check Alcotest.int "aggregate includes svc counters" 2
-    (Counters.get_int agg "svc.sessions")
+    (Metrics.get_int agg Metrics.Svc_sessions)
 
 let () =
   Alcotest.run "service"

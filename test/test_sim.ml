@@ -3,6 +3,7 @@
 
 module Clock = Grt_sim.Clock
 module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 module Energy = Grt_sim.Energy
 module Trace = Grt_sim.Trace
 module Costs = Grt_sim.Costs
@@ -55,81 +56,168 @@ let clock_time_span () =
   check Alcotest.string "value" "done" v;
   check (Alcotest.float 1e-9) "span" 0.25 (Clock.span_s span)
 
-(* ---- Counters ---- *)
+(* ---- Counters: the Metrics store and the string-name shim ---- *)
 
 let counters_basic () =
-  let t = Counters.create () in
-  Counters.incr t "a";
-  Counters.add t "a" 4;
-  Counters.add64 t "b" 7L;
-  check Alcotest.int64 "a" 5L (Counters.get t "a");
-  check Alcotest.int64 "b" 7L (Counters.get t "b");
-  check Alcotest.int64 "missing is zero" 0L (Counters.get t "zzz");
-  check Alcotest.int "get_int" 5 (Counters.get_int t "a")
+  let t = Metrics.create () in
+  Metrics.incr t Metrics.Net_blocking_rtts;
+  Metrics.add t Metrics.Net_blocking_rtts 4;
+  check Alcotest.int "known name" 5 (Counters.get_int t "net.blocking_rtts");
+  check Alcotest.int "untouched key" 0 (Counters.get_int t "net.drops");
+  check Alcotest.int "unknown name reads zero" 0 (Counters.get_int t "no.such.counter")
 
 let counters_alist_sorted () =
-  let t = Counters.create () in
-  Counters.incr t "zeta";
-  Counters.incr t "alpha";
-  check (Alcotest.list Alcotest.string) "sorted keys" [ "alpha"; "zeta" ]
-    (List.map fst (Counters.to_alist t))
+  let t = Metrics.create () in
+  Metrics.incr t Metrics.Svc_sessions;
+  Metrics.add t Metrics.Net_drops 0;
+  Metrics.add64 t Metrics.Commits_total 7L;
+  check
+    Alcotest.(list (pair string int))
+    "touched keys, sorted by name"
+    [ ("commits.total", 7); ("net.drops", 0); ("svc.sessions", 1) ]
+    (Metrics.to_alist t)
 
 let counters_merge () =
-  let a = Counters.create () and b = Counters.create () in
-  Counters.add a "x" 2;
-  Counters.add b "x" 3;
-  Counters.add b "y" 1;
-  Counters.merge_into ~dst:a ~src:b;
-  check Alcotest.int64 "merged x" 5L (Counters.get a "x");
-  check Alcotest.int64 "merged y" 1L (Counters.get a "y")
+  let a = Metrics.create () and b = Metrics.create () in
+  Metrics.add a Metrics.Net_msgs 2;
+  Metrics.add b Metrics.Net_msgs 3;
+  Metrics.add b Metrics.Reg_reads 1;
+  Metrics.add b Metrics.Net_drops 0;
+  Metrics.merge_into ~dst:a ~src:b;
+  check
+    Alcotest.(list (pair string int))
+    "sums values, unions touched keys"
+    [ ("net.drops", 0); ("net.msgs", 5); ("reg.reads", 1) ]
+    (Metrics.to_alist a)
 
-let counters_reset () =
-  let t = Counters.create () in
-  Counters.incr t "a";
-  Counters.reset t;
-  check Alcotest.int64 "reset" 0L (Counters.get t "a")
+(* ---- Metrics ---- *)
 
-(* ---- Metrics (typed registry over Counters) ---- *)
+(* The string-keyed counter table the dense store replaced, kept as the
+   reference model: a cell is created on a name's first bump (by any
+   amount, 0 included), and only created cells are listed or printed. *)
+module Counters_model = struct
+  type t = (string, int64 ref) Hashtbl.t
 
-let metrics_write_through () =
-  let c = Counters.create () in
-  let m = Grt_sim.Metrics.of_counters c in
-  Grt_sim.Metrics.incr m Grt_sim.Metrics.Net_blocking_rtts;
-  Grt_sim.Metrics.add m Grt_sim.Metrics.Net_blocking_rtts 2;
-  Grt_sim.Metrics.add64 m Grt_sim.Metrics.Sync_down_wire_bytes 40L;
-  (* Typed writes land on the legacy counter names... *)
-  check Alcotest.int64 "legacy name sees typed writes" 3L (Counters.get c "net.blocking_rtts");
-  check Alcotest.int64 "bytes" 40L (Counters.get c "sync.down_wire_bytes");
-  (* ...and typed reads see stringly writes, because it is the same set. *)
-  Counters.add c "net.blocking_rtts" 1;
-  check Alcotest.int "typed read" 4 (Grt_sim.Metrics.get_int m Grt_sim.Metrics.Net_blocking_rtts);
-  check Alcotest.bool "same underlying set" true (Grt_sim.Metrics.to_counters m == c)
+  let create () : t = Hashtbl.create 64
+
+  let add64 t name v =
+    match Hashtbl.find_opt t name with
+    | Some c -> c := Int64.add !c v
+    | None -> Hashtbl.add t name (ref v)
+
+  let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0L
+
+  let to_alist t =
+    Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let merge_into ~dst ~src = List.iter (fun (k, v) -> add64 dst k v) (to_alist src)
+  let pp ppf t = List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %Ld@\n" k v) (to_alist t)
+end
+
+type op = Add of Metrics.key * int | Add64 of Metrics.key * int64 | Incr of Metrics.key
+
+let apply_op m model = function
+  | Add (k, v) ->
+    Metrics.add m k v;
+    Counters_model.add64 model (Metrics.name k) (Int64.of_int v)
+  | Add64 (k, v) ->
+    Metrics.add64 m k v;
+    Counters_model.add64 model (Metrics.name k) v
+  | Incr k ->
+    Metrics.incr m k;
+    Counters_model.add64 model (Metrics.name k) 1L
+
+let show_op = function
+  | Add (k, v) -> Printf.sprintf "add %s %d" (Metrics.name k) v
+  | Add64 (k, v) -> Printf.sprintf "add64 %s %Ld" (Metrics.name k) v
+  | Incr k -> Printf.sprintf "incr %s" (Metrics.name k)
+
+let gen_ops =
+  let open QCheck2.Gen in
+  (* A few hot keys make repeated bumps of one key likely. *)
+  let key = oneof [ oneofl Metrics.all; oneofl Metrics.[ Net_msgs; Reg_reads; Svc_sessions ] ] in
+  let value = oneof [ return 0; int_range (-1000) 1000; int_range 0 (1 lsl 40) ] in
+  let op =
+    oneof
+      [
+        map2 (fun k v -> Add (k, v)) key value;
+        map2 (fun k v -> Add64 (k, Int64.of_int v)) key value;
+        map (fun k -> Incr k) key;
+      ]
+  in
+  list_size (int_bound 60) op
+
+let model_alist model = List.map (fun (k, v) -> (k, Int64.to_int v)) (Counters_model.to_alist model)
+
+let agrees m model =
+  List.for_all (fun k -> Int64.equal (Metrics.get m k) (Counters_model.get model (Metrics.name k))) Metrics.all
+  && Metrics.to_alist m = model_alist model
+  && String.equal (Format.asprintf "%a" Metrics.pp m) (Format.asprintf "%a" Counters_model.pp model)
+
+let metrics_match_counters_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"store == string-keyed counter model"
+       ~print:(fun (xs, ys) ->
+         Printf.sprintf "dst: [%s]\nsrc: [%s]" (String.concat "; " (List.map show_op xs))
+           (String.concat "; " (List.map show_op ys)))
+       QCheck2.Gen.(pair gen_ops gen_ops)
+       (fun (xs, ys) ->
+         let run ops =
+           let m = Metrics.create () and model = Counters_model.create () in
+           List.iter (apply_op m model) ops;
+           (m, model)
+         in
+         let dst, dst_model = run xs and src, src_model = run ys in
+         let before = agrees dst dst_model && agrees src src_model in
+         Metrics.merge_into ~dst ~src;
+         Counters_model.merge_into ~dst:dst_model ~src:src_model;
+         before && agrees dst dst_model && agrees src src_model))
+
+let metrics_bump_allocates_nothing () =
+  let m = Metrics.create () in
+  let keys = Array.of_list Metrics.all in
+  let n = Array.length keys in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Metrics.add m keys.(i mod n) i
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words for 10k bumps" 0. words;
+  check Alcotest.int "bumps landed" (9_999 * 10_000 / 2)
+    (List.fold_left (fun acc k -> acc + Metrics.get_int m k) 0 Metrics.all)
 
 let metrics_names_roundtrip () =
   List.iter
     (fun key ->
-      match Grt_sim.Metrics.of_name (Grt_sim.Metrics.name key) with
+      match Metrics.of_name (Metrics.name key) with
       | Some k -> check Alcotest.bool "roundtrip" true (k = key)
-      | None -> Alcotest.failf "of_name failed for %s" (Grt_sim.Metrics.name key))
-    Grt_sim.Metrics.all;
-  check (Alcotest.option Alcotest.reject) "unknown name" None
-    (Grt_sim.Metrics.of_name "no.such.counter");
-  (* Legacy names must stay unique or two keys would alias one counter. *)
-  let names = List.map Grt_sim.Metrics.name Grt_sim.Metrics.all in
+      | None -> Alcotest.failf "of_name failed for %s" (Metrics.name key))
+    Metrics.all;
+  check (Alcotest.option Alcotest.reject) "unknown name" None (Metrics.of_name "no.such.counter");
+  (* Names must stay unique or two keys would share a report entry. *)
+  let names = List.map Metrics.name Metrics.all in
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
 let metrics_pp_matches_counters () =
-  (* The typed registry is a write-through view, so its dump must be the
-     counter dump, byte for byte. *)
-  let c = Counters.create () in
-  let m = Grt_sim.Metrics.of_counters c in
-  Grt_sim.Metrics.add m Grt_sim.Metrics.Net_blocking_rtts 7;
-  Grt_sim.Metrics.add64 m Grt_sim.Metrics.Sync_up_wire_bytes 1234L;
-  Counters.add c "custom.outside_typed_set" 5;
+  (* Dumps keep the string-keyed table's layout byte for byte, zero-valued
+     touched keys included. *)
+  let m = Metrics.create () and model = Counters_model.create () in
+  List.iter (apply_op m model)
+    Metrics.
+      [
+        Add (Net_blocking_rtts, 7);
+        Add64 (Sync_up_wire_bytes, 1234L);
+        Add (Net_drops, 0);
+        Incr Svc_promotions;
+        Add (Net_blocking_rtts, -2);
+      ];
   check Alcotest.string "pp byte-identical"
-    (Format.asprintf "%a" Counters.pp c)
-    (Format.asprintf "%a" Grt_sim.Metrics.pp m)
+    (Format.asprintf "%a" Counters_model.pp model)
+    (Format.asprintf "%a" Metrics.pp m);
+  check Alcotest.string "first line" (Printf.sprintf "%-40s 5\n" "net.blocking_rtts")
+    (List.hd (String.split_on_char '\n' (Format.asprintf "%a" Metrics.pp m)) ^ "\n")
 
 (* ---- Energy ---- *)
 
@@ -316,13 +404,13 @@ let () =
           Alcotest.test_case "basic" `Quick counters_basic;
           Alcotest.test_case "alist sorted" `Quick counters_alist_sorted;
           Alcotest.test_case "merge" `Quick counters_merge;
-          Alcotest.test_case "reset" `Quick counters_reset;
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "write-through bridge" `Quick metrics_write_through;
           Alcotest.test_case "name roundtrip" `Quick metrics_names_roundtrip;
           Alcotest.test_case "pp matches Counters.pp" `Quick metrics_pp_matches_counters;
+          Alcotest.test_case "bump allocates nothing" `Quick metrics_bump_allocates_nothing;
+          metrics_match_counters_model;
         ] );
       ( "energy",
         [

@@ -115,8 +115,8 @@ let worlds_duplicate_rejected () =
 
 let make_link () =
   let clock = Grt_sim.Clock.create () in
-  let counters = Grt_sim.Counters.create () in
-  (Link.create ~clock ~counters Profile.wifi, clock, counters)
+  let counters = Grt_sim.Metrics.create () in
+  (Link.create ~clock ~metrics:counters Profile.wifi, clock, counters)
 
 let channel_establish_and_exchange () =
   let link, clock, counters = make_link () in
@@ -127,7 +127,7 @@ let channel_establish_and_exchange () =
   | Error e -> Alcotest.fail e
   | Ok ch ->
     (* Handshake costs two round trips (§7.1). *)
-    check Alcotest.int "2 rtts" 2 (Grt_sim.Counters.get_int counters "net.blocking_rtts");
+    check Alcotest.int "2 rtts" 2 (Grt_sim.Metrics.get_int counters Grt_sim.Metrics.Net_blocking_rtts);
     check Alcotest.bool "clock advanced" true (Grt_sim.Clock.now_s clock >= 0.04);
     let msg = Channel.seal_message ch Frame.Commit_request (Bytes.of_string "batch") in
     (match Channel.open_message ch msg with

@@ -15,7 +15,7 @@
 module Profile = Grt_net.Profile
 module Link = Grt_net.Link
 module Clock = Grt_sim.Clock
-module Counters = Grt_sim.Counters
+module Metrics = Grt_sim.Metrics
 module Mode = Grt.Mode
 module O = Grt.Orchestrate
 
@@ -38,8 +38,8 @@ type op =
 
 let run_script ~window ~profile ~seed script =
   let clock = Clock.create () in
-  let counters = Counters.create () in
-  let link = Link.create ~clock ~counters ~seed ~window profile in
+  let counters = Metrics.create () in
+  let link = Link.create ~clock ~metrics:counters ~seed ~window profile in
   let pending = ref [] in
   List.map
     (fun op ->
@@ -126,8 +126,8 @@ let window_recording_equivalence =
 
 let make_link ?(window = 1) ?(seed = 11L) profile =
   let clock = Clock.create () in
-  let counters = Counters.create () in
-  (Link.create ~clock ~counters ~seed ~window profile, clock, counters)
+  let counters = Metrics.create () in
+  (Link.create ~clock ~metrics:counters ~seed ~window profile, clock, counters)
 
 let window_validates () =
   let clock = Clock.create () in
@@ -149,7 +149,7 @@ let window_stalls_when_full () =
   check Alcotest.int64 "no stall yet, clock untouched" 0L (Clock.now_ns clock);
   let _ = Link.async_send link ~send_bytes:64 ~recv_bytes:64 in
   check Alcotest.bool "third send stalled for a slot" true (Clock.now_ns clock > 0L);
-  check Alcotest.int "stall counted" 1 (Counters.get_int counters "net.window_stalls");
+  check Alcotest.int "stall counted" 1 (Metrics.get_int counters Metrics.Net_window_stalls);
   check Alcotest.int "oldest retired, new entry queued" 2 (Link.inflight link)
 
 let window_one_never_stalls () =
@@ -158,7 +158,7 @@ let window_one_never_stalls () =
     ignore (Link.async_send link ~send_bytes:64 ~recv_bytes:64)
   done;
   check Alcotest.int64 "legacy async never blocks" 0L (Clock.now_ns clock);
-  check Alcotest.int "no window stalls" 0 (Counters.get_int counters "net.window_stalls");
+  check Alcotest.int "no window stalls" 0 (Metrics.get_int counters Metrics.Net_window_stalls);
   check Alcotest.int "no pipe" 0 (Link.inflight link)
 
 let gbn_span_recharged () =
@@ -174,7 +174,7 @@ let gbn_span_recharged () =
   done;
   check Alcotest.bool "retransmits happened" true (Link.retransmits link > 0);
   check Alcotest.bool "go-back-N spans counted" true
-    (Counters.get_int counters "net.gbn_retransmits" > 0);
+    (Metrics.get_int counters Metrics.Net_gbn_retransmits > 0);
   (* Same traffic, same seed, stop-and-wait: identical retransmit count
      (same draws), no spans. *)
   let sw, _, sw_counters =
@@ -187,9 +187,9 @@ let gbn_span_recharged () =
   check Alcotest.int "same retransmit count as stop-and-wait" (Link.retransmits sw)
     (Link.retransmits link);
   check Alcotest.int "stop-and-wait has no spans" 0
-    (Counters.get_int sw_counters "net.gbn_retransmits");
+    (Metrics.get_int sw_counters Metrics.Net_gbn_retransmits);
   check Alcotest.bool "span bytes re-charged" true
-    (Counters.get sw_counters "net.bytes_tx" < Counters.get counters "net.bytes_tx")
+    (Metrics.get sw_counters Metrics.Net_bytes_tx < Metrics.get counters Metrics.Net_bytes_tx)
 
 let gbn_detects_faster_than_rto () =
   (* Pure blocking traffic on a lossy cellular channel: identical outcomes,
@@ -258,14 +258,14 @@ let pipelined_recording_faster_on_lossy_cellular () =
 
 let inflight_high_water_tracked_when_pipelined () =
   let windowed = record ~mode:Mode.Ours_mds ~window:4 ~max_inflight:4 ~drop:0. 42L in
-  let hw = Counters.get_int windowed.O.counters "spec.inflight_hw" in
+  let hw = Metrics.get_int windowed.O.counters Metrics.Spec_inflight_hw in
   check Alcotest.bool "high-water positive" true (hw > 0);
   check Alcotest.bool "high-water bounded by the cap" true (hw <= 4);
   (* Untracked on the default path, so default counter dumps stay
      byte-identical to the pre-window recorder. *)
   let default_run = record ~mode:Mode.Ours_mds ~window:1 ~max_inflight:0 ~drop:0. 42L in
   check Alcotest.int "not tracked by default" 0
-    (Counters.get_int default_run.O.counters "spec.inflight_hw")
+    (Metrics.get_int default_run.O.counters Metrics.Spec_inflight_hw)
 
 let window_one_counter_output_identical () =
   (* "window=1 runs byte-identical to pre-PR recordings AND counter output":
@@ -280,7 +280,7 @@ let window_one_counter_output_identical () =
       ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist ~seed:42L ()
   in
   check Alcotest.bytes "same blob" a.O.blob b.O.blob;
-  let dump o = Format.asprintf "%a" Counters.pp o.O.counters in
+  let dump o = Format.asprintf "%a" Metrics.pp o.O.counters in
   check Alcotest.string "same counter dump" (dump a) (dump b)
 
 let () =
