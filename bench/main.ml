@@ -7,6 +7,8 @@
      bench/main.exe fig7a|fig7b|table1|table2|fig8|fig9|stats|polling|rollback|ablation|faults|memsync|replay|fleet
      bench/main.exe bechamel        run the Bechamel micro-suite only
      bench/main.exe --json FILE [CMD]   additionally write the rows as JSON
+     bench/main.exe --enforce-ceiling speed|replay   fail on a row above its
+                                    checked-in minor-words ceiling
 *)
 
 module E = Grt.Experiments
@@ -32,8 +34,9 @@ let hr title =
    carries exactly the printed values. *)
 let json_rows : (string * Json.t) list ref = ref []
 
-(* Rows whose minor-words/access exceeded the checked-in ceiling under
-   --enforce-ceiling; the failure exit happens after the JSON dump. *)
+(* Speed and replay rows whose minor-word count exceeded the checked-in
+   ceiling under --enforce-ceiling; the failure exit happens after the JSON
+   dump. *)
 let ceiling_failures : string list ref = ref []
 
 (* Fleet checks that failed under --enforce-floor (pinned columns, hit
@@ -164,19 +167,30 @@ let faults () =
     rows;
   add_json "faults" E.fault_row_json rows
 
-let replay () =
+(* With [--enforce-ceiling] (the CI smoke) a row whose minor words per warm
+   replay exceed its checked-in ceiling fails the run. *)
+let replay ~enforce () =
   hr "Replay throughput: interpreted vs compiled (host replays/sec)";
-  Printf.printf "%-12s %8s %12s %12s %12s %9s %8s %8s %8s %8s\n" "NN" "entries" "interp(r/s)"
-    "cold(r/s)" "warm(r/s)" "speedup" "fused" "static" "dynamic" "bitexact";
+  Printf.printf "%-12s %8s %12s %12s %12s %9s %8s %8s %8s %8s %10s %9s %4s\n" "NN" "entries"
+    "interp(r/s)" "cold(r/s)" "warm(r/s)" "speedup" "fused" "static" "dynamic" "bitexact"
+    "words/warm" "ceiling" "ok";
   let rows = E.replay_bench ctx in
+  let failed = ref [] in
   List.iter
     (fun (r : E.replay_bench_row) ->
-      Printf.printf "%-12s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s\n" r.E.workload
-        r.E.entries r.E.interpreted_rps r.E.compiled_cold_rps r.E.compiled_warm_rps
+      let ceiling = E.replay_words_ceiling r.E.workload in
+      let ok = match ceiling with Some c -> r.E.warm_minor_words <= c | None -> true in
+      if not ok then failed := ("replay " ^ r.E.workload) :: !failed;
+      Printf.printf "%-12s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s %10.0f %9s %4s\n"
+        r.E.workload r.E.entries r.E.interpreted_rps r.E.compiled_cold_rps r.E.compiled_warm_rps
         r.E.warm_speedup r.E.fused_writes r.E.static_pages r.E.dynamic_loads
-        (if r.E.bit_identical then "yes" else "NO"))
+        (if r.E.bit_identical then "yes" else "NO")
+        r.E.warm_minor_words
+        (match ceiling with Some c -> Printf.sprintf "%.0f" c | None -> "-")
+        (if ok then "yes" else "NO"))
     rows;
-  add_json "replay" E.replay_bench_row_json rows
+  add_json "replay" E.replay_bench_row_json rows;
+  if enforce then ceiling_failures := !ceiling_failures @ List.rev !failed
 
 let memsync () =
   hr "Memsync fast-path sweep (synthetic 64-page Cmd region, 8 rounds)";
@@ -290,12 +304,9 @@ let speed ~enforce () =
         (if ok then "yes" else "NO"))
     rows;
   add_json "speed" E.speed_row_json rows;
-  match (enforce, !failed) with
-  | true, (_ :: _ as labels) ->
-    (* Defer the failure exit until after the JSON file is written, so the
-       CI artifact still carries the regressing rows. *)
-    ceiling_failures := List.rev labels
-  | _ -> ()
+  (* The failure exit waits until the JSON file is written, so the CI
+     artifact still carries the regressing rows. *)
+  if enforce then ceiling_failures := !ceiling_failures @ List.map (( ^ ) "speed ") (List.rev !failed)
 
 let ablation () =
   hr "Ablation of design knobs (MobileNet, WiFi)";
@@ -388,7 +399,7 @@ let all () =
   ablation ();
   faults ();
   memsync ();
-  replay ();
+  replay ~enforce:false ();
   fleet ~enforce:false ();
   speed ~enforce:false ();
   run_bechamel ()
@@ -426,7 +437,7 @@ let () =
   | "ablation" -> ablation ()
   | "faults" -> faults ()
   | "memsync" -> memsync ()
-  | "replay" -> replay ()
+  | "replay" -> replay ~enforce:!enforce_ceiling ()
   | "fleet" -> fleet ~enforce:!enforce_floor ()
   | "speed" -> speed ~enforce:!enforce_ceiling ()
   | "bechamel" -> run_bechamel ()
@@ -461,6 +472,6 @@ let () =
   match !ceiling_failures with
   | [] -> ()
   | labels ->
-    Printf.eprintf "speed: minor-words/access above checked-in ceiling: %s\n"
+    Printf.eprintf "minor words above checked-in ceiling: %s\n"
       (String.concat ", " labels);
     exit 1

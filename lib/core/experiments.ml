@@ -615,6 +615,7 @@ type replay_bench_row = {
   static_pages : int;
   dynamic_loads : int;
   bit_identical : bool;
+  warm_minor_words : float;
 }
 
 (* Replayer-machinery throughput: repeat [f] until at least [min_elapsed]
@@ -637,6 +638,24 @@ let host_rate ?(min_elapsed = 0.05) ~reps ~max_reps f =
     else float_of_int reps /. Float.max dt 1e-9
   in
   go reps
+
+(* Warm replays are deterministic, GPU work included (the kernel model runs
+   inside them), so minor words per warm replay are an exact count over a
+   few replays after the first. [replay_words_ceilings] pins one per row
+   about 8% above the measured value (BENCH_replay.json: MNIST 45.7k,
+   AlexNet 102.2k, MobileNet 184.4k, SqueezeNet 179.6k, ResNet12 179.6k,
+   VGG16 162.4k); a breach means a new allocation on the warm replay path. *)
+let replay_words_ceilings =
+  [
+    ("MNIST", 49_500.);
+    ("AlexNet", 111_000.);
+    ("MobileNet", 200_000.);
+    ("SqueezeNet", 195_000.);
+    ("ResNet12", 195_000.);
+    ("VGG16", 176_000.);
+  ]
+
+let replay_words_ceiling workload = List.assoc_opt workload replay_words_ceilings
 
 let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
   List.map
@@ -679,6 +698,13 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
           [ ctx.seed; 7L; 13L ]
       in
       ignore (compiled_warm ());
+      let warm_minor_words =
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 4 do
+          ignore (compiled_warm ())
+        done;
+        (Gc.minor_words () -. w0) /. 4.
+      in
       let interpreted_rps = host_rate ~reps:iters ~max_reps:iters (fun () -> ignore (interpreted ())) in
       let compiled_cold_rps =
         host_rate ~reps:iters ~max_reps:(iters * 8) (fun () -> ignore (compiled_cold ()))
@@ -698,6 +724,7 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
         static_pages = st.Replay_prog.static_pages;
         dynamic_loads = st.Replay_prog.dynamic_loads;
         bit_identical;
+        warm_minor_words;
       })
     nets
 
@@ -997,6 +1024,9 @@ let replay_bench_row_json (r : replay_bench_row) =
       ("static_pages", Json.int r.static_pages);
       ("dynamic_loads", Json.int r.dynamic_loads);
       ("bit_identical", Json.Bool r.bit_identical);
+      ("warm_minor_words", Json.float r.warm_minor_words);
+      ( "ceiling_warm_minor_words",
+        match replay_words_ceiling r.workload with Some c -> Json.float c | None -> Json.Null );
     ]
 
 let ablation_row_json (r : ablation_row) =

@@ -239,11 +239,18 @@ type replay_bench_row = {
   static_pages : int;
   dynamic_loads : int;
   bit_identical : bool;  (** compiled output == interpreted, several seeds *)
+  warm_minor_words : float;  (** minor-heap words per warm compiled replay *)
 }
 
 val replay_bench : ?nets:Grt_mlfw.Network.t list -> ?iters:int -> ctx -> replay_bench_row list
 (** Host-side replay throughput, interpreted vs compiled (cold and warm),
     plus the compiled-path correctness check (ROADMAP item 2). *)
+
+val replay_words_ceiling : string -> float option
+(** Checked-in ceiling on minor words per warm replay for one
+    {!replay_bench} row (workload name), if pinned. The count is
+    deterministic, so a row above its ceiling means a new allocation on the
+    warm replay path; the CI replay smoke fails on it. *)
 
 type speed_row = {
   speed_label : string;

@@ -28,6 +28,20 @@ type address_space = {
 
 type event = { deadline : int; action : unit -> unit }  (* deadline: unboxed ns *)
 
+(* Direct-mapped read and write TLBs for kernel streams. [used] lists the
+   slots filled since the chain started, so the chain-end reset touches
+   only those. A slot is listed when it is filled while both its tags are
+   invalid, and a listed slot keeps a valid tag until the chain ends, so no
+   slot is listed twice. *)
+type tlb = {
+  rtag : int array;
+  rpage : bytes array;
+  wtag : int array;
+  wpage : bytes array;
+  used : int array;
+  mutable n_used : int;
+}
+
 type t = {
   sku : Sku.t;
   mem : Mem.t;
@@ -60,6 +74,7 @@ type t = {
   mutable jobs_executed : int;
   mutable last_fault : string option;
   mutable resetting : bool;
+  mutable tlb : tlb option; (* kernel TLB (see [kernel_ctx]), made on the first chain *)
 }
 
 let sku t = t.sku
@@ -113,6 +128,7 @@ let create ?energy ~clock ~mem ~sku ~session_salt () =
     jobs_executed = 0;
     last_fault = None;
     resetting = false;
+    tlb = None;
   }
 
 let schedule t ~after_ns action =
@@ -277,9 +293,13 @@ let translate_or_fault t mmu ~as_idx ~va ~access =
     raise (Gpu_fault reason)
 
 (* Kernel streams: each operand gets a one-entry TLB over the live page
-   buffers (see Kernels), backed here by a per-chain direct-mapped software
-   TLB so a stream switching pages (a conv walking input channels) does not
-   redo the MMU walk for a page translated moments ago. Reads of pages never
+   buffers (see Kernels), backed here by a direct-mapped software TLB so a
+   stream switching pages (a conv walking input channels) does not redo the
+   MMU walk for a page translated moments ago. The TLB belongs to the
+   device and is allocated on its first chain; every chain starts with all
+   tags invalid, so no chain sees another's translations, and ends with the
+   page references dropped, so the device keeps no page alive between
+   chains (a [Mem.restore] may have replaced it). Reads of pages never
    materialized see a shared zero page without materializing them — that
    would perturb the memsync working set. A write miss that materializes a
    page displaces any read-side cache of the same VA so reads cannot keep
@@ -287,11 +307,44 @@ let translate_or_fault t mmu ~as_idx ~va ~access =
 let zero_page = Bytes.make Mem.page_size '\000'
 let tlb_size = 256
 
+let release_tlb t =
+  match t.tlb with
+  | None -> ()
+  | Some k ->
+    for u = 0 to k.n_used - 1 do
+      let i = k.used.(u) in
+      k.rtag.(i) <- -1;
+      k.rpage.(i) <- Bytes.empty;
+      k.wtag.(i) <- -1;
+      k.wpage.(i) <- Bytes.empty
+    done;
+    k.n_used <- 0
+
+let claim k idx =
+  if Array.unsafe_get k.rtag idx = -1 && Array.unsafe_get k.wtag idx = -1 then begin
+    k.used.(k.n_used) <- idx;
+    k.n_used <- k.n_used + 1
+  end
+
 let kernel_ctx t mmu ~as_idx =
-  let rtag = Array.make tlb_size (-1)
-  and rpage = Array.make tlb_size Bytes.empty
-  and wtag = Array.make tlb_size (-1)
-  and wpage = Array.make tlb_size Bytes.empty in
+  let k =
+    match t.tlb with
+    | Some k -> k
+    | None ->
+      let k =
+        {
+          rtag = Array.make tlb_size (-1);
+          rpage = Array.make tlb_size Bytes.empty;
+          wtag = Array.make tlb_size (-1);
+          wpage = Array.make tlb_size Bytes.empty;
+          used = Array.make tlb_size 0;
+          n_used = 0;
+        }
+      in
+      t.tlb <- Some k;
+      k
+  in
+  let rtag = k.rtag and rpage = k.rpage and wtag = k.wtag and wpage = k.wpage in
   let fill (s : Kernels.stream) va p =
     s.Kernels.sbase <- va land lnot 0xFFF;
     s.Kernels.spage <- p;
@@ -306,6 +359,7 @@ let kernel_ctx t mmu ~as_idx =
       let p =
         match Mem.page_ro t.mem (Mem.page_of_addr pa) with Some p -> p | None -> zero_page
       in
+      claim k idx;
       rtag.(idx) <- page;
       rpage.(idx) <- p;
       fill s va p
@@ -321,6 +375,7 @@ let kernel_ctx t mmu ~as_idx =
     else begin
       let pa = translate_or_fault t mmu ~as_idx ~va:(Int64.of_int va) ~access:`Write in
       let p = Mem.page_rw t.mem (Mem.page_of_addr pa) in
+      claim k idx;
       wtag.(idx) <- page;
       wpage.(idx) <- p;
       if rtag.(idx) = page && rpage.(idx) != p then rtag.(idx) <- -1;
@@ -370,6 +425,7 @@ let job_duration_ns t (d : Job_desc.t) =
 let start_job_chain t ~slot_idx =
   let host_t0 = Monotonic_clock.now () in
   Fun.protect ~finally:(fun () ->
+      release_tlb t;
       gpu_host_ns := Int64.add !gpu_host_ns (Int64.sub (Monotonic_clock.now ()) host_t0))
   @@ fun () ->
   let slot = t.slots.(slot_idx) in
@@ -423,18 +479,44 @@ let start_job_chain t ~slot_idx =
 
 (* ---- register file ---- *)
 
-let slot_reg r =
-  (* Decode a job-slot register offset into (slot, offset) if applicable. *)
-  if r >= 0x1800 && r < 0x1800 + (Regs.job_slot_count * 0x80) then
-    Some ((r - 0x1800) / 0x80, (r - 0x1800) mod 0x80)
-  else None
-
-let as_reg r =
-  if r >= 0x2400 && r < 0x2400 + (Regs.as_count * 0x40) then
-    Some ((r - 0x2400) / 0x40, (r - 0x2400) mod 0x40)
-  else None
+(* Job-slot registers sit in [js_lo, js_hi), 0x80 bytes per slot, and
+   address-space registers in [as_lo, as_hi), 0x40 bytes per space; the
+   decode is plain int arithmetic so an access allocates nothing. *)
+let js_lo = 0x1800
+let js_hi = js_lo + (Regs.job_slot_count * 0x80)
+let as_lo = 0x2400
+let as_hi = as_lo + (Regs.as_count * 0x40)
+let texture_features_first = Regs.texture_features 0
+let texture_features_last = Regs.texture_features 3
+let js_features_first = Regs.js_features 0
+let js_features_last = Regs.js_features 15
 
 let texture_features_value i = Int64.of_int (0x00FF_0000 lor i)
+
+let read_slot_reg t r =
+  let s = t.slots.((r - js_lo) lsr 7) in
+  match (r - js_lo) land 0x7F with
+  | 0x00 -> s.head
+  | 0x08 -> s.tail
+  | 0x10 -> s.affinity
+  | 0x18 -> s.config
+  | 0x24 -> s.status
+  | 0x40 -> s.head_next
+  | 0x50 -> s.affinity_next
+  | 0x58 -> s.config_next
+  | _ -> 0L
+
+let read_as_reg t r =
+  let a = t.spaces.((r - as_lo) lsr 6) in
+  match (r - as_lo) land 0x3F with
+  | 0x00 -> Int64.logand a.transtab 0xFFFF_FFFFL
+  | 0x04 -> Int64.shift_right_logical a.transtab 32
+  | 0x08 -> a.memattr
+  | 0x10 -> a.lockaddr
+  | 0x1C -> a.faultstatus
+  | 0x20 -> a.faultaddress
+  | 0x28 -> a.as_status
+  | _ -> 0L
 
 let read_reg t r =
   Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.mmio_access_ns;
@@ -456,10 +538,10 @@ let read_reg t r =
   else if r = Regs.thread_max_threads then Int64.of_int (256 * sku.Sku.shader_cores)
   else if r = Regs.thread_max_workgroup_size then 384L
   else if r = Regs.thread_features then 0x0400_0400L
-  else if r >= Regs.texture_features 0 && r <= Regs.texture_features 3 then
-    texture_features_value ((r - Regs.texture_features 0) / 4)
-  else if r >= Regs.js_features 0 && r <= Regs.js_features 15 then begin
-    let i = (r - Regs.js_features 0) / 4 in
+  else if r >= texture_features_first && r <= texture_features_last then
+    texture_features_value ((r - texture_features_first) / 4)
+  else if r >= js_features_first && r <= js_features_last then begin
+    let i = (r - js_features_first) / 4 in
     if i < Regs.job_slot_count then 0x20EL else 0L
   end
   else if r >= Regs.prfcnt_base_lo && r <= Regs.prfcnt_mmu_l2_en then
@@ -482,28 +564,48 @@ let read_reg t r =
   else if r = Regs.mmu_irq_rawstat then t.mmu_rawstat
   else if r = Regs.mmu_irq_mask then t.mmu_mask
   else if r = Regs.mmu_irq_status then Int64.logand t.mmu_rawstat t.mmu_mask
-  else
-    match slot_reg r with
-    | Some (i, 0x00) -> t.slots.(i).head
-    | Some (i, 0x08) -> t.slots.(i).tail
-    | Some (i, 0x10) -> t.slots.(i).affinity
-    | Some (i, 0x18) -> t.slots.(i).config
-    | Some (i, 0x24) -> t.slots.(i).status
-    | Some (i, 0x40) -> t.slots.(i).head_next
-    | Some (i, 0x50) -> t.slots.(i).affinity_next
-    | Some (i, 0x58) -> t.slots.(i).config_next
-    | Some (_, _) -> 0L
-    | None -> (
-      match as_reg r with
-      | Some (i, 0x00) -> Int64.logand t.spaces.(i).transtab 0xFFFF_FFFFL
-      | Some (i, 0x04) -> Int64.shift_right_logical t.spaces.(i).transtab 32
-      | Some (i, 0x08) -> t.spaces.(i).memattr
-      | Some (i, 0x10) -> t.spaces.(i).lockaddr
-      | Some (i, 0x1C) -> t.spaces.(i).faultstatus
-      | Some (i, 0x20) -> t.spaces.(i).faultaddress
-      | Some (i, 0x28) -> t.spaces.(i).as_status
-      | Some (_, _) -> 0L
-      | None -> 0L)
+  else if r >= js_lo && r < js_hi then read_slot_reg t r
+  else if r >= as_lo && r < as_hi then read_as_reg t r
+  else 0L
+
+let lo32 old v = Int64.logor (Int64.logand old 0xFFFF_FFFF_0000_0000L) v
+let hi32 old v = Int64.logor (Int64.logand old 0xFFFF_FFFFL) (Int64.shift_left v 32)
+
+let write_slot_reg t r v =
+  let i = (r - js_lo) lsr 7 in
+  let s = t.slots.(i) in
+  match (r - js_lo) land 0x7F with
+  | 0x00 -> s.head <- lo32 s.head v
+  | 0x04 -> s.head <- hi32 s.head v
+  | 0x08 -> s.tail <- v
+  | 0x10 -> s.affinity <- v
+  | 0x18 -> s.config <- v
+  | 0x20 -> if Int64.equal v Regs.js_cmd_start then start_job_chain t ~slot_idx:i
+  | 0x40 -> s.head_next <- lo32 s.head_next v
+  | 0x44 -> s.head_next <- hi32 s.head_next v
+  | 0x50 -> s.affinity_next <- v
+  | 0x58 -> s.config_next <- v
+  | 0x60 ->
+    (* The _NEXT interface: START latches the staged registers into the
+       active set and kicks the chain, as on real job managers. *)
+    if Int64.equal v Regs.js_cmd_start then begin
+      s.head <- s.head_next;
+      s.affinity <- s.affinity_next;
+      s.config <- s.config_next;
+      start_job_chain t ~slot_idx:i
+    end
+  | _ -> ()
+
+let write_as_reg t r v =
+  let i = (r - as_lo) lsr 6 in
+  let a = t.spaces.(i) in
+  match (r - as_lo) land 0x3F with
+  | 0x00 -> a.transtab <- lo32 a.transtab v
+  | 0x04 -> a.transtab <- hi32 a.transtab v
+  | 0x08 -> a.memattr <- v
+  | 0x10 -> a.lockaddr <- v
+  | 0x18 -> do_as_command t i v
+  | _ -> ()
 
 let write_reg t r v =
   Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.mmio_access_ns;
@@ -530,47 +632,8 @@ let write_reg t r v =
   else if r = Regs.job_irq_mask then t.job_mask <- v
   else if r = Regs.mmu_irq_clear then t.mmu_rawstat <- Int64.logand t.mmu_rawstat (Int64.lognot v)
   else if r = Regs.mmu_irq_mask then t.mmu_mask <- v
-  else
-    match slot_reg r with
-    | Some (i, 0x00) -> t.slots.(i).head <- Int64.logor (Int64.logand t.slots.(i).head 0xFFFF_FFFF_0000_0000L) v
-    | Some (i, 0x04) ->
-      t.slots.(i).head <-
-        Int64.logor (Int64.logand t.slots.(i).head 0xFFFF_FFFFL) (Int64.shift_left v 32)
-    | Some (i, 0x08) -> t.slots.(i).tail <- v
-    | Some (i, 0x10) -> t.slots.(i).affinity <- v
-    | Some (i, 0x18) -> t.slots.(i).config <- v
-    | Some (i, 0x20) -> if Int64.equal v Regs.js_cmd_start then start_job_chain t ~slot_idx:i
-    | Some (i, 0x40) ->
-      t.slots.(i).head_next <-
-        Int64.logor (Int64.logand t.slots.(i).head_next 0xFFFF_FFFF_0000_0000L) v
-    | Some (i, 0x44) ->
-      t.slots.(i).head_next <-
-        Int64.logor (Int64.logand t.slots.(i).head_next 0xFFFF_FFFFL) (Int64.shift_left v 32)
-    | Some (i, 0x50) -> t.slots.(i).affinity_next <- v
-    | Some (i, 0x58) -> t.slots.(i).config_next <- v
-    | Some (i, 0x60) ->
-      (* The _NEXT interface: START latches the staged registers into the
-         active set and kicks the chain, as on real job managers. *)
-      if Int64.equal v Regs.js_cmd_start then begin
-        let slot = t.slots.(i) in
-        slot.head <- slot.head_next;
-        slot.affinity <- slot.affinity_next;
-        slot.config <- slot.config_next;
-        start_job_chain t ~slot_idx:i
-      end
-    | Some (_, _) -> ()
-    | None -> (
-      match as_reg r with
-      | Some (i, 0x00) ->
-        t.spaces.(i).transtab <- Int64.logor (Int64.logand t.spaces.(i).transtab 0xFFFF_FFFF_0000_0000L) v
-      | Some (i, 0x04) ->
-        t.spaces.(i).transtab <-
-          Int64.logor (Int64.logand t.spaces.(i).transtab 0xFFFF_FFFFL) (Int64.shift_left v 32)
-      | Some (i, 0x08) -> t.spaces.(i).memattr <- v
-      | Some (i, 0x10) -> t.spaces.(i).lockaddr <- v
-      | Some (i, 0x18) -> do_as_command t i v
-      | Some (_, _) -> ()
-      | None -> ())
+  else if r >= js_lo && r < js_hi then write_slot_reg t r v
+  else if r >= as_lo && r < as_hi then write_as_reg t r v
 
 let irq_pending t =
   refresh t;

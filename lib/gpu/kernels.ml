@@ -193,6 +193,31 @@ let[@inline] stage_get (s : stream) va =
   note_page p;
   Int32.float_of_bits (get32_le p (va land 0xFFF))
 
+(* Decode [n] f32s from the buffer at [va] into [xs] from [dst]: each page
+   is resolved once through the stream and noted, then read in one loop. *)
+let stage_run (s : stream) xs ~dst ~va ~n =
+  let i = ref 0 in
+  while !i < n do
+    let a = va + (4 * !i) in
+    let page = a land lnot 0xFFF in
+    let p = if page = s.sbase then s.spage else s.smiss s a in
+    note_page p;
+    let off = a land 0xFFF in
+    let k = imin (n - !i) ((0x1000 - off) / 4) in
+    let d = dst + !i in
+    for j = 0 to k - 1 do
+      Float.Array.unsafe_set xs (d + j) (Int32.float_of_bits (get32_le p (off + (4 * j))))
+    done;
+    i := !i + k
+  done
+
+let all_flagged m lo n =
+  let i = ref 0 in
+  while !i < n && flagged m (lo + !i) do
+    incr i
+  done;
+  !i = n
+
 let staged_page p =
   let rec go i = i < st.n_pages && (Array.unsafe_get st.pages i == p || go (i + 1)) in
   go 0
@@ -265,30 +290,37 @@ let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
     Float.Array.unsafe_set xs (b_off + r)
       (if bb = 0 then 0.0 else stage_get ctx.c_bias (bb + (4 * (first_oc + r))))
   done;
+  (* Both sources are staged in ascending VA order, as one run per page
+     where the mask has no gaps and element by element where it has. *)
   let wb = Int64.to_int d.input2_va + (4 * first_oc * per_oc) in
-  for r = 0 to n_oc - 1 do
-    for ic = 0 to in_c - 1 do
-      for ky = 0 to kh - 1 do
-        if flagged m (krows + ky) then
-          for kx = 0 to kw - 1 do
-            if flagged m (kcols + kx) then begin
-              let wi = (((((r * in_c) + ic) * kh) + ky) * kw) + kx in
-              Float.Array.unsafe_set xs (w_off + wi) (stage_get ctx.c_in2 (wb + (4 * wi)))
-            end
-          done
+  if all_flagged m krows (kh + kw) then stage_run ctx.c_in2 xs ~dst:w_off ~va:wb ~n:(n_oc * per_oc)
+  else
+    for r = 0 to n_oc - 1 do
+      for ic = 0 to in_c - 1 do
+        for ky = 0 to kh - 1 do
+          if flagged m (krows + ky) then
+            for kx = 0 to kw - 1 do
+              if flagged m (kcols + kx) then begin
+                let wi = (((((r * in_c) + ic) * kh) + ky) * kw) + kx in
+                Float.Array.unsafe_set xs (w_off + wi) (stage_get ctx.c_in2 (wb + (4 * wi)))
+              end
+            done
+        done
       done
-    done
-  done;
+    done;
   let inb = Int64.to_int d.input_va in
+  let whole_rows = all_flagged m cols in_w in
   for ic = 0 to in_c - 1 do
     for iy = 0 to in_h - 1 do
-      if flagged m iy then
-        for ix = 0 to in_w - 1 do
-          if flagged m (cols + ix) then begin
-            let i = (((ic * in_h) + iy) * in_w) + ix in
-            Float.Array.unsafe_set xs i (stage_get ctx.c_in (inb + (4 * i)))
-          end
-        done
+      if flagged m iy then begin
+        let row = ((ic * in_h) + iy) * in_w in
+        if whole_rows then stage_run ctx.c_in xs ~dst:row ~va:(inb + (4 * row)) ~n:in_w
+        else
+          for ix = 0 to in_w - 1 do
+            if flagged m (cols + ix) then
+              Float.Array.unsafe_set xs (row + ix) (stage_get ctx.c_in (inb + (4 * (row + ix))))
+          done
+      end
     done
   done;
   let out_plane = p.out_h * p.out_w in
@@ -304,7 +336,13 @@ let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
   clear_pages ();
   !apart
 
-(* The per-element loop's float operations, over the staged scratch. *)
+let[@inline] relu_if relu v = if relu && v < 0.0 then 0.0 else v
+
+(* The per-element loop's float operations, over the staged scratch.
+   Interior columns [[ox_lo, ox_hi]], where every kernel column is valid,
+   run in blocks of four adjacent outputs: one weight load feeds four
+   accumulators, and each still adds its own products in the loop's order.
+   Border columns and a block's remainder run one output at a time. *)
 let conv2d_staged ctx (d : Job_desc.t) ~first_oc ~n_oc =
   let p = d.params in
   let in_c = p.in_c and in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
@@ -312,29 +350,57 @@ let conv2d_staged ctx (d : Job_desc.t) ~first_oc ~n_oc =
   let plane = in_h * in_w and per_oc = in_c * kh * kw in
   let w_off = in_c * plane in
   let b_off = w_off + (n_oc * per_oc) in
-  let xs = st.xs and ob = Int64.to_int d.output_va in
+  let xs = st.xs and ob = Int64.to_int d.output_va and relu = p.relu in
+  let ox_lo = (pad + s - 1) / s in
+  let ox_hi = if in_w + pad < kw then -1 else imin (out_w - 1) ((in_w + pad - kw) / s) in
   for r = 0 to n_oc - 1 do
     let oc = first_oc + r in
     let bias = Float.Array.unsafe_get xs (b_off + r) in
     let w_oc = w_off + (r * per_oc) in
     for oy = 0 to out_h - 1 do
       let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin kh (in_h + pad - (oy * s)) in
-      for ox = 0 to out_w - 1 do
-        let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin kw (in_w + pad - (ox * s)) in
-        (* index of input (0, oy*s - pad, ox*s - pad), maybe in the padding *)
-        let x0 = ((((oy * s) - pad) * in_w) + (ox * s)) - pad in
-        let acc = ref bias in
-        for ic = 0 to in_c - 1 do
-          for ky = ky0 to ky1 - 1 do
-            let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
-            for kx = kx0 to kx1 - 1 do
-              acc :=
-                !acc +. (Float.Array.unsafe_get xs (xrow + kx) *. Float.Array.unsafe_get xs (wrow + kx))
+      let ox = ref 0 in
+      while !ox < out_w do
+        let ox0 = !ox in
+        (* index of input (0, oy*s - pad, ox0*s - pad), maybe in the padding *)
+        let x0 = ((((oy * s) - pad) * in_w) + (ox0 * s)) - pad in
+        if ox0 >= ox_lo && ox0 + 3 <= ox_hi then begin
+          let a0 = ref bias and a1 = ref bias and a2 = ref bias and a3 = ref bias in
+          for ic = 0 to in_c - 1 do
+            for ky = ky0 to ky1 - 1 do
+              let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
+              for kx = 0 to kw - 1 do
+                let w = Float.Array.unsafe_get xs (wrow + kx) and x = xrow + kx in
+                a0 := !a0 +. (Float.Array.unsafe_get xs x *. w);
+                a1 := !a1 +. (Float.Array.unsafe_get xs (x + s) *. w);
+                a2 := !a2 +. (Float.Array.unsafe_get xs (x + (2 * s)) *. w);
+                a3 := !a3 +. (Float.Array.unsafe_get xs (x + (3 * s)) *. w)
+              done
             done
-          done
-        done;
-        let v = if p.relu && !acc < 0.0 then 0.0 else !acc in
-        setf ctx.c_out (ob + (4 * ((((oc * out_h) + oy) * out_w) + ox))) v
+          done;
+          let o = ob + (4 * ((((oc * out_h) + oy) * out_w) + ox0)) in
+          setf ctx.c_out o (relu_if relu !a0);
+          setf ctx.c_out (o + 4) (relu_if relu !a1);
+          setf ctx.c_out (o + 8) (relu_if relu !a2);
+          setf ctx.c_out (o + 12) (relu_if relu !a3);
+          ox := ox0 + 4
+        end
+        else begin
+          let kx0 = imax 0 (pad - (ox0 * s)) and kx1 = imin kw (in_w + pad - (ox0 * s)) in
+          let acc = ref bias in
+          for ic = 0 to in_c - 1 do
+            for ky = ky0 to ky1 - 1 do
+              let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
+              for kx = kx0 to kx1 - 1 do
+                acc :=
+                  !acc
+                  +. (Float.Array.unsafe_get xs (xrow + kx) *. Float.Array.unsafe_get xs (wrow + kx))
+              done
+            done
+          done;
+          setf ctx.c_out (ob + (4 * ((((oc * out_h) + oy) * out_w) + ox0))) (relu_if relu !acc);
+          ox := ox0 + 1
+        end
       done
     done
   done

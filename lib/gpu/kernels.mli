@@ -17,8 +17,17 @@
     input rows and columns and the kernel taps the loop reads, nothing else
     — into a grow-only float scratch, and runs the multiply-adds there in
     the loop's order, with each output position's valid tap range computed
-    once. Outputs are bit-identical, and three rules keep the job
-    indistinguishable from the loop at the streams:
+    once. Where the read set has no gaps, staging decodes it in runs: the
+    whole weight block when every kernel row and column is read, and each
+    read input row when every input column is; each page of a run is
+    resolved once and decoded in one loop. The interior columns of an
+    output row, where all [kw] kernel columns are valid, are computed in
+    blocks of four adjacent outputs that share each weight load; each
+    output keeps its own accumulator and adds its products in the loop's
+    order, and outputs are written in ascending column order. Border
+    columns and a row's remainder run one output at a time. Outputs are
+    bit-identical, and three rules keep the job indistinguishable from the
+    loop at the streams:
     - staging resolves exactly the pages the loop reads, then the output
       pages in write order (translation has no side effects), though not in
       the loop's order;

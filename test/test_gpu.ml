@@ -633,19 +633,28 @@ let print_kcase c =
 let gen_kcase ~mock =
   let open QCheck2.Gen in
   let* op = oneofl [ Shader.Conv2d; Shader.Conv2d; Shader.Conv2d; Shader.Depthwise; Shader.Maxpool ] in
-  (* Wide rows put whole pages between read rows, so a staged read outside
-     the reference's read set shows as an extra page resolved. *)
-  let* wide = frequency [ (4, return false); (1, return true) ] in
-  let* in_c = int_range 1 (if wide then 2 else 4) in
-  let* in_h = int_range 1 (if wide then 5 else 9) in
-  let* in_w = if wide then int_range 2048 2600 else int_range 1 9 in
-  let* kh = int_range 1 (if wide then 2 else 5) in
-  let* kw = int_range 1 (if wide then 2 else 5) in
-  let* stride = int_range 1 6 in
+  (* Narrow rows (some with [in_w < stride]) leave gaps in the staging
+     masks. Wide rows put whole pages between read rows, so a staged read
+     outside the reference's read set shows as an extra page resolved. Long
+     rows at stride 1-2 give the staged conv blocks of four interior
+     columns, remainders, outputs narrower than four and rows with no
+     interior column. *)
+  let* shape = frequency [ (4, return `Narrow); (1, return `Wide); (2, return `Long) ] in
+  let* in_c = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 4) in
+  let* in_h = int_range 1 (match shape with `Wide -> 5 | `Narrow -> 9 | `Long -> 6) in
+  let* in_w =
+    match shape with `Wide -> int_range 2048 2600 | `Narrow -> int_range 1 9 | `Long -> int_range 8 40
+  in
+  let* kh = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
+  let* kw = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
+  let* stride = int_range 1 (match shape with `Long -> 2 | `Narrow | `Wide -> 6) in
   let* pad = int_range 0 3 in
   let out_h = ((in_h + (2 * pad) - kh) / stride) + 1
   and out_w = ((in_w + (2 * pad) - kw) / stride) + 1 in
-  let* out_c = if op = Shader.Conv2d then int_range 1 6 else return in_c in
+  let* out_c =
+    if op = Shader.Conv2d then int_range 1 (match shape with `Long -> 8 | `Narrow | `Wide -> 6)
+    else return in_c
+  in
   let* part_count = int_range 1 (out_c + 1) in
   let* part_idx = int_range 0 (part_count - 1) in
   let* relu = bool in
@@ -993,6 +1002,136 @@ let device_job_needs_power () =
   check Alcotest.bool "fail bit without power" true
     (Int64.logand (Device.read_reg dev Regs.job_irq_rawstat) 0x1_0000L <> 0L)
 
+(* The kernel TLB lives as long as the device, but no chain may see an
+   earlier chain's translation: after a remap (and an AS flush) the same
+   VAs must read and write the new pages. Input and output sit on pages of
+   different TLB slots, so a stale read or write entry both show. *)
+let device_tlb_per_chain () =
+  let dev, clock, mem, desc_va, data_pa, desc_pa = setup_job () in
+  let mmu =
+    let root =
+      Int64.logor
+        (Device.read_reg dev (Regs.as_transtab_lo 0))
+        (Int64.shift_left (Device.read_reg dev (Regs.as_transtab_hi 0)) 32)
+    in
+    Mmu.of_root mem ~fmt:Sku.g71_mp8.Sku.pt_format ~root
+  in
+  let in_va = 0x20_0000L and out_va = 0x40_1000L in
+  let out_pa = Mem.alloc_pages mem 1 in
+  Mmu.map_page mmu ~va:out_va ~pa:out_pa ~flags:Mmu.rw_data;
+  (match Job_desc.read mem ~pa:desc_pa with
+  | Ok d -> Job_desc.write mem ~pa:desc_pa { d with Job_desc.output_va = out_va }
+  | Error e -> Alcotest.fail e);
+  let run () =
+    Device.write_reg dev Regs.job_irq_clear 0xFFFF_FFFFL;
+    submit dev desc_va;
+    match Device.wait_for_irq dev ~timeout_ns:1_000_000_000L with
+    | Some Device.Job_irq ->
+      check Alcotest.int64 "slot status done" Regs.js_status_done (Device.read_reg dev (Regs.js_status 0))
+    | _ -> Alcotest.fail "no job irq"
+  in
+  let floats pa = List.init 4 (fun i -> Mem.read_f32 mem (Int64.add pa (Int64.of_int (4 * i)))) in
+  let check_floats what want pa = check (Alcotest.list (Alcotest.float 0.0)) what want (floats pa) in
+  run ();
+  check_floats "first chain" [ 0.0; 2.0; 0.0; 4.0 ] out_pa;
+  let in_pa' = Mem.alloc_pages mem 1 and out_pa' = Mem.alloc_pages mem 1 in
+  List.iteri
+    (fun i v -> Mem.write_f32 mem (Int64.add in_pa' (Int64.of_int (4 * i))) v)
+    [ 5.0; -6.0; 7.0; -8.0 ];
+  Mmu.map_page mmu ~va:in_va ~pa:in_pa' ~flags:Mmu.rw_data;
+  Mmu.map_page mmu ~va:out_va ~pa:out_pa' ~flags:Mmu.rw_data;
+  Device.write_reg dev (Regs.as_command 0) Regs.as_cmd_flush_pt;
+  Clock.advance_ns clock 1_000_000L;
+  run ();
+  check_floats "second chain reads and writes the new pages" [ 5.0; 0.0; 7.0; 0.0 ] out_pa';
+  check_floats "old output page untouched" [ 0.0; 2.0; 0.0; 4.0 ] out_pa;
+  check_floats "old input page untouched" [ -1.0; 2.0; -3.0; 4.0 ] data_pa
+
+(* The job-slot and AS register windows, written out as a table: the field
+   a read at each offset returns and the field (and half) a write sets.
+   Every offset in both windows and eight bytes either side is written in
+   turn, and after each write every one must read back as the table says
+   (zero outside the windows). Command
+   offsets get values that are no command, so nothing starts. *)
+type half = All | Lo | Hi
+
+let slot_reads =
+  [ (0x00, "head"); (0x08, "tail"); (0x10, "affinity"); (0x18, "config"); (0x24, "status");
+    (0x40, "head_next"); (0x50, "affinity_next"); (0x58, "config_next") ]
+
+let slot_writes =
+  [ (0x00, ("head", Lo)); (0x04, ("head", Hi)); (0x08, ("tail", All)); (0x10, ("affinity", All));
+    (0x18, ("config", All)); (0x40, ("head_next", Lo)); (0x44, ("head_next", Hi));
+    (0x50, ("affinity_next", All)); (0x58, ("config_next", All)) ]
+
+let as_reads =
+  [ (0x00, ("transtab", Lo)); (0x04, ("transtab", Hi)); (0x08, ("memattr", All));
+    (0x10, ("lockaddr", All)); (0x1C, ("faultstatus", All)); (0x20, ("faultaddress", All));
+    (0x28, ("as_status", All)) ]
+
+let as_writes =
+  [ (0x00, ("transtab", Lo)); (0x04, ("transtab", Hi)); (0x08, ("memattr", All));
+    (0x10, ("lockaddr", All)) ]
+
+let device_window_decode () =
+  let dev, _, _ = fresh_device () in
+  let model = Hashtbl.create 64 in
+  let field key = Option.value ~default:0L (Hashtbl.find_opt model key) in
+  for i = 0 to Regs.job_slot_count - 1 do
+    Hashtbl.replace model (`Js i, "status") Regs.js_status_idle
+  done;
+  let window r =
+    if r >= 0x1800 && r < 0x1800 + (Regs.job_slot_count * 0x80) then
+      Some (`Js ((r - 0x1800) / 0x80), (r - 0x1800) mod 0x80)
+    else if r >= 0x2400 && r < 0x2400 + (Regs.as_count * 0x40) then
+      Some (`As ((r - 0x2400) / 0x40), (r - 0x2400) mod 0x40)
+    else None
+  in
+  let expect r =
+    match window r with
+    | Some ((`Js _ as b), off) -> (
+      match List.assoc_opt off slot_reads with Some f -> field (b, f) | None -> 0L)
+    | Some ((`As _ as b), off) -> (
+      match List.assoc_opt off as_reads with
+      | Some (f, Lo) -> Int64.logand (field (b, f)) 0xFFFF_FFFFL
+      | Some (f, Hi) -> Int64.shift_right_logical (field (b, f)) 32
+      | Some (f, All) -> field (b, f)
+      | None -> 0L)
+    | None -> 0L
+  in
+  let apply r v =
+    let set (b, f, half) =
+      let old = field (b, f) in
+      Hashtbl.replace model (b, f)
+        (match half with
+        | All -> v
+        | Lo -> Int64.logor (Int64.logand old 0xFFFF_FFFF_0000_0000L) v
+        | Hi -> Int64.logor (Int64.logand old 0xFFFF_FFFFL) (Int64.shift_left v 32))
+    in
+    match window r with
+    | Some ((`Js _ as b), off) -> Option.iter (fun (f, h) -> set (b, f, h)) (List.assoc_opt off slot_writes)
+    | Some ((`As _ as b), off) -> Option.iter (fun (f, h) -> set (b, f, h)) (List.assoc_opt off as_writes)
+    | None -> ()
+  in
+  let offsets =
+    List.concat_map
+      (fun (lo, n) -> List.init (n + 16) (fun k -> lo - 8 + k))
+      [ (0x1800, Regs.job_slot_count * 0x80); (0x2400, Regs.as_count * 0x40) ]
+  in
+  List.iter
+    (fun r ->
+      (* never 0..5, so no slot START and no AS command *)
+      let v = Int64.logor (Int64.mul (Int64.of_int (r + 1)) 0x9E37_79B9_7F4A_7C15L) 0x100L in
+      Device.write_reg dev r v;
+      apply r v;
+      List.iter
+        (fun r' ->
+          let got = Device.read_reg dev r' and want = expect r' in
+          if not (Int64.equal got want) then
+            Alcotest.failf "after writing %Lx at %x: read %x gave %Lx, want %Lx" v r r' got want)
+        offsets)
+    offsets
+
 let device_wait_timeout () =
   let dev, _, _ = fresh_device () in
   check Alcotest.bool "timeout returns None" true
@@ -1078,5 +1217,7 @@ let () =
           Alcotest.test_case "faults on unmapped chain" `Quick device_faults_on_unmapped_chain;
           Alcotest.test_case "job needs power" `Quick device_job_needs_power;
           Alcotest.test_case "wait timeout" `Quick device_wait_timeout;
+          Alcotest.test_case "kernel TLB per chain" `Quick device_tlb_per_chain;
+          Alcotest.test_case "slot and AS window decode" `Quick device_window_decode;
         ] );
     ]
