@@ -181,18 +181,7 @@ let upload_meta t =
 let load_pages t payload =
   require_isolation t;
   count t Metrics.Client_downloads;
-  Memsync.apply t.uplink t.mem payload;
-  (* The cloud now knows these contents; don't echo them back on upload. *)
-  List.iter
-    (fun (pfn, data) -> Memsync.note_peer_page t.uplink pfn data)
-    (Memsync.pages payload)
-
-let load_records t records =
-  require_isolation t;
-  count t Metrics.Client_downloads;
-  let pages = Memsync.apply_records t.uplink t.mem records in
-  List.iter (fun (pfn, data) -> Memsync.note_peer_page t.uplink pfn data) pages;
-  pages
+  Memsync.receive t.uplink t.mem payload
 
 (* Cold power cycle between replay sessions that share one shim: pristine
    registers plus a clean dirty-page ledger, so the next session's cache

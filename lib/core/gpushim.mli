@@ -71,14 +71,10 @@ val upload_meta : t -> Memsync.sync_payload
 (** Client→cloud dump: metastate pages changed since the last exchange
     (e.g. job statuses the GPU wrote). *)
 
-val load_pages : t -> Memsync.sync_payload -> unit
-(** Install a cloud→client dump into client memory (tagged payloads are
-    decoded through the uplink's receiver store). *)
-
-val load_records : t -> (int64 * Memsync.encoding * bytes) list -> (int64 * bytes) list
-(** Install a logged [Mem_load_enc] entry (validated-prefix replay):
-    decode against client memory and the receiver store, returning the
-    full installed contents. *)
+val load_pages : t -> Memsync.sync_payload -> (int64 * bytes) list
+(** Install a cloud→client dump — live, or a logged entry replayed during
+    recovery — into client memory through the uplink's receiver side
+    ({!Memsync.receive}); returns the installed pages. *)
 
 val power_cycle : t -> unit
 (** Cold power cycle (pristine register file, clean dirty ledger), for

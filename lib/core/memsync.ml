@@ -50,7 +50,8 @@ let encoding_name = function
 let hash_page b = Grt_util.Hashing.fnv1a_bytes b
 
 (* Content-addressed page store: hash of a full page body -> the body.
-   Collisions are guarded at the lookup sites with [Bytes.equal]. *)
+   Collisions are guarded at the lookup sites with [Bytes.equal]. Bodies are
+   shared, not copied: none is ever mutated (see memsync.mli). *)
 module Store = struct
   type s = (int64, bytes) Hashtbl.t
 
@@ -58,7 +59,7 @@ module Store = struct
 
   (* [h] must be [hash_page data]: lets a sender that already hashed the
      page for its lookups insert it without hashing it again. *)
-  let learn_hashed (s : s) h data = Hashtbl.replace s h (Bytes.copy data)
+  let learn_hashed (s : s) h data = Hashtbl.replace s h data
   let learn s data = learn_hashed s (hash_page data) data
   let find (s : s) h = Hashtbl.find_opt s h
 end
@@ -331,7 +332,7 @@ let meta_pfns t mem =
 
 type page_record = {
   pfn : int64;
-  data : bytes;  (* full page contents *)
+  data : bytes;  (* full page contents; [Bytes.empty] in a logged tagged record *)
   enc : encoding;
   body : bytes;  (* wire form of the contents under [enc] *)
   wire : int;  (* bytes charged to the link for this record, header included *)
@@ -354,18 +355,20 @@ type sync_payload = {
 let pages p = List.map (fun r -> (r.pfn, r.data)) p.records
 let wire_records p = List.map (fun r -> (r.pfn, r.enc, r.body)) p.records
 
+let logged ~tagged records =
+  { records; tagged; wire_bytes = 0; raw_bytes = 0; visited = 0; total = 0 }
+
 let payload_of_pages pgs =
-  {
-    records =
-      List.map
-        (fun (pfn, data) -> { pfn; data; enc = Enc_raw; body = data; wire = 0; cross = false })
-        pgs;
-    tagged = false;
-    wire_bytes = 0;
-    raw_bytes = 0;
-    visited = 0;
-    total = 0;
-  }
+  logged ~tagged:false
+    (List.map
+       (fun (pfn, data) -> { pfn; data; enc = Enc_raw; body = data; wire = 0; cross = false })
+       pgs)
+
+let payload_of_records records =
+  logged ~tagged:true
+    (List.map
+       (fun (pfn, enc, body) -> { pfn; data = Bytes.empty; enc; body; wire = 0; cross = false })
+       records)
 
 let per_page_header = 12 (* untagged wire: fixed pfn + length per page *)
 
@@ -378,115 +381,92 @@ let varint_size n =
 let tagged_record_wire ~pfn ~body =
   varint_size (Int64.to_int pfn) + 1 + varint_size (Bytes.length body) + Bytes.length body
 
-(* The historical pipeline: delta against the baseline when enabled, then
-   range coding when enabled. The body doubles as the wire-accounting form;
-   it is never decoded (untagged payloads carry the full contents). *)
-let encode_legacy t ~previous ~pfn ~current =
-  let enc, body =
-    match (t.cfg.Mode.delta_dumps, previous) with
-    | true, Some prev ->
-      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-      if t.cfg.Mode.compress_dumps then (Enc_delta_rc, Grt_util.Range_coder.encode d)
-      else (Enc_delta, d)
-    | _ ->
-      if t.cfg.Mode.compress_dumps then (Enc_raw_rc, Grt_util.Range_coder.encode current)
-      else (Enc_raw, current)
-  in
-  { pfn; data = current; enc; body; wire = Bytes.length body + per_page_header; cross = false }
-
-(* Tagged encoding: bodies are decoded on the receiving side. The encoding
-   tag itself says whether a body is range-coded, so no in-band container
-   byte is needed — the adaptive min-selection below is the expansion guard
-   at this layer (the codec-level [encode_guarded] serves callers without a
-   side channel). A hash reference ships only when the sender itself put
-   that exact body on the wire before — which the receiver, by
-   construction, has decoded and stored. *)
 let hash_ref_wire ~pfn = varint_size (Int64.to_int pfn) + 1 + varint_size 8 + 8
 
-let encode_tagged t ~previous ~pfn ~current =
-  let mk enc body =
-    { pfn; data = current; enc; body; wire = tagged_record_wire ~pfn ~body; cross = false }
+(* The cheapest of the four self-contained encodings. A delta body shorter
+   than any possible range coding of the page beats [Enc_raw_rc] whatever
+   it codes to, so that encode (the most expensive candidate) is skipped.
+   Dropping a strictly losing candidate leaves the first minimum of the
+   fold unchanged. *)
+let adaptive_choice ~previous current =
+  let deltas =
+    match previous with
+    | Some prev ->
+      let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
+      [ (Enc_delta, d); (Enc_delta_rc, Grt_util.Range_coder.encode d) ]
+    | None -> []
   in
-  let h = hash_page current in
-  let hash_hit =
-    t.cfg.Mode.memsync_dedup
-    &&
-    match Store.find t.sent_store h with
-    | Some body -> Bytes.equal body current
-    | None -> false
+  let best_delta = List.fold_left (fun m (_, b) -> min m (Bytes.length b)) max_int deltas in
+  let raw_rc =
+    if best_delta < Grt_util.Range_coder.min_coded_length (Bytes.length current) then []
+    else [ (Enc_raw_rc, Grt_util.Range_coder.encode current) ]
   in
-  let r =
-    if hash_hit then begin
+  let candidates = ((Enc_raw, current) :: raw_rc) @ deltas in
+  List.fold_left
+    (fun (e0, b0) (e, b) -> if Bytes.length b < Bytes.length b0 then (e, b) else (e0, b0))
+    (List.hd candidates) (List.tl candidates)
+
+let holds store h current =
+  match Store.find store h with Some b -> Bytes.equal b current | None -> false
+
+(* The one encoder chain. Under the tagged formats a body the peer already
+   decoded goes out as a hash reference, and [memsync_adaptive] picks the
+   cheapest encoding; otherwise the configured delta, then range-code
+   chain decides. Only the wire charge differs by format: tagged records
+   cost their serialized size, untagged ones their body plus a fixed
+   header — or, with [compress_dumps] off, the full page plus that header,
+   since the untagged receiver is sent whole pages. *)
+let encode t ~previous ~pfn ~current =
+  let cfg = t.cfg in
+  let tagged = tagged_wire cfg in
+  let h = if tagged then hash_page current else 0L in
+  let enc, body =
+    if cfg.Mode.memsync_dedup && holds t.sent_store h current then begin
+      (* The sender put this exact body on the wire before, so the
+         receiver has, by construction, decoded and stored it. *)
       let body = Bytes.create 8 in
       Bytes.set_int64_le body 0 h;
-      mk Enc_hash_ref body
+      (Enc_hash_ref, body)
     end
-    else if t.cfg.Mode.memsync_adaptive then begin
-      let deltas =
-        match previous with
-        | Some prev ->
-          let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-          [ (Enc_delta, d); (Enc_delta_rc, Grt_util.Range_coder.encode d) ]
-        | None -> []
-      in
-      (* A delta body shorter than any possible range coding of the page
-         beats [Enc_raw_rc] whatever it codes to, so that encode (the most
-         expensive candidate) is skipped. Dropping a strictly losing
-         candidate leaves the first minimum of the fold unchanged. *)
-      let best_delta = List.fold_left (fun m (_, b) -> min m (Bytes.length b)) max_int deltas in
-      let raw_rc =
-        if best_delta < Grt_util.Range_coder.min_coded_length (Bytes.length current) then []
-        else [ (Enc_raw_rc, Grt_util.Range_coder.encode current) ]
-      in
-      let candidates = ((Enc_raw, current) :: raw_rc) @ deltas in
-      let enc, body =
-        List.fold_left
-          (fun (e0, b0) (e, b) ->
-            if Bytes.length b < Bytes.length b0 then (e, b) else (e0, b0))
-          (List.hd candidates) (List.tl candidates)
-      in
-      mk enc body
-    end
-    else begin
-      (* dedup without adaptive selection: a store miss falls back to the
-         historical delta/compression chain, byte-identical to the untagged
-         wire format *)
-      match (t.cfg.Mode.delta_dumps, previous) with
+    else if cfg.Mode.memsync_adaptive then adaptive_choice ~previous current
+    else
+      match (cfg.Mode.delta_dumps, previous) with
       | true, Some prev ->
         let d = Grt_util.Delta.diff ~old_:prev ~fresh:current in
-        if t.cfg.Mode.compress_dumps then mk Enc_delta_rc (Grt_util.Range_coder.encode d)
-        else mk Enc_delta d
+        if cfg.Mode.compress_dumps then (Enc_delta_rc, Grt_util.Range_coder.encode d)
+        else (Enc_delta, d)
       | _ ->
-        if t.cfg.Mode.compress_dumps then mk Enc_raw_rc (Grt_util.Range_coder.encode current)
-        else mk Enc_raw current
-    end
+        if cfg.Mode.compress_dumps then (Enc_raw_rc, Grt_util.Range_coder.encode current)
+        else (Enc_raw, current)
   in
-  (* Cross-session dedup: content an earlier same-key session shipped to
-     this client population needs only a hash reference on the wire. The
-     record keeps its full encoding ([enc]/[body] untouched) so the logged
-     recording is identical with or without a shared store; only the wire
-     charge and the [cross] flag change. *)
-  let r =
-    match t.shared with
-    | Some sh when t.cfg.Mode.memsync_dedup && r.enc <> Enc_hash_ref -> (
-      match Store.find sh h with
-      | Some b when Bytes.equal b current -> { r with wire = hash_ref_wire ~pfn; cross = true }
-      | _ -> r)
-    | _ -> r
-  in
-  Store.learn_hashed t.sent_store h current;
-  (match t.shared with Some sh -> Store.learn_hashed sh h current | None -> ());
-  r
+  if not tagged then
+    let charged = if cfg.Mode.compress_dumps then body else current in
+    let wire = Bytes.length charged + per_page_header in
+    { pfn; data = current; enc; body; wire; cross = false }
+  else begin
+    (* Cross-session dedup: content an earlier same-key session shipped to
+       this client population needs only a hash reference on the wire. The
+       record keeps its full encoding, so the logged recording is identical
+       with or without a shared store; only the wire charge and the
+       [cross] flag change. *)
+    let cross =
+      cfg.Mode.memsync_dedup && enc <> Enc_hash_ref
+      && match t.shared with Some sh -> holds sh h current | None -> false
+    in
+    let wire = if cross then hash_ref_wire ~pfn else tagged_record_wire ~pfn ~body in
+    Store.learn_hashed t.sent_store h current;
+    (match t.shared with Some sh -> Store.learn_hashed sh h current | None -> ());
+    { pfn; data = current; enc; body; wire; cross }
+  end
 
 (* Stand-in contents of a never-materialized page: compared against (and
-   copied from) but never written through. *)
+   read as a delta base) but never written through. *)
 let zero_page = Bytes.make Mem.page_size '\000'
 
 let sync_meta t mem =
   let mf = meta_fast t mem in
   let pfns = mf.mf_pfns and last = mf.mf_last in
   let total = Array.length pfns in
-  let tagged = tagged_wire t.cfg in
   let dirty_filter = t.cfg.Mode.memsync_dirty in
   let records = ref [] and wire = ref 0 and raw = ref 0 and visited = ref 0 in
   for i = 0 to total - 1 do
@@ -498,8 +478,8 @@ let sync_meta t mem =
       incr visited;
       Array.unsafe_set last i gen;
       (* Compare in place against the baseline; copy only when the page
-         actually changed (the copy is then shared by the shipped record
-         and the new baseline entry — both are read-only downstream). *)
+         actually changed. That copy is the page's one body: the record,
+         both baselines and every store share it read-only. *)
       let view = Mem.borrow_ro mem pfn in
       let view = if view == Bytes.empty then zero_page else view in
       let prev = try Hashtbl.find t.baseline pfn with Not_found -> Bytes.empty in
@@ -508,52 +488,83 @@ let sync_meta t mem =
         raw := !raw + Mem.page_size;
         let current = Bytes.copy view in
         let previous = if prev == Bytes.empty then None else Some prev in
-        let pfn = Int64.of_int pfn in
-        let r =
-          if tagged then encode_tagged t ~previous ~pfn ~current
-          else encode_legacy t ~previous ~pfn ~current
-        in
+        let r = encode t ~previous ~pfn:(Int64.of_int pfn) ~current in
         records := r :: !records;
         wire := !wire + r.wire;
-        Hashtbl.replace t.baseline (Int64.to_int pfn) current
+        Hashtbl.replace t.baseline pfn current
       end
     end
   done;
-  { records = List.rev !records; tagged; wire_bytes = !wire; raw_bytes = !raw; visited = !visited; total }
+  {
+    records = List.rev !records;
+    tagged = tagged_wire t.cfg;
+    wire_bytes = !wire;
+    raw_bytes = !raw;
+    visited = !visited;
+    total;
+  }
 
-let decode_records store mem records =
-  List.map
-    (fun (pfn, enc, body) ->
-      let data =
-        match enc with
-        | Enc_raw -> body
-        | Enc_raw_rc -> Grt_util.Range_coder.decode body
-        | Enc_delta -> Grt_util.Delta.apply ~old_:(Mem.get_page mem pfn) ~delta:body
-        | Enc_delta_rc ->
-          Grt_util.Delta.apply ~old_:(Mem.get_page mem pfn)
-            ~delta:(Grt_util.Range_coder.decode body)
-        | Enc_hash_ref -> (
-          if Bytes.length body <> 8 then failwith "Memsync: malformed hash reference";
-          match Store.find store (Bytes.get_int64_le body 0) with
-          | Some d -> d
-          | None -> failwith "Memsync: hash reference to unknown page content")
+type decode_error = Malformed of string | Unknown_hash of int64 | Needs_memory
+
+let decode_error_message = function
+  | Malformed m -> "malformed page record: " ^ m
+  | Unknown_hash h -> Printf.sprintf "hash reference to unknown page content %016Lx" h
+  | Needs_memory -> "delta record decoded without the memory it patches"
+
+let full_page b =
+  if Bytes.length b = Mem.page_size then Ok b
+  else Error (Malformed (Printf.sprintf "a %d-byte body is not a page" (Bytes.length b)))
+
+let decode_record store mem pfn enc body =
+  let decoded f = try full_page (f ()) with Failure m -> Error (Malformed m) in
+  match enc with
+  | Enc_raw -> full_page body
+  | Enc_raw_rc -> decoded (fun () -> Grt_util.Range_coder.decode body)
+  | Enc_delta | Enc_delta_rc -> (
+    match mem with
+    | None -> Error Needs_memory
+    | Some mem ->
+      (* [Delta.apply] copies its base, so the live page is only borrowed. *)
+      let base = Mem.borrow_ro mem (Int64.to_int pfn) in
+      let base = if base == Bytes.empty then zero_page else base in
+      decoded (fun () ->
+          let delta = if enc = Enc_delta_rc then Grt_util.Range_coder.decode body else body in
+          Grt_util.Delta.apply ~old_:base ~delta))
+  | Enc_hash_ref -> (
+    if Bytes.length body <> 8 then Error (Malformed "hash reference is not 8 bytes")
+    else
+      let h = Bytes.get_int64_le body 0 in
+      match Store.find store h with Some page -> Ok page | None -> Error (Unknown_hash h))
+
+(* An untagged record is a raw one: its full contents are its body. *)
+let install store mem p =
+  let live = Some mem in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | r :: rest -> (
+      let decoded =
+        if p.tagged then decode_record store live r.pfn r.enc r.body
+        else decode_record store live r.pfn Enc_raw r.data
       in
-      Mem.set_page mem pfn data;
-      Store.learn store data;
-      (pfn, data))
-    records
+      match decoded with
+      | Error _ as e -> e
+      | Ok page ->
+        Mem.set_page mem r.pfn page;
+        if p.tagged then Store.learn store page;
+        go ((r.pfn, page) :: acc) rest)
+  in
+  go [] p.records
 
-let apply_records t mem records = decode_records t.recv_store mem records
-
-let apply t mem payload =
-  if payload.tagged then ignore (apply_records t mem (wire_records payload))
-  else List.iter (fun r -> Mem.set_page mem r.pfn r.data) payload.records
-
-let note_peer_page t pfn contents =
-  Hashtbl.replace t.baseline (Int64.to_int pfn) (Bytes.copy contents)
+let receive t mem p =
+  match install t.recv_store mem p with
+  | Ok pages ->
+    (* The peer holds these contents now: never echo them back. *)
+    List.iter (fun (pfn, page) -> Hashtbl.replace t.baseline (Int64.to_int pfn) page) pages;
+    pages
+  | Error e -> failwith ("Memsync.receive: " ^ decode_error_message e)
 
 let note_shipped t pfn contents =
-  Hashtbl.replace t.baseline (Int64.to_int pfn) (Bytes.copy contents);
+  Hashtbl.replace t.baseline (Int64.to_int pfn) contents;
   if tagged_wire t.cfg then begin
     let h = hash_page contents in
     Store.learn_hashed t.sent_store h contents;

@@ -1,12 +1,21 @@
-(** Selective memory synchronization (§5).
+(** Selective memory synchronization (§5), and the one module that knows
+    the page-record format.
 
     The cloud (GPU stack) and client (GPU) each hold a local memory; at job
     boundaries the shims exchange just enough of it to preserve the semantics
-    of CPU/GPU interaction. A [t] tracks one direction's sender state — the
-    baseline of pages the peer is known to hold, plus a content-addressed
-    store of every body it ever shipped — and the same endpoint's receiver
-    state for the opposite direction (the store that resolves inbound hash
-    references).
+    of CPU/GPU interaction. A [t] is one endpoint:
+    - as the {e sender} it holds the baseline of pages the peer is known to
+      hold and a content-addressed store of every body it shipped;
+      {!sync_meta} diffs the metastate against the baseline and encodes
+      what changed.
+    - as the {e receiver} of the opposite direction it holds the store that
+      resolves inbound hash references; {!receive} installs a payload,
+      learns its tagged bodies and teaches the same baseline, so a page that
+      just arrived is not echoed back.
+
+    Callers only send a payload, receive one, or decode a logged entry
+    ({!install}, {!decode_record}); no other module reads or writes a page
+    record's encoding.
 
     Metastate = page-table pages (walked from the registered roots) plus the
     materialized pages of regions mapped as [Code] or [Cmd]. Program data
@@ -18,7 +27,14 @@
     table walk and region page lists are cached and invalidated by the same
     stamps. With [Mode.memsync_dedup] / [Mode.memsync_adaptive] the wire
     switches to tagged page records carrying the cheapest encoding per page,
-    including an 8-byte reference to content the peer provably holds. *)
+    including an 8-byte reference to content the peer provably holds.
+
+    {b One body per changed page.} [sync_meta] copies a changed page out of
+    the live memory once; that copy is the record's [data], the new baseline
+    entry and what every store learns. A decoded body is likewise shared by
+    the receiver's baseline and store. No body is ever mutated, and none is
+    a live {!Grt_gpu.Mem} page buffer — installing one copies it into the
+    receiving memory. *)
 
 type region = {
   name : string;
@@ -42,8 +58,9 @@ val encoding_name : encoding -> string
 val hash_page : bytes -> int64
 (** Content hash used by the page stores (FNV-1a 64). *)
 
-(** Receiver-side content store, also usable standalone (the replayer keeps
-    one to resolve hash references while re-applying a recording). *)
+(** Content store: hash of a full page body -> the body (shared, never
+    copied). A [t] keeps one per role; the replayer keeps a standalone one
+    to resolve hash references while re-applying a recording. *)
 module Store : sig
   type s
 
@@ -77,7 +94,9 @@ val meta_pfns : t -> Grt_gpu.Mem.t -> int64 list
 
 type page_record = {
   pfn : int64;
-  data : bytes;  (** full page contents *)
+  data : bytes;
+      (** full page contents; [Bytes.empty] in a record rebuilt from a logged
+          tagged entry ({!payload_of_records}), whose receiver decodes [body] *)
   enc : encoding;
   body : bytes;  (** wire form of the contents under [enc] *)
   wire : int;  (** bytes charged to the link for this record, header included *)
@@ -92,60 +111,76 @@ val tagged_record_wire : pfn:int64 -> body:bytes -> int
     serialized size: varint pfn + encoding-tag byte + varint length +
     body. *)
 
-val hash_ref_wire : pfn:int64 -> int
-(** Wire-accounting bytes for a hash-reference record for [pfn] (8-byte
-    body) — what a cross-session dedup hit is charged. *)
-
 type sync_payload = {
   records : page_record list;
   tagged : bool;
       (** true when the wire carries per-record encoding tags ([Mode.memsync_dedup]
           or [Mode.memsync_adaptive]); false is the historical full-page format *)
-  wire_bytes : int;  (** bytes on the wire after encoding *)
+  wire_bytes : int;
+      (** bytes charged to the link, in every format: the sum of the records'
+          [wire]. Untagged records cost their body plus a fixed pfn + length
+          header, or the full page plus that header when
+          [Mode.compress_dumps] is off. *)
   raw_bytes : int;  (** bytes before delta + compression *)
   visited : int;  (** meta pages examined (dirty tracking skips the rest) *)
   total : int;  (** meta pages in scope *)
 }
 
 val pages : sync_payload -> (int64 * bytes) list
-(** The shipped pages as [(pfn, full contents)], in record order. *)
+(** The shipped pages as [(pfn, full contents)], in record order — the
+    untagged form, for logging into a recording. *)
 
 val wire_records : sync_payload -> (int64 * encoding * bytes) list
 (** The tagged wire form of the payload, for logging into a recording. *)
 
 val payload_of_pages : (int64 * bytes) list -> sync_payload
-(** Wrap already-known full pages (e.g. from a logged [Mem_load] entry)
-    into an untagged payload with zero wire accounting. *)
+(** A logged [Mem_load] entry as an untagged payload (zero wire
+    accounting). *)
 
-val per_page_header : int
-(** Wire-accounting bytes charged per page record (pfn + length). *)
+val payload_of_records : (int64 * encoding * bytes) list -> sync_payload
+(** A logged [Mem_load_enc] entry as a tagged payload (zero wire
+    accounting). *)
 
 val sync_meta : t -> Grt_gpu.Mem.t -> sync_payload
-(** Diff the metastate against the baseline, advance the baseline, and
-    return what must be shipped. *)
+(** Sender: diff the metastate against the baseline, advance the baseline,
+    and return what must be shipped. *)
 
-val apply : t -> Grt_gpu.Mem.t -> sync_payload -> unit
-(** Install the shipped pages into the receiving memory, [t] being the
-    receiving endpoint: tagged payloads are decoded through [t]'s content
-    store (which learns every installed body), untagged ones install the
-    full contents directly. *)
+(** Why a page record does not decode. *)
+type decode_error =
+  | Malformed of string
+      (** the body is not a full page, a delta span lies outside the base
+          page, the range coding is corrupt, or a hash reference is not 8
+          bytes *)
+  | Unknown_hash of int64  (** a hash reference the store never learned *)
+  | Needs_memory  (** a delta record decoded without the memory it patches *)
 
-val apply_records : t -> Grt_gpu.Mem.t -> (int64 * encoding * bytes) list -> (int64 * bytes) list
-(** Decode and install tagged wire records (e.g. from a logged
-    [Mem_load_enc] entry) through [t]'s receiver store; returns the full
-    installed contents in order. *)
+val decode_error_message : decode_error -> string
 
-val decode_records :
-  Store.s -> Grt_gpu.Mem.t -> (int64 * encoding * bytes) list -> (int64 * bytes) list
-(** Same, against a standalone store — the replayer's path. Raises
-    [Failure] on a hash reference the store cannot resolve. *)
+val decode_record :
+  Store.s -> Grt_gpu.Mem.t option -> int64 -> encoding -> bytes -> (bytes, decode_error) result
+(** The page-record decoder: [decode_record store mem pfn enc body] is the
+    full page the record describes. Delta records patch the page [mem]
+    holds at [pfn] (a never-materialized page reads as zeros) and need
+    [Some mem]; a hash reference resolves against [store]. Reads but never
+    changes [mem] or [store], and never raises. *)
 
-val note_peer_page : t -> int64 -> bytes -> unit
-(** Teach the baseline that the peer now holds [contents] for [pfn] —
-    called when a page arrives from the other direction, so it is not
-    echoed back on the next sync. Deliberately does {e not} feed the dedup
+val install :
+  Store.s -> Grt_gpu.Mem.t -> sync_payload -> ((int64 * bytes) list, decode_error) result
+(** Install a payload into [mem] in record order, returning the installed
+    [(pfn, page)]s. Tagged records are decoded through {!decode_record}
+    and learned by [store], so a later reference — in this payload or a
+    later one — resolves; untagged records install their full [data]
+    (checked to be a page). Stops at the first record that does not
+    decode. *)
+
+val receive : t -> Grt_gpu.Mem.t -> sync_payload -> (int64 * bytes) list
+(** Receiver: {!install} through [t]'s receiver store, then teach [t]'s
+    baseline that the peer holds the installed pages, so they are not
+    echoed back. Deliberately does {e not} feed [t]'s shipped-content
     store: hash references must only point at content this sender shipped
-    itself, or a recording's references could dangle on replay. *)
+    itself, or a recording's references could dangle on replay. Raises
+    [Failure] on a record that does not decode — the payloads it sees come
+    from the peer endpoint of the same session or from its own log. *)
 
 val note_shipped : t -> int64 -> bytes -> unit
 (** Re-teach the sender state while replaying a validated log prefix

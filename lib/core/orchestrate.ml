@@ -421,17 +421,11 @@ let replay_compiled ~sku ~prog ~input ~params ~seed () =
   { r; setup_s = Grt_sim.Clock.now_s clock -. t0 -. r.Replayer.delay_s }
 
 let replay_recording ~sku ~blob ~input ~params ~seed () =
-  let clock = Grt_sim.Clock.create () in
-  let energy = Grt_sim.Energy.create clock in
-  let cfg = Mode.default_config Mode.Ours_mds in
-  let gpushim =
-    Gpushim.create ~clock ~sku ~energy
-      ~session_salt:(Grt_util.Hashing.combine seed 0x7265706CL)
-      ~cfg ()
-  in
+  let gpushim, clock, energy = replay_gpushim ~sku ~seed () in
   let t0 = Grt_sim.Clock.now_s clock in
   let r =
-    Replayer.replay ~gpushim ~signing_key:cloud_signing_key ~blob ~input ~params ~energy ()
+    Replayer.replay_segments ~gpushim ~signing_key:cloud_signing_key ~blobs:[ blob ] ~input
+      ~params ~energy ()
   in
   { r; setup_s = Grt_sim.Clock.now_s clock -. t0 -. r.Replayer.delay_s }
 

@@ -36,31 +36,28 @@ let note_pop t =
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Recovery_diverged m)) fmt
 
-(* Apply any memory snapshots sitting at the head of the prefix. *)
+(* Apply any memory snapshots sitting at the head of the prefix: install
+   each on the client, then re-teach this attempt's fresh downlink sender
+   state, so later live syncs delta/dedup against the same view the
+   recording's replayer will hold. *)
 let rec pop_memloads t =
   match t.prefix with
-  | Recording.Mem_load { pages } :: rest ->
-    t.prefix <- rest;
-    note_pop t;
-    step_cost t;
-    count t Metrics.Recovery_pages (List.length pages);
-    Gpushim.load_pages t.gpushim (Memsync.payload_of_pages pages);
-    List.iter (fun (pfn, data) -> Memsync.note_shipped t.downlink pfn data) pages;
-    Recording.log_push t.log (Recording.Mem_load { pages });
-    pop_memloads t
-  | Recording.Mem_load_enc { records } :: rest ->
-    t.prefix <- rest;
-    note_pop t;
-    step_cost t;
-    count t Metrics.Recovery_pages (List.length records);
-    (* Decode on the client, then re-teach this attempt's fresh downlink
-       sender state so later live syncs delta/dedup against the same view
-       the recording's replayer will hold. *)
-    let pages = Gpushim.load_records t.gpushim records in
-    List.iter (fun (pfn, data) -> Memsync.note_shipped t.downlink pfn data) pages;
-    Recording.log_push t.log (Recording.Mem_load_enc { records });
-    pop_memloads t
+  | (Recording.Mem_load { pages } as e) :: rest ->
+    load_logged t e (Memsync.payload_of_pages pages) rest
+  | (Recording.Mem_load_enc { records } as e) :: rest ->
+    load_logged t e (Memsync.payload_of_records records) rest
   | _ -> ()
+
+and load_logged t entry payload rest =
+  t.prefix <- rest;
+  note_pop t;
+  step_cost t;
+  count t Metrics.Recovery_pages (List.length payload.Memsync.records);
+  List.iter
+    (fun (pfn, page) -> Memsync.note_shipped t.downlink pfn page)
+    (Gpushim.load_pages t.gpushim payload);
+  Recording.log_push t.log entry;
+  pop_memloads t
 
 let prefix_pop t =
   pop_memloads t;
@@ -131,11 +128,7 @@ let wait_irq t ~timeout_us =
       (* Local status exchange, no network: the cloud's memory learns the
          GPU-written words directly. *)
       if t.cfg.Mode.continuous_validation then Grt_gpu.Mem.unprotect_all t.cloud_mem;
-      let payload = Gpushim.upload_meta t.gpushim in
-      Memsync.apply t.downlink t.cloud_mem payload;
-      List.iter
-        (fun (pfn, data) -> Memsync.note_peer_page t.downlink pfn data)
-        (Memsync.pages payload);
+      ignore (Memsync.receive t.downlink t.cloud_mem (Gpushim.upload_meta t.gpushim));
       ignore line;
       Some got
     | None -> fail "no interrupt while replaying the log")

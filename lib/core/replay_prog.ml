@@ -12,9 +12,10 @@
      advance and read the register once (falling back to a live spin, and
      re-learning the hint, when the GPU is not ready at the hinted
      iteration);
-   - memory images decoded at compile time wherever the wire records are
-     position-independent (raw, compressed-raw, and hash references that
-     resolve against content an earlier record carried); delta-encoded
+   - memory images decoded at compile time, through [Memsync.decode_record],
+     wherever the wire records are position-independent (raw,
+     compressed-raw, and hash references that resolve against content an
+     earlier record carried); delta-encoded
      records depend on the live memory and stay dynamic, decoded on the
      first execution and memoized — sound because the metastate they
      patch is input-independent (§2.3).
@@ -76,18 +77,15 @@ let source t = t.source
 let root t = t.root
 let stats t = t.stats
 
-(* Decode one tagged record without touching live memory, when its encoding
-   permits: raw bodies and hash references to content already in [store].
-   Delta records patch whatever the page holds at that point of the replay,
-   so they are never static. *)
-let static_body store (_pfn, enc, body) =
-  match enc with
-  | Memsync.Enc_raw -> Some body
-  | Memsync.Enc_raw_rc -> Some (Grt_util.Range_coder.decode body)
-  | Memsync.Enc_hash_ref ->
-    if Bytes.length body <> 8 then failwith "Memsync: malformed hash reference"
-    else Memsync.Store.find store (Bytes.get_int64_le body 0)
-  | Memsync.Enc_delta | Memsync.Enc_delta_rc -> None
+(* A record's page decoded at compile time, or [None] when only the live
+   replay can decode it: delta records patch whatever the page holds at
+   that point of the replay, and a hash reference may name content only a
+   delta produced. A record that can never decode fails the compile. *)
+let static_page store pfn enc body =
+  match Memsync.decode_record store None pfn enc body with
+  | Ok page -> Some page
+  | Error (Memsync.Needs_memory | Memsync.Unknown_hash _) -> None
+  | Error (Memsync.Malformed _ as e) -> failwith (Memsync.decode_error_message e)
 
 (* The compile-time store mirrors what the executor's store will have
    learned: every statically decodable body. It can only ever hold a subset
@@ -95,12 +93,12 @@ let static_body store (_pfn, enc, body) =
    reference it resolves is guaranteed to resolve identically at run time,
    and one it cannot resolve is conservatively classified dynamic. *)
 let lower_mem_enc store ~index records =
-  let decoded = List.map (fun r -> (r, static_body store r)) records in
+  let decoded = List.map (fun (pfn, enc, body) -> (pfn, static_page store pfn enc body)) records in
   List.iter (function _, Some b -> Memsync.Store.learn store b | _, None -> ()) decoded;
   if List.for_all (fun (_, d) -> d <> None) decoded then
     Load_static
       {
-        pages = Array.of_list (List.map (fun ((pfn, _, _), d) -> (pfn, Option.get d)) decoded);
+        pages = Array.of_list (List.map (fun (pfn, d) -> (pfn, Option.get d)) decoded);
         learn = true;
         stamps = None;
       }
@@ -140,6 +138,8 @@ let lower_range store entries ~first ~count =
         (* [Recording.parse_signed] rejects these; belt and braces. *)
         failwith (Printf.sprintf "replay_prog: invalid IRQ line %d" line))
     | Recording.Mem_load { pages } ->
+      (* Untagged pages are raw records: decoding only checks their size. *)
+      List.iter (fun (pfn, data) -> ignore (static_page store pfn Memsync.Enc_raw data)) pages;
       ops := Load_static { pages = Array.of_list pages; learn = false; stamps = None } :: !ops
     | Recording.Mem_load_enc { records } -> ops := lower_mem_enc store ~index:!i records :: !ops);
     incr i
@@ -213,9 +213,9 @@ let compile ?tracer (v : Recording.verified) =
     stats = stats_of groups ~entries:(Array.length entries);
   }
 
-(* Static lowering decodes [Enc_raw_rc] bodies before any chunk hash is
-   checked, so a tampered body surfaces here as [Failure]: report it as a
-   typed error like a bad header. *)
+(* Static lowering decodes page records before any chunk hash is checked,
+   so a tampered or malformed body surfaces here as [Failure]: report it as
+   a typed error like a bad header. *)
 let of_blob ?tracer ~key blob =
   match Recording.parse_signed ~key blob with
   | Error _ as e -> e

@@ -37,28 +37,41 @@ let write_slot_floats mem (slot : Recording.slot) values =
 let read_slot_floats mem (slot : Recording.slot) =
   Mem.read_f32_array mem slot.Recording.pa (slot.Recording.actual_bytes / 4)
 
-let apply_entries ~gpushim ~clock ~mem ~dev ~store ~reads_verified ~skipped ~applied entries =
+(* Entries applied, and register reads verified or skipped as
+   nondeterministic, in one session. *)
+type tally = { mutable applied : int; mutable verified : int; mutable skipped : int }
+
+(* Install a logged memory image. Decoding is [Memsync]'s; a record it
+   rejects is a hostile recording, not a GPU divergence. *)
+let install store mem payload =
+  match Memsync.install store mem payload with
+  | Ok pages -> pages
+  | Error e -> raise (Rejected ("recording: " ^ Memsync.decode_error_message e))
+
+let apply_entries ~gpushim ~store tally entries =
+  let dev = Gpushim.device gpushim and mem = Gpushim.mem gpushim in
+  let clock = Device.clock dev in
   Array.iteri
     (fun index entry ->
-      incr applied;
+      tally.applied <- tally.applied + 1;
       Grt_sim.Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns;
       match entry with
       | Recording.Mem_load { pages } ->
         (* The metastate snapshot for the upcoming interactions. *)
-        List.iter (fun (pfn, data) -> Mem.set_page mem pfn data) pages
+        ignore (install store mem (Memsync.payload_of_pages pages))
       | Recording.Mem_load_enc { records } ->
         (* Tagged snapshot: decode in log order; hash references resolve
            against bodies earlier entries carried in full. *)
-        ignore (Memsync.decode_records store mem records)
+        ignore (install store mem (Memsync.payload_of_records records))
       | Recording.Reg_write { reg; value } -> Device.write_reg dev reg value
       | Recording.Reg_read { reg; value; verify } ->
         let got = Device.read_reg dev reg in
         if verify then begin
-          incr reads_verified;
+          tally.verified <- tally.verified + 1;
           if not (Int64.equal got value) then
             raise (Divergence { kind = Value_mismatch; index; reg; expected = value; got })
         end
-        else incr skipped
+        else tally.skipped <- tally.skipped + 1
       | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->
         let rec loop i =
           if i >= max_iters then
@@ -122,38 +135,37 @@ let check_sku dev (rec_t : Recording.t) =
          (Printf.sprintf "recording is for GPU %Lx but this device is %Lx (SKU mismatch)"
             rec_t.Recording.gpu_id sku.Grt_gpu.Sku.gpu_id))
 
-let replay ~gpushim ~signing_key ~blob ~input ~params ?energy () =
-  let rec_t =
-    match Recording.verify_and_parse ~key:signing_key blob with
-    | Ok r -> r
-    | Error e -> raise (Rejected e)
-  in
+(* One replay session (§3.2): lock the GPU, reset it, install the fresh
+   input into the first recording's input slot and each parameter into
+   whichever recording declares its slot, [run] the stimuli, read the
+   output from the last recording's output slot, and reset and release the
+   GPU again — also when [run] raises. [cold] power-cycles first, for
+   sessions that reuse one shim. *)
+let session ~gpushim ~recordings ~input ~params ?energy ~cold run =
   let dev = Gpushim.device gpushim in
-  check_sku dev rec_t;
+  List.iter (check_sku dev) recordings;
   let clock = Device.clock dev in
   let mem = Gpushim.mem gpushim in
   let energy_start = Option.map Grt_sim.Energy.total_j energy in
   let start_s = Grt_sim.Clock.now_s clock in
   Gpushim.isolate gpushim;
   protect_session gpushim @@ fun () ->
+  if cold then Gpushim.power_cycle gpushim;
   Gpushim.reset_gpu gpushim;
-  (* Install fresh data into the recorded slots before feeding stimuli. *)
-  (match Recording.input_slot rec_t with
+  (match Recording.input_slot (List.hd recordings) with
   | Some slot -> write_slot_floats mem slot input
   | None -> raise (Rejected "recording has no input slot"));
-  let param_slots = Recording.param_slots rec_t in
+  let param_slots = List.concat_map Recording.param_slots recordings in
   List.iter
     (fun (name, values) ->
       match List.find_opt (fun s -> String.equal s.Recording.slot_name name) param_slots with
       | Some slot -> write_slot_floats mem slot values
       | None -> raise (Rejected (Printf.sprintf "unknown parameter slot %s" name)))
     params;
-  let reads_verified = ref 0 and skipped = ref 0 and applied = ref 0 in
-  let store = Memsync.Store.create () in
-  apply_entries ~gpushim ~clock ~mem ~dev ~store ~reads_verified ~skipped ~applied
-    rec_t.Recording.entries;
+  let tally = { applied = 0; verified = 0; skipped = 0 } in
+  run tally;
   let output =
-    match Recording.output_slot rec_t with
+    match Recording.output_slot (List.nth recordings (List.length recordings - 1)) with
     | Some slot -> read_slot_floats mem slot
     | None -> raise (Rejected "recording has no output slot")
   in
@@ -163,9 +175,9 @@ let replay ~gpushim ~signing_key ~blob ~input ~params ?energy () =
   {
     output;
     delay_s = Grt_sim.Clock.now_s clock -. start_s;
-    entries_applied = !applied;
-    reads_verified = !reads_verified;
-    reads_skipped_nondet = !skipped;
+    entries_applied = tally.applied;
+    reads_verified = tally.verified;
+    reads_skipped_nondet = tally.skipped;
     energy_j =
       (match (energy, energy_start) with
       | Some e, Some j0 -> Some (Grt_sim.Energy.total_j e -. j0)
@@ -174,70 +186,19 @@ let replay ~gpushim ~signing_key ~blob ~input ~params ?energy () =
 
 let replay_segments ~gpushim ~signing_key ~blobs ~input ~params ?energy () =
   if blobs = [] then raise (Rejected "no segments");
-  let dev = Gpushim.device gpushim in
-  let sku = Device.sku dev in
-  let segments =
+  let recordings =
     List.map
       (fun blob ->
         match Recording.verify_and_parse ~key:signing_key blob with
-        | Ok r ->
-          if not (Int64.equal r.Recording.gpu_id sku.Grt_gpu.Sku.gpu_id) then
-            raise (Rejected "segment recorded on a different GPU SKU");
-          r
+        | Ok r -> r
         | Error e -> raise (Rejected e))
       blobs
   in
-  let clock = Device.clock dev in
-  let mem = Gpushim.mem gpushim in
-  let energy_start = Option.map Grt_sim.Energy.total_j energy in
-  let start_s = Grt_sim.Clock.now_s clock in
-  Gpushim.isolate gpushim;
-  protect_session gpushim @@ fun () ->
-  Gpushim.reset_gpu gpushim;
-  (* Fresh input into the first segment; parameters into whichever segment
-     declares their slot. *)
-  (match Recording.input_slot (List.hd segments) with
-  | Some slot -> write_slot_floats mem slot input
-  | None -> raise (Rejected "first segment has no input slot"));
-  List.iter
-    (fun (name, values) ->
-      let slot =
-        List.find_map
-          (fun seg ->
-            List.find_opt (fun s -> String.equal s.Recording.slot_name name)
-              (Recording.param_slots seg))
-          segments
-      in
-      match slot with
-      | Some slot -> write_slot_floats mem slot values
-      | None -> raise (Rejected (Printf.sprintf "unknown parameter slot %s" name)))
-    params;
-  let reads_verified = ref 0 and skipped = ref 0 and applied = ref 0 in
-  let store = Memsync.Store.create () in
-  List.iter
-    (fun seg ->
-      apply_entries ~gpushim ~clock ~mem ~dev ~store ~reads_verified ~skipped ~applied
-        seg.Recording.entries)
-    segments;
-  let last = List.nth segments (List.length segments - 1) in
-  let output =
-    match Recording.output_slot last with
-    | Some slot -> read_slot_floats mem slot
-    | None -> raise (Rejected "last segment has no output slot")
-  in
-  Gpushim.reset_gpu gpushim;
-  Gpushim.release gpushim;
-  {
-    output;
-    delay_s = Grt_sim.Clock.now_s clock -. start_s;
-    entries_applied = !applied;
-    reads_verified = !reads_verified;
-    reads_skipped_nondet = !skipped;
-    energy_j =
-      (match (energy, energy_start) with
-      | Some e, Some j0 -> Some (Grt_sim.Energy.total_j e -. j0)
-      | _ -> None);
-  }
+  session ~gpushim ~recordings ~input ~params ?energy ~cold:false (fun tally ->
+      let store = Memsync.Store.create () in
+      List.iter
+        (fun r -> apply_entries ~gpushim ~store tally r.Recording.entries)
+        recordings)
 
 (* ---- compiled replay (Replay_prog fast path) ---- *)
 
@@ -280,9 +241,10 @@ let exec_poll ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index ~hint =
   end
   else live 0
 
-let exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists (prog : Replay_prog.t) ~reads_verified
-    ~skipped ~applied () =
+let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
   let open Replay_prog in
+  let dev = Gpushim.device gpushim and mem = Gpushim.mem gpushim in
+  let clock = Device.clock dev in
   (* A live store is needed only while some dynamic load is still uncached;
      once every decode is memoized, replays skip content-store bookkeeping
      entirely. While it exists, every entry that would have fed the
@@ -296,7 +258,7 @@ let exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists (prog : Replay_prog.t) ~r
   in
   let store = if needs_store then Some (Memsync.Store.create ()) else None in
   let step () =
-    incr applied;
+    tally.applied <- tally.applied + 1;
     Grt_sim.Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns
   in
   Array.iter
@@ -327,11 +289,11 @@ let exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists (prog : Replay_prog.t) ~r
             step ();
             let got = Device.read_reg dev reg in
             if verify then begin
-              incr reads_verified;
+              tally.verified <- tally.verified + 1;
               if not (Int64.equal got value) then
                 raise (Divergence { kind = Value_mismatch; index; reg; expected = value; got })
             end
-            else incr skipped
+            else tally.skipped <- tally.skipped + 1
           | Poll p ->
             step ();
             p.hint <-
@@ -396,54 +358,17 @@ let exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists (prog : Replay_prog.t) ~r
               let s =
                 match store with Some s -> s | None -> assert false (* needs_store saw us *)
               in
-              d.cached <- Some (Array.of_list (Memsync.decode_records s mem d.records))))
+              d.cached <-
+                Some (Array.of_list (install s mem (Memsync.payload_of_records d.records)))))
         g.ops)
     prog.groups
 
+(* Batch sessions reuse one shim: power-cycle back to the pristine state
+   the recording was made against (free on a fresh shim), then run the same
+   recorded-cost soft reset the interpreter runs. *)
 let replay_compiled ~gpushim ~prog ~input ~params ?energy ?tracer ?hists () =
-  let rec_t = Replay_prog.source prog in
-  let dev = Gpushim.device gpushim in
-  check_sku dev rec_t;
-  let clock = Device.clock dev in
-  let mem = Gpushim.mem gpushim in
-  let energy_start = Option.map Grt_sim.Energy.total_j energy in
-  let start_s = Grt_sim.Clock.now_s clock in
-  Gpushim.isolate gpushim;
-  protect_session gpushim @@ fun () ->
-  (* Batch sessions reuse one shim: power-cycle back to the pristine state
-     the recording was made against (free on a fresh shim), then run the
-     same recorded-cost soft reset the interpreter runs. *)
-  Gpushim.power_cycle gpushim;
-  Gpushim.reset_gpu gpushim;
-  (match Recording.input_slot rec_t with
-  | Some slot -> write_slot_floats mem slot input
-  | None -> raise (Rejected "recording has no input slot"));
-  let param_slots = Recording.param_slots rec_t in
-  List.iter
-    (fun (name, values) ->
-      match List.find_opt (fun s -> String.equal s.Recording.slot_name name) param_slots with
-      | Some slot -> write_slot_floats mem slot values
-      | None -> raise (Rejected (Printf.sprintf "unknown parameter slot %s" name)))
-    params;
-  let reads_verified = ref 0 and skipped = ref 0 and applied = ref 0 in
-  Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_execute ~name:"execute" (fun () ->
-      exec_prog ~gpushim ~clock ~mem ~dev ?tracer ?hists prog ~reads_verified ~skipped ~applied ());
-  Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_exec_entries !applied;
-  let output =
-    match Recording.output_slot rec_t with
-    | Some slot -> read_slot_floats mem slot
-    | None -> raise (Rejected "recording has no output slot")
-  in
-  Gpushim.reset_gpu gpushim;
-  Gpushim.release gpushim;
-  {
-    output;
-    delay_s = Grt_sim.Clock.now_s clock -. start_s;
-    entries_applied = !applied;
-    reads_verified = !reads_verified;
-    reads_skipped_nondet = !skipped;
-    energy_j =
-      (match (energy, energy_start) with
-      | Some e, Some j0 -> Some (Grt_sim.Energy.total_j e -. j0)
-      | _ -> None);
-  }
+  session ~gpushim ~recordings:[ Replay_prog.source prog ] ~input ~params ?energy ~cold:true
+    (fun tally ->
+      Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_execute ~name:"execute" (fun () ->
+          exec_prog ~gpushim ?tracer ?hists prog tally);
+      Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_exec_entries tally.applied)

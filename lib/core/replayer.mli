@@ -38,19 +38,6 @@ type result = {
   energy_j : float option;
 }
 
-val replay :
-  gpushim:Gpushim.t ->
-  signing_key:Grt_tee.Crypto.key ->
-  blob:bytes ->
-  input:float array ->
-  params:(string * float array) list ->
-  ?energy:Grt_sim.Energy.t ->
-  unit ->
-  result
-(** [params] are keyed by the recording's parameter-slot names (the weight
-    buffer names of the plan). Missing slots stay zero; unknown names raise
-    {!Rejected}. *)
-
 val replay_segments :
   gpushim:Gpushim.t ->
   signing_key:Grt_tee.Crypto.key ->
@@ -60,12 +47,15 @@ val replay_segments :
   ?energy:Grt_sim.Energy.t ->
   unit ->
   result
-(** Composable replay of per-layer recording segments (Figure 2): each
-    segment is verified independently, the fresh input goes into the first
-    segment's input slot, parameters into whichever segment declares them,
-    intermediate activations flow through GPU memory, and the output comes
-    from the last segment. The GPU is reset once before and once after the
-    whole sequence. *)
+(** The interpreted replayer, for one recording ([~blobs:[blob]]) or a
+    sequence of per-layer segments (Figure 2): each blob is verified
+    independently, the fresh input goes into the first segment's input
+    slot, parameters — keyed by the recordings' parameter-slot names (the
+    weight buffer names of the plan) — into whichever segment declares
+    them, intermediate activations flow through GPU memory, and the output
+    comes from the last segment. Missing slots stay zero; unknown names
+    raise {!Rejected}, as does a page record that does not decode. The GPU
+    is reset once before and once after the whole sequence. *)
 
 val replay_compiled :
   gpushim:Gpushim.t ->
@@ -83,7 +73,7 @@ val replay_compiled :
     is checked just before its first execution (streaming), polls reuse the
     first-success iteration learned by the previous execution, and decoded
     memory images are reused. Semantics — outputs, verification, divergence
-    detection, virtual-clock cost per applied entry — match {!replay}
-    exactly; the savings are host-side. The GPU is reset and released even
-    when a {!Divergence} (or any other exception) aborts the session, as
-    with {!replay}. *)
+    detection, virtual-clock cost per applied entry — match
+    {!replay_segments} exactly; the savings are host-side. The GPU is reset
+    and released even when a {!Divergence} (or any other exception) aborts
+    the session, as with {!replay_segments}. *)

@@ -4,14 +4,6 @@ module Metrics = Grt_sim.Metrics
 
 let chain_va t = Int64.logor t.head.lo (Int64.shift_left t.head.hi 32)
 
-(* Wire cost of the metastate payload. Tagged payloads carry their own
-   accounting; the historical uncompressed path charges full pages plus a
-   header per page. *)
-let meta_wire t (payload : Memsync.sync_payload) =
-  if payload.Memsync.tagged || t.cfg.Mode.compress_dumps then payload.Memsync.wire_bytes
-  else
-    payload.Memsync.raw_bytes + (Memsync.per_page_header * List.length payload.Memsync.records)
-
 let enc_key = function
   | Memsync.Enc_raw -> Metrics.Sync_enc_raw
   | Memsync.Enc_raw_rc -> Metrics.Sync_enc_raw_rc
@@ -42,14 +34,14 @@ let down t =
     if Mode.meta_only_sync t.cfg.Mode.mode then 0
     else Memsync.naive_down_bytes t.downlink t.cloud_mem ~chain_va:(chain_va t)
   in
-  let wire = meta_wire t payload + data_bytes + t.wire_overhead in
+  let wire = payload.Memsync.wire_bytes + data_bytes + t.wire_overhead in
   count t Metrics.Sync_down_events 1;
   count t Metrics.Sync_down_wire_bytes wire;
   count t Metrics.Sync_down_raw_bytes (payload.Memsync.raw_bytes + data_bytes);
   payload_metrics t payload;
   Hist.record_opt t.hists Hist.Sync_down_wire wire;
   Link.one_way_to_client t.link ~bytes:wire;
-  Gpushim.load_pages t.gpushim payload;
+  ignore (Gpushim.load_pages t.gpushim payload);
   if payload.Memsync.records <> [] then
     Recording.log_push t.log
       (if payload.Memsync.tagged then
@@ -68,16 +60,13 @@ let up t =
     if Mode.meta_only_sync t.cfg.Mode.mode then 0
     else Memsync.naive_up_bytes t.downlink t.cloud_mem ~chain_va:(chain_va t)
   in
-  let wire = meta_wire t payload + data_bytes + t.wire_overhead in
+  let wire = payload.Memsync.wire_bytes + data_bytes + t.wire_overhead in
   count t Metrics.Sync_up_events 1;
   count t Metrics.Sync_up_wire_bytes wire;
   count t Metrics.Sync_up_raw_bytes (payload.Memsync.raw_bytes + data_bytes);
   payload_metrics t payload;
   Hist.record_opt t.hists Hist.Sync_up_wire wire;
   Link.one_way_from_client t.link ~bytes:wire;
-  (* Install the client's changes (job status words) and teach the downlink
-     baseline so they are not shipped back. *)
-  Memsync.apply t.downlink t.cloud_mem payload;
-  List.iter
-    (fun (pfn, data) -> Memsync.note_peer_page t.downlink pfn data)
-    (Memsync.pages payload)
+  (* Install the client's changes (job status words); the downlink learns
+     them, so they are not shipped back. *)
+  ignore (Memsync.receive t.downlink t.cloud_mem payload)

@@ -4,9 +4,9 @@
     streams) mirrored on the client: {!down} ships the dirty metastate
     pages right before each job-start register write, {!up} brings the
     client's GPU-written words (job statuses) back with each forwarded
-    interrupt. Both directions charge the link for the wire form (delta +
-    optional compression per [Mode.compress_dumps]; whole-image bytes when
-    the mode forgoes meta-only sync) and account [sync.*] metrics; the
+    interrupt. Both directions charge the link the payload's
+    [Memsync.wire_bytes] (plus whole-image bytes when the mode forgoes
+    meta-only sync) and account [sync.*] metrics; the
     downlink dump is also appended to the interaction log as a [Mem_load]
     entry so recovery and replay can reproduce it. *)
 

@@ -65,14 +65,11 @@ let apply ~old_ ~delta =
   for _ = 1 to count do
     let gap = Byte_buf.Reader.varint r in
     let len = Byte_buf.Reader.varint r in
+    if gap > total - !pos || len > total - !pos - gap then
+      failwith "Delta.apply: span outside the base";
     pos := !pos + gap;
     let data = Byte_buf.Reader.bytes r len in
     Bytes.blit data 0 fresh !pos len;
     pos := !pos + len
   done;
   fresh
-
-let is_identity delta =
-  let r = Byte_buf.Reader.of_bytes delta in
-  let _total = Byte_buf.Reader.varint r in
-  Byte_buf.Reader.varint r = 0

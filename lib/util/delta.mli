@@ -11,8 +11,6 @@ val diff : old_:bytes -> fresh:bytes -> bytes
     [fresh]. Both buffers must have the same length. *)
 
 val apply : old_:bytes -> delta:bytes -> bytes
-(** [apply ~old_ ~delta] reconstructs the fresh buffer. Raises [Failure] if
-    the delta does not match [old_]'s length. *)
-
-val is_identity : bytes -> bool
-(** [is_identity delta] is true when the delta encodes zero changed spans. *)
+(** [apply ~old_ ~delta] reconstructs the fresh buffer into a new one;
+    [old_] is only read. Raises [Failure] if the delta does not match
+    [old_]'s length, names a span outside it, or is truncated. *)

@@ -299,40 +299,3 @@ let decode blob =
     memo_insert decode_stats decode_memo key ~input:(Bytes.copy blob)
       ~output:data ~prior;
     Bytes.copy data
-
-let ratio data =
-  let n = Bytes.length data in
-  if n = 0 then 1.0 else float_of_int (Bytes.length (encode data)) /. float_of_int n
-
-(* Guarded container: a leading tag byte distinguishes range-coded output
-   from a stored-raw fallback, so incompressible input never expands by more
-   than the tag byte. The bare [encode]/[decode] pair is kept untouched for
-   callers that do their own accounting. *)
-
-let guard_tag_raw = 0
-let guard_tag_rc = 1
-
-let encode_guarded data =
-  let coded = encode data in
-  if Bytes.length coded < Bytes.length data then begin
-    let out = Bytes.create (Bytes.length coded + 1) in
-    Bytes.set out 0 (Char.chr guard_tag_rc);
-    Bytes.blit coded 0 out 1 (Bytes.length coded);
-    out
-  end
-  else begin
-    let out = Bytes.create (Bytes.length data + 1) in
-    Bytes.set out 0 (Char.chr guard_tag_raw);
-    Bytes.blit data 0 out 1 (Bytes.length data);
-    out
-  end
-
-let decode_guarded blob =
-  if Bytes.length blob = 0 then failwith "Range_coder.decode_guarded: empty input"
-  else begin
-    let body = Bytes.sub blob 1 (Bytes.length blob - 1) in
-    match Char.code (Bytes.get blob 0) with
-    | 0 -> body
-    | 1 -> decode body
-    | tag -> failwith (Printf.sprintf "Range_coder.decode_guarded: bad tag %d" tag)
-  end

@@ -38,15 +38,3 @@ val min_coded_length : int -> int
     the length of the varint header plus that many bits rounded up to
     bytes. The per-step term is constant from the step where the total
     saturates, so the bound costs O(1) per call. *)
-
-val ratio : bytes -> float
-(** [ratio data] is [compressed_size /. original_size] (1.0 for empty
-    input). Convenience for traffic accounting. *)
-
-val encode_guarded : bytes -> bytes
-(** Like {!encode} but prefixed with a 1-byte tag and falling back to
-    storing the input raw whenever coding would expand it: the output is
-    never more than one byte larger than the input. *)
-
-val decode_guarded : bytes -> bytes
-(** Inverts {!encode_guarded}. Raises [Failure] on corrupt input. *)

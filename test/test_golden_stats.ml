@@ -153,6 +153,42 @@ let six_blobs_byte_identical () =
       check Alcotest.int64 (name ^ " blob hash") (hash_of name) (Grt_util.Hashing.fnv1a_bytes b))
     blobs
 
+(* The untagged wire rule — full pages plus a per-page header unless dumps
+   are range-coded — and the codec ablations. The rows above all compress
+   their dumps, so without these nothing pins what an uncompressed or
+   delta-free recording charges the link. Captured before the page-record
+   protocol moved behind [Memsync]. *)
+let codec_expected =
+  [
+    ( "Naive",
+      "blob=8a88735bd31e9de5 entries=1024 rtts=980 sync_wire=808718 sync_raw=805712 commits=978 \
+       spec=0 cats=[Init:0,Interrupt:0,Power state:0,Polling:0,Other:0] nondet=0 accesses=978 \
+       polls=170/0 rollbacks=0 retransmits=0 linkdowns=0" );
+    ( "OursMDS-no-compress",
+      "blob=220629017c094fd7 entries=1024 rtts=62 sync_wire=510910 sync_raw=507904 commits=591 \
+       spec=531 cats=[Init:1,Interrupt:40,Power state:46,Polling:319,Other:125] nondet=23 \
+       accesses=808 polls=170/170 rollbacks=0 retransmits=0 linkdowns=0" );
+    ( "OursMDS-no-delta",
+      "blob=220629017c094fd7 entries=1024 rtts=62 sync_wire=12980 sync_raw=507904 commits=591 \
+       spec=531 cats=[Init:1,Interrupt:40,Power state:46,Polling:319,Other:125] nondet=23 \
+       accesses=808 polls=170/170 rollbacks=0 retransmits=0 linkdowns=0" );
+  ]
+
+let codec_actuals () =
+  let cold config = record ~history:(Grt.Drivershim.fresh_history ()) ~config Mode.Ours_mds in
+  let base = Mode.default_config Mode.Ours_mds in
+  [
+    ("Naive", tuple_of (record Mode.Naive));
+    ("OursMDS-no-compress", tuple_of (cold { base with Mode.compress_dumps = false }));
+    ("OursMDS-no-delta", tuple_of (cold { base with Mode.delta_dumps = false }));
+  ]
+
+let codec_golden () =
+  let got = codec_actuals () in
+  List.iter
+    (fun (name, want) -> check Alcotest.string name want (List.assoc name got))
+    codec_expected
+
 (* The signed blob must also be stable run-to-run within one process (the
    recorder may not depend on hidden global state). *)
 let rerun_stable () =
@@ -263,7 +299,7 @@ let () =
      asserting, for refreshing the expected table after an intentional
      behaviour change. *)
   if Sys.getenv_opt "GOLDEN_CAPTURE" <> None then begin
-    List.iter (fun (name, t) -> Printf.printf "    (%S, %S);\n" name t) (actuals ());
+    List.iter (fun (name, t) -> Printf.printf "    (%S, %S);\n" name t) (actuals () @ codec_actuals ());
     Printf.printf "  fleet: %S\n" (fleet_digest ());
     Printf.printf "  fleet clocks: %S\n" (fleet_clocks (fleet_specs ()));
     Printf.printf "  lossy clocks: %S\n" (fleet_clocks (lossy_fleet_specs ()))
@@ -275,6 +311,7 @@ let () =
           [
             Alcotest.test_case "fixed-seed outcome stats" `Quick golden;
             Alcotest.test_case "six blobs byte-identical" `Quick six_blobs_byte_identical;
+            Alcotest.test_case "codec ablation stats" `Quick codec_golden;
             Alcotest.test_case "re-record stability" `Quick rerun_stable;
             Alcotest.test_case "fleet smoke pin" `Quick fleet_pin;
             Alcotest.test_case "fleet clock pins" `Quick fleet_clock_pins;

@@ -18,29 +18,37 @@ let qtest ?(count = 200) name gen prop =
 
 let region_pages = 16
 
+(* Both endpoints watch the same region: the receiver syncs its own
+   writes back in the bidirectional property. *)
 let mk_pair ?shared cfg ~pages =
   let mem_s = Mem.create () and mem_r = Mem.create () in
   let pa = Mem.alloc_pages mem_s pages in
   let sender = Memsync.create ?shared cfg and receiver = Memsync.create cfg in
-  Memsync.register_region sender
-    {
-      Memsync.name = "cmd";
-      usage = Session.Cmd;
-      va = 0x4000_0000L;
-      pa;
-      model_bytes = pages * Mem.page_size;
-      actual_bytes = pages * Mem.page_size;
-    };
+  List.iter
+    (fun ms ->
+      Memsync.register_region ms
+        {
+          Memsync.name = "cmd";
+          usage = Session.Cmd;
+          va = 0x4000_0000L;
+          pa;
+          model_bytes = pages * Mem.page_size;
+          actual_bytes = pages * Mem.page_size;
+        })
+    [ sender; receiver ];
   (mem_s, mem_r, sender, receiver, Mem.page_of_addr pa)
 
 (* ---- the property: any mutation script, any flag combination ----
 
-   Mutate the sender's region, sync, push the payload across the "wire"
-   (the same record list a recording would carry), apply on the receiver —
-   repeatedly — and the receiver must end bit-identical. Along the way
-   every hash reference must resolve to content the receiver already
-   holds (from an earlier full-bodied record, in or before this payload),
-   and the payload's wire accounting must equal the sum of its records. *)
+   Each round mutates the sender's region and syncs it across the "wire"
+   (the same record list a recording would carry) into the receiver; then
+   the receiver rewrites some pages and syncs them back through the same
+   receive path. Along the way every hash reference must resolve to
+   content its receiver already holds (from an earlier full-bodied record,
+   in or before this payload), and each payload's wire accounting must
+   equal the sum of its records. At the end both memories are equal, and
+   an immediate re-sync with no writes ships nothing in either direction —
+   which fails if any shared page body was mutated after it was shipped. *)
 
 let all_flag_combos =
   List.concat_map
@@ -81,7 +89,8 @@ let gen_script =
         (2, map (fun i -> Dup i) small_nat);
       ]
   in
-  list_size (int_range 1 4) (list_size (int_bound 6) (pair (int_bound (region_pages - 1)) body))
+  let writes = list_size (int_bound 6) (pair (int_bound (region_pages - 1)) body) in
+  list_size (int_range 1 4) (pair writes writes)
 
 let run_script combo script =
   let cfg = cfg_of_combo combo in
@@ -98,35 +107,43 @@ let run_script combo script =
       | [] -> Bytes.make Mem.page_size 'd'
       | l -> List.nth l (i mod List.length l))
   in
-  let recv_hashes = Hashtbl.create 64 in
   let ok = ref true in
+  let write mem writes =
+    List.iter
+      (fun (idx, spec) ->
+        let b = body_of spec in
+        pool := b :: !pool;
+        Mem.set_page mem (Int64.add first (Int64.of_int idx)) b)
+      writes
+  in
+  (* [decoded]: content hashes the receiving side has decoded so far *)
+  let ship ~from_ ~mem_from ~to_ ~mem_to ~decoded =
+    let p = Memsync.sync_meta from_ mem_from in
+    let sum = List.fold_left (fun a (r : Memsync.page_record) -> a + r.Memsync.wire) 0 p.Memsync.records in
+    if p.Memsync.wire_bytes <> sum then ok := false;
+    List.iter
+      (fun (r : Memsync.page_record) ->
+        let h = Memsync.hash_page r.Memsync.data in
+        if r.Memsync.enc = Memsync.Enc_hash_ref && not (Hashtbl.mem decoded h) then ok := false;
+        Hashtbl.replace decoded h ())
+      p.Memsync.records;
+    ignore (Memsync.receive to_ mem_to p)
+  in
+  let down = Hashtbl.create 64 and up = Hashtbl.create 64 in
   List.iter
-    (fun round ->
-      List.iter
-        (fun (idx, spec) ->
-          let b = body_of spec in
-          pool := b :: !pool;
-          Mem.set_page mem_s (Int64.add first (Int64.of_int idx)) b)
-        round;
-      let p = Memsync.sync_meta sender mem_s in
-      let sum = List.fold_left (fun a (r : Memsync.page_record) -> a + r.Memsync.wire) 0 p.Memsync.records in
-      if p.Memsync.wire_bytes <> sum then ok := false;
-      List.iter
-        (fun (r : Memsync.page_record) ->
-          (match r.Memsync.enc with
-          | Memsync.Enc_hash_ref ->
-            (* reference must resolve from records the receiver decoded
-               earlier (previous payloads or earlier in this one) *)
-            if not (Hashtbl.mem recv_hashes (Memsync.hash_page r.Memsync.data)) then ok := false
-          | _ -> ());
-          Hashtbl.replace recv_hashes (Memsync.hash_page r.Memsync.data) ())
-        p.Memsync.records;
-      Memsync.apply receiver mem_r p)
+    (fun (sender_writes, receiver_writes) ->
+      write mem_s sender_writes;
+      ship ~from_:sender ~mem_from:mem_s ~to_:receiver ~mem_to:mem_r ~decoded:down;
+      write mem_r receiver_writes;
+      ship ~from_:receiver ~mem_from:mem_r ~to_:sender ~mem_to:mem_s ~decoded:up)
     script;
   for i = 0 to region_pages - 1 do
     let pfn = Int64.add first (Int64.of_int i) in
     if not (Bytes.equal (Mem.get_page mem_s pfn) (Mem.get_page mem_r pfn)) then ok := false
   done;
+  List.iter
+    (fun (ms, mem) -> if (Memsync.sync_meta ms mem).Memsync.records <> [] then ok := false)
+    [ (sender, mem_s); (receiver, mem_r) ];
   !ok
 
 let memsync_qcheck_reproduces =
@@ -250,7 +267,7 @@ let dedup_fires_on_reshipped_content () =
   let mem_s, mem_r, sender, receiver, first = mk_pair cfg ~pages:4 in
   let ship () =
     let p = Memsync.sync_meta sender mem_s in
-    Memsync.apply receiver mem_r p;
+    ignore (Memsync.receive receiver mem_r p);
     p
   in
   ignore (ship ());
@@ -277,9 +294,10 @@ let hash_ref_unknown_rejected () =
   let mem = Mem.create () in
   let body = Bytes.create 8 in
   Bytes.set_int64_le body 0 0xDEAD_BEEFL;
-  Alcotest.check_raises "unknown reference fails"
-    (Failure "Memsync: hash reference to unknown page content") (fun () ->
-      ignore (Memsync.decode_records store mem [ (4L, Memsync.Enc_hash_ref, body) ]))
+  match Memsync.install store mem (Memsync.payload_of_records [ (4L, Memsync.Enc_hash_ref, body) ]) with
+  | Error (Memsync.Unknown_hash h) -> check Alcotest.int64 "names the missing hash" 0xDEAD_BEEFL h
+  | Error e -> Alcotest.failf "wrong error: %s" (Memsync.decode_error_message e)
+  | Ok _ -> Alcotest.fail "unknown reference decoded"
 
 (* ---- tagged records in recordings ---- *)
 

@@ -184,8 +184,8 @@ let replay_gpu_isolated_during_session () =
   let input = Runner.input_values p ~seed:42L in
   let params = Runner.weight_values p ~seed:42L in
   let r =
-    Replayer.replay ~gpushim:g ~signing_key:Orchestrate.cloud_signing_key
-      ~blob:o.Orchestrate.blob ~input ~params ()
+    Replayer.replay_segments ~gpushim:g ~signing_key:Orchestrate.cloud_signing_key
+      ~blobs:[ o.Orchestrate.blob ] ~input ~params ()
   in
   check Alcotest.bool "released after replay" false (Gpushim.isolated g);
   check Alcotest.bool "entries applied" true (r.Replayer.entries_applied > 100);

@@ -237,6 +237,59 @@ let hostile_blobs_rejected_cheaply () =
       ("a 63-bit page count in a chunk body", tamper count_at wide);
     ]
 
+(* Signed-but-malformed page records: the blob verifies, so only the page
+   decoder stands between these bodies and the GPU's memory. Each record is
+   appended to the MNIST recording and re-signed. Compile must answer
+   [Error] or execution must raise [Rejected] — in both replayers — and
+   nothing may escape as an untyped exception. *)
+let hostile_records_rejected () =
+  let key = Orchestrate.cloud_signing_key in
+  let rec_t = (Lazy.force mnist_recording).Orchestrate.recording in
+  let pfn = 0x80000L in
+  let short = Bytes.make 100 '\x5a' in
+  let span_past_end =
+    (* varint 4096 ∥ one span ∥ gap 4090 ∥ length 100 ∥ 100 bytes *)
+    let b = Grt_util.Byte_buf.create () in
+    List.iter (Grt_util.Byte_buf.add_varint b) [ Grt_gpu.Mem.page_size; 1; 4090; 100 ];
+    Grt_util.Byte_buf.add_sub b short ~pos:0 ~len:100;
+    Grt_util.Byte_buf.contents b
+  in
+  let unknown_hash = Bytes.create 8 in
+  Bytes.set_int64_le unknown_hash 0 0x0123_4567_89AB_CDEFL;
+  let enc e body = Recording.Mem_load_enc { records = [ (pfn, e, body) ] } in
+  let plan = Network.expand Zoo.mnist in
+  let input = Runner.input_values plan ~seed:7L in
+  let params = Runner.weight_values plan ~seed:42L in
+  let outcome f =
+    match f () with
+    | () -> "accepted"
+    | exception Replayer.Rejected _ -> "rejected"
+    | exception e -> "raised " ^ Printexc.to_string e
+  in
+  List.iter
+    (fun (what, entry) ->
+      let blob =
+        Recording.sign ~key
+          { rec_t with Recording.entries = Array.append rec_t.Recording.entries [| entry |] }
+      in
+      let compiled () =
+        match Replay_prog.of_blob ~key blob with
+        | Error e -> raise (Replayer.Rejected e)
+        | Ok prog -> ignore (Orchestrate.replay_compiled ~sku ~prog ~input ~params ~seed:7L ())
+      in
+      let interpreted () =
+        ignore (Orchestrate.replay_recording ~sku ~blob ~input ~params ~seed:7L ())
+      in
+      check Alcotest.string (what ^ ", compiled") "rejected" (outcome compiled);
+      check Alcotest.string (what ^ ", interpreted") "rejected" (outcome interpreted))
+    [
+      ("a delta span past the page end", enc Grt.Memsync.Enc_delta span_past_end);
+      ("an unknown hash reference", enc Grt.Memsync.Enc_hash_ref unknown_hash);
+      ("a 100-byte raw page", enc Grt.Memsync.Enc_raw short);
+      ("a 100-byte page range-coded", enc Grt.Memsync.Enc_raw_rc (Grt_util.Range_coder.encode short));
+      ("a 100-byte Mem_load page", Recording.Mem_load { pages = [ (pfn, short) ] });
+    ]
+
 let divergence_releases_gpu () =
   (* An exception mid-execution must still reset and release the GPU so the
      session object remains usable for the next replay. *)
@@ -389,6 +442,7 @@ let () =
           Alcotest.test_case "tampered rc body rejected at compile" `Quick
             tampered_rc_body_rejected_at_compile;
           Alcotest.test_case "hostile blobs rejected cheaply" `Quick hostile_blobs_rejected_cheaply;
+          Alcotest.test_case "hostile page records rejected" `Quick hostile_records_rejected;
           Alcotest.test_case "divergence releases GPU" `Quick divergence_releases_gpu;
         ] );
       ( "attestation",

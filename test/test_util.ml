@@ -170,7 +170,7 @@ let rc_roundtrip_cases () =
 
 let rc_compresses_sparse () =
   let b = Bytes.make 4096 '\000' in
-  let ratio = Range_coder.ratio b in
+  let ratio = float_of_int (Bytes.length (Range_coder.encode b)) /. 4096. in
   if ratio > 0.05 then Alcotest.failf "sparse page should compress hard, got %.3f" ratio
 
 let rc_random_data_no_explosion () =
@@ -194,32 +194,6 @@ let rc_qcheck_sparse =
       let b = Bytes.make 4096 '\000' in
       List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
       Bytes.equal b (Range_coder.decode (Range_coder.encode b)))
-
-let rc_guarded_random_bounded () =
-  (* The guarded container stores raw whenever coding would expand, so its
-     output is never more than one tag byte over the input — even on
-     incompressible random bytes, where plain [encode] may expand. *)
-  let r = Rng.create ~seed:23L in
-  for _ = 1 to 32 do
-    let b = Rng.bytes r (Rng.int r 5000) in
-    let enc = Range_coder.encode_guarded b in
-    if Bytes.length enc > Bytes.length b + 1 then
-      Alcotest.failf "guarded output expanded: %d -> %d" (Bytes.length b) (Bytes.length enc);
-    check Alcotest.bytes "guarded roundtrip (random)" b (Range_coder.decode_guarded enc)
-  done
-
-let rc_guarded_compressible () =
-  let b = Bytes.make 4096 '\000' in
-  let enc = Range_coder.encode_guarded b in
-  if Bytes.length enc >= 4096 then
-    Alcotest.failf "guarded output should still compress sparse pages: %d" (Bytes.length enc);
-  check Alcotest.bytes "guarded roundtrip (sparse)" b (Range_coder.decode_guarded enc)
-
-let rc_guarded_rejects_garbage () =
-  Alcotest.check_raises "empty input" (Failure "Range_coder.decode_guarded: empty input")
-    (fun () -> ignore (Range_coder.decode_guarded Bytes.empty));
-  Alcotest.check_raises "bad tag" (Failure "Range_coder.decode_guarded: bad tag 7") (fun () ->
-      ignore (Range_coder.decode_guarded (Bytes.of_string "\007abc")))
 
 (* Shaped buffers for codec fuzzing: the degenerate inputs memsync traffic
    rarely produces — empty, single-byte, all-equal runs, seeded
@@ -245,12 +219,6 @@ let rc_qcheck_shaped =
       Bytes.equal b (Range_coder.decode enc)
       (* Incompressible input must not blow up the wire either. *)
       && Bytes.length enc <= Bytes.length b + 256)
-
-let rc_qcheck_guarded =
-  qtest ~count:300 "guarded range coder bounded and roundtrips shaped buffers" gen_shaped_bytes
-    (fun b ->
-      let enc = Range_coder.encode_guarded b in
-      Bytes.length enc <= Bytes.length b + 1 && Bytes.equal b (Range_coder.decode_guarded enc))
 
 (* Differential against [Rc_reference], the kernels as they were before
    their state moved into locals: coded bytes must be identical, and so
@@ -340,7 +308,9 @@ let rc_rejects_inflated_length () =
 let delta_identity () =
   let b = Bytes.of_string "unchanged page" in
   let d = Delta.diff ~old_:b ~fresh:b in
-  check Alcotest.bool "identity delta" true (Delta.is_identity d);
+  (* no spans: applied to any same-length base, it changes nothing *)
+  let other = Bytes.make (Bytes.length b) 'z' in
+  check Alcotest.bytes "identity delta" other (Delta.apply ~old_:other ~delta:d);
   check Alcotest.bytes "apply identity" b (Delta.apply ~old_:b ~delta:d)
 
 let delta_basic () =
@@ -368,6 +338,26 @@ let delta_wrong_base () =
   Alcotest.check_raises "base length checked" (Failure "Delta.apply: base length mismatch")
     (fun () -> ignore (Delta.apply ~old_:(Bytes.create 8) ~delta:d))
 
+let delta_span_outside_base () =
+  (* A hostile delta naming bytes past the end of its base is a decode
+     error, not an out-of-bounds blit. *)
+  let span ~gap ~len =
+    let b = Byte_buf.create () in
+    List.iter (Byte_buf.add_varint b) [ 16; 1; gap; len ];
+    Byte_buf.add_sub b (Bytes.make len 'x') ~pos:0 ~len;
+    Byte_buf.contents b
+  in
+  List.iter
+    (fun (gap, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "gap %d len %d" gap len)
+        (Failure "Delta.apply: span outside the base")
+        (fun () -> ignore (Delta.apply ~old_:(Bytes.make 16 'a') ~delta:(span ~gap ~len))))
+    [ (10, 7); (17, 0); (0, 17) ];
+  check Alcotest.bytes "a span ending at the last byte applies"
+    (Bytes.of_string "aaaaaaaaaaxxxxxx")
+    (Delta.apply ~old_:(Bytes.make 16 'a') ~delta:(span ~gap:10 ~len:6))
+
 let delta_qcheck =
   qtest "delta diff/apply reconstructs"
     QCheck2.Gen.(
@@ -392,7 +382,10 @@ let delta_qcheck_shaped =
       in
       let d = Delta.diff ~old_ ~fresh in
       Bytes.equal fresh (Delta.apply ~old_ ~delta:d)
-      && (not (Bytes.equal old_ fresh) || Delta.is_identity d))
+      && (not (Bytes.equal old_ fresh)
+         || (* an identity delta changes no base at all *)
+         let other = Bytes.make n 'z' in
+         Bytes.equal other (Delta.apply ~old_:other ~delta:d)))
 
 (* ---- Sexpr ---- *)
 
@@ -537,13 +530,9 @@ let () =
           Alcotest.test_case "roundtrip cases" `Quick rc_roundtrip_cases;
           Alcotest.test_case "sparse compresses" `Quick rc_compresses_sparse;
           Alcotest.test_case "no explosion" `Quick rc_random_data_no_explosion;
-          Alcotest.test_case "guarded bounded on random" `Quick rc_guarded_random_bounded;
-          Alcotest.test_case "guarded still compresses" `Quick rc_guarded_compressible;
-          Alcotest.test_case "guarded rejects garbage" `Quick rc_guarded_rejects_garbage;
           rc_qcheck_roundtrip;
           rc_qcheck_sparse;
           rc_qcheck_shaped;
-          rc_qcheck_guarded;
           Alcotest.test_case "min_coded_length of a zero page" `Quick rc_min_coded_length_zero_page;
           Alcotest.test_case "rejects inflated length" `Quick rc_rejects_inflated_length;
           rc_qcheck_min_coded_length;
@@ -557,6 +546,7 @@ let () =
           Alcotest.test_case "small for sparse edits" `Quick delta_smaller_than_page;
           Alcotest.test_case "length mismatch" `Quick delta_length_mismatch;
           Alcotest.test_case "wrong base" `Quick delta_wrong_base;
+          Alcotest.test_case "span outside the base" `Quick delta_span_outside_base;
           delta_qcheck;
           delta_qcheck_shaped;
         ] );
