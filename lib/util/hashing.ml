@@ -1,23 +1,51 @@
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let fnv1a_sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Hashing.fnv1a_sub: slice out of bounds";
-  let h = ref fnv_offset in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-    h := Int64.mul !h fnv_prime
+(* Eight FNV-1a steps over zero bytes are eight multiplies by the prime
+   (xor with 0 is the identity): one multiply by [fnv_prime^8] mod 2^64. *)
+let fnv_prime8 =
+  let p2 = Int64.mul fnv_prime fnv_prime in
+  let p4 = Int64.mul p2 p2 in
+  Int64.mul p4 p4
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* One FNV-1a step on the byte at bit [shift] of [w]. *)
+let step h w shift =
+  Int64.mul (Int64.logxor h (Int64.logand (Int64.shift_right_logical w shift) 0xFFL)) fnv_prime
+
+(* FNV-1a over [b.[pos .. pos + len - 1]] from [h], read a little-endian
+   word at a time: the recorder's pages and blobs are mostly zero words, and
+   a zero word costs one multiply. A non-zero word takes its eight byte
+   steps in index order, each byte taken from the word, so the digest is the
+   byte loop's. The caller checks bounds. *)
+let fnv1a_range h b ~pos ~len =
+  let h = ref h and i = ref pos in
+  let stop = pos + len in
+  while !i <= stop - 8 do
+    let w = if Sys.big_endian then bswap64 (get64u b !i) else get64u b !i in
+    if w = 0L then h := Int64.mul !h fnv_prime8
+    else begin
+      let x = step (step (step (step !h w 0) w 8) w 16) w 24 in
+      h := step (step (step (step x w 32) w 40) w 48) w 56
+    end;
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b !i)))) fnv_prime;
+    incr i
   done;
   !h
 
-let fnv1a_bytes ?(seed = fnv_offset) b =
-  let h = ref seed in
-  for i = 0 to Bytes.length b - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-    h := Int64.mul !h fnv_prime
-  done;
-  !h
+let fnv1a_sub b ~pos ~len =
+  (* [pos + len] can wrap past [max_int]; [Bytes.length b - pos] cannot
+     once [pos] is in range. *)
+  if pos < 0 || len < 0 || pos > Bytes.length b || len > Bytes.length b - pos then
+    invalid_arg "Hashing.fnv1a_sub: slice out of bounds";
+  fnv1a_range fnv_offset b ~pos ~len
+
+let fnv1a_bytes ?(seed = fnv_offset) b = fnv1a_range seed b ~pos:0 ~len:(Bytes.length b)
 
 let fnv1a_string s = fnv1a_bytes (Bytes.unsafe_of_string s)
 
@@ -33,19 +61,25 @@ let hmac ~key data =
 (* Process-internal memo key: FNV-style fold over 8-byte words, so the
    dependency chain advances a word at a time instead of a byte at a time.
    Never serialized — collisions only cost the caller's full comparison. *)
-let quick ?(seed = 0x1B873593) b =
-  let n = Bytes.length b in
-  let h = ref (seed + n) in
-  let i = ref 0 in
-  while !i + 8 <= n do
+let quick_range seed b ~pos ~len =
+  let h = ref (seed + len) in
+  let i = ref pos and stop = pos + len in
+  while !i + 8 <= stop do
     h := (!h lxor Int64.to_int (Bytes.get_int64_le b !i)) * 0x100000001B3;
     i := !i + 8
   done;
-  while !i < n do
+  while !i < stop do
     h := (!h lxor Char.code (Bytes.unsafe_get b !i)) * 0x100000001B3;
     incr i
   done;
   !h
+
+let quick ?(seed = 0x1B873593) b = quick_range seed b ~pos:0 ~len:(Bytes.length b)
+
+let quick_sub ?(seed = 0x1B873593) b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b || len > Bytes.length b - pos then
+    invalid_arg "Hashing.quick_sub: slice out of bounds";
+  quick_range seed b ~pos ~len
 
 (* Sparse memo key for megabyte-scale buffers (signed recording blobs):
    samples one 8-byte word per 64-byte cache line plus the tail word, so the

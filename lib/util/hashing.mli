@@ -6,10 +6,13 @@
     sign/verify control flow, not to provide actual cryptographic strength. *)
 
 val fnv1a_bytes : ?seed:int64 -> bytes -> int64
-(** Hash an entire byte buffer. *)
+(** Hash an entire byte buffer (64-bit FNV-1a, or the same byte steps from
+    [seed]). Zero words cost one multiply each; the digest is the
+    byte-at-a-time one. *)
 
 val fnv1a_sub : bytes -> pos:int -> len:int -> int64
-(** Hash a slice of a byte buffer. *)
+(** Hash a slice of a byte buffer. Raises [Invalid_argument] unless
+    [0 <= pos], [0 <= len] and [pos + len <= Bytes.length b]. *)
 
 val fnv1a_string : string -> int64
 
@@ -24,7 +27,11 @@ val quick : ?seed:int -> bytes -> int
     is NOT a wire-format hash — it may change between versions — and
     collisions are expected to be resolved by the caller (compare the full
     input before trusting a hit). Roughly 8x the throughput of the
-    byte-sequential [fnv1a_bytes]. *)
+    byte-sequential FNV-1a. *)
+
+val quick_sub : ?seed:int -> bytes -> pos:int -> len:int -> int
+(** [quick] over the slice [pos, pos + len) in place, with no copy. Raises
+    [Invalid_argument] if the slice is out of bounds. *)
 
 val quick_sparse : ?seed:int -> bytes -> int
 (** Like [quick] but samples one word per 64-byte line (falling back to

@@ -39,6 +39,11 @@ let evicted t ~entries =
   t.resident <- 0;
   t.resident_bytes <- 0
 
+let dropped t ~entries ~bytes =
+  t.evictions <- t.evictions + entries;
+  t.resident <- t.resident - entries;
+  t.resident_bytes <- t.resident_bytes - bytes
+
 let added t ~bytes =
   t.resident <- t.resident + 1;
   t.resident_bytes <- t.resident_bytes + bytes

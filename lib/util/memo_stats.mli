@@ -16,9 +16,11 @@
     - [mismatches]  quick-key matched but the full compare failed (the
                     collision the full verification exists to catch); every
                     mismatch is also counted as a miss
-    - [evictions]   entries dropped by capacity resets, summed
-    - [resident] / [resident_bytes]  live-entry gauges (approximate key +
-      payload footprint as reported by the call site) *)
+    - [evictions]   entries dropped by capacity resets or with an old
+                    generation, summed
+    - [resident] / [resident_bytes]  live-entry gauges over every table of
+      the memo (approximate key + payload footprint as reported by the call
+      site) *)
 
 type t
 
@@ -36,6 +38,11 @@ val mismatch : t -> unit
 val evicted : t -> entries:int -> unit
 (** A capacity reset dropped [entries] live entries: adds to the eviction
     counter and zeroes both resident gauges. *)
+
+val dropped : t -> entries:int -> bytes:int -> unit
+(** [entries] live entries occupying [bytes] left the memo while the rest
+    stayed (an old generation, or an entry overwritten by a colliding key):
+    adds to the eviction counter, and both gauges fall by exactly that. *)
 
 val added : t -> bytes:int -> unit
 (** A new entry became resident, occupying roughly [bytes]. *)

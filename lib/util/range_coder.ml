@@ -159,50 +159,101 @@ let encode_raw data =
    same page contents over and over — identical pages recur within a session
    (job status flips back and forth), across sessions of one workload, and
    across a fleet recording the same network (the same observation behind
-   the service's content-addressed recording cache). A small content-keyed
-   memo therefore short-circuits most real encodes. Hash collisions cannot
-   corrupt output: the stored input is compared byte-for-byte before the
-   cached blob is reused, and both sides of the memo are copies so callers
-   can keep mutating their buffers. *)
+   the service's content-addressed recording cache). A content-keyed memo
+   therefore short-circuits most real encodes.
+
+   It has two generations. A hit in the old one moves the entry back to the
+   young one; a miss goes into the young one, after a rotation (the young
+   generation becomes the old one, and the old one is dropped) if the young
+   one holds [memo_limit] entries or the two hold [2 * memo_limit]. So at
+   most about [2 * memo_limit] entries are resident, and any working set
+   of up to that many inputs stops missing after one pass, in any order:
+   its entries only move between the generations. One pass over the six
+   Zoo NNs codes 1,521 distinct inputs, which a single table reset
+   wholesale at [memo_limit] missed about 1,600 times on every pass.
+
+   An entry keeps its input only up to the last non-zero byte, plus the
+   input's length: the pages are mostly zeros. Hash collisions cannot
+   corrupt output: a hit needs the same length and the same bytes up to the
+   stored prefix, with the lookup's own zero tail starting exactly there,
+   which is full equality. Both sides of the memo are private copies, so
+   callers can keep mutating their buffers. *)
 let memo_limit = 1024
-
-let memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
-
-let content_key data = Hashing.quick data
 
 let encode_stats = Memo_stats.register "rc.encode"
 let decode_stats = Memo_stats.register "rc.decode"
 
-(* Shared miss path for both memo tables: profile the recompute, account
-   the resident footprint (input + output bytes), reset at capacity. *)
-let memo_insert stats tbl key ~input ~output ~prior =
-  Memo_stats.miss stats;
-  (match prior with
-  | None -> ()
-  | Some (old_in, old_out) ->
-    Memo_stats.mismatch stats;
-    Memo_stats.replaced stats
-      ~old_bytes:(Bytes.length old_in + Bytes.length old_out)
-      ~bytes:(Bytes.length input + Bytes.length output));
-  if Hashtbl.length tbl >= memo_limit then begin
-    Memo_stats.evicted stats ~entries:(Hashtbl.length tbl);
-    Hashtbl.reset tbl
-  end;
-  if not (Hashtbl.mem tbl key) then
-    Memo_stats.added stats ~bytes:(Bytes.length input + Bytes.length output);
-  Hashtbl.replace tbl key (input, output)
+type entry = { prefix : bytes; len : int; coded : bytes }
+
+let entry_bytes e = Bytes.length e.prefix + Bytes.length e.coded
+
+(* Length of [data] without its zero tail. *)
+let trimmed_length data =
+  let i = ref (Bytes.length data) in
+  while !i >= 8 && Bytes.get_int64_ne data (!i - 8) = 0L do
+    i := !i - 8
+  done;
+  while !i > 0 && Bytes.unsafe_get data (!i - 1) = '\000' do
+    decr i
+  done;
+  !i
+
+let rec same_prefix p data i t =
+  if i + 8 <= t then
+    Bytes.get_int64_ne p i = Bytes.get_int64_ne data i && same_prefix p data (i + 8) t
+  else i >= t || (Bytes.unsafe_get p i = Bytes.unsafe_get data i && same_prefix p data (i + 1) t)
+
+(* [e] holds [data], whose zero tail starts at [t]. *)
+let holds e data t =
+  e.len = Bytes.length data && Bytes.length e.prefix = t && same_prefix e.prefix data 0 t
+
+let young : (int, entry) Hashtbl.t ref = ref (Hashtbl.create 256)
+let old : (int, entry) Hashtbl.t ref = ref (Hashtbl.create 256)
+
+(* Put [e] in the young generation, overwriting a colliding entry. *)
+let keep key e =
+  (match Hashtbl.find_opt !young key with
+  | Some prev -> Memo_stats.dropped encode_stats ~entries:1 ~bytes:(entry_bytes prev)
+  | None -> ());
+  Hashtbl.replace !young key e
+
+(* Before a new entry goes in: a young generation of [memo_limit] entries,
+   or two that hold [2 * memo_limit] together, becomes the old one, and the
+   old one is dropped. *)
+let make_room () =
+  let y = Hashtbl.length !young and o = Hashtbl.length !old in
+  if y >= memo_limit || y + o >= 2 * memo_limit then begin
+    let recycled = !old in
+    Memo_stats.dropped encode_stats ~entries:o
+      ~bytes:(Hashtbl.fold (fun _ e acc -> acc + entry_bytes e) recycled 0);
+    Hashtbl.clear recycled;
+    old := !young;
+    young := recycled
+  end
 
 let encode data =
-  let key = content_key data in
-  match Hashtbl.find_opt memo key with
-  | Some (input, coded) when Bytes.equal input data ->
+  let n = Bytes.length data in
+  let t = trimmed_length data in
+  let key = Hashing.quick_sub ~seed:n data ~pos:0 ~len:t in
+  match Hashtbl.find_opt !young key with
+  | Some e when holds e data t ->
     Memo_stats.hit encode_stats;
-    Bytes.copy coded
-  | prior ->
-    let coded = encode_raw data in
-    memo_insert encode_stats memo key ~input:(Bytes.copy data) ~output:coded
-      ~prior;
-    Bytes.copy coded
+    Bytes.copy e.coded
+  | in_young -> (
+    match Hashtbl.find_opt !old key with
+    | Some e when holds e data t ->
+      Memo_stats.hit encode_stats;
+      Hashtbl.remove !old key;
+      keep key e;
+      Bytes.copy e.coded
+    | in_old ->
+      Memo_stats.miss encode_stats;
+      if Option.is_some in_young || Option.is_some in_old then Memo_stats.mismatch encode_stats;
+      let e = { prefix = Bytes.sub data 0 t; len = n; coded = encode_raw data } in
+      Memo_stats.added encode_stats ~bytes:(entry_bytes e);
+      make_room ();
+      keep key e;
+      Bytes.copy e.coded)
 
 let decode_raw blob =
   let len = Bytes.length blob in
@@ -283,19 +334,31 @@ let decode_raw blob =
   done;
   out
 
-(* Decode gets the same memo treatment as encode: the client applies the
-   same coded pages every time a workload's sync stream repeats, and decode
-   is a pure function of the blob. *)
+(* Decode is memoized too: the client applies the same coded pages every
+   time a workload's sync stream repeats, and decode is a pure function of
+   the blob. This memo keeps one table, keyed by the whole blob, and resets
+   it wholesale at [memo_limit]. *)
 let decode_memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
 
 let decode blob =
-  let key = content_key blob in
+  let key = Hashing.quick blob in
   match Hashtbl.find_opt decode_memo key with
   | Some (input, data) when Bytes.equal input blob ->
     Memo_stats.hit decode_stats;
     Bytes.copy data
   | prior ->
+    Memo_stats.miss decode_stats;
     let data = decode_raw blob in
-    memo_insert decode_stats decode_memo key ~input:(Bytes.copy blob)
-      ~output:data ~prior;
+    let bytes = Bytes.length blob + Bytes.length data in
+    (match prior with
+    | None -> ()
+    | Some (old_in, old_out) ->
+      Memo_stats.mismatch decode_stats;
+      Memo_stats.replaced decode_stats ~old_bytes:(Bytes.length old_in + Bytes.length old_out) ~bytes);
+    if Hashtbl.length decode_memo >= memo_limit then begin
+      Memo_stats.evicted decode_stats ~entries:(Hashtbl.length decode_memo);
+      Hashtbl.reset decode_memo
+    end;
+    if not (Hashtbl.mem decode_memo key) then Memo_stats.added decode_stats ~bytes;
+    Hashtbl.replace decode_memo key (Bytes.copy blob, data);
     Bytes.copy data

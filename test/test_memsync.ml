@@ -356,9 +356,40 @@ let mnist_fastpath_wins_and_replays () =
         fast.E.mpages_meta
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
 
+(* The rc.encode memo holds the Zoo's working set: a second pass over the
+   six NNs, at another seed, codes every page from the memo. With one
+   table reset wholesale at its cap, that pass missed about 1,600 times.
+   The first pass needs the memo as a fresh process has it (stale entries
+   from other tests could be in the generation it rotates out), so this
+   group runs first. *)
+let zoo_second_pass_never_misses () =
+  let module M = Grt_util.Memo_stats in
+  let record_zoo seed =
+    List.iter
+      (fun net ->
+        ignore
+          (Grt.Orchestrate.record ~history:(Grt.Spec_history.create ())
+             ~profile:Grt_net.Profile.wifi ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8 ~net ~seed
+             ()))
+      Grt_mlfw.Zoo.all
+  in
+  let encode_misses () =
+    match List.find_opt (fun c -> M.name c = "rc.encode") (M.all ()) with
+    | Some c -> (M.snapshot c).M.s_misses
+    | None -> Alcotest.fail "rc.encode never registered"
+  in
+  record_zoo 1L;
+  M.reset_counters ();
+  record_zoo 2L;
+  check Alcotest.int "rc.encode misses on the second pass" 0 (encode_misses ())
+
 let () =
   Alcotest.run "memsync"
     [
+      ( "memo",
+        [
+          Alcotest.test_case "Zoo second pass never misses" `Quick zoo_second_pass_never_misses;
+        ] );
       ( "fastpath",
         [
           memsync_qcheck_reproduces;

@@ -404,9 +404,18 @@ let memo_stats_registry () =
   check Alcotest.int "mismatches" 1 s.M.s_mismatches;
   check Alcotest.int "resident entries" 1 s.M.s_resident;
   check Alcotest.int "resident bytes track replacement" 60 s.M.s_resident_bytes;
+  (* a generation dropped while another stays: the gauges fall by exactly
+     what left *)
+  M.added m ~bytes:40;
+  M.added m ~bytes:30;
+  M.dropped m ~entries:2 ~bytes:100;
+  let s = M.snapshot m in
+  check Alcotest.int "dropped entries are evictions" 2 s.M.s_evictions;
+  check Alcotest.int "the rest stays resident" 1 s.M.s_resident;
+  check Alcotest.int "its bytes stay resident" 30 s.M.s_resident_bytes;
   M.evicted m ~entries:1;
   let s = M.snapshot m in
-  check Alcotest.int "evictions" 1 s.M.s_evictions;
+  check Alcotest.int "evictions" 3 s.M.s_evictions;
   check Alcotest.int "eviction zeroes the gauge" 0 s.M.s_resident;
   (match M.snap_json s with
   | Json.Obj fields ->
@@ -427,7 +436,14 @@ let memo_stats_registry () =
     | Some c -> M.snapshot c
     | None -> Alcotest.fail "rc.encode never registered"
   in
-  check Alcotest.bool "second encode hits the memo" true (rc.M.s_hits >= 1)
+  check Alcotest.bool "second encode hits the memo" true (rc.M.s_hits >= 1);
+  (* rc.encode's gauges cover both generations: at most 2 x 1024 entries,
+     each of which holds at least its coded bytes *)
+  if rc.M.s_resident < 1 || rc.M.s_resident > 2 * 1024 + 1 then
+    Alcotest.failf "rc.encode resident %d outside [1, 2049]" rc.M.s_resident;
+  if rc.M.s_resident_bytes < rc.M.s_resident then
+    Alcotest.failf "rc.encode resident bytes %d below its %d entries" rc.M.s_resident_bytes
+      rc.M.s_resident
 
 (* ---- Fleet reports: round trip, rendering, version skew ---- *)
 

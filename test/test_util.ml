@@ -133,6 +133,81 @@ let hashing_sub_consistent () =
   check Alcotest.bool "different slice differs" false
     (Int64.equal (Hashing.fnv1a_sub b ~pos:0 ~len:5) (Hashing.fnv1a_sub b ~pos:6 ~len:5))
 
+let hashing_published_vectors () =
+  List.iter
+    (fun (s, h) ->
+      let b = Bytes.of_string s in
+      check Alcotest.int64 (Printf.sprintf "fnv1a_bytes %S" s) h (Hashing.fnv1a_bytes b);
+      check Alcotest.int64 (Printf.sprintf "fnv1a_sub %S" s) h
+        (Hashing.fnv1a_sub b ~pos:0 ~len:(Bytes.length b));
+      check Alcotest.int64 (Printf.sprintf "reference %S" s) h (Fnv_reference.bytes b))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
+(* [pos + len] wraps for [len = max_int]: the check must not add them. *)
+let hashing_sub_rejects_out_of_bounds () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      (match Hashing.fnv1a_sub b ~pos ~len with
+      | _ -> Alcotest.failf "fnv1a_sub accepted ~pos:%d ~len:%d" pos len
+      | exception Invalid_argument _ -> ());
+      match Hashing.quick_sub b ~pos ~len with
+      | _ -> Alcotest.failf "quick_sub accepted ~pos:%d ~len:%d" pos len
+      | exception Invalid_argument _ -> ())
+    [ (1, max_int); (max_int, 1); (max_int, max_int); (-1, 4); (0, -1); (0, 17); (17, 0); (16, 1) ]
+
+(* Buffers for the word-stepping FNV loop: noise, sparse bytes, all zeros,
+   and long zero runs broken by a few non-zero bytes. *)
+let gen_fnv_input =
+  QCheck2.Gen.(
+    let rng seed = Rng.create ~seed:(Int64.of_int seed) in
+    let len = int_bound 600 in
+    let noise n = map (fun seed -> Rng.bytes (rng seed) n) int in
+    let sparse n =
+      map
+        (fun seed ->
+          let r = rng seed in
+          Bytes.init n (fun _ -> if Rng.int r 20 = 0 then Char.chr (1 + Rng.int r 255) else '\000'))
+        int
+    in
+    let zero_runs n =
+      map
+        (fun seed ->
+          let r = rng seed and b = Bytes.make n '\000' in
+          if n > 0 then
+            for _ = 1 to Rng.int r 5 do
+              Bytes.set b (Rng.int r n) (Char.chr (1 + Rng.int r 255))
+            done;
+          b)
+        int
+    in
+    oneof
+      [
+        len >>= noise;
+        len >>= sparse;
+        map (fun n -> Bytes.make n '\000') len;
+        int_range 1000 5000 >>= zero_runs;
+      ])
+
+let hashing_qcheck_matches_reference =
+  qtest ~count:300 "fnv1a steps over zero words with the reference's digest"
+    QCheck2.Gen.(pair gen_fnv_input (map Int64.of_int int))
+    (fun (b, seed) ->
+      let n = Bytes.length b in
+      let range = List.init 8 Fun.id in
+      Int64.equal (Hashing.fnv1a_bytes b) (Fnv_reference.bytes b)
+      && Int64.equal (Hashing.fnv1a_bytes ~seed b) (Fnv_reference.bytes ~seed b)
+      (* every start offset mod 8, every tail length after the words *)
+      && List.for_all
+           (fun pos ->
+             List.for_all
+               (fun tail ->
+                 let len = (max 0 ((n - pos - tail) / 8) * 8) + tail in
+                 pos + len > n
+                 || Int64.equal (Hashing.fnv1a_sub b ~pos ~len) (Fnv_reference.sub b ~pos ~len))
+               range)
+           range)
+
 let hashing_hmac_keys () =
   let data = Bytes.of_string "payload" in
   check Alcotest.bool "different keys differ" false
@@ -250,6 +325,68 @@ let rc_qcheck_matches_reference =
       let enc = Range_coder.encode b in
       Bytes.equal enc (Rc_reference.encode_raw b)
       && Bytes.equal (Range_coder.decode enc) (Rc_reference.decode_raw enc))
+
+(* The encode memo against the reference over a stream long enough to
+   rotate its generations several times. Each base input also comes with
+   one and with eight extra zero bytes (entries keep their input only up to
+   the last non-zero byte, plus its length), and all-zero inputs of many
+   lengths share the empty prefix. Inputs are re-encoded in a new order on
+   later passes, after the caller has scribbled over both the buffer it
+   passed and the bytes it got back: neither may reach a later hit. *)
+let rc_memo_matches_reference_across_generations () =
+  let module M = Grt_util.Memo_stats in
+  let r = Rng.create ~seed:2024L in
+  let base () =
+    let n = 1 + Rng.int r 120 in
+    Bytes.init n (fun _ -> if Rng.int r 4 = 0 then Char.chr (1 + Rng.int r 255) else '\000')
+  in
+  let inputs =
+    List.concat_map
+      (fun _ ->
+        let b = base () in
+        [ b; Bytes.cat b (Bytes.make 1 '\000'); Bytes.cat b (Bytes.make 8 '\000') ])
+      (List.init 1500 Fun.id)
+    @ List.init 300 (fun n -> Bytes.make n '\000')
+  in
+  let cases = Array.of_list (List.map (fun b -> (Bytes.to_string b, Rc_reference.encode_raw b)) inputs) in
+  let stats () =
+    match List.find_opt (fun c -> M.name c = "rc.encode") (M.all ()) with
+    | Some c -> M.snapshot c
+    | None -> Alcotest.fail "rc.encode never registered"
+  in
+  let evicted_before = (stats ()).M.s_evictions in
+  let n = Array.length cases in
+  for pass = 0 to 2 do
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Rng.int r (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    Array.iter
+      (fun k ->
+        let input, expected = cases.(k) in
+        let buf = Bytes.of_string input in
+        let coded = Range_coder.encode buf in
+        if not (Bytes.equal coded expected) then
+          Alcotest.failf "pass %d: encode of a %d-byte input differs from the reference" pass
+            (String.length input);
+        Bytes.fill buf 0 (Bytes.length buf) '\001';
+        Bytes.fill coded 0 (Bytes.length coded) '\255')
+      order
+  done;
+  if (stats ()).M.s_evictions - evicted_before < 1024 then
+    Alcotest.fail "the stream never dropped an old generation";
+  (* the memo kept its own copy of an input the caller then overwrote *)
+  let input = Bytes.of_string "no zero tail: the memo keeps every byte" in
+  let original = Bytes.copy input in
+  ignore (Range_coder.encode input);
+  Bytes.fill input 0 (Bytes.length input) '\000';
+  let hits = (stats ()).M.s_hits in
+  check Alcotest.bytes "re-encode after the caller's overwrite" (Rc_reference.encode_raw original)
+    (Range_coder.encode original);
+  check Alcotest.int "and it is a hit" (hits + 1) (stats ()).M.s_hits
 
 (* Outcome of a decoder on a damaged blob, exceptions included. *)
 let decode_outcome f blob = match f blob with v -> Ok v | exception Failure _ -> Error ()
@@ -521,6 +658,10 @@ let () =
         [
           Alcotest.test_case "stable" `Quick hashing_stable;
           Alcotest.test_case "sub consistent" `Quick hashing_sub_consistent;
+          Alcotest.test_case "published FNV-1a vectors" `Quick hashing_published_vectors;
+          Alcotest.test_case "sub rejects out-of-bounds slices" `Quick
+            hashing_sub_rejects_out_of_bounds;
+          hashing_qcheck_matches_reference;
           Alcotest.test_case "hmac keys" `Quick hashing_hmac_keys;
           Alcotest.test_case "crc32 known value" `Quick crc32_known;
           Alcotest.test_case "crc32 detects flip" `Quick crc32_detects_flip;
@@ -537,6 +678,8 @@ let () =
           Alcotest.test_case "rejects inflated length" `Quick rc_rejects_inflated_length;
           rc_qcheck_min_coded_length;
           rc_qcheck_matches_reference;
+          Alcotest.test_case "memo matches the reference across generations" `Quick
+            rc_memo_matches_reference_across_generations;
           rc_qcheck_damaged_matches_reference;
         ] );
       ( "delta",
