@@ -403,7 +403,6 @@ type memsync_sweep_row = {
 
 let memsync_variants =
   [
-    ("legacy", fun c -> { c with Mode.memsync_dirty = false });
     ("dirty", fun (c : Mode.config) -> c);
     ("dirty+dedup", fun c -> { c with Mode.memsync_dedup = true });
     ( "dirty+dedup+adaptive",
@@ -520,9 +519,8 @@ let memsync_sweep ?(pages = 64) ?(rounds = 8) ?(dirtied = [ 4; 16; 64 ])
 
 (* ---- memsync fast path on a real workload ----
 
-   The same recording, baseline config vs. the full fast path (dirty
-   tracking is on by default in both; the fast path adds dedup + adaptive
-   encoding). Each run replays its own blob against the native output, so
+   The same recording, baseline config vs. the full fast path (dedup +
+   adaptive encoding). Each run replays its own blob against the native output, so
    the row proves the tagged record format round-trips end to end. *)
 
 type memsync_workload_row = {

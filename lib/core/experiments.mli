@@ -126,8 +126,8 @@ val fault_campaign :
     (windowed runs also set [Mode.max_inflight] to the window size). *)
 
 (** Memsync fast-path sweep on a synthetic sender/receiver pair: pages
-    dirtied per round × duplicate-content rate × feature variant (legacy,
-    dirty tracking, +dedup, +adaptive encoding). [reproduced] asserts the
+    dirtied per round × duplicate-content rate × feature variant (dirty
+    tracking alone, +dedup, +adaptive encoding). [reproduced] asserts the
     receiver memory ended bit-identical to the sender's. *)
 type memsync_sweep_row = {
   variant : string;

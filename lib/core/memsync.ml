@@ -64,29 +64,18 @@ module Store = struct
   let find (s : s) h = Hashtbl.find_opt s h
 end
 
-(* Flat scan state for [sync_meta]: the merged meta-pfn set as a sorted int
-   array, with the generation each pfn carried when last examined (-1 =
-   never). Rebuilt only when the merged set itself changes; stamps carry
-   over, so a rebuild never forgets what the scan has seen. *)
-type meta_fast = {
-  mf_pfns : int array;  (* merged meta pfns, sorted ascending *)
-  mf_last : int array;  (* generation at last examination; -1 = never *)
-  mutable mf_pfns64 : int64 list option;  (* lazy boxed view for {!meta_pfns} *)
-}
-
-(* Walked page-table pages with flat generation stamps: the walk is redone
-   whenever any pt page was rewritten (every mapping change), so both the
-   validity check and the rewalk must stay off the allocator. *)
-type pt_cache = {
-  ptc_pfns : int array;  (* sorted, deduped *)
-  ptc_gens : int array;  (* stamp of each page when walked *)
-  ptc_roots : (Grt_gpu.Sku.pt_format * int64) list;
-}
-
 type t = {
   cfg : Mode.config;
   mutable regions : region list;
   mutable pt_roots : (Grt_gpu.Sku.pt_format * int64) list;
+  mutable region_pfns : int array;  (* pages of metastate regions, sorted, deduped *)
+  mutable walk : int array;  (* scratch for the page-table walk *)
+  mutable scan : int array;  (* [scan_len] pfns: the meta set the last sync scanned *)
+  mutable scan_len : int;
+  mutable examined : int array;
+      (* per-pfn generation at last examination (-1 = never), grown on
+         demand up to [Mem.dense_limit]; pages above it are examined on
+         every sync *)
   baseline : (int, bytes) Hashtbl.t;
       (* last contents examined per pfn (int-keyed; pfns fit native ints) *)
   sent_store : Store.s;
@@ -95,16 +84,6 @@ type t = {
   recv_store : Store.s;
       (* bodies received from the peer (receiver role for the opposite
          direction): resolves inbound hash references *)
-  mutable region_pfn_cache : int64 list option;
-  mutable region_pfn_fast : int array option;  (* same set, sorted int array *)
-  mutable pt_cache : pt_cache option;
-  mutable meta_fast : meta_fast option;
-  mutable meta_stale : bool;
-      (* a root/region registration may have changed the merged set: rebuild
-         it on next use. The stale [meta_fast] is kept — its last-examined
-         stamps carry over to the rebuilt set, like the old per-pfn stamp
-         table survived cache invalidations. *)
-  mutable walk_scratch : int array;  (* reusable buffer for the pt walk *)
   shipped_data : (string, unit) Hashtbl.t; (* data regions the peer holds (Naive) *)
   shared : Store.s option;
       (* fleet-wide store shared by every session recorded under the same
@@ -118,26 +97,45 @@ let create ?shared cfg =
     cfg;
     regions = [];
     pt_roots = [];
+    region_pfns = [||];
+    walk = Array.make 64 0;
+    scan = Array.make 64 0;
+    scan_len = 0;
+    examined = [||];
     baseline = Hashtbl.create 256;
     sent_store = Store.create ();
     recv_store = Store.create ();
-    region_pfn_cache = None;
-    region_pfn_fast = None;
-    pt_cache = None;
-    meta_fast = None;
-    meta_stale = false;
-    walk_scratch = Array.make 64 0;
     shipped_data = Hashtbl.create 64;
     shared;
   }
 
 let tagged_wire cfg = cfg.Mode.memsync_dedup || cfg.Mode.memsync_adaptive
 
+(* Sorted union of the sorted, duplicate-free [a.(0..na)] and [b.(0..nb)]
+   into [out] (at least [na + nb] long); returns the union's length. *)
+let union_into a na b nb out =
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < na || !j < nb do
+    let x = if !i < na then a.(!i) else max_int in
+    let y = if !j < nb then b.(!j) else max_int in
+    out.(!k) <- (if x <= y then x else y);
+    incr k;
+    if x <= y then incr i;
+    if y <= x then incr j
+  done;
+  !k
+
 let register_region t r =
   t.regions <- r :: t.regions;
-  t.region_pfn_cache <- None;
-  t.region_pfn_fast <- None;
-  t.meta_stale <- true
+  if Session.usage_is_metastate r.usage then begin
+    (* Materialized pages of a region: its allocation is PA-contiguous. *)
+    let first = Mem.page_index r.pa in
+    let n = max 1 ((r.actual_bytes + Mem.page_size - 1) / Mem.page_size) in
+    let have = Array.length t.region_pfns in
+    let out = Array.make (have + n) 0 in
+    let m = union_into t.region_pfns have (Array.init n (fun i -> first + i)) n out in
+    t.region_pfns <- (if m = Array.length out then out else Array.sub out 0 m)
+  end
 
 let regions t = List.rev t.regions
 
@@ -149,62 +147,28 @@ let region_containing t ~va =
     t.regions
 
 let register_pt_root t ~fmt ~root_pa =
-  if not (List.exists (fun (_, r) -> Int64.equal r root_pa) t.pt_roots) then begin
-    t.pt_roots <- (fmt, root_pa) :: t.pt_roots;
-    t.pt_cache <- None;
-    t.meta_stale <- true
-  end
+  if not (List.exists (fun (_, r) -> Int64.equal r root_pa) t.pt_roots) then
+    t.pt_roots <- (fmt, root_pa) :: t.pt_roots
 
-let region_pfns r =
-  (* Materialized pages of a region: its allocation is PA-contiguous. *)
-  let first = Mem.page_of_addr r.pa in
-  let n_pages = (r.actual_bytes + Mem.page_size - 1) / Mem.page_size in
-  List.init (max 1 n_pages) (fun i -> Int64.add first (Int64.of_int i))
-
-(* Meta-region pfns, memoized: the set only changes when a region is
-   registered, which drops the cache. *)
-let meta_region_pfns t =
-  match t.region_pfn_cache with
-  | Some pfns -> pfns
-  | None ->
-    let pfns =
-      List.filter (fun r -> Session.usage_is_metastate r.usage) t.regions
-      |> List.concat_map region_pfns
-      |> List.sort_uniq Int64.compare
-    in
-    t.region_pfn_cache <- Some pfns;
-    pfns
-
-(* Sorted int-array view of the metastate region pfns, derived lazily from
-   the list cache (both drop when a region is registered). *)
-let meta_region_fast t =
-  match t.region_pfn_fast with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.map Int64.to_int (meta_region_pfns t)) in
-    t.region_pfn_fast <- Some a;
-    a
-
-(* Walk every registered root into [walk_scratch]; returns the table pfns
-   as a fresh sorted deduped int array (the only allocation). *)
+(* Walk every registered root into [t.walk]; returns how many distinct
+   table pfns it holds, sorted ascending. *)
 let pt_walk t mem =
   let n = ref 0 in
   let push pfn =
-    let buf = t.walk_scratch in
+    let buf = t.walk in
     let len = Array.length buf in
     if !n >= len then begin
       let bigger = Array.make (2 * len) 0 in
       Array.blit buf 0 bigger 0 !n;
-      t.walk_scratch <- bigger
+      t.walk <- bigger
     end;
-    t.walk_scratch.(!n) <- pfn;
+    t.walk.(!n) <- pfn;
     incr n
   in
   List.iter (fun (fmt, root) -> Mmu.iter_table_pfns (Mmu.of_root mem ~fmt ~root) push) t.pt_roots;
-  let n = !n in
-  if n = 0 then [||]
+  let n = !n and a = t.walk in
+  if n = 0 then 0
   else begin
-    let a = Array.sub t.walk_scratch 0 n in
     (* Table pages are allocated sequentially, so the walk emits them
        near-sorted: insertion sort is O(n) on that input and dodges the
        per-comparison closure dispatch of [Array.sort]. *)
@@ -224,111 +188,29 @@ let pt_walk t mem =
         incr m
       end
     done;
-    if !m = n then a else Array.sub a 0 !m
+    !m
   end
 
-(* Page-table pages, cached with flat per-page generation stamps. Growing a
-   table writes the parent table's entry, which restamps the parent page — so
-   any structural change invalidates the cache and forces a rewalk. Returns
-   the pfns plus whether the page *set* changed: a rewalk that finds the
-   same set (tables merely rewritten in place — every mapping change
-   restamps pt pages) reports [false], so the merged meta set downstream is
-   not rebuilt. *)
-let pt_pages t mem =
-  let stamps_valid c =
-    let n = Array.length c.ptc_pfns in
-    let rec go i =
-      i >= n
-      || Mem.page_gen_at mem (Array.unsafe_get c.ptc_pfns i) = Array.unsafe_get c.ptc_gens i
-         && go (i + 1)
-    in
-    (c.ptc_roots == t.pt_roots || c.ptc_roots = t.pt_roots) && go 0
-  in
-  match t.pt_cache with
-  | Some c when stamps_valid c -> (c.ptc_pfns, false)
-  | cached ->
-    let pfns = pt_walk t mem in
-    let n = Array.length pfns in
-    let gens = Array.make n 0 in
-    for i = 0 to n - 1 do
-      gens.(i) <- Mem.page_gen_at mem pfns.(i)
+(* The meta set (table pages ∪ metastate-region pages) into [t.scan], with
+   [t.examined] grown to cover every pfn of it below the dense limit. *)
+let collect_meta t mem =
+  let np = pt_walk t mem and nr = Array.length t.region_pfns in
+  if Array.length t.scan < np + nr then t.scan <- Array.make (2 * (np + nr)) 0;
+  let n = union_into t.walk np t.region_pfns nr t.scan in
+  t.scan_len <- n;
+  let top = if n = 0 then -1 else min t.scan.(n - 1) (Mem.dense_limit - 1) in
+  let have = Array.length t.examined in
+  if top >= have then begin
+    let len = ref (max have 1024) in
+    while !len <= top do
+      len := 2 * !len
     done;
-    let set_changed = match cached with Some c -> c.ptc_pfns <> pfns | None -> true in
-    t.pt_cache <- Some { ptc_pfns = pfns; ptc_gens = gens; ptc_roots = t.pt_roots };
-    (pfns, set_changed)
+    let grown = Array.make (min !len Mem.dense_limit) (-1) in
+    Array.blit t.examined 0 grown 0 have;
+    t.examined <- grown
+  end
 
-(* The merged meta set (pt pages ∪ metastate-region pages) with its flat
-   scan state. Rebuilt — by two-pointer union of the sorted halves — only
-   when one of them changed; the last-examined stamps carry over by pfn so
-   a rebuild never re-ships pages the scan already saw. *)
-let meta_fast t mem =
-  let pt, set_changed = pt_pages t mem in
-  let rebuild = set_changed || t.meta_stale in
-  match t.meta_fast with
-  | Some mf when not rebuild -> mf
-  | cur ->
-    t.meta_stale <- false;
-    (
-    let regions = meta_region_fast t in
-    let np = Array.length pt and nr = Array.length regions in
-    let out = Array.make (np + nr) 0 in
-    let rec merge i j k =
-      if i < np && j < nr then begin
-        let a = pt.(i) and b = regions.(j) in
-        if a < b then begin
-          out.(k) <- a;
-          merge (i + 1) j (k + 1)
-        end
-        else if b < a then begin
-          out.(k) <- b;
-          merge i (j + 1) (k + 1)
-        end
-        else begin
-          out.(k) <- a;
-          merge (i + 1) (j + 1) (k + 1)
-        end
-      end
-      else if i < np then begin
-        out.(k) <- pt.(i);
-        merge (i + 1) j (k + 1)
-      end
-      else if j < nr then begin
-        out.(k) <- regions.(j);
-        merge i (j + 1) (k + 1)
-      end
-      else k
-    in
-    let m = merge 0 0 0 in
-    let pfns = if m = Array.length out then out else Array.sub out 0 m in
-    match cur with
-    | Some mf when mf.mf_pfns = pfns -> mf (* same set after all: keep scan stamps *)
-    | _ ->
-      let last = Array.make m (-1) in
-      (match cur with
-      | Some old ->
-        (* both sorted: carry last-examined stamps over by two-pointer walk *)
-        let no = Array.length old.mf_pfns in
-        let oi = ref 0 in
-        for i = 0 to m - 1 do
-          let p = pfns.(i) in
-          while !oi < no && old.mf_pfns.(!oi) < p do
-            incr oi
-          done;
-          if !oi < no && old.mf_pfns.(!oi) = p then last.(i) <- old.mf_last.(!oi)
-        done
-      | None -> ());
-      let mf = { mf_pfns = pfns; mf_last = last; mf_pfns64 = None } in
-      t.meta_fast <- Some mf;
-      mf)
-
-let meta_pfns t mem =
-  let mf = meta_fast t mem in
-  match mf.mf_pfns64 with
-  | Some l -> l
-  | None ->
-    let l = Array.to_list (Array.map Int64.of_int mf.mf_pfns) in
-    mf.mf_pfns64 <- Some l;
-    l
+let meta_pfns t = List.init t.scan_len (fun i -> Int64.of_int t.scan.(i))
 
 type page_record = {
   pfn : int64;
@@ -464,19 +346,20 @@ let encode t ~previous ~pfn ~current =
 let zero_page = Bytes.make Mem.page_size '\000'
 
 let sync_meta t mem =
-  let mf = meta_fast t mem in
-  let pfns = mf.mf_pfns and last = mf.mf_last in
-  let total = Array.length pfns in
-  let dirty_filter = t.cfg.Mode.memsync_dirty in
+  collect_meta t mem;
+  let pfns = t.scan and total = t.scan_len and examined = t.examined in
+  let tracked = Array.length examined in
   let records = ref [] and wire = ref 0 and raw = ref 0 and visited = ref 0 in
   for i = 0 to total - 1 do
     let pfn = Array.unsafe_get pfns i in
     let gen = Mem.page_gen_at mem pfn in
-    let seen = Array.unsafe_get last i in
-    let unchanged = dirty_filter && seen >= 0 && gen <= seen in
+    (* Stamps only increase, and an unchanged stamp means unchanged bytes:
+       a page whose stamp has not moved since it was last examined holds
+       what it held then. *)
+    let unchanged = pfn < tracked && gen <= Array.unsafe_get examined pfn in
     if not unchanged then begin
       incr visited;
-      Array.unsafe_set last i gen;
+      if pfn < tracked then Array.unsafe_set examined pfn gen;
       (* Compare in place against the baseline; copy only when the page
          actually changed. That copy is the page's one body: the record,
          both baselines and every store share it read-only. *)

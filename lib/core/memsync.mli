@@ -22,12 +22,15 @@
     (inputs, weights, activations) is never shipped in meta-only mode; in
     Naive mode its *model-scale* size is charged per referenced buffer.
 
-    The fast path: {!Grt_gpu.Mem.page_gen} stamps let [sync_meta] skip pages
-    untouched since their last examination ([Mode.memsync_dirty]); the page-
-    table walk and region page lists are cached and invalidated by the same
-    stamps. With [Mode.memsync_dedup] / [Mode.memsync_adaptive] the wire
-    switches to tagged page records carrying the cheapest encoding per page,
-    including an 8-byte reference to content the peer provably holds.
+    One scan per sync: [sync_meta] walks the registered page-table roots,
+    merges the table pages with the (sorted, eagerly maintained) metastate
+    region pages, and skips every page whose {!Grt_gpu.Mem.page_gen} stamp
+    has not moved since that pfn was last examined. Stamps only increase and
+    an unchanged stamp means unchanged bytes, so a skipped page still
+    matches its baseline. With [Mode.memsync_dedup] / [Mode.memsync_adaptive]
+    the wire switches to tagged page records carrying the cheapest encoding
+    per page, including an 8-byte reference to content the peer provably
+    holds.
 
     {b One body per changed page.} [sync_meta] copies a changed page out of
     the live memory once; that copy is the record's [data], the new baseline
@@ -87,10 +90,9 @@ val region_containing : t -> va:int64 -> region option
 val register_pt_root : t -> fmt:Grt_gpu.Sku.pt_format -> root_pa:int64 -> unit
 (** Called when the shim observes an AS_TRANSTAB programming. *)
 
-val meta_pfns : t -> Grt_gpu.Mem.t -> int64 list
-(** Current metastate page set, sorted. Cached: the page-table walk reruns
-    only when a walked table page's generation stamp moved or a root/region
-    was registered. *)
+val meta_pfns : t -> int64 list
+(** The metastate page set the last {!sync_meta} scanned, sorted ([[]]
+    before the first sync). *)
 
 type page_record = {
   pfn : int64;
@@ -122,7 +124,7 @@ type sync_payload = {
           header, or the full page plus that header when
           [Mode.compress_dumps] is off. *)
   raw_bytes : int;  (** bytes before delta + compression *)
-  visited : int;  (** meta pages examined (dirty tracking skips the rest) *)
+  visited : int;  (** meta pages examined (the rest kept their stamp) *)
   total : int;  (** meta pages in scope *)
 }
 

@@ -30,7 +30,6 @@ type config = {
   continuous_validation : bool;
   degraded_mode : bool;
   max_inflight : int;
-  memsync_dirty : bool;
   memsync_dedup : bool;
   memsync_adaptive : bool;
 }
@@ -47,7 +46,6 @@ let default_config mode =
     continuous_validation = true;
     degraded_mode = true;
     max_inflight = 0;
-    memsync_dirty = true;
     memsync_dedup = false;
     memsync_adaptive = false;
   }

@@ -44,11 +44,6 @@ type config = {
           pipeline the wire ([net.window_stalls] then backpressures the
           shim). Validation order, [validated_prefix] and degraded-mode
           suppression are unaffected. *)
-  memsync_dirty : bool;
-      (** skip meta pages whose {!Grt_gpu.Mem.page_gen} stamp has not moved
-          since the last sync instead of byte-comparing every page. Pure
-          visit-count optimization: on by default, the wire stays
-          byte-identical either way. *)
   memsync_dedup : bool;
       (** content-addressed page store: ship an 8-byte hash reference when
           the peer provably holds the page body already. Changes the wire

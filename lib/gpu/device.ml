@@ -299,7 +299,7 @@ let translate_or_fault t mmu ~as_idx ~va ~access =
    device and is allocated on its first chain; every chain starts with all
    tags invalid, so no chain sees another's translations, and ends with the
    page references dropped, so the device keeps no page alive between
-   chains (a [Mem.restore] may have replaced it). Reads of pages never
+   chains. Reads of pages never
    materialized see a shared zero page without materializing them — that
    would perturb the memsync working set. A write miss that materializes a
    page displaces any read-side cache of the same VA so reads cannot keep

@@ -14,7 +14,7 @@ exception Protected_page_write of int64
    Invariants (enforced by the differential suite in test_mem_flat):
    - [pages.(pfn) == Bytes.empty] iff the page is unmaterialized; a
      materialized buffer is exactly [page_size] bytes and is the live
-     backing store (borrows stay valid across [set_page], not [restore]).
+     backing store (borrows stay valid across [set_page]).
    - [mat]/[mat_len] lists each materialized dense pfn exactly once, in
      materialization order; [spill] keys cover the rest.
    - [dirtyb.(pfn) <> '\000'] iff pfn is in [dl.(0..dl_len)], exactly once,
@@ -422,57 +422,3 @@ let clear_dirty t =
   Hashtbl.reset t.spill_dirty
 
 let dirty_bytes t = (t.dl_len + Hashtbl.length t.spill_dirty) * page_size
-
-type snapshot = { snap_pages : (int * bytes) list; snap_next : int; snap_dirty : int list }
-
-let snapshot t =
-  let acc = ref (Hashtbl.fold (fun k v acc -> (k, Bytes.copy v) :: acc) t.spill []) in
-  for i = t.mat_len - 1 downto 0 do
-    let pfn = Array.unsafe_get t.mat i in
-    acc := (pfn, Bytes.copy t.pages.(pfn)) :: !acc
-  done;
-  let dirty = ref (Hashtbl.fold (fun k () acc -> k :: acc) t.spill_dirty []) in
-  for i = t.dl_len - 1 downto 0 do
-    dirty := Array.unsafe_get t.dl i :: !dirty
-  done;
-  { snap_pages = !acc; snap_next = t.next_pfn; snap_dirty = !dirty }
-
-let restore t s =
-  let stale = ref (Hashtbl.fold (fun k _ acc -> k :: acc) t.spill []) in
-  for i = t.mat_len - 1 downto 0 do
-    stale := Array.unsafe_get t.mat i :: !stale
-  done;
-  (* Drop every current page, then rebind fresh copies of the snapshot's.
-     Borrowed buffers are invalidated, as documented. *)
-  for i = 0 to t.mat_len - 1 do
-    Array.unsafe_set t.pages (Array.unsafe_get t.mat i) Bytes.empty
-  done;
-  t.mat_len <- 0;
-  Hashtbl.reset t.spill;
-  List.iter
-    (fun (pfn, body) ->
-      if pfn >= 0 && pfn < dense_limit then begin
-        if pfn >= t.cap then grow t pfn;
-        Array.unsafe_set t.pages pfn (Bytes.copy body);
-        mat_push t pfn
-      end
-      else Hashtbl.replace t.spill pfn (Bytes.copy body))
-    s.snap_pages;
-  t.next_pfn <- s.snap_next;
-  clear_dirty t;
-  List.iter
-    (fun pfn ->
-      if pfn >= 0 && pfn < dense_limit then begin
-        if pfn >= t.cap then grow t pfn;
-        if Bytes.get t.dirtyb pfn = '\000' then begin
-          Bytes.set t.dirtyb pfn '\001';
-          dirty_push t pfn
-        end
-      end
-      else Hashtbl.replace t.spill_dirty pfn ())
-    s.snap_dirty;
-  (* Rollback may have changed any page that existed before or after the
-     restore; restamp them all so generation-based observers re-examine
-     them rather than trusting a pre-rollback stamp. *)
-  List.iter (touch_gen t) !stale;
-  List.iter (fun (pfn, _) -> touch_gen t pfn) s.snap_pages

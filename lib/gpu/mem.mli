@@ -1,9 +1,11 @@
 (** Sparse physical memory shared by CPU and GPU.
 
     Pages are 4 KiB and materialized on demand. The store tracks dirty pages
-    (for cache-maintenance cost modeling and delta synchronization) and
-    supports snapshots (for misprediction rollback, §4.2). Physical addresses
-    are [int64]; unmapped reads return zeroes, like DRAM scrubbed at boot. *)
+    (for cache-maintenance cost modeling) and stamps every page write with a
+    generation (for memsync's skip of unchanged pages). Physical addresses
+    are [int64]; unmapped reads return zeroes, like DRAM scrubbed at boot.
+    Nothing is rolled back in place: misprediction and link-down recovery
+    build a fresh store and re-execute the validated log (§4.2). *)
 
 val page_size : int
 val page_shift : int
@@ -49,6 +51,9 @@ val page_of_addr : int64 -> int64
 val page_index : int64 -> int
 (** [page_index addr] is {!page_of_addr} as a native int. *)
 
+val dense_limit : int
+(** PFNs below this bound live in the dense arrays; higher ones spill. *)
+
 val borrow_ro : t -> int -> bytes
 (** Allocation-free {!page_ro}: borrow the live backing buffer by int PFN,
     or the [Bytes.empty] sentinel when the page was never materialized
@@ -71,8 +76,7 @@ val get_page : t -> int64 -> bytes
 val page_ro : t -> int64 -> bytes option
 (** Borrow the live backing buffer of a materialized page, for read-side
     kernel streams. The buffer stays valid (and current) across [set_page],
-    which blits in place; it must not be held across {!restore}, and must
-    not be written through. *)
+    which blits in place, and must not be written through. *)
 
 val page_rw : t -> int64 -> bytes
 (** Borrow the live backing buffer for writing, materializing the page if
@@ -99,9 +103,9 @@ val write_gen : t -> int64
 
 val page_gen : t -> int64 -> int64
 (** Generation stamp of the last write touching the page ([0L] if it was
-    never written). A page whose stamp has not advanced since an observer
-    last looked is guaranteed to hold identical bytes; rollback via
-    {!restore} restamps every affected page. *)
+    never written). Two rules hold for every page: stamps only increase,
+    and a stamp that has not moved since an observer last looked means
+    identical bytes. *)
 
 exception Protected_page_write of int64
 (** Raised on a write to a protected page — GR-T's continuous validation
@@ -114,9 +118,3 @@ val protect_pages : t -> int64 list -> unit
 
 val unprotect_all : t -> unit
 val protected_pfns : t -> int64 list
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-(** Restores page contents, the allocator position and dirty state. *)

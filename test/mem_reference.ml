@@ -123,21 +123,3 @@ let dirty_pages t = sorted_keys t.dirty
 let protected_pfns t = sorted_keys t.prot
 let clear_dirty t = Hashtbl.reset t.dirty
 let dirty_bytes t = Hashtbl.length t.dirty * page_size
-
-type snapshot = { snap_pages : (int64 * bytes) list; snap_next : int64; snap_dirty : int64 list }
-
-let snapshot t =
-  {
-    snap_pages = Hashtbl.fold (fun k v acc -> (k, Bytes.copy v) :: acc) t.pages [];
-    snap_next = t.next_pfn;
-    snap_dirty = Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [];
-  }
-
-(* Like the production store, restore rolls back contents, the allocator
-   and the dirty set — protection is not part of a snapshot. *)
-let restore t s =
-  Hashtbl.reset t.pages;
-  List.iter (fun (k, v) -> Hashtbl.replace t.pages k (Bytes.copy v)) s.snap_pages;
-  t.next_pfn <- s.snap_next;
-  Hashtbl.reset t.dirty;
-  List.iter (fun k -> Hashtbl.replace t.dirty k ()) s.snap_dirty

@@ -257,7 +257,8 @@ let memsync_meta_classification () =
   Mem.write_u8 mem data_pa 1;
   Memsync.register_region ms (mk_region ~name:"shader" ~usage:Session.Code ~pa:code_pa ~bytes:128);
   Memsync.register_region ms (mk_region ~name:"weights" ~usage:Session.Weights ~pa:data_pa ~bytes:8192);
-  let metas = Memsync.meta_pfns ms mem in
+  ignore (Memsync.sync_meta ms mem);
+  let metas = Memsync.meta_pfns ms in
   check Alcotest.bool "code page is meta" true (List.mem (Mem.page_of_addr code_pa) metas);
   check Alcotest.bool "weights are not" false (List.mem (Mem.page_of_addr data_pa) metas)
 
@@ -268,7 +269,8 @@ let memsync_pt_pages_are_meta () =
   let pa = Mem.alloc_pages mem 1 in
   Grt_gpu.Mmu.map_page mmu ~va:0x1000L ~pa ~flags:Grt_gpu.Mmu.rw_data;
   Memsync.register_pt_root ms ~fmt:Sku.Lpae_v7 ~root_pa:(Grt_gpu.Mmu.root_pa mmu);
-  check Alcotest.int "all three table levels" 3 (List.length (Memsync.meta_pfns ms mem))
+  ignore (Memsync.sync_meta ms mem);
+  check Alcotest.int "all three table levels" 3 (List.length (Memsync.meta_pfns ms))
 
 let memsync_sync_and_baseline () =
   let mem = Mem.create () in

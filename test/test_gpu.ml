@@ -121,18 +121,6 @@ let mem_get_set_page () =
   Alcotest.check_raises "size checked" (Invalid_argument "Mem.set_page: wrong size") (fun () ->
       Mem.set_page m 0x41L (Bytes.create 7))
 
-let mem_snapshot_restore () =
-  let m = Mem.create () in
-  let pa = Mem.alloc_pages m 1 in
-  Mem.write_u32 m pa 1L;
-  let snap = Mem.snapshot m in
-  Mem.write_u32 m pa 2L;
-  ignore (Mem.alloc_pages m 5);
-  Mem.restore m snap;
-  check Alcotest.int64 "content restored" 1L (Mem.read_u32 m pa);
-  let pa2 = Mem.alloc_pages m 1 in
-  check Alcotest.int64 "allocator restored" (Int64.add pa (Int64.of_int Mem.page_size)) pa2
-
 let mem_qcheck_rw =
   qtest "u32 write/read roundtrips at arbitrary offsets"
     QCheck2.Gen.(pair (int_bound 8000) (map Int64.of_int (int_bound 0xFFFF)))
@@ -1162,7 +1150,6 @@ let () =
           Alcotest.test_case "alloc distinct" `Quick mem_alloc_distinct;
           Alcotest.test_case "dirty tracking" `Quick mem_dirty_tracking;
           Alcotest.test_case "get/set page" `Quick mem_get_set_page;
-          Alcotest.test_case "snapshot/restore" `Quick mem_snapshot_restore;
           mem_qcheck_rw;
         ] );
       ( "mmu",

@@ -4,15 +4,14 @@
    (Mem_reference / an in-test mapping model) under ANY access script.
 
    Random scripts mix every public entry point — byte/word/bulk accessors,
-   page install/borrow, protect/unprotect, snapshot/restore, allocation —
+   page install/borrow, protect/unprotect, allocation —
    over a PFN pool that straddles the dense/spill boundary (so both
    representations and the dense→spill page-crossing paths are exercised).
    On top of the byte-for-byte agreement, the suite checks the generation
    contract the oracle does not model:
    - [write_gen] never decreases; per-page stamps never decrease;
    - a page whose stamp has not advanced since an observer last looked
-     holds identical bytes (the memsync skip guarantee) — which forces
-     [restore] to restamp every page it touches. *)
+     holds identical bytes (the memsync skip guarantee). *)
 
 module Mem = Grt_gpu.Mem
 module Mmu = Grt_gpu.Mmu
@@ -47,8 +46,6 @@ type op =
   | Protect of int list (* pool idxs *)
   | Unprotect
   | Clear_dirty
-  | Snapshot
-  | Restore
   | Audit
 
 let gen_op : op QCheck2.Gen.t =
@@ -79,8 +76,6 @@ let gen_op : op QCheck2.Gen.t =
       (2, map (fun is -> Protect is) (list_size (int_range 1 4) idx));
       (1, return Unprotect);
       (1, return Clear_dirty);
-      (1, return Snapshot);
-      (1, return Restore);
       (2, return Audit);
     ]
 
@@ -104,8 +99,6 @@ let print_op = function
   | Protect is -> Printf.sprintf "Protect(%s)" (String.concat "," (List.map (fun i -> Printf.sprintf "%#x" pool.(i)) is))
   | Unprotect -> "Unprotect"
   | Clear_dirty -> "Clear_dirty"
-  | Snapshot -> "Snapshot"
-  | Restore -> "Restore"
   | Audit -> "Audit"
 
 let print_script ops = String.concat "; " (List.map print_op ops)
@@ -158,8 +151,7 @@ let audit op mem rf observed =
       if not (Bytes.equal page (Ref.get_page rf pfn64)) then
         fail_op op (Printf.sprintf "page %#x contents diverge" pfn);
       (* Generation contract: stamps never decrease, and an unchanged stamp
-         guarantees unchanged bytes — across every mutation path including
-         restore (which must therefore restamp what it touches). *)
+         guarantees unchanged bytes — across every mutation path. *)
       let g = Mem.page_gen mem pfn64 in
       (match Hashtbl.find_opt observed pfn with
       | Some (g0, b0) ->
@@ -173,7 +165,6 @@ let audit op mem rf observed =
 let run_script ops =
   let mem = Mem.create () in
   let rf = Ref.create () in
-  let snaps = ref [] in
   let observed : (int, int64 * bytes) Hashtbl.t = Hashtbl.create 16 in
   let last_wg = ref (-1L) in
   List.iter
@@ -234,14 +225,6 @@ let run_script ops =
         both op (fun () -> Mem.unprotect_all mem) (fun () -> Ref.unprotect_all rf) eq_unit show_unit
       | Clear_dirty ->
         both op (fun () -> Mem.clear_dirty mem) (fun () -> Ref.clear_dirty rf) eq_unit show_unit
-      | Snapshot -> snaps := (Mem.snapshot mem, Ref.snapshot rf) :: !snaps
-      | Restore -> (
-        match !snaps with
-        | [] -> ()
-        | (sm, sr) :: rest ->
-          snaps := rest;
-          Mem.restore mem sm;
-          Ref.restore rf sr)
       | Audit -> audit op mem rf observed);
       let wg = Mem.write_gen mem in
       if wg < !last_wg then fail_op op "write_gen moved backwards";
@@ -489,25 +472,6 @@ let protected_ordering () =
   Mem.write_u8 mem (Int64.shift_left 0x200L 12) 7;
   check Alcotest.int "write lands after unprotect" 7 (Mem.read_u8 mem (Int64.shift_left 0x200L 12))
 
-(* restore restamps: an observer that cached a pre-rollback stamp must see
-   the stamp advance, both for pages the rollback rewrote and for pages it
-   dropped entirely. *)
-let restore_restamps () =
-  let mem = Mem.create () in
-  let a = Int64.shift_left 0x100L 12 and b = Int64.shift_left 0x101L 12 in
-  Mem.write_u8 mem a 1;
-  let snap = Mem.snapshot mem in
-  let ga = Mem.page_gen mem 0x100L in
-  Mem.write_u8 mem a 2;
-  Mem.write_u8 mem b 3 (* b exists only after the snapshot *);
-  let ga' = Mem.page_gen mem 0x100L and gb' = Mem.page_gen mem 0x101L in
-  Mem.restore mem snap;
-  check Alcotest.int "a rolled back" 1 (Mem.read_u8 mem a);
-  check Alcotest.int "b dropped" 0 (Mem.read_u8 mem b);
-  check Alcotest.bool "a restamped past its pre-snapshot stamp" true (Mem.page_gen mem 0x100L > ga);
-  check Alcotest.bool "a restamped past its pre-rollback stamp" true (Mem.page_gen mem 0x100L > ga');
-  check Alcotest.bool "dropped b restamped" true (Mem.page_gen mem 0x101L > gb')
-
 let gen_monotone () =
   let mem = Mem.create () in
   let addr = Int64.shift_left 0x100L 12 in
@@ -529,7 +493,6 @@ let () =
       ( "units",
         [
           Alcotest.test_case "protected_pfns ordering" `Quick protected_ordering;
-          Alcotest.test_case "restore restamps" `Quick restore_restamps;
           Alcotest.test_case "write_gen monotone" `Quick gen_monotone;
         ] );
     ]

@@ -52,26 +52,20 @@ let mk_pair ?shared cfg ~pages =
 
 let all_flag_combos =
   List.concat_map
-    (fun dirty ->
+    (fun dedup ->
       List.concat_map
-        (fun dedup ->
+        (fun adaptive ->
           List.concat_map
-            (fun adaptive ->
-              List.concat_map
-                (fun delta ->
-                  List.map
-                    (fun compress -> (dirty, dedup, adaptive, delta, compress))
-                    [ true; false ])
-                [ true; false ])
+            (fun delta ->
+              List.map (fun compress -> (dedup, adaptive, delta, compress)) [ true; false ])
             [ true; false ])
         [ true; false ])
     [ true; false ]
 
-let cfg_of_combo (dirty, dedup, adaptive, delta, compress) =
+let cfg_of_combo (dedup, adaptive, delta, compress) =
   {
     (Mode.default_config Mode.Ours_mds) with
-    Mode.memsync_dirty = dirty;
-    memsync_dedup = dedup;
+    Mode.memsync_dedup = dedup;
     memsync_adaptive = adaptive;
     delta_dumps = delta;
     compress_dumps = compress;
@@ -192,7 +186,7 @@ let exhaustive_choice ~previous current =
     (List.hd candidates) (List.tl candidates)
 
 let selection_matches_exhaustive ~shared script =
-  let cfg = cfg_of_combo (true, true, true, true, true) in
+  let cfg = cfg_of_combo (true, true, true, true) in
   let shared = if shared then Some (Memsync.Store.create ()) else None in
   let mem_s, _, sender, _, first = mk_pair ?shared cfg ~pages:region_pages in
   let shipped = Hashtbl.create 16 in
@@ -251,14 +245,130 @@ let visited_scales_with_dirty () =
   let p2 = Memsync.sync_meta sender mem_s in
   check Alcotest.int "idle sync visits nothing" 0 p2.Memsync.visited
 
-let visited_full_rescan_when_disabled () =
-  let cfg = { (Mode.default_config Mode.Ours_mds) with Mode.memsync_dirty = false } in
-  let mem_s, _mem_r, sender, _receiver, first = mk_pair cfg ~pages:64 in
-  ignore (Memsync.sync_meta sender mem_s);
-  List.iter (fun i -> Mem.write_u8 mem_s (addr_of first i) 0xAB) [ 1; 7; 42 ];
-  let p = Memsync.sync_meta sender mem_s in
-  check Alcotest.int "flag off rescans every meta page" 64 p.Memsync.visited;
-  check Alcotest.int "but still ships only the changes" 3 (List.length p.Memsync.records)
+(* ---- the scan against a full-compare reference while the meta set moves ----
+
+   Scripts interleave page writes, new mappings under the registered root
+   (so table pages appear between syncs), new Code/Cmd regions (one may sit
+   on a table page, one above the dense limit) and idle syncs. After every
+   sync a test-side reference walks the tables, unions the region pages,
+   sorts, and byte-compares every meta page against its own baseline: the
+   sender must ship exactly the pages the reference finds changed, in pfn
+   order, over a scope of exactly the reference set. An idle re-sync then
+   ships nothing and visits only the pages above the dense limit, which
+   carry no examined stamp. *)
+
+type meta_step =
+  | Poke of int * int * int  (* writable-page pick, offset, value *)
+  | Map of int * int  (* 1 GiB slot, 2 MiB slot: a fresh page mapped there *)
+  | Fresh_region of bool * int  (* Code (else Cmd), pages *)
+  | Table_region of int * int  (* table-page pick, pages: a region on a table page *)
+  | High_region of int * int  (* pfn offset above the dense limit, pages *)
+  | Sync
+
+let gen_meta_script =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [
+        (5, map3 (fun i o v -> Poke (i, o, v)) nat (int_bound 4095) (int_bound 3));
+        (3, map2 (fun a b -> Map (a, b)) (int_bound 3) (int_bound 7));
+        (1, map2 (fun c n -> Fresh_region (c, n)) bool (int_range 1 3));
+        (2, map2 (fun i n -> Table_region (i, n)) nat (int_range 1 3));
+        (1, map2 (fun o n -> High_region (o, n)) (int_bound 7) (int_range 1 2));
+        (3, return Sync);
+      ]
+  in
+  list_size (int_range 4 40) step
+
+let print_meta_step = function
+  | Poke (i, o, v) -> Printf.sprintf "Poke(%d,%#x,%d)" i o v
+  | Map (a, b) -> Printf.sprintf "Map(%d,%d)" a b
+  | Fresh_region (c, n) -> Printf.sprintf "Fresh_region(%s,%d)" (if c then "code" else "cmd") n
+  | Table_region (i, n) -> Printf.sprintf "Table_region(%d,%d)" i n
+  | High_region (o, n) -> Printf.sprintf "High_region(%d,%d)" o n
+  | Sync -> "Sync"
+
+let scan_matches_reference cfg script =
+  let fmt = Grt_gpu.Sku.Lpae_v7 in
+  let mem = Mem.create () in
+  let mmu = Grt_gpu.Mmu.create mem ~fmt in
+  let root = Grt_gpu.Mmu.root_pa mmu in
+  let ms = Memsync.create cfg in
+  Memsync.register_pt_root ms ~fmt ~root_pa:root;
+  let region_pfns = ref [] and data_pfns = ref [] in
+  let baseline = Hashtbl.create 64 in
+  let tables () = Grt_gpu.Mmu.table_pages (Grt_gpu.Mmu.of_root mem ~fmt ~root) in
+  let add_region usage pa pages =
+    Memsync.register_region ms
+      {
+        Memsync.name = "r";
+        usage;
+        va = 0x4000_0000L;
+        pa;
+        model_bytes = pages * Mem.page_size;
+        actual_bytes = pages * Mem.page_size;
+      };
+    let first = Mem.page_of_addr pa in
+    region_pfns := List.init pages (fun i -> Int64.add first (Int64.of_int i)) @ !region_pfns
+  in
+  let ok = ref true in
+  let sync () =
+    let want_set = List.sort_uniq Int64.compare (tables () @ !region_pfns) in
+    let want =
+      List.filter_map
+        (fun pfn ->
+          let page = Mem.get_page mem pfn in
+          match Hashtbl.find_opt baseline pfn with
+          | Some b when Bytes.equal b page -> None
+          | _ ->
+            Hashtbl.replace baseline pfn page;
+            Some (pfn, page))
+        want_set
+    in
+    let p = Memsync.sync_meta ms mem in
+    if Memsync.pages p <> want then ok := false;
+    if p.Memsync.total <> List.length want_set then ok := false;
+    if Memsync.meta_pfns ms <> want_set then ok := false;
+    let idle = Memsync.sync_meta ms mem in
+    let high = List.length (List.filter (fun pfn -> Int64.to_int pfn >= Mem.dense_limit) want_set) in
+    if idle.Memsync.records <> [] || idle.Memsync.visited <> high then ok := false
+  in
+  List.iter
+    (function
+      | Poke (i, off, v) -> (
+        (* never a table page: scribbling there would corrupt the walk *)
+        let tbl = tables () in
+        match List.filter (fun p -> not (List.mem p tbl)) (!region_pfns @ !data_pfns) with
+        | [] -> ()
+        | l ->
+          let pfn = List.nth l (i mod List.length l) in
+          Mem.write_u8 mem (Int64.add (Int64.shift_left pfn Mem.page_shift) (Int64.of_int off)) v)
+      | Map (g, m) ->
+        let pa = Mem.alloc_pages mem 1 in
+        let va = Int64.logor (Int64.shift_left (Int64.of_int g) 30) (Int64.shift_left (Int64.of_int m) 21) in
+        Grt_gpu.Mmu.map_page mmu ~va ~pa ~flags:Grt_gpu.Mmu.rw_data;
+        data_pfns := Mem.page_of_addr pa :: !data_pfns
+      | Fresh_region (code, n) ->
+        add_region (if code then Session.Code else Session.Cmd) (Mem.alloc_pages mem n) n
+      | Table_region (i, n) ->
+        let tbl = tables () in
+        add_region Session.Cmd (Int64.shift_left (List.nth tbl (i mod List.length tbl)) Mem.page_shift) n
+      | High_region (off, n) ->
+        add_region Session.Code (Int64.shift_left (Int64.of_int (Mem.dense_limit + off)) Mem.page_shift) n
+      | Sync -> sync ())
+    script;
+  sync ();
+  !ok
+
+let scan_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"the scan equals a full-compare reference as the meta set moves"
+       ~print:(fun s -> String.concat "; " (List.map print_meta_step s))
+       gen_meta_script
+       (fun script ->
+         List.for_all
+           (fun combo -> scan_matches_reference (cfg_of_combo combo) script)
+           [ (false, false, true, true); (true, true, true, true) ]))
 
 (* ---- dedup ---- *)
 
@@ -394,8 +504,8 @@ let () =
         [
           memsync_qcheck_reproduces;
           selection_qcheck;
+          scan_qcheck;
           Alcotest.test_case "visited scales with dirtied pages" `Quick visited_scales_with_dirty;
-          Alcotest.test_case "full rescan when disabled" `Quick visited_full_rescan_when_disabled;
           Alcotest.test_case "dedup re-ships as hash reference" `Quick
             dedup_fires_on_reshipped_content;
           Alcotest.test_case "unknown hash reference rejected" `Quick hash_ref_unknown_rejected;

@@ -57,6 +57,43 @@ let recording_matches_direct () =
       | None -> Alcotest.failf "expected Recorded, got %s" (Service.outcome_name r.Service.outcome))
   | rs -> Alcotest.failf "expected 1 report, got %d" (List.length rs)
 
+(* Under heavy loss a recording can still depend on its channel: MNIST on
+   G31-MP2 under its key seed, with 31% loss, gives one blob over lan and
+   another over cellular, where the retransmissions outlast the driver's
+   job watchdog and it soft-resets the GPU once more. Whichever blob the
+   cache holds, the client must get the same answer: both replay,
+   interpreted and compiled, to bit-identical outputs, each applying
+   exactly its own blob's entries. *)
+let lossy_channels_replay_alike () =
+  let net = Zoo.mnist and sku = Sku.g31_mp2 in
+  let cfg = Mode.default_config Mode.Ours_mds in
+  let seed = Service.recording_seed (Service.cache_key ~cfg ~sku ~net) in
+  let plan = Grt_mlfw.Network.expand net in
+  let input = Grt_mlfw.Runner.input_values plan ~seed:7L in
+  let params = Grt_mlfw.Runner.weight_values plan ~seed:7L in
+  let bits (r : Grt.Replayer.result) = Array.map Int32.bits_of_float r.Grt.Replayer.output in
+  let replays base =
+    let o =
+      Orchestrate.record ~config:cfg ~profile:(Profile.degrade ~drop_prob:0.31 base)
+        ~mode:cfg.Mode.mode ~sku ~net ~seed ()
+    in
+    let blob = o.Orchestrate.blob in
+    let entries = Array.length o.Orchestrate.recording.Grt.Recording.entries in
+    let interp = (Orchestrate.replay_recording ~sku ~blob ~input ~params ~seed:7L ()).Orchestrate.r in
+    let prog = Orchestrate.compile_recording ~blob () in
+    let compiled = (Orchestrate.replay_compiled ~sku ~prog ~input ~params ~seed:7L ()).Orchestrate.r in
+    List.iter
+      (fun (how, (r : Grt.Replayer.result)) ->
+        check Alcotest.int
+          (Printf.sprintf "%s %s replay applies its blob's entries" base.Profile.name how)
+          entries r.Grt.Replayer.entries_applied)
+      [ ("interpreted", interp); ("compiled", compiled) ];
+    check Alcotest.bool (base.Profile.name ^ " compiled = interpreted") true (bits interp = bits compiled);
+    bits interp
+  in
+  check Alcotest.bool "lan and cellular blobs give the same output" true
+    (replays Profile.lan = replays Profile.cellular)
+
 (* A blob resident from an earlier run is a cache hit. *)
 let second_client_hits () =
   let svc = Service.create () in
@@ -547,6 +584,8 @@ let () =
             recording_matches_direct;
           Alcotest.test_case "served session leaves the plan unexpanded" `Quick
             served_session_leaves_plan_unexpanded;
+          Alcotest.test_case "lossy channels' blobs replay alike" `Quick
+            lossy_channels_replay_alike;
         ] );
       ( "cache",
         [
