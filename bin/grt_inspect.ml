@@ -73,19 +73,19 @@ let pp_entry ppf = function
     Format.fprintf ppf "poll  %-22s until %#Lx %s" (Grt_gpu.Regs.name reg) mask
       (match cond with Grt.Recording.Until_set -> "set" | Grt.Recording.Until_clear -> "clear")
   | Grt.Recording.Wait_irq { line } -> Format.fprintf ppf "wait-irq line %d" line
-  | Grt.Recording.Mem_load { pages } ->
-    Format.fprintf ppf "mem-load %d pages (%s)" (List.length pages)
-      (Grt_util.Hexdump.size_to_string (List.length pages * Grt_gpu.Mem.page_size))
-  | Grt.Recording.Mem_load_enc { records } ->
-    let body_bytes =
-      List.fold_left (fun acc (_, _, body) -> acc + Bytes.length body) 0 records
-    in
-    Format.fprintf ppf "mem-load %d tagged pages (%s encoded: %s)" (List.length records)
-      (Grt_util.Hexdump.size_to_string body_bytes)
-      (String.concat ","
-         (List.map
-            (fun (_, enc, _) -> Grt.Memsync.encoding_name enc)
-            records))
+  | Grt.Recording.Mem_load { Grt.Memsync.tagged; records } ->
+    let n = List.length records in
+    if tagged then
+      let body_bytes =
+        List.fold_left (fun acc (_, _, body) -> acc + Bytes.length body) 0 records
+      in
+      Format.fprintf ppf "mem-load %d tagged pages (%s encoded: %s)" n
+        (Grt_util.Hexdump.size_to_string body_bytes)
+        (String.concat ","
+           (List.map (fun (_, enc, _) -> Grt.Memsync.encoding_name enc) records))
+    else
+      Format.fprintf ppf "mem-load %d pages (%s)" n
+        (Grt_util.Hexdump.size_to_string (n * Grt_gpu.Mem.page_size))
 
 let inspect path dump_n =
   match load path with

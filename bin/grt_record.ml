@@ -37,33 +37,20 @@ let drop_prob_arg =
 let window_arg =
   let doc =
     "Link sliding-window size: up to $(docv) exchanges in flight with go-back-N \
-     retransmission. 1 (the default) is stop-and-wait. The recording stays bit-identical, \
-     only the delay and energy change."
+     retransmission, and above 1 also the cap on speculative commits outstanding at once. 1 \
+     (the default) is stop-and-wait with unbounded speculation. The recording stays \
+     bit-identical, only the delay and energy change."
   in
   Arg.(value & opt int 1 & info [ "w"; "window" ] ~docv:"N" ~doc)
 
-let max_inflight_arg =
+let memsync_tagged_arg =
   let doc =
-    "Cap on speculative commits outstanding at once; dispatching past the cap validates the \
-     oldest first. 0 (the default) means unbounded."
+    "Tagged memsync page records: each shipped page uses the cheapest of raw, range-coded \
+     raw, delta or range-coded delta, or an 8-byte hash reference when the peer already \
+     holds its body, instead of unconditional delta+range-coding. Changes the recording's \
+     page-record format; off by default."
   in
-  Arg.(value & opt int 0 & info [ "max-inflight" ] ~docv:"N" ~doc)
-
-let memsync_dedup_arg =
-  let doc =
-    "Content-addressed memsync dedup: pages whose body the peer already holds ship as an \
-     8-byte hash reference. Changes the recording's page-record format (still replayable on \
-     this build); off by default to keep recordings byte-identical with older builds."
-  in
-  Arg.(value & flag & info [ "memsync-dedup" ] ~doc)
-
-let memsync_adaptive_arg =
-  let doc =
-    "Per-page adaptive memsync encoding: each shipped page uses the cheapest of raw, \
-     range-coded raw, delta, range-coded delta or (with --memsync-dedup) a hash reference, \
-     instead of unconditional delta+range-coding."
-  in
-  Arg.(value & flag & info [ "memsync-adaptive" ] ~doc)
+  Arg.(value & flag & info [ "memsync-tagged" ] ~doc)
 
 let out_arg =
   let doc = "Write the signed recording to $(docv)." in
@@ -110,8 +97,8 @@ let write_text path s =
   output_string oc s;
   close_out oc
 
-let run net_name mode_name profile_name sku_name seed drop_prob window max_inflight
-    memsync_dedup memsync_adaptive out trace_out report_out trace_capacity list_skus stats =
+let run net_name mode_name profile_name sku_name seed drop_prob window memsync_tagged out
+    trace_out report_out trace_capacity list_skus stats =
   if list_skus then begin
     List.iter
       (fun s -> Format.printf "%a@." Grt_gpu.Sku.pp s)
@@ -132,7 +119,6 @@ let run net_name mode_name profile_name sku_name seed drop_prob window max_infli
     | Some net, Some mode, Some profile, Some sku ->
       if drop_prob < 0. || drop_prob >= 1. then `Error (false, "--drop-prob must be in [0,1)")
       else if window < 1 then `Error (false, "--window must be >= 1")
-      else if max_inflight < 0 then `Error (false, "--max-inflight must be >= 0")
       else if trace_capacity < 1 then `Error (false, "--trace-capacity must be >= 1")
       else begin
       let profile =
@@ -141,16 +127,9 @@ let run net_name mode_name profile_name sku_name seed drop_prob window max_infli
       Printf.printf "recording %s (%d GPU jobs) on %s, %s over %s...\n%!" net_name
         (Grt_mlfw.Network.job_count net) sku_name (Grt.Mode.name mode) profile.Grt_net.Profile.name;
       let config =
-        let default = Grt.Mode.default_config mode in
-        let cfg =
-          {
-            default with
-            Grt.Mode.max_inflight = (if max_inflight > 0 then max_inflight else 0);
-            memsync_dedup;
-            memsync_adaptive;
-          }
-        in
-        if cfg = default then None else Some cfg
+        if memsync_tagged then
+          Some { (Grt.Mode.default_config mode) with Grt.Mode.memsync_tagged }
+        else None
       in
       let observe = trace_out <> None || report_out <> None in
       let o =
@@ -211,7 +190,7 @@ let cmd =
     Term.(
       ret
         (const run $ net_arg $ mode_arg $ profile_arg $ sku_arg $ seed_arg $ drop_prob_arg
-       $ window_arg $ max_inflight_arg $ memsync_dedup_arg $ memsync_adaptive_arg $ out_arg
-       $ trace_out_arg $ report_arg $ trace_capacity_arg $ list_skus_arg $ stats_arg))
+       $ window_arg $ memsync_tagged_arg $ out_arg $ trace_out_arg $ report_arg
+       $ trace_capacity_arg $ list_skus_arg $ stats_arg))
 
 let () = exit (Cmd.eval cmd)

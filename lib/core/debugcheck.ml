@@ -11,9 +11,8 @@ let entry_shape = function
   | Recording.Reg_read { reg; _ } -> Printf.sprintf "read %s" (Regs.name reg)
   | Recording.Poll { reg; _ } -> Printf.sprintf "poll %s" (Regs.name reg)
   | Recording.Wait_irq { line } -> Printf.sprintf "wait_irq %d" line
-  | Recording.Mem_load { pages } -> Printf.sprintf "mem_load (%d pages)" (List.length pages)
-  | Recording.Mem_load_enc { records } ->
-    Printf.sprintf "mem_load_enc (%d pages)" (List.length records)
+  | Recording.Mem_load { Memsync.tagged; records } ->
+    Printf.sprintf "mem_load%s (%d pages)" (if tagged then "_enc" else "") (List.length records)
 
 let pp_divergence ppf = function
   | Value_differs { index; reg; reference; subject } ->
@@ -56,8 +55,7 @@ let compare_entry index a b =
     else Error (Value_differs { index; reg = r1; reference = v1; subject = v2 })
   | Recording.Poll { reg = r1; _ }, Recording.Poll { reg = r2; _ } when r1 = r2 -> Ok ()
   | Recording.Wait_irq { line = l1 }, Recording.Wait_irq { line = l2 } when l1 = l2 -> Ok ()
-  | Recording.Mem_load _, Recording.Mem_load _ -> Ok ()
-  | Recording.Mem_load_enc _, Recording.Mem_load_enc _ -> Ok ()
+  | Recording.Mem_load a, Recording.Mem_load b when a.Memsync.tagged = b.Memsync.tagged -> Ok ()
   | _ ->
     Error (Structure_differs { index; reference = entry_shape a; subject = entry_shape b })
 

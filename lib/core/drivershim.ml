@@ -323,13 +323,10 @@ let backend t =
           commit t ~trigger:"delay";
           Grt_sim.Clock.advance_ns (Link.clock t.link) (Int64.of_int (us * 1000))
         end);
-    lock =
-      (fun _ ->
-        if (not (in_recovery ())) && t.cfg.Mode.commit_on_kernel_api then commit t ~trigger:"lock");
-    unlock =
-      (fun _ ->
-        if (not (in_recovery ())) && t.cfg.Mode.commit_on_kernel_api then
-          commit t ~trigger:"unlock");
+    (* Lock/unlock boundaries always commit: deferring across them is
+       unsound under concurrency (§4.1). *)
+    lock = (fun _ -> if not (in_recovery ()) then commit t ~trigger:"lock");
+    unlock = (fun _ -> if not (in_recovery ()) then commit t ~trigger:"unlock");
     externalize =
       (fun _ ->
         if not (in_recovery ()) then begin
@@ -371,15 +368,8 @@ let validated_prefix t =
      confirmed truth; with nothing outstanding, the whole log is. Used by
      the orchestrator to resume after a [Link.Link_down], exactly like a
      misprediction's [valid_log]. *)
-  let all = List.rev t.log.Recording.items in
-  match t.outstanding with
-  | [] -> all
-  | o :: _ ->
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
-    take o.o_log_mark all
+  let mark = match t.outstanding with [] -> t.log.Recording.len | o :: _ -> o.o_log_mark in
+  Recording.log_prefix t.log mark
 
 let mark_segment t = t.segment_marks <- t.log.Recording.len :: t.segment_marks
 

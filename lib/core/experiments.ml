@@ -336,15 +336,10 @@ let fault_campaign ctx ?(drops = [ 0.0; 0.01; 0.05; 0.1 ]) ?(windows = [ 1; 4 ])
     (fun base ->
       (* Each run gets a fresh history so speculation warms up identically;
          the cache is bypassed for the same reason. A windowed run also
-         pipelines speculative commits ([max_inflight] = window) so the wire
-         window is actually exercised. *)
+         pipelines up to [window] speculative commits, so the wire window is
+         actually exercised. *)
       let run ~window profile =
-        let config =
-          { (Mode.default_config Mode.Ours_mds) with
-            Mode.max_inflight = (if window > 1 then window else 0)
-          }
-        in
-        Orchestrate.record ~history:(Drivershim.fresh_history ()) ~config ~window ~profile
+        Orchestrate.record ~history:(Drivershim.fresh_history ()) ~window ~profile
           ~mode:Mode.Ours_mds ~sku:ctx.sku ~net ~seed:ctx.seed ()
       in
       (* One reference per base profile: the stop-and-wait zero-fault
@@ -404,9 +399,7 @@ type memsync_sweep_row = {
 let memsync_variants =
   [
     ("dirty", fun (c : Mode.config) -> c);
-    ("dirty+dedup", fun c -> { c with Mode.memsync_dedup = true });
-    ( "dirty+dedup+adaptive",
-      fun c -> { c with Mode.memsync_dedup = true; memsync_adaptive = true } );
+    ("dirty+dedup+adaptive", fun c -> { c with Mode.memsync_tagged = true });
   ]
 
 (* Host wall seconds from the monotonic clock. [Sys.time] would give CPU
@@ -519,9 +512,10 @@ let memsync_sweep ?(pages = 64) ?(rounds = 8) ?(dirtied = [ 4; 16; 64 ])
 
 (* ---- memsync fast path on a real workload ----
 
-   The same recording, baseline config vs. the full fast path (dedup +
-   adaptive encoding). Each run replays its own blob against the native output, so
-   the row proves the tagged record format round-trips end to end. *)
+   The same recording, baseline config vs. the full fast path (tagged
+   records: dedup + adaptive encoding). Each run replays its own blob
+   against the native output, so the row proves the tagged record format
+   round-trips end to end. *)
 
 type memsync_workload_row = {
   config_label : string;
@@ -537,7 +531,7 @@ type memsync_workload_row = {
 
 let memsync_workload ctx ~net =
   let base = Mode.default_config Mode.Ours_mds in
-  let fast = { base with Mode.memsync_dedup = true; memsync_adaptive = true } in
+  let fast = { base with Mode.memsync_tagged = true } in
   let nat = native ctx net in
   let plan = Network.expand net in
   let input = Grt_mlfw.Runner.input_values plan ~seed:ctx.seed in
@@ -909,17 +903,9 @@ let speed ?(iters = 6) ctx =
     measure "record/MNIST/OursMDS" (session Mode.Ours_mds);
     measure "record/MNIST/OursMDS-dedup"
       (session
-         ~config:
-           {
-             (Mode.default_config Mode.Ours_mds) with
-             Mode.memsync_dedup = true;
-             memsync_adaptive = true;
-           }
+         ~config:{ (Mode.default_config Mode.Ours_mds) with Mode.memsync_tagged = true }
          Mode.Ours_mds);
-    measure "record/MNIST/OursMDS-w4"
-      (session ~window:4
-         ~config:{ (Mode.default_config Mode.Ours_mds) with Mode.max_inflight = 4 }
-         Mode.Ours_mds);
+    measure "record/MNIST/OursMDS-w4" (session ~window:4 Mode.Ours_mds);
   ]
 
 (* ---- JSON row export (bench --json, CI artifacts) ----

@@ -123,12 +123,14 @@ type fault_row = {
 val fault_campaign :
   ctx -> ?drops:float list -> ?windows:int list -> net:Grt_mlfw.Network.t -> unit -> fault_row list
 (** [drops] defaults to [0; 0.01; 0.05; 0.1]; [windows] to [[1; 4]]
-    (windowed runs also set [Mode.max_inflight] to the window size). *)
+    (a windowed run keeps up to the window size of speculative commits in
+    flight). *)
 
 (** Memsync fast-path sweep on a synthetic sender/receiver pair: pages
     dirtied per round × duplicate-content rate × feature variant (dirty
-    tracking alone, +dedup, +adaptive encoding). [reproduced] asserts the
-    receiver memory ended bit-identical to the sender's. *)
+    tracking alone, or with tagged records: dedup + adaptive encoding).
+    [reproduced] asserts the receiver memory ended bit-identical to the
+    sender's. *)
 type memsync_sweep_row = {
   variant : string;
   dirtied_per_round : int;
@@ -150,9 +152,9 @@ val memsync_sweep :
 (** Defaults: 64 pages, 8 rounds, dirtied [[4; 16; 64]], dup rates
     [[0; 0.5; 0.9]]. *)
 
-(** Memsync fast path on a real workload: baseline config vs. dedup +
-    adaptive encoding, same seed — wire bytes, blob size, visit counts and
-    a replay-vs-native output check per row. *)
+(** Memsync fast path on a real workload: baseline config vs. tagged
+    records (dedup + adaptive encoding), same seed — wire bytes, blob size,
+    visit counts and a replay-vs-native output check per row. *)
 type memsync_workload_row = {
   config_label : string;  (** "baseline" or "fastpath" *)
   net_name : string;

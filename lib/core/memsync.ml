@@ -109,8 +109,6 @@ let create ?shared cfg =
     shared;
   }
 
-let tagged_wire cfg = cfg.Mode.memsync_dedup || cfg.Mode.memsync_adaptive
-
 (* Sorted union of the sorted, duplicate-free [a.(0..na)] and [b.(0..nb)]
    into [out] (at least [na + nb] long); returns the union's length. *)
 let union_into a na b nb out =
@@ -225,6 +223,10 @@ type page_record = {
          self-contained and byte-identical with or without sharing. *)
 }
 
+(* Declared before [sync_payload], whose same-named fields stay the
+   default for unannotated uses. *)
+type logged = { tagged : bool; records : (int64 * encoding * bytes) list }
+
 type sync_payload = {
   records : page_record list;
   tagged : bool;
@@ -234,23 +236,30 @@ type sync_payload = {
   total : int;
 }
 
-let pages p = List.map (fun r -> (r.pfn, r.data)) p.records
-let wire_records p = List.map (fun r -> (r.pfn, r.enc, r.body)) p.records
+(* An untagged receiver is sent whole pages, so an untagged record logs as
+   a raw one whatever its wire encoding was. *)
+let logged (p : sync_payload) : logged =
+  {
+    tagged = p.tagged;
+    records =
+      List.map
+        (fun r -> if p.tagged then (r.pfn, r.enc, r.body) else (r.pfn, Enc_raw, r.data))
+        p.records;
+  }
 
-let logged ~tagged records =
-  { records; tagged; wire_bytes = 0; raw_bytes = 0; visited = 0; total = 0 }
-
-let payload_of_pages pgs =
-  logged ~tagged:false
-    (List.map
-       (fun (pfn, data) -> { pfn; data; enc = Enc_raw; body = data; wire = 0; cross = false })
-       pgs)
-
-let payload_of_records records =
-  logged ~tagged:true
-    (List.map
-       (fun (pfn, enc, body) -> { pfn; data = Bytes.empty; enc; body; wire = 0; cross = false })
-       records)
+let payload_of_logged (l : logged) =
+  let data body = if l.tagged then Bytes.empty else body in
+  {
+    records =
+      List.map
+        (fun (pfn, enc, body) -> { pfn; data = data body; enc; body; wire = 0; cross = false })
+        l.records;
+    tagged = l.tagged;
+    wire_bytes = 0;
+    raw_bytes = 0;
+    visited = 0;
+    total = 0;
+  }
 
 let per_page_header = 12 (* untagged wire: fixed pfn + length per page *)
 
@@ -291,8 +300,8 @@ let adaptive_choice ~previous current =
 let holds store h current =
   match Store.find store h with Some b -> Bytes.equal b current | None -> false
 
-(* The one encoder chain. Under the tagged formats a body the peer already
-   decoded goes out as a hash reference, and [memsync_adaptive] picks the
+(* The one encoder chain. Under the tagged format a body the peer already
+   decoded goes out as a hash reference, and any other page takes the
    cheapest encoding; otherwise the configured delta, then range-code
    chain decides. Only the wire charge differs by format: tagged records
    cost their serialized size, untagged ones their body plus a fixed
@@ -300,17 +309,17 @@ let holds store h current =
    since the untagged receiver is sent whole pages. *)
 let encode t ~previous ~pfn ~current =
   let cfg = t.cfg in
-  let tagged = tagged_wire cfg in
+  let tagged = cfg.Mode.memsync_tagged in
   let h = if tagged then hash_page current else 0L in
   let enc, body =
-    if cfg.Mode.memsync_dedup && holds t.sent_store h current then begin
+    if tagged && holds t.sent_store h current then begin
       (* The sender put this exact body on the wire before, so the
          receiver has, by construction, decoded and stored it. *)
       let body = Bytes.create 8 in
       Bytes.set_int64_le body 0 h;
       (Enc_hash_ref, body)
     end
-    else if cfg.Mode.memsync_adaptive then adaptive_choice ~previous current
+    else if tagged then adaptive_choice ~previous current
     else
       match (cfg.Mode.delta_dumps, previous) with
       | true, Some prev ->
@@ -332,7 +341,7 @@ let encode t ~previous ~pfn ~current =
        with or without a shared store; only the wire charge and the
        [cross] flag change. *)
     let cross =
-      cfg.Mode.memsync_dedup && enc <> Enc_hash_ref
+      enc <> Enc_hash_ref
       && match t.shared with Some sh -> holds sh h current | None -> false
     in
     let wire = if cross then hash_ref_wire ~pfn else tagged_record_wire ~pfn ~body in
@@ -380,7 +389,7 @@ let sync_meta t mem =
   done;
   {
     records = List.rev !records;
-    tagged = tagged_wire t.cfg;
+    tagged = t.cfg.Mode.memsync_tagged;
     wire_bytes = !wire;
     raw_bytes = !raw;
     visited = !visited;
@@ -448,7 +457,7 @@ let receive t mem p =
 
 let note_shipped t pfn contents =
   Hashtbl.replace t.baseline (Int64.to_int pfn) contents;
-  if tagged_wire t.cfg then begin
+  if t.cfg.Mode.memsync_tagged then begin
     let h = hash_page contents in
     Store.learn_hashed t.sent_store h contents;
     match t.shared with Some sh -> Store.learn_hashed sh h contents | None -> ()

@@ -13,9 +13,10 @@
       learns its tagged bodies and teaches the same baseline, so a page that
       just arrived is not echoed back.
 
-    Callers only send a payload, receive one, or decode a logged entry
-    ({!install}, {!decode_record}); no other module reads or writes a page
-    record's encoding.
+    Callers only send a payload, receive one, or install a logged entry
+    ({!logged}, {!payload_of_logged}, {!install}, {!decode_record}); no
+    other module reads or writes a page record's encoding, and none but
+    {!install} decides whether a record is decoded and learned.
 
     Metastate = page-table pages (walked from the registered roots) plus the
     materialized pages of regions mapped as [Code] or [Cmd]. Program data
@@ -27,10 +28,9 @@
     region pages, and skips every page whose {!Grt_gpu.Mem.page_gen} stamp
     has not moved since that pfn was last examined. Stamps only increase and
     an unchanged stamp means unchanged bytes, so a skipped page still
-    matches its baseline. With [Mode.memsync_dedup] / [Mode.memsync_adaptive]
-    the wire switches to tagged page records carrying the cheapest encoding
-    per page, including an 8-byte reference to content the peer provably
-    holds.
+    matches its baseline. With [Mode.memsync_tagged] the wire switches to
+    tagged page records carrying the cheapest encoding per page, including
+    an 8-byte reference to content the peer provably holds.
 
     {b One body per changed page.} [sync_meta] copies a changed page out of
     the live memory once; that copy is the record's [data], the new baseline
@@ -98,7 +98,7 @@ type page_record = {
   pfn : int64;
   data : bytes;
       (** full page contents; [Bytes.empty] in a record rebuilt from a logged
-          tagged entry ({!payload_of_records}), whose receiver decodes [body] *)
+          tagged entry ({!payload_of_logged}), whose receiver decodes [body] *)
   enc : encoding;
   body : bytes;  (** wire form of the contents under [enc] *)
   wire : int;  (** bytes charged to the link for this record, header included *)
@@ -113,11 +113,19 @@ val tagged_record_wire : pfn:int64 -> body:bytes -> int
     serialized size: varint pfn + encoding-tag byte + varint length +
     body. *)
 
+(** A payload's logged form: what a recording's memory-load entry carries.
+    Tagged records are [(pfn, encoding, wire body)], decoded in log order
+    against the replayer's content store — a hash reference always resolves
+    to a body carried in full by an earlier record. Untagged records are
+    [(pfn, Enc_raw, full contents)]. Declared before {!sync_payload}, whose
+    same-named fields stay the default for unannotated uses. *)
+type logged = { tagged : bool; records : (int64 * encoding * bytes) list }
+
 type sync_payload = {
   records : page_record list;
   tagged : bool;
-      (** true when the wire carries per-record encoding tags ([Mode.memsync_dedup]
-          or [Mode.memsync_adaptive]); false is the historical full-page format *)
+      (** true when the wire carries per-record encoding tags
+          ([Mode.memsync_tagged]); false is the historical full-page format *)
   wire_bytes : int;
       (** bytes charged to the link, in every format: the sum of the records'
           [wire]. Untagged records cost their body plus a fixed pfn + length
@@ -128,20 +136,11 @@ type sync_payload = {
   total : int;  (** meta pages in scope *)
 }
 
-val pages : sync_payload -> (int64 * bytes) list
-(** The shipped pages as [(pfn, full contents)], in record order — the
-    untagged form, for logging into a recording. *)
+val logged : sync_payload -> logged
+(** The payload's records in their logged form, in record order. *)
 
-val wire_records : sync_payload -> (int64 * encoding * bytes) list
-(** The tagged wire form of the payload, for logging into a recording. *)
-
-val payload_of_pages : (int64 * bytes) list -> sync_payload
-(** A logged [Mem_load] entry as an untagged payload (zero wire
-    accounting). *)
-
-val payload_of_records : (int64 * encoding * bytes) list -> sync_payload
-(** A logged [Mem_load_enc] entry as a tagged payload (zero wire
-    accounting). *)
+val payload_of_logged : logged -> sync_payload
+(** A logged entry as a payload (zero wire accounting), for {!install}. *)
 
 val sync_meta : t -> Grt_gpu.Mem.t -> sync_payload
 (** Sender: diff the metastate against the baseline, advance the baseline,

@@ -25,13 +25,9 @@ type config = {
   offload_polling : bool;
   compress_dumps : bool;
   delta_dumps : bool;
-  commit_on_kernel_api : bool;
   hot_function_scope : bool;
   continuous_validation : bool;
-  degraded_mode : bool;
-  max_inflight : int;
-  memsync_dedup : bool;
-  memsync_adaptive : bool;
+  memsync_tagged : bool;
 }
 
 let default_config mode =
@@ -41,11 +37,7 @@ let default_config mode =
     offload_polling = (mode = Ours_mds);
     compress_dumps = meta_only_sync mode;
     delta_dumps = meta_only_sync mode;
-    commit_on_kernel_api = true;
     hot_function_scope = true;
     continuous_validation = true;
-    degraded_mode = true;
-    max_inflight = 0;
-    memsync_dedup = false;
-    memsync_adaptive = false;
+    memsync_tagged = false;
   }

@@ -18,42 +18,27 @@ val meta_only_sync : t -> bool
 val deferral : t -> bool
 val speculation : t -> bool
 
-(** Fine-grained knobs, for the ablation benches. *)
+(** Fine-grained knobs, for the ablation benches. Lock/unlock always commit
+    (§4.1), and a persistently lossy link always suspends speculation until
+    it recovers; the cap on speculative commits in flight is the link's
+    sliding window ({!Grt_net.Link.window}): the window when it is above 1,
+    unbounded on a stop-and-wait link. *)
 type config = {
   mode : t;
   spec_history_k : int;  (** confidence threshold (paper: 3) *)
   offload_polling : bool;
   compress_dumps : bool;
   delta_dumps : bool;
-  commit_on_kernel_api : bool;
-      (** commit at lock/unlock boundaries (disabling this is unsound under
-          concurrency and exists only to measure the cost of soundness) *)
   hot_function_scope : bool;  (** restrict deferral to profiled hot functions *)
   continuous_validation : bool;
       (** §5's safety net: unmap dumped regions from the CPU between a job
           start and its completion so spurious accesses trap *)
-  degraded_mode : bool;
-      (** when the link reports a persistently lossy channel, suspend
-          speculation and commit synchronously until it recovers *)
-  max_inflight : int;
-      (** cap on speculative commits outstanding at once. 0 (the default)
-          means unbounded — the historical behaviour, where only epoch and
-          dependency stalls drain the queue. With [n > 0], dispatching the
-          (n+1)-th speculative commit first validates the oldest outstanding
-          one in FIFO order; pair with a [Link] window of the same size to
-          pipeline the wire ([net.window_stalls] then backpressures the
-          shim). Validation order, [validated_prefix] and degraded-mode
-          suppression are unaffected. *)
-  memsync_dedup : bool;
-      (** content-addressed page store: ship an 8-byte hash reference when
-          the peer provably holds the page body already. Changes the wire
-          and recording format (tagged page records), so it is off by
+  memsync_tagged : bool;
+      (** tagged page records: each shipped page carries the cheapest
+          encoding (raw / range-coded raw / delta / range-coded delta), or an
+          8-byte hash reference when the peer provably holds its body
+          already. Changes the wire and recording format, so it is off by
           default. *)
-  memsync_adaptive : bool;
-      (** pick the cheapest per-page encoding (raw / range-coded raw /
-          delta / range-coded delta / hash reference) instead of applying
-          delta + range coding unconditionally. Implies the tagged wire
-          format; off by default. *)
 }
 
 val default_config : t -> config

@@ -377,7 +377,15 @@ let serve_cached (ctx : Ctx.t) ~blob =
 
 let record ?history ?inject_fault_after ?inject_outage_after ?config ?(granularity = `Monolithic)
     ?window ?trace_capacity ?observe ~profile ~mode ~sku ~net ~seed () =
-  let cfg = match config with Some c -> c | None -> Mode.default_config mode in
+  let cfg =
+    match config with
+    | None -> Mode.default_config mode
+    | Some c when c.Mode.mode = mode -> c
+    | Some c ->
+      invalid_arg
+        (Printf.sprintf "Orchestrate.record: ~mode:%s but ~config is for %s" (Mode.name mode)
+           (Mode.name c.Mode.mode))
+  in
   let options =
     {
       Ctx.default_options with

@@ -94,9 +94,10 @@ val record :
     attempt, forcing one rollback. [inject_outage_after k] makes the link's
     [k]-th exchange deterministically time out all retransmission attempts,
     forcing a [Link_down] recovery. [config] overrides the default knobs
-    for [mode] (ablations). [window] (default 1 = stop-and-wait) sets the
-    link's sliding-window size; pair with [config.max_inflight] to pipeline
-    speculative commits over it. [trace_capacity] sizes the diagnostic event
+    for [mode] (ablations); a [config] for another mode raises
+    [Invalid_argument]. [window] (default 1 = stop-and-wait) sets the
+    link's sliding-window size; above 1 it also caps the speculative commits
+    in flight. [trace_capacity] sizes the diagnostic event
     ring dumped on failure. [observe] (default false) turns on the span
     tracer and histograms, surfaced in the outcome; observation never moves
     the virtual clock, so observed and default runs produce identical

@@ -7,8 +7,7 @@ type entry =
   | Reg_read of { reg : int; value : int64; verify : bool }
   | Poll of { reg : int; mask : int64; cond : poll_cond; max_iters : int; spin_ns : int64 }
   | Wait_irq of { line : int }
-  | Mem_load of { pages : (int64 * bytes) list }
-  | Mem_load_enc of { records : (int64 * Memsync.encoding * bytes) list }
+  | Mem_load of Memsync.logged
 
 (* Entry log under construction (newest first), with O(1) length — the
    speculation machinery marks log positions on every commit, so length
@@ -21,6 +20,10 @@ let new_log () = { items = []; len = 0 }
 let log_push l e =
   l.items <- e :: l.items;
   l.len <- l.len + 1
+
+let log_prefix l n =
+  let rec drop k items = if k <= 0 then items else drop (k - 1) (List.tl items) in
+  List.rev (drop (l.len - n) l.items)
 
 let irq_line_to_int = function
   | Grt_gpu.Device.Job_irq -> 0
@@ -82,16 +85,17 @@ let add_entry buf = function
   | Wait_irq { line } ->
     Byte_buf.add_u8 buf 4;
     Byte_buf.add_u8 buf line
-  | Mem_load { pages } ->
+  | Mem_load { Memsync.tagged = false; records } ->
+    (* untagged records are raw: the body is the full page *)
     Byte_buf.add_u8 buf 5;
-    Byte_buf.add_varint buf (List.length pages);
+    Byte_buf.add_varint buf (List.length records);
     List.iter
-      (fun (pfn, data) ->
+      (fun (pfn, _, data) ->
         Byte_buf.add_i64 buf pfn;
         Byte_buf.add_varint buf (Bytes.length data);
         Byte_buf.add_bytes buf data)
-      pages
-  | Mem_load_enc { records } ->
+      records
+  | Mem_load { Memsync.tagged = true; records } ->
     Byte_buf.add_u8 buf 6;
     Byte_buf.add_varint buf (List.length records);
     List.iter
@@ -131,13 +135,13 @@ let read_entry r =
     Wait_irq { line }
   | 5 ->
     let n = Byte_buf.Reader.varint r in
-    let pages =
+    let records =
       List.init n (fun _ ->
           let pfn = Byte_buf.Reader.i64 r in
           let len = Byte_buf.Reader.varint r in
-          (pfn, Byte_buf.Reader.bytes r len))
+          (pfn, Memsync.Enc_raw, Byte_buf.Reader.bytes r len))
     in
-    Mem_load { pages }
+    Mem_load { Memsync.tagged = false; records }
   | 6 ->
     let n = Byte_buf.Reader.varint r in
     let records =
@@ -151,7 +155,7 @@ let read_entry r =
           let len = Byte_buf.Reader.varint r in
           (pfn, enc, Byte_buf.Reader.bytes r len))
     in
-    Mem_load_enc { records }
+    Mem_load { Memsync.tagged = true; records }
   | tag -> failwith (Printf.sprintf "recording: unknown entry tag %d" tag)
 
 let add_slot buf s =
@@ -452,7 +456,6 @@ let count_entries t what =
       | `Reads, Reg_read _ -> acc + 1
       | `Polls, Poll _ -> acc + 1
       | `Irqs, Wait_irq _ -> acc + 1
-      | `Mem_pages, Mem_load { pages } -> acc + List.length pages
-      | `Mem_pages, Mem_load_enc { records } -> acc + List.length records
+      | `Mem_pages, Mem_load { Memsync.records; _ } -> acc + List.length records
       | _ -> acc)
     0 t.entries

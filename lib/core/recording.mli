@@ -22,18 +22,20 @@ type entry =
       (** [verify = false] for legitimately nondeterministic registers *)
   | Poll of { reg : int; mask : int64; cond : poll_cond; max_iters : int; spin_ns : int64 }
   | Wait_irq of { line : int }  (** 0 = job, 1 = gpu, 2 = mmu *)
-  | Mem_load of { pages : (int64 * bytes) list }  (** (pfn, contents) *)
-  | Mem_load_enc of { records : (int64 * Memsync.encoding * bytes) list }
-      (** tagged page records under the memsync dedup/adaptive wire format:
-          [(pfn, encoding, wire body)]. Decoded in log order against the
-          replayer's content store — a hash reference always resolves to a
-          body carried in full by an earlier record. *)
+  | Mem_load of Memsync.logged
+      (** a metastate image in {!Memsync}'s logged form; untagged and
+          tagged images keep their own blob tags (5 and 6) *)
 
 type log = { mutable items : entry list; mutable len : int }
 (** Entry log under construction, newest first, with O(1) length. *)
 
 val new_log : unit -> log
 val log_push : log -> entry -> unit
+
+val log_prefix : log -> int -> entry list
+(** [log_prefix l n] is the first [n] entries pushed (all of them when
+    fewer), oldest first: the validated prefix a misprediction or a lost
+    link resumes from (§4.2). *)
 
 val irq_line_to_int : Grt_gpu.Device.irq_line -> int
 val irq_line_of_int : int -> Grt_gpu.Device.irq_line option

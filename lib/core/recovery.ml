@@ -42,22 +42,17 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Recovery_diverged m)) fmt
    recording's replayer will hold. *)
 let rec pop_memloads t =
   match t.prefix with
-  | (Recording.Mem_load { pages } as e) :: rest ->
-    load_logged t e (Memsync.payload_of_pages pages) rest
-  | (Recording.Mem_load_enc { records } as e) :: rest ->
-    load_logged t e (Memsync.payload_of_records records) rest
+  | (Recording.Mem_load logged as e) :: rest ->
+    t.prefix <- rest;
+    note_pop t;
+    step_cost t;
+    count t Metrics.Recovery_pages (List.length logged.Memsync.records);
+    List.iter
+      (fun (pfn, page) -> Memsync.note_shipped t.downlink pfn page)
+      (Gpushim.load_pages t.gpushim (Memsync.payload_of_logged logged));
+    Recording.log_push t.log e;
+    pop_memloads t
   | _ -> ()
-
-and load_logged t entry payload rest =
-  t.prefix <- rest;
-  note_pop t;
-  step_cost t;
-  count t Metrics.Recovery_pages (List.length payload.Memsync.records);
-  List.iter
-    (fun (pfn, page) -> Memsync.note_shipped t.downlink pfn page)
-    (Gpushim.load_pages t.gpushim payload);
-  Recording.log_push t.log entry;
-  pop_memloads t
 
 let prefix_pop t =
   pop_memloads t;
@@ -86,7 +81,7 @@ let read t reg =
       | Recording.Reg_read { reg; _ } -> "read " ^ Regs.name reg
       | Recording.Poll { reg; _ } -> "poll " ^ Regs.name reg
       | Recording.Wait_irq _ -> "wait_irq"
-      | Recording.Mem_load _ | Recording.Mem_load_enc _ -> "mem_load")
+      | Recording.Mem_load _ -> "mem_load")
   | None -> fail "prefix exhausted mid-access (read %s)" (Regs.name reg)
 
 let write t reg =

@@ -44,9 +44,9 @@ type op =
       mutable stamps : (Grt_gpu.Mem.t * int64 array) option;
     }
       (** memory image precomputed at compile; [learn] feeds the bodies to
-          the execution store (tagged records do, plain [Mem_load]s do not) *)
+          the execution store (tagged images do, untagged ones do not) *)
   | Load_dynamic of {
-      records : (int64 * Memsync.encoding * bytes) list;
+      logged : Memsync.logged;
       index : int;
       mutable cached : (int64 * bytes) array option;
     }
@@ -62,7 +62,7 @@ type stats = {
   ops : int;
   fused_writes : int;  (** register writes absorbed into multi-write runs *)
   static_pages : int;  (** memory-image pages decoded at compile time *)
-  dynamic_loads : int;  (** Mem_load_enc entries that must decode live once *)
+  dynamic_loads : int;  (** tagged Mem_load entries that must decode live once *)
   polls : int;
 }
 
@@ -88,21 +88,26 @@ let static_page store pfn enc body =
   | Error (Memsync.Malformed _ as e) -> failwith (Memsync.decode_error_message e)
 
 (* The compile-time store mirrors what the executor's store will have
-   learned: every statically decodable body. It can only ever hold a subset
-   of the execution store (delta results are unknown here), so a hash
-   reference it resolves is guaranteed to resolve identically at run time,
-   and one it cannot resolve is conservatively classified dynamic. *)
-let lower_mem_enc store ~index records =
-  let decoded = List.map (fun (pfn, enc, body) -> (pfn, static_page store pfn enc body)) records in
-  List.iter (function _, Some b -> Memsync.Store.learn store b | _, None -> ()) decoded;
+   learned: every statically decodable tagged body. It can only ever hold a
+   subset of the execution store (delta results are unknown here), so a
+   hash reference it resolves is guaranteed to resolve identically at run
+   time, and one it cannot resolve is conservatively classified dynamic.
+   Untagged records are raw, so they always decode here (decoding only
+   checks their size). *)
+let lower_mem_load store ~index (logged : Memsync.logged) =
+  let decoded =
+    List.map (fun (pfn, enc, body) -> (pfn, static_page store pfn enc body)) logged.records
+  in
+  let learn = logged.tagged in
+  if learn then List.iter (function _, Some b -> Memsync.Store.learn store b | _, None -> ()) decoded;
   if List.for_all (fun (_, d) -> d <> None) decoded then
     Load_static
       {
         pages = Array.of_list (List.map (fun (pfn, d) -> (pfn, Option.get d)) decoded);
-        learn = true;
+        learn;
         stamps = None;
       }
-  else Load_dynamic { records; index; cached = None }
+  else Load_dynamic { logged; index; cached = None }
 
 let lower_range store entries ~first ~count =
   let ops = ref [] in
@@ -137,11 +142,7 @@ let lower_range store entries ~first ~count =
       | None ->
         (* [Recording.parse_signed] rejects these; belt and braces. *)
         failwith (Printf.sprintf "replay_prog: invalid IRQ line %d" line))
-    | Recording.Mem_load { pages } ->
-      (* Untagged pages are raw records: decoding only checks their size. *)
-      List.iter (fun (pfn, data) -> ignore (static_page store pfn Memsync.Enc_raw data)) pages;
-      ops := Load_static { pages = Array.of_list pages; learn = false; stamps = None } :: !ops
-    | Recording.Mem_load_enc { records } -> ops := lower_mem_enc store ~index:!i records :: !ops);
+    | Recording.Mem_load logged -> ops := lower_mem_load store ~index:!i logged :: !ops);
     incr i
   done;
   Array.of_list (List.rev !ops)

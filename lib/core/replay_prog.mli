@@ -34,14 +34,14 @@ type op =
       mutable stamps : (Grt_gpu.Mem.t * int64 array) option;
     }
       (** memory image precomputed at compile time; [learn] = feed bodies to
-          the execution store (true for tagged records, false for plain
-          [Mem_load]s, matching the interpreter). [stamps] holds the target
+          the execution store (true for tagged images, false for untagged
+          ones, matching the interpreter). [stamps] holds the target
           memory and the per-page generation recorded right after the last
           install: on the next execution against the same memory, pages
           whose generation is unchanged provably still hold this image and
           are skipped. *)
   | Load_dynamic of {
-      records : (int64 * Memsync.encoding * bytes) list;
+      logged : Memsync.logged;
       index : int;
       mutable cached : (int64 * bytes) array option;
           (** installed by the executor after the first (live) decode *)

@@ -56,13 +56,9 @@ let apply_entries ~gpushim ~store tally entries =
       tally.applied <- tally.applied + 1;
       Grt_sim.Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns;
       match entry with
-      | Recording.Mem_load { pages } ->
+      | Recording.Mem_load logged ->
         (* The metastate snapshot for the upcoming interactions. *)
-        ignore (install store mem (Memsync.payload_of_pages pages))
-      | Recording.Mem_load_enc { records } ->
-        (* Tagged snapshot: decode in log order; hash references resolve
-           against bodies earlier entries carried in full. *)
-        ignore (install store mem (Memsync.payload_of_records records))
+        ignore (install store mem (Memsync.payload_of_logged logged))
       | Recording.Reg_write { reg; value } -> Device.write_reg dev reg value
       | Recording.Reg_read { reg; value; verify } ->
         let got = Device.read_reg dev reg in
@@ -359,7 +355,7 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
                 match store with Some s -> s | None -> assert false (* needs_store saw us *)
               in
               d.cached <-
-                Some (Array.of_list (install s mem (Memsync.payload_of_records d.records)))))
+                Some (Array.of_list (install s mem (Memsync.payload_of_logged d.logged)))))
         g.ops)
     prog.groups
 

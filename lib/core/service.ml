@@ -18,24 +18,23 @@ let runtime_version = Cloudvm.default_image.Cloudvm.image_name
    A recording is reusable across clients exactly when it was produced by
    the same GPU stack for the same workload on the same silicon with the
    same wire format. The key folds each of those dimensions with FNV-1a;
-   only the recording-format-bearing mode flags participate (dirty tracking
-   is wire-invariant, so it is deliberately excluded). *)
-
-let flag b = if b then 1L else 0L
+   only the recording-format-bearing mode flag participates. It is folded
+   twice, and labelled "+dedup+adaptive": the format was once two flags
+   that were always set together, and every key, recording seed and cached
+   blob derived from them stays put. *)
 
 let cache_key ~(cfg : Mode.config) ~(sku : Sku.t) ~(net : Network.t) =
   let h = Hashing.fnv1a_string net.Network.name in
   let h = Hashing.combine h (Hashing.fnv1a_string sku.Sku.name) in
   let h = Hashing.combine h (Hashing.fnv1a_string runtime_version) in
   let h = Hashing.combine h (Hashing.fnv1a_string (Mode.name cfg.Mode.mode)) in
-  let h = Hashing.combine h (flag cfg.Mode.memsync_dedup) in
-  Hashing.combine h (flag cfg.Mode.memsync_adaptive)
+  let tagged = if cfg.Mode.memsync_tagged then 1L else 0L in
+  Hashing.combine (Hashing.combine h tagged) tagged
 
 let key_label ~(cfg : Mode.config) ~(sku : Sku.t) ~(net : Network.t) =
-  Printf.sprintf "%s/%s/%s/%s%s%s" net.Network.name sku.Sku.name runtime_version
+  Printf.sprintf "%s/%s/%s/%s%s" net.Network.name sku.Sku.name runtime_version
     (Mode.name cfg.Mode.mode)
-    (if cfg.Mode.memsync_dedup then "+dedup" else "")
-    (if cfg.Mode.memsync_adaptive then "+adaptive" else "")
+    (if cfg.Mode.memsync_tagged then "+dedup+adaptive" else "")
 
 (* Recording sessions run under a key-derived seed, not a client-derived
    one: the signed blob depends on the seed (device salts, dry-run data),
@@ -744,8 +743,7 @@ type fleet_options = {
 (* The fast-path configuration: the small tagged wire keeps 10k+ downloads
    and verifications cheap, and it is the configuration whose recordings
    benefit from the shared dedup store. *)
-let fastpath_cfg =
-  { (Mode.default_config Mode.Ours_mds) with Mode.memsync_dedup = true; memsync_adaptive = true }
+let fastpath_cfg = { (Mode.default_config Mode.Ours_mds) with Mode.memsync_tagged = true }
 
 let default_fleet =
   {

@@ -28,8 +28,9 @@ val runtime_version : string
     {!Cloudvm.default_image}). *)
 
 val cache_key : cfg:Mode.config -> sku:Grt_gpu.Sku.t -> net:Grt_mlfw.Network.t -> key
-(** FNV-1a over (network, SKU, runtime version, recording-format mode
-    flags). Wire-invariant knobs (dirty tracking) are excluded. *)
+(** FNV-1a over (network, SKU, runtime version, mode, recording format
+    [Mode.memsync_tagged]). Knobs that leave the recording format alone
+    are excluded. *)
 
 val key_label : cfg:Mode.config -> sku:Grt_gpu.Sku.t -> net:Grt_mlfw.Network.t -> string
 (** Human-readable form of the key's components. *)
@@ -214,7 +215,8 @@ type fleet_options = {
 }
 
 val fastpath_cfg : Mode.config
-(** [Ours_mds] + dedup + adaptive encoding — the fleet default. *)
+(** [Ours_mds] with tagged page records (dedup + adaptive encoding) — the
+    fleet default. *)
 
 val default_fleet : fleet_options
 (** 10k clients, Zipf 1.1 over the full Zoo × SKU catalog, 5 ms mean

@@ -207,7 +207,7 @@ let maybe_inject t (actuals : int64 array) =
    channel, speculation is suspended and commits go out synchronously —
    optimistic work is cheap to start but expensive to roll back when the
    retransmitting channel keeps stretching validation latencies. *)
-let degraded_now t = t.cfg.Mode.degraded_mode && Link.health t.link = Link.Degraded
+let degraded_now t = Link.health t.link = Link.Degraded
 
 let log_applied t queue (actuals : int64 array) =
   let rec go queue i =
@@ -250,14 +250,8 @@ let validate_one t o =
               (Trace.Rollback { site = o.o_site; reg = Regs.name reg; predicted; actual });
             (* Everything logged before this commit is validated truth; the
                recovery replays it locally on both sides. *)
-            let all = List.rev t.log.Recording.items in
-            let rec take n = function
-              | [] -> []
-              | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-            in
-            raise
-              (Mispredict
-                 { site = o.o_site; reg; predicted; actual; valid_log = take o.o_log_mark all })
+            let valid_log = Recording.log_prefix t.log o.o_log_mark in
+            raise (Mispredict { site = o.o_site; reg; predicted; actual; valid_log })
           end)
         o.o_checks;
       List.iter Sexpr.confirm o.o_syms)
@@ -268,7 +262,7 @@ let drain t =
   List.iter (validate_one t) pending;
   t.epoch_tainted <- false
 
-(* Partial drain for the pipelining cap: validate the oldest outstanding
+(* Partial drain for the in-flight cap: validate the oldest outstanding
    commit only, in FIFO order. Unlike [drain] this leaves [epoch_tainted]
    alone — the epoch still holds unvalidated speculation. *)
 let drain_oldest t =
@@ -279,10 +273,10 @@ let drain_oldest t =
     validate_one t o
 
 (* High-water mark of speculative commits outstanding at once. Only tracked
-   when pipelining is configured, so default (stop-and-wait, unbounded)
-   runs keep byte-identical counter dumps. *)
+   on a windowed link, so default (stop-and-wait, unbounded) runs keep
+   byte-identical counter dumps. *)
 let note_inflight_depth t =
-  if t.cfg.Mode.max_inflight > 0 || Link.window t.link > 1 then
+  if Link.window t.link > 1 then
     match t.metrics with
     | Some m ->
       let depth = List.length t.outstanding in
@@ -291,14 +285,16 @@ let note_inflight_depth t =
     | None -> ()
 
 (* Ship a speculated commit asynchronously and queue it for validation when
-   the response lands (shared by batch commits and offloaded polls). With
-   [Mode.max_inflight > 0], first make room by validating the oldest
-   outstanding commits — a misprediction surfacing here aborts the current
-   commit exactly like one caught at a full drain. *)
+   the response lands (shared by batch commits and offloaded polls). On a
+   windowed link at most [Link.window] commits are outstanding: first make
+   room by validating the oldest — a misprediction surfacing here aborts
+   the current commit exactly like one caught at a full drain. A
+   stop-and-wait link leaves the queue unbounded; only epoch and
+   dependency stalls drain it. *)
 let dispatch_speculative t ~site ~send ~recv ~checks ~syms ~log_mark ~bind =
-  let cap = t.cfg.Mode.max_inflight in
-  if cap > 0 then
-    while List.length t.outstanding >= cap do
+  let window = Link.window t.link in
+  if window > 1 then
+    while List.length t.outstanding >= window do
       drain_oldest t
     done;
   let dispatched = Grt_sim.Clock.now_int (Link.clock t.link) in

@@ -14,14 +14,12 @@ type payload =
   | Evict of { label : string; client : int; blob_bytes : int }
   | Promote of { label : string; client : int }
   | Rearm of { label : string; client : int }
-  | Message of { topic : string; text : string }
 
 let payload_topic = function
   | Degraded _ | Healthy _ | Link_down _ | Retransmit _ | Window_stall _ | Profile_swap _ ->
     "link"
   | Commit _ | Speculate _ | Rollback _ | Replay_live _ -> "shim"
   | Evict _ | Promote _ | Rearm _ -> "service"
-  | Message { topic; _ } -> topic
 
 (* Render the historical detail strings byte-for-byte: the stderr post-
    mortem dump (and any test asserting on it) predates the typed payloads. *)
@@ -46,7 +44,6 @@ let render = function
     Printf.sprintf "promote label=%s client-%d takes over recording" label client
   | Rearm { label; client } ->
     Printf.sprintf "rearm label=%s after failed recording by client-%d" label client
-  | Message { text; _ } -> text
 
 type event = { at_ns : int64; payload : payload }
 
@@ -82,10 +79,6 @@ let push t e =
 let event t payload = push t { at_ns = Clock.now_ns t.clock; payload }
 
 let event_opt t payload = match t with Some t -> event t payload | None -> ()
-
-let emit t ~topic text = event t (Message { topic; text })
-
-let emitf t ~topic fmt = Format.kasprintf (fun s -> emit t ~topic s) fmt
 
 let count t = t.total
 let retained t = min t.total t.cap
@@ -152,7 +145,6 @@ let event_json e =
     base "promote" [ ("label", Json.Str label); ("client", Json.int client) ]
   | Rearm { label; client } ->
     base "rearm" [ ("label", Json.Str label); ("client", Json.int client) ]
-  | Message { text; _ } -> base "message" [ ("text", Json.Str text) ]
 
 let to_jsonl t =
   let b = Buffer.create 4096 in

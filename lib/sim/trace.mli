@@ -30,12 +30,10 @@ type payload =
   | Rearm of { label : string; client : int }
       (** a failed recording left the entry blank; the next arrival (or
           promoted waiter) re-records *)
-  | Message of { topic : string; text : string }  (** free-form escape hatch *)
 
 val payload_topic : payload -> string
 (** The grouping topic: ["link"] for link events, ["shim"] for recorder
-    events, ["service"] for recording-service events, the embedded topic
-    for [Message]. *)
+    events, ["service"] for recording-service events. *)
 
 val render : payload -> string
 (** The historical detail string (e.g.
@@ -58,11 +56,6 @@ val event : t -> payload -> unit
 val event_opt : t option -> payload -> unit
 (** The shared optional-trace helper (formerly duplicated in [Link] and
     [Shim_engine]); no-op on [None]. *)
-
-val emit : t -> topic:string -> string -> unit
-(** [Message] convenience. *)
-
-val emitf : t -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 val recent : ?topic:string -> t -> int -> event list
 (** Most recent events first; optionally filtered by topic. *)

@@ -29,7 +29,11 @@ let sample_recording () =
     gpu_id = Sku.g71_mp8.Sku.gpu_id;
     entries =
       [|
-        Recording.Mem_load { pages = [ (0x100L, Bytes.make Mem.page_size 'p') ] };
+        Recording.Mem_load
+          {
+            Memsync.tagged = false;
+            records = [ (0x100L, Memsync.Enc_raw, Bytes.make Mem.page_size 'p') ];
+          };
         Recording.Reg_write { reg = Regs.gpu_command; value = 1L };
         Recording.Poll
           {
@@ -138,10 +142,13 @@ let gen_entry =
           (fun pages ->
             Recording.Mem_load
               {
-                pages =
+                Memsync.tagged = false;
+                records =
                   List.map
                     (fun (pfn, fill) ->
-                      (Int64.of_int pfn, Bytes.make Mem.page_size (Char.chr (fill land 0xFF))))
+                      ( Int64.of_int pfn,
+                        Memsync.Enc_raw,
+                        Bytes.make Mem.page_size (Char.chr (fill land 0xFF)) ))
                     pages;
               })
           (list_size (int_bound 3) (pair small_nat small_nat)) );
@@ -568,6 +575,21 @@ let wire_site_key_memo_checks_triple () =
   check Alcotest.bool "second key" true (String.starts_with ~prefix:"a@bc#" k2);
   check Alcotest.string "first key again" k1 (Grt.Wire.site_key ~fn:"ab" ~trigger:"c" [])
 
+(* ---- Orchestrate ---- *)
+
+let record_rejects_config_for_another_mode () =
+  let record ~mode config =
+    ignore
+      (Grt.Orchestrate.record ~config ~profile:Profile.wifi ~mode ~sku:Sku.g71_mp8
+         ~net:Grt_mlfw.Zoo.mnist ~seed:42L ())
+  in
+  List.iter
+    (fun (mode, cfg_mode) ->
+      match record ~mode (Mode.default_config cfg_mode) with
+      | () -> Alcotest.failf "recorded %s under a %s config" (Mode.name mode) (Mode.name cfg_mode)
+      | exception Invalid_argument _ -> ())
+    [ (Mode.Naive, Mode.Ours_mds); (Mode.Ours_mds, Mode.Ours_md) ]
+
 let () =
   Alcotest.run "grt_core"
     [
@@ -611,4 +633,9 @@ let () =
           Alcotest.test_case "replayable entry order" `Quick drivershim_entries_replayable_order;
         ] );
       ("wire", [ Alcotest.test_case "site-key memo checks the triple" `Quick wire_site_key_memo_checks_triple ]);
+      ( "orchestrate",
+        [
+          Alcotest.test_case "record rejects a config for another mode" `Quick
+            record_rejects_config_for_another_mode;
+        ] );
     ]

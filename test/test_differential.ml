@@ -125,13 +125,13 @@ let rec mispredict_prefix = function
   | Fun.Finally_raised e -> mispredict_prefix e
   | _ -> None
 
-let run_shimmed ~mode ?history ?(window = 1) ?(max_inflight = 0) program =
+let run_shimmed ~mode ?history ?(window = 1) program =
   let history = match history with Some h -> h | None -> Grt.Drivershim.fresh_history () in
   let rec attempt n prefix =
     if n > 10 then failwith "differential: too many rollbacks";
     let clock = Clock.create () in
     let link = Grt_net.Link.create ~clock ~window Grt_net.Profile.wifi in
-    let cfg = { (Mode.default_config mode) with Mode.max_inflight } in
+    let cfg = Mode.default_config mode in
     let gpushim = Grt.Gpushim.create ~clock ~sku:Sku.g71_mp8 ~session_salt:0L ~cfg () in
     Grt.Gpushim.isolate gpushim;
     let cloud_mem = Mem.create () in
@@ -183,24 +183,21 @@ let diff_modes_pairwise =
 
 let diff_mds_pipelined =
   (* Pipelined speculation: several commits in flight over a windowed link
-     (max_inflight > 1, window 4). Validation drains in order; the client
-     GPU must still end in the native state. *)
+     (window 2, so short programs still fill it and [drain_oldest] runs).
+     Validation drains in order; the client GPU must still end in the
+     native state. *)
   qtest ~count:100 "pipelined speculation == native" (fun p ->
       let native_obs, native_state = run_native p in
-      let shim_obs, shim_state =
-        run_shimmed ~mode:Mode.Ours_mds ~window:4 ~max_inflight:2 p
-      in
+      let shim_obs, shim_state = run_shimmed ~mode:Mode.Ours_mds ~window:2 p in
       native_obs = shim_obs && native_state = shim_state)
 
 let diff_mds_pipelined_warm =
   qtest ~count:40 "warmed pipelined speculation == native" (fun p ->
       let history = Grt.Drivershim.fresh_history () in
       for _ = 1 to 3 do
-        ignore (run_shimmed ~mode:Mode.Ours_mds ~history ~window:4 ~max_inflight:2 p)
+        ignore (run_shimmed ~mode:Mode.Ours_mds ~history ~window:2 p)
       done;
-      let shim_obs, shim_state =
-        run_shimmed ~mode:Mode.Ours_mds ~history ~window:4 ~max_inflight:2 p
-      in
+      let shim_obs, shim_state = run_shimmed ~mode:Mode.Ours_mds ~history ~window:2 p in
       let native_obs, native_state = run_native p in
       shim_obs = native_obs && shim_state = native_state)
 

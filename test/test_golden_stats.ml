@@ -56,17 +56,18 @@ let expected =
       "blob=220629017c094fd7 entries=1024 rtts=25 sync_wire=10103 sync_raw=507904 commits=591 \
        spec=568 cats=[Init:7,Interrupt:46,Power state:46,Polling:339,Other:130] nondet=23 \
        accesses=808 polls=170/170 rollbacks=0 retransmits=0 linkdowns=0" );
-    (* window=4 + max_inflight=4 pipeline: every outcome stat — above all
-       the blob hash — must match the stop-and-wait cold run; window size
-       moves only the clock/energy/timing counters, which this tuple
-       deliberately excludes. *)
+    (* window=4 pipeline (up to 4 speculative commits in flight): every
+       outcome stat — above all the blob hash — must match the
+       stop-and-wait cold run; window size moves only the
+       clock/energy/timing counters, which this tuple deliberately
+       excludes. *)
     ( "OursMDS-w4",
       "blob=220629017c094fd7 entries=1024 rtts=62 sync_wire=10103 sync_raw=507904 commits=591 \
        spec=531 cats=[Init:1,Interrupt:40,Power state:46,Polling:319,Other:125] nondet=23 \
        accesses=808 polls=170/170 rollbacks=0 retransmits=0 linkdowns=0" );
-    (* memsync fast path (dedup + adaptive encoding): the tagged wire format
-       changes the blob and the sync wire accounting, and is pinned as its
-       own row — the rows above must stay byte-identical to the seed. *)
+    (* memsync fast path (tagged records: dedup + adaptive encoding): the
+       tagged wire format changes the blob and the sync wire accounting, and
+       is pinned as its own row — the rows above must stay byte-identical to the seed. *)
     ( "OursMDS-dedup",
       "blob=09badd6a6ad764e3 entries=1024 rtts=62 sync_wire=9070 sync_raw=507904 commits=591 \
        spec=531 cats=[Init:1,Interrupt:40,Power state:46,Polling:319,Other:125] nondet=23 \
@@ -81,24 +82,13 @@ let outcomes () =
   ignore (record ~history Mode.Ours_mds);
   ignore (record ~history Mode.Ours_mds);
   let warm = record ~history Mode.Ours_mds in
-  (* Sliding-window pipeline (window=4, max_inflight=4): timing-side
-     counters move, the blob must not. *)
-  let w4 =
-    record
-      ~history:(Grt.Drivershim.fresh_history ())
-      ~window:4
-      ~config:{ (Mode.default_config Mode.Ours_mds) with Mode.max_inflight = 4 }
-      Mode.Ours_mds
-  in
+  (* Sliding-window pipeline (window=4, so up to 4 speculative commits in
+     flight): timing-side counters move, the blob must not. *)
+  let w4 = record ~history:(Grt.Drivershim.fresh_history ()) ~window:4 Mode.Ours_mds in
   let dedup =
     record
       ~history:(Grt.Drivershim.fresh_history ())
-      ~config:
-        {
-          (Mode.default_config Mode.Ours_mds) with
-          Mode.memsync_dedup = true;
-          memsync_adaptive = true;
-        }
+      ~config:{ (Mode.default_config Mode.Ours_mds) with Mode.memsync_tagged = true }
       Mode.Ours_mds
   in
   [

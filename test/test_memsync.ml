@@ -52,21 +52,16 @@ let mk_pair ?shared cfg ~pages =
 
 let all_flag_combos =
   List.concat_map
-    (fun dedup ->
+    (fun tagged ->
       List.concat_map
-        (fun adaptive ->
-          List.concat_map
-            (fun delta ->
-              List.map (fun compress -> (dedup, adaptive, delta, compress)) [ true; false ])
-            [ true; false ])
+        (fun delta -> List.map (fun compress -> (tagged, delta, compress)) [ true; false ])
         [ true; false ])
     [ true; false ]
 
-let cfg_of_combo (dedup, adaptive, delta, compress) =
+let cfg_of_combo (tagged, delta, compress) =
   {
     (Mode.default_config Mode.Ours_mds) with
-    Mode.memsync_dedup = dedup;
-    memsync_adaptive = adaptive;
+    Mode.memsync_tagged = tagged;
     delta_dumps = delta;
     compress_dumps = compress;
   }
@@ -186,7 +181,7 @@ let exhaustive_choice ~previous current =
     (List.hd candidates) (List.tl candidates)
 
 let selection_matches_exhaustive ~shared script =
-  let cfg = cfg_of_combo (true, true, true, true) in
+  let cfg = cfg_of_combo (true, true, true) in
   let shared = if shared then Some (Memsync.Store.create ()) else None in
   let mem_s, _, sender, _, first = mk_pair ?shared cfg ~pages:region_pages in
   let shipped = Hashtbl.create 16 in
@@ -326,7 +321,8 @@ let scan_matches_reference cfg script =
         want_set
     in
     let p = Memsync.sync_meta ms mem in
-    if Memsync.pages p <> want then ok := false;
+    let shipped = List.map (fun (r : Memsync.page_record) -> (r.Memsync.pfn, r.Memsync.data)) p.Memsync.records in
+    if shipped <> want then ok := false;
     if p.Memsync.total <> List.length want_set then ok := false;
     if Memsync.meta_pfns ms <> want_set then ok := false;
     let idle = Memsync.sync_meta ms mem in
@@ -368,12 +364,12 @@ let scan_qcheck =
        (fun script ->
          List.for_all
            (fun combo -> scan_matches_reference (cfg_of_combo combo) script)
-           [ (false, false, true, true); (true, true, true, true) ]))
+           [ (false, true, true); (true, true, true) ]))
 
 (* ---- dedup ---- *)
 
 let dedup_fires_on_reshipped_content () =
-  let cfg = { (Mode.default_config Mode.Ours_mds) with Mode.memsync_dedup = true } in
+  let cfg = { (Mode.default_config Mode.Ours_mds) with Mode.memsync_tagged = true } in
   let mem_s, mem_r, sender, receiver, first = mk_pair cfg ~pages:4 in
   let ship () =
     let p = Memsync.sync_meta sender mem_s in
@@ -404,7 +400,8 @@ let hash_ref_unknown_rejected () =
   let mem = Mem.create () in
   let body = Bytes.create 8 in
   Bytes.set_int64_le body 0 0xDEAD_BEEFL;
-  match Memsync.install store mem (Memsync.payload_of_records [ (4L, Memsync.Enc_hash_ref, body) ]) with
+  let logged = { Memsync.tagged = true; records = [ (4L, Memsync.Enc_hash_ref, body) ] } in
+  match Memsync.install store mem (Memsync.payload_of_logged logged) with
   | Error (Memsync.Unknown_hash h) -> check Alcotest.int64 "names the missing hash" 0xDEAD_BEEFL h
   | Error e -> Alcotest.failf "wrong error: %s" (Memsync.decode_error_message e)
   | Ok _ -> Alcotest.fail "unknown reference decoded"
@@ -428,7 +425,7 @@ let recording_roundtrips_tagged_records () =
     {
       Recording.workload = "t";
       gpu_id = 0x1L;
-      entries = [| Recording.Mem_load_enc { records } |];
+      entries = [| Recording.Mem_load { Memsync.tagged = true; records } |];
       slots = [];
     }
   in

@@ -220,7 +220,7 @@ let trace_jsonl () =
   let t = Trace.create clock in
   Trace.event t (Trace.Retransmit { op = "round_trip"; attempt = 2; outage = false });
   Trace.event t (Trace.Rollback { site = "queue_submit"; reg = "CMD"; predicted = 1L; actual = 2L });
-  Trace.emit t ~topic:"test" "free-form \"quoted\"";
+  Trace.event t (Trace.Evict { label = "MNIST/\"quoted\""; client = 3; blob_bytes = 10 });
   let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
   check Alcotest.int "one line per event" 3 (List.length lines);
   List.iter

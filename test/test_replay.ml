@@ -77,11 +77,11 @@ let recording_contains_no_weights () =
   in
   Array.iter
     (function
-      | Recording.Mem_load { pages } ->
+      | Recording.Mem_load { Grt.Memsync.records; _ } ->
         List.iter
-          (fun (pfn, _) ->
+          (fun (pfn, _, _) ->
             if List.mem pfn param_pfns then Alcotest.fail "weight page leaked into recording")
-          pages
+          records
       | _ -> ())
     rec_t.Recording.entries
 

@@ -148,7 +148,7 @@ let tampered_rc_body_rejected_at_compile () =
   let body =
     Array.to_list v.Recording.vrec.Recording.entries
     |> List.concat_map (function
-         | Recording.Mem_load_enc { records } ->
+         | Recording.Mem_load { Grt.Memsync.tagged = true; records } ->
            List.filter_map
              (fun (_, enc, body) -> if enc = Grt.Memsync.Enc_raw_rc then Some body else None)
              records
@@ -184,7 +184,9 @@ let hostile_blobs_rejected_cheaply () =
   let page = Bytes.make Grt_gpu.Mem.page_size '\x5a' in
   let entries =
     Array.init 200 (fun i ->
-        if i = 0 then Recording.Mem_load { pages = [ (0x80000L, page) ] }
+        if i = 0 then
+          Recording.Mem_load
+            { Grt.Memsync.tagged = false; records = [ (0x80000L, Grt.Memsync.Enc_raw, page) ] }
         else Recording.Reg_write { reg = 4 * (i mod 64); value = Int64.of_int i })
   in
   let blob = Recording.sign ~key { Recording.workload; gpu_id = sku.Sku.gpu_id; entries; slots = [] } in
@@ -256,7 +258,8 @@ let hostile_records_rejected () =
   in
   let unknown_hash = Bytes.create 8 in
   Bytes.set_int64_le unknown_hash 0 0x0123_4567_89AB_CDEFL;
-  let enc e body = Recording.Mem_load_enc { records = [ (pfn, e, body) ] } in
+  let load ~tagged e body = Recording.Mem_load { Grt.Memsync.tagged; records = [ (pfn, e, body) ] } in
+  let enc = load ~tagged:true in
   let plan = Network.expand Zoo.mnist in
   let input = Runner.input_values plan ~seed:7L in
   let params = Runner.weight_values plan ~seed:42L in
@@ -287,7 +290,7 @@ let hostile_records_rejected () =
       ("an unknown hash reference", enc Grt.Memsync.Enc_hash_ref unknown_hash);
       ("a 100-byte raw page", enc Grt.Memsync.Enc_raw short);
       ("a 100-byte page range-coded", enc Grt.Memsync.Enc_raw_rc (Grt_util.Range_coder.encode short));
-      ("a 100-byte Mem_load page", Recording.Mem_load { pages = [ (pfn, short) ] });
+      ("a 100-byte untagged page", load ~tagged:false Grt.Memsync.Enc_raw short);
     ]
 
 let divergence_releases_gpu () =

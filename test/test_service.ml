@@ -221,8 +221,7 @@ let print_fleet (cap, specs) =
               (Int64.div s.Service.arrival_ns 1_000_000L)
               s.Service.net.Grt_mlfw.Network.name s.Service.sku.Sku.name
               (Mode.name s.Service.cfg.Mode.mode
-              ^ (if s.Service.cfg.Mode.memsync_dedup then "+dedup" else "")
-              ^ if s.Service.cfg.Mode.memsync_adaptive then "+adaptive" else "")
+              ^ if s.Service.cfg.Mode.memsync_tagged then "+dedup+adaptive" else "")
               s.Service.profile.Profile.name s.Service.profile.Profile.faults.Profile.drop_prob
               (match s.Service.inject_fault_after with
               | Some k -> string_of_int k

@@ -267,34 +267,36 @@ let energy_reset () =
 let trace_recent_order () =
   let c = Clock.create () in
   let t = Trace.create ~capacity:8 c in
-  Trace.emit t ~topic:"a" "first";
+  Trace.event t (Trace.Window_stall { inflight = 1 });
   Clock.advance_ns c 5L;
-  Trace.emit t ~topic:"b" "second";
+  Trace.event t (Trace.Replay_live { replayed = 2 });
   match Trace.recent t 2 with
   | [ e2; e1 ] ->
-    check Alcotest.string "most recent first" "second" (Trace.detail e2);
-    check Alcotest.string "older second" "first" (Trace.detail e1);
+    check Alcotest.string "most recent first" "replay complete (2 entries); going live"
+      (Trace.detail e2);
+    check Alcotest.string "older second" "window stall (1 in flight)" (Trace.detail e1);
     check Alcotest.int64 "timestamped" 5L e2.Trace.at_ns
   | _ -> Alcotest.fail "expected two events"
 
 let trace_topic_filter () =
   let c = Clock.create () in
   let t = Trace.create c in
-  Trace.emit t ~topic:"x" "1";
-  Trace.emit t ~topic:"y" "2";
-  Trace.emit t ~topic:"x" "3";
-  check Alcotest.int "filtered" 2 (List.length (Trace.recent ~topic:"x" t 10))
+  Trace.event t (Trace.Window_stall { inflight = 1 });
+  Trace.event t (Trace.Commit { site = "s"; accesses = 2 });
+  Trace.event t (Trace.Window_stall { inflight = 3 });
+  check Alcotest.int "filtered" 2 (List.length (Trace.recent ~topic:"link" t 10))
 
 let trace_ring_eviction () =
   let c = Clock.create () in
   let t = Trace.create ~capacity:4 c in
   for i = 1 to 10 do
-    Trace.emitf t ~topic:"n" "%d" i
+    Trace.event t (Trace.Window_stall { inflight = i })
   done;
   check Alcotest.int "total counts all" 10 (Trace.count t);
   let recents = Trace.recent t 10 in
   check Alcotest.int "bounded by capacity" 4 (List.length recents);
-  check Alcotest.string "newest survives" "10" (Trace.detail (List.hd recents))
+  check Alcotest.string "newest survives" "window stall (10 in flight)"
+    (Trace.detail (List.hd recents))
 
 (* Differential check of the growable ring against the fixed-array ring it
    replaced: the reference allocates all [capacity] slots up front and
@@ -356,15 +358,15 @@ let trace_ring_matches_fixed_array =
            Clock.advance_ns c (Int64.of_int (1 + Random.State.int rng 5));
            let payload =
              match Random.State.int rng 3 with
-             | 0 -> Trace.Message { topic = "a"; text = string_of_int i }
-             | 1 -> Trace.Message { topic = "b"; text = string_of_int i }
+             | 0 -> Trace.Window_stall { inflight = i }
+             | 1 -> Trace.Commit { site = "s"; accesses = i }
              | _ -> Trace.Rearm { label = "k"; client = i }
            in
            Trace.event t payload;
            Ref_ring.push r { Trace.at_ns = Clock.now_ns c; payload }
          done;
          let ns = [ 0; 1; cap - 1; cap; cap + 1; pushes; 3 * cap + 7 ] in
-         let topics = [ None; Some "a"; Some "service"; Some "absent" ] in
+         let topics = [ None; Some "link"; Some "service"; Some "absent" ] in
          List.for_all
            (fun topic ->
              Trace.all ?topic t = Ref_ring.all ?topic r

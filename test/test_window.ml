@@ -100,14 +100,17 @@ let window_outcome_equivalence =
 
 (* ---- recorder-level blob equivalence ---- *)
 
-let record ~mode ~window ~max_inflight ~drop seed =
+let record ~mode ~window ~drop seed =
   let profile =
     if drop > 0. then Profile.degrade ~drop_prob:drop Profile.wifi else Profile.wifi
   in
-  let config = { (Mode.default_config mode) with Mode.max_inflight } in
   O.record
     ~history:(Grt.Drivershim.fresh_history ())
-    ~config ~window ~profile ~mode ~sku:Grt_gpu.Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist ~seed ()
+    ~window ~profile ~mode ~sku:Grt_gpu.Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist ~seed ()
+
+(* The window caps the speculative commits in flight. *)
+let inflight_within_window ~window (o : O.record_outcome) =
+  Metrics.get_int o.O.counters Metrics.Spec_inflight_hw <= window
 
 let window_recording_equivalence =
   qtest ~count:8 "pipelined recordings bit-identical across modes"
@@ -115,9 +118,10 @@ let window_recording_equivalence =
     (fun (seed, drop) ->
       List.for_all
         (fun mode ->
-          let reference = record ~mode ~window:1 ~max_inflight:0 ~drop seed in
-          let windowed = record ~mode ~window:4 ~max_inflight:4 ~drop seed in
-          Bytes.equal reference.O.blob windowed.O.blob
+          let reference = record ~mode ~window:1 ~drop seed in
+          let windowed = record ~mode ~window:4 ~drop seed in
+          inflight_within_window ~window:4 windowed
+          && Bytes.equal reference.O.blob windowed.O.blob
           && Array.length reference.O.recording.Grt.Recording.entries
              = Array.length windowed.O.recording.Grt.Recording.entries)
         [ Mode.Ours_m; Mode.Ours_md; Mode.Ours_mds ])
@@ -244,26 +248,26 @@ let pipelined_recording_faster_on_lossy_cellular () =
   (* The bench acceptance bar, pinned as a test: windowed + pipelined
      recording beats stop-and-wait on a lossy cellular channel. *)
   let profile = Profile.degrade ~drop_prob:0.1 Profile.cellular in
-  let run ~window ~max_inflight =
-    let config = { (Mode.default_config Mode.Ours_mds) with Mode.max_inflight } in
+  let run ~window =
     O.record
       ~history:(Grt.Drivershim.fresh_history ())
-      ~config ~window ~profile ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8
-      ~net:Grt_mlfw.Zoo.mnist ~seed:42L ()
+      ~window ~profile ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist
+      ~seed:42L ()
   in
-  let sw = run ~window:1 ~max_inflight:0 in
-  let windowed = run ~window:8 ~max_inflight:8 in
+  let sw = run ~window:1 in
+  let windowed = run ~window:8 in
   check Alcotest.bool "windowed recording is faster" true (windowed.O.total_s < sw.O.total_s);
+  check Alcotest.bool "in flight within the window" true (inflight_within_window ~window:8 windowed);
   check Alcotest.bytes "same signed blob" sw.O.blob windowed.O.blob
 
 let inflight_high_water_tracked_when_pipelined () =
-  let windowed = record ~mode:Mode.Ours_mds ~window:4 ~max_inflight:4 ~drop:0. 42L in
+  let windowed = record ~mode:Mode.Ours_mds ~window:4 ~drop:0. 42L in
   let hw = Metrics.get_int windowed.O.counters Metrics.Spec_inflight_hw in
   check Alcotest.bool "high-water positive" true (hw > 0);
-  check Alcotest.bool "high-water bounded by the cap" true (hw <= 4);
+  check Alcotest.bool "high-water bounded by the window" true (hw <= 4);
   (* Untracked on the default path, so default counter dumps stay
      byte-identical to the pre-window recorder. *)
-  let default_run = record ~mode:Mode.Ours_mds ~window:1 ~max_inflight:0 ~drop:0. 42L in
+  let default_run = record ~mode:Mode.Ours_mds ~window:1 ~drop:0. 42L in
   check Alcotest.int "not tracked by default" 0
     (Metrics.get_int default_run.O.counters Metrics.Spec_inflight_hw)
 
