@@ -122,8 +122,8 @@ let inspect path dump_n =
     end;
     `Ok ()
 
-(* Display path: lenient validation, so a report written by a newer (or
-   older) grt-record still renders — absent sections print as "n/a". A
+(* A session report must pass the schema check; its optional sections
+   (histograms, phases) print as "n/a" when the session was not observed. A
    fleet report passed by mistake is dispatched to the fleet view. *)
 let timeline path =
   match Grt_util.Json.parse (Bytes.to_string (read_file path)) with
@@ -144,7 +144,7 @@ let timeline path =
         Format.printf "%a" Grt.Report.pp_fleet json;
         `Ok ()
     else
-      match Grt.Report.validate_lenient json with
+      match Grt.Report.validate json with
       | Error e -> `Error (false, path ^ ": " ^ e)
       | Ok () ->
         Format.printf "%a" Grt.Report.pp_timeline json;

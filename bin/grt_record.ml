@@ -136,6 +136,8 @@ let run net_name mode_name profile_name sku_name seed drop_prob window memsync_t
         Grt.Orchestrate.record ?config ~window ~trace_capacity ~observe ~profile ~mode ~sku ~net
           ~seed:(Int64.of_int seed) ()
       in
+      let stat k = Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters k in
+      let sync down up = Grt_util.Hexdump.size_to_string (stat down + stat up) in
       Printf.printf
         "done.\n\
         \  recording delay: %.1f s (virtual)\n\
@@ -144,20 +146,19 @@ let run net_name mode_name profile_name sku_name seed drop_prob window memsync_t
         \  commits:         %d (%d speculated)\n\
         \  client energy:   %.1f J\n\
         \  recording size:  %s (%d entries)\n"
-        o.Grt.Orchestrate.total_s o.Grt.Orchestrate.blocking_rtts
-        (Grt_util.Hexdump.size_to_string o.Grt.Orchestrate.sync_wire_bytes)
-        (Grt_util.Hexdump.size_to_string o.Grt.Orchestrate.sync_raw_bytes)
-        o.Grt.Orchestrate.commits_total o.Grt.Orchestrate.commits_speculated
+        o.Grt.Orchestrate.total_s (stat Net_blocking_rtts)
+        (sync Sync_down_wire_bytes Sync_up_wire_bytes)
+        (sync Sync_down_raw_bytes Sync_up_raw_bytes)
+        (stat Commits_total) (stat Commits_speculated)
         o.Grt.Orchestrate.client_energy_j
         (Grt_util.Hexdump.size_to_string (Bytes.length o.Grt.Orchestrate.blob))
         (Array.length o.Grt.Orchestrate.recording.Grt.Recording.entries);
       if drop_prob > 0. then
         Printf.printf "  lossy link:      %d retransmits, %d link-down recoveries\n"
-          o.Grt.Orchestrate.retransmits o.Grt.Orchestrate.link_downs;
+          (stat Net_retransmits) (stat Recovery_link_downs);
       if window > 1 then
         Printf.printf "  window:          %d (%d window stalls, %d go-back-N resends)\n" window
-          (Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters Grt_sim.Metrics.Net_window_stalls)
-          (Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters Grt_sim.Metrics.Net_gbn_retransmits);
+          (stat Net_window_stalls) (stat Net_gbn_retransmits);
       (match out with
       | Some path ->
         let oc = open_out_bin path in

@@ -23,7 +23,8 @@ let () =
       ~seed:2026L ()
   in
   Printf.printf "      done in %.1f s (virtual), %d blocking round trips, %s recording\n\n"
-    outcome.Grt.Orchestrate.total_s outcome.Grt.Orchestrate.blocking_rtts
+    outcome.Grt.Orchestrate.total_s
+    (Grt_sim.Metrics.get_int outcome.Grt.Orchestrate.counters Grt_sim.Metrics.Net_blocking_rtts)
     (Grt_util.Hexdump.size_to_string (Bytes.length outcome.Grt.Orchestrate.blob));
 
   (* 2. The app supplies model parameters and a fresh input inside the TEE —

@@ -26,7 +26,7 @@ let () =
   in
   Printf.printf "recording: %.1f s over cellular, %.1f J of client energy, %d round trips\n"
     outcome.Grt.Orchestrate.total_s outcome.Grt.Orchestrate.client_energy_j
-    outcome.Grt.Orchestrate.blocking_rtts;
+    (Grt_sim.Metrics.get_int outcome.Grt.Orchestrate.counters Grt_sim.Metrics.Net_blocking_rtts);
 
   (* -- confidentiality: no parameter bytes in the recording -- *)
   let rec_t = outcome.Grt.Orchestrate.recording in

@@ -30,7 +30,8 @@ let () =
             ~seed:1L ()
         in
         Printf.printf "%-16s %10.1f %10d %12s %10.2f\n" sku.Grt_gpu.Sku.name
-          o.Grt.Orchestrate.total_s o.Grt.Orchestrate.blocking_rtts
+          o.Grt.Orchestrate.total_s
+          (Grt_sim.Metrics.get_int o.Grt.Orchestrate.counters Grt_sim.Metrics.Net_blocking_rtts)
           (Grt_util.Hexdump.size_to_string (Bytes.length o.Grt.Orchestrate.blob))
           (ro.Grt.Orchestrate.r.Grt.Replayer.delay_s *. 1e3);
         (sku, o.Grt.Orchestrate.blob))

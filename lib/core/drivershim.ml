@@ -12,6 +12,7 @@ type category = Shim_engine.category = Init | Interrupt | Power | Polling | Othe
 
 let category_name = Shim_engine.category_name
 let all_categories = Shim_engine.all_categories
+let category_key = Shim_engine.category_key
 
 type history = Spec_history.t
 
@@ -39,7 +40,6 @@ let commit t ~trigger =
         ~args:[ ("site", site); ("trigger", trigger) ]
         ~name:"commit")
     @@ fun () ->
-    t.commits_total <- t.commits_total + 1;
     count t Metrics.Commits_total 1;
     count t Metrics.Commits_accesses (List.length queue);
     Hist.record_opt t.hists Hist.Commit_accesses (List.length queue);
@@ -69,10 +69,7 @@ let commit t ~trigger =
       else if n_reads = 0 then Some [||] (* write-only commits go out asynchronously *)
       else confident
     in
-    if Mode.speculation t.cfg.Mode.mode && nondet then begin
-      t.spec_rejected_nondet <- t.spec_rejected_nondet + 1;
-      count t Metrics.Spec_rejected_nondet 1
-    end;
+    if Mode.speculation t.cfg.Mode.mode && nondet then count t Metrics.Spec_rejected_nondet 1;
     match speculate_values with
     | Some predicted when Array.length predicted = n_reads ->
       let log_mark = t.log.Recording.len in
@@ -83,10 +80,11 @@ let commit t ~trigger =
           (fun i (reg, _) -> (reg, predicted.(i), actuals_checked.(i)))
           reads
       in
-      dispatch_speculative t ~site ~send ~recv ~checks ~syms:(List.map snd reads) ~log_mark
+      dispatch_speculative t ~site
+        ~category:(category_of t ~is_poll:(trigger = "poll"))
+        ~send ~recv ~checks ~syms:(List.map snd reads) ~log_mark
         ~bind:(fun () ->
           List.iteri (fun i (_, sym) -> Sexpr.bind sym predicted.(i) ~speculative:true) reads);
-      bump_category t (category_of t ~is_poll:(trigger = "poll"));
       if n_reads > 0 then history_update t site actuals;
       log_applied t queue actuals
     | Some _ | None ->
@@ -119,10 +117,8 @@ let sniff_write t reg expr =
     | _ -> ()
 
 let read_reg t reg =
-  t.accesses_total <- t.accesses_total + 1;
   count t Metrics.Reg_reads 1;
   if deferral_active t then begin
-    t.accesses_deferred <- t.accesses_deferred + 1;
     let sym = Sexpr.fresh_sym ~origin:(Regs.name reg) in
     let qr = queue_ref t in
     qr := Wire.Qr { reg; sym } :: !qr;
@@ -137,13 +133,11 @@ let read_reg t reg =
   end
 
 let write_reg t reg expr =
-  t.accesses_total <- t.accesses_total + 1;
   count t Metrics.Reg_writes 1;
   sniff_write t reg expr;
   let qr = queue_ref t in
   qr := Wire.Qw { reg; expr } :: !qr;
-  if deferral_active t then t.accesses_deferred <- t.accesses_deferred + 1
-  else commit t ~trigger:"sync"
+  if not (deferral_active t) then commit t ~trigger:"sync"
 
 let force t expr =
   match Sexpr.eval expr with
@@ -203,13 +197,11 @@ let poll_reg t ~reg ~mask ~cond ~max_iters ~spin_ns =
       let result = run () in
       let observed = match result with Some (_, v) -> v | None -> -1L in
       let checked = (maybe_inject t [| observed |]).(0) in
-      t.commits_total <- t.commits_total + 1;
       count t Metrics.Commits_total 1;
       Hist.record_opt t.hists Hist.Commit_accesses 2;
-      dispatch_speculative t ~site ~send ~recv
+      dispatch_speculative t ~site ~category:Polling ~send ~recv
         ~checks:[ (reg, predicted.(0), checked) ]
         ~syms:[] ~log_mark:(max 0 log_mark) ~bind:(fun () -> ());
-      bump_category t Polling;
       (* History learns only the true observation, never the injected value
          used for the validation check — one transient fault must not poison
          future predictions at this site — and never the -1L timeout
@@ -226,7 +218,6 @@ let poll_reg t ~reg ~mask ~cond ~max_iters ~spin_ns =
     | _ ->
       drain t;
       Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
-      t.commits_total <- t.commits_total + 1;
       count t Metrics.Commits_total 1;
       count t Metrics.Commits_sync 1;
       Hist.record_opt t.hists Hist.Commit_accesses 2;
@@ -295,7 +286,6 @@ let backend t =
       (fun reg ->
         if recovering () then begin
           count t Metrics.Reg_reads 1;
-          t.accesses_total <- t.accesses_total + 1;
           Recovery.read t.recovery reg
         end
         else read_reg t reg);
@@ -303,7 +293,6 @@ let backend t =
       (fun reg v ->
         if recovering () then begin
           count t Metrics.Reg_writes 1;
-          t.accesses_total <- t.accesses_total + 1;
           Recovery.write t.recovery reg
         end
         else write_reg t reg v);
@@ -374,16 +363,5 @@ let validated_prefix t =
 let mark_segment t = t.segment_marks <- t.log.Recording.len :: t.segment_marks
 
 let segment_marks t = List.rev t.segment_marks
-
-let commits_total t = t.commits_total
-let commits_speculated t = t.commits_speculated
-let spec_rejected_nondet t = t.spec_rejected_nondet
-let accesses_total t = t.accesses_total
-let accesses_deferred t = t.accesses_deferred
-
-let speculated_by_category t =
-  List.map
-    (fun c -> (c, match Hashtbl.find_opt t.by_category c with Some r -> !r | None -> 0))
-    all_categories
 
 let inject_fault_after t n = t.inject_countdown <- Some n

@@ -37,10 +37,15 @@ exception Recovery_diverged of string
     the validated log during recovery — indicates nondeterminism the
     recorder failed to forestall. *)
 
+(** The driver routine a speculated commit came from (Fig. 8). *)
 type category = Init | Interrupt | Power | Polling | Other
 
 val category_name : category -> string
 val all_categories : category list
+
+val category_key : category -> Grt_sim.Metrics.key
+(** The counter that tallies the category's speculated commits
+    ([spec.cat.*]). The five sum to [commits.speculated]. *)
 
 (** Speculation history — keyed by driver commit site. Sharable across
     record runs of different workloads (§7.3 "retaining register access
@@ -58,7 +63,7 @@ val create :
   link:Grt_net.Link.t ->
   gpushim:Gpushim.t ->
   cloud_mem:Grt_gpu.Mem.t ->
-  ?metrics:Grt_sim.Metrics.t ->
+  metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   ?tracer:Grt_sim.Tracer.t ->
   ?hists:Grt_sim.Hist.set ->
@@ -73,10 +78,14 @@ val create :
     client feeds the recorded stimuli to its physical GPU and the cloud
     feeds the recorded responses to the driver, with no network traffic
     (§4.2's rollback). Once the prefix runs dry the shim goes live.
-    [trace] receives commit / speculate / rollback events under topic
-    ["shim"]. [tracer] gets nested spans per commit / validation /
-    offloaded poll; [hists] gets commit batch sizes and speculation
-    validation latencies. All observers default to off. *)
+    [metrics] is the session's counter store and the shim's only tally:
+    register accesses, commits, speculation (by {!category}), polls and
+    memory sync all count there, so a store shared by every attempt of a
+    session counts the whole session. [trace] receives commit / speculate /
+    rollback events under topic ["shim"]. [tracer] gets nested spans per
+    commit / validation / offloaded poll; [hists] gets commit batch sizes
+    and speculation validation latencies. All three observers default to
+    off. *)
 
 val backend : t -> Grt_driver.Backend.t
 (** The instrumented-driver interface. *)
@@ -104,16 +113,6 @@ val mark_segment : t -> unit
 
 val segment_marks : t -> int list
 (** Boundary positions, in order. *)
-
-val commits_total : t -> int
-val commits_speculated : t -> int
-val speculated_by_category : t -> (category * int) list
-val spec_rejected_nondet : t -> int
-(** Commits that failed the speculation criteria due to nondeterministic
-    register values (§7.3). *)
-
-val accesses_deferred : t -> int
-val accesses_total : t -> int
 
 val inject_fault_after : t -> int -> unit
 (** Corrupt the client's response to the [n]-th speculated commit (counted

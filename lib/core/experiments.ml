@@ -1,6 +1,7 @@
 module Profile = Grt_net.Profile
 module Network = Grt_mlfw.Network
 module Zoo = Grt_mlfw.Zoo
+module Metrics = Grt_sim.Metrics
 
 type ctx = {
   sku : Grt_gpu.Sku.t;
@@ -41,6 +42,13 @@ let record_outcome ctx ~profile ~mode net =
     in
     Hashtbl.replace ctx.cache key o;
     o
+
+(* Session counts of an outcome, read from its counter store. *)
+let stat (o : Orchestrate.record_outcome) k = Metrics.get_int o.Orchestrate.counters k
+let rtts o = stat o Metrics.Net_blocking_rtts
+let sync_wire o = stat o Metrics.Sync_down_wire_bytes + stat o Metrics.Sync_up_wire_bytes
+let sync_raw o = stat o Metrics.Sync_down_raw_bytes + stat o Metrics.Sync_up_raw_bytes
+let accesses o = stat o Metrics.Reg_reads + stat o Metrics.Reg_writes
 
 let native ctx net =
   match Hashtbl.find_opt ctx.native_cache net.Network.name with
@@ -93,11 +101,11 @@ let table1 ctx ~profile =
       {
         workload = net.Network.name;
         gpu_jobs = Network.job_count net;
-        rtts_m = m.Orchestrate.blocking_rtts;
-        rtts_md = md.Orchestrate.blocking_rtts;
-        rtts_mds = mds.Orchestrate.blocking_rtts;
-        memsync_naive_mb = mb naive.Orchestrate.sync_wire_bytes;
-        memsync_ours_mb = mb m.Orchestrate.sync_raw_bytes;
+        rtts_m = rtts m;
+        rtts_md = rtts md;
+        rtts_mds = rtts mds;
+        memsync_naive_mb = mb (sync_wire naive);
+        memsync_ours_mb = mb (sync_raw m);
       })
     Zoo.all
 
@@ -148,14 +156,14 @@ let fig8 ctx ~profile =
   List.map
     (fun net ->
       let o = record_outcome ctx ~profile ~mode:Mode.Ours_mds net in
-      let total = max 1 o.Orchestrate.commits_speculated in
+      let speculated = stat o Metrics.Commits_speculated in
+      let share c =
+        float_of_int (stat o (Drivershim.category_key c)) /. float_of_int (max 1 speculated)
+      in
       {
         workload = net.Network.name;
-        total_speculated = o.Orchestrate.commits_speculated;
-        shares =
-          List.map
-            (fun (c, n) -> (c, float_of_int n /. float_of_int total))
-            o.Orchestrate.speculated_by_category;
+        total_speculated = speculated;
+        shares = List.map (fun c -> (c, share c)) Drivershim.all_categories;
       })
     Zoo.all
 
@@ -203,16 +211,15 @@ let deferral_stats ctx ~profile =
   List.map
     (fun net ->
       let o = record_outcome ctx ~profile ~mode:Mode.Ours_mds net in
+      let accesses = accesses o and commits = stat o Metrics.Commits_total in
       {
         workload = net.Network.name;
-        accesses = o.Orchestrate.accesses_total;
-        commits = o.Orchestrate.commits_total;
-        accesses_per_commit =
-          float_of_int o.Orchestrate.accesses_total /. float_of_int (max 1 o.Orchestrate.commits_total);
+        accesses;
+        commits;
+        accesses_per_commit = float_of_int accesses /. float_of_int (max 1 commits);
         speculated_pct =
-          100.0 *. float_of_int o.Orchestrate.commits_speculated
-          /. float_of_int (max 1 o.Orchestrate.commits_total);
-        rejected_nondet = o.Orchestrate.spec_rejected_nondet;
+          100.0 *. float_of_int (stat o Metrics.Commits_speculated) /. float_of_int (max 1 commits);
+        rejected_nondet = stat o Metrics.Spec_rejected_nondet;
       })
     Zoo.all
 
@@ -237,10 +244,10 @@ let polling ctx ~profile =
       in
       {
         workload = net.Network.name;
-        instances = with_off.Orchestrate.poll_instances;
-        offloaded = with_off.Orchestrate.poll_offloaded;
-        rtts_without_offload = without.Orchestrate.blocking_rtts;
-        rtts_with_offload = with_off.Orchestrate.blocking_rtts;
+        instances = stat with_off Metrics.Poll_instances;
+        offloaded = stat with_off Metrics.Poll_offloaded;
+        rtts_without_offload = rtts without;
+        rtts_with_offload = rtts with_off;
       })
     Zoo.all
 
@@ -306,8 +313,8 @@ let ablation ctx ~profile ~net =
       {
         label;
         delay_s = o.Orchestrate.total_s;
-        rtts = o.Orchestrate.blocking_rtts;
-        sync_mb = mb o.Orchestrate.sync_wire_bytes;
+        rtts = rtts o;
+        sync_mb = mb (sync_wire o);
       })
     variants
 
@@ -360,11 +367,10 @@ let fault_campaign ctx ?(drops = [ 0.0; 0.01; 0.05; 0.1 ]) ?(windows = [ 1; 4 ])
                 window;
                 drop_prob = drop;
                 total_s = o.Orchestrate.total_s;
-                retransmits = o.Orchestrate.retransmits;
-                degraded_entries =
-                  Grt_sim.Metrics.get_int o.Orchestrate.counters Grt_sim.Metrics.Net_degraded_entries;
+                retransmits = stat o Metrics.Net_retransmits;
+                degraded_entries = stat o Metrics.Net_degraded_entries;
                 rollbacks = o.Orchestrate.rollbacks;
-                link_downs = o.Orchestrate.link_downs;
+                link_downs = stat o Metrics.Recovery_link_downs;
                 blob_identical = Bytes.equal o.Orchestrate.blob reference.Orchestrate.blob;
               })
             drops)
@@ -552,15 +558,15 @@ let memsync_workload ctx ~net =
              (fun a b -> Int32.equal (Int32.bits_of_float a) (Int32.bits_of_float b))
              ro.Orchestrate.r.Replayer.output nat.Native.output
       in
-      let c k = Grt_sim.Metrics.get_int o.Orchestrate.counters k in
+      let c = stat o in
       {
         config_label;
         net_name = net.Network.name;
-        down_wire_bytes = c Grt_sim.Metrics.Sync_down_wire_bytes;
-        up_wire_bytes = c Grt_sim.Metrics.Sync_up_wire_bytes;
+        down_wire_bytes = c Metrics.Sync_down_wire_bytes;
+        up_wire_bytes = c Metrics.Sync_up_wire_bytes;
         blob_bytes = Bytes.length o.Orchestrate.blob;
-        mpages_visited = c Grt_sim.Metrics.Sync_pages_visited;
-        mpages_meta = c Grt_sim.Metrics.Sync_pages_meta;
+        mpages_visited = c Metrics.Sync_pages_visited;
+        mpages_meta = c Metrics.Sync_pages_meta;
         workload_enc_mix =
           List.filter_map
             (fun e ->
@@ -761,7 +767,7 @@ let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity
   let host_wall_s = Float.max (wall () -. w0) 1e-9 in
   let st = Service.stats svc in
   let agg = Service.aggregate svc reports in
-  let g k = Grt_sim.Metrics.get_int agg k in
+  let g k = Metrics.get_int agg k in
   let turnarounds =
     Array.of_list (List.map (fun r -> r.Service.turnaround_s) reports)
   in
@@ -788,12 +794,12 @@ let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity
       p95_turnaround_s = percentile turnarounds 0.95;
       fleet_sync_wire_mb =
         float_of_int
-          (g Grt_sim.Metrics.Sync_down_wire_bytes
-          + g Grt_sim.Metrics.Sync_up_wire_bytes)
+          (g Metrics.Sync_down_wire_bytes
+          + g Metrics.Sync_up_wire_bytes)
         /. 1e6;
-      fleet_blocking_rtts = g Grt_sim.Metrics.Net_blocking_rtts;
-      spec_cross_hits = g Grt_sim.Metrics.Spec_cross_hits;
-      sync_cross_hits = g Grt_sim.Metrics.Sync_cross_hits;
+      fleet_blocking_rtts = g Metrics.Net_blocking_rtts;
+      spec_cross_hits = g Metrics.Spec_cross_hits;
+      sync_cross_hits = g Metrics.Sync_cross_hits;
       minor_words_per_session = minor_words /. float_of_int (max 1 st.Service.sessions);
       promoted_words_per_session = promoted_words /. float_of_int (max 1 st.Service.sessions);
     }
@@ -867,7 +873,7 @@ let speed ?(iters = 6) ctx =
     (* Warm-up run: fault in code paths and page tables, and probe the
        per-session access count (deterministic, so one probe suffices). *)
     let probe = f () in
-    let accesses = probe.Orchestrate.accesses_total in
+    let accesses = accesses probe in
     (* Memo profile covers only the measured iterations: the warm-up's
        compulsory misses would otherwise drown the steady-state hit rate. *)
     Grt_util.Memo_stats.reset_counters ();

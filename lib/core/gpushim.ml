@@ -20,7 +20,7 @@ type t = {
   worlds : Worlds.t;
   monitor : Grt_tee.Monitor.t;
   uplink : Memsync.t;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   mutable isolated : bool;
 }
 
@@ -36,7 +36,7 @@ let irq_gpu = 34
 let irq_mmu = 35
 let gpu_irqs = [ irq_job; irq_gpu; irq_mmu ]
 
-let create ~clock ~sku ?energy ?metrics ~session_salt ~cfg () =
+let create ~clock ~sku ?energy ?(metrics = Metrics.create ()) ~session_salt ~cfg () =
   let mem = Mem.create () in
   let device = Device.create ?energy ~clock ~mem ~sku ~session_salt () in
   let worlds = Worlds.create () in
@@ -77,7 +77,7 @@ let isolated t = t.isolated
 
 exception Not_isolated
 
-let count t key = match t.metrics with Some m -> Metrics.incr m key | None -> ()
+let count t key = Metrics.incr t.metrics key
 
 let require_isolation t = if not t.isolated then raise Not_isolated
 

@@ -29,7 +29,8 @@ val create :
   cfg:Mode.config ->
   unit ->
   t
-(** Builds the client's memory, device and TZASC state. *)
+(** Builds the client's memory, device and TZASC state. The shim counts
+    its traffic ([client.*]) in [metrics], a fresh store by default. *)
 
 val device : t -> Grt_gpu.Device.t
 val mem : t -> Grt_gpu.Mem.t

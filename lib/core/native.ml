@@ -3,8 +3,8 @@ module Device = Grt_gpu.Device
 module Sexpr = Grt_util.Sexpr
 module Metrics = Grt_sim.Metrics
 
-let backend ?metrics dev =
-  let count key = match metrics with Some m -> Metrics.incr m key | None -> () in
+let backend ?(metrics = Metrics.create ()) dev =
+  let count key = Metrics.incr metrics key in
   let clock = Device.clock dev in
   let read_reg reg =
     count Metrics.Reg_reads;

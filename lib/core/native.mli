@@ -9,8 +9,9 @@ val backend :
   ?metrics:Grt_sim.Metrics.t ->
   Grt_gpu.Device.t ->
   Grt_driver.Backend.t
-(** Counters recorded: [reg.reads], [reg.writes], [poll.instances],
-    [poll.iters], [irq.waits]. *)
+(** Counters recorded in [metrics] (a fresh store by default):
+    [reg.reads], [reg.writes], [poll.instances], [poll.iters],
+    [irq.waits]. *)
 
 type run_result = {
   output : float array;
@@ -31,4 +32,4 @@ val run_inference :
   unit ->
   run_result
 (** Full native pipeline on one device: driver init, session setup, weight
-    load, inference. *)
+    load, inference. [metrics] is passed to {!backend}. *)

@@ -15,20 +15,8 @@ type record_outcome = {
   recording : Recording.t;
   total_s : float;
   client_energy_j : float;
-  blocking_rtts : int;
-  sync_wire_bytes : int;
-  sync_raw_bytes : int;
-  commits_total : int;
-  commits_speculated : int;
-  speculated_by_category : (Drivershim.category * int) list;
-  spec_rejected_nondet : int;
-  accesses_total : int;
-  poll_instances : int;
-  poll_offloaded : int;
   rollbacks : int;
   rollback_s : float;
-  retransmits : int;
-  link_downs : int;
   counters : Grt_sim.Metrics.t;
   segments : bytes list;
       (* per-layer recording segments when recorded with [`Per_layer]
@@ -249,26 +237,13 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
   | Error e -> failwith ("client rejected recording: " ^ e));
   Gpushim.release gpushim;
   Cloudvm.end_session vm;
-  let get = Ctx.stat ctx in
   {
     blob;
     recording;
     total_s = Grt_sim.Clock.now_s ctx.clock;
     client_energy_j = Grt_sim.Energy.total_j ctx.energy;
-    blocking_rtts = get Metrics.Net_blocking_rtts;
-    sync_wire_bytes = get Metrics.Sync_down_wire_bytes + get Metrics.Sync_up_wire_bytes;
-    sync_raw_bytes = get Metrics.Sync_down_raw_bytes + get Metrics.Sync_up_raw_bytes;
-    commits_total = Drivershim.commits_total shim;
-    commits_speculated = Drivershim.commits_speculated shim;
-    speculated_by_category = Drivershim.speculated_by_category shim;
-    spec_rejected_nondet = Drivershim.spec_rejected_nondet shim;
-    accesses_total = Drivershim.accesses_total shim;
-    poll_instances = get Metrics.Poll_instances;
-    poll_offloaded = get Metrics.Poll_offloaded;
     rollbacks = ctx.rollbacks;
     rollback_s = ctx.rollback_s;
-    retransmits = get Metrics.Net_retransmits;
-    link_downs = get Metrics.Recovery_link_downs;
     counters = ctx.metrics;
     segments;
     tracer = ctx.tracer;

@@ -17,21 +17,14 @@ type record_outcome = {
   recording : Recording.t;
   total_s : float;  (** end-to-end recording delay *)
   client_energy_j : float;
-  blocking_rtts : int;
-  sync_wire_bytes : int;  (** memory-sync traffic, both directions *)
-  sync_raw_bytes : int;
-  commits_total : int;
-  commits_speculated : int;
-  speculated_by_category : (Drivershim.category * int) list;
-  spec_rejected_nondet : int;
-  accesses_total : int;
-  poll_instances : int;
-  poll_offloaded : int;
   rollbacks : int;
   rollback_s : float;  (** time spent in misprediction recovery *)
-  retransmits : int;  (** link-level retransmitted exchanges *)
-  link_downs : int;  (** mid-session link losses recovered from *)
   counters : Grt_sim.Metrics.t;
+      (** the session's counter store: every count of the session (blocking
+          RTTs, sync bytes, commits, speculation and its Fig. 8 categories,
+          register accesses, polls, retransmits, link-down recoveries) read
+          by its {!Grt_sim.Metrics.key}. Counts cover the whole session,
+          every attempt after a rollback or link-down included. *)
   segments : bytes list;
       (** per-layer recording segments when recorded with [`Per_layer]
           granularity (Figure 2); empty otherwise *)

@@ -11,7 +11,7 @@ type t = {
   cloud_mem : Grt_gpu.Mem.t;
   downlink : Memsync.t;
   clock : Grt_sim.Clock.t;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   trace : Grt_sim.Trace.t option;
   log : Recording.log; (* shared with the shim; newest first *)
   sniff : int -> int64 -> unit; (* root/head sniffing on replayed writes *)
@@ -19,10 +19,10 @@ type t = {
   mutable replayed : int;
 }
 
-let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ?metrics ?trace ~log ~sniff prefix =
+let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ~metrics ?trace ~log ~sniff prefix =
   { cfg; gpushim; cloud_mem; downlink; clock; metrics; trace; log; sniff; prefix; replayed = 0 }
 
-let count t key v = match t.metrics with Some m -> Metrics.add m key v | None -> ()
+let count t key v = Metrics.add t.metrics key v
 
 let step_cost t = Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.replayer_step_ns
 

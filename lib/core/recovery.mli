@@ -27,7 +27,7 @@ val create :
   cloud_mem:Grt_gpu.Mem.t ->
   downlink:Memsync.t ->
   clock:Grt_sim.Clock.t ->
-  ?metrics:Grt_sim.Metrics.t ->
+  metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   log:Recording.log ->
   sniff:(int -> int64 -> unit) ->
@@ -35,7 +35,8 @@ val create :
   t
 (** The trailing argument is the validated prefix to replay, oldest first.
     Each replayed entry charges [Grt_sim.Costs.replayer_step_ns] to
-    [clock] and bumps [recovery.entries] / [recovery.pages]. [trace]
+    [clock] and bumps [recovery.entries] / [recovery.pages] in [metrics],
+    the session's counter store. [trace]
     receives a [Replay_live] event when the prefix runs dry. *)
 
 val active : t -> bool

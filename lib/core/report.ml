@@ -15,23 +15,25 @@ let of_outcome ~workload ~mode ~profile ~seed (o : Orchestrate.record_outcome) =
         ("seed", Json.int64 seed);
       ]
   in
+  let get = Grt_sim.Metrics.get_int o.counters in
+  let c k = Json.int (get k) and sum k1 k2 = Json.int (get k1 + get k2) in
   let summary =
     Json.Obj
       [
         ("total_s", Json.float o.total_s);
         ("client_energy_j", Json.float o.client_energy_j);
-        ("blocking_rtts", Json.int o.blocking_rtts);
-        ("sync_wire_bytes", Json.int o.sync_wire_bytes);
-        ("sync_raw_bytes", Json.int o.sync_raw_bytes);
-        ("commits_total", Json.int o.commits_total);
-        ("commits_speculated", Json.int o.commits_speculated);
-        ("accesses_total", Json.int o.accesses_total);
-        ("poll_instances", Json.int o.poll_instances);
-        ("poll_offloaded", Json.int o.poll_offloaded);
+        ("blocking_rtts", c Net_blocking_rtts);
+        ("sync_wire_bytes", sum Sync_down_wire_bytes Sync_up_wire_bytes);
+        ("sync_raw_bytes", sum Sync_down_raw_bytes Sync_up_raw_bytes);
+        ("commits_total", c Commits_total);
+        ("commits_speculated", c Commits_speculated);
+        ("accesses_total", sum Reg_reads Reg_writes);
+        ("poll_instances", c Poll_instances);
+        ("poll_offloaded", c Poll_offloaded);
         ("rollbacks", Json.int o.rollbacks);
         ("rollback_s", Json.float o.rollback_s);
-        ("retransmits", Json.int o.retransmits);
-        ("link_downs", Json.int o.link_downs);
+        ("retransmits", c Net_retransmits);
+        ("link_downs", c Recovery_link_downs);
         ("recording_bytes", Json.int (Bytes.length o.blob));
         ("entries", Json.int (Array.length o.recording.Recording.entries));
       ]
@@ -228,40 +230,6 @@ let validate json =
       | Some p ->
         let* pf = need_obj "phases" p in
         all_ok "phases" validate_phase pf)
-
-(* Lenient variant for [grt_inspect --timeline]: the schema name must still
-   match (a fleet report or arbitrary JSON is a different document, not an
-   older one), but the version may skew and every section is optional —
-   present sections are still type-checked. Reports written by older or
-   newer tools render with "n/a" holes instead of being rejected. *)
-let validate_lenient json =
-  let* top = need_obj "report" json in
-  let* s = need_str "report" top "schema" in
-  if s <> schema then Error (Printf.sprintf "schema mismatch: %S" s)
-  else
-    let* _ = need_num "report" top "version" in
-    let check_obj name checker =
-      match List.assoc_opt name top with
-      | None -> Ok ()
-      | Some v ->
-        let* fields = need_obj name v in
-        checker fields
-    in
-    let* () =
-      check_obj "session" (fun sf ->
-          all_ok "session"
-            (fun ctx v ->
-              match v with Json.Num _ | Json.Str _ -> Ok () | _ -> Error (ctx ^ ": bad field"))
-            sf)
-    in
-    let* () =
-      check_obj "summary" (fun sm ->
-          all_ok "summary"
-            (fun ctx v -> match v with Json.Num _ -> Ok () | _ -> Error (ctx ^ ": not a number"))
-            sm)
-    in
-    let* () = check_obj "histograms" (fun hf -> all_ok "histograms" validate_hist hf) in
-    check_obj "phases" (fun pf -> all_ok "phases" validate_phase pf)
 
 let validate_fleet json =
   let* top = need_obj "fleet-report" json in

@@ -4,8 +4,11 @@
     {!Orchestrate.record_outcome}: identity (workload / mode / profile /
     seed), headline summary numbers, the full counter set, and — when the
     session was recorded with [observe] — the latency/size histograms and
-    the per-phase span attribution. The schema is versioned and checked by
-    {!validate} so downstream tooling can fail fast on drift. *)
+    the per-phase span attribution. The summary numbers are read from the
+    session's counter store, so they cover the whole session, every attempt
+    after a rollback included, and agree with the [metrics] member. The
+    schema is versioned and checked by {!validate} so downstream tooling
+    can fail fast on drift. *)
 
 val schema : string
 (** ["grt-session-report"]. *)
@@ -33,16 +36,11 @@ val validate : Grt_util.Json.t -> (unit, string) result
 val pp_timeline : Format.formatter -> Grt_util.Json.t -> unit
 (** Human-readable view of a report: the session line, the per-phase
     self/total attribution (when [phases] is present) and histogram
-    quantiles (when [histograms] is present). Optional sections that are
-    absent print as ["n/a"] rather than failing, so the view tolerates
-    reports from older or newer writers (pair with {!validate_lenient}). *)
-
-val validate_lenient : Grt_util.Json.t -> (unit, string) result
-(** Version-skew-tolerant check for session reports: the schema name must
-    match but any numeric version is accepted, and session / summary /
-    histograms / phases are each optional — only type-checked when
-    present. Use for display paths ([grt_inspect --timeline]); keep
-    {!validate} for round-trip tests and CI gates. *)
+    quantiles (when [histograms] is present). It renders what is there
+    rather than failing: a missing session or summary prints as ["n/a"],
+    and missing phases (a session recorded without [observe]) print a
+    placeholder line. [grt_inspect --timeline] shows a report only after
+    {!validate} accepts it. *)
 
 (** {2 Fleet reports}
 

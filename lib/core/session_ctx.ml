@@ -86,5 +86,3 @@ let charge_rollback t cost =
   t.rollbacks <- t.rollbacks + 1;
   t.rollback_s <- t.rollback_s +. cost;
   Grt_sim.Clock.advance_s t.clock cost
-
-let stat t key = Grt_sim.Metrics.get_int t.metrics key

@@ -97,6 +97,3 @@ val session_salt : t -> int64
 
 val charge_rollback : t -> float -> unit
 (** Account one rollback of the given cost and advance the clock by it. *)
-
-val stat : t -> Grt_sim.Metrics.key -> int
-(** Typed counter lookup, for assembling the outcome record. *)

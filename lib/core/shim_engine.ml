@@ -39,6 +39,13 @@ let category_name = function
 
 let all_categories = [ Init; Interrupt; Power; Polling; Other ]
 
+let category_key = function
+  | Init -> Metrics.Spec_cat_init
+  | Interrupt -> Metrics.Spec_cat_interrupt
+  | Power -> Metrics.Spec_cat_power
+  | Polling -> Metrics.Spec_cat_polling
+  | Other -> Metrics.Spec_cat_other
+
 type outstanding = {
   o_completion : int; (* ns, unboxed (paired with [Link.async_send_int]) *)
   o_dispatched : int; (* virtual time of the async dispatch, ns *)
@@ -59,7 +66,7 @@ type t = {
   link : Link.t;
   gpushim : Gpushim.t;
   cloud_mem : Grt_gpu.Mem.t;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   trace : Grt_sim.Trace.t option;
   tracer : Tracer.t option;
   hists : Hist.set option;
@@ -76,12 +83,6 @@ type t = {
   mutable hot_stack : string list;
   mutable outstanding : outstanding list; (* oldest first *)
   mutable epoch_tainted : bool;
-  mutable commits_total : int;
-  mutable commits_speculated : int;
-  mutable spec_rejected_nondet : int;
-  mutable accesses_total : int;
-  mutable accesses_deferred : int;
-  by_category : (category, int ref) Hashtbl.t;
   mutable inject_countdown : int option;
   mutable suppress_read_log : int option;
   mutable segment_marks : int list; (* log positions of layer boundaries, newest first *)
@@ -107,14 +108,14 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
   if reg = Regs.js_head_lo 0 || reg = Regs.js_head_next_lo 0 then head.lo <- v;
   if reg = Regs.js_head_hi 0 || reg = Regs.js_head_next_hi 0 then head.hi <- v
 
-let create ~cfg ~link ~gpushim ~cloud_mem ?metrics ?trace ?tracer ?hists ?history ?sync_store
+let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?trace ?tracer ?hists ?history ?sync_store
     ?(wire_overhead = 0) ?(replay_prefix = []) () =
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
   let log = Recording.new_log () in
   let sniff = sniff_root_and_head ~gpushim ~downlink ~head in
   let recovery =
-    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ?metrics ?trace
+    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ~metrics ?trace
       ~log ~sniff replay_prefix
   in
   {
@@ -139,19 +140,13 @@ let create ~cfg ~link ~gpushim ~cloud_mem ?metrics ?trace ?tracer ?hists ?histor
     hot_stack = [];
     outstanding = [];
     epoch_tainted = false;
-    commits_total = 0;
-    commits_speculated = 0;
-    spec_rejected_nondet = 0;
-    accesses_total = 0;
-    accesses_deferred = 0;
-    by_category = Hashtbl.create 8;
     inject_countdown = None;
     suppress_read_log = None;
     segment_marks = [];
     in_poll_loop = false;
   }
 
-let count t key v = match t.metrics with Some m -> Metrics.add m key v | None -> ()
+let count t key v = Metrics.add t.metrics key v
 
 let queue_ref t = match t.cur_thread with Main -> t.main_queue | Irq -> t.irq_queue
 
@@ -169,11 +164,6 @@ let category_of t ~is_poll =
     | Some fn when Strutil.contains_sub "irq" fn -> Interrupt
     | Some fn when Strutil.has_prefix "kbase_pm_" fn -> Power
     | Some _ | None -> Other
-
-let bump_category t cat =
-  match Hashtbl.find_opt t.by_category cat with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.by_category cat (ref 1)
 
 (* Speculation-policy shorthands over the shared history (§4.2). *)
 let spec_k t = t.cfg.Mode.spec_history_k
@@ -276,13 +266,11 @@ let drain_oldest t =
    on a windowed link, so default (stop-and-wait, unbounded) runs keep
    byte-identical counter dumps. *)
 let note_inflight_depth t =
-  if Link.window t.link > 1 then
-    match t.metrics with
-    | Some m ->
-      let depth = List.length t.outstanding in
-      let hw = Metrics.get_int m Metrics.Spec_inflight_hw in
-      if depth > hw then Metrics.add m Metrics.Spec_inflight_hw (depth - hw)
-    | None -> ()
+  if Link.window t.link > 1 then begin
+    let depth = List.length t.outstanding in
+    let hw = Metrics.get_int t.metrics Metrics.Spec_inflight_hw in
+    if depth > hw then count t Metrics.Spec_inflight_hw (depth - hw)
+  end
 
 (* Ship a speculated commit asynchronously and queue it for validation when
    the response lands (shared by batch commits and offloaded polls). On a
@@ -290,8 +278,9 @@ let note_inflight_depth t =
    room by validating the oldest — a misprediction surfacing here aborts
    the current commit exactly like one caught at a full drain. A
    stop-and-wait link leaves the queue unbounded; only epoch and
-   dependency stalls drain it. *)
-let dispatch_speculative t ~site ~send ~recv ~checks ~syms ~log_mark ~bind =
+   dependency stalls drain it. The commit counts as speculated, under its
+   Fig. 8 [category], once it is on the wire. *)
+let dispatch_speculative t ~site ~category ~send ~recv ~checks ~syms ~log_mark ~bind =
   let window = Link.window t.link in
   if window > 1 then
     while List.length t.outstanding >= window do
@@ -313,6 +302,6 @@ let dispatch_speculative t ~site ~send ~recv ~checks ~syms ~log_mark ~bind =
         };
       ];
   note_inflight_depth t;
-  t.commits_speculated <- t.commits_speculated + 1;
   count t Metrics.Commits_speculated 1;
+  count t (category_key category) 1;
   Trace.event_opt t.trace (Trace.Speculate { site; checks = List.length checks })

@@ -119,7 +119,6 @@ let touch_gen t pfn =
   end
   else Hashtbl.replace t.spill_gens pfn g
 
-let write_gen_int t = t.gen
 let write_gen t = Int64.of_int t.gen
 
 let page_gen_at t pfn =

@@ -60,15 +60,8 @@ val borrow_ro : t -> int -> bytes
     (test with physical equality against [Bytes.empty]). Same borrow rules
     as {!page_ro}. *)
 
-val borrow_rw : t -> int -> bytes
-(** Allocation-free {!page_rw} by int PFN: materializes, marks dirty and
-    stamps a generation once. Raises {!Protected_page_write}. *)
-
 val page_gen_at : t -> int -> int
 (** Unboxed {!page_gen} by int PFN ([0] if the page was never written). *)
-
-val write_gen_int : t -> int
-(** Unboxed {!write_gen}. *)
 
 val get_page : t -> int64 -> bytes
 (** [get_page t pfn] returns a copy of the page (zeroes if never written). *)

@@ -26,7 +26,7 @@ type t = {
   mutable profile : Profile.t;
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t option;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   trace : Trace.t option;
   tracer : Tracer.t option;
   hists : Hist.set option;
@@ -46,8 +46,8 @@ type t = {
   mutable outage_countdown : int option;
 }
 
-let create ~clock ?energy ?metrics ?trace ?tracer ?hists ?(seed = 0x4C494E4BL) ?(window = 1)
-    profile =
+let create ~clock ?energy ?(metrics = Metrics.create ()) ?trace ?tracer ?hists
+    ?(seed = 0x4C494E4BL) ?(window = 1) profile =
   if window < 1 then invalid_arg "Link.create: window must be >= 1";
   {
     profile;
@@ -79,7 +79,7 @@ let clock t = t.clock
 let health t = t.health
 let inject_outage_after t n = t.outage_countdown <- Some n
 
-let count t key v = match t.metrics with Some m -> Metrics.add m key v | None -> ()
+let count t key v = Metrics.add t.metrics key v
 
 let set_profile t p =
   (* Windowed sends still in flight were priced under the old profile; drain
@@ -369,16 +369,11 @@ let async_send_int t ~send_bytes ~recv_bytes =
     Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:"async_send" (fun () ->
         async_send_run t ~send_bytes ~recv_bytes)
 
-let async_send t ~send_bytes ~recv_bytes =
-  Int64.of_int (async_send_int t ~send_bytes ~recv_bytes)
-
 let wait_until_int t deadline =
   if deadline > Grt_sim.Clock.now_int t.clock then begin
     count t Metrics.Net_stall_waits 1;
     Grt_sim.Clock.advance_to_int t.clock deadline
   end
-
-let wait_until t deadline = wait_until_int t (Int64.to_int deadline)
 
 (* One-way pushes retransmit on payload loss only; the tiny reverse ack is
    assumed reliable (its loss would be repaired by the next exchange). *)
@@ -410,14 +405,4 @@ let one_way_from_client t ~bytes =
         (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
       ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)))
 
-let counter_int t key = match t.metrics with Some m -> Metrics.get_int m key | None -> 0
-
-let blocking_rtts t = counter_int t Metrics.Net_blocking_rtts
-let stall_waits t = counter_int t Metrics.Net_stall_waits
-let retransmits t = counter_int t Metrics.Net_retransmits
-let window_stalls t = counter_int t Metrics.Net_window_stalls
 let inflight t = t.pipe_count
-
-let bytes_tx t = match t.metrics with Some m -> Metrics.get m Metrics.Net_bytes_tx | None -> 0L
-
-let bytes_rx t = match t.metrics with Some m -> Metrics.get m Metrics.Net_bytes_rx | None -> 0L

@@ -52,7 +52,10 @@ val create :
     receives retransmit / link-down / degraded-transition / window events
     under topic ["link"]. [tracer] gets a [Link_exchange] span per exchange;
     [hists] gets the charged latency ([Rtt_ns]) and go-back-N span sizes
-    ([Gbn_span]). All three observers default to off and cost nothing. *)
+    ([Gbn_span]). All three observers default to off and cost nothing.
+    [metrics] is the counter store every exchange bumps ([net.*]); pass the
+    session's store, or read the counts back from the one you passed — the
+    link has no counter readers of its own. It defaults to a fresh store. *)
 
 val profile : t -> Profile.t
 
@@ -85,29 +88,22 @@ val round_trip : t -> send_bytes:int -> recv_bytes:int -> unit
     RTT. In windowed mode, first stalls until a window slot is free. Raises
     [Link_down] if the ARQ gives up. *)
 
-val async_send : t -> send_bytes:int -> recv_bytes:int -> int64
-(** Non-blocking exchange: charges bytes and energy now, returns the absolute
-    virtual time (ns) at which the response will have arrived. Does not
-    advance the clock and does not count a blocking RTT — except in windowed
-    mode when the pipe already holds [window] exchanges, in which case the
-    clock first advances to the oldest in-flight completion
-    ([net.window_stalls]). Completion times are clamped monotonic so jitter
-    never reorders the FIFO channel. Raises [Link_down] if the ARQ gives
-    up. *)
-
 val async_send_int : t -> send_bytes:int -> recv_bytes:int -> int
-(** [async_send] with the completion time as an unboxed [int] of ns (the
-    clock stores time as one; 63 bits do not overflow). The speculation
-    pipeline dispatches one exchange per commit, so the hot path uses the
-    [_int] entry points to avoid boxing an [int64] per send. *)
-
-val wait_until : t -> int64 -> unit
-(** Advance the clock to an [async_send] completion time (no-op if already
-    past). Counts [net.stall_waits] only when an actual wait occurred. *)
+(** Non-blocking exchange: charges bytes and energy now, returns the absolute
+    virtual time, as an unboxed [int] of ns, at which the response will have
+    arrived. Does not advance the clock and does not count a blocking RTT —
+    except in windowed mode when the pipe already holds [window] exchanges,
+    in which case the clock first advances to the oldest in-flight
+    completion ([net.window_stalls]). Completion times are clamped monotonic
+    so jitter never reorders the FIFO channel. Raises [Link_down] if the ARQ
+    gives up. The speculation pipeline dispatches one exchange per commit,
+    so the time stays an [int] (63 bits do not overflow) rather than a boxed
+    [int64]. *)
 
 val wait_until_int : t -> int -> unit
-(** [wait_until] with an unboxed deadline, paired with
-    {!async_send_int}. *)
+(** Advance the clock to an {!async_send_int} completion time (no-op if
+    already past). Counts [net.stall_waits] only when an actual wait
+    occurred. *)
 
 val one_way_to_client : t -> bytes:int -> unit
 (** Blocking one-way push (e.g. the final recording download). *)
@@ -116,22 +112,7 @@ val one_way_from_client : t -> bytes:int -> unit
 (** Blocking one-way upload (interrupt forwarding plus the client's memory
     dump, §5). *)
 
-val blocking_rtts : t -> int
-(** Number of blocking round trips charged so far. *)
-
-val stall_waits : t -> int
-(** Number of speculative commits that stalled on their completion time. *)
-
-val retransmits : t -> int
-(** Number of retransmitted exchanges so far. *)
-
-val window_stalls : t -> int
-(** Number of sends that stalled waiting for a free window slot. *)
-
 val inflight : t -> int
 (** Exchanges currently in the transmission pipe (always 0 when
     [window = 1]; in-flight entries whose completion has passed are only
     retired lazily, at the next send or [set_profile]). *)
-
-val bytes_tx : t -> int64
-val bytes_rx : t -> int64

@@ -36,9 +36,6 @@ let advance_to t deadline = advance_to_int t (Int64.to_int deadline)
 
 let on_advance_int t f = t.observers <- f :: t.observers
 
-let on_advance t f =
-  on_advance_int t (fun old_now new_now -> f (Int64.of_int old_now) (Int64.of_int new_now))
-
 type span = { start_ns : int64; stop_ns : int64 }
 
 let time t f =

@@ -41,13 +41,9 @@ val advance_int : t -> int -> unit
 val advance_to_int : t -> int -> unit
 (** [advance_to] with an unboxed deadline. *)
 
-val on_advance : t -> (int64 -> int64 -> unit) -> unit
-(** [on_advance t f] registers [f old_now new_now], called on every
-    advance. *)
-
 val on_advance_int : t -> (int -> int -> unit) -> unit
-(** [on_advance] without the per-advance boxing; preferred for observers
-    that fire on every advance (the energy integrator). *)
+(** [on_advance_int t f] registers [f old_now new_now] (unboxed ns), called
+    on every advance (the energy integrator). *)
 
 type span = { start_ns : int64; stop_ns : int64 }
 

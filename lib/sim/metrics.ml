@@ -31,6 +31,11 @@ type key =
   | Spec_degraded_suppressed
   | Spec_inflight_hw
   | Spec_cross_hits
+  | Spec_cat_init
+  | Spec_cat_interrupt
+  | Spec_cat_power
+  | Spec_cat_polling
+  | Spec_cat_other
   (* polling *)
   | Poll_instances
   | Poll_offloaded
@@ -103,6 +108,11 @@ let name = function
   | Spec_degraded_suppressed -> "spec.degraded_suppressed"
   | Spec_inflight_hw -> "spec.inflight_hw"
   | Spec_cross_hits -> "spec.history_cross_hits"
+  | Spec_cat_init -> "spec.cat.init"
+  | Spec_cat_interrupt -> "spec.cat.interrupt"
+  | Spec_cat_power -> "spec.cat.power"
+  | Spec_cat_polling -> "spec.cat.polling"
+  | Spec_cat_other -> "spec.cat.other"
   | Poll_instances -> "poll.instances"
   | Poll_offloaded -> "poll.offloaded"
   | Poll_iters -> "poll.iters"
@@ -149,7 +159,8 @@ let all =
     Reg_reads; Reg_writes; Commits_total;
     Commits_speculated; Commits_sync; Commits_accesses; Spec_mispredicts; Spec_rejected_nondet;
     Spec_epoch_stalls; Spec_dep_stalls; Spec_degraded_suppressed; Spec_inflight_hw;
-    Spec_cross_hits;
+    Spec_cross_hits; Spec_cat_init; Spec_cat_interrupt; Spec_cat_power; Spec_cat_polling;
+    Spec_cat_other;
     Poll_instances;
     Poll_offloaded; Poll_iters; Irq_waits; Sync_down_events; Sync_down_wire_bytes;
     Sync_down_raw_bytes; Sync_up_events; Sync_up_wire_bytes; Sync_up_raw_bytes;
@@ -197,43 +208,48 @@ let index = function
   | Spec_degraded_suppressed -> 25
   | Spec_inflight_hw -> 26
   | Spec_cross_hits -> 27
-  | Poll_instances -> 28
-  | Poll_offloaded -> 29
-  | Poll_iters -> 30
-  | Irq_waits -> 31
-  | Sync_down_events -> 32
-  | Sync_down_wire_bytes -> 33
-  | Sync_down_raw_bytes -> 34
-  | Sync_up_events -> 35
-  | Sync_up_wire_bytes -> 36
-  | Sync_up_raw_bytes -> 37
-  | Sync_pages_visited -> 38
-  | Sync_pages_meta -> 39
-  | Sync_enc_raw -> 40
-  | Sync_enc_raw_rc -> 41
-  | Sync_enc_delta -> 42
-  | Sync_enc_delta_rc -> 43
-  | Sync_enc_hash_ref -> 44
-  | Sync_cross_hits -> 45
-  | Sync_cross_saved_bytes -> 46
-  | Fault_injected -> 47
-  | Recovery_entries -> 48
-  | Recovery_pages -> 49
-  | Recovery_link_downs -> 50
-  | Client_reg_reads -> 51
-  | Client_reg_writes -> 52
-  | Client_polls -> 53
-  | Client_irq_waits -> 54
-  | Client_uploads -> 55
-  | Client_downloads -> 56
-  | Svc_sessions -> 57
-  | Svc_recordings -> 58
-  | Svc_cache_hits -> 59
-  | Svc_cache_misses -> 60
-  | Svc_coalesced -> 61
-  | Svc_failures -> 62
-  | Svc_evictions -> 63
-  | Svc_promotions -> 64
+  | Spec_cat_init -> 28
+  | Spec_cat_interrupt -> 29
+  | Spec_cat_power -> 30
+  | Spec_cat_polling -> 31
+  | Spec_cat_other -> 32
+  | Poll_instances -> 33
+  | Poll_offloaded -> 34
+  | Poll_iters -> 35
+  | Irq_waits -> 36
+  | Sync_down_events -> 37
+  | Sync_down_wire_bytes -> 38
+  | Sync_down_raw_bytes -> 39
+  | Sync_up_events -> 40
+  | Sync_up_wire_bytes -> 41
+  | Sync_up_raw_bytes -> 42
+  | Sync_pages_visited -> 43
+  | Sync_pages_meta -> 44
+  | Sync_enc_raw -> 45
+  | Sync_enc_raw_rc -> 46
+  | Sync_enc_delta -> 47
+  | Sync_enc_delta_rc -> 48
+  | Sync_enc_hash_ref -> 49
+  | Sync_cross_hits -> 50
+  | Sync_cross_saved_bytes -> 51
+  | Fault_injected -> 52
+  | Recovery_entries -> 53
+  | Recovery_pages -> 54
+  | Recovery_link_downs -> 55
+  | Client_reg_reads -> 56
+  | Client_reg_writes -> 57
+  | Client_polls -> 58
+  | Client_irq_waits -> 59
+  | Client_uploads -> 60
+  | Client_downloads -> 61
+  | Svc_sessions -> 62
+  | Svc_recordings -> 63
+  | Svc_cache_hits -> 64
+  | Svc_cache_misses -> 65
+  | Svc_coalesced -> 66
+  | Svc_failures -> 67
+  | Svc_evictions -> 68
+  | Svc_promotions -> 69
 
 let () = List.iteri (fun i k -> assert (index k = i)) all
 

@@ -10,7 +10,12 @@
 
     A [t] keeps one int cell per key and remembers which keys were ever
     bumped. A key that was never bumped is absent from {!to_alist} and
-    {!pp}; a key bumped by 0 is present. Bumps allocate nothing. *)
+    {!pp}; a key bumped by 0 is present. Bumps allocate nothing.
+
+    A recording session owns one [t], shared by its link, shims and
+    recovery; no layer keeps a counter of its own beside it. A session
+    count therefore covers the whole session, every attempt after a
+    rollback included. *)
 
 type key =
   | Net_msgs
@@ -37,6 +42,8 @@ type key =
   | Commits_accesses
   | Spec_mispredicts
   | Spec_rejected_nondet
+      (** commits that failed the speculation criteria because they read a
+          nondeterministic register (§7.3) *)
   | Spec_epoch_stalls
   | Spec_dep_stalls
   | Spec_degraded_suppressed
@@ -46,6 +53,13 @@ type key =
   | Spec_cross_hits
       (** confident speculation hits whose evidence came from a previous
           session sharing the {!Grt.Spec_history} table (§7.3) *)
+  | Spec_cat_init
+  | Spec_cat_interrupt
+  | Spec_cat_power
+  | Spec_cat_polling
+  | Spec_cat_other
+      (** speculated commits by the driver routine that issued them (Fig. 8);
+          the five sum to [Commits_speculated] *)
   | Poll_instances
   | Poll_offloaded
   | Poll_iters

@@ -130,13 +130,15 @@ let run_shimmed ~mode ?history ?(window = 1) program =
   let rec attempt n prefix =
     if n > 10 then failwith "differential: too many rollbacks";
     let clock = Clock.create () in
-    let link = Grt_net.Link.create ~clock ~window Grt_net.Profile.wifi in
+    let metrics = Grt_sim.Metrics.create () in
+    let link = Grt_net.Link.create ~clock ~metrics ~window Grt_net.Profile.wifi in
     let cfg = Mode.default_config mode in
-    let gpushim = Grt.Gpushim.create ~clock ~sku:Sku.g71_mp8 ~session_salt:0L ~cfg () in
+    let gpushim = Grt.Gpushim.create ~clock ~sku:Sku.g71_mp8 ~metrics ~session_salt:0L ~cfg () in
     Grt.Gpushim.isolate gpushim;
     let cloud_mem = Mem.create () in
     let shim =
-      Grt.Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~history ~replay_prefix:prefix ()
+      Grt.Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~metrics ~history
+        ~replay_prefix:prefix ()
     in
     match
       let observed = interpret (Grt.Drivershim.backend shim) program in

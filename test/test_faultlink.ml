@@ -40,7 +40,7 @@ let lossy_blob_bit_identical_all_modes () =
       let faulty = record ~history:(Drivershim.fresh_history ()) ~profile:lossy ~mode () in
       let label s = Printf.sprintf "%s: %s" (Mode.name mode) s in
       check Alcotest.bool (label "faults were exercised") true
-        (faulty.Orchestrate.retransmits > 0);
+        (Metrics.get_int faulty.Orchestrate.counters Metrics.Net_retransmits > 0);
       check Alcotest.bool (label "blob bit-identical under loss") true
         (Bytes.equal clean.Orchestrate.blob faulty.Orchestrate.blob);
       check Alcotest.bool (label "loss costs time") true
@@ -55,7 +55,8 @@ let outage_recovery_bit_identical () =
     record ~history:(Drivershim.fresh_history ()) ~inject_outage_after:40 ~profile:Profile.wifi
       ~mode:Mode.Ours_mds ()
   in
-  check Alcotest.bool "link went down once" true (outage.Orchestrate.link_downs >= 1);
+  check Alcotest.bool "link went down once" true
+    (Metrics.get_int outage.Orchestrate.counters Metrics.Recovery_link_downs >= 1);
   check Alcotest.bool "recovery counted as rollback" true (outage.Orchestrate.rollbacks >= 1);
   check Alcotest.bool "recovery spent time" true (outage.Orchestrate.rollback_s > 0.);
   check Alcotest.bool "recording unaffected by the outage" true
@@ -200,6 +201,60 @@ let degraded_link_suppresses_speculation () =
   check Alcotest.bool "commits went synchronous" true
     (Metrics.get_int counters Metrics.Commits_sync >= 1)
 
+(* ---- one tally per session ----
+
+   A session's counts live in its one counter store and cover every
+   attempt. After a rollback (a forced mispredict) or a link-down recovery
+   (a forced outage), the Fig. 8 categories must still add up to the
+   speculated commits, every commit must still have its batch-size sample,
+   and the register accesses can only grow over the clean run's, since the
+   replayed prefix is counted again. *)
+
+let tally_cases =
+  List.concat_map
+    (fun net ->
+      List.concat_map
+        (fun window -> [ (net, window, `Mispredict 100); (net, window, `Outage 300) ])
+        [ 1; 4 ])
+    [ Grt_mlfw.Zoo.mnist; Grt_mlfw.Zoo.alexnet ]
+
+let session_tally_covers_every_attempt () =
+  let run ?inject_fault_after ?inject_outage_after ~window net =
+    Orchestrate.record ~history:(Drivershim.fresh_history ()) ?inject_fault_after
+      ?inject_outage_after ~window ~observe:true ~profile:Profile.wifi ~mode:Mode.Ours_mds
+      ~sku:Sku.g71_mp8 ~net ~seed:42L ()
+  in
+  let accesses o =
+    Metrics.get_int o.Orchestrate.counters Metrics.Reg_reads
+    + Metrics.get_int o.Orchestrate.counters Metrics.Reg_writes
+  in
+  List.iter
+    (fun (net, window, fault) ->
+      let clean = run ~window net in
+      let o, what =
+        match fault with
+        | `Mispredict k -> (run ~inject_fault_after:k ~window net, "mispredict")
+        | `Outage k -> (run ~inject_outage_after:k ~window net, "outage")
+      in
+      let label s = Printf.sprintf "%s w%d %s: %s" net.Grt_mlfw.Network.name window what s in
+      let get = Metrics.get_int o.Orchestrate.counters in
+      check Alcotest.bool (label "fault forced a rollback") true (o.Orchestrate.rollbacks >= 1);
+      check Alcotest.int (label "categories sum to speculated commits")
+        (get Metrics.Commits_speculated)
+        (List.fold_left
+           (fun acc c -> acc + get (Drivershim.category_key c))
+           0 Drivershim.all_categories);
+      let commit_sizes =
+        match o.Orchestrate.hists with
+        | Some hs -> Grt_sim.Hist.count (Grt_sim.Hist.get hs Grt_sim.Hist.Commit_accesses)
+        | None -> Alcotest.fail (label "observed run lost its histograms")
+      in
+      check Alcotest.int (label "one batch-size sample per commit") (get Metrics.Commits_total)
+        commit_sizes;
+      check Alcotest.bool (label "accesses at least the clean run's") true
+        (accesses o >= accesses clean))
+    tally_cases
+
 let () =
   Alcotest.run "faultlink"
     [
@@ -221,5 +276,10 @@ let () =
             lossy_blob_bit_identical_all_modes;
           Alcotest.test_case "outage recovery bit-identical" `Slow
             outage_recovery_bit_identical;
+        ] );
+      ( "tally",
+        [
+          Alcotest.test_case "session tally covers every attempt" `Slow
+            session_tally_covers_every_attempt;
         ] );
     ]

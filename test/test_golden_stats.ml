@@ -15,19 +15,26 @@ module Recording = Grt.Recording
 let check = Alcotest.check
 
 let tuple_of (o : O.record_outcome) =
+  let c = Grt_sim.Metrics.get_int o.O.counters in
   Printf.sprintf
     "blob=%016Lx entries=%d rtts=%d sync_wire=%d sync_raw=%d commits=%d spec=%d cats=[%s] \
      nondet=%d accesses=%d polls=%d/%d rollbacks=%d retransmits=%d linkdowns=%d"
     (Grt_util.Hashing.fnv1a_bytes o.O.blob)
     (Array.length o.O.recording.Recording.entries)
-    o.O.blocking_rtts o.O.sync_wire_bytes o.O.sync_raw_bytes o.O.commits_total
-    o.O.commits_speculated
+    (c Net_blocking_rtts)
+    (c Sync_down_wire_bytes + c Sync_up_wire_bytes)
+    (c Sync_down_raw_bytes + c Sync_up_raw_bytes)
+    (c Commits_total) (c Commits_speculated)
     (String.concat ","
        (List.map
-          (fun (c, n) -> Printf.sprintf "%s:%d" (Grt.Drivershim.category_name c) n)
-          o.O.speculated_by_category))
-    o.O.spec_rejected_nondet o.O.accesses_total o.O.poll_instances o.O.poll_offloaded
-    o.O.rollbacks o.O.retransmits o.O.link_downs
+          (fun cat ->
+            Printf.sprintf "%s:%d" (Grt.Drivershim.category_name cat)
+              (c (Grt.Drivershim.category_key cat)))
+          Grt.Drivershim.all_categories))
+    (c Spec_rejected_nondet)
+    (c Reg_reads + c Reg_writes)
+    (c Poll_instances) (c Poll_offloaded) o.O.rollbacks (c Net_retransmits)
+    (c Recovery_link_downs)
 
 let record ?history ?window ?config mode =
   O.record ?history ?window ?config ~profile:Grt_net.Profile.wifi ~mode ~sku:Grt_gpu.Sku.g71_mp8

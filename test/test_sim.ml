@@ -38,13 +38,13 @@ let clock_advance_to () =
 
 let clock_observers () =
   let c = Clock.create () in
-  let total = ref 0L in
-  Clock.on_advance c (fun old_now new_now -> total := Int64.add !total (Int64.sub new_now old_now));
+  let total = ref 0 in
+  Clock.on_advance_int c (fun old_now new_now -> total := !total + (new_now - old_now));
   Clock.advance_ns c 10L;
   Clock.advance_ns c 0L;
   (* zero advance must not fire *)
   Clock.advance_ns c 32L;
-  check Alcotest.int64 "observer saw all time" 42L !total
+  check Alcotest.int "observer saw all time" 42 !total
 
 let clock_time_span () =
   let c = Clock.create () in

@@ -23,12 +23,13 @@ let check = Alcotest.check
 (* One ReLU job driven through the full remote pipeline on [profile]. *)
 let run_one_job ~mode ~profile =
   let clock = Clock.create () in
-  let link = Link.create ~clock profile in
+  let metrics = Grt_sim.Metrics.create () in
+  let link = Link.create ~clock ~metrics profile in
   let cfg = Mode.default_config mode in
-  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~session_salt:3L ~cfg () in
+  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~metrics ~session_salt:3L ~cfg () in
   Gpushim.isolate gpushim;
   let cloud_mem = Mem.create () in
-  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem () in
+  let shim = Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~metrics () in
   let drv = Kbase.create ~backend:(Drivershim.backend shim) ~mem:cloud_mem ~coherency_ace:true in
   Kbase.init drv;
   let mmu = Kbase.create_address_space drv ~as_idx:1 in

@@ -43,24 +43,26 @@ let run_script ~window ~profile ~seed script =
   let pending = ref [] in
   List.map
     (fun op ->
-      let before = Link.retransmits link in
+      let retransmits () = Metrics.get_int counters Metrics.Net_retransmits in
+      let before = retransmits () in
       let outcome =
         try
           (match op with
           | Rt (s, r) -> Link.round_trip link ~send_bytes:s ~recv_bytes:r
-          | Async (s, r) -> pending := Link.async_send link ~send_bytes:s ~recv_bytes:r :: !pending
+          | Async (s, r) ->
+            pending := Link.async_send_int link ~send_bytes:s ~recv_bytes:r :: !pending
           | Wait -> (
             match !pending with
             | [] -> ()
             | c :: rest ->
-              Link.wait_until link c;
+              Link.wait_until_int link c;
               pending := rest)
           | Down_push b -> Link.one_way_to_client link ~bytes:b
           | Up_push b -> Link.one_way_from_client link ~bytes:b);
           `Ok
         with Link.Link_down { attempts; _ } -> `Down attempts
       in
-      (outcome, Link.retransmits link - before))
+      (outcome, retransmits () - before))
     script
 
 let gen_op =
@@ -145,13 +147,13 @@ let window_validates () =
 
 let window_stalls_when_full () =
   let link, clock, counters = make_link ~window:2 Profile.wifi in
-  let _ = Link.async_send link ~send_bytes:64 ~recv_bytes:64 in
+  let _ = Link.async_send_int link ~send_bytes:64 ~recv_bytes:64 in
   (* Bigger second send: a strictly later completion, so the stall below
      retires only the oldest entry. *)
-  let _ = Link.async_send link ~send_bytes:65536 ~recv_bytes:64 in
+  let _ = Link.async_send_int link ~send_bytes:65536 ~recv_bytes:64 in
   check Alcotest.int "pipe holds both" 2 (Link.inflight link);
   check Alcotest.int64 "no stall yet, clock untouched" 0L (Clock.now_ns clock);
-  let _ = Link.async_send link ~send_bytes:64 ~recv_bytes:64 in
+  let _ = Link.async_send_int link ~send_bytes:64 ~recv_bytes:64 in
   check Alcotest.bool "third send stalled for a slot" true (Clock.now_ns clock > 0L);
   check Alcotest.int "stall counted" 1 (Metrics.get_int counters Metrics.Net_window_stalls);
   check Alcotest.int "oldest retired, new entry queued" 2 (Link.inflight link)
@@ -159,7 +161,7 @@ let window_stalls_when_full () =
 let window_one_never_stalls () =
   let link, clock, counters = make_link Profile.wifi in
   for _ = 1 to 20 do
-    ignore (Link.async_send link ~send_bytes:64 ~recv_bytes:64)
+    ignore (Link.async_send_int link ~send_bytes:64 ~recv_bytes:64)
   done;
   check Alcotest.int64 "legacy async never blocks" 0L (Clock.now_ns clock);
   check Alcotest.int "no window stalls" 0 (Metrics.get_int counters Metrics.Net_window_stalls);
@@ -173,10 +175,11 @@ let gbn_span_recharged () =
     make_link ~window:4 ~seed:11L (Profile.degrade ~drop_prob:0.3 Profile.wifi)
   in
   for _ = 1 to 40 do
-    try ignore (Link.async_send link ~send_bytes:256 ~recv_bytes:64)
+    try ignore (Link.async_send_int link ~send_bytes:256 ~recv_bytes:64)
     with Link.Link_down _ -> ()
   done;
-  check Alcotest.bool "retransmits happened" true (Link.retransmits link > 0);
+  let retransmits c = Metrics.get_int c Metrics.Net_retransmits in
+  check Alcotest.bool "retransmits happened" true (retransmits counters > 0);
   check Alcotest.bool "go-back-N spans counted" true
     (Metrics.get_int counters Metrics.Net_gbn_retransmits > 0);
   (* Same traffic, same seed, stop-and-wait: identical retransmit count
@@ -185,11 +188,11 @@ let gbn_span_recharged () =
     make_link ~seed:11L (Profile.degrade ~drop_prob:0.3 Profile.wifi)
   in
   for _ = 1 to 40 do
-    try ignore (Link.async_send sw ~send_bytes:256 ~recv_bytes:64)
+    try ignore (Link.async_send_int sw ~send_bytes:256 ~recv_bytes:64)
     with Link.Link_down _ -> ()
   done;
-  check Alcotest.int "same retransmit count as stop-and-wait" (Link.retransmits sw)
-    (Link.retransmits link);
+  check Alcotest.int "same retransmit count as stop-and-wait" (retransmits sw_counters)
+    (retransmits counters);
   check Alcotest.int "stop-and-wait has no spans" 0
     (Metrics.get_int sw_counters Metrics.Net_gbn_retransmits);
   check Alcotest.bool "span bytes re-charged" true
@@ -200,11 +203,11 @@ let gbn_detects_faster_than_rto () =
      but go-back-N detection beats the backed-off RTO ladder on the clock. *)
   let lossy = Profile.degrade ~drop_prob:0.1 Profile.cellular in
   let run window =
-    let link, clock, _ = make_link ~window ~seed:21L lossy in
+    let link, clock, counters = make_link ~window ~seed:21L lossy in
     for _ = 1 to 200 do
       try Link.round_trip link ~send_bytes:256 ~recv_bytes:256 with Link.Link_down _ -> ()
     done;
-    (Clock.now_s clock, Link.retransmits link)
+    (Clock.now_s clock, Metrics.get_int counters Metrics.Net_retransmits)
   in
   let sw_s, sw_retx = run 1 in
   let w_s, w_retx = run 8 in
@@ -217,16 +220,16 @@ let set_profile_drains_pipe () =
      under the old profile complete against the new one — the pipe drains
      (clock advances to the last outstanding completion) before the swap. *)
   let link, clock, _ = make_link ~window:4 Profile.cellular in
-  let _ = Link.async_send link ~send_bytes:4096 ~recv_bytes:64 in
-  let last = Link.async_send link ~send_bytes:4096 ~recv_bytes:64 in
+  let _ = Link.async_send_int link ~send_bytes:4096 ~recv_bytes:64 in
+  let last = Link.async_send_int link ~send_bytes:4096 ~recv_bytes:64 in
   check Alcotest.int "two in flight" 2 (Link.inflight link);
   Link.set_profile link Profile.lan;
   check Alcotest.int "pipe drained" 0 (Link.inflight link);
-  check Alcotest.int64 "clock at last old-profile completion" last (Clock.now_ns clock);
+  check Alcotest.int "clock at last old-profile completion" last (Clock.now_int clock);
   check Alcotest.bool "profile swapped" true (Link.profile link == Profile.lan);
   (* Window=1 keeps the historical no-op swap: no pipe, clock untouched. *)
   let legacy, legacy_clock, _ = make_link Profile.cellular in
-  ignore (Link.async_send legacy ~send_bytes:4096 ~recv_bytes:64);
+  ignore (Link.async_send_int legacy ~send_bytes:4096 ~recv_bytes:64);
   Link.set_profile legacy Profile.lan;
   check Alcotest.int64 "legacy swap leaves clock alone" 0L (Clock.now_ns legacy_clock)
 
