@@ -26,80 +26,84 @@ let downlink (t : t) = t.downlink
 
 (* ---- committing ---- *)
 
-let commit t ~trigger =
-  let qr = queue_ref t in
-  let queue = List.rev !qr in
-  qr := [];
-  if queue <> [] then begin
-    let site = site_key t ~trigger queue in
-    (* Build the span argument list only when a tracer is attached. *)
-    (match t.tracer with
-    | None -> fun body -> body ()
-    | Some _ ->
-      Tracer.span_opt t.tracer ~cat:Tracer.Commit
-        ~args:[ ("site", site); ("trigger", trigger) ]
-        ~name:"commit")
-    @@ fun () ->
-    count t Metrics.Commits_total 1;
-    count t Metrics.Commits_accesses (List.length queue);
-    Hist.record_opt t.hists Hist.Commit_accesses (List.length queue);
-    if t.epoch_tainted && t.outstanding <> [] then begin
-      count t Metrics.Spec_epoch_stalls 1;
-      drain t
-    end;
-    let wire =
-      try Wire.to_wire queue
-      with Wire.Need_drain ->
-        count t Metrics.Spec_dep_stalls 1;
-        drain t;
-        Wire.to_wire queue
-    in
-    let reads = Wire.read_syms queue in
-    let n_reads = List.length reads in
-    let nondet = List.exists (fun (reg, _) -> Regs.is_nondeterministic reg) reads in
-    let confident = if nondet then None else history_confident t site in
-    let send = request_bytes t (List.length queue) in
-    let recv = response_bytes t n_reads in
-    let speculate_values =
-      if (not (Mode.speculation t.cfg.Mode.mode)) || t.in_poll_loop then None
-      else if degraded_now t then begin
-        count t Metrics.Spec_degraded_suppressed 1;
-        None
-      end
-      else if n_reads = 0 then Some [||] (* write-only commits go out asynchronously *)
-      else confident
-    in
-    if Mode.speculation t.cfg.Mode.mode && nondet then count t Metrics.Spec_rejected_nondet 1;
-    match speculate_values with
-    | Some predicted when Array.length predicted = n_reads ->
-      let log_mark = t.log.Recording.len in
-      let actuals = apply_now t wire in
-      let actuals_checked = maybe_inject t actuals in
-      let checks =
-        List.mapi
-          (fun i (reg, _) -> (reg, predicted.(i), actuals_checked.(i)))
-          reads
-      in
-      dispatch_speculative t ~site
-        ~category:(category_of t ~is_poll:(trigger = "poll"))
-        ~send ~recv ~checks ~syms:(List.map snd reads) ~log_mark
-        ~bind:(fun () ->
-          List.iteri (fun i (_, sym) -> Sexpr.bind sym predicted.(i) ~speculative:true) reads);
-      if n_reads > 0 then history_update t site actuals;
-      log_applied t queue actuals
-    | Some _ | None ->
-      (* Synchronous commit. FIFO delivery means every outstanding response
-         arrives no later than this one, so the blocking round trip also
-         covers their validation — drain afterwards, when the waits are
-         free. *)
-      Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
+let rec has_nondet_read b i =
+  i < Wire.n_reads b && (Regs.is_nondeterministic (Wire.read_reg b i) || has_nondet_read b (i + 1))
+
+let commit_batch t ~trigger b site =
+  let n = Wire.length b and n_reads = Wire.n_reads b in
+  count t Metrics.Commits_total 1;
+  count t Metrics.Commits_accesses n;
+  Hist.record_opt t.hists Hist.Commit_accesses n;
+  if t.epoch_tainted && not (Queue.is_empty t.outstanding) then begin
+    count t Metrics.Spec_epoch_stalls 1;
+    drain t
+  end;
+  let wire =
+    try Wire.to_wire b
+    with Wire.Need_drain ->
+      count t Metrics.Spec_dep_stalls 1;
       drain t;
-      let actuals = apply_now t wire in
-      List.iteri (fun i (_, sym) -> Sexpr.bind sym actuals.(i) ~speculative:false) reads;
-      if n_reads > 0 then history_update t site actuals;
-      count t Metrics.Commits_sync 1;
-      Trace.event_opt t.trace (Trace.Commit { site; accesses = List.length queue });
-      log_applied t queue actuals
+      Wire.to_wire b
+  in
+  let nondet = has_nondet_read b 0 in
+  let confident = if nondet then None else history_confident t site in
+  let send = request_bytes t n in
+  let recv = response_bytes t n_reads in
+  let speculate_values =
+    if (not (Mode.speculation t.cfg.Mode.mode)) || t.in_poll_loop then None
+    else if degraded_now t then begin
+      count t Metrics.Spec_degraded_suppressed 1;
+      None
+    end
+    else if n_reads = 0 then Some [||] (* write-only commits go out asynchronously *)
+    else confident
+  in
+  if Mode.speculation t.cfg.Mode.mode && nondet then count t Metrics.Spec_rejected_nondet 1;
+  match speculate_values with
+  | Some predicted when Array.length predicted = n_reads ->
+    let log_mark = t.log.Recording.len in
+    let actuals = apply_now t wire in
+    dispatch_speculative t ~site
+      ~category:(category_of t ~is_poll:(String.equal trigger "poll"))
+      ~send ~recv ~regs:(Wire.read_regs b) ~predicted ~actual:(maybe_inject t actuals)
+      ~syms:(Wire.read_syms b) ~log_mark;
+    if n_reads > 0 then history_update t site actuals;
+    log_applied t b actuals
+  | Some _ | None ->
+    (* Synchronous commit. FIFO delivery means every outstanding response
+       arrives no later than this one, so the blocking round trip also
+       covers their validation — drain afterwards, when the waits are
+       free. *)
+    Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
+    drain t;
+    let actuals = apply_now t wire in
+    for i = 0 to n_reads - 1 do
+      Sexpr.bind (Wire.read_sym b i) actuals.(i) ~speculative:false
+    done;
+    if n_reads > 0 then history_update t site actuals;
+    count t Metrics.Commits_sync 1;
+    Trace.event_opt t.trace (Trace.Commit { site = site.Wire.key; accesses = n });
+    log_applied t b actuals
+
+(* The batch empties whether the commit completes or raises (a
+   misprediction surfacing in a drain ends the attempt). *)
+let commit t ~trigger =
+  let b = batch t in
+  if Wire.length b > 0 then begin
+    let site = site_key t ~trigger b in
+    match
+      match t.tracer with
+      | None -> commit_batch t ~trigger b site
+      | Some _ ->
+        Tracer.span_opt t.tracer ~cat:Tracer.Commit
+          ~args:[ ("site", site.Wire.key); ("trigger", trigger) ]
+          ~name:"commit"
+          (fun () -> commit_batch t ~trigger b site)
+    with
+    | () -> Wire.clear b
+    | exception e ->
+      Wire.clear b;
+      raise e
   end
 
 (* ---- backend implementation ---- *)
@@ -120,14 +124,12 @@ let read_reg t reg =
   count t Metrics.Reg_reads 1;
   if deferral_active t then begin
     let sym = Sexpr.fresh_sym ~origin:(Regs.name reg) in
-    let qr = queue_ref t in
-    qr := Wire.Qr { reg; sym } :: !qr;
+    Wire.push_read (batch t) reg sym;
     Sexpr.sym sym
   end
   else begin
-    let qr = queue_ref t in
     let sym = Sexpr.fresh_sym ~origin:(Regs.name reg) in
-    qr := Wire.Qr { reg; sym } :: !qr;
+    Wire.push_read (batch t) reg sym;
     commit t ~trigger:"sync";
     Sexpr.const (Option.get (Sexpr.eval (Sexpr.sym sym)))
   end
@@ -135,8 +137,7 @@ let read_reg t reg =
 let write_reg t reg expr =
   count t Metrics.Reg_writes 1;
   sniff_write t reg expr;
-  let qr = queue_ref t in
-  qr := Wire.Qw { reg; expr } :: !qr;
+  Wire.push_write (batch t) reg expr;
   if not (deferral_active t) then commit t ~trigger:"sync"
 
 let force t expr =
@@ -166,6 +167,61 @@ let log_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
          spin_ns;
        })
 
+(* An offloaded polling loop is a 2-access commit (the loop's register and
+   its condition), counted as such everywhere the link charges it. *)
+let count_poll_commit t =
+  count t Metrics.Commits_total 1;
+  count t Metrics.Commits_accesses 2;
+  Hist.record_opt t.hists Hist.Commit_accesses 2
+
+(* One offloaded polling loop in one message each way, speculated when the
+   site's history is confident (§4.3). *)
+let offload_poll t site ~reg ~mask ~cond ~max_iters ~spin_ns =
+  let send = request_bytes t 2 and recv = response_bytes t 2 in
+  let run () = Gpushim.run_poll t.gpushim ~reg ~mask ~cond ~max_iters ~spin_ns in
+  let speculate =
+    if Regs.is_nondeterministic reg then None
+    else if degraded_now t then begin
+      count t Metrics.Spec_degraded_suppressed 1;
+      None
+    end
+    else history_confident t site
+  in
+  match speculate with
+  | Some predicted when Array.length predicted = 1 ->
+    let log_mark = t.log.Recording.len - 1 in
+    (* the Poll entry itself was just logged; exclude it from the prefix *)
+    let result = run () in
+    let observed = match result with Some (_, v) -> v | None -> -1L in
+    let actual = maybe_inject t [| observed |] in
+    count_poll_commit t;
+    dispatch_speculative t ~site ~category:Polling ~send ~recv ~regs:[| reg |] ~predicted ~actual
+      ~syms:[||] ~log_mark:(max 0 log_mark);
+    (* History learns only the true observation, never the injected value
+       used for the validation check — one transient fault must not poison
+       future predictions at this site — and never the -1L timeout
+       sentinel, which is not a register value. A timeout instead forgets
+       the site: the prediction is about to fail validation, and keeping
+       the stale confidence would re-speculate the same wrong value on
+       every recovery attempt. *)
+    (match result with
+    | Some (_, v) -> history_update t site [| v |]
+    | None -> history_forget t site);
+    (match result with
+    | Some (iters, _) -> Backend.Poll_ok { iters; value = predicted.(0) }
+    | None -> Backend.Poll_ok { iters = max_iters; value = predicted.(0) })
+  | _ -> (
+    drain t;
+    Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
+    count_poll_commit t;
+    count t Metrics.Commits_sync 1;
+    Trace.event_opt t.trace (Trace.Commit { site = site.Wire.key; accesses = 2 });
+    match run () with
+    | Some (iters, value) ->
+      history_update t site [| value |];
+      Backend.Poll_ok { iters; value }
+    | None -> Backend.Poll_timeout)
+
 let poll_reg t ~reg ~mask ~cond ~max_iters ~spin_ns =
   count t Metrics.Poll_instances 1;
   if t.cfg.Mode.offload_polling then begin
@@ -174,59 +230,14 @@ let poll_reg t ~reg ~mask ~cond ~max_iters ~spin_ns =
     commit t ~trigger:"poll";
     log_poll t ~reg ~mask ~cond ~max_iters ~spin_ns;
     count t Metrics.Poll_offloaded 1;
-    let site =
-      Printf.sprintf "poll:%s:%Lx:%s" (Regs.name reg) mask
-        (match cond with Backend.Bits_set -> "set" | Backend.Bits_clear -> "clear")
-    in
-    Tracer.span_opt t.tracer ~cat:Tracer.Poll_offload ~args:[ ("site", site) ] ~name:"poll"
-    @@ fun () ->
-    let send = request_bytes t 2 and recv = response_bytes t 2 in
-    let run () = Gpushim.run_poll t.gpushim ~reg ~mask ~cond ~max_iters ~spin_ns in
-    let speculate =
-      if Regs.is_nondeterministic reg then None
-      else if degraded_now t then begin
-        count t Metrics.Spec_degraded_suppressed 1;
-        None
-      end
-      else history_confident t site
-    in
-    match speculate with
-    | Some predicted when Array.length predicted = 1 ->
-      let log_mark = t.log.Recording.len - 1 in
-      (* the Poll entry itself was just logged; exclude it from the prefix *)
-      let result = run () in
-      let observed = match result with Some (_, v) -> v | None -> -1L in
-      let checked = (maybe_inject t [| observed |]).(0) in
-      count t Metrics.Commits_total 1;
-      Hist.record_opt t.hists Hist.Commit_accesses 2;
-      dispatch_speculative t ~site ~category:Polling ~send ~recv
-        ~checks:[ (reg, predicted.(0), checked) ]
-        ~syms:[] ~log_mark:(max 0 log_mark) ~bind:(fun () -> ());
-      (* History learns only the true observation, never the injected value
-         used for the validation check — one transient fault must not poison
-         future predictions at this site — and never the -1L timeout
-         sentinel, which is not a register value. A timeout instead forgets
-         the site: the prediction is about to fail validation, and keeping
-         the stale confidence would re-speculate the same wrong value on
-         every recovery attempt. *)
-      (match result with
-      | Some (_, v) -> history_update t site [| v |]
-      | None -> history_forget t site);
-      (match result with
-      | Some (iters, _) -> Backend.Poll_ok { iters; value = predicted.(0) }
-      | None -> Backend.Poll_ok { iters = max_iters; value = predicted.(0) })
-    | _ ->
-      drain t;
-      Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
-      count t Metrics.Commits_total 1;
-      count t Metrics.Commits_sync 1;
-      Hist.record_opt t.hists Hist.Commit_accesses 2;
-      Trace.event_opt t.trace (Trace.Commit { site; accesses = 2 });
-      (match run () with
-      | Some (iters, value) ->
-        history_update t site [| value |];
-        Backend.Poll_ok { iters; value }
-      | None -> Backend.Poll_timeout)
+    let site = Wire.poll_site ~reg ~mask ~cond in
+    match t.tracer with
+    | None -> offload_poll t site ~reg ~mask ~cond ~max_iters ~spin_ns
+    | Some _ ->
+      Tracer.span_opt t.tracer ~cat:Tracer.Poll_offload
+        ~args:[ ("site", site.Wire.key) ]
+        ~name:"poll"
+        (fun () -> offload_poll t site ~reg ~mask ~cond ~max_iters ~spin_ns)
   end
   else begin
     (* Iterate remotely: every iteration reads the register through the
@@ -357,7 +368,9 @@ let validated_prefix t =
      confirmed truth; with nothing outstanding, the whole log is. Used by
      the orchestrator to resume after a [Link.Link_down], exactly like a
      misprediction's [valid_log]. *)
-  let mark = match t.outstanding with [] -> t.log.Recording.len | o :: _ -> o.o_log_mark in
+  let mark =
+    match Queue.peek_opt t.outstanding with Some o -> o.o_log_mark | None -> t.log.Recording.len
+  in
   Recording.log_prefix t.log mark
 
 let mark_segment t = t.segment_marks <- t.log.Recording.len :: t.segment_marks

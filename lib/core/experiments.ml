@@ -826,7 +826,9 @@ let fleet_promoted_words_ceiling = 930.
    queue→wire lowering, the link's exchange path), so the rows double as an
    allocation-regression tripwire: [speed_ceilings] pins a per-row
    minor-words/access ceiling, and callers (the CI smoke) can fail a run
-   whose allocation rate regresses above it.
+   whose allocation rate regresses above it. The MNIST rows cover the
+   recorder configurations; the MobileNet row covers a net whose
+   stop-and-wait speculation queue runs hundreds of commits deep.
 
    Like [replay_bench], host seconds spent doing the GPU's side of job
    execution (kernel math, chain walk) are subtracted: that work stands in
@@ -846,25 +848,26 @@ type speed_row = {
       (** per-memo hit/miss profile over this row's measured window *)
 }
 
-(* Measured on the flat-store hot path with the local-state range-coder
-   kernels and no sign or page-hash memo (BENCH_speed.json): Naive 334.6,
-   OursMDS 451.4, dedup 461.9, w4 420.8 minor-words/access. The
-   ceilings leave ~25% headroom for hashtable-resize and iteration-count
-   jitter; a breach means a new per-access allocation crept into the
-   record path, not machine noise (allocation counts are deterministic). *)
+(* Measured with array commits, interned sites, the FIFO speculation queue,
+   the one-pass signer and idle poll iterations skipped (BENCH_speed.json):
+   Naive 168.4, OursMDS 185.4, dedup 194.3, w4 183.0, MobileNet 187.3
+   minor-words/access. The ceilings leave ~25% headroom for
+   hashtable-resize and iteration-count jitter; a breach means a new
+   per-access allocation crept into the record path, not machine noise
+   (allocation counts are deterministic). *)
 let speed_ceilings =
   [
-    ("record/MNIST/Naive", 420.);
-    ("record/MNIST/OursMDS", 570.);
-    ("record/MNIST/OursMDS-dedup", 580.);
-    ("record/MNIST/OursMDS-w4", 530.);
+    ("record/MNIST/Naive", 210.);
+    ("record/MNIST/OursMDS", 235.);
+    ("record/MNIST/OursMDS-dedup", 245.);
+    ("record/MNIST/OursMDS-w4", 230.);
+    ("record/MobileNet/OursMDS", 235.);
   ]
 
 let speed_ceiling label = List.assoc_opt label speed_ceilings
 
 let speed ?(iters = 6) ctx =
-  let net = Zoo.mnist in
-  let session ?window ?config mode () =
+  let session ?(net = Zoo.mnist) ?window ?config mode () =
     Orchestrate.record
       ~history:(Drivershim.fresh_history ())
       ?window ?config ~profile:Profile.wifi ~mode ~sku:ctx.sku ~net ~seed:ctx.seed ()
@@ -912,6 +915,7 @@ let speed ?(iters = 6) ctx =
          ~config:{ (Mode.default_config Mode.Ours_mds) with Mode.memsync_tagged = true }
          Mode.Ours_mds);
     measure "record/MNIST/OursMDS-w4" (session ~window:4 Mode.Ours_mds);
+    measure "record/MobileNet/OursMDS" (session ~net:Zoo.mobilenet Mode.Ours_mds);
   ]
 
 (* ---- JSON row export (bench --json, CI artifacts) ----

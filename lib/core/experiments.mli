@@ -271,7 +271,9 @@ val speed : ?iters:int -> ctx -> speed_row list
 (** Recording-hot-loop throughput (ROADMAP item 5): simulated register
     accesses per host second and minor-heap words per access, over full
     MNIST record sessions in the modes that exercise each rewritten layer
-    (naive, speculative, tagged-memsync, windowed link). Fresh speculation
+    (naive, speculative, tagged-memsync, windowed link), plus one
+    speculative MobileNet session, whose stop-and-wait speculation queue
+    runs hundreds of commits deep. Fresh speculation
     history per iteration, GPU-side host time excluded — see the
     implementation comment for the methodology. *)
 

@@ -114,29 +114,45 @@ let sniff_transtab t reg value =
 
 let apply_accesses t accesses =
   require_isolation t;
-  let n_reads =
-    List.fold_left (fun n a -> match a with W_read _ -> n + 1 | W_write _ -> n) 0 accesses
-  in
-  let batch = Array.make n_reads 0L in
+  let n_reads = ref 0 in
+  Array.iter (function W_read _ -> incr n_reads | W_write _ -> ()) accesses;
+  let batch = Array.make !n_reads 0L in
   let next_read = ref 0 in
-  List.iter
-    (fun access ->
-      match access with
-      | W_read reg ->
-        count t Metrics.Client_reg_reads;
-        batch.(!next_read) <- Device.read_reg t.device reg;
-        incr next_read
-      | W_write (reg, expr) ->
-        count t Metrics.Client_reg_writes;
-        let v = eval_expr batch !next_read expr in
-        sniff_transtab t reg v;
-        Device.write_reg t.device reg v)
-    accesses;
+  for i = 0 to Array.length accesses - 1 do
+    match accesses.(i) with
+    | W_read reg ->
+      count t Metrics.Client_reg_reads;
+      batch.(!next_read) <- Device.read_reg t.device reg;
+      incr next_read
+    | W_write (reg, expr) ->
+      count t Metrics.Client_reg_writes;
+      let v = eval_expr batch !next_read expr in
+      sniff_transtab t reg v;
+      Device.write_reg t.device reg v
+  done;
   batch
 
+(* How many of the next [left] loop iterations cannot see a change: the
+   device changes a register only when one of its scheduled events fires,
+   on the read that finds the event due. An iteration reads one MMIO access
+   ([step] - [spin] ns) after it starts, so each iteration starting before
+   [deadline] minus that access sees the value the last read saw. *)
+let idle_iterations t ~step ~spin ~left =
+  match Device.next_event_ns t.device with
+  | None -> left
+  | Some deadline ->
+    let room = Int64.to_int deadline - Grt_sim.Clock.now_int t.clock - (step - spin) in
+    if room <= 0 then 0 else min left ((room + step - 1) / step)
+
+(* After a failed read, the iterations that would read the same value are
+   skipped in one clock advance of their total length (a read plus a spin
+   each); the clock's observers integrate linearly, so virtual time and
+   energy match the iteration-by-iteration loop exactly. *)
 let run_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
   require_isolation t;
   count t Metrics.Client_polls;
+  let spin = Int64.to_int spin_ns in
+  let step = Int64.to_int Grt_sim.Costs.mmio_access_ns + spin in
   let rec loop i =
     if i >= max_iters then None
     else begin
@@ -148,8 +164,10 @@ let run_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
       in
       if ok then Some (i + 1, v)
       else begin
-        Grt_sim.Clock.advance_ns t.clock spin_ns;
-        loop (i + 1)
+        Grt_sim.Clock.advance_int t.clock spin;
+        let skip = idle_iterations t ~step ~spin ~left:(max_iters - i - 1) in
+        Grt_sim.Clock.advance_int t.clock (skip * step);
+        loop (i + 1 + skip)
       end
     end
   in

@@ -49,7 +49,7 @@ val isolated : t -> bool
 
 exception Not_isolated
 
-val apply_accesses : t -> wire_access list -> int64 array
+val apply_accesses : t -> wire_access array -> int64 array
 (** Apply a committed batch in order; returns the concrete value of every
     read, in batch order (a fresh array, never mutated afterwards). Raises
     {!Not_isolated} if the GPU is not locked to the TEE, and [Failure] on

@@ -210,6 +210,11 @@ let collect_meta t mem =
 
 let meta_pfns t = List.init t.scan_len (fun i -> Int64.of_int t.scan.(i))
 
+let protect_meta t mem =
+  for i = 0 to t.scan_len - 1 do
+    Mem.protect_page mem t.scan.(i)
+  done
+
 type page_record = {
   pfn : int64;
   data : bytes;  (* full page contents; [Bytes.empty] in a logged tagged record *)
@@ -263,9 +268,7 @@ let payload_of_logged (l : logged) =
 
 let per_page_header = 12 (* untagged wire: fixed pfn + length per page *)
 
-let varint_size n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go (max n 0) 1
+let varint_size = Grt_util.Byte_buf.varint_size
 
 (* Tagged wire accounting mirrors the record's serialized form exactly:
    varint pfn + one encoding-tag byte + varint body length + body. *)

@@ -94,6 +94,10 @@ val meta_pfns : t -> int64 list
 (** The metastate page set the last {!sync_meta} scanned, sorted ([[]]
     before the first sync). *)
 
+val protect_meta : t -> Grt_gpu.Mem.t -> unit
+(** Add {!meta_pfns} to [mem]'s protected set (continuous validation, §5),
+    without building the list. *)
+
 type page_record = {
   pfn : int64;
   data : bytes;

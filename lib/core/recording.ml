@@ -225,54 +225,88 @@ let merkle_root hashes =
   in
   up hashes
 
-(* Serialize the whole entry log once, recording where each chunk of
-   [chunk_entries] entries ends: [bounds.(i)] is the byte offset at which
-   chunk [i] starts, [bounds.(n_chunks)] the total length. Chunk bodies and
-   their hashes are then slices of this one buffer — no per-chunk copies. *)
-let chunk_bounds ~chunk_entries entries =
-  let n = Array.length entries in
-  let n_chunks = (n + chunk_entries - 1) / chunk_entries in
-  let buf = Byte_buf.create ~capacity:4096 () in
-  let bounds = Array.make (n_chunks + 1) 0 in
-  Array.iteri
-    (fun i e ->
-      add_entry buf e;
-      if (i + 1) mod chunk_entries = 0 then bounds.((i + 1) / chunk_entries) <- Byte_buf.length buf)
-    entries;
-  bounds.(n_chunks) <- Byte_buf.length buf;
-  (Byte_buf.contents buf, bounds)
+(* The exact number of bytes [add_entry] writes for [e]. *)
+let entry_size = function
+  | Reg_write _ -> 13
+  | Reg_read _ -> 14
+  | Poll { max_iters; _ } -> 22 + Byte_buf.varint_size max_iters
+  | Wait_irq _ -> 2
+  | Mem_load { Memsync.tagged; records } ->
+    List.fold_left
+      (fun acc (pfn, _, data) ->
+        let len = Bytes.length data in
+        let framing =
+          if tagged then Byte_buf.varint_size (Int64.to_int pfn) + 1 else 8
+        in
+        acc + framing + Byte_buf.varint_size len + len)
+      (1 + Byte_buf.varint_size (List.length records))
+      records
 
+(* One pass, one buffer. The chunk byte lengths come from [entry_size], so
+   the header's length is known before anything is written: the blob is
+   allocated at its final size, the header goes in with zeroed chunk
+   hashes, Merkle root and MAC, and the body is serialized once straight
+   behind it. Then each chunk is hashed in place and the fixed-width
+   fields are patched. *)
 let sign ?(chunk_entries = default_chunk_entries) ~key t =
   if chunk_entries <= 0 then invalid_arg "Recording.sign: chunk_entries must be positive";
-  let body, bounds = chunk_bounds ~chunk_entries t.entries in
   let n = Array.length t.entries in
-  let n_chunks = Array.length bounds - 1 in
-  let hashes =
-    Array.init n_chunks (fun i ->
-        Grt_util.Hashing.fnv1a_sub body ~pos:bounds.(i) ~len:(bounds.(i + 1) - bounds.(i)))
-  in
-  let header = Byte_buf.create ~capacity:4096 () in
-  Byte_buf.add_u32 header magic;
-  Byte_buf.add_u16 header version;
-  Byte_buf.add_string header t.workload;
-  Byte_buf.add_i64 header t.gpu_id;
-  Byte_buf.add_varint header (List.length t.slots);
-  List.iter (add_slot header) t.slots;
-  Byte_buf.add_varint header n;
-  Byte_buf.add_varint header n_chunks;
+  let n_chunks = (n + chunk_entries - 1) / chunk_entries in
+  let chunk_len = Array.make n_chunks 0 in
   Array.iteri
-    (fun i h ->
-      Byte_buf.add_varint header (min chunk_entries (n - (i * chunk_entries)));
-      Byte_buf.add_varint header (bounds.(i + 1) - bounds.(i));
-      Byte_buf.add_i64 header h)
-    hashes;
-  Byte_buf.add_i64 header (merkle_root (Array.to_list hashes));
-  let hdr = Byte_buf.contents header in
-  let blob = Byte_buf.create ~capacity:(Bytes.length hdr + 8 + Bytes.length body) () in
-  Byte_buf.add_bytes blob hdr;
-  Byte_buf.add_i64 blob (Grt_tee.Crypto.mac ~key hdr);
-  Byte_buf.add_bytes blob body;
-  Byte_buf.contents blob
+    (fun i e ->
+      let c = i / chunk_entries in
+      chunk_len.(c) <- chunk_len.(c) + entry_size e)
+    t.entries;
+  let chunk_count c = min chunk_entries (n - (c * chunk_entries)) in
+  let prefix = Byte_buf.create ~capacity:256 () in
+  Byte_buf.add_u32 prefix magic;
+  Byte_buf.add_u16 prefix version;
+  Byte_buf.add_string prefix t.workload;
+  Byte_buf.add_i64 prefix t.gpu_id;
+  Byte_buf.add_varint prefix (List.length t.slots);
+  List.iter (add_slot prefix) t.slots;
+  Byte_buf.add_varint prefix n;
+  Byte_buf.add_varint prefix n_chunks;
+  let header_len = ref (Byte_buf.length prefix + 8) and body_len = ref 0 in
+  Array.iteri
+    (fun c len ->
+      header_len :=
+        !header_len + Byte_buf.varint_size (chunk_count c) + Byte_buf.varint_size len + 8;
+      body_len := !body_len + len)
+    chunk_len;
+  let header_len = !header_len in
+  let buf = Byte_buf.create ~capacity:(header_len + 8 + !body_len) () in
+  Byte_buf.add_bytes buf (Byte_buf.contents prefix);
+  let hash_at =
+    Array.mapi
+      (fun c len ->
+        Byte_buf.add_varint buf (chunk_count c);
+        Byte_buf.add_varint buf len;
+        let at = Byte_buf.length buf in
+        Byte_buf.add_i64 buf 0L;
+        at)
+      chunk_len
+  in
+  Byte_buf.add_i64 buf 0L (* Merkle root *);
+  Byte_buf.add_i64 buf 0L (* MAC *);
+  Array.iter (add_entry buf) t.entries;
+  let blob = Byte_buf.release buf in
+  if Bytes.length blob <> header_len + 8 + !body_len then
+    failwith "Recording.sign: entry sizes disagree with the serialized body";
+  let pos = ref (header_len + 8) in
+  let hashes =
+    Array.mapi
+      (fun c len ->
+        let h = Grt_util.Hashing.fnv1a_sub blob ~pos:!pos ~len in
+        Bytes.set_int64_le blob hash_at.(c) h;
+        pos := !pos + len;
+        h)
+      chunk_len
+  in
+  Bytes.set_int64_le blob (header_len - 8) (merkle_root (Array.to_list hashes));
+  Bytes.set_int64_le blob header_len (Grt_tee.Crypto.mac ~key (Bytes.sub blob 0 header_len));
+  blob
 
 (* The signed header, decoded and checked: MAC, Merkle root, and that the
    chunk metas tile the rest of the blob exactly and sum to the declared

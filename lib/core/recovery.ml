@@ -26,7 +26,7 @@ let count t key v = Metrics.add t.metrics key v
 
 let step_cost t = Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.replayer_step_ns
 
-let active t = t.prefix <> []
+let active t = match t.prefix with [] -> false | _ :: _ -> true
 
 (* One entry left the prefix; on the last one, note the transition to live. *)
 let note_pop t =

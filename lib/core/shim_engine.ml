@@ -46,12 +46,17 @@ let category_key = function
   | Polling -> Metrics.Spec_cat_polling
   | Other -> Metrics.Spec_cat_other
 
+(* A speculated commit awaiting validation. Check [i] compares read
+   [o_regs.(i)]'s prediction [o_predicted.(i)] with the client's answer
+   [o_actual.(i)]; [o_syms] are the symbols the predictions bound. *)
 type outstanding = {
   o_completion : int; (* ns, unboxed (paired with [Link.async_send_int]) *)
   o_dispatched : int; (* virtual time of the async dispatch, ns *)
-  o_site : string;
-  o_checks : (int * int64 * int64) list; (* reg, predicted, actual *)
-  o_syms : Sexpr.sym list;
+  o_site : Wire.site;
+  o_regs : int array;
+  o_predicted : int64 array;
+  o_actual : int64 array;
+  o_syms : Sexpr.sym array;
   o_log_mark : int; (* length of the log before this commit's entries *)
 }
 
@@ -77,11 +82,11 @@ type t = {
   sniff : int -> int64 -> unit;
   head : head;
   log : Recording.log; (* newest first; shared with [recovery] *)
-  main_queue : Wire.pending list ref;
-  irq_queue : Wire.pending list ref;
+  main_queue : Wire.batch;
+  irq_queue : Wire.batch;
   mutable cur_thread : thread;
   mutable hot_stack : string list;
-  mutable outstanding : outstanding list; (* oldest first *)
+  outstanding : outstanding Queue.t; (* oldest first *)
   mutable epoch_tainted : bool;
   mutable inject_countdown : int option;
   mutable suppress_read_log : int option;
@@ -134,11 +139,11 @@ let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?trace ?tracer ?hists ?histor
     sniff;
     head;
     log;
-    main_queue = ref [];
-    irq_queue = ref [];
+    main_queue = Wire.create_batch ();
+    irq_queue = Wire.create_batch ();
     cur_thread = Main;
     hot_stack = [];
-    outstanding = [];
+    outstanding = Queue.create ();
     epoch_tainted = false;
     inject_countdown = None;
     suppress_read_log = None;
@@ -148,34 +153,36 @@ let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?trace ?tracer ?hists ?histor
 
 let count t key v = Metrics.add t.metrics key v
 
-let queue_ref t = match t.cur_thread with Main -> t.main_queue | Irq -> t.irq_queue
+let batch t = match t.cur_thread with Main -> t.main_queue | Irq -> t.irq_queue
 
-let current_hot t = match t.hot_stack with fn :: _ -> Some fn | [] -> None
+let current_hot t = match t.hot_stack with fn :: _ -> fn | [] -> "<cold>"
 
 let category_of t ~is_poll =
   if is_poll then Polling
   else
-    match current_hot t with
-    | Some fn
+    match t.hot_stack with
+    | fn :: _
       when Strutil.has_prefix "kbase_gpuprops" fn
            || Strutil.has_prefix "kbase_pm_hw_issues" fn
            || Strutil.has_prefix "kbase_pm_init_hw" fn ->
       Init
-    | Some fn when Strutil.contains_sub "irq" fn -> Interrupt
-    | Some fn when Strutil.has_prefix "kbase_pm_" fn -> Power
-    | Some _ | None -> Other
+    | fn :: _ when Strutil.contains_sub "irq" fn -> Interrupt
+    | fn :: _ when Strutil.has_prefix "kbase_pm_" fn -> Power
+    | _ -> Other
 
 (* Speculation-policy shorthands over the shared history (§4.2). *)
 let spec_k t = t.cfg.Mode.spec_history_k
-let history_confident t site = Spec_history.confident t.history ~k:(spec_k t) site
-let history_update t site values = Spec_history.observe t.history ~k:(spec_k t) site values
-let history_forget t site = Spec_history.forget t.history site
+let history_confident t (site : Wire.site) = Spec_history.confident t.history ~k:(spec_k t) site.id
+
+let history_update t (site : Wire.site) values =
+  Spec_history.observe t.history ~k:(spec_k t) site.id values
+
+let history_forget t (site : Wire.site) = Spec_history.forget t.history site.id
 
 let request_bytes t n = Wire.request_bytes ~overhead:t.wire_overhead n
 let response_bytes t n = Wire.response_bytes ~overhead:t.wire_overhead n
 
-let site_key t ~trigger queue =
-  Wire.site_key ~fn:(Option.value ~default:"<cold>" (current_hot t)) ~trigger queue
+let site_key t ~trigger b = Wire.site_key ~fn:(current_hot t) ~trigger b
 
 let apply_now t wire = Gpushim.apply_accesses t.gpushim wire
 
@@ -199,24 +206,21 @@ let maybe_inject t (actuals : int64 array) =
    retransmitting channel keeps stretching validation latencies. *)
 let degraded_now t = Link.health t.link = Link.Degraded
 
-let log_applied t queue (actuals : int64 array) =
-  let rec go queue i =
-    match queue with
-    | [] -> ()
-    | Wire.Qr { reg; _ } :: rest ->
-      assert (i < Array.length actuals);
+let log_applied t b (actuals : int64 array) =
+  let next_read = ref 0 in
+  for i = 0 to Wire.length b - 1 do
+    match Wire.get b i with
+    | Wire.Qr { reg; _ } ->
+      let value = actuals.(!next_read) in
+      incr next_read;
       if t.suppress_read_log <> Some reg then
         Recording.log_push t.log
-          (Recording.Reg_read
-             { reg; value = actuals.(i); verify = not (Regs.is_nondeterministic reg) });
-      go rest (i + 1)
-    | Wire.Qw { reg; expr } :: rest ->
+          (Recording.Reg_read { reg; value; verify = not (Regs.is_nondeterministic reg) })
+    | Wire.Qw { reg; expr } ->
       (* By apply time every referenced symbol is bound. *)
       let value = match Sexpr.eval expr with Some v -> v | None -> 0L in
-      Recording.log_push t.log (Recording.Reg_write { reg; value });
-      go rest i
-  in
-  go queue 0
+      Recording.log_push t.log (Recording.Reg_write { reg; value })
+  done
 
 (* ---- draining / validation ---- *)
 
@@ -225,49 +229,57 @@ let log_applied t queue (actuals : int64 array) =
    confirm its symbols. Raises [Mispredict] — carrying the validated log
    prefix both sides replay locally (§4.2) — on the first wrong
    prediction. *)
-let validate_one t o =
-  Tracer.span_opt t.tracer ~cat:Tracer.Validate_speculation
-    ~args:[ ("site", o.o_site) ]
-    ~name:"validate" (fun () ->
-      Link.wait_until_int t.link o.o_completion;
-      Hist.record_opt t.hists Hist.Spec_validate_ns
-        (Grt_sim.Clock.now_int (Link.clock t.link) - o.o_dispatched);
-      List.iter
-        (fun (reg, predicted, actual) ->
-          if not (Int64.equal predicted actual) then begin
-            count t Metrics.Spec_mispredicts 1;
-            Trace.event_opt t.trace
-              (Trace.Rollback { site = o.o_site; reg = Regs.name reg; predicted; actual });
-            (* Everything logged before this commit is validated truth; the
-               recovery replays it locally on both sides. *)
-            let valid_log = Recording.log_prefix t.log o.o_log_mark in
-            raise (Mispredict { site = o.o_site; reg; predicted; actual; valid_log })
-          end)
-        o.o_checks;
-      List.iter Sexpr.confirm o.o_syms)
+let validate_body t o =
+  Link.wait_until_int t.link o.o_completion;
+  Hist.record_opt t.hists Hist.Spec_validate_ns
+    (Grt_sim.Clock.now_int (Link.clock t.link) - o.o_dispatched);
+  for i = 0 to Array.length o.o_regs - 1 do
+    let predicted = o.o_predicted.(i) and actual = o.o_actual.(i) in
+    if not (Int64.equal predicted actual) then begin
+      let reg = o.o_regs.(i) and site = o.o_site.Wire.key in
+      count t Metrics.Spec_mispredicts 1;
+      Trace.event_opt t.trace (Trace.Rollback { site; reg = Regs.name reg; predicted; actual });
+      (* Everything logged before this commit is validated truth; the
+         recovery replays it locally on both sides. *)
+      let valid_log = Recording.log_prefix t.log o.o_log_mark in
+      raise (Mispredict { site; reg; predicted; actual; valid_log })
+    end
+  done;
+  Array.iter Sexpr.confirm o.o_syms
 
+let validate_one t o =
+  match t.tracer with
+  | None -> validate_body t o
+  | Some _ ->
+    Tracer.span_opt t.tracer ~cat:Tracer.Validate_speculation
+      ~args:[ ("site", o.o_site.Wire.key) ]
+      ~name:"validate" (fun () -> validate_body t o)
+
+(* Validate everything outstanding, oldest first. A misprediction drops
+   the rest of the queue with it: those commits were never validated and
+   the attempt is over. *)
 let drain t =
-  let pending = t.outstanding in
-  t.outstanding <- [];
-  List.iter (validate_one t) pending;
+  (try
+     while not (Queue.is_empty t.outstanding) do
+       validate_one t (Queue.take t.outstanding)
+     done
+   with e ->
+     Queue.clear t.outstanding;
+     raise e);
   t.epoch_tainted <- false
 
 (* Partial drain for the in-flight cap: validate the oldest outstanding
    commit only, in FIFO order. Unlike [drain] this leaves [epoch_tainted]
    alone — the epoch still holds unvalidated speculation. *)
 let drain_oldest t =
-  match t.outstanding with
-  | [] -> ()
-  | o :: rest ->
-    t.outstanding <- rest;
-    validate_one t o
+  if not (Queue.is_empty t.outstanding) then validate_one t (Queue.take t.outstanding)
 
 (* High-water mark of speculative commits outstanding at once. Only tracked
    on a windowed link, so default (stop-and-wait, unbounded) runs keep
    byte-identical counter dumps. *)
 let note_inflight_depth t =
   if Link.window t.link > 1 then begin
-    let depth = List.length t.outstanding in
+    let depth = Queue.length t.outstanding in
     let hw = Metrics.get_int t.metrics Metrics.Spec_inflight_hw in
     if depth > hw then count t Metrics.Spec_inflight_hw (depth - hw)
   end
@@ -278,30 +290,33 @@ let note_inflight_depth t =
    room by validating the oldest — a misprediction surfacing here aborts
    the current commit exactly like one caught at a full drain. A
    stop-and-wait link leaves the queue unbounded; only epoch and
-   dependency stalls drain it. The commit counts as speculated, under its
-   Fig. 8 [category], once it is on the wire. *)
-let dispatch_speculative t ~site ~category ~send ~recv ~checks ~syms ~log_mark ~bind =
+   dependency stalls drain it. Once the request is on the wire, [syms]
+   are bound to their predictions (speculatively), and the commit counts
+   as speculated under its Fig. 8 [category]. *)
+let dispatch_speculative t ~site ~category ~send ~recv ~regs ~predicted ~actual ~syms ~log_mark =
   let window = Link.window t.link in
   if window > 1 then
-    while List.length t.outstanding >= window do
+    while Queue.length t.outstanding >= window do
       drain_oldest t
     done;
   let dispatched = Grt_sim.Clock.now_int (Link.clock t.link) in
   let completion = Link.async_send_int t.link ~send_bytes:send ~recv_bytes:recv in
-  bind ();
-  t.outstanding <-
-    t.outstanding
-    @ [
-        {
-          o_completion = completion;
-          o_dispatched = dispatched;
-          o_site = site;
-          o_checks = checks;
-          o_syms = syms;
-          o_log_mark = log_mark;
-        };
-      ];
+  for i = 0 to Array.length syms - 1 do
+    Sexpr.bind syms.(i) predicted.(i) ~speculative:true
+  done;
+  Queue.add
+    {
+      o_completion = completion;
+      o_dispatched = dispatched;
+      o_site = site;
+      o_regs = regs;
+      o_predicted = predicted;
+      o_actual = actual;
+      o_syms = syms;
+      o_log_mark = log_mark;
+    }
+    t.outstanding;
   note_inflight_depth t;
   count t Metrics.Commits_speculated 1;
   count t (category_key category) 1;
-  Trace.event_opt t.trace (Trace.Speculate { site; checks = List.length checks })
+  Trace.event_opt t.trace (Trace.Speculate { site = site.Wire.key; checks = Array.length regs })

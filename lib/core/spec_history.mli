@@ -1,8 +1,9 @@
 (** Per-site speculation history (§4.2, §7.3).
 
-    Maps a driver commit site (function @ trigger # access-signature, see
-    {!Wire.site_key}) to the read-value vectors its last few commits
-    produced. A site qualifies for speculation once its last [k] outcomes
+    Maps a driver commit site, by its interned id ({!Wire.site}: function @
+    trigger # access-signature, or an offloaded poll's register, mask and
+    condition), to the read-value vectors its last few commits produced,
+    kept in a fixed ring per site. A site qualifies for speculation once its last [k] outcomes
     are identical ({!confident}); the paper uses k = 3. The table is
     sharable across record runs of different workloads — §7.3's "retaining
     register access history in between" — which is why it lives outside
@@ -20,15 +21,14 @@ type t
 
 val create : unit -> t
 
-val lookup : t -> string -> int64 array list
-(** Recorded outcome vectors, newest first; [[]] for an unknown site. *)
+val observe : t -> k:int -> int -> int64 array -> unit
+(** Record a site's newest outcome vector, keeping at most [max 1 k]
+    entries. The table keeps the array itself: the caller must not mutate
+    it afterwards. *)
 
-val observe : t -> k:int -> string -> int64 array -> unit
-(** Prepend an outcome vector, keeping at most [max 1 k] entries. *)
+val forget : t -> int -> unit
 
-val forget : t -> string -> unit
-
-val confident : t -> k:int -> string -> int64 array option
+val confident : t -> k:int -> int -> int64 array option
 (** The predicted outcome vector, iff the site has at least [k] recorded
     outcomes and they are all equal. A hit whose evidence includes an entry
     observed before the current epoch also bumps {!cross_hits}. *)
@@ -43,8 +43,3 @@ val cross_hits : t -> int
 (** Confident hits so far whose evidence spans a previous epoch — §7.3's
     cross-session speculation benefit, exported by the service as
     [spec.history_cross_hits]. *)
-
-val sites : t -> string list
-(** Known sites, in no particular order (diagnostics). *)
-
-val size : t -> int

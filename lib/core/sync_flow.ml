@@ -47,7 +47,7 @@ let down t =
   (* Continuous validation (§5): the dumped metastate now belongs to the
      GPU; unmap it from the CPU until the job interrupt returns it. *)
   if t.cfg.Mode.continuous_validation then
-    Grt_gpu.Mem.protect_pages t.cloud_mem (Memsync.meta_pfns t.downlink)
+    Memsync.protect_meta t.downlink t.cloud_mem
 
 let up t =
   Tracer.span_opt t.tracer ~cat:Tracer.Memsync_up ~name:"sync_up" @@ fun () ->

@@ -128,20 +128,18 @@ let page_gen_at t pfn =
 
 let page_gen t pfn = Int64.of_int (page_gen_at t (Int64.to_int pfn))
 
-let protect_pages t pfns =
-  List.iter
-    (fun pfn64 ->
-      let pfn = Int64.to_int pfn64 in
-      if pfn >= 0 && pfn < dense_limit then begin
-        if pfn >= t.cap then grow t pfn;
-        if Bytes.get t.protb pfn = '\000' then begin
-          Bytes.set t.protb pfn '\001';
-          t.prot_list <- pfn :: t.prot_list
-        end
-      end
-      else Hashtbl.replace t.spill_prot pfn ())
-    pfns;
+let protect_page t pfn =
+  if pfn >= 0 && pfn < dense_limit then begin
+    if pfn >= t.cap then grow t pfn;
+    if Bytes.get t.protb pfn = '\000' then begin
+      Bytes.set t.protb pfn '\001';
+      t.prot_list <- pfn :: t.prot_list
+    end
+  end
+  else Hashtbl.replace t.spill_prot pfn ();
   t.prot_sorted <- None
+
+let protect_pages t pfns = List.iter (fun pfn -> protect_page t (Int64.to_int pfn)) pfns
 
 let unprotect_all t =
   List.iter (fun pfn -> Bytes.set t.protb pfn '\000') t.prot_list;

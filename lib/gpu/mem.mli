@@ -109,5 +109,8 @@ exception Protected_page_write of int64
 val protect_pages : t -> int64 list -> unit
 (** Add PFNs to the protected set. *)
 
+val protect_page : t -> int -> unit
+(** [protect_pages] for one PFN, unboxed. *)
+
 val unprotect_all : t -> unit
 val protected_pfns : t -> int64 list

@@ -207,9 +207,9 @@ let name_uncached r =
 let name_cache : (int, string) Hashtbl.t = Hashtbl.create 256
 
 let name r =
-  match Hashtbl.find_opt name_cache r with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find name_cache r with
+  | s -> s
+  | exception Not_found ->
     let s = name_uncached r in
     if Hashtbl.length name_cache >= 4096 then Hashtbl.reset name_cache;
     Hashtbl.add name_cache r s;

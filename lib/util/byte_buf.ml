@@ -20,6 +20,8 @@ let ensure t extra =
 
 let contents t = Bytes.sub t.data 0 t.len
 
+let release t = if t.len = Bytes.length t.data then t.data else contents t
+
 let add_u8 t v =
   ensure t 1;
   Bytes.unsafe_set t.data t.len (Char.unsafe_chr (v land 0xFF));
@@ -48,6 +50,11 @@ let add_varint t v =
     end
   in
   go v
+
+let varint_size v =
+  if v < 0 then invalid_arg "Byte_buf.varint_size: negative";
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
 
 let add_sub t b ~pos ~len =
   ensure t len;

@@ -10,12 +10,21 @@ val clear : t -> unit
 val contents : t -> bytes
 (** [contents t] copies the written region into a fresh [bytes]. *)
 
+val release : t -> bytes
+(** The written region, without a copy when it fills the buffer's storage
+    exactly (as [n] bytes written to [create ~capacity:n ()] do), else as
+    {!contents}. The result may share storage with [t]: write nothing to
+    [t] afterwards. *)
+
 val add_u8 : t -> int -> unit
 val add_u16 : t -> int -> unit
 val add_u32 : t -> int -> unit
 val add_i64 : t -> int64 -> unit
 val add_varint : t -> int -> unit
 (** LEB128-style unsigned varint; [v] must be non-negative. *)
+
+val varint_size : int -> int
+(** The number of bytes {!add_varint} writes for [v]. *)
 
 val add_bytes : t -> bytes -> unit
 val add_sub : t -> bytes -> pos:int -> len:int -> unit

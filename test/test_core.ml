@@ -171,6 +171,77 @@ let recording_qcheck_roundtrip =
          | Ok r' -> r'.Recording.entries = r.Recording.entries
          | Error _ -> false))
 
+(* Differential against [Sign_reference], the growing-buffer signer:
+   every entry kind (both poll conditions, untagged and tagged page loads
+   with every encoding and multi-byte varints), random slots, the empty
+   log, and chunks of one entry, of the default 64 and of more entries
+   than the log holds must sign to identical bytes. *)
+let gen_sign_entry =
+  let open QCheck2.Gen in
+  let reg = map (fun r -> r land 0x3FFC) nat in
+  let body = map2 (fun n c -> Bytes.make n c) (int_bound 300) char in
+  let tagged_record =
+    map3
+      (fun pfn enc b -> (Int64.of_int pfn, enc, b))
+      (oneof [ int_bound 200; int_bound 0xFFFFFF ])
+      (oneofl Memsync.[ Enc_raw; Enc_raw_rc; Enc_delta; Enc_delta_rc; Enc_hash_ref ])
+      body
+  in
+  oneof
+    [
+      gen_entry;
+      map3
+        (fun r m (set, iters) ->
+          Recording.Poll
+            {
+              reg = r;
+              mask = m;
+              cond = (if set then Recording.Until_set else Recording.Until_clear);
+              max_iters = iters;
+              spin_ns = Int64.of_int iters;
+            })
+        reg int64
+        (pair bool (oneof [ small_nat; int_bound 0x3FFFFFFF ]));
+      map
+        (fun records -> Recording.Mem_load { Memsync.tagged = false; records })
+        (list_size (int_bound 3)
+           (map2 (fun pfn b -> (pfn, Memsync.Enc_raw, b)) int64 body));
+      map
+        (fun records -> Recording.Mem_load { Memsync.tagged = true; records })
+        (list_size (int_bound 4) tagged_record);
+    ]
+
+let gen_slot =
+  QCheck2.Gen.(
+    map3
+      (fun name kind (va, pa, (actual, model)) ->
+        { Recording.slot_name = name; kind; va; pa; actual_bytes = actual; model_bytes = model })
+      (string_size ~gen:printable (int_bound 12))
+      (oneofl [ `Input; `Output; `Param ])
+      (triple int64 int64 (pair nat nat)))
+
+let recording_qcheck_sign_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"sign writes the reference signer's bytes"
+       QCheck2.Gen.(
+         triple
+           (list_size (oneof [ return 0; int_bound 10; int_bound 200 ]) gen_sign_entry)
+           (list_size (int_bound 3) gen_slot)
+           (pair (oneofl [ `One; `Default; `Past_end ]) (string_size (int_bound 20))))
+       (fun (entries, slots, (chunks, workload)) ->
+         let r =
+           { Recording.workload; gpu_id = 0x1234L; entries = Array.of_list entries; slots }
+         in
+         let chunk_entries =
+           match chunks with
+           | `One -> 1
+           | `Default -> Recording.default_chunk_entries
+           | `Past_end -> List.length entries + 1 + (List.length slots * 7)
+         in
+         Bytes.equal
+           (Recording.sign ~chunk_entries ~key:"k" r)
+           (Sign_reference.sign ~chunk_entries ~key:"k" r)))
+
 (* [verify] gives a verdict without decoding entries; it must agree with the
    full parse on every blob [sign] produces and on every tampering of one. *)
 let verdicts_agree blob =
@@ -351,14 +422,14 @@ let mk_gpushim () =
 
 let gpushim_requires_isolation () =
   let g = mk_gpushim () in
-  (match Gpushim.apply_accesses g [ Gpushim.W_read Regs.gpu_id ] with
+  (match Gpushim.apply_accesses g [| Gpushim.W_read Regs.gpu_id |] with
   | _ -> Alcotest.fail "worked without isolation"
   | exception Gpushim.Not_isolated -> ());
   Gpushim.isolate g;
   check Alcotest.bool "isolated" true (Gpushim.isolated g);
   check (Alcotest.list Alcotest.int64) "read works when isolated"
     [ Sku.g71_mp8.Sku.gpu_id ]
-    (Array.to_list (Gpushim.apply_accesses g [ Gpushim.W_read Regs.gpu_id ]))
+    (Array.to_list (Gpushim.apply_accesses g [| Gpushim.W_read Regs.gpu_id |]))
 
 let gpushim_tzasc_blocks_normal_world () =
   let g = mk_gpushim () in
@@ -377,11 +448,11 @@ let gpushim_batch_refs () =
   let quirk = Sku.g71_mp8.Sku.quirk_mmu_config in
   let results =
     Gpushim.apply_accesses g
-      [
+      [|
         Gpushim.W_read Regs.mmu_config;
         Gpushim.W_write (Regs.mmu_config, Gpushim.Bop (Sexpr.Or, Gpushim.Batch 0, Gpushim.Lit 0x10L));
         Gpushim.W_read Regs.mmu_config;
-      ]
+      |]
   in
   (match Array.to_list results with
   | [ first; second ] ->
@@ -390,7 +461,7 @@ let gpushim_batch_refs () =
   | _ -> Alcotest.fail "expected two read results");
   (* Forward references must be rejected. *)
   match
-    Gpushim.apply_accesses g [ Gpushim.W_write (Regs.mmu_config, Gpushim.Batch 0) ]
+    Gpushim.apply_accesses g [| Gpushim.W_write (Regs.mmu_config, Gpushim.Batch 0) |]
   with
   | _ -> Alcotest.fail "forward batch reference accepted"
   | exception Failure _ -> ()
@@ -399,7 +470,7 @@ let gpushim_poll_and_reset () =
   let g = mk_gpushim () in
   Gpushim.isolate g;
   (* Kick a power-up, then offload-poll for readiness. *)
-  ignore (Gpushim.apply_accesses g [ Gpushim.W_write (Regs.shader_pwron_lo, Gpushim.Lit 0xFFL) ]);
+  ignore (Gpushim.apply_accesses g [| Gpushim.W_write (Regs.shader_pwron_lo, Gpushim.Lit 0xFFL) |]);
   (match
      Gpushim.run_poll g ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Grt_driver.Backend.Bits_set
        ~max_iters:100000 ~spin_ns:1000L
@@ -573,12 +644,87 @@ let drivershim_entries_replayable_order () =
 
 let wire_site_key_memo_checks_triple () =
   (* The memo hash folds fn and trigger with no separator, so these two
-     sites share a hash; each must still get its own key. *)
-  let k1 = Grt.Wire.site_key ~fn:"ab" ~trigger:"c" [] in
-  let k2 = Grt.Wire.site_key ~fn:"a" ~trigger:"bc" [] in
-  check Alcotest.bool "first key" true (String.starts_with ~prefix:"ab@c#" k1);
-  check Alcotest.bool "second key" true (String.starts_with ~prefix:"a@bc#" k2);
-  check Alcotest.string "first key again" k1 (Grt.Wire.site_key ~fn:"ab" ~trigger:"c" [])
+     sites share a hash; each must still get its own key and id. *)
+  let empty = Grt.Wire.create_batch () in
+  let k1 = Grt.Wire.site_key ~fn:"ab" ~trigger:"c" empty in
+  let k2 = Grt.Wire.site_key ~fn:"a" ~trigger:"bc" empty in
+  check Alcotest.bool "first key" true (String.starts_with ~prefix:"ab@c#" k1.Grt.Wire.key);
+  check Alcotest.bool "second key" true (String.starts_with ~prefix:"a@bc#" k2.Grt.Wire.key);
+  check Alcotest.bool "distinct ids" true (k1.Grt.Wire.id <> k2.Grt.Wire.id);
+  let again = Grt.Wire.site_key ~fn:"ab" ~trigger:"c" empty in
+  check Alcotest.string "first key again" k1.Grt.Wire.key again.Grt.Wire.key;
+  check Alcotest.int "first id again" k1.Grt.Wire.id again.Grt.Wire.id
+
+(* ---- Spec_history ---- *)
+
+(* The per-site ring against the newest-first list it replaced, over
+   random scripts of observations under varying [k] (the service shares one
+   history across sessions whose configs may differ), forgets, confidence
+   queries and epoch starts: every query and the cross-hit count agree. *)
+module History_model = struct
+  type entry = { values : int64 array; epoch : int }
+  type t = { tbl : (int, entry list) Hashtbl.t; mutable epoch : int; mutable cross_hits : int }
+
+  let create () = { tbl = Hashtbl.create 8; epoch = 0; cross_hits = 0 }
+  let entries t site = Option.value ~default:[] (Hashtbl.find_opt t.tbl site)
+
+  let observe t ~k site values =
+    let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest in
+    Hashtbl.replace t.tbl site (take (max 1 k) ({ values; epoch = t.epoch } :: entries t site))
+
+  let confident t ~k site =
+    let es = entries t site in
+    if List.length es < k then None
+    else
+      match es with
+      | first :: rest when List.for_all (fun e -> e.values = first.values) rest ->
+        if List.exists (fun (e : entry) -> e.epoch < t.epoch) es then t.cross_hits <- t.cross_hits + 1;
+        Some first.values
+      | _ -> None
+end
+
+type history_op =
+  | Observe of int * int * int64 array
+  | Forget of int
+  | Confident of int * int
+  | Epoch
+
+let gen_history_op =
+  QCheck2.Gen.(
+    let site = int_bound 3 and k = int_range 0 5 in
+    let values = oneofl [ [||]; [| 0L |]; [| 1L |]; [| 0L; 1L |] ] in
+    frequency
+      [
+        (6, map3 (fun k s v -> Observe (k, s, v)) k site values);
+        (1, map (fun s -> Forget s) site);
+        (4, map2 (fun k s -> Confident (k, s)) k site);
+        (1, return Epoch);
+      ])
+
+let spec_history_matches_list_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"per-site rings answer as the newest-first lists"
+       QCheck2.Gen.(list_size (int_bound 200) gen_history_op)
+       (fun ops ->
+         let h = Grt.Spec_history.create () and m = History_model.create () in
+         List.for_all
+           (function
+             | Observe (k, site, v) ->
+               Grt.Spec_history.observe h ~k site v;
+               History_model.observe m ~k site v;
+               true
+             | Forget site ->
+               Grt.Spec_history.forget h site;
+               Hashtbl.remove m.History_model.tbl site;
+               true
+             | Confident (k, site) ->
+               Grt.Spec_history.confident h ~k site = History_model.confident m ~k site
+               && Grt.Spec_history.cross_hits h = m.History_model.cross_hits
+             | Epoch ->
+               Grt.Spec_history.new_epoch h;
+               m.History_model.epoch <- m.History_model.epoch + 1;
+               true)
+           ops))
 
 (* ---- Orchestrate ---- *)
 
@@ -607,6 +753,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
+          recording_qcheck_sign_matches_reference;
         ] );
       ( "memsync",
         [
@@ -638,6 +785,7 @@ let () =
           Alcotest.test_case "replayable entry order" `Quick drivershim_entries_replayable_order;
         ] );
       ("wire", [ Alcotest.test_case "site-key memo checks the triple" `Quick wire_site_key_memo_checks_triple ]);
+      ("history", [ spec_history_matches_list_model ]);
       ( "orchestrate",
         [
           Alcotest.test_case "record rejects a config for another mode" `Quick

@@ -255,6 +255,193 @@ let session_tally_covers_every_attempt () =
         (accesses o >= accesses clean))
     tally_cases
 
+(* An offloaded poll is a 2-access commit: the accesses counter must
+   count it exactly as the commit-size histogram and the link (which is
+   charged [request_bytes 2]) do, so the two accesses-per-commit figures
+   of one session agree. *)
+let accesses_counter_matches_histogram () =
+  List.iter
+    (fun net ->
+      let o =
+        Orchestrate.record ~history:(Drivershim.fresh_history ()) ~observe:true
+          ~profile:Profile.wifi ~mode:Mode.Ours_mds ~sku:Sku.g71_mp8 ~net ~seed:42L ()
+      in
+      let label s = Printf.sprintf "%s: %s" net.Grt_mlfw.Network.name s in
+      let get = Metrics.get_int o.Orchestrate.counters in
+      check Alcotest.bool (label "polls were offloaded") true (get Metrics.Poll_offloaded > 0);
+      match o.Orchestrate.hists with
+      | None -> Alcotest.fail (label "observed run lost its histograms")
+      | Some hs ->
+        let h = Grt_sim.Hist.get hs Grt_sim.Hist.Commit_accesses in
+        check Alcotest.int (label "accesses counter = histogram sum")
+          (Int64.to_int (Grt_sim.Hist.sum h))
+          (get Metrics.Commits_accesses);
+        check Alcotest.int (label "one sample per commit") (get Metrics.Commits_total)
+          (Grt_sim.Hist.count h))
+    [ Grt_mlfw.Zoo.mnist; Grt_mlfw.Zoo.mobilenet ]
+
+(* ---- deep speculation queues roll back exactly ----
+
+   On a stop-and-wait link nothing bounds the outstanding-speculation
+   queue: MobileNet's runs hundreds of commits deep. Commits must be
+   validated in the order they were dispatched; a fault injected at any
+   depth must surface as a misprediction whose validated prefix ends
+   exactly where the wrong commit's entries begin, and the orchestrator
+   must recover to the clean recording. *)
+
+type mark = Before | After of int (* faults injected so far *)
+
+(* The first recording attempt of MobileNet, as the orchestrator runs it,
+   with every driver call bracketed by a log-position mark. Returns the
+   outcome, the shim, the marks (oldest first, with the log length at
+   each) and, when [observe], the tracer and event trace. *)
+let first_attempt ?inject ?(observe = false) ~window () =
+  let clock = Clock.create () and metrics = Metrics.create () in
+  let tracer = if observe then Some (Grt_sim.Tracer.create clock) else None in
+  let trace = if observe then Some (Grt_sim.Trace.create ~capacity:100_000 clock) else None in
+  let link = Link.create ~clock ~metrics ~window Profile.wifi in
+  let cfg = Mode.default_config Mode.Ours_mds in
+  let gpushim = Gpushim.create ~clock ~sku:Sku.g71_mp8 ~metrics ~session_salt:4L ~cfg () in
+  Gpushim.isolate gpushim;
+  let cloud_mem = Mem.create () in
+  let shim =
+    Drivershim.create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?tracer ?trace
+      ~history:(Drivershim.fresh_history ()) ()
+  in
+  Option.iter (Drivershim.inject_fault_after shim) inject;
+  let marks = ref [] in
+  let note m =
+    Drivershim.mark_segment shim;
+    marks := m :: !marks
+  in
+  let around f =
+    note Before;
+    Fun.protect ~finally:(fun () -> note (After (Metrics.get_int metrics Metrics.Fault_injected))) f
+  in
+  let b = Drivershim.backend shim in
+  let wrapped =
+    {
+      Backend.read_reg = (fun r -> around (fun () -> b.Backend.read_reg r));
+      write_reg = (fun r v -> around (fun () -> b.Backend.write_reg r v));
+      force = (fun e -> around (fun () -> b.Backend.force e));
+      poll_reg =
+        (fun ~reg ~mask ~cond ~max_iters ~spin_ns ->
+          around (fun () -> b.Backend.poll_reg ~reg ~mask ~cond ~max_iters ~spin_ns));
+      delay_us = (fun us -> around (fun () -> b.Backend.delay_us us));
+      lock = (fun l -> around (fun () -> b.Backend.lock l));
+      unlock = (fun l -> around (fun () -> b.Backend.unlock l));
+      externalize = (fun s -> around (fun () -> b.Backend.externalize s));
+      now_us = b.Backend.now_us;
+      wait_irq = (fun ~timeout_us -> around (fun () -> b.Backend.wait_irq ~timeout_us));
+      irq_scope = (fun f -> around (fun () -> b.Backend.irq_scope f));
+      enter_hot = (fun fn -> around (fun () -> b.Backend.enter_hot fn));
+      exit_hot = (fun fn -> around (fun () -> b.Backend.exit_hot fn));
+    }
+  in
+  let on_region r =
+    let mr = Grt.Memsync.region_of_session r in
+    Grt.Memsync.register_region (Drivershim.downlink shim) mr;
+    Grt.Memsync.register_region (Gpushim.uplink gpushim) mr
+  in
+  let outcome =
+    match
+      let drv =
+        Grt_driver.Kbase.create ~backend:wrapped ~mem:cloud_mem
+          ~coherency_ace:Sku.g71_mp8.Sku.needs_snoop_disparity
+      in
+      Grt_driver.Kbase.init drv;
+      let session = Grt_runtime.Session.create ~drv ~as_idx:1 ~clock ~on_region () in
+      let runner =
+        Grt_mlfw.Runner.setup ~session
+          ~plan:(Grt_mlfw.Network.expand Grt_mlfw.Zoo.mobilenet)
+          ~seed:42L ~load_weights:false
+      in
+      Grt_mlfw.Runner.run runner;
+      Grt_driver.Kbase.shutdown drv;
+      Drivershim.finalize shim
+    with
+    | () -> Ok ()
+    | exception e -> Error e
+  in
+  let lens = Drivershim.segment_marks shim in
+  (outcome, shim, List.combine (List.rev !marks) lens, tracer, trace)
+
+let rec mispredict_of = function
+  | Drivershim.Mispredict { site; valid_log; _ } -> Some (site, valid_log)
+  | Fun.Finally_raised e -> mispredict_of e
+  | _ -> None
+
+(* The sites of speculated commits in dispatch order, and of validations
+   in the order they ran. *)
+let dispatched trace =
+  List.filter_map
+    (fun (e : Grt_sim.Trace.event) ->
+      match e.Grt_sim.Trace.payload with
+      | Grt_sim.Trace.Speculate { site; _ } -> Some site
+      | _ -> None)
+    (Grt_sim.Trace.all trace)
+
+let validated tracer =
+  List.filter_map
+    (fun (sp : Grt_sim.Tracer.span) ->
+      if sp.Grt_sim.Tracer.sp_name = "validate" then List.assoc_opt "site" sp.Grt_sim.Tracer.sp_args
+      else None)
+    (Grt_sim.Tracer.spans tracer)
+
+(* Where the injected commit's entries begin. A driver call commits at most
+   one batch with reads before an offloaded poll, and a batch's entries are
+   logged only when it commits, so a commit fault lands at the log position
+   just before the call that injected it (or, for an IRQ handler's exit
+   commit, just after the handler's last call); a poll fault at the poll's
+   own entry, the call's last. *)
+let injected_mark ~is_poll marks =
+  let rec go prev = function
+    | (After 1, len) :: _ -> if is_poll then len - 1 else prev
+    | (_, len) :: rest -> go len rest
+    | [] -> Alcotest.fail "no fault was injected"
+  in
+  go 0 marks
+
+let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
+
+let deep_queue_rollback_is_exact () =
+  let record ?inject_fault_after ~window () =
+    Orchestrate.record ~history:(Drivershim.fresh_history ()) ?inject_fault_after ~window
+      ~profile:Profile.wifi ~mode:Mode.Ours_mds ~sku:Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mobilenet
+      ~seed:42L ()
+  in
+  let clean_blob = (record ~window:1 ()).Orchestrate.blob in
+  let clean_log =
+    match first_attempt ~observe:true ~window:1 () with
+    | Ok (), shim, _, Some tracer, Some trace ->
+      let sent = dispatched trace in
+      check Alcotest.bool "hundreds of commits speculated" true (List.length sent > 1000);
+      check (Alcotest.list Alcotest.string) "validated oldest first" sent (validated tracer);
+      Drivershim.entries shim
+    | Ok (), _, _, _, _ -> Alcotest.fail "clean run lost its observers"
+    | Error e, _, _, _, _ -> Alcotest.failf "clean run raised %s" (Printexc.to_string e)
+  in
+  List.iter
+    (fun (window, depth) ->
+      let label s = Printf.sprintf "w%d fault after %d: %s" window depth s in
+      (match first_attempt ~inject:depth ~window () with
+      | Ok (), _, _, _, _ -> Alcotest.fail (label "the injected fault went undetected")
+      | Error e, _, marks, _, _ -> (
+        match mispredict_of e with
+        | None -> Alcotest.failf "%s" (label ("raised " ^ Printexc.to_string e))
+        | Some (site, valid_log) ->
+          let is_poll = String.starts_with ~prefix:"poll:" site in
+          let mark = injected_mark ~is_poll marks in
+          check Alcotest.int (label "valid_log ends at the wrong commit's mark") mark
+            (List.length valid_log);
+          check Alcotest.bool (label "valid_log is the clean log's prefix") true
+            (valid_log = take mark clean_log)));
+      let o = record ~inject_fault_after:depth ~window () in
+      check Alcotest.bool (label "rolled back") true (o.Orchestrate.rollbacks >= 1);
+      check Alcotest.bool (label "recovered to the clean blob") true
+        (Bytes.equal clean_blob o.Orchestrate.blob))
+    (List.concat_map (fun w -> List.map (fun d -> (w, d)) [ 3; 581; 909; 1032; 2000 ]) [ 1; 4 ])
+
 let () =
   Alcotest.run "faultlink"
     [
@@ -281,5 +468,9 @@ let () =
         [
           Alcotest.test_case "session tally covers every attempt" `Slow
             session_tally_covers_every_attempt;
+          Alcotest.test_case "accesses counter matches the histogram" `Quick
+            accesses_counter_matches_histogram;
         ] );
+      ( "rollback",
+        [ Alcotest.test_case "deep-queue rollback is exact" `Slow deep_queue_rollback_is_exact ] );
     ]
