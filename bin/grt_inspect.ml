@@ -71,8 +71,9 @@ let pp_entry ppf = function
       (if verify then "" else "  (nondet, unverified)")
   | Grt.Recording.Poll { reg; mask; cond; _ } ->
     Format.fprintf ppf "poll  %-22s until %#Lx %s" (Grt_gpu.Regs.name reg) mask
-      (match cond with Grt.Recording.Until_set -> "set" | Grt.Recording.Until_clear -> "clear")
-  | Grt.Recording.Wait_irq { line } -> Format.fprintf ppf "wait-irq line %d" line
+      (match cond with Grt_gpu.Regs.Bits_set -> "set" | Grt_gpu.Regs.Bits_clear -> "clear")
+  | Grt.Recording.Wait_irq { line } ->
+    Format.fprintf ppf "wait-irq line %d" (Grt.Recording.irq_line_code line)
   | Grt.Recording.Mem_load { Grt.Memsync.tagged; records } ->
     let n = List.length records in
     if tagged then

@@ -62,7 +62,6 @@ let boot image ~client_gpu_id =
   | None -> Error (Unsupported_gpu client_gpu_id)
 
 let selected_tree t = t.tree
-let image_of t = t.image
 
 let begin_session t ~client =
   match t.client with

@@ -51,7 +51,6 @@ val boot : image -> client_gpu_id:int64 -> (t, boot_error) result
     binding for it. *)
 
 val selected_tree : t -> devicetree
-val image_of : t -> image
 
 val begin_session : t -> client:string -> (unit, boot_error) result
 (** Seal the VM to one client. A second client is refused. *)

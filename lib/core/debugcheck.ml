@@ -10,7 +10,7 @@ let entry_shape = function
   | Recording.Reg_write { reg; _ } -> Printf.sprintf "write %s" (Regs.name reg)
   | Recording.Reg_read { reg; _ } -> Printf.sprintf "read %s" (Regs.name reg)
   | Recording.Poll { reg; _ } -> Printf.sprintf "poll %s" (Regs.name reg)
-  | Recording.Wait_irq { line } -> Printf.sprintf "wait_irq %d" line
+  | Recording.Wait_irq { line } -> Printf.sprintf "wait_irq %d" (Recording.irq_line_code line)
   | Recording.Mem_load { Memsync.tagged; records } ->
     Printf.sprintf "mem_load%s (%d pages)" (if tagged then "_enc" else "") (List.length records)
 

@@ -61,7 +61,7 @@ let commit_batch t ~trigger b site =
   if Mode.speculation t.cfg.Mode.mode && nondet then count t Metrics.Spec_rejected_nondet 1;
   match speculate_values with
   | Some predicted when Array.length predicted = n_reads ->
-    let log_mark = t.log.Recording.len in
+    let log_mark = t.log.len in
     let actuals = apply_now t wire in
     dispatch_speculative t ~site
       ~category:(category_of t ~is_poll:(String.equal trigger "poll"))
@@ -154,18 +154,7 @@ let force t expr =
     | None -> failwith "DriverShim.force: symbol still unbound after commit")
 
 let log_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
-  Recording.log_push t.log
-    (Recording.Poll
-       {
-         reg;
-         mask;
-         cond =
-           (match cond with
-           | Backend.Bits_set -> Recording.Until_set
-           | Backend.Bits_clear -> Recording.Until_clear);
-         max_iters;
-         spin_ns;
-       })
+  log_push t.log (Recording.Poll { reg; mask; cond; max_iters; spin_ns })
 
 (* An offloaded polling loop is a 2-access commit (the loop's register and
    its condition), counted as such everywhere the link charges it. *)
@@ -189,7 +178,7 @@ let offload_poll t site ~reg ~mask ~cond ~max_iters ~spin_ns =
   in
   match speculate with
   | Some predicted when Array.length predicted = 1 ->
-    let log_mark = t.log.Recording.len - 1 in
+    let log_mark = t.log.len - 1 in
     (* the Poll entry itself was just logged; exclude it from the prefix *)
     let result = run () in
     let observed = match result with Some (_, v) -> v | None -> -1L in
@@ -259,12 +248,8 @@ let poll_reg t ~reg ~mask ~cond ~max_iters ~spin_ns =
           else begin
             let v = force t (read_reg t reg) in
             count t Metrics.Poll_iters 1;
-            let ok =
-              match cond with
-              | Backend.Bits_set -> Int64.logand v mask = mask
-              | Backend.Bits_clear -> Int64.logand v mask = 0L
-            in
-            if ok then Backend.Poll_ok { iters = i + 1; value = v } else loop (i + 1)
+            if Regs.poll_met cond ~mask v then Backend.Poll_ok { iters = i + 1; value = v }
+            else loop (i + 1)
           end
         in
         loop 0)
@@ -276,7 +261,7 @@ let wait_irq t ~timeout_us =
   match Gpushim.wait_irq t.gpushim ~timeout_ns:(Int64.of_int (timeout_us * 1000)) with
   | None -> None
   | Some line ->
-    Recording.log_push t.log (Recording.Wait_irq { line = Recording.irq_line_to_int line });
+    log_push t.log (Recording.Wait_irq { line });
     Sync_flow.up t;
     Some line
 
@@ -361,7 +346,7 @@ let finalize t =
   commit t ~trigger:"finalize";
   drain t
 
-let entries t = List.rev t.log.Recording.items
+let entries t = List.rev t.log.items
 
 let validated_prefix t =
   (* Everything logged before the oldest unvalidated speculative commit is
@@ -369,11 +354,11 @@ let validated_prefix t =
      the orchestrator to resume after a [Link.Link_down], exactly like a
      misprediction's [valid_log]. *)
   let mark =
-    match Queue.peek_opt t.outstanding with Some o -> o.o_log_mark | None -> t.log.Recording.len
+    match Queue.peek_opt t.outstanding with Some o -> o.o_log_mark | None -> t.log.len
   in
-  Recording.log_prefix t.log mark
+  log_prefix t.log mark
 
-let mark_segment t = t.segment_marks <- t.log.Recording.len :: t.segment_marks
+let mark_segment t = t.segment_marks <- t.log.len :: t.segment_marks
 
 let segment_marks t = List.rev t.segment_marks
 

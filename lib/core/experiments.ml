@@ -422,7 +422,7 @@ let memsync_sweep_one ~variant ~tweak ~pages ~rounds ~dirtied ~dup_rate =
   Memsync.register_region sender
     {
       Memsync.name = "sweep-cmd";
-      usage = Grt_runtime.Session.Cmd;
+      meta = true;
       va = 0x1000_0000L;
       pa;
       model_bytes = pages * Mem.page_size;

@@ -157,12 +157,7 @@ let run_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
     if i >= max_iters then None
     else begin
       let v = Device.read_reg t.device reg in
-      let ok =
-        match cond with
-        | Grt_driver.Backend.Bits_set -> Int64.logand v mask = mask
-        | Grt_driver.Backend.Bits_clear -> Int64.logand v mask = 0L
-      in
-      if ok then Some (i + 1, v)
+      if Regs.poll_met cond ~mask v then Some (i + 1, v)
       else begin
         Grt_sim.Clock.advance_int t.clock spin;
         let skip = idle_iterations t ~step ~spin ~left:(max_iters - i - 1) in

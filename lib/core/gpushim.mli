@@ -59,7 +59,7 @@ val run_poll :
   t ->
   reg:int ->
   mask:int64 ->
-  cond:Grt_driver.Backend.poll_cond ->
+  cond:Grt_gpu.Regs.poll_cond ->
   max_iters:int ->
   spin_ns:int64 ->
   (int * int64) option

@@ -1,25 +1,14 @@
 module Mem = Grt_gpu.Mem
 module Mmu = Grt_gpu.Mmu
-module Session = Grt_runtime.Session
 
 type region = {
   name : string;
-  usage : Session.usage;
+  meta : bool;
   va : int64;
   pa : int64;
   model_bytes : int;
   actual_bytes : int;
 }
-
-let region_of_session (r : Session.region) =
-  {
-    name = r.Session.name;
-    usage = r.Session.usage;
-    va = r.Session.va;
-    pa = r.Session.pa;
-    model_bytes = r.Session.model_bytes;
-    actual_bytes = r.Session.actual_bytes;
-  }
 
 type encoding = Enc_raw | Enc_raw_rc | Enc_delta | Enc_delta_rc | Enc_hash_ref
 
@@ -125,7 +114,7 @@ let union_into a na b nb out =
 
 let register_region t r =
   t.regions <- r :: t.regions;
-  if Session.usage_is_metastate r.usage then begin
+  if r.meta then begin
     (* Materialized pages of a region: its allocation is PA-contiguous. *)
     let first = Mem.page_index r.pa in
     let n = max 1 ((r.actual_bytes + Mem.page_size - 1) / Mem.page_size) in
@@ -477,7 +466,7 @@ let fold_chain_regions t mem ~chain_va f =
   let note role va =
     if not (Int64.equal va 0L) then
       match region_containing t ~va with
-      | Some r when not (Session.usage_is_metastate r.usage) -> f role r
+      | Some r when not r.meta -> f role r
       | _ -> ()
   in
   let rec walk va guard =

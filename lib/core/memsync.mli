@@ -41,14 +41,14 @@
 
 type region = {
   name : string;
-  usage : Grt_runtime.Session.usage;
+  meta : bool;
+      (** metastate (shader code, command streams): its pages are synced;
+          otherwise program data, only ever charged at model scale *)
   va : int64;
   pa : int64;
   model_bytes : int;
   actual_bytes : int;
 }
-
-val region_of_session : Grt_runtime.Session.region -> region
 
 (** How one shipped page is represented on the wire. [Enc_hash_ref] bodies
     are an 8-byte content hash; the other encodings are self-describing. *)
@@ -75,10 +75,10 @@ end
 type t
 
 val create : ?shared:Store.s -> Mode.config -> t
-(** [?shared] is a fleet-wide content store shared by all sessions recorded
-    under the same cache key (see {!Service}): a page body some earlier
-    same-key session already shipped is charged to the wire as an 8-byte
-    hash reference ([cross = true] on its record) instead of its full
+(** [?shared] is a fleet-wide content store the recording service shares
+    among all sessions recorded under the same cache key: a page body some
+    earlier same-key session already shipped is charged to the wire as an
+    8-byte hash reference ([cross = true] on its record) instead of its full
     encoding. Sharing affects wire accounting and metrics only — the logged
     record keeps the full self-contained encoding, so recordings are
     byte-identical with or without a shared store. *)
@@ -113,7 +113,7 @@ type page_record = {
 }
 
 val tagged_record_wire : pfn:int64 -> body:bytes -> int
-(** Wire-accounting bytes for one tagged page record — exactly its
+(** Bytes charged to the wire for one tagged page record — exactly its
     serialized size: varint pfn + encoding-tag byte + varint length +
     body. *)
 

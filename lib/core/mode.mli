@@ -21,8 +21,8 @@ val speculation : t -> bool
 (** Fine-grained knobs, for the ablation benches. Lock/unlock always commit
     (§4.1), and a persistently lossy link always suspends speculation until
     it recovers; the cap on speculative commits in flight is the link's
-    sliding window ({!Grt_net.Link.window}): the window when it is above 1,
-    unbounded on a stop-and-wait link. *)
+    sliding window, set where the link is built: the window when it is
+    above 1, unbounded on a stop-and-wait link. *)
 type config = {
   mode : t;
   spec_history_k : int;  (** confidence threshold (paper: 3) *)

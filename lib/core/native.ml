@@ -22,12 +22,7 @@ let backend ?(metrics = Metrics.create ()) dev =
         let v = Device.read_reg dev reg in
         count Metrics.Reg_reads;
         count Metrics.Poll_iters;
-        let ok =
-          match cond with
-          | Backend.Bits_set -> Int64.logand v mask = mask
-          | Backend.Bits_clear -> Int64.logand v mask = 0L
-        in
-        if ok then Backend.Poll_ok { iters = i + 1; value = v }
+        if Grt_gpu.Regs.poll_met cond ~mask v then Backend.Poll_ok { iters = i + 1; value = v }
         else begin
           Grt_sim.Clock.advance_ns clock spin_ns;
           loop (i + 1)

@@ -104,10 +104,17 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
       Drivershim.inject_fault_after shim k;
       ctx.inject_fault_after <- None
     | None -> ());
-    let regions = ref [] in
     let on_region (r : Grt_runtime.Session.region) =
-      let mr = Memsync.region_of_session r in
-      regions := mr :: !regions;
+      let mr =
+        {
+          Memsync.name = r.name;
+          meta = Grt_runtime.Session.usage_is_metastate r.usage;
+          va = r.va;
+          pa = r.pa;
+          model_bytes = r.model_bytes;
+          actual_bytes = r.actual_bytes;
+        }
+      in
       Memsync.register_region (Drivershim.downlink shim) mr;
       Memsync.register_region (Gpushim.uplink gpushim) mr
     in

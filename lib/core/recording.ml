@@ -1,40 +1,15 @@
 module Byte_buf = Grt_util.Byte_buf
-
-type poll_cond = Until_set | Until_clear
+module Device = Grt_gpu.Device
+module Regs = Grt_gpu.Regs
 
 type entry =
   | Reg_write of { reg : int; value : int64 }
   | Reg_read of { reg : int; value : int64; verify : bool }
-  | Poll of { reg : int; mask : int64; cond : poll_cond; max_iters : int; spin_ns : int64 }
-  | Wait_irq of { line : int }
+  | Poll of { reg : int; mask : int64; cond : Regs.poll_cond; max_iters : int; spin_ns : int64 }
+  | Wait_irq of { line : Device.irq_line }
   | Mem_load of Memsync.logged
 
-(* Entry log under construction (newest first), with O(1) length — the
-   speculation machinery marks log positions on every commit, so length
-   must not cost a traversal. Shared by the shim and its recovery
-   replayer. *)
-type log = { mutable items : entry list; mutable len : int }
-
-let new_log () = { items = []; len = 0 }
-
-let log_push l e =
-  l.items <- e :: l.items;
-  l.len <- l.len + 1
-
-let log_prefix l n =
-  let rec drop k items = if k <= 0 then items else drop (k - 1) (List.tl items) in
-  List.rev (drop (l.len - n) l.items)
-
-let irq_line_to_int = function
-  | Grt_gpu.Device.Job_irq -> 0
-  | Grt_gpu.Device.Gpu_irq -> 1
-  | Grt_gpu.Device.Mmu_irq -> 2
-
-let irq_line_of_int = function
-  | 0 -> Some Grt_gpu.Device.Job_irq
-  | 1 -> Some Grt_gpu.Device.Gpu_irq
-  | 2 -> Some Grt_gpu.Device.Mmu_irq
-  | _ -> None
+let irq_line_code = function Device.Job_irq -> 0 | Device.Gpu_irq -> 1 | Device.Mmu_irq -> 2
 
 type slot = {
   slot_name : string;
@@ -79,12 +54,12 @@ let add_entry buf = function
     Byte_buf.add_u8 buf 3;
     Byte_buf.add_u32 buf reg;
     Byte_buf.add_i64 buf mask;
-    Byte_buf.add_u8 buf (match cond with Until_set -> 1 | Until_clear -> 0);
+    Byte_buf.add_u8 buf (match cond with Regs.Bits_set -> 1 | Regs.Bits_clear -> 0);
     Byte_buf.add_varint buf max_iters;
     Byte_buf.add_i64 buf spin_ns
   | Wait_irq { line } ->
     Byte_buf.add_u8 buf 4;
-    Byte_buf.add_u8 buf line
+    Byte_buf.add_u8 buf (irq_line_code line)
   | Mem_load { Memsync.tagged = false; records } ->
     (* untagged records are raw: the body is the full page *)
     Byte_buf.add_u8 buf 5;
@@ -107,6 +82,15 @@ let add_entry buf = function
         Byte_buf.add_bytes buf body)
       records
 
+(* Every one-byte field decodes strictly: a value [sign] never writes is a
+   malformed blob, rejected here where the blob is being validated rather
+   than read as some default or left to surface at replay time. *)
+let read_flag r what =
+  match Byte_buf.Reader.u8 r with
+  | 0 -> false
+  | 1 -> true
+  | b -> failwith (Printf.sprintf "recording: invalid %s byte %d" what b)
+
 let read_entry r =
   match Byte_buf.Reader.u8 r with
   | 1 ->
@@ -116,22 +100,23 @@ let read_entry r =
   | 2 ->
     let reg = Byte_buf.Reader.u32 r in
     let value = Byte_buf.Reader.i64 r in
-    let verify = Byte_buf.Reader.u8 r = 1 in
+    let verify = read_flag r "verify" in
     Reg_read { reg; value; verify }
   | 3 ->
     let reg = Byte_buf.Reader.u32 r in
     let mask = Byte_buf.Reader.i64 r in
-    let cond = if Byte_buf.Reader.u8 r = 1 then Until_set else Until_clear in
+    let cond = if read_flag r "poll condition" then Regs.Bits_set else Regs.Bits_clear in
     let max_iters = Byte_buf.Reader.varint r in
     let spin_ns = Byte_buf.Reader.i64 r in
     Poll { reg; mask; cond; max_iters; spin_ns }
   | 4 ->
-    let line = Byte_buf.Reader.u8 r in
-    (* Reject unmapped IRQ lines here, where the blob is being validated —
-       not at replay time, where they would surface as a confusing
-       [Irq_mismatch] divergence against a line that cannot exist. *)
-    if irq_line_of_int line = None then
-      failwith (Printf.sprintf "recording: invalid IRQ line %d" line);
+    let line =
+      match Byte_buf.Reader.u8 r with
+      | 0 -> Device.Job_irq
+      | 1 -> Device.Gpu_irq
+      | 2 -> Device.Mmu_irq
+      | l -> failwith (Printf.sprintf "recording: invalid IRQ line %d" l)
+    in
     Wait_irq { line }
   | 5 ->
     let n = Byte_buf.Reader.varint r in

@@ -14,31 +14,25 @@
     The replayer refuses recordings whose signature does not verify or whose
     SKU does not match the local GPU (§2.4). *)
 
-type poll_cond = Until_set | Until_clear
-
 type entry =
   | Reg_write of { reg : int; value : int64 }
   | Reg_read of { reg : int; value : int64; verify : bool }
       (** [verify = false] for legitimately nondeterministic registers *)
-  | Poll of { reg : int; mask : int64; cond : poll_cond; max_iters : int; spin_ns : int64 }
-  | Wait_irq of { line : int }  (** 0 = job, 1 = gpu, 2 = mmu *)
+  | Poll of {
+      reg : int;
+      mask : int64;
+      cond : Grt_gpu.Regs.poll_cond;  (** encoded 1 = [Bits_set], 0 = [Bits_clear] *)
+      max_iters : int;
+      spin_ns : int64;
+    }
+  | Wait_irq of { line : Grt_gpu.Device.irq_line }
   | Mem_load of Memsync.logged
       (** a metastate image in {!Memsync}'s logged form; untagged and
           tagged images keep their own blob tags (5 and 6) *)
 
-type log = { mutable items : entry list; mutable len : int }
-(** Entry log under construction, newest first, with O(1) length. *)
-
-val new_log : unit -> log
-val log_push : log -> entry -> unit
-
-val log_prefix : log -> int -> entry list
-(** [log_prefix l n] is the first [n] entries pushed (all of them when
-    fewer), oldest first: the validated prefix a misprediction or a lost
-    link resumes from (§4.2). *)
-
-val irq_line_to_int : Grt_gpu.Device.irq_line -> int
-val irq_line_of_int : int -> Grt_gpu.Device.irq_line option
+val irq_line_code : Grt_gpu.Device.irq_line -> int
+(** The line's number in the blob (0 = job, 1 = gpu, 2 = mmu), also the
+    number diagnostics print. The decoder rejects any other byte. *)
 
 type slot = {
   slot_name : string;
@@ -105,9 +99,10 @@ val parse_signed : key:Grt_tee.Crypto.key -> bytes -> (verified, string) result
     rest of the blob, then slice and parse every chunk. Chunk bodies are
     {e not} hash-checked here: callers stream-verify them with
     [verify_chunk], or use [verify_and_parse] for the eager contract.
-    Malformed or hostile bytes anywhere give [Error], never an exception,
-    and allocation stays in proportion to the blob, not to the counts and
-    lengths it declares. *)
+    Malformed or hostile bytes anywhere give [Error], never an exception
+    (among them a verify, poll-condition or IRQ-line byte [sign] never
+    writes), and allocation stays in proportion to the blob, not to the
+    counts and lengths it declares. *)
 
 val verify_chunk : chunk -> bool
 (** [verify_chunk c] recomputes [c.chunk_raw]'s hash against the signed

@@ -13,14 +13,14 @@ type t = {
   clock : Grt_sim.Clock.t;
   metrics : Metrics.t;
   trace : Grt_sim.Trace.t option;
-  log : Recording.log; (* shared with the shim; newest first *)
+  append : Recording.entry -> unit; (* onto the shim's interaction log *)
   sniff : int -> int64 -> unit; (* root/head sniffing on replayed writes *)
   mutable prefix : Recording.entry list; (* oldest first; empty once live *)
   mutable replayed : int;
 }
 
-let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ~metrics ?trace ~log ~sniff prefix =
-  { cfg; gpushim; cloud_mem; downlink; clock; metrics; trace; log; sniff; prefix; replayed = 0 }
+let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ~metrics ?trace ~append ~sniff prefix =
+  { cfg; gpushim; cloud_mem; downlink; clock; metrics; trace; append; sniff; prefix; replayed = 0 }
 
 let count t key v = Metrics.add t.metrics key v
 
@@ -50,7 +50,7 @@ let rec pop_memloads t =
     List.iter
       (fun (pfn, page) -> Memsync.note_shipped t.downlink pfn page)
       (Gpushim.load_pages t.gpushim (Memsync.payload_of_logged logged));
-    Recording.log_push t.log e;
+    t.append e;
     pop_memloads t
   | _ -> ()
 
@@ -71,7 +71,7 @@ let read t reg =
     (* The client replays the read against its GPU to keep read-sensitive
        hardware state moving; the driver consumes the logged value. *)
     ignore (Grt_gpu.Device.read_reg (Gpushim.device t.gpushim) reg);
-    Recording.log_push t.log
+    t.append
       (Recording.Reg_read { reg; value; verify = not (Regs.is_nondeterministic reg) });
     Sexpr.const value
   | Some e ->
@@ -89,25 +89,14 @@ let write t reg =
   | Some (Recording.Reg_write { reg = r; value }) when r = reg ->
     t.sniff reg value;
     Grt_gpu.Device.write_reg (Gpushim.device t.gpushim) reg value;
-    Recording.log_push t.log (Recording.Reg_write { reg; value })
+    t.append (Recording.Reg_write { reg; value })
   | Some _ -> fail "log does not expect a write of %s here" (Regs.name reg)
   | None -> fail "prefix exhausted mid-access (write %s)" (Regs.name reg)
 
 let poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
   match prefix_pop t with
   | Some (Recording.Poll { reg = r; _ }) when r = reg ->
-    Recording.log_push t.log
-      (Recording.Poll
-         {
-           reg;
-           mask;
-           cond =
-             (match cond with
-             | Backend.Bits_set -> Recording.Until_set
-             | Backend.Bits_clear -> Recording.Until_clear);
-           max_iters;
-           spin_ns;
-         });
+    t.append (Recording.Poll { reg; mask; cond; max_iters; spin_ns });
     (match Gpushim.run_poll t.gpushim ~reg ~mask ~cond ~max_iters ~spin_ns with
     | Some (iters, value) -> Backend.Poll_ok { iters; value }
     | None -> Backend.Poll_timeout)
@@ -116,15 +105,14 @@ let poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
 
 let wait_irq t ~timeout_us =
   match prefix_pop t with
-  | Some (Recording.Wait_irq { line }) -> (
+  | Some (Recording.Wait_irq _) -> (
     match Gpushim.wait_irq t.gpushim ~timeout_ns:(Int64.of_int (timeout_us * 1000)) with
     | Some got ->
-      Recording.log_push t.log (Recording.Wait_irq { line = Recording.irq_line_to_int got });
+      t.append (Recording.Wait_irq { line = got });
       (* Local status exchange, no network: the cloud's memory learns the
          GPU-written words directly. *)
       if t.cfg.Mode.continuous_validation then Grt_gpu.Mem.unprotect_all t.cloud_mem;
       ignore (Memsync.receive t.downlink t.cloud_mem (Gpushim.upload_meta t.gpushim));
-      ignore line;
       Some got
     | None -> fail "no interrupt while replaying the log")
   | Some _ -> fail "log does not expect an interrupt wait here"

@@ -7,9 +7,9 @@
     the shared interaction log as they replay, so the final recording is
     the validated prefix plus the live continuation.
 
-    The module owns only the shrinking prefix; the log itself is a
-    [Recording.entry list ref] shared with {!Drivershim} (newest first),
-    and page-table-root / job-head sniffing on replayed writes is delegated
+    The module owns only the shrinking prefix; each replayed entry goes
+    onto the shim's log through the [append] callback, and
+    page-table-root / job-head sniffing on replayed writes is delegated
     back to the shim through the [sniff] callback — recovery replays
     through the same bookkeeping the live path uses, so going live after
     the prefix runs dry is seamless. *)
@@ -29,7 +29,7 @@ val create :
   clock:Grt_sim.Clock.t ->
   metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
-  log:Recording.log ->
+  append:(Recording.entry -> unit) ->
   sniff:(int -> int64 -> unit) ->
   Recording.entry list ->
   t
@@ -64,7 +64,7 @@ val poll :
   t ->
   reg:int ->
   mask:int64 ->
-  cond:Grt_driver.Backend.poll_cond ->
+  cond:Grt_gpu.Regs.poll_cond ->
   max_iters:int ->
   spin_ns:int64 ->
   Grt_driver.Backend.poll_result

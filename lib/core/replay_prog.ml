@@ -23,21 +23,19 @@
    Verification is streaming: [of_blob] checks only the signed header; each chunk's hash is checked by the executor just
    before that chunk's ops run (and never again for the same program). *)
 
-module Device = Grt_gpu.Device
-
 type op =
   | Write_run of { regs : int array; values : int64 array }
   | Read of { reg : int; value : int64; verify : bool; index : int }
   | Poll of {
       reg : int;
       mask : int64;
-      cond : Recording.poll_cond;
+      cond : Grt_gpu.Regs.poll_cond;
       max_iters : int;
       spin_ns : int64;
       index : int;
       mutable hint : int;  (** first-success iteration of the last execution; -1 = unknown *)
     }
-  | Wait_irq of { want : Device.irq_line; line : int; index : int }
+  | Wait_irq of { line : Grt_gpu.Device.irq_line; index : int }
   | Load_static of {
       pages : (int64 * bytes) array;
       learn : bool;
@@ -136,12 +134,7 @@ let lower_range store entries ~first ~count =
     | Recording.Reg_read { reg; value; verify } -> ops := Read { reg; value; verify; index = !i } :: !ops
     | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->
       ops := Poll { reg; mask; cond; max_iters; spin_ns; index = !i; hint = -1 } :: !ops
-    | Recording.Wait_irq { line } -> (
-      match Recording.irq_line_of_int line with
-      | Some want -> ops := Wait_irq { want; line; index = !i } :: !ops
-      | None ->
-        (* [Recording.parse_signed] rejects these; belt and braces. *)
-        failwith (Printf.sprintf "replay_prog: invalid IRQ line %d" line))
+    | Recording.Wait_irq { line } -> ops := Wait_irq { line; index = !i } :: !ops
     | Recording.Mem_load logged -> ops := lower_mem_load store ~index:!i logged :: !ops);
     incr i
   done;

@@ -19,7 +19,7 @@ type op =
   | Poll of {
       reg : int;
       mask : int64;
-      cond : Recording.poll_cond;
+      cond : Grt_gpu.Regs.poll_cond;
       max_iters : int;
       spin_ns : int64;
       index : int;
@@ -27,7 +27,7 @@ type op =
           (** first-success iteration of the last execution; -1 = unknown.
               The executor updates it after every poll. *)
     }
-  | Wait_irq of { want : Grt_gpu.Device.irq_line; line : int; index : int }
+  | Wait_irq of { line : Grt_gpu.Device.irq_line; index : int }
   | Load_static of {
       pages : (int64 * bytes) array;
       learn : bool;

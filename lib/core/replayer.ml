@@ -48,6 +48,35 @@ let install store mem payload =
   | Ok pages -> pages
   | Error e -> raise (Rejected ("recording: " ^ Memsync.decode_error_message e))
 
+(* A recorded poll, spun live from iteration [i]: the iteration that met
+   the condition, or a [Poll_timeout] divergence — not a wrong value, the
+   condition never held within the recorded iteration budget; [expected]
+   carries the mask. *)
+let rec poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index i =
+  if i >= max_iters then
+    raise (Divergence { kind = Poll_timeout; index; reg; expected = mask; got = -1L })
+  else if Grt_gpu.Regs.poll_met cond ~mask (Device.read_reg dev reg) then i
+  else begin
+    Grt_sim.Clock.advance_ns clock spin_ns;
+    poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index (i + 1)
+  end
+
+(* The recorded interrupt [line] must be the next to fire. *)
+let expect_irq gpushim ~index line =
+  match Gpushim.wait_irq gpushim ~timeout_ns:4_000_000_000L with
+  | Some got when got = line -> ()
+  | got ->
+    let code l = Int64.of_int (Recording.irq_line_code l) in
+    raise
+      (Divergence
+         {
+           kind = Irq_mismatch;
+           index;
+           reg = -1;
+           expected = code line;
+           got = (match got with Some l -> code l | None -> -1L);
+         })
+
 let apply_entries ~gpushim ~store tally entries =
   let dev = Gpushim.device gpushim and mem = Gpushim.mem gpushim in
   let clock = Device.clock dev in
@@ -69,43 +98,8 @@ let apply_entries ~gpushim ~store tally entries =
         end
         else tally.skipped <- tally.skipped + 1
       | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->
-        let rec loop i =
-          if i >= max_iters then
-            (* Not a wrong value — the condition never held within the
-               recorded iteration budget. [expected] carries the mask. *)
-            raise (Divergence { kind = Poll_timeout; index; reg; expected = mask; got = -1L })
-          else begin
-            let v = Device.read_reg dev reg in
-            let ok =
-              match cond with
-              | Recording.Until_set -> Int64.logand v mask = mask
-              | Recording.Until_clear -> Int64.logand v mask = 0L
-            in
-            if not ok then begin
-              Grt_sim.Clock.advance_ns clock spin_ns;
-              loop (i + 1)
-            end
-          end
-        in
-        loop 0
-      | Recording.Wait_irq { line } -> (
-        let want = Recording.irq_line_of_int line in
-        match Gpushim.wait_irq gpushim ~timeout_ns:4_000_000_000L with
-        | Some got when Some got = want -> ()
-        | Some got_line ->
-          raise
-            (Divergence
-               {
-                 kind = Irq_mismatch;
-                 index;
-                 reg = -1;
-                 expected = Int64.of_int line;
-                 got = Int64.of_int (Recording.irq_line_to_int got_line);
-               })
-        | None ->
-          raise
-            (Divergence
-               { kind = Irq_mismatch; index; reg = -1; expected = Int64.of_int line; got = -1L })))
+        ignore (poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0)
+      | Recording.Wait_irq { line } -> expect_irq gpushim ~index line)
     entries
 
 (* §3.2 cleanup, exception-safe: a [Divergence] (or any other exception)
@@ -208,34 +202,16 @@ let replay_segments ~gpushim ~signing_key ~blobs ~input ~params ?energy () =
    matches the interpreter's clock arithmetic exactly; either way the
    first-success iteration is re-learned for the next execution. *)
 let exec_poll ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index ~hint =
-  let ok v =
-    match cond with
-    | Recording.Until_set -> Int64.logand v mask = mask
-    | Recording.Until_clear -> Int64.logand v mask = 0L
-  in
-  let rec live i =
-    if i >= max_iters then
-      raise (Divergence { kind = Poll_timeout; index; reg; expected = mask; got = -1L })
-    else begin
-      let v = Device.read_reg dev reg in
-      if ok v then i
-      else begin
-        Grt_sim.Clock.advance_ns clock spin_ns;
-        live (i + 1)
-      end
-    end
-  in
   if hint > 0 && hint < max_iters then begin
     Grt_sim.Clock.advance_ns clock
       (Int64.mul (Int64.of_int hint) (Int64.add spin_ns Grt_sim.Costs.mmio_access_ns));
-    let v = Device.read_reg dev reg in
-    if ok v then hint
+    if Grt_gpu.Regs.poll_met cond ~mask (Device.read_reg dev reg) then hint
     else begin
       Grt_sim.Clock.advance_ns clock spin_ns;
-      live (hint + 1)
+      poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index (hint + 1)
     end
   end
-  else live 0
+  else poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0
 
 let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
   let open Replay_prog in
@@ -295,24 +271,9 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
             p.hint <-
               exec_poll ~clock ~dev ~reg:p.reg ~mask:p.mask ~cond:p.cond ~max_iters:p.max_iters
                 ~spin_ns:p.spin_ns ~index:p.index ~hint:p.hint
-          | Wait_irq { want; line; index } -> (
+          | Wait_irq { line; index } ->
             step ();
-            match Gpushim.wait_irq gpushim ~timeout_ns:4_000_000_000L with
-            | Some got when got = want -> ()
-            | Some got_line ->
-              raise
-                (Divergence
-                   {
-                     kind = Irq_mismatch;
-                     index;
-                     reg = -1;
-                     expected = Int64.of_int line;
-                     got = Int64.of_int (Recording.irq_line_to_int got_line);
-                   })
-            | None ->
-              raise
-                (Divergence
-                   { kind = Irq_mismatch; index; reg = -1; expected = Int64.of_int line; got = -1L }))
+            expect_irq gpushim ~index line
           | Load_static l ->
             step ();
             (if l.learn then

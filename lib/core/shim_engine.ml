@@ -60,6 +60,22 @@ type outstanding = {
   o_log_mark : int; (* length of the log before this commit's entries *)
 }
 
+(* The recording under construction, newest first, with O(1) length: the
+   speculation machinery marks log positions on every commit, so length
+   must not cost a traversal. Recovery appends to it through [log_push]. *)
+type log = { mutable items : Recording.entry list; mutable len : int }
+
+let log_push l e =
+  l.items <- e :: l.items;
+  l.len <- l.len + 1
+
+(* The first [n] entries pushed (all of them when fewer), oldest first:
+   the validated prefix a misprediction or a lost link resumes from
+   (§4.2). *)
+let log_prefix l n =
+  let rec drop k items = if k <= 0 then items else drop (k - 1) (List.tl items) in
+  List.rev (drop (l.len - n) l.items)
+
 type thread = Main | Irq
 
 type head = { mutable lo : int64; mutable hi : int64 }
@@ -81,7 +97,7 @@ type t = {
   recovery : Recovery.t;
   sniff : int -> int64 -> unit;
   head : head;
-  log : Recording.log; (* newest first; shared with [recovery] *)
+  log : log; (* appended to by [recovery] too *)
   main_queue : Wire.batch;
   irq_queue : Wire.batch;
   mutable cur_thread : thread;
@@ -117,11 +133,11 @@ let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?trace ?tracer ?hists ?histor
     ?(wire_overhead = 0) ?(replay_prefix = []) () =
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
-  let log = Recording.new_log () in
+  let log = { items = []; len = 0 } in
   let sniff = sniff_root_and_head ~gpushim ~downlink ~head in
   let recovery =
     Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ~metrics ?trace
-      ~log ~sniff replay_prefix
+      ~append:(log_push log) ~sniff replay_prefix
   in
   {
     cfg;
@@ -214,12 +230,12 @@ let log_applied t b (actuals : int64 array) =
       let value = actuals.(!next_read) in
       incr next_read;
       if t.suppress_read_log <> Some reg then
-        Recording.log_push t.log
+        log_push t.log
           (Recording.Reg_read { reg; value; verify = not (Regs.is_nondeterministic reg) })
     | Wire.Qw { reg; expr } ->
       (* By apply time every referenced symbol is bound. *)
       let value = match Sexpr.eval expr with Some v -> v | None -> 0L in
-      Recording.log_push t.log (Recording.Reg_write { reg; value })
+      log_push t.log (Recording.Reg_write { reg; value })
   done
 
 (* ---- draining / validation ---- *)
@@ -241,7 +257,7 @@ let validate_body t o =
       Trace.event_opt t.trace (Trace.Rollback { site; reg = Regs.name reg; predicted; actual });
       (* Everything logged before this commit is validated truth; the
          recovery replays it locally on both sides. *)
-      let valid_log = Recording.log_prefix t.log o.o_log_mark in
+      let valid_log = log_prefix t.log o.o_log_mark in
       raise (Mispredict { site; reg; predicted; actual; valid_log })
     end
   done;

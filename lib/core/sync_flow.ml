@@ -43,7 +43,7 @@ let down t =
   Link.one_way_to_client t.link ~bytes:wire;
   ignore (Gpushim.load_pages t.gpushim payload);
   if payload.Memsync.records <> [] then
-    Recording.log_push t.log (Recording.Mem_load (Memsync.logged payload));
+    log_push t.log (Recording.Mem_load (Memsync.logged payload));
   (* Continuous validation (§5): the dumped metastate now belongs to the
      GPU; unmap it from the CPU until the job interrupt returns it. *)
   if t.cfg.Mode.continuous_validation then

@@ -174,7 +174,7 @@ type poll_entry = { p_reg : int; p_mask : int64; p_set : bool; p_site : site }
 let poll_memo : poll_entry Itbl.t = Itbl.create 64
 
 let poll_site ~reg ~mask ~cond =
-  let set = match cond with Grt_driver.Backend.Bits_set -> true | Bits_clear -> false in
+  let set = match cond with Grt_gpu.Regs.Bits_set -> true | Bits_clear -> false in
   let h = (((reg * int_fnv_prime) lxor Int64.to_int mask) * int_fnv_prime) lxor Bool.to_int set in
   match Itbl.find poll_memo h with
   | e when e.p_reg = reg && Int64.equal e.p_mask mask && e.p_set = set -> e.p_site

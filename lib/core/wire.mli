@@ -69,6 +69,6 @@ val site_key : fn:string -> trigger:string -> batch -> site
     [fn] (or ["<cold>"]), the commit [trigger], and a hash of the batch's
     access signature (registers and read/write kinds, not values). *)
 
-val poll_site : reg:int -> mask:int64 -> cond:Grt_driver.Backend.poll_cond -> site
+val poll_site : reg:int -> mask:int64 -> cond:Grt_gpu.Regs.poll_cond -> site
 (** The site of an offloaded polling loop on [reg] until [mask] is set or
     clear: key ["poll:<reg name>:<mask hex>:set|clear"]. *)

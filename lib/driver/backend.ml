@@ -1,5 +1,3 @@
-type poll_cond = Bits_set | Bits_clear
-
 type poll_result = Poll_ok of { iters : int; value : int64 } | Poll_timeout
 
 type t = {
@@ -9,7 +7,7 @@ type t = {
   poll_reg :
     reg:Grt_gpu.Regs.t ->
     mask:int64 ->
-    cond:poll_cond ->
+    cond:Grt_gpu.Regs.poll_cond ->
     max_iters:int ->
     spin_ns:int64 ->
     poll_result;

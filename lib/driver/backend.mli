@@ -17,10 +17,6 @@
     control-dependency point: the driver calls it when it must branch on a
     value, and a deferring backend commits there. *)
 
-type poll_cond =
-  | Bits_set  (** wait until [value & mask = mask] *)
-  | Bits_clear  (** wait until [value & mask = 0] *)
-
 type poll_result = Poll_ok of { iters : int; value : int64 } | Poll_timeout
 
 type t = {
@@ -31,7 +27,7 @@ type t = {
   poll_reg :
     reg:Grt_gpu.Regs.t ->
     mask:int64 ->
-    cond:poll_cond ->
+    cond:Grt_gpu.Regs.poll_cond ->
     max_iters:int ->
     spin_ns:int64 ->
     poll_result;

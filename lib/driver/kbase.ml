@@ -140,7 +140,7 @@ let soft_reset t =
       b.Backend.delay_us 1;
       let _ =
         poll_or_fail t ~what:"soft reset" ~reg:Regs.gpu_irq_rawstat
-          ~mask:Regs.irq_reset_completed ~cond:Backend.Bits_set ~max_iters:3000 ~spin_ns:1_000L
+          ~mask:Regs.irq_reset_completed ~cond:Regs.Bits_set ~max_iters:3000 ~spin_ns:1_000L
       in
       b.Backend.write_reg Regs.gpu_irq_clear (Sexpr.const Regs.irq_reset_completed);
       t.powered <- false;
@@ -176,7 +176,7 @@ let power_up_domain t ~what ~pwron ~ready ~mask =
   ignore (b.Backend.read_reg ready);
   b.Backend.write_reg pwron (Sexpr.const mask);
   let _ =
-    poll_or_fail t ~what ~reg:ready ~mask ~cond:Backend.Bits_set ~max_iters:10_000 ~spin_ns:1_000L
+    poll_or_fail t ~what ~reg:ready ~mask ~cond:Regs.Bits_set ~max_iters:10_000 ~spin_ns:1_000L
   in
   ()
 
@@ -206,7 +206,7 @@ let power_down_shaders t =
       b.Backend.write_reg Regs.shader_pwroff_lo (Sexpr.const t.shader_present);
       let _ =
         poll_or_fail t ~what:"shader poweroff" ~reg:Regs.shader_ready_lo ~mask:t.shader_present
-          ~cond:Backend.Bits_clear ~max_iters:10_000 ~spin_ns:1_000L
+          ~cond:Regs.Bits_clear ~max_iters:10_000 ~spin_ns:1_000L
       in
       b.Backend.write_reg Regs.gpu_irq_clear (Sexpr.const Regs.irq_power_changed_all);
       t.powered <- false;
@@ -219,7 +219,7 @@ let wake_if_needed t = if not t.powered then power_up t
 let as_wait_idle t ~as_idx ~what =
   let _ =
     poll_or_fail t ~what ~reg:(Regs.as_status as_idx) ~mask:Regs.as_status_flush_active
-      ~cond:Backend.Bits_clear ~max_iters:5_000 ~spin_ns:1_000L
+      ~cond:Regs.Bits_clear ~max_iters:5_000 ~spin_ns:1_000L
   in
   ()
 
@@ -289,7 +289,7 @@ let cache_flush t =
       b.Backend.write_reg Regs.gpu_command (Sexpr.const Regs.cmd_clean_inv_caches);
       let _ =
         poll_or_fail t ~what:"cache clean" ~reg:Regs.gpu_irq_rawstat
-          ~mask:Regs.irq_clean_caches_completed ~cond:Backend.Bits_set ~max_iters:20_000
+          ~mask:Regs.irq_clean_caches_completed ~cond:Regs.Bits_set ~max_iters:20_000
           ~spin_ns:1_000L
       in
       b.Backend.write_reg Regs.gpu_irq_clear (Sexpr.const Regs.irq_clean_caches_completed);

@@ -1,9 +1,5 @@
 type irq_line = Job_irq | Gpu_irq | Mmu_irq
 
-let pp_irq_line ppf l =
-  Format.pp_print_string ppf
-    (match l with Job_irq -> "job" | Gpu_irq -> "gpu" | Mmu_irq -> "mmu")
-
 type domain = { mutable ready : int64; mutable pending_on : int64; mutable pending_off : int64 }
 
 type slot = {

@@ -68,4 +68,3 @@ val gpu_host_seconds : unit -> float
 val last_fault : t -> string option
 (** Description of the most recent job/MMU fault, for diagnostics. *)
 
-val pp_irq_line : Format.formatter -> irq_line -> unit

@@ -1,5 +1,12 @@
 type t = int
 
+type poll_cond = Bits_set | Bits_clear
+
+let poll_met cond ~mask v =
+  match cond with
+  | Bits_set -> Int64.logand v mask = mask
+  | Bits_clear -> Int64.logand v mask = 0L
+
 (* GPU control block: 0x0000 .. 0x0FFF *)
 
 let gpu_id = 0x0000
@@ -53,12 +60,10 @@ let tiler_config = 0x0F08
 let l2_mmu_config = 0x0F0C
 let mmu_config = 0x0F10
 
-let irq_gpu_fault = 0x1L
 let irq_reset_completed = 0x100L
 let irq_power_changed_all = 0x400L
 let irq_clean_caches_completed = 0x20000L
 
-let cmd_nop = 0L
 let cmd_soft_reset = 1L
 let cmd_hard_reset = 2L
 let cmd_clean_caches = 7L
@@ -79,7 +84,6 @@ let js_base i =
 let js_head_lo i = js_base i + 0x00
 let js_head_hi i = js_base i + 0x04
 let js_tail_lo i = js_base i + 0x08
-let js_affinity_lo i = js_base i + 0x10
 let js_config i = js_base i + 0x18
 let js_status i = js_base i + 0x24
 let js_command i = js_base i + 0x20
@@ -89,17 +93,12 @@ let js_affinity_next_lo i = js_base i + 0x50
 let js_config_next i = js_base i + 0x58
 let js_command_next i = js_base i + 0x60
 
-let js_cmd_nop = 0L
 let js_cmd_start = 1L
-let js_cmd_soft_stop = 2L
-let js_cmd_hard_stop = 3L
 
 let js_status_idle = 0x00L
 let js_status_active = 0x08L
 let js_status_done = 0x01L
-let js_status_fault_shader_mismatch = 0x40L
 let js_status_fault_bad_descriptor = 0x41L
-let js_status_fault_translation = 0x42L
 
 (* MMU block: 0x2000 .. 0x2FFF *)
 
@@ -122,7 +121,6 @@ let as_faultstatus i = as_base i + 0x1C
 let as_faultaddress_lo i = as_base i + 0x20
 let as_status i = as_base i + 0x28
 
-let as_cmd_nop = 0L
 let as_cmd_update = 1L
 let as_cmd_lock = 2L
 let as_cmd_unlock = 3L

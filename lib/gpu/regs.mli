@@ -9,6 +9,17 @@
 type t = int
 (** A register is its byte offset. *)
 
+(** The exit condition of a polling loop on a register: the driver's
+    loops, the recorder's offloaded ones and the [Poll] entries a recording
+    carries all test it with {!poll_met}. *)
+type poll_cond =
+  | Bits_set  (** wait until [value & mask = mask] *)
+  | Bits_clear  (** wait until [value & mask = 0] *)
+
+val poll_met : poll_cond -> mask:int64 -> int64 -> bool
+(** [poll_met cond ~mask v] is whether the value [v] read from the polled
+    register ends the loop. *)
+
 (* GPU control block *)
 
 val gpu_id : t
@@ -63,14 +74,12 @@ val prfcnt_mmu_l2_en : t
 
 (* GPU_IRQ bits *)
 
-val irq_gpu_fault : int64
 val irq_reset_completed : int64
 val irq_power_changed_all : int64
 val irq_clean_caches_completed : int64
 
 (* GPU_COMMAND codes *)
 
-val cmd_nop : int64
 val cmd_soft_reset : int64
 val cmd_hard_reset : int64
 val cmd_clean_caches : int64
@@ -87,7 +96,6 @@ val job_slot_count : int
 val js_head_lo : int -> t
 val js_head_hi : int -> t
 val js_tail_lo : int -> t
-val js_affinity_lo : int -> t
 val js_config : int -> t
 val js_status : int -> t
 val js_command : int -> t
@@ -97,17 +105,12 @@ val js_affinity_next_lo : int -> t
 val js_config_next : int -> t
 val js_command_next : int -> t
 
-val js_cmd_nop : int64
 val js_cmd_start : int64
-val js_cmd_soft_stop : int64
-val js_cmd_hard_stop : int64
 
 val js_status_idle : int64
 val js_status_active : int64
 val js_status_done : int64
-val js_status_fault_shader_mismatch : int64
 val js_status_fault_bad_descriptor : int64
-val js_status_fault_translation : int64
 
 (* MMU block *)
 
@@ -126,7 +129,6 @@ val as_faultstatus : int -> t
 val as_faultaddress_lo : int -> t
 val as_status : int -> t
 
-val as_cmd_nop : int64
 val as_cmd_update : int64
 val as_cmd_lock : int64
 val as_cmd_unlock : int64

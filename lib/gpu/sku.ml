@@ -119,8 +119,6 @@ let l2_present_mask t = mask_of_count t.l2_slices
 
 let flops_per_s t = Grt_sim.Costs.gpu_flops_per_s *. t.flops_scale
 
-let equal_id a b = Int64.equal a.gpu_id b.gpu_id
-
 let pp ppf t =
   Format.fprintf ppf "%s (id=%08Lx, %d cores, %d MHz)" t.name t.gpu_id t.shader_cores t.clock_mhz
 

@@ -42,7 +42,6 @@ val shader_present_mask : t -> int64
 val tiler_present_mask : t -> int64
 val l2_present_mask : t -> int64
 val flops_per_s : t -> float
-val equal_id : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 

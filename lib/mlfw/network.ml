@@ -7,7 +7,6 @@ type shape = { c : int; h : int; w : int }
 
 let elems s = s.c * s.h * s.w
 let shape_bytes s = 4 * elems s
-let pp_shape ppf s = Format.fprintf ppf "%dx%dx%d" s.c s.h s.w
 
 type spec =
   | Stage_input

@@ -12,7 +12,6 @@ type shape = { c : int; h : int; w : int }
 
 val elems : shape -> int
 val shape_bytes : shape -> int
-val pp_shape : Format.formatter -> shape -> unit
 
 type spec =
   | Stage_input

@@ -9,16 +9,6 @@ type usage = Code | Cmd | Input | Output | Weights | Scratch
 
 let usage_is_metastate = function Code | Cmd -> true | Input | Output | Weights | Scratch -> false
 
-let pp_usage ppf u =
-  Format.pp_print_string ppf
-    (match u with
-    | Code -> "code"
-    | Cmd -> "cmd"
-    | Input -> "input"
-    | Output -> "output"
-    | Weights -> "weights"
-    | Scratch -> "scratch")
-
 type region = {
   name : string;
   usage : usage;

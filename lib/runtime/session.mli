@@ -17,8 +17,6 @@ val usage_is_metastate : usage -> bool
 (** [Code] and [Cmd] regions are GPU metastate (§5): shaders, command lists
     and job descriptions. Everything else is program data. *)
 
-val pp_usage : Format.formatter -> usage -> unit
-
 type region = {
   name : string;
   usage : usage;

@@ -1,6 +1,4 @@
 let mmio_access_ns = 400L
-let irq_delivery_ns = 4_000L
-let page_table_walk_ns = 900L
 let cache_flush_ns_per_kb = 250L
 let driver_submit_overhead_ns = 50_000L
 let runtime_job_prep_ns = 300_000L

@@ -7,12 +7,6 @@
 val mmio_access_ns : int64
 (** One uncached register read or write over the SoC interconnect. *)
 
-val irq_delivery_ns : int64
-(** GPU interrupt to CPU handler entry. *)
-
-val page_table_walk_ns : int64
-(** GPU-side table walk on TLB miss. *)
-
 val cache_flush_ns_per_kb : int64
 (** GPU L2 clean+invalidate throughput. *)
 

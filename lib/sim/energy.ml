@@ -55,12 +55,3 @@ let total_j t = List.fold_left (fun acc r -> acc +. rail_j t r) 0. all_rails
 let reset t =
   Array.fill t.joules 0 5 0.;
   Array.fill t.active_ns 0 5 0
-
-let pp_rail ppf r =
-  Format.pp_print_string ppf
-    (match r with
-    | Soc_base -> "soc_base"
-    | Cpu_busy -> "cpu_busy"
-    | Radio_tx -> "radio_tx"
-    | Radio_rx -> "radio_rx"
-    | Gpu_busy -> "gpu_busy")

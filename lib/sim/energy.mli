@@ -33,4 +33,3 @@ val total_j : t -> float
 
 val by_rail_j : t -> (rail * float) list
 val reset : t -> unit
-val pp_rail : Format.formatter -> rail -> unit

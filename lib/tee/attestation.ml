@@ -16,7 +16,6 @@ let make_quote ~signing_key m ~nonce =
   { digest; nonce; signature = Crypto.mac ~key:signing_key (signed_payload digest nonce) }
 
 let quote_measurement q = q.digest
-let quote_nonce q = q.nonce
 
 let verify ~verification_key ~expected ~nonce q =
   if not (Crypto.verify ~key:verification_key (signed_payload q.digest q.nonce) q.signature) then

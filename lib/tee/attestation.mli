@@ -14,7 +14,6 @@ type quote
 
 val make_quote : signing_key:Crypto.key -> measurement -> nonce:int64 -> quote
 val quote_measurement : quote -> int64
-val quote_nonce : quote -> int64
 
 val verify :
   verification_key:Crypto.key ->

@@ -31,8 +31,3 @@ let open_message t blob =
   match Crypto.open_ ~key:t.key blob with
   | Error _ as e -> e
   | Ok framed -> Grt_net.Frame.open_ framed
-
-let open_message_full t blob =
-  match Crypto.open_ ~key:t.key blob with
-  | Error _ as e -> e
-  | Ok framed -> Grt_net.Frame.open_full framed

@@ -25,9 +25,5 @@ val seal_message : t -> Grt_net.Frame.kind -> bytes -> bytes
 
 val open_message : t -> bytes -> (Grt_net.Frame.kind * bytes, string) result
 
-val open_message_full : t -> bytes -> (Grt_net.Frame.msg, string) result
-(** Like [open_message] but also exposes the frame sequence number (the
-    sender's channel nonce), which duplicate-delivery detection keys on. *)
-
 val wire_overhead : int
 (** Bytes added to every payload by framing + sealing. *)

@@ -1,7 +1,5 @@
 type world = Normal | Secure
 
-let pp_world ppf w = Format.pp_print_string ppf (match w with Normal -> "normal" | Secure -> "secure")
-
 type violation = { world : world; what : string }
 
 exception Access_denied of violation

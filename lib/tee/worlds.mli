@@ -8,8 +8,6 @@
 
 type world = Normal | Secure
 
-val pp_world : Format.formatter -> world -> unit
-
 type violation = {
   world : world;
   what : string;  (** resource name, e.g. "gpu-mmio" *)

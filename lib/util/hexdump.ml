@@ -27,5 +27,3 @@ let size_to_string n =
   else if f >= 1_048_576. then Printf.sprintf "%.2f MB" (f /. 1_048_576.)
   else if f >= 1024. then Printf.sprintf "%.1f KB" (f /. 1024.)
   else Printf.sprintf "%d B" n
-
-let pp_size ppf n = Format.pp_print_string ppf (size_to_string n)

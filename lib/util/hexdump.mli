@@ -3,7 +3,5 @@
 val pp_bytes : Format.formatter -> bytes -> unit
 (** Classic 16-bytes-per-line hex + ASCII dump. *)
 
-val pp_size : Format.formatter -> int -> unit
-(** Human-readable byte size, e.g. "4.2 MB". *)
-
 val size_to_string : int -> string
+(** Human-readable byte size, e.g. "4.2 MB". *)

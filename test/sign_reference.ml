@@ -9,6 +9,8 @@
 module Byte_buf = Grt_util.Byte_buf
 module Recording = Grt.Recording
 module Memsync = Grt.Memsync
+module Regs = Grt_gpu.Regs
+module Device = Grt_gpu.Device
 
 let magic = 0x47525452
 let version = 2
@@ -29,12 +31,13 @@ let add_entry buf = function
     Byte_buf.add_u8 buf 3;
     Byte_buf.add_u32 buf reg;
     Byte_buf.add_i64 buf mask;
-    Byte_buf.add_u8 buf (match cond with Recording.Until_set -> 1 | Recording.Until_clear -> 0);
+    Byte_buf.add_u8 buf (match cond with Regs.Bits_set -> 1 | Regs.Bits_clear -> 0);
     Byte_buf.add_varint buf max_iters;
     Byte_buf.add_i64 buf spin_ns
   | Recording.Wait_irq { line } ->
     Byte_buf.add_u8 buf 4;
-    Byte_buf.add_u8 buf line
+    Byte_buf.add_u8 buf
+      (match line with Device.Job_irq -> 0 | Device.Gpu_irq -> 1 | Device.Mmu_irq -> 2)
   | Recording.Mem_load { Memsync.tagged = false; records } ->
     Byte_buf.add_u8 buf 5;
     Byte_buf.add_varint buf (List.length records);

@@ -3,6 +3,7 @@
    machinery (§4, §5). *)
 
 module Recording = Grt.Recording
+module Replay_prog = Grt.Replay_prog
 module Memsync = Grt.Memsync
 module Gpushim = Grt.Gpushim
 module Drivershim = Grt.Drivershim
@@ -39,13 +40,13 @@ let sample_recording () =
           {
             reg = Regs.gpu_irq_rawstat;
             mask = Regs.irq_reset_completed;
-            cond = Recording.Until_set;
+            cond = Regs.Bits_set;
             max_iters = 100;
             spin_ns = 1000L;
           };
         Recording.Reg_read { reg = Regs.gpu_id; value = Sku.g71_mp8.Sku.gpu_id; verify = true };
         Recording.Reg_read { reg = Regs.latest_flush_id; value = 7L; verify = false };
-        Recording.Wait_irq { line = 0 };
+        Recording.Wait_irq { line = Device.Job_irq };
       |];
     slots =
       [
@@ -134,9 +135,11 @@ let gen_entry =
         map3
           (fun r m iters ->
             Recording.Poll
-              { reg = r; mask = m; cond = Recording.Until_set; max_iters = iters; spin_ns = 1000L })
+              { reg = r; mask = m; cond = Regs.Bits_set; max_iters = iters; spin_ns = 1000L })
           reg int64 small_nat );
-      (1, map (fun l -> Recording.Wait_irq { line = l mod 3 }) small_nat);
+      ( 1,
+        map (fun line -> Recording.Wait_irq { line }) (oneofl Device.[ Job_irq; Gpu_irq; Mmu_irq ])
+      );
       ( 1,
         map
           (fun pages ->
@@ -196,7 +199,7 @@ let gen_sign_entry =
             {
               reg = r;
               mask = m;
-              cond = (if set then Recording.Until_set else Recording.Until_clear);
+              cond = (if set then Regs.Bits_set else Regs.Bits_clear);
               max_iters = iters;
               spin_ns = Int64.of_int iters;
             })
@@ -298,6 +301,72 @@ let recording_qcheck_signature =
          && verdicts_agree blob && rejected flipped && rejected truncated
          && if Bytes.equal spliced blob then verdicts_agree spliced else rejected spliced))
 
+(* A blob the key vouches for whose one entry holds byte [b] [from_end]
+   bytes before the blob's end: [entry] is signed alone, the byte is set,
+   and the chunk hash, the Merkle root (a lone chunk's own hash) and the
+   header MAC are recomputed over the result. *)
+let resigned_with_byte entry ~from_end b =
+  let blob =
+    Recording.sign ~key:"k"
+      { Recording.workload = "strict"; gpu_id = 1L; entries = [| entry |]; slots = [] }
+  in
+  let len = Bytes.length blob in
+  let body_len = Bytes.length (fst (Sign_reference.chunk_bounds ~chunk_entries:1 [| entry |])) in
+  let header_len = len - body_len - 8 in
+  Bytes.set_uint8 blob (len - from_end) b;
+  let hash = Grt_util.Hashing.fnv1a_sub blob ~pos:(len - body_len) ~len:body_len in
+  Bytes.set_int64_le blob (header_len - 16) hash;
+  Bytes.set_int64_le blob (header_len - 8) hash;
+  Bytes.set_int64_le blob header_len (Grt_tee.Crypto.mac ~key:"k" (Bytes.sub blob 0 header_len));
+  blob
+
+(* The poll-condition and verify bytes hold 0 or 1 and the IRQ line 0, 1
+   or 2; any other value in a correctly signed blob is a typed [Error] from
+   every decoder, never a default. *)
+let recording_decoder_strict () =
+  let poll cond =
+    Recording.Poll
+      { reg = Regs.gpu_irq_rawstat; mask = 0x100L; cond; max_iters = 100; spin_ns = 1000L }
+  in
+  let read verify = Recording.Reg_read { reg = Regs.gpu_id; value = 7L; verify } in
+  let irq line = Recording.Wait_irq { line } in
+  List.iter
+    (fun (field, from_end, decoded) ->
+      let signed = List.hd decoded in
+      let orig = List.length decoded - 1 in
+      check Alcotest.bool (field ^ ": re-signing the signed byte is the identity") true
+        (Bytes.equal
+           (resigned_with_byte signed ~from_end orig)
+           (Recording.sign ~key:"k"
+              { Recording.workload = "strict"; gpu_id = 1L; entries = [| signed |]; slots = [] }));
+      for b = 0 to 255 do
+        let blob = resigned_with_byte signed ~from_end b in
+        let what = Printf.sprintf "%s byte %d" field b in
+        let parsed = Recording.parse_signed ~key:"k" blob in
+        match List.nth_opt (List.rev decoded) b with
+        | Some entry ->
+          (match parsed with
+          | Ok v ->
+            check Alcotest.bool (what ^ " decodes") true
+              (v.Recording.vrec.Recording.entries = [| entry |])
+          | Error e -> Alcotest.failf "%s rejected: %s" what e);
+          check Alcotest.bool (what ^ ", compiled") true
+            (Result.is_ok (Replay_prog.of_blob ~key:"k" blob))
+        | None ->
+          check Alcotest.bool (what ^ ", parse_signed") true (Result.is_error parsed);
+          check Alcotest.bool (what ^ ", verify_and_parse") true
+            (Result.is_error (Recording.verify_and_parse ~key:"k" blob));
+          check Alcotest.bool (what ^ ", Replay_prog.of_blob") true
+            (Result.is_error (Replay_prog.of_blob ~key:"k" blob))
+      done)
+    (* (field, offset from the end, entries decoded from bytes n .. 0: the
+       first is the one signed, carrying the highest valid byte) *)
+    [
+      ("poll condition", 10, [ poll Regs.Bits_set; poll Regs.Bits_clear ]);
+      ("verify", 1, [ read true; read false ]);
+      ("IRQ line", 1, [ irq Device.Mmu_irq; irq Device.Gpu_irq; irq Device.Job_irq ]);
+    ]
+
 let recording_garbage_rejected () =
   (* There is one wire format: a version-1 header gets a typed error. *)
   let v1 = Recording.sign ~key:"k" (sample_recording ()) in
@@ -319,7 +388,7 @@ let recording_garbage_rejected () =
 let mk_region ~name ~usage ~pa ~bytes =
   {
     Memsync.name;
-    usage;
+    meta = Session.usage_is_metastate usage;
     va = Int64.add 0x4000_0000L pa;
     pa;
     model_bytes = bytes;
@@ -472,7 +541,7 @@ let gpushim_poll_and_reset () =
   (* Kick a power-up, then offload-poll for readiness. *)
   ignore (Gpushim.apply_accesses g [| Gpushim.W_write (Regs.shader_pwron_lo, Gpushim.Lit 0xFFL) |]);
   (match
-     Gpushim.run_poll g ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Grt_driver.Backend.Bits_set
+     Gpushim.run_poll g ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Regs.Bits_set
        ~max_iters:100000 ~spin_ns:1000L
    with
   | Some (iters, value) ->
@@ -751,6 +820,7 @@ let () =
           Alcotest.test_case "tamper rejected" `Quick recording_tamper_rejected;
           Alcotest.test_case "counts and slots" `Quick recording_counts_and_slots;
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
+          Alcotest.test_case "one-byte fields decode strictly" `Quick recording_decoder_strict;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
           recording_qcheck_sign_matches_reference;

@@ -84,7 +84,7 @@ let structure_divergence_detected () =
   let entries = Array.copy a.Recording.entries in
   (* Replace a mid-log entry with a different interaction kind. *)
   let idx = Array.length entries / 2 in
-  entries.(idx) <- Recording.Wait_irq { line = 2 };
+  entries.(idx) <- Recording.Wait_irq { line = Grt_gpu.Device.Mmu_irq };
   let b = { a with Recording.entries } in
   match (Debugcheck.compare_logs ~reference:a ~subject:b).Debugcheck.first_divergence with
   | Some (Debugcheck.Structure_differs { index; _ }) ->

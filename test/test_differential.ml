@@ -30,7 +30,7 @@ type op =
   | Read_config of int
   | Read_modify_write of int * int64  (* reg, OR mask — exercises symbolism *)
   | Power_on_shader
-  | Poll_ready of Backend.poll_cond
+  | Poll_ready of Regs.poll_cond
   | Clear_irqs
   | Force_pending  (* control dependency on the last read *)
   | Lock_unlock
@@ -48,7 +48,7 @@ let gen_op : op QCheck2.Gen.t =
         (4, map (fun r -> Read_config r) (int_bound 3));
         (3, map2 (fun r v -> Read_modify_write (r, Int64.of_int v)) (int_bound 3) (int_bound 0xFF));
         (2, return Power_on_shader);
-        (1, return (Poll_ready Backend.Bits_set));
+        (1, return (Poll_ready Regs.Bits_set));
         (2, return Clear_irqs);
         (2, return Force_pending);
         (2, return Lock_unlock);

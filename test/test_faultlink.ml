@@ -90,7 +90,7 @@ let power_on_and_poll r =
   let b = Drivershim.backend r.shim in
   b.Backend.write_reg Regs.shader_pwron_lo (Sexpr.const 0xFFL);
   let res =
-    b.Backend.poll_reg ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Backend.Bits_set
+    b.Backend.poll_reg ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Regs.Bits_set
       ~max_iters:4000 ~spin_ns:1000L
   in
   Drivershim.finalize r.shim;
@@ -146,7 +146,7 @@ let poll_timeout_sentinel_not_recorded () =
   let r = mk_rig ~history () in
   let b = Drivershim.backend r.shim in
   (match
-     b.Backend.poll_reg ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Backend.Bits_set
+     b.Backend.poll_reg ~reg:Regs.shader_ready_lo ~mask:0xFFL ~cond:Regs.Bits_set
        ~max_iters:50 ~spin_ns:1000L
    with
   | Backend.Poll_ok _ | Backend.Poll_timeout -> ());
@@ -338,8 +338,17 @@ let first_attempt ?inject ?(observe = false) ~window () =
       exit_hot = (fun fn -> around (fun () -> b.Backend.exit_hot fn));
     }
   in
-  let on_region r =
-    let mr = Grt.Memsync.region_of_session r in
+  let on_region (r : Grt_runtime.Session.region) =
+    let mr =
+      {
+        Grt.Memsync.name = r.name;
+        meta = Grt_runtime.Session.usage_is_metastate r.usage;
+        va = r.va;
+        pa = r.pa;
+        model_bytes = r.model_bytes;
+        actual_bytes = r.actual_bytes;
+      }
+    in
     Grt.Memsync.register_region (Drivershim.downlink shim) mr;
     Grt.Memsync.register_region (Gpushim.uplink gpushim) mr
   in

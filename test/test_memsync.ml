@@ -29,7 +29,7 @@ let mk_pair ?shared cfg ~pages =
       Memsync.register_region ms
         {
           Memsync.name = "cmd";
-          usage = Session.Cmd;
+          meta = true;
           va = 0x4000_0000L;
           pa;
           model_bytes = pages * Mem.page_size;
@@ -297,7 +297,7 @@ let scan_matches_reference cfg script =
     Memsync.register_region ms
       {
         Memsync.name = "r";
-        usage;
+        meta = Session.usage_is_metastate usage;
         va = 0x4000_0000L;
         pa;
         model_bytes = pages * Mem.page_size;

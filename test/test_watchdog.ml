@@ -47,7 +47,7 @@ let run_one_job ~mode ~profile =
       let r =
         {
           Memsync.name;
-          usage;
+          meta = Grt_runtime.Session.usage_is_metastate usage;
           va;
           pa;
           model_bytes = Mem.page_size;
