@@ -107,8 +107,7 @@ let sniff_transtab t reg value =
     if reg = Regs.as_transtab_lo as_idx then begin
       let root = Int64.logand value (Int64.lognot 0xFFFL) in
       if not (Int64.equal root 0L) then
-        Memsync.register_pt_root t.uplink ~fmt:(Device.sku t.device).Grt_gpu.Sku.pt_format
-          ~root_pa:root
+        Memsync.register_pt_root t.uplink ~root_pa:root
     end
   done
 

@@ -53,12 +53,34 @@ module Store = struct
   let find (s : s) h = Hashtbl.find_opt s h
 end
 
+(* A root or level-2 table page as of its generation stamp [gen] (-1:
+   never read): [slots.(i)] is the pfn its descriptor [i] points to as a
+   table, or -1. [prev] is the slot array before the last re-read. A
+   level-2 table is reached from [mult] root descriptors. *)
+type pt_table = {
+  tpfn : int;
+  mutable gen : int;
+  mutable slots : int array;
+  mutable prev : int array;
+  mutable mult : int;
+}
+
 type t = {
   cfg : Mode.config;
   mutable regions : region list;
-  mutable pt_roots : (Grt_gpu.Sku.pt_format * int64) list;
+  mutable pt_roots : pt_table list;
+  mutable pt_l2s : pt_table list;
+  pt_refs : (int, int) Hashtbl.t;
+      (* per table pfn, how often a full walk of every root visits it: as a
+         root, from a root descriptor, or from a level-2 descriptor once per
+         root descriptor reaching that table *)
   mutable region_pfns : int array;  (* pages of metastate regions, sorted, deduped *)
-  mutable walk : int array;  (* scratch for the page-table walk *)
+  mutable walk : int array;  (* [walk_len] pfns: the table set, sorted, deduped *)
+  mutable walk_len : int;
+  mutable walk_spare : int array;
+  mutable fresh : int array;  (* [fresh_len] pfns whose count left 0 since the last walk *)
+  mutable fresh_len : int;
+  mutable gone : bool;  (* some count fell to 0 since the last walk *)
   mutable scan : int array;  (* [scan_len] pfns: the meta set the last sync scanned *)
   mutable scan_len : int;
   mutable examined : int array;
@@ -86,8 +108,15 @@ let create ?shared cfg =
     cfg;
     regions = [];
     pt_roots = [];
+    pt_l2s = [];
+    pt_refs = Hashtbl.create 256;
     region_pfns = [||];
-    walk = Array.make 64 0;
+    walk = [||];
+    walk_len = 0;
+    walk_spare = [||];
+    fresh = Array.make 64 0;
+    fresh_len = 0;
+    gone = false;
     scan = Array.make 64 0;
     scan_len = 0;
     examined = [||];
@@ -133,50 +162,155 @@ let region_containing t ~va =
       && Int64.compare va (Int64.add r.va (Int64.of_int (max r.model_bytes r.actual_bytes))) < 0)
     t.regions
 
-let register_pt_root t ~fmt ~root_pa =
-  if not (List.exists (fun (_, r) -> Int64.equal r root_pa) t.pt_roots) then
-    t.pt_roots <- (fmt, root_pa) :: t.pt_roots
-
-(* Walk every registered root into [t.walk]; returns how many distinct
-   table pfns it holds, sorted ascending. *)
-let pt_walk t mem =
-  let n = ref 0 in
-  let push pfn =
-    let buf = t.walk in
-    let len = Array.length buf in
-    if !n >= len then begin
-      let bigger = Array.make (2 * len) 0 in
-      Array.blit buf 0 bigger 0 !n;
-      t.walk <- bigger
-    end;
-    t.walk.(!n) <- pfn;
-    incr n
-  in
-  List.iter (fun (fmt, root) -> Mmu.iter_table_pfns (Mmu.of_root mem ~fmt ~root) push) t.pt_roots;
-  let n = !n and a = t.walk in
-  if n = 0 then 0
+(* The table set is kept up to date from the table pages whose stamp
+   moved: a walk re-reads a root or a level-2 table only then, applies its
+   changed descriptor slots to [pt_refs], and merges the pfns whose count
+   left or reached 0 into [walk]. A walk where no slot changed reuses the
+   previous set. *)
+let bump t pfn d =
+  let c = d + match Hashtbl.find t.pt_refs pfn with c -> c | exception Not_found -> 0 in
+  if c = 0 then begin
+    Hashtbl.remove t.pt_refs pfn;
+    t.gone <- true
+  end
   else begin
-    (* Table pages are allocated sequentially, so the walk emits them
-       near-sorted: insertion sort is O(n) on that input and dodges the
-       per-comparison closure dispatch of [Array.sort]. *)
-    for i = 1 to n - 1 do
-      let v = Array.unsafe_get a i in
-      let j = ref (i - 1) in
-      while !j >= 0 && Array.unsafe_get a !j > v do
-        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
-        decr j
-      done;
-      Array.unsafe_set a (!j + 1) v
+    if c = d then begin
+      if t.fresh_len = Array.length t.fresh then begin
+        let bigger = Array.make (2 * t.fresh_len) 0 in
+        Array.blit t.fresh 0 bigger 0 t.fresh_len;
+        t.fresh <- bigger
+      end;
+      t.fresh.(t.fresh_len) <- pfn;
+      t.fresh_len <- t.fresh_len + 1
+    end;
+    Hashtbl.replace t.pt_refs pfn c
+  end
+
+let new_table tpfn = { tpfn; gen = -1; slots = Array.make 512 (-1); prev = Array.make 512 (-1); mult = 0 }
+
+let register_pt_root t ~root_pa =
+  let root_pfn = Mem.page_index root_pa in
+  if not (List.exists (fun r -> r.tpfn = root_pfn) t.pt_roots) then begin
+    t.pt_roots <- new_table root_pfn :: t.pt_roots;
+    bump t root_pfn 1
+  end
+
+(* Re-reads [n]'s page if its stamp moved, leaving the old slots in
+   [n.prev]; returns whether it did. *)
+let reread mem n =
+  let g = Mem.page_gen_at mem n.tpfn in
+  g <> n.gen
+  && begin
+    let slots = n.prev in
+    Array.fill slots 0 512 (-1);
+    Mmu.iter_child_tables mem n.tpfn (fun i c -> slots.(i) <- c);
+    n.prev <- n.slots;
+    n.slots <- slots;
+    n.gen <- g;
+    true
+  end
+
+let refresh_l2 t mem n =
+  if reread mem n && n.mult > 0 then
+    for i = 0 to 511 do
+      let a = n.prev.(i) and b = n.slots.(i) in
+      if a <> b then begin
+        if a >= 0 then bump t a (-n.mult);
+        if b >= 0 then bump t b n.mult
+      end
+    done
+
+(* One more root descriptor points to the level-2 table [pfn]. *)
+let attach t mem pfn =
+  bump t pfn 1;
+  let n =
+    match List.find_opt (fun n -> n.tpfn = pfn) t.pt_l2s with
+    | Some n -> n
+    | None ->
+      let n = new_table pfn in
+      t.pt_l2s <- n :: t.pt_l2s;
+      ignore (reread mem n);
+      n
+  in
+  n.mult <- n.mult + 1;
+  Array.iter (fun c -> if c >= 0 then bump t c 1) n.slots
+
+let detach t pfn =
+  bump t pfn (-1);
+  let n = List.find (fun n -> n.tpfn = pfn) t.pt_l2s in
+  n.mult <- n.mult - 1;
+  Array.iter (fun c -> if c >= 0 then bump t c (-1)) n.slots;
+  if n.mult = 0 then t.pt_l2s <- List.filter (fun m -> m != n) t.pt_l2s
+
+let refresh_root t mem r =
+  if reread mem r then
+    for i = 0 to 511 do
+      let a = r.prev.(i) and b = r.slots.(i) in
+      if a <> b then begin
+        if a >= 0 then detach t a;
+        if b >= 0 then attach t mem b
+      end
+    done
+
+let insertion_sort a n =
+  for i = 1 to n - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
     done;
-    let m = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!m - 1) then begin
-        a.(!m) <- a.(i);
+    a.(!j + 1) <- v
+  done
+
+(* Keeps the pfns of [a.(0..n)] that a full walk still visits, in order;
+   returns how many. *)
+let still_visited t a n =
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if Hashtbl.mem t.pt_refs a.(i) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  !m
+
+(* Brings [t.walk] up to date with every registered root's tables; returns
+   how many distinct table pfns it holds, sorted ascending. Level-2 tables
+   are refreshed first, so a root descriptor that attaches or detaches one
+   counts its current slots. *)
+let pt_walk t mem =
+  let rec refresh f t mem = function
+    | [] -> ()
+    | n :: rest ->
+      f t mem n;
+      refresh f t mem rest
+  in
+  refresh refresh_l2 t mem t.pt_l2s;
+  refresh refresh_root t mem t.pt_roots;
+  if t.fresh_len > 0 || t.gone then begin
+    (* [fresh] is a handful of pfns, except on the first walk; a pfn can
+       leave and come back in one walk, so both sides are filtered. *)
+    insertion_sort t.fresh t.fresh_len;
+    let nf = still_visited t t.fresh t.fresh_len in
+    let m = ref (min nf 1) in
+    for i = 1 to nf - 1 do
+      if t.fresh.(i) <> t.fresh.(!m - 1) then begin
+        t.fresh.(!m) <- t.fresh.(i);
         incr m
       end
     done;
-    !m
-  end
+    let nw = if t.gone then still_visited t t.walk t.walk_len else t.walk_len in
+    if Array.length t.walk_spare < nw + !m then t.walk_spare <- Array.make (2 * (nw + !m)) 0;
+    let n = union_into t.walk nw t.fresh !m t.walk_spare in
+    let set = t.walk_spare in
+    t.walk_spare <- t.walk;
+    t.walk <- set;
+    t.walk_len <- n;
+    t.fresh_len <- 0;
+    t.gone <- false
+  end;
+  t.walk_len
 
 (* The meta set (table pages ∪ metastate-region pages) into [t.scan], with
    [t.examined] grown to cover every pfn of it below the dense limit. *)

@@ -87,8 +87,9 @@ val register_region : t -> region -> unit
 val regions : t -> region list
 val region_containing : t -> va:int64 -> region option
 
-val register_pt_root : t -> fmt:Grt_gpu.Sku.pt_format -> root_pa:int64 -> unit
-(** Called when the shim observes an AS_TRANSTAB programming. *)
+val register_pt_root : t -> root_pa:int64 -> unit
+(** Called when the shim observes an AS_TRANSTAB programming. Both page
+    table formats share the table descriptors the walk reads. *)
 
 val meta_pfns : t -> int64 list
 (** The metastate page set the last {!sync_meta} scanned, sorted ([[]]

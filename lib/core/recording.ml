@@ -433,10 +433,14 @@ let verify_raw ~key blob =
    the same few blobs, so a small content-keyed memo short-circuits the
    repeats. A hit is trusted only after comparing the stored blob in full,
    so a key collision cannot leak a wrong verdict. Only the verdict is kept:
-   callers that need entries parse. *)
+   callers that need entries parse. A blob is copied in only on its second
+   verification: the first one remembers just its memo key in [seen], so a
+   solo recording, verified once, costs no copy and no residency. *)
 let memo_cap = 32
+let seen_cap = 1024
 
 let verify_memo : (int, bytes * string * (unit, string) result) Hashtbl.t = Hashtbl.create 16
+let seen : (int, unit) Hashtbl.t = Hashtbl.create 64
 
 let verify_stats = Grt_util.Memo_stats.register "recording.verify"
 
@@ -452,19 +456,26 @@ let verify ~key blob =
     | Some _ -> Grt_util.Memo_stats.mismatch verify_stats
     | None -> ());
     let res = verify_raw ~key blob in
-    let footprint = Bytes.length blob + String.length key in
-    if Hashtbl.length verify_memo >= memo_cap then begin
-      Grt_util.Memo_stats.evicted verify_stats ~entries:(Hashtbl.length verify_memo);
-      Hashtbl.reset verify_memo
+    if not (Hashtbl.mem seen memo_key) then begin
+      if Hashtbl.length seen >= seen_cap then Hashtbl.reset seen;
+      Hashtbl.replace seen memo_key ()
+    end
+    else begin
+      Hashtbl.remove seen memo_key;
+      let footprint = Bytes.length blob + String.length key in
+      if Hashtbl.length verify_memo >= memo_cap then begin
+        Grt_util.Memo_stats.evicted verify_stats ~entries:(Hashtbl.length verify_memo);
+        Hashtbl.reset verify_memo
+      end;
+      (match (Hashtbl.mem verify_memo memo_key, prior) with
+      | false, _ -> Grt_util.Memo_stats.added verify_stats ~bytes:footprint
+      | true, Some (b, k, _) ->
+        Grt_util.Memo_stats.replaced verify_stats
+          ~old_bytes:(Bytes.length b + String.length k)
+          ~bytes:footprint
+      | true, None -> ());
+      Hashtbl.replace verify_memo memo_key (Bytes.copy blob, key, res)
     end;
-    (match (Hashtbl.mem verify_memo memo_key, prior) with
-    | false, _ -> Grt_util.Memo_stats.added verify_stats ~bytes:footprint
-    | true, Some (b, k, _) ->
-      Grt_util.Memo_stats.replaced verify_stats
-        ~old_bytes:(Bytes.length b + String.length k)
-        ~bytes:footprint
-    | true, None -> ());
-    Hashtbl.replace verify_memo memo_key (Bytes.copy blob, key, res);
     res
 
 let count_entries t what =

@@ -70,7 +70,8 @@ val verify : key:Grt_tee.Crypto.key -> bytes -> (unit, string) result
     blob. Decodes no entries and copies no chunk. [Ok ()] exactly when
     [verify_and_parse] would succeed on a blob [sign] produced, or on any
     tampering of one. Verdicts are memoized (keyed on key and blob
-    content, hits confirmed by a full comparison). *)
+    content, hits confirmed by a full comparison); a blob is copied into
+    the memo on its second verification, not its first. *)
 
 val verify_and_parse : key:Grt_tee.Crypto.key -> bytes -> (t, string) result
 (** [parse_signed] followed by an eager [verify_chunk] on every chunk: the

@@ -120,9 +120,8 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
     if reg = Regs.as_transtab_lo as_idx then begin
       let root = Int64.logand v (Int64.lognot 0xFFFL) in
       if not (Int64.equal root 0L) then begin
-        let fmt = (Grt_gpu.Device.sku (Gpushim.device gpushim)).Grt_gpu.Sku.pt_format in
-        Memsync.register_pt_root downlink ~fmt ~root_pa:root;
-        Memsync.register_pt_root (Gpushim.uplink gpushim) ~fmt ~root_pa:root
+        Memsync.register_pt_root downlink ~root_pa:root;
+        Memsync.register_pt_root (Gpushim.uplink gpushim) ~root_pa:root
       end
     end
   done;

@@ -154,27 +154,22 @@ let translate t ~va ~access =
   end
 
 (* The walkers below resolve each table page once and scan its descriptors
-   with direct byte reads — this is what keeps the memsync page-table cache
-   rebuild (every mapping change invalidates it) off the allocator. *)
+   with direct byte reads. *)
+
+let iter_child_tables mem pfn f =
+  let p = Mem.borrow_ro mem pfn in
+  if p != Bytes.empty then
+    for i = 0 to 511 do
+      let e = Int64.to_int (Bytes.get_int64_le p (8 * i)) in
+      if e land desc_type_mask = desc_table then f i ((e land pa_mask) lsr 12)
+    done
 
 let iter_table_pfns t f =
   let root_pfn = Mem.page_index t.root in
   f root_pfn;
-  let root_p = Mem.borrow_ro t.mem root_pfn in
-  if root_p != Bytes.empty then
-    for i1 = 0 to 511 do
-      let e1 = Int64.to_int (Bytes.get_int64_le root_p (8 * i1)) in
-      if e1 land desc_type_mask = desc_table then begin
-        let l2_pfn = (e1 land pa_mask) lsr 12 in
-        f l2_pfn;
-        let l2_p = Mem.borrow_ro t.mem l2_pfn in
-        if l2_p != Bytes.empty then
-          for i2 = 0 to 511 do
-            let e2 = Int64.to_int (Bytes.get_int64_le l2_p (8 * i2)) in
-            if e2 land desc_type_mask = desc_table then f ((e2 land pa_mask) lsr 12)
-          done
-      end
-    done
+  iter_child_tables t.mem root_pfn (fun _ l2_pfn ->
+      f l2_pfn;
+      iter_child_tables t.mem l2_pfn (fun _ l3_pfn -> f l3_pfn))
 
 let table_pages t =
   let acc = ref [] in

@@ -53,10 +53,18 @@ val table_pages : t -> int64 list
     of the metastate. *)
 
 val iter_table_pfns : t -> (int -> unit) -> unit
-(** Allocation-free {!table_pages}: applies [f] to every live table page's
+(** {!table_pages} without the list: applies [f] to every live table page's
     pfn as a native int, root first then walk order (each table reached
-    once — unsorted). The memsync page-table cache rebuild runs on every
-    mapping change, so this walk must stay off the allocator. *)
+    once — unsorted). *)
+
+val iter_child_tables : Mem.t -> int -> (int -> int -> unit) -> unit
+(** [iter_child_tables mem pfn f] calls [f i child] for each descriptor
+    slot [i] of the table page [pfn] that holds a table descriptor, in slot
+    order, with the pfn [child] it points to (at the root these are the
+    level-2 tables, at level 2 the level-3 ones; block and page entries
+    are skipped). Nothing if the page was never materialized. It is the
+    table-descriptor decoder {!iter_table_pfns} uses; memsync re-reads
+    with it only the table pages whose generation stamp moved. *)
 
 val mapped_spans : t -> (int64 * int * flags) list
 (** [(va, bytes, flags)] for every mapped leaf, coalesced over contiguous

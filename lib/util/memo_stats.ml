@@ -1,5 +1,6 @@
 type t = {
   ms_name : string;
+  bound_bytes : int option;
   mutable hits : int;
   mutable misses : int;
   mutable mismatches : int;
@@ -11,13 +12,14 @@ type t = {
 (* A handful of memos per process, registered from module initialisers. *)
 let handles : t list ref = ref []
 
-let register name =
+let register ?bound_bytes name =
   match List.find_opt (fun t -> String.equal t.ms_name name) !handles with
   | Some t -> t
   | None ->
     let t =
       {
         ms_name = name;
+        bound_bytes;
         hits = 0;
         misses = 0;
         mismatches = 0;
@@ -57,6 +59,7 @@ type snap = {
   s_evictions : int;
   s_resident : int;
   s_resident_bytes : int;
+  s_bound_bytes : int option;
 }
 
 let snapshot t =
@@ -67,6 +70,7 @@ let snapshot t =
     s_evictions = t.evictions;
     s_resident = t.resident;
     s_resident_bytes = t.resident_bytes;
+    s_bound_bytes = t.bound_bytes;
   }
 
 let all () = List.sort (fun a b -> compare a.ms_name b.ms_name) !handles
@@ -82,14 +86,15 @@ let reset_counters () =
 
 let snap_json s =
   Json.Obj
-    [
-      ("hits", Json.int s.s_hits);
-      ("misses", Json.int s.s_misses);
-      ("mismatches", Json.int s.s_mismatches);
-      ("evictions", Json.int s.s_evictions);
-      ("resident", Json.int s.s_resident);
-      ("resident_bytes", Json.int s.s_resident_bytes);
-    ]
+    ([
+       ("hits", Json.int s.s_hits);
+       ("misses", Json.int s.s_misses);
+       ("mismatches", Json.int s.s_mismatches);
+       ("evictions", Json.int s.s_evictions);
+       ("resident", Json.int s.s_resident);
+       ("resident_bytes", Json.int s.s_resident_bytes);
+     ]
+    @ match s.s_bound_bytes with Some b -> [ ("bound_bytes", Json.int b) ] | None -> [])
 
 let to_json () =
   Json.Obj (List.map (fun t -> (t.ms_name, snap_json (snapshot t))) (all ()))

@@ -20,14 +20,18 @@
                     generation, summed
     - [resident] / [resident_bytes]  live-entry gauges over every table of
       the memo (approximate key + payload footprint as reported by the call
-      site) *)
+      site)
+    - [bound_bytes]  the most a memo bounded by bytes keeps resident, when
+      it declared one at {!register}: its [resident_bytes] never exceed
+      it *)
 
 type t
 
-val register : string -> t
+val register : ?bound_bytes:int -> string -> t
 (** [register name] returns the stats cell for [name], creating it on first
-    use. Idempotent: the same name always yields the same cell, so module
-    initialisers can call it unconditionally. *)
+    use. Idempotent: the same name always yields the same cell (with the
+    bound of its first registration), so module initialisers can call it
+    unconditionally. *)
 
 val name : t -> string
 
@@ -58,6 +62,7 @@ type snap = {
   s_evictions : int;
   s_resident : int;
   s_resident_bytes : int;
+  s_bound_bytes : int option;
 }
 
 val snapshot : t -> snap
@@ -73,4 +78,5 @@ val reset_counters : unit -> unit
 
 val snap_json : snap -> Json.t
 val to_json : unit -> Json.t
-(** Object keyed by memo name, each value a {!snap_json}. *)
+(** Object keyed by memo name, each value a {!snap_json}; a
+    [bound_bytes] field appears only on memos that declared a bound. *)

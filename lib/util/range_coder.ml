@@ -155,106 +155,6 @@ let encode_raw data =
   end;
   Bytes.sub out 0 !pos
 
-(* [encode] is a pure function of its input, and the recorder feeds it the
-   same page contents over and over — identical pages recur within a session
-   (job status flips back and forth), across sessions of one workload, and
-   across a fleet recording the same network (the same observation behind
-   the service's content-addressed recording cache). A content-keyed memo
-   therefore short-circuits most real encodes.
-
-   It has two generations. A hit in the old one moves the entry back to the
-   young one; a miss goes into the young one, after a rotation (the young
-   generation becomes the old one, and the old one is dropped) if the young
-   one holds [memo_limit] entries or the two hold [2 * memo_limit]. So at
-   most about [2 * memo_limit] entries are resident, and any working set
-   of up to that many inputs stops missing after one pass, in any order:
-   its entries only move between the generations. One pass over the six
-   Zoo NNs codes 1,521 distinct inputs, which a single table reset
-   wholesale at [memo_limit] missed about 1,600 times on every pass.
-
-   An entry keeps its input only up to the last non-zero byte, plus the
-   input's length: the pages are mostly zeros. Hash collisions cannot
-   corrupt output: a hit needs the same length and the same bytes up to the
-   stored prefix, with the lookup's own zero tail starting exactly there,
-   which is full equality. Both sides of the memo are private copies, so
-   callers can keep mutating their buffers. *)
-let memo_limit = 1024
-
-let encode_stats = Memo_stats.register "rc.encode"
-let decode_stats = Memo_stats.register "rc.decode"
-
-type entry = { prefix : bytes; len : int; coded : bytes }
-
-let entry_bytes e = Bytes.length e.prefix + Bytes.length e.coded
-
-(* Length of [data] without its zero tail. *)
-let trimmed_length data =
-  let i = ref (Bytes.length data) in
-  while !i >= 8 && Bytes.get_int64_ne data (!i - 8) = 0L do
-    i := !i - 8
-  done;
-  while !i > 0 && Bytes.unsafe_get data (!i - 1) = '\000' do
-    decr i
-  done;
-  !i
-
-let rec same_prefix p data i t =
-  if i + 8 <= t then
-    Bytes.get_int64_ne p i = Bytes.get_int64_ne data i && same_prefix p data (i + 8) t
-  else i >= t || (Bytes.unsafe_get p i = Bytes.unsafe_get data i && same_prefix p data (i + 1) t)
-
-(* [e] holds [data], whose zero tail starts at [t]. *)
-let holds e data t =
-  e.len = Bytes.length data && Bytes.length e.prefix = t && same_prefix e.prefix data 0 t
-
-let young : (int, entry) Hashtbl.t ref = ref (Hashtbl.create 256)
-let old : (int, entry) Hashtbl.t ref = ref (Hashtbl.create 256)
-
-(* Put [e] in the young generation, overwriting a colliding entry. *)
-let keep key e =
-  (match Hashtbl.find_opt !young key with
-  | Some prev -> Memo_stats.dropped encode_stats ~entries:1 ~bytes:(entry_bytes prev)
-  | None -> ());
-  Hashtbl.replace !young key e
-
-(* Before a new entry goes in: a young generation of [memo_limit] entries,
-   or two that hold [2 * memo_limit] together, becomes the old one, and the
-   old one is dropped. *)
-let make_room () =
-  let y = Hashtbl.length !young and o = Hashtbl.length !old in
-  if y >= memo_limit || y + o >= 2 * memo_limit then begin
-    let recycled = !old in
-    Memo_stats.dropped encode_stats ~entries:o
-      ~bytes:(Hashtbl.fold (fun _ e acc -> acc + entry_bytes e) recycled 0);
-    Hashtbl.clear recycled;
-    old := !young;
-    young := recycled
-  end
-
-let encode data =
-  let n = Bytes.length data in
-  let t = trimmed_length data in
-  let key = Hashing.quick_sub ~seed:n data ~pos:0 ~len:t in
-  match Hashtbl.find_opt !young key with
-  | Some e when holds e data t ->
-    Memo_stats.hit encode_stats;
-    Bytes.copy e.coded
-  | in_young -> (
-    match Hashtbl.find_opt !old key with
-    | Some e when holds e data t ->
-      Memo_stats.hit encode_stats;
-      Hashtbl.remove !old key;
-      keep key e;
-      Bytes.copy e.coded
-    | in_old ->
-      Memo_stats.miss encode_stats;
-      if Option.is_some in_young || Option.is_some in_old then Memo_stats.mismatch encode_stats;
-      let e = { prefix = Bytes.sub data 0 t; len = n; coded = encode_raw data } in
-      Memo_stats.added encode_stats ~bytes:(entry_bytes e);
-      make_room ();
-      keep key e;
-      Bytes.copy e.coded)
-
 let decode_raw blob =
   let len = Bytes.length blob in
   let r = Byte_buf.Reader.of_bytes blob in
@@ -334,31 +234,160 @@ let decode_raw blob =
   done;
   out
 
-(* Decode is memoized too: the client applies the same coded pages every
-   time a workload's sync stream repeats, and decode is a pure function of
-   the blob. This memo keeps one table, keyed by the whole blob, and resets
-   it wholesale at [memo_limit]. *)
-let decode_memo : (int, bytes * bytes) Hashtbl.t = Hashtbl.create 256
+(* Both directions are pure functions, and the recorder and the client feed
+   them the same pages over and over: identical pages recur within a session
+   (job status flips back and forth), across sessions of one workload, and
+   across a fleet recording the same network (the same observation behind
+   the service's content-addressed recording cache). Each direction
+   therefore has a content-keyed memo, and both are instances of [Memo].
+
+   A memo has two generations. A hit in the old one moves the entry back to
+   the young one; a miss goes into the young one, after a rotation (the
+   young generation becomes the old one, and the old one is dropped) if the
+   young one holds [gen_bytes] or the two would hold more than
+   [2 * gen_bytes] with the new entry. Promotions never rotate: cyclic
+   access would outrun one generation. So at most [2 * gen_bytes] are
+   resident, and any working set of up to about [gen_bytes] stops missing
+   after one pass, in any order: its entries only move between the
+   generations. After three [fleet-churn] rounds the working sets are
+   1,807 encode and 1,403 decode entries, about 150 KB of payload per
+   direction; a single table reset wholesale at 1,024 entries missed on
+   every pass over them.
+
+   An entry is the same in both directions: the plain bytes up to the last
+   non-zero byte (the pages are mostly zeros), the plain length, and the
+   coded bytes. It is charged its payload plus [entry_overhead] for the
+   record, the byte headers and its table bucket, so the bound caps entry
+   count as well as dense pages. An entry larger than one generation is not
+   kept. Hash collisions cannot corrupt output: an encode hit needs the
+   same length and the same bytes up to the stored prefix, with the
+   lookup's own zero tail starting exactly there, which is full equality;
+   a decode hit needs the whole coded body to be equal. Only an earlier
+   decode can serve a decode hit, and a body that fails to decode raises
+   before anything is kept. Both sides of a memo are private copies, so
+   callers can keep mutating their buffers. Like the scratch buffer, the
+   memos assume a single domain. *)
+type entry = { prefix : bytes; len : int; coded : bytes }
+
+let entry_overhead = 96
+let entry_bytes e = Bytes.length e.prefix + Bytes.length e.coded + entry_overhead
+let gen_bytes = 512 * 1024
+
+module Memo = struct
+  type t = {
+    stats : Memo_stats.t;
+    mutable young : (int, entry) Hashtbl.t;
+    mutable old : (int, entry) Hashtbl.t;
+    mutable young_bytes : int;
+    mutable old_bytes : int;
+  }
+
+  let create name =
+    {
+      stats = Memo_stats.register ~bound_bytes:(2 * gen_bytes) name;
+      young = Hashtbl.create 256;
+      old = Hashtbl.create 256;
+      young_bytes = 0;
+      old_bytes = 0;
+    }
+
+  (* Put [e] in the young generation, overwriting a colliding entry. *)
+  let keep m key e =
+    (match Hashtbl.find_opt m.young key with
+    | Some prev ->
+      let b = entry_bytes prev in
+      m.young_bytes <- m.young_bytes - b;
+      Memo_stats.dropped m.stats ~entries:1 ~bytes:b
+    | None -> ());
+    m.young_bytes <- m.young_bytes + entry_bytes e;
+    Hashtbl.replace m.young key e
+
+  let rotate m =
+    let recycled = m.old in
+    Memo_stats.dropped m.stats ~entries:(Hashtbl.length recycled) ~bytes:m.old_bytes;
+    Hashtbl.clear recycled;
+    m.old <- m.young;
+    m.old_bytes <- m.young_bytes;
+    m.young <- recycled;
+    m.young_bytes <- 0
+
+  (* The entry under [key] that [holds e x i] accepts, or [None] after
+     counting the miss. *)
+  let find m key holds x i =
+    match Hashtbl.find_opt m.young key with
+    | Some e as found when holds e x i ->
+      Memo_stats.hit m.stats;
+      found
+    | in_young -> (
+      match Hashtbl.find_opt m.old key with
+      | Some e as found when holds e x i ->
+        Memo_stats.hit m.stats;
+        Hashtbl.remove m.old key;
+        m.old_bytes <- m.old_bytes - entry_bytes e;
+        keep m key e;
+        found
+      | in_old ->
+        Memo_stats.miss m.stats;
+        if Option.is_some in_young || Option.is_some in_old then Memo_stats.mismatch m.stats;
+        None)
+
+  let add m key e =
+    let b = entry_bytes e in
+    if b <= gen_bytes then begin
+      Memo_stats.added m.stats ~bytes:b;
+      if m.young_bytes >= gen_bytes || m.young_bytes + m.old_bytes + b > 2 * gen_bytes then
+        rotate m;
+      (* A young generation swollen by promotions can still leave no room. *)
+      if m.old_bytes + b > 2 * gen_bytes then rotate m;
+      keep m key e
+    end
+end
+
+let encode_memo = Memo.create "rc.encode"
+let decode_memo = Memo.create "rc.decode"
+
+(* Length of [data] without its zero tail. *)
+let trimmed_length data =
+  let i = ref (Bytes.length data) in
+  while !i >= 8 && Bytes.get_int64_ne data (!i - 8) = 0L do
+    i := !i - 8
+  done;
+  while !i > 0 && Bytes.unsafe_get data (!i - 1) = '\000' do
+    decr i
+  done;
+  !i
+
+let rec same_prefix p data i t =
+  if i + 8 <= t then
+    Bytes.get_int64_ne p i = Bytes.get_int64_ne data i && same_prefix p data (i + 8) t
+  else i >= t || (Bytes.unsafe_get p i = Bytes.unsafe_get data i && same_prefix p data (i + 1) t)
+
+(* [e] holds the plain [data], whose zero tail starts at [t]. *)
+let holds_plain e data t =
+  e.len = Bytes.length data && Bytes.length e.prefix = t && same_prefix e.prefix data 0 t
+
+let holds_coded e blob _ = Bytes.equal e.coded blob
+
+let encode data =
+  let n = Bytes.length data in
+  let t = trimmed_length data in
+  let key = Hashing.quick_sub ~seed:n data ~pos:0 ~len:t in
+  match Memo.find encode_memo key holds_plain data t with
+  | Some e -> Bytes.copy e.coded
+  | None ->
+    let coded = encode_raw data in
+    Memo.add encode_memo key { prefix = Bytes.sub data 0 t; len = n; coded };
+    Bytes.copy coded
 
 let decode blob =
   let key = Hashing.quick blob in
-  match Hashtbl.find_opt decode_memo key with
-  | Some (input, data) when Bytes.equal input blob ->
-    Memo_stats.hit decode_stats;
-    Bytes.copy data
-  | prior ->
-    Memo_stats.miss decode_stats;
-    let data = decode_raw blob in
-    let bytes = Bytes.length blob + Bytes.length data in
-    (match prior with
-    | None -> ()
-    | Some (old_in, old_out) ->
-      Memo_stats.mismatch decode_stats;
-      Memo_stats.replaced decode_stats ~old_bytes:(Bytes.length old_in + Bytes.length old_out) ~bytes);
-    if Hashtbl.length decode_memo >= memo_limit then begin
-      Memo_stats.evicted decode_stats ~entries:(Hashtbl.length decode_memo);
-      Hashtbl.reset decode_memo
-    end;
-    if not (Hashtbl.mem decode_memo key) then Memo_stats.added decode_stats ~bytes;
-    Hashtbl.replace decode_memo key (Bytes.copy blob, data);
-    Bytes.copy data
+  match Memo.find decode_memo key holds_coded blob 0 with
+  | Some e ->
+    let out = Bytes.make e.len '\000' in
+    Bytes.blit e.prefix 0 out 0 (Bytes.length e.prefix);
+    out
+  | None ->
+    let out = decode_raw blob in
+    let t = trimmed_length out in
+    Memo.add decode_memo key { prefix = Bytes.sub out 0 t; len = Bytes.length out; coded = Bytes.copy blob };
+    out

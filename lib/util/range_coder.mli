@@ -11,7 +11,14 @@
     by the code bits, zero-padded to a byte. *)
 
 val encode : bytes -> bytes
-(** [encode data] compresses [data]. The output embeds the original length. *)
+(** [encode data] compresses [data]. The output embeds the original length.
+
+    Both directions are memoized on content, by one two-generation memo
+    each (no entry of one direction ever serves the other). Each is bounded
+    by resident bytes (1 MiB, reported as [bound_bytes] by
+    {!Memo_stats}), hits need full byte equality, a failing decode is
+    never kept, and both sides are private copies: callers may mutate the
+    buffers they pass and get back. The memos assume a single domain. *)
 
 val decode : bytes -> bytes
 (** [decode blob] inverts {!encode}. Raises [Failure] on corrupt input,

@@ -301,6 +301,53 @@ let recording_qcheck_signature =
          && verdicts_agree blob && rejected flipped && rejected truncated
          && if Bytes.equal spliced blob then verdicts_agree spliced else rejected spliced))
 
+(* The verify memo copies a blob in on its second verification only: a
+   blob verified once costs no residency, the second verification admits
+   it, and the third hits. A blob mutated after admission is verified
+   again, never served the verdict of the bytes it used to hold. *)
+let recording_verify_memo_admits_on_second_sight () =
+  let module M = Grt_util.Memo_stats in
+  let stats () =
+    match List.find_opt (fun c -> M.name c = "recording.verify") (M.all ()) with
+    | Some c -> M.snapshot c
+    | None -> Alcotest.fail "recording.verify never registered"
+  in
+  let blob =
+    Recording.sign ~key:"k"
+      {
+        Recording.workload = "second-sight";
+        gpu_id = 0x5eedL;
+        entries = Array.init 200 (fun i -> Recording.Reg_write { reg = 4 * i; value = Int64.of_int i });
+        slots = [];
+      }
+  in
+  let verify () = Recording.verify ~key:"k" blob in
+  let s0 = stats () in
+  check Alcotest.bool "first verification" true (Result.is_ok (verify ()));
+  let s1 = stats () in
+  check Alcotest.int "a first sight is a miss" (s0.M.s_misses + 1) s1.M.s_misses;
+  check Alcotest.int "and keeps nothing resident" s0.M.s_resident s1.M.s_resident;
+  check Alcotest.int "nor any bytes" s0.M.s_resident_bytes s1.M.s_resident_bytes;
+  check Alcotest.bool "second verification" true (Result.is_ok (verify ()));
+  let s2 = stats () in
+  check Alcotest.int "the second sight misses" (s1.M.s_misses + 1) s2.M.s_misses;
+  if s2.M.s_resident_bytes < Bytes.length blob then
+    Alcotest.fail "the second verification did not admit the blob";
+  check Alcotest.bool "third verification" true (Result.is_ok (verify ()));
+  check Alcotest.int "the third hits" (s2.M.s_hits + 1) (stats ()).M.s_hits;
+  (* Flip a byte of the admitted blob in place, inside the last chunk.
+     Whether or not the sparse memo key samples it, the first look misses
+     (a stale entry under the same key fails the full compare), and no
+     later look returns the old verdict. *)
+  let at = Bytes.length blob - 3 in
+  Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x20));
+  let hits = (stats ()).M.s_hits in
+  check Alcotest.bool "the mutated blob is rejected" true (Result.is_error (verify ()));
+  check Alcotest.int "not by a hit" hits (stats ()).M.s_hits;
+  for _ = 1 to 3 do
+    check Alcotest.bool "and stays rejected" true (Result.is_error (verify ()))
+  done
+
 (* A blob the key vouches for whose one entry holds byte [b] [from_end]
    bytes before the blob's end: [entry] is signed alone, the byte is set,
    and the chunk hash, the Merkle root (a lone chunk's own hash) and the
@@ -415,7 +462,7 @@ let memsync_pt_pages_are_meta () =
   let mmu = Grt_gpu.Mmu.create mem ~fmt:Sku.Lpae_v7 in
   let pa = Mem.alloc_pages mem 1 in
   Grt_gpu.Mmu.map_page mmu ~va:0x1000L ~pa ~flags:Grt_gpu.Mmu.rw_data;
-  Memsync.register_pt_root ms ~fmt:Sku.Lpae_v7 ~root_pa:(Grt_gpu.Mmu.root_pa mmu);
+  Memsync.register_pt_root ms ~root_pa:(Grt_gpu.Mmu.root_pa mmu);
   ignore (Memsync.sync_meta ms mem);
   check Alcotest.int "all three table levels" 3 (List.length (Memsync.meta_pfns ms))
 
@@ -821,6 +868,8 @@ let () =
           Alcotest.test_case "counts and slots" `Quick recording_counts_and_slots;
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
           Alcotest.test_case "one-byte fields decode strictly" `Quick recording_decoder_strict;
+          Alcotest.test_case "verify memo admits on second sight" `Quick
+            recording_verify_memo_admits_on_second_sight;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
           recording_qcheck_sign_matches_reference;

@@ -289,7 +289,7 @@ let scan_matches_reference cfg script =
   let mmu = Grt_gpu.Mmu.create mem ~fmt in
   let root = Grt_gpu.Mmu.root_pa mmu in
   let ms = Memsync.create cfg in
-  Memsync.register_pt_root ms ~fmt ~root_pa:root;
+  Memsync.register_pt_root ms ~root_pa:root;
   let region_pfns = ref [] and data_pfns = ref [] in
   let baseline = Hashtbl.create 64 in
   let tables () = Grt_gpu.Mmu.table_pages (Grt_gpu.Mmu.of_root mem ~fmt ~root) in
@@ -365,6 +365,101 @@ let scan_qcheck =
          List.for_all
            (fun combo -> scan_matches_reference (cfg_of_combo combo) script)
            [ (false, true, true); (true, true, true) ]))
+
+(* ---- the incremental table walk against a full walk ----
+
+   Memsync re-reads only the table pages whose stamp moved and keeps the
+   sorted table set from their changed entries. Scripts map, remap and
+   unmap pages and 2 MiB blocks (a block replaces a level-3 table, a page
+   under a block shatters it), overwrite table descriptors so that one
+   table is reached from several entries or none (aliases, cycles through
+   the root, a leaf table read as a level-2 one), and add a second root.
+   After every step the synced meta set must equal a full
+   [Mmu.iter_table_pfns] walk of every root, sorted and deduplicated. *)
+
+type walk_step =
+  | Map_page of int * int * int  (* L1, L2, L3 index of the VA *)
+  | Map_block of int * int
+  | Unmap of int * int * int
+  | Point of int * int * int  (* table pick, slot, target table pick *)
+  | Clear of int * int  (* table pick, slot *)
+  | Second_root
+
+let print_walk_step = function
+  | Map_page (a, b, c) -> Printf.sprintf "Map_page(%d,%d,%d)" a b c
+  | Map_block (a, b) -> Printf.sprintf "Map_block(%d,%d)" a b
+  | Unmap (a, b, c) -> Printf.sprintf "Unmap(%d,%d,%d)" a b c
+  | Point (t, i, d) -> Printf.sprintf "Point(%d,%d,%d)" t i d
+  | Clear (t, i) -> Printf.sprintf "Clear(%d,%d)" t i
+  | Second_root -> "Second_root"
+
+let gen_walk_script =
+  let open QCheck2.Gen in
+  let l1 = int_bound 2 and l2 = int_bound 3 and l3 = int_bound 7 in
+  let step =
+    frequency
+      [
+        (6, map3 (fun a b c -> Map_page (a, b, c)) l1 l2 l3);
+        (2, map2 (fun a b -> Map_block (a, b)) l1 l2);
+        (3, map3 (fun a b c -> Unmap (a, b, c)) l1 l2 l3);
+        (2, map3 (fun t i d -> Point (t, i, d)) nat (int_bound 7) nat);
+        (2, map2 (fun t i -> Clear (t, i)) nat (int_bound 7));
+        (1, return Second_root);
+      ]
+  in
+  list_size (int_range 1 40) step
+
+let walk_matches_full_walk script =
+  let fmt = Grt_gpu.Sku.Lpae_v7 in
+  let mem = Mem.create () in
+  let ms = Memsync.create (Mode.default_config Mode.Ours_mds) in
+  let roots = ref [] in
+  let add_root () =
+    let mmu = Grt_gpu.Mmu.create mem ~fmt in
+    Memsync.register_pt_root ms ~root_pa:(Grt_gpu.Mmu.root_pa mmu);
+    roots := !roots @ [ mmu ]
+  in
+  add_root ();
+  let full () =
+    let acc = ref [] in
+    List.iter (fun m -> Grt_gpu.Mmu.iter_table_pfns m (fun pfn -> acc := Int64.of_int pfn :: !acc)) !roots;
+    List.sort_uniq Int64.compare !acc
+  in
+  let pick l i = List.nth l (i mod List.length l) in
+  let mmu_for a = pick !roots a in
+  let va a b c =
+    Int64.of_int ((a lsl 30) lor (b lsl 21) lor (c lsl 12))
+  in
+  let step = function
+    | Map_page (a, b, c) ->
+      Grt_gpu.Mmu.map_page (mmu_for (a + b + c)) ~va:(va a b c) ~pa:(Mem.alloc_pages mem 1)
+        ~flags:Grt_gpu.Mmu.rw_data
+    | Map_block (a, b) ->
+      Grt_gpu.Mmu.map_block (mmu_for (a + b)) ~va:(va a b 0) ~pa:(Int64.of_int ((8 + a + b) lsl 21))
+        ~flags:Grt_gpu.Mmu.rw_data
+    | Unmap (a, b, c) -> Grt_gpu.Mmu.unmap_page (mmu_for (a + b + c)) ~va:(va a b c)
+    | Point (t, i, d) ->
+      let tables = full () in
+      let table = pick tables t and target = pick tables d in
+      Mem.write_u64 mem
+        (Int64.add (Int64.shift_left table Mem.page_shift) (Int64.of_int (8 * i)))
+        (Int64.logor (Int64.shift_left target Mem.page_shift) 3L)
+    | Clear (t, i) ->
+      let table = pick (full ()) t in
+      Mem.write_u64 mem (Int64.add (Int64.shift_left table Mem.page_shift) (Int64.of_int (8 * i))) 0L
+    | Second_root -> if List.length !roots < 2 then add_root ()
+  in
+  let agrees () =
+    ignore (Memsync.sync_meta ms mem);
+    Memsync.meta_pfns ms = full ()
+  in
+  agrees () && List.for_all (fun s -> step s; agrees ()) script
+
+let walk_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"the incremental table walk equals a full walk"
+       ~print:(fun s -> String.concat "; " (List.map print_walk_step s))
+       gen_walk_script walk_matches_full_walk)
 
 (* ---- dedup ---- *)
 
@@ -463,32 +558,40 @@ let mnist_fastpath_wins_and_replays () =
         fast.E.mpages_meta
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
 
-(* The rc.encode memo holds the Zoo's working set: a second pass over the
-   six NNs, at another seed, codes every page from the memo. With one
-   table reset wholesale at its cap, that pass missed about 1,600 times.
-   The first pass needs the memo as a fresh process has it (stale entries
-   from other tests could be in the generation it rotates out), so this
-   group runs first. *)
+(* The codec memos hold the Zoo's working set: a second pass over the six
+   NNs, at another seed, codes every page from the memo. With one table
+   reset wholesale at its cap, that pass missed about 1,600 times. A tagged
+   pass (the fleet's fast path, whose receiver decodes every coded page)
+   then does the same for both directions: its second pass decodes every
+   page from the memo too. The first pass needs the memos as a fresh
+   process has them (stale entries from other tests could be in the
+   generation it rotates out), so this group runs first. *)
 let zoo_second_pass_never_misses () =
   let module M = Grt_util.Memo_stats in
-  let record_zoo seed =
+  let record_zoo ?config seed =
     List.iter
       (fun net ->
         ignore
-          (Grt.Orchestrate.record ~history:(Grt.Spec_history.create ())
+          (Grt.Orchestrate.record ~history:(Grt.Spec_history.create ()) ?config
              ~profile:Grt_net.Profile.wifi ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8 ~net ~seed
              ()))
       Grt_mlfw.Zoo.all
   in
-  let encode_misses () =
-    match List.find_opt (fun c -> M.name c = "rc.encode") (M.all ()) with
+  let misses name =
+    match List.find_opt (fun c -> M.name c = name) (M.all ()) with
     | Some c -> (M.snapshot c).M.s_misses
-    | None -> Alcotest.fail "rc.encode never registered"
+    | None -> Alcotest.failf "%s never registered" name
   in
   record_zoo 1L;
   M.reset_counters ();
   record_zoo 2L;
-  check Alcotest.int "rc.encode misses on the second pass" 0 (encode_misses ())
+  check Alcotest.int "rc.encode misses on the second pass" 0 (misses "rc.encode");
+  let config = Grt.Service.fastpath_cfg in
+  record_zoo ~config 1L;
+  M.reset_counters ();
+  record_zoo ~config 2L;
+  check Alcotest.int "rc.encode misses on the second tagged pass" 0 (misses "rc.encode");
+  check Alcotest.int "rc.decode misses on the second tagged pass" 0 (misses "rc.decode")
 
 let () =
   Alcotest.run "memsync"
@@ -502,6 +605,7 @@ let () =
           memsync_qcheck_reproduces;
           selection_qcheck;
           scan_qcheck;
+          walk_qcheck;
           Alcotest.test_case "visited scales with dirtied pages" `Quick visited_scales_with_dirty;
           Alcotest.test_case "dedup re-ships as hash reference" `Quick
             dedup_fires_on_reshipped_content;

@@ -448,13 +448,23 @@ let memo_stats_registry () =
     | None -> Alcotest.fail "rc.encode never registered"
   in
   check Alcotest.bool "second encode hits the memo" true (rc.M.s_hits >= 1);
-  (* rc.encode's gauges cover both generations: at most 2 x 1024 entries,
-     each of which holds at least its coded bytes *)
-  if rc.M.s_resident < 1 || rc.M.s_resident > 2 * 1024 + 1 then
-    Alcotest.failf "rc.encode resident %d outside [1, 2049]" rc.M.s_resident;
+  (* rc.encode's gauges cover both generations: at least one entry, each
+     of which holds at least its coded bytes, and no more bytes than the
+     bound it declares (which its JSON reports; an unbounded memo's omits
+     it) *)
+  if rc.M.s_resident < 1 then Alcotest.failf "rc.encode resident %d" rc.M.s_resident;
   if rc.M.s_resident_bytes < rc.M.s_resident then
     Alcotest.failf "rc.encode resident bytes %d below its %d entries" rc.M.s_resident_bytes
-      rc.M.s_resident
+      rc.M.s_resident;
+  (match rc.M.s_bound_bytes with
+  | Some b when rc.M.s_resident_bytes <= b -> ()
+  | Some b -> Alcotest.failf "rc.encode resident bytes %d above its bound %d" rc.M.s_resident_bytes b
+  | None -> Alcotest.fail "rc.encode declares no byte bound");
+  let has_bound s =
+    match M.snap_json s with Json.Obj fields -> List.mem_assoc "bound_bytes" fields | _ -> false
+  in
+  check Alcotest.bool "rc.encode reports its bound" true (has_bound rc);
+  check Alcotest.bool "an unbounded memo reports none" false (has_bound (M.snapshot m))
 
 (* ---- Fleet reports: round trip, rendering, version skew ---- *)
 

@@ -326,36 +326,52 @@ let rc_qcheck_matches_reference =
       Bytes.equal enc (Rc_reference.encode_raw b)
       && Bytes.equal (Range_coder.decode enc) (Rc_reference.decode_raw enc))
 
-(* The encode memo against the reference over a stream long enough to
-   rotate its generations several times. Each base input also comes with
-   one and with eight extra zero bytes (entries keep their input only up to
-   the last non-zero byte, plus its length), and all-zero inputs of many
-   lengths share the empty prefix. Inputs are re-encoded in a new order on
-   later passes, after the caller has scribbled over both the buffer it
-   passed and the bytes it got back: neither may reach a later hit. *)
-let rc_memo_matches_reference_across_generations () =
+(* Stats of one codec memo ("rc.encode" or "rc.decode"). *)
+let rc_stats name =
   let module M = Grt_util.Memo_stats in
-  let r = Rng.create ~seed:2024L in
+  match List.find_opt (fun c -> M.name c = name) (M.all ()) with
+  | Some c -> M.snapshot c
+  | None -> Alcotest.failf "%s never registered" name
+
+let rc_bound name =
+  match (rc_stats name).Grt_util.Memo_stats.s_bound_bytes with
+  | Some b -> b
+  | None -> Alcotest.failf "%s declares no byte bound" name
+
+let trimmed_length b =
+  let i = ref (Bytes.length b) in
+  while !i > 0 && Bytes.get b (!i - 1) = '\000' do
+    decr i
+  done;
+  !i
+
+(* Inputs with their reference codings, enough that their memo entries
+   carry at least three times [bound] in payload alone (the plain bytes up
+   to the last non-zero one, plus the coded bytes), so one pass over them
+   rotates a memo bounded by [bound] several times. Each base input also
+   comes with one and with eight extra zero bytes (entries keep the plain
+   bytes only up to the last non-zero byte, plus their length), and
+   all-zero inputs of many lengths share the empty prefix. *)
+let rc_stream r ~bound =
   let base () =
-    let n = 1 + Rng.int r 120 in
+    let n = 1 + Rng.int r 1500 in
     Bytes.init n (fun _ -> if Rng.int r 4 = 0 then Char.chr (1 + Rng.int r 255) else '\000')
   in
-  let inputs =
-    List.concat_map
-      (fun _ ->
-        let b = base () in
-        [ b; Bytes.cat b (Bytes.make 1 '\000'); Bytes.cat b (Bytes.make 8 '\000') ])
-      (List.init 1500 Fun.id)
-    @ List.init 300 (fun n -> Bytes.make n '\000')
+  let payload = ref 0 and acc = ref [] in
+  let push b =
+    let coded = Rc_reference.encode_raw b in
+    payload := !payload + trimmed_length b + Bytes.length coded;
+    acc := (Bytes.to_string b, coded) :: !acc
   in
-  let cases = Array.of_list (List.map (fun b -> (Bytes.to_string b, Rc_reference.encode_raw b)) inputs) in
-  let stats () =
-    match List.find_opt (fun c -> M.name c = "rc.encode") (M.all ()) with
-    | Some c -> M.snapshot c
-    | None -> Alcotest.fail "rc.encode never registered"
-  in
-  let evicted_before = (stats ()).M.s_evictions in
-  let n = Array.length cases in
+  List.iter push (List.init 300 (fun n -> Bytes.make n '\000'));
+  while !payload < 3 * bound do
+    let b = base () in
+    List.iter push [ b; Bytes.cat b (Bytes.make 1 '\000'); Bytes.cat b (Bytes.make 8 '\000') ]
+  done;
+  Array.of_list (List.rev !acc)
+
+(* Runs [f] over [0, n) three times, in a new order each time. *)
+let three_shuffled_passes r n f =
   for pass = 0 to 2 do
     let order = Array.init n Fun.id in
     for i = n - 1 downto 1 do
@@ -364,29 +380,96 @@ let rc_memo_matches_reference_across_generations () =
       order.(i) <- order.(j);
       order.(j) <- t
     done;
-    Array.iter
-      (fun k ->
-        let input, expected = cases.(k) in
-        let buf = Bytes.of_string input in
-        let coded = Range_coder.encode buf in
-        if not (Bytes.equal coded expected) then
-          Alcotest.failf "pass %d: encode of a %d-byte input differs from the reference" pass
-            (String.length input);
-        Bytes.fill buf 0 (Bytes.length buf) '\001';
-        Bytes.fill coded 0 (Bytes.length coded) '\255')
-      order
-  done;
-  if (stats ()).M.s_evictions - evicted_before < 1024 then
-    Alcotest.fail "the stream never dropped an old generation";
+    Array.iter (f pass) order
+  done
+
+(* Over a stream that rotates the memo several times, most entries are
+   dropped at least once, and the resident bytes stay within the bound. *)
+let check_rotated name ~bound ~evicted_before ~inputs =
+  let s = rc_stats name in
+  if s.Grt_util.Memo_stats.s_evictions - evicted_before < inputs / 3 then
+    Alcotest.failf "%s dropped %d entries over %d inputs: the stream never rotated it" name
+      (s.Grt_util.Memo_stats.s_evictions - evicted_before)
+      inputs;
+  if s.Grt_util.Memo_stats.s_resident_bytes > bound then
+    Alcotest.failf "%s holds %d bytes, above its %d-byte bound" name
+      s.Grt_util.Memo_stats.s_resident_bytes bound
+
+(* The encode memo against the reference over a stream sized from the
+   memo's byte bound (see [rc_stream]). Inputs are re-encoded in a new
+   order on later passes, after the caller has scribbled over both the
+   buffer it passed and the bytes it got back: neither may reach a later
+   hit. *)
+let rc_memo_matches_reference_across_generations () =
+  let r = Rng.create ~seed:2024L in
+  let bound = rc_bound "rc.encode" in
+  let cases = rc_stream r ~bound in
+  let evicted_before = (rc_stats "rc.encode").Grt_util.Memo_stats.s_evictions in
+  three_shuffled_passes r (Array.length cases) (fun pass k ->
+      let input, expected = cases.(k) in
+      let buf = Bytes.of_string input in
+      let coded = Range_coder.encode buf in
+      if not (Bytes.equal coded expected) then
+        Alcotest.failf "pass %d: encode of a %d-byte input differs from the reference" pass
+          (String.length input);
+      Bytes.fill buf 0 (Bytes.length buf) '\001';
+      Bytes.fill coded 0 (Bytes.length coded) '\255');
+  check_rotated "rc.encode" ~bound ~evicted_before ~inputs:(Array.length cases);
   (* the memo kept its own copy of an input the caller then overwrote *)
   let input = Bytes.of_string "no zero tail: the memo keeps every byte" in
   let original = Bytes.copy input in
   ignore (Range_coder.encode input);
   Bytes.fill input 0 (Bytes.length input) '\000';
-  let hits = (stats ()).M.s_hits in
+  let hits = (rc_stats "rc.encode").Grt_util.Memo_stats.s_hits in
   check Alcotest.bytes "re-encode after the caller's overwrite" (Rc_reference.encode_raw original)
     (Range_coder.encode original);
-  check Alcotest.int "and it is a hit" (hits + 1) (stats ()).M.s_hits
+  check Alcotest.int "and it is a hit" (hits + 1) (rc_stats "rc.encode").Grt_util.Memo_stats.s_hits
+
+(* The decode memo against [Rc_reference.decode_raw] over a stream sized
+   from its own bound, with the caller scribbling over the body it passed
+   and the bytes it got back. Only an earlier decode serves a hit (the
+   encoder never seeds the table), and a damaged body raises every time:
+   nothing is cached for it. *)
+let rc_decode_memo_matches_reference_across_generations () =
+  let module M = Grt_util.Memo_stats in
+  let r = Rng.create ~seed:2025L in
+  let bound = rc_bound "rc.decode" in
+  let cases =
+    Array.map (fun (_, coded) -> (Bytes.to_string coded, Rc_reference.decode_raw coded)) (rc_stream r ~bound)
+  in
+  let evicted_before = (rc_stats "rc.decode").M.s_evictions in
+  three_shuffled_passes r (Array.length cases) (fun pass k ->
+      let body, expected = cases.(k) in
+      let buf = Bytes.of_string body in
+      let plain = Range_coder.decode buf in
+      if not (Bytes.equal plain expected) then
+        Alcotest.failf "pass %d: decode of a %d-byte body differs from the reference" pass
+          (String.length body);
+      Bytes.fill buf 0 (Bytes.length buf) '\255';
+      Bytes.fill plain 0 (Bytes.length plain) '\001');
+  check_rotated "rc.decode" ~bound ~evicted_before ~inputs:(Array.length cases);
+  let fresh = Bytes.of_string "encoded here, never decoded before" in
+  let coded = Range_coder.encode fresh in
+  let s = rc_stats "rc.decode" in
+  check Alcotest.bytes "first decode" fresh (Range_coder.decode coded);
+  check Alcotest.int "an encode does not seed the decode memo" (s.M.s_misses + 1)
+    (rc_stats "rc.decode").M.s_misses;
+  let hit = Range_coder.decode coded in
+  check Alcotest.bytes "second decode" fresh hit;
+  check Alcotest.int "an earlier decode does" (s.M.s_hits + 1) (rc_stats "rc.decode").M.s_hits;
+  Bytes.fill hit 0 (Bytes.length hit) '\001';
+  check Alcotest.bytes "a hit after the caller scribbled over the last one" fresh
+    (Range_coder.decode coded);
+  let short = Bytes.sub coded 0 (Range_coder.min_coded_length (Bytes.length fresh) - 1) in
+  let s = rc_stats "rc.decode" in
+  for _ = 1 to 2 do
+    match Range_coder.decode short with
+    | _ -> Alcotest.fail "a body shorter than its declared length decoded"
+    | exception Failure _ -> ()
+  done;
+  let s' = rc_stats "rc.decode" in
+  check Alcotest.int "a damaged body misses every time" (s.M.s_misses + 2) s'.M.s_misses;
+  check Alcotest.int "and is never kept" s.M.s_resident s'.M.s_resident
 
 (* Outcome of a decoder on a damaged blob, exceptions included. *)
 let decode_outcome f blob = match f blob with v -> Ok v | exception Failure _ -> Error ()
@@ -680,6 +763,8 @@ let () =
           rc_qcheck_matches_reference;
           Alcotest.test_case "memo matches the reference across generations" `Quick
             rc_memo_matches_reference_across_generations;
+          Alcotest.test_case "decode memo matches the reference across generations" `Quick
+            rc_decode_memo_matches_reference_across_generations;
           rc_qcheck_damaged_matches_reference;
         ] );
       ( "delta",
