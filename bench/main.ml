@@ -168,25 +168,30 @@ let faults () =
   add_json "faults" E.fault_row_json rows
 
 (* With [--enforce-ceiling] (the CI smoke) a row whose minor words per warm
-   replay exceed its checked-in ceiling fails the run. *)
+   replay or per cold start exceed its checked-in ceilings fails the run. *)
 let replay ~enforce () =
   hr "Replay throughput: interpreted vs compiled (host replays/sec)";
-  Printf.printf "%-12s %8s %12s %12s %12s %9s %8s %8s %8s %8s %10s %9s %4s\n" "NN" "entries"
-    "interp(r/s)" "cold(r/s)" "warm(r/s)" "speedup" "fused" "static" "dynamic" "bitexact"
-    "words/warm" "ceiling" "ok";
+  Printf.printf "%-12s %8s %12s %12s %12s %9s %8s %8s %8s %8s %10s %9s %10s %9s %4s\n" "NN"
+    "entries" "interp(r/s)" "cold(r/s)" "warm(r/s)" "speedup" "fused" "static" "dynamic" "bitexact"
+    "words/warm" "ceiling" "words/cold" "ceiling" "ok";
   let rows = E.replay_bench ctx in
   let failed = ref [] in
   List.iter
     (fun (r : E.replay_bench_row) ->
       let ceiling = E.replay_words_ceiling r.E.workload in
-      let ok = match ceiling with Some c -> r.E.warm_minor_words <= c | None -> true in
+      let ok =
+        match ceiling with
+        | Some (warm, cold) -> r.E.warm_minor_words <= warm && r.E.cold_minor_words <= cold
+        | None -> true
+      in
       if not ok then failed := ("replay " ^ r.E.workload) :: !failed;
-      Printf.printf "%-12s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s %10.0f %9s %4s\n"
+      let show f = match ceiling with Some c -> Printf.sprintf "%.0f" (f c) | None -> "-" in
+      Printf.printf
+        "%-12s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s %10.0f %9s %10.0f %9s %4s\n"
         r.E.workload r.E.entries r.E.interpreted_rps r.E.compiled_cold_rps r.E.compiled_warm_rps
         r.E.warm_speedup r.E.fused_writes r.E.static_pages r.E.dynamic_loads
         (if r.E.bit_identical then "yes" else "NO")
-        r.E.warm_minor_words
-        (match ceiling with Some c -> Printf.sprintf "%.0f" c | None -> "-")
+        r.E.warm_minor_words (show fst) r.E.cold_minor_words (show snd)
         (if ok then "yes" else "NO"))
     rows;
   add_json "replay" E.replay_bench_row_json rows;

@@ -614,6 +614,7 @@ type replay_bench_row = {
   dynamic_loads : int;
   bit_identical : bool;
   warm_minor_words : float;
+  cold_minor_words : float;
 }
 
 (* Replayer-machinery throughput: repeat [f] until at least [min_elapsed]
@@ -639,21 +640,27 @@ let host_rate ?(min_elapsed = 0.05) ~reps ~max_reps f =
 
 (* Warm replays are deterministic, GPU work included (the kernel model runs
    inside them), so minor words per warm replay are an exact count over a
-   few replays after the first. [replay_words_ceilings] pins one per row
-   about 8% above the measured value (BENCH_replay.json: MNIST 45.7k,
-   AlexNet 102.2k, MobileNet 184.4k, SqueezeNet 179.6k, ResNet12 179.6k,
-   VGG16 162.4k); a breach means a new allocation on the warm replay path. *)
+   few replays after the first; so are the words of a cold start (compile
+   plus a first replay on a fresh client) once the process-wide codec memo
+   has seen the blob. [replay_words_ceilings] pins both per row, about 8%
+   above the measured values (BENCH_replay.json, warm / cold: MNIST 4.9k /
+   44.0k, AlexNet 11.9k / 99.6k, MobileNet 20.9k / 176.8k, SqueezeNet
+   19.9k / 170.6k, ResNet12 21.6k / 177.0k, VGG16 19.1k / 157.0k); a
+   breach means a new allocation on that replay path. *)
 let replay_words_ceilings =
   [
-    ("MNIST", 49_500.);
-    ("AlexNet", 111_000.);
-    ("MobileNet", 200_000.);
-    ("SqueezeNet", 195_000.);
-    ("ResNet12", 195_000.);
-    ("VGG16", 176_000.);
+    ("MNIST", 5_350., 47_500.);
+    ("AlexNet", 12_900., 107_500.);
+    ("MobileNet", 22_600., 191_000.);
+    ("SqueezeNet", 21_500., 184_200.);
+    ("ResNet12", 23_300., 191_100.);
+    ("VGG16", 20_600., 169_500.);
   ]
 
-let replay_words_ceiling workload = List.assoc_opt workload replay_words_ceilings
+let replay_words_ceiling workload =
+  List.find_map
+    (fun (w, warm, cold) -> if String.equal w workload then Some (warm, cold) else None)
+    replay_words_ceilings
 
 let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
   List.map
@@ -703,6 +710,14 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
         done;
         (Gc.minor_words () -. w0) /. 4.
       in
+      ignore (compiled_cold ());
+      let cold_minor_words =
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 2 do
+          ignore (compiled_cold ())
+        done;
+        (Gc.minor_words () -. w0) /. 2.
+      in
       let interpreted_rps = host_rate ~reps:iters ~max_reps:iters (fun () -> ignore (interpreted ())) in
       let compiled_cold_rps =
         host_rate ~reps:iters ~max_reps:(iters * 8) (fun () -> ignore (compiled_cold ()))
@@ -723,6 +738,7 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
         dynamic_loads = st.Replay_prog.dynamic_loads;
         bit_identical;
         warm_minor_words;
+        cold_minor_words;
       })
     nets
 
@@ -1019,8 +1035,15 @@ let replay_bench_row_json (r : replay_bench_row) =
       ("dynamic_loads", Json.int r.dynamic_loads);
       ("bit_identical", Json.Bool r.bit_identical);
       ("warm_minor_words", Json.float r.warm_minor_words);
+      ("cold_minor_words", Json.float r.cold_minor_words);
       ( "ceiling_warm_minor_words",
-        match replay_words_ceiling r.workload with Some c -> Json.float c | None -> Json.Null );
+        match replay_words_ceiling r.workload with
+        | Some (c, _) -> Json.float c
+        | None -> Json.Null );
+      ( "ceiling_cold_minor_words",
+        match replay_words_ceiling r.workload with
+        | Some (_, c) -> Json.float c
+        | None -> Json.Null );
     ]
 
 let ablation_row_json (r : ablation_row) =

@@ -242,17 +242,20 @@ type replay_bench_row = {
   dynamic_loads : int;
   bit_identical : bool;  (** compiled output == interpreted, several seeds *)
   warm_minor_words : float;  (** minor-heap words per warm compiled replay *)
+  cold_minor_words : float;
+      (** minor-heap words per cold start: compile plus a first replay on a
+          fresh client *)
 }
 
 val replay_bench : ?nets:Grt_mlfw.Network.t list -> ?iters:int -> ctx -> replay_bench_row list
 (** Host-side replay throughput, interpreted vs compiled (cold and warm),
     plus the compiled-path correctness check (ROADMAP item 2). *)
 
-val replay_words_ceiling : string -> float option
-(** Checked-in ceiling on minor words per warm replay for one
-    {!replay_bench} row (workload name), if pinned. The count is
-    deterministic, so a row above its ceiling means a new allocation on the
-    warm replay path; the CI replay smoke fails on it. *)
+val replay_words_ceiling : string -> (float * float) option
+(** Checked-in ceilings on minor words per warm replay and per cold start
+    for one {!replay_bench} row (workload name), if pinned. The counts are
+    deterministic, so a row above a ceiling means a new allocation on that
+    replay path; the CI replay smoke fails on it. *)
 
 type speed_row = {
   speed_label : string;

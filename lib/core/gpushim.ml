@@ -22,6 +22,7 @@ type t = {
   uplink : Memsync.t;
   metrics : Metrics.t;
   mutable isolated : bool;
+  mutable polled : int64;  (** the read that met the last poll's condition *)
 }
 
 let gpu_mmio = "gpu-mmio"
@@ -54,6 +55,7 @@ let create ~clock ~sku ?energy ?(metrics = Metrics.create ()) ~session_salt ~cfg
     uplink = Memsync.create cfg;
     metrics;
     isolated = false;
+    polled = 0L;
   }
 
 let device t = t.device
@@ -135,37 +137,47 @@ let apply_accesses t accesses =
    device changes a register only when one of its scheduled events fires,
    on the read that finds the event due. An iteration reads one MMIO access
    ([step] - [spin] ns) after it starts, so each iteration starting before
-   [deadline] minus that access sees the value the last read saw. *)
-let idle_iterations t ~step ~spin ~left =
-  match Device.next_event_ns t.device with
-  | None -> left
-  | Some deadline ->
-    let room = Int64.to_int deadline - Grt_sim.Clock.now_int t.clock - (step - spin) in
+   [deadline] minus that access sees the value the last read saw. A loop
+   with a deadline of its own ([until], [max_int] for none) that it checks
+   after each read counts only the iterations whose read comes before it. *)
+let idle_iterations t ~step ~spin ~left ~until =
+  let deadline = min (Device.next_event_int t.device) until in
+  if deadline = max_int then left
+  else
+    let room = deadline - Grt_sim.Clock.now_int t.clock - (step - spin) in
     if room <= 0 then 0 else min left ((room + step - 1) / step)
 
 (* After a failed read, the iterations that would read the same value are
    skipped in one clock advance of their total length (a read plus a spin
    each); the clock's observers integrate linearly, so virtual time and
    energy match the iteration-by-iteration loop exactly. *)
+let rec spin_from t ~reg ~mask ~cond ~max_iters ~spin ~step i =
+  if i >= max_iters then -1
+  else begin
+    let v = Device.read_reg t.device reg in
+    if Regs.poll_met cond ~mask v then begin
+      t.polled <- v;
+      i
+    end
+    else begin
+      Grt_sim.Clock.advance_int t.clock spin;
+      let skip = idle_iterations t ~step ~spin ~left:(max_iters - i - 1) ~until:max_int in
+      Grt_sim.Clock.advance_int t.clock (skip * step);
+      spin_from t ~reg ~mask ~cond ~max_iters ~spin ~step (i + 1 + skip)
+    end
+  end
+
+let spin_poll t ~reg ~mask ~cond ~max_iters ~spin_ns i =
+  let spin = Int64.to_int spin_ns in
+  spin_from t ~reg ~mask ~cond ~max_iters ~spin
+    ~step:(Int64.to_int Grt_sim.Costs.mmio_access_ns + spin)
+    i
+
 let run_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
   require_isolation t;
   count t Metrics.Client_polls;
-  let spin = Int64.to_int spin_ns in
-  let step = Int64.to_int Grt_sim.Costs.mmio_access_ns + spin in
-  let rec loop i =
-    if i >= max_iters then None
-    else begin
-      let v = Device.read_reg t.device reg in
-      if Regs.poll_met cond ~mask v then Some (i + 1, v)
-      else begin
-        Grt_sim.Clock.advance_int t.clock spin;
-        let skip = idle_iterations t ~step ~spin ~left:(max_iters - i - 1) in
-        Grt_sim.Clock.advance_int t.clock (skip * step);
-        loop (i + 1 + skip)
-      end
-    end
-  in
-  loop 0
+  let i = spin_poll t ~reg ~mask ~cond ~max_iters ~spin_ns 0 in
+  if i < 0 then None else Some (i + 1, t.polled)
 
 let wait_irq t ~timeout_ns =
   require_isolation t;
@@ -205,16 +217,25 @@ let power_cycle t =
   Device.power_cycle t.device;
   Grt_gpu.Mem.clear_dirty (Device.mem t.device)
 
+(* Soft reset, polled every microsecond for up to 10 ms. As in
+   [spin_from], the reads that cannot see the reset complete are skipped
+   in one clock advance; so are only those whose read would still come
+   before the deadline, so a reset that never completes times out at the
+   same instant. *)
 let reset_gpu t =
   require_isolation t;
   Device.write_reg t.device Regs.gpu_command Regs.cmd_soft_reset;
-  let deadline = Int64.add (Grt_sim.Clock.now_ns t.clock) 10_000_000L in
+  let deadline = Grt_sim.Clock.now_int t.clock + 10_000_000 in
+  let spin = 1_000 in
+  let step = Int64.to_int Grt_sim.Costs.mmio_access_ns + spin in
   let rec wait () =
     let v = Device.read_reg t.device Regs.gpu_irq_rawstat in
     if Int64.logand v Regs.irq_reset_completed <> 0L then
       Device.write_reg t.device Regs.gpu_irq_clear Regs.irq_reset_completed
-    else if Int64.compare (Grt_sim.Clock.now_ns t.clock) deadline < 0 then begin
-      Grt_sim.Clock.advance_ns t.clock 1_000L;
+    else if Grt_sim.Clock.now_int t.clock < deadline then begin
+      Grt_sim.Clock.advance_int t.clock spin;
+      Grt_sim.Clock.advance_int t.clock
+        (step * idle_iterations t ~step ~spin ~left:max_int ~until:deadline);
       wait ()
     end
     else failwith "GPUShim: reset timeout"

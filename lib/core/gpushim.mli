@@ -63,8 +63,26 @@ val run_poll :
   max_iters:int ->
   spin_ns:int64 ->
   (int * int64) option
-(** Execute an offloaded polling loop against the device; [None] on
+(** Execute an offloaded polling loop against the device: the number of
+    iterations run and the value that met the condition, or [None] on
     timeout. *)
+
+val spin_poll :
+  t ->
+  reg:int ->
+  mask:int64 ->
+  cond:Grt_gpu.Regs.poll_cond ->
+  max_iters:int ->
+  spin_ns:int64 ->
+  int ->
+  int
+(** [spin_poll t ... i] runs a polling loop from iteration [i] (each
+    iteration a register read, then [spin_ns] if the condition fails) and
+    returns the first iteration whose read meets the condition, or [-1]
+    when none does before [max_iters].
+    Iterations that cannot observe a device event are skipped in one clock
+    advance, so the virtual time, energy and result are those of the
+    iteration-by-iteration loop. It neither checks isolation nor counts. *)
 
 val wait_irq : t -> timeout_ns:int64 -> Grt_gpu.Device.irq_line option
 

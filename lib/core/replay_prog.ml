@@ -39,7 +39,7 @@ type op =
   | Load_static of {
       pages : (int64 * bytes) array;
       learn : bool;
-      mutable stamps : (Grt_gpu.Mem.t * int64 array) option;
+      mutable stamps : (Grt_gpu.Mem.t * int array) option;
     }
       (** memory image precomputed at compile; [learn] feeds the bodies to
           the execution store (tagged images do, untagged ones do not) *)
@@ -47,6 +47,7 @@ type op =
       logged : Memsync.logged;
       index : int;
       mutable cached : (int64 * bytes) array option;
+      mutable stamps : (Grt_gpu.Mem.t * int array) option;
     }
 
 type group = {
@@ -105,7 +106,7 @@ let lower_mem_load store ~index (logged : Memsync.logged) =
         learn;
         stamps = None;
       }
-  else Load_dynamic { logged; index; cached = None }
+  else Load_dynamic { logged; index; cached = None; stamps = None }
 
 let lower_range store entries ~first ~count =
   let ops = ref [] in

@@ -31,7 +31,7 @@ type op =
   | Load_static of {
       pages : (int64 * bytes) array;
       learn : bool;
-      mutable stamps : (Grt_gpu.Mem.t * int64 array) option;
+      mutable stamps : (Grt_gpu.Mem.t * int array) option;
     }
       (** memory image precomputed at compile time; [learn] = feed bodies to
           the execution store (true for tagged images, false for untagged
@@ -45,6 +45,8 @@ type op =
       index : int;
       mutable cached : (int64 * bytes) array option;
           (** installed by the executor after the first (live) decode *)
+      mutable stamps : (Grt_gpu.Mem.t * int array) option;
+          (** as [Load_static]'s, from the first (live) install on *)
     }
 
 type group = {

@@ -48,18 +48,15 @@ let install store mem payload =
   | Ok pages -> pages
   | Error e -> raise (Rejected ("recording: " ^ Memsync.decode_error_message e))
 
-(* A recorded poll, spun live from iteration [i]: the iteration that met
-   the condition, or a [Poll_timeout] divergence — not a wrong value, the
-   condition never held within the recorded iteration budget; [expected]
-   carries the mask. *)
-let rec poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index i =
-  if i >= max_iters then
-    raise (Divergence { kind = Poll_timeout; index; reg; expected = mask; got = -1L })
-  else if Grt_gpu.Regs.poll_met cond ~mask (Device.read_reg dev reg) then i
-  else begin
-    Grt_sim.Clock.advance_ns clock spin_ns;
-    poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index (i + 1)
-  end
+(* A recorded poll, spun live from iteration [i] ([Gpushim.spin_poll]):
+   the iteration that met the condition, or a [Poll_timeout] divergence —
+   not a wrong value, the condition never held within the recorded
+   iteration budget; [expected] carries the mask. *)
+let poll_live gpushim ~reg ~mask ~cond ~max_iters ~spin_ns ~index i =
+  let met = Gpushim.spin_poll gpushim ~reg ~mask ~cond ~max_iters ~spin_ns i in
+  if met < 0 then
+    raise (Divergence { kind = Poll_timeout; index; reg; expected = mask; got = -1L });
+  met
 
 (* The recorded interrupt [line] must be the next to fire. *)
 let expect_irq gpushim ~index line =
@@ -98,7 +95,7 @@ let apply_entries ~gpushim ~store tally entries =
         end
         else tally.skipped <- tally.skipped + 1
       | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->
-        ignore (poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0)
+        ignore (poll_live gpushim ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0)
       | Recording.Wait_irq { line } -> expect_irq gpushim ~index line)
     entries
 
@@ -201,17 +198,47 @@ let replay_segments ~gpushim ~signing_key ~blobs ~input ~params ?energy () =
    hinted iteration we fall back to the live spin from hint+1, which again
    matches the interpreter's clock arithmetic exactly; either way the
    first-success iteration is re-learned for the next execution. *)
-let exec_poll ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index ~hint =
+let exec_poll gpushim ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index ~hint =
   if hint > 0 && hint < max_iters then begin
     Grt_sim.Clock.advance_ns clock
       (Int64.mul (Int64.of_int hint) (Int64.add spin_ns Grt_sim.Costs.mmio_access_ns));
     if Grt_gpu.Regs.poll_met cond ~mask (Device.read_reg dev reg) then hint
     else begin
       Grt_sim.Clock.advance_ns clock spin_ns;
-      poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index (hint + 1)
+      poll_live gpushim ~reg ~mask ~cond ~max_iters ~spin_ns ~index (hint + 1)
     end
   end
-  else poll_live ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0
+  else poll_live gpushim ~reg ~mask ~cond ~max_iters ~spin_ns ~index 0
+
+(* Install a memory image an op installed before: warm sessions re-install
+   the same image into the same memory, and a page whose generation is
+   unchanged since the op's own last install there provably still holds
+   it, so its copy is skipped. It is still marked dirty, as the copy would
+   have marked it: the next cache flush costs what the interpreter's does.
+   [stamps] are the target memory and the per-page generations right after
+   that install; the stamps to keep are returned (the same value when the
+   memory is the same). *)
+let install_image mem pages stamps =
+  match stamps with
+  | Some (m, gens) when m == mem ->
+    for k = 0 to Array.length pages - 1 do
+      let pfn, data = pages.(k) in
+      let i = Int64.to_int pfn in
+      if Mem.page_gen_at mem i <> gens.(k) then begin
+        Mem.set_page mem pfn data;
+        gens.(k) <- Mem.page_gen_at mem i
+      end
+      else Mem.mark_dirty mem i
+    done;
+    stamps
+  | _ ->
+    Some
+      ( mem,
+        Array.map
+          (fun (pfn, data) ->
+            Mem.set_page mem pfn data;
+            Mem.page_gen_at mem (Int64.to_int pfn))
+          pages )
 
 let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
   let open Replay_prog in
@@ -269,8 +296,8 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
           | Poll p ->
             step ();
             p.hint <-
-              exec_poll ~clock ~dev ~reg:p.reg ~mask:p.mask ~cond:p.cond ~max_iters:p.max_iters
-                ~spin_ns:p.spin_ns ~index:p.index ~hint:p.hint
+              exec_poll gpushim ~clock ~dev ~reg:p.reg ~mask:p.mask ~cond:p.cond
+                ~max_iters:p.max_iters ~spin_ns:p.spin_ns ~index:p.index ~hint:p.hint
           | Wait_irq { line; index } ->
             step ();
             expect_irq gpushim ~index line
@@ -280,43 +307,24 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
                match store with
                | Some s -> Array.iter (fun (_, data) -> Memsync.Store.learn s data) l.pages
                | None -> ());
-            let install () =
-              let stamps =
-                Array.map
-                  (fun (pfn, data) ->
-                    Mem.set_page mem pfn data;
-                    Mem.page_gen mem pfn)
-                  l.pages
-              in
-              l.stamps <- Some (mem, stamps)
-            in
-            (* Warm sessions re-install the same image into the same memory;
-               an unchanged generation proves the page still holds it. *)
-            (match l.stamps with
-            | Some (m, stamps) when m == mem ->
-              Array.iteri
-                (fun k (pfn, data) ->
-                  if not (Int64.equal (Mem.page_gen mem pfn) stamps.(k)) then begin
-                    Mem.set_page mem pfn data;
-                    stamps.(k) <- Mem.page_gen mem pfn
-                  end)
-                l.pages
-            | _ -> install ());
+            l.stamps <- install_image mem l.pages l.stamps
           | Load_dynamic d -> (
             step ();
             match d.cached with
             | Some pages ->
-              Array.iter
-                (fun (_, data) ->
-                  match store with Some s -> Memsync.Store.learn s data | None -> ())
-                pages;
-              Array.iter (fun (pfn, data) -> Mem.set_page mem pfn data) pages
+              (match store with
+              | Some s -> Array.iter (fun (_, data) -> Memsync.Store.learn s data) pages
+              | None -> ());
+              d.stamps <- install_image mem pages d.stamps
             | None ->
               let s =
                 match store with Some s -> s | None -> assert false (* needs_store saw us *)
               in
-              d.cached <-
-                Some (Array.of_list (install s mem (Memsync.payload_of_logged d.logged)))))
+              let pages = Array.of_list (install s mem (Memsync.payload_of_logged d.logged)) in
+              d.cached <- Some pages;
+              d.stamps <-
+                Some
+                  (mem, Array.map (fun (pfn, _) -> Mem.page_gen_at mem (Int64.to_int pfn)) pages)))
         g.ops)
     prog.groups
 

@@ -22,7 +22,30 @@ type address_space = {
   mutable faultaddress : int64;
 }
 
-type event = { deadline : int; action : unit -> unit }  (* deadline: unboxed ns *)
+(* What a timed event does when it fires: finish a power transition of a
+   domain (0 shader, 1 tiler, 2 L2), a reset, a cache flush, an AS
+   command, or a job chain on a slot. *)
+type event_kind =
+  | Power_on
+  | Power_off
+  | Reset_done
+  | Flush_done
+  | As_idle
+  | Chain_done
+  | Chain_failed
+
+(* Pending events in parallel arrays, in reverse firing order: the entry
+   at [n - 1] fires first. Firing order is by deadline, and among equal
+   deadlines the latest scheduled first. [arg] is the domain, AS or slot
+   index; [fault] the message of a failed chain. Scheduling and firing
+   allocate nothing once the arrays have grown. *)
+type events = {
+  mutable n : int;
+  mutable deadline : int array;  (** unboxed ns *)
+  mutable kind : event_kind array;
+  mutable arg : int array;
+  mutable fault : string array;
+}
 
 (* Direct-mapped read and write TLBs for kernel streams. [used] lists the
    slots filled since the chain started, so the chain-end reset touches
@@ -37,6 +60,14 @@ type tlb = {
   used : int array;
   mutable n_used : int;
 }
+
+(* The address space of the running chain, which the kernel streams' miss
+   handlers translate in. *)
+type space_of_chain = { mutable mmu : Mmu.t; mutable as_idx : int }
+
+(* The kernel streams and the TLB behind them, made on the device's first
+   chain and reused by every later one. *)
+type kernel = { tlb : tlb; ctx : Kernels.ctx; chain : space_of_chain }
 
 type t = {
   sku : Sku.t;
@@ -66,11 +97,11 @@ type t = {
   mutable flush_count : int64;
   session_salt : int64;
   misc : (int, int64) Hashtbl.t; (* PRFCNT and similar plain storage registers *)
-  mutable events : event list;
+  events : events;
   mutable jobs_executed : int;
   mutable last_fault : string option;
   mutable resetting : bool;
-  mutable tlb : tlb option; (* kernel TLB (see [kernel_ctx]), made on the first chain *)
+  mutable kernel : kernel option; (* see [kernel_ctx] *)
 }
 
 let sku t = t.sku
@@ -120,47 +151,56 @@ let create ?energy ~clock ~mem ~sku ~session_salt () =
     flush_count = 0L;
     session_salt;
     misc = Hashtbl.create 16;
-    events = [];
+    events = { n = 0; deadline = [||]; kind = [||]; arg = [||]; fault = [||] };
     jobs_executed = 0;
     last_fault = None;
     resetting = false;
-    tlb = None;
+    kernel = None;
   }
 
-let schedule t ~after_ns action =
-  let deadline = Grt_sim.Clock.now_int t.clock + Int64.to_int after_ns in
-  t.events <- { deadline; action } :: t.events
+let schedule t ~after_ns kind arg fault =
+  let deadline = Grt_sim.Clock.now_int t.clock + after_ns in
+  let q = t.events in
+  if q.n = Array.length q.deadline then begin
+    let cap = max 8 (2 * q.n) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 q.n;
+      b
+    in
+    q.deadline <- grow q.deadline 0;
+    q.kind <- grow q.kind Power_on;
+    q.arg <- grow q.arg 0;
+    q.fault <- grow q.fault ""
+  end;
+  (* The entries with earlier deadlines fire before this one: they move up
+     one, and it goes below them. A loop, not [Array.blit]: the queue is a
+     few entries long, and four blits cost more than the moves. *)
+  let i = ref q.n in
+  while !i > 0 && q.deadline.(!i - 1) < deadline do
+    let j = !i in
+    q.deadline.(j) <- q.deadline.(j - 1);
+    q.kind.(j) <- q.kind.(j - 1);
+    q.arg.(j) <- q.arg.(j - 1);
+    q.fault.(j) <- q.fault.(j - 1);
+    i := j - 1
+  done;
+  let i = !i in
+  q.deadline.(i) <- deadline;
+  q.kind.(i) <- kind;
+  q.arg.(i) <- arg;
+  q.fault.(i) <- fault;
+  q.n <- q.n + 1
 
-(* Apply all events whose deadline has passed, in deadline order. Called on
-   every register access, so the nothing-due case (including the common
-   one-pending-job-completion case) must not allocate. *)
-let rec none_due now = function
-  | [] -> true
-  | e :: tl -> e.deadline > now && none_due now tl
+let clear_events t =
+  let q = t.events in
+  Array.fill q.fault 0 q.n "";
+  q.n <- 0
 
-let refresh t =
-  match t.events with
-  | [] -> ()
-  | [ e ] ->
-    (* Dominant case: one pending event (a job completion, a flush). Fire
-       it without the partition/sort allocation of the general path. *)
-    if e.deadline <= Grt_sim.Clock.now_int t.clock then begin
-      t.events <- [];
-      e.action ()
-    end
-  | evs ->
-    let now = Grt_sim.Clock.now_int t.clock in
-    if none_due now evs then ()
-    else begin
-      let due, later = List.partition (fun e -> e.deadline <= now) evs in
-      t.events <- later;
-      List.iter (fun e -> e.action ()) (List.sort (fun a b -> compare a.deadline b.deadline) due)
-    end
-
-let next_event_ns t =
-  match t.events with
-  | [] -> None
-  | es -> Some (Int64.of_int (List.fold_left (fun acc e -> min acc e.deadline) max_int es))
+(* Deadline of the next event to fire; [max_int] when none is pending. *)
+let next_event_int t =
+  let q = t.events in
+  if q.n = 0 then max_int else q.deadline.(q.n - 1)
 
 let raise_gpu_irq t bits = t.gpu_rawstat <- Int64.logor t.gpu_rawstat bits
 
@@ -191,67 +231,64 @@ let power_cycle t =
   Array.iteri (fun i _ -> t.spaces.(i) <- fresh_as ()) t.spaces;
   t.flush_count <- 0L;
   Hashtbl.reset t.misc;
-  t.events <- [];
+  clear_events t;
   t.last_fault <- None;
   t.resetting <- false
 
 (* ---- power domains ---- *)
 
-let domain_power_on t dom mask =
-  dom.pending_on <- Int64.logor dom.pending_on mask;
-  schedule t ~after_ns:(Int64.of_int (t.sku.Sku.power_up_us * 1000)) (fun () ->
-      dom.ready <- Int64.logor dom.ready dom.pending_on;
-      dom.pending_on <- 0L;
-      raise_gpu_irq t Regs.irq_power_changed_all)
+let domain t i = match i with 0 -> t.shader_dom | 1 -> t.tiler_dom | _ -> t.l2_dom
 
-let domain_power_off t dom mask =
+let domain_power_on t i mask =
+  let dom = domain t i in
+  dom.pending_on <- Int64.logor dom.pending_on mask;
+  schedule t ~after_ns:(t.sku.Sku.power_up_us * 1000) Power_on i ""
+
+let domain_power_off t i mask =
+  let dom = domain t i in
   dom.pending_off <- Int64.logor dom.pending_off mask;
-  schedule t ~after_ns:(Int64.of_int (t.sku.Sku.power_up_us * 500)) (fun () ->
-      dom.ready <- Int64.logand dom.ready (Int64.lognot dom.pending_off);
-      dom.pending_off <- 0L;
-      raise_gpu_irq t Regs.irq_power_changed_all)
+  schedule t ~after_ns:(t.sku.Sku.power_up_us * 500) Power_off i ""
 
 (* ---- resets and cache maintenance ---- *)
 
 let do_soft_reset t =
   t.resetting <- true;
-  schedule t ~after_ns:(Int64.of_int (t.sku.Sku.reset_us * 1000)) (fun () ->
-      t.resetting <- false;
-      t.shader_dom.ready <- 0L;
-      t.tiler_dom.ready <- 0L;
-      t.l2_dom.ready <- 0L;
-      t.shader_config <- t.sku.Sku.quirk_shader_config;
-      t.mmu_config <- t.sku.Sku.quirk_mmu_config;
-      Array.iter
-        (fun s ->
-          s.head <- 0L;
-          s.status <- Regs.js_status_idle)
-        t.slots;
-      Array.iter
-        (fun a ->
-          a.transtab <- 0L;
-          a.as_status <- 0L)
-        t.spaces;
-      t.job_rawstat <- 0L;
-      t.mmu_rawstat <- 0L;
-      raise_gpu_irq t Regs.irq_reset_completed)
+  schedule t ~after_ns:(t.sku.Sku.reset_us * 1000) Reset_done 0 ""
+
+let finish_reset t =
+  t.resetting <- false;
+  t.shader_dom.ready <- 0L;
+  t.tiler_dom.ready <- 0L;
+  t.l2_dom.ready <- 0L;
+  t.shader_config <- t.sku.Sku.quirk_shader_config;
+  t.mmu_config <- t.sku.Sku.quirk_mmu_config;
+  Array.iter
+    (fun s ->
+      s.head <- 0L;
+      s.status <- Regs.js_status_idle)
+    t.slots;
+  Array.iter
+    (fun a ->
+      a.transtab <- 0L;
+      a.as_status <- 0L)
+    t.spaces;
+  t.job_rawstat <- 0L;
+  t.mmu_rawstat <- 0L;
+  raise_gpu_irq t Regs.irq_reset_completed
 
 let do_cache_flush t =
   let dirty_kb = Mem.dirty_bytes t.mem / 1024 in
   let duration =
     Int64.add 8_000L (Int64.mul (Int64.of_int dirty_kb) Grt_sim.Costs.cache_flush_ns_per_kb)
   in
-  schedule t ~after_ns:duration (fun () ->
-      t.flush_count <- Int64.add t.flush_count 1L;
-      Mem.clear_dirty t.mem;
-      raise_gpu_irq t Regs.irq_clean_caches_completed)
+  schedule t ~after_ns:(Int64.to_int duration) Flush_done 0 ""
 
 (* ---- MMU ---- *)
 
 let as_flush_duration cmd =
-  if Int64.equal cmd Regs.as_cmd_flush_mem then 25_000L
-  else if Int64.equal cmd Regs.as_cmd_flush_pt then 12_000L
-  else 3_000L
+  if Int64.equal cmd Regs.as_cmd_flush_mem then 25_000
+  else if Int64.equal cmd Regs.as_cmd_flush_pt then 12_000
+  else 3_000
 
 let do_as_command t idx cmd =
   let sp = t.spaces.(idx) in
@@ -261,7 +298,7 @@ let do_as_command t idx cmd =
     || Int64.equal cmd Regs.as_cmd_unlock
   then begin
     sp.as_status <- Regs.as_status_flush_active;
-    schedule t ~after_ns:(as_flush_duration cmd) (fun () -> sp.as_status <- 0L)
+    schedule t ~after_ns:(as_flush_duration cmd) As_idle idx ""
   end
 
 (* ---- job execution ---- *)
@@ -280,33 +317,25 @@ let record_mmu_fault t ~as_idx ~va reason =
   t.mmu_rawstat <- Int64.logor t.mmu_rawstat (Int64.shift_left 1L as_idx);
   t.last_fault <- Some reason
 
-let translate_or_fault t mmu ~as_idx ~va ~access =
-  match Mmu.translate mmu ~va ~access with
-  | Ok pa -> pa
-  | Error f ->
-    let reason = Format.asprintf "translation fault at %Lx: %a" va Mmu.pp_fault f in
-    record_mmu_fault t ~as_idx ~va reason;
-    raise (Gpu_fault reason)
-
 (* Kernel streams: each operand gets a one-entry TLB over the live page
    buffers (see Kernels), backed here by a direct-mapped software TLB so a
    stream switching pages (a conv walking input channels) does not redo the
-   MMU walk for a page translated moments ago. The TLB belongs to the
-   device and is allocated on its first chain; every chain starts with all
-   tags invalid, so no chain sees another's translations, and ends with the
-   page references dropped, so the device keeps no page alive between
-   chains. Reads of pages never
-   materialized see a shared zero page without materializing them — that
-   would perturb the memsync working set. A write miss that materializes a
-   page displaces any read-side cache of the same VA so reads cannot keep
-   serving the stale zero page. *)
+   MMU walk for a page translated moments ago. The streams and the TLB
+   belong to the device and are made on its first chain; every chain
+   starts with all tags invalid, so no chain sees another's translations,
+   and ends with the page references dropped, so the device keeps no page
+   alive between chains. Reads of pages never materialized see a shared
+   zero page without materializing them — that would perturb the memsync
+   working set. A write miss that materializes a page displaces any
+   read-side cache of the same VA so reads cannot keep serving the stale
+   zero page. *)
 let zero_page = Bytes.make Mem.page_size '\000'
 let tlb_size = 256
 
-let release_tlb t =
-  match t.tlb with
+let release_kernel t =
+  match t.kernel with
   | None -> ()
-  | Some k ->
+  | Some { tlb = k; ctx; _ } ->
     for u = 0 to k.n_used - 1 do
       let i = k.used.(u) in
       k.rtag.(i) <- -1;
@@ -314,7 +343,15 @@ let release_tlb t =
       k.wtag.(i) <- -1;
       k.wpage.(i) <- Bytes.empty
     done;
-    k.n_used <- 0
+    k.n_used <- 0;
+    let drop (s : Kernels.stream) =
+      s.Kernels.sbase <- -1;
+      s.Kernels.spage <- Bytes.empty
+    in
+    drop ctx.Kernels.c_in;
+    drop ctx.Kernels.c_in2;
+    drop ctx.Kernels.c_bias;
+    drop ctx.Kernels.c_out
 
 let claim k idx =
   if Array.unsafe_get k.rtag idx = -1 && Array.unsafe_get k.wtag idx = -1 then begin
@@ -322,25 +359,40 @@ let claim k idx =
     k.n_used <- k.n_used + 1
   end
 
-let kernel_ctx t mmu ~as_idx =
+(* The MMU fault at [va], recorded and raised. *)
+let fault_at t mmu ~as_idx ~va ~access =
+  match Mmu.translate mmu ~va ~access with
+  | Ok pa -> Int64.to_int pa
+  | Error f ->
+    let reason = Format.asprintf "translation fault at %Lx: %a" va Mmu.pp_fault f in
+    record_mmu_fault t ~as_idx ~va reason;
+    raise (Gpu_fault reason)
+
+(* The PA of [va] (as an int) in the address space, or the MMU fault
+   recorded and raised. *)
+let translate_or_fault t mmu ~as_idx ~va ~access =
+  let pa = Mmu.translate_int mmu ~va ~access in
+  if pa >= 0 then pa else fault_at t mmu ~as_idx ~va:(Int64.of_int va) ~access
+
+(* The same for a VA a descriptor or job slot holds: the walk reads only
+   its low bits, but a fault reports all 64. *)
+let translate_va_or_fault t mmu ~as_idx ~va ~access =
+  let pa = Mmu.translate_int mmu ~va:(Int64.to_int va) ~access in
+  if pa >= 0 then pa else fault_at t mmu ~as_idx ~va ~access
+
+let make_kernel t mmu =
   let k =
-    match t.tlb with
-    | Some k -> k
-    | None ->
-      let k =
-        {
-          rtag = Array.make tlb_size (-1);
-          rpage = Array.make tlb_size Bytes.empty;
-          wtag = Array.make tlb_size (-1);
-          wpage = Array.make tlb_size Bytes.empty;
-          used = Array.make tlb_size 0;
-          n_used = 0;
-        }
-      in
-      t.tlb <- Some k;
-      k
+    {
+      rtag = Array.make tlb_size (-1);
+      rpage = Array.make tlb_size Bytes.empty;
+      wtag = Array.make tlb_size (-1);
+      wpage = Array.make tlb_size Bytes.empty;
+      used = Array.make tlb_size 0;
+      n_used = 0;
+    }
   in
   let rtag = k.rtag and rpage = k.rpage and wtag = k.wtag and wpage = k.wpage in
+  let chain = { mmu; as_idx = 0 } in
   let fill (s : Kernels.stream) va p =
     s.Kernels.sbase <- va land lnot 0xFFF;
     s.Kernels.spage <- p;
@@ -351,9 +403,10 @@ let kernel_ctx t mmu ~as_idx =
     let idx = (va lsr 12) land (tlb_size - 1) in
     if Array.unsafe_get rtag idx = page then fill s va (Array.unsafe_get rpage idx)
     else begin
-      let pa = translate_or_fault t mmu ~as_idx ~va:(Int64.of_int va) ~access:`Read in
+      let pa = translate_or_fault t chain.mmu ~as_idx:chain.as_idx ~va ~access:`Read in
       let p =
-        match Mem.page_ro t.mem (Mem.page_of_addr pa) with Some p -> p | None -> zero_page
+        let p = Mem.borrow_ro t.mem (pa lsr Mem.page_shift) in
+        if p == Bytes.empty then zero_page else p
       in
       claim k idx;
       rtag.(idx) <- page;
@@ -369,8 +422,8 @@ let kernel_ctx t mmu ~as_idx =
     let idx = (va lsr 12) land (tlb_size - 1) in
     if Array.unsafe_get wtag idx = page then fill s va (Array.unsafe_get wpage idx)
     else begin
-      let pa = translate_or_fault t mmu ~as_idx ~va:(Int64.of_int va) ~access:`Write in
-      let p = Mem.page_rw t.mem (Mem.page_of_addr pa) in
+      let pa = translate_or_fault t chain.mmu ~as_idx:chain.as_idx ~va ~access:`Write in
+      let p = Mem.page_rw t.mem (Int64.of_int (pa lsr Mem.page_shift)) in
       claim k idx;
       wtag.(idx) <- page;
       wpage.(idx) <- p;
@@ -384,100 +437,161 @@ let kernel_ctx t mmu ~as_idx =
       fill s va p
     end
   in
-  { Kernels.c_in; c_in2; c_bias; c_out = Kernels.new_stream wmiss }
+  { tlb = k; ctx = { Kernels.c_in; c_in2; c_bias; c_out = Kernels.new_stream wmiss }; chain }
 
+let kernel_ctx t mmu ~as_idx =
+  let kn =
+    match t.kernel with
+    | Some kn -> kn
+    | None ->
+      let kn = make_kernel t mmu in
+      t.kernel <- Some kn;
+      kn
+  in
+  kn.chain.mmu <- mmu;
+  kn.chain.as_idx <- as_idx;
+  kn.ctx
+
+(* The header check reads the page in place; only a header that fails it
+   is parsed, for the fault's message. *)
 let validate_shader t mmu ~as_idx ~va ~op =
-  let pa = translate_or_fault t mmu ~as_idx ~va ~access:`Exec in
-  let hdr_bytes = Mem.read_bytes t.mem pa Shader.header_size in
-  match Shader.parse_header hdr_bytes with
-  | Error e -> raise (Gpu_fault e)
-  | Ok h ->
-    if not (Int64.equal h.Shader.gpu_id t.sku.Sku.gpu_id) then
-      raise
-        (Gpu_fault
-           (Printf.sprintf "shader SKU mismatch: built for %Lx, device is %Lx" h.Shader.gpu_id
-              t.sku.Sku.gpu_id));
-    if h.Shader.op <> op then raise (Gpu_fault "shader/descriptor opcode mismatch")
+  let pa = translate_va_or_fault t mmu ~as_idx ~va ~access:`Exec in
+  let page = Mem.borrow_ro t.mem (pa lsr Mem.page_shift) in
+  if not (Shader.header_matches page (pa land 0xFFF) ~gpu_id:t.sku.Sku.gpu_id ~op) then
+    match Shader.parse_header (Mem.read_bytes t.mem (Int64.of_int pa) Shader.header_size) with
+    | Error e -> raise (Gpu_fault e)
+    | Ok h ->
+      if not (Int64.equal h.Shader.gpu_id t.sku.Sku.gpu_id) then
+        raise
+          (Gpu_fault
+             (Printf.sprintf "shader SKU mismatch: built for %Lx, device is %Lx" h.Shader.gpu_id
+                t.sku.Sku.gpu_id));
+      if h.Shader.op <> op then raise (Gpu_fault "shader/descriptor opcode mismatch")
 
 let powered_up t =
   Int64.compare t.shader_dom.ready 0L > 0 && Int64.compare t.l2_dom.ready 0L > 0
 
-(* Host wall-clock seconds (monotonic clock) this process has spent doing
-   the GPU's side of job execution, across every device: descriptor-chain
-   walk, MMU translation, shader validation and the kernel math. All of it
-   stands in for silicon — on real hardware the GPU fetches and runs the
-   chain itself and the host pays only the doorbell MMIO write — so
-   benchmarks of the replayer subtract this from their wall-clock samples,
-   which must come from the same clock. *)
-let gpu_host_ns = ref 0L
+(* Host wall-clock nanoseconds (monotonic clock) this process has spent
+   doing the GPU's side of job execution, across every device:
+   descriptor-chain walk, MMU translation, shader validation and the
+   kernel math. All of it stands in for silicon — on real hardware the GPU
+   fetches and runs the chain itself and the host pays only the doorbell
+   MMIO write — so benchmarks of the replayer subtract this from their
+   wall-clock samples, which must come from the same clock. *)
+let gpu_host_ns = ref 0
 
-let gpu_host_seconds () = Int64.to_float !gpu_host_ns *. 1e-9
+let gpu_host_seconds () = float_of_int !gpu_host_ns *. 1e-9
 
 let job_duration_ns t (d : Job_desc.t) =
   let f = Int64.to_float d.params.Job_desc.flops_hint in
   let compute_s = f /. Sku.flops_per_s t.sku in
-  Int64.add Grt_sim.Costs.gpu_job_fixed_ns (Int64.of_float (compute_s *. 1e9))
+  Int64.to_int (Int64.add Grt_sim.Costs.gpu_job_fixed_ns (Int64.of_float (compute_s *. 1e9)))
 
-let start_job_chain t ~slot_idx =
-  let host_t0 = Monotonic_clock.now () in
-  Fun.protect ~finally:(fun () ->
-      release_tlb t;
-      gpu_host_ns := Int64.add !gpu_host_ns (Int64.sub (Monotonic_clock.now ()) host_t0))
-  @@ fun () ->
+(* Walk the chain from [va], running each job; [total_ns] plus the jobs'
+   modeled durations. *)
+let rec run_chain t mmu ~as_idx ctx va total_ns =
+  if Int64.equal va 0L then total_ns
+  else begin
+    let pa = Int64.of_int (translate_va_or_fault t mmu ~as_idx ~va ~access:`Read) in
+    match Job_desc.read t.mem ~pa with
+    | Error e ->
+      Job_desc.write_status t.mem ~pa (Job_desc.Fault 1);
+      raise (Gpu_fault e)
+    | Ok d ->
+      validate_shader t mmu ~as_idx ~va:d.Job_desc.shader_va ~op:d.Job_desc.op;
+      (try Kernels.execute ctx d
+       with Kernels.Kernel_fault msg ->
+         Job_desc.write_status t.mem ~pa (Job_desc.Fault 2);
+         raise (Gpu_fault msg));
+      Job_desc.write_status t.mem ~pa Job_desc.Done;
+      t.jobs_executed <- t.jobs_executed + 1;
+      run_chain t mmu ~as_idx ctx d.Job_desc.next_va (total_ns + job_duration_ns t d)
+  end
+
+(* Run the slot's chain now and schedule its completion, or its fault, as
+   an event after the chain's modeled duration. *)
+let run_slot t ~slot_idx =
   let slot = t.slots.(slot_idx) in
   let as_idx = Int64.to_int (Int64.logand slot.config 0x7L) in
   slot.status <- Regs.js_status_active;
-  let finish status_bits js_status fault =
-    (* Completion is scheduled after the accumulated chain duration. *)
-    slot.status <- Regs.js_status_active;
-    fun () ->
-      slot.status <- js_status;
-      slot.head <- 0L;
-      t.job_rawstat <- Int64.logor t.job_rawstat status_bits;
-      (match fault with Some f -> t.last_fault <- Some f | None -> ())
-  in
-  try
+  match
     if not (powered_up t) then raise (Gpu_fault "job started with cores powered down");
     let mmu = mmu_for t ~as_idx in
-    let ctx = kernel_ctx t mmu ~as_idx in
-    let total_ns = ref 0L in
-    let rec run_chain va =
-      if not (Int64.equal va 0L) then begin
-        let pa = translate_or_fault t mmu ~as_idx ~va ~access:`Read in
-        match Job_desc.read t.mem ~pa with
-        | Error e ->
-          Job_desc.write_status t.mem ~pa (Job_desc.Fault 1);
-          raise (Gpu_fault e)
-        | Ok d ->
-          validate_shader t mmu ~as_idx ~va:d.Job_desc.shader_va ~op:d.Job_desc.op;
-          (try Kernels.execute ctx d
-           with Kernels.Kernel_fault msg ->
-             Job_desc.write_status t.mem ~pa (Job_desc.Fault 2);
-             raise (Gpu_fault msg));
-          Job_desc.write_status t.mem ~pa Job_desc.Done;
-          t.jobs_executed <- t.jobs_executed + 1;
-          total_ns := Int64.add !total_ns (job_duration_ns t d);
-          run_chain d.Job_desc.next_va
-      end
-    in
-    run_chain slot.head;
+    run_chain t mmu ~as_idx (kernel_ctx t mmu ~as_idx) slot.head 0
+  with
+  | total_ns ->
     (match t.energy with
     | Some e ->
       Grt_sim.Energy.charge_j e Grt_sim.Energy.Gpu_busy
-        (Int64.to_float !total_ns *. 1e-9 *. Grt_sim.Energy.rail_power_w Grt_sim.Energy.Gpu_busy)
+        (float_of_int total_ns *. 1e-9 *. Grt_sim.Energy.rail_power_w Grt_sim.Energy.Gpu_busy)
     | None -> ());
-    let done_bit = Int64.shift_left 1L slot_idx in
-    schedule t ~after_ns:!total_ns (finish done_bit Regs.js_status_done None)
-  with Gpu_fault msg ->
-    let fail_bit = Int64.shift_left 1L (16 + slot_idx) in
-    schedule t ~after_ns:20_000L
-      (finish fail_bit Regs.js_status_fault_bad_descriptor (Some msg))
+    schedule t ~after_ns:total_ns Chain_done slot_idx ""
+  | exception Gpu_fault msg -> schedule t ~after_ns:20_000 Chain_failed slot_idx msg
+
+let start_job_chain t ~slot_idx =
+  let host_t0 = Int64.to_int (Monotonic_clock.now ()) in
+  let finish () =
+    release_kernel t;
+    gpu_host_ns := !gpu_host_ns + (Int64.to_int (Monotonic_clock.now ()) - host_t0)
+  in
+  match run_slot t ~slot_idx with
+  | () -> finish ()
+  | exception e ->
+    finish ();
+    raise e
+
+(* ---- timed events ---- *)
+
+let fire t kind arg fault =
+  match kind with
+  | Power_on ->
+    let dom = domain t arg in
+    dom.ready <- Int64.logor dom.ready dom.pending_on;
+    dom.pending_on <- 0L;
+    raise_gpu_irq t Regs.irq_power_changed_all
+  | Power_off ->
+    let dom = domain t arg in
+    dom.ready <- Int64.logand dom.ready (Int64.lognot dom.pending_off);
+    dom.pending_off <- 0L;
+    raise_gpu_irq t Regs.irq_power_changed_all
+  | Reset_done -> finish_reset t
+  | Flush_done ->
+    t.flush_count <- Int64.add t.flush_count 1L;
+    Mem.clear_dirty t.mem;
+    raise_gpu_irq t Regs.irq_clean_caches_completed
+  | As_idle -> t.spaces.(arg).as_status <- 0L
+  | Chain_done ->
+    let slot = t.slots.(arg) in
+    slot.status <- Regs.js_status_done;
+    slot.head <- 0L;
+    t.job_rawstat <- Int64.logor t.job_rawstat (Int64.shift_left 1L arg)
+  | Chain_failed ->
+    let slot = t.slots.(arg) in
+    slot.status <- Regs.js_status_fault_bad_descriptor;
+    slot.head <- 0L;
+    t.job_rawstat <- Int64.logor t.job_rawstat (Int64.shift_left 1L (16 + arg));
+    t.last_fault <- Some fault
+
+(* Fire every event whose deadline has passed, in firing order. Called on
+   every register access; allocates nothing. *)
+let refresh t =
+  let q = t.events in
+  let now = Grt_sim.Clock.now_int t.clock in
+  while q.n > 0 && q.deadline.(q.n - 1) <= now do
+    let i = q.n - 1 in
+    let fault = q.fault.(i) in
+    q.fault.(i) <- "";
+    q.n <- i;
+    fire t q.kind.(i) q.arg.(i) fault
+  done
 
 (* ---- register file ---- *)
 
 (* Job-slot registers sit in [js_lo, js_hi), 0x80 bytes per slot, and
    address-space registers in [as_lo, as_hi), 0x40 bytes per space; the
-   decode is plain int arithmetic so an access allocates nothing. *)
+   decode is plain int arithmetic so an access allocates nothing. No named
+   register lies in either window, so [read_reg] and [write_reg] test the
+   windows first: most accesses of a replay land there. *)
 let js_lo = 0x1800
 let js_hi = js_lo + (Regs.job_slot_count * 0x80)
 let as_lo = 0x2400
@@ -518,7 +632,9 @@ let read_reg t r =
   Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.mmio_access_ns;
   refresh t;
   let sku = t.sku in
-  if r = Regs.gpu_id then sku.Sku.gpu_id
+  if r >= js_lo && r < js_hi then read_slot_reg t r
+  else if r >= as_lo && r < as_hi then read_as_reg t r
+  else if r = Regs.gpu_id then sku.Sku.gpu_id
   else if r = Regs.l2_features then Int64.of_int (0x07 lor (sku.Sku.l2_slices lsl 8))
   else if r = Regs.tiler_features then Int64.of_int (0x809 lor (sku.Sku.tiler_units lsl 12))
   else if r = Regs.mem_features then 0x1L
@@ -560,8 +676,6 @@ let read_reg t r =
   else if r = Regs.mmu_irq_rawstat then t.mmu_rawstat
   else if r = Regs.mmu_irq_mask then t.mmu_mask
   else if r = Regs.mmu_irq_status then Int64.logand t.mmu_rawstat t.mmu_mask
-  else if r >= js_lo && r < js_hi then read_slot_reg t r
-  else if r >= as_lo && r < as_hi then read_as_reg t r
   else 0L
 
 let lo32 old v = Int64.logor (Int64.logand old 0xFFFF_FFFF_0000_0000L) v
@@ -606,7 +720,9 @@ let write_as_reg t r v =
 let write_reg t r v =
   Grt_sim.Clock.advance_ns t.clock Grt_sim.Costs.mmio_access_ns;
   refresh t;
-  if r = Regs.gpu_irq_clear then t.gpu_rawstat <- Int64.logand t.gpu_rawstat (Int64.lognot v)
+  if r >= js_lo && r < js_hi then write_slot_reg t r v
+  else if r >= as_lo && r < as_hi then write_as_reg t r v
+  else if r = Regs.gpu_irq_clear then t.gpu_rawstat <- Int64.logand t.gpu_rawstat (Int64.lognot v)
   else if r = Regs.gpu_irq_mask then t.gpu_mask <- v
   else if r = Regs.gpu_command then begin
     if Int64.equal v Regs.cmd_soft_reset || Int64.equal v Regs.cmd_hard_reset then do_soft_reset t
@@ -618,42 +734,53 @@ let write_reg t r v =
   else if r = Regs.l2_mmu_config then t.l2_mmu_config <- v
   else if r = Regs.mmu_config then t.mmu_config <- v
   else if r >= Regs.prfcnt_base_lo && r <= Regs.prfcnt_mmu_l2_en then Hashtbl.replace t.misc r v
-  else if r = Regs.shader_pwron_lo then domain_power_on t t.shader_dom v
-  else if r = Regs.tiler_pwron_lo then domain_power_on t t.tiler_dom v
-  else if r = Regs.l2_pwron_lo then domain_power_on t t.l2_dom v
-  else if r = Regs.shader_pwroff_lo then domain_power_off t t.shader_dom v
-  else if r = Regs.tiler_pwroff_lo then domain_power_off t t.tiler_dom v
-  else if r = Regs.l2_pwroff_lo then domain_power_off t t.l2_dom v
+  else if r = Regs.shader_pwron_lo then domain_power_on t 0 v
+  else if r = Regs.tiler_pwron_lo then domain_power_on t 1 v
+  else if r = Regs.l2_pwron_lo then domain_power_on t 2 v
+  else if r = Regs.shader_pwroff_lo then domain_power_off t 0 v
+  else if r = Regs.tiler_pwroff_lo then domain_power_off t 1 v
+  else if r = Regs.l2_pwroff_lo then domain_power_off t 2 v
   else if r = Regs.job_irq_clear then t.job_rawstat <- Int64.logand t.job_rawstat (Int64.lognot v)
   else if r = Regs.job_irq_mask then t.job_mask <- v
   else if r = Regs.mmu_irq_clear then t.mmu_rawstat <- Int64.logand t.mmu_rawstat (Int64.lognot v)
   else if r = Regs.mmu_irq_mask then t.mmu_mask <- v
-  else if r >= js_lo && r < js_hi then write_slot_reg t r v
-  else if r >= as_lo && r < as_hi then write_as_reg t r v
+
+(* The asserted lines, highest priority first: job, GPU, MMU. *)
+let job_asserted t = Int64.compare (Int64.logand t.job_rawstat t.job_mask) 0L <> 0
+let gpu_asserted t = Int64.compare (Int64.logand t.gpu_rawstat t.gpu_mask) 0L <> 0
+let mmu_asserted t = Int64.compare (Int64.logand t.mmu_rawstat t.mmu_mask) 0L <> 0
 
 let irq_pending t =
   refresh t;
   let lines = ref [] in
-  if Int64.compare (Int64.logand t.mmu_rawstat t.mmu_mask) 0L <> 0 then lines := Mmu_irq :: !lines;
-  if Int64.compare (Int64.logand t.gpu_rawstat t.gpu_mask) 0L <> 0 then lines := Gpu_irq :: !lines;
-  if Int64.compare (Int64.logand t.job_rawstat t.job_mask) 0L <> 0 then lines := Job_irq :: !lines;
+  if mmu_asserted t then lines := Mmu_irq :: !lines;
+  if gpu_asserted t then lines := Gpu_irq :: !lines;
+  if job_asserted t then lines := Job_irq :: !lines;
   !lines
+
+(* The head of [irq_pending], without building the list. *)
+let first_irq t =
+  refresh t;
+  if job_asserted t then Some Job_irq
+  else if gpu_asserted t then Some Gpu_irq
+  else if mmu_asserted t then Some Mmu_irq
+  else None
 
 let wait_for_irq t ~timeout_ns =
   let deadline = Grt_sim.Clock.now_int t.clock + Int64.to_int timeout_ns in
   let rec loop () =
-    match irq_pending t with
-    | line :: _ -> Some line
-    | [] -> (
-      match next_event_ns t with
-      | Some ev when Int64.to_int ev <= deadline ->
-        Grt_sim.Clock.advance_to t.clock ev;
+    match first_irq t with
+    | Some _ as line -> line
+    | None ->
+      let ev = next_event_int t in
+      if ev <= deadline then begin
+        Grt_sim.Clock.advance_to_int t.clock ev;
         loop ()
-      | _ ->
-        if Grt_sim.Clock.now_int t.clock < deadline then begin
-          Grt_sim.Clock.advance_to_int t.clock deadline;
-          loop ()
-        end
-        else None)
+      end
+      else if Grt_sim.Clock.now_int t.clock < deadline then begin
+        Grt_sim.Clock.advance_to_int t.clock deadline;
+        loop ()
+      end
+      else None
   in
   loop ()

@@ -46,8 +46,9 @@ val power_cycle : t -> unit
 val irq_pending : t -> irq_line list
 (** Asserted (unmasked, uncleared) interrupt lines right now. *)
 
-val next_event_ns : t -> int64 option
-(** Deadline of the earliest scheduled hardware event, if any. *)
+val next_event_int : t -> int
+(** Deadline (ns) of the earliest scheduled hardware event; [max_int] when
+    none is pending. *)
 
 val wait_for_irq : t -> timeout_ns:int64 -> irq_line option
 (** Advance the clock until an interrupt line asserts or the timeout

@@ -83,44 +83,55 @@ let write mem ~pa t =
   Mem.write_u64 mem (Int64.add pa 112L) t.next_va;
   Mem.write_u32 mem (Int64.add pa (u32 status_offset)) (u32 (status_to_int Pending))
 
-let read mem ~pa =
-  if Mem.read_u32 mem pa <> magic then Error "job descriptor: bad magic"
+let[@inline] u32_at b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
+
+(* Decode the descriptor at offset [o] of [b], which holds all its
+   [size_bytes]. *)
+let decode b o =
+  if u32_at b o <> Int64.to_int magic then Error "job descriptor: bad magic"
   else
-    match Shader.op_of_code (Int64.to_int (Mem.read_u32 mem (Int64.add pa 4L))) with
+    match Shader.op_of_code (u32_at b (o + 4)) with
     | None -> Error "job descriptor: unknown opcode"
     | Some op ->
-      let rd64 off = Mem.read_u64 mem (Int64.add pa (u32 off)) in
-      let rdp i = Int64.to_int (Mem.read_u32 mem (Int64.add pa (u32 (48 + (4 * i))))) in
       let params =
         {
-          in_c = rdp 0;
-          in_h = rdp 1;
-          in_w = rdp 2;
-          in2_c = rdp 3;
-          out_c = rdp 4;
-          out_h = rdp 5;
-          out_w = rdp 6;
-          kh = rdp 7;
-          kw = rdp 8;
-          stride = rdp 9;
-          pad = rdp 10;
-          relu = rdp 11 <> 0;
-          part_idx = rdp 12;
-          part_count = rdp 13;
-          flops_hint = rd64 104;
+          in_c = u32_at b (o + 48);
+          in_h = u32_at b (o + 52);
+          in_w = u32_at b (o + 56);
+          in2_c = u32_at b (o + 60);
+          out_c = u32_at b (o + 64);
+          out_h = u32_at b (o + 68);
+          out_w = u32_at b (o + 72);
+          kh = u32_at b (o + 76);
+          kw = u32_at b (o + 80);
+          stride = u32_at b (o + 84);
+          pad = u32_at b (o + 88);
+          relu = u32_at b (o + 92) <> 0;
+          part_idx = u32_at b (o + 96);
+          part_count = u32_at b (o + 100);
+          flops_hint = Bytes.get_int64_le b (o + 104);
         }
       in
       Ok
         {
           op;
-          shader_va = rd64 8;
-          input_va = rd64 16;
-          input2_va = rd64 24;
-          bias_va = rd64 32;
-          output_va = rd64 40;
+          shader_va = Bytes.get_int64_le b (o + 8);
+          input_va = Bytes.get_int64_le b (o + 16);
+          input2_va = Bytes.get_int64_le b (o + 24);
+          bias_va = Bytes.get_int64_le b (o + 32);
+          output_va = Bytes.get_int64_le b (o + 40);
           params;
-          next_va = rd64 112;
+          next_va = Bytes.get_int64_le b (o + 112);
         }
+
+(* A descriptor inside one materialized page decodes in place; one that
+   straddles pages, or sits on a page never written (all zeros: bad
+   magic), decodes from a copy. *)
+let read mem ~pa =
+  let o = Int64.to_int (Int64.logand pa 0xFFFL) in
+  let p = Mem.borrow_ro mem (Mem.page_index pa) in
+  if o + size_bytes <= Mem.page_size && p != Bytes.empty then decode p o
+  else decode (Mem.read_bytes mem pa size_bytes) 0
 
 let read_status mem ~pa =
   status_of_int (Int64.to_int (Mem.read_u32 mem (Int64.add pa (u32 status_offset))))

@@ -27,6 +27,14 @@ external swap32 : int32 -> int32 = "%bswap_int32"
 let[@inline] get32_le b i = if Sys.big_endian then swap32 (get32 b i) else get32 b i
 let[@inline] set32_le b i v = set32 b i (if Sys.big_endian then swap32 v else v)
 
+(* Unchecked variants for the page-run loops, which check each page's
+   length once for the whole run. *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] get32u_le b i = if Sys.big_endian then swap32 (get32u b i) else get32u b i
+let[@inline] set32u_le b i v = set32u b i (if Sys.big_endian then swap32 v else v)
+
 let[@inline] getf (s : stream) va =
   let page = va land lnot 0xFFF in
   let p = if page = s.sbase then s.spage else s.smiss s va in
@@ -36,6 +44,28 @@ let[@inline] setf (s : stream) va v =
   let page = va land lnot 0xFFF in
   let p = if page = s.sbase then s.spage else s.smiss s va in
   set32_le p (va land 0xFFF) (Int32.bits_of_float v)
+
+(* The f32 at [va] as its 32 bits, and the write of such bits: the kernels
+   that only move or compare values skip the two C calls of a decode and
+   an encode. *)
+let[@inline] getb (s : stream) va =
+  let page = va land lnot 0xFFF in
+  let p = if page = s.sbase then s.spage else s.smiss s va in
+  Int32.to_int (get32_le p (va land 0xFFF)) land 0xFFFF_FFFF
+
+let[@inline] setb (s : stream) va b =
+  let page = va land lnot 0xFFF in
+  let p = if page = s.sbase then s.spage else s.smiss s va in
+  set32_le p (va land 0xFFF) (Int32.of_int b)
+
+let[@inline] is_nan_bits b = b land 0x7F80_0000 = 0x7F80_0000 && b land 0x7F_FFFF <> 0
+
+(* What [setf (getf b)] stores: the same bits, but for a NaN, which the
+   trip through a double may quiet; that case takes the trip itself. *)
+let[@inline] round_trip b =
+  if is_nan_bits b then
+    Int32.to_int (Int32.bits_of_float (Int32.float_of_bits (Int32.of_int b))) land 0xFFFF_FFFF
+  else b
 
 (* A self-contained paged address space: the reference executor and kernel
    unit tests need [ctx]s that are not backed by a simulated device. Pages
@@ -148,12 +178,13 @@ let conv2d_elements ctx (d : Job_desc.t) ~first_oc ~n_oc =
     done
   done
 
-(* The staging scratch, grow-only and sized by the largest conv job seen
+(* The staging scratch, grow-only and sized by the largest staged job seen
    (kernels run on one domain). [xs] holds the input in CHW order, then the
-   job's weights, then its biases; only read-set cells are written. [mask]
-   flags which input rows and columns and kernel rows and columns the loop
-   reads. [pages] lists the page objects staging read from; it is cleared
-   before the job computes, so it keeps no page alive. *)
+   job's weights, then its biases, then its outputs; only read-set cells
+   are written before the job computes. [mask] flags which input rows and
+   columns and kernel rows and columns the loop reads. [pages] lists the
+   page objects staging read from; it is cleared before the job computes,
+   so it keeps no page alive. *)
 type staging = {
   mutable xs : Float.Array.t;
   mutable mask : Bytes.t;
@@ -204,9 +235,10 @@ let stage_run (s : stream) xs ~dst ~va ~n =
     note_page p;
     let off = a land 0xFFF in
     let k = imin (n - !i) ((0x1000 - off) / 4) in
+    if off + (4 * k) > Bytes.length p then invalid_arg "index out of bounds";
     let d = dst + !i in
     for j = 0 to k - 1 do
-      Float.Array.unsafe_set xs (d + j) (Int32.float_of_bits (get32_le p (off + (4 * j))))
+      Float.Array.unsafe_set xs (d + j) (Int32.float_of_bits (get32u_le p (off + (4 * j))))
     done;
     i := !i + k
   done
@@ -231,8 +263,10 @@ let clear_pages () =
 let apart ~ob ~oe base lo n = base + (4 * (lo + n)) <= ob || oe <= base + (4 * lo)
 
 (* Whether the job fits the staged path: positive sizes within
-   [stage_max], VAs within 48 bits, and no output byte on a source byte. *)
-let stageable (d : Job_desc.t) ~first_oc ~n_oc =
+   [stage_max], VAs within 48 bits, and no output byte on a source byte.
+   Each output channel's weights are [w_in_c] input channels of taps:
+   all of [in_c] for a conv, one for a depthwise conv. *)
+let stageable (d : Job_desc.t) ~first_oc ~n_oc ~w_in_c =
   let p = d.params in
   let small n = n >= 1 && n <= stage_max in
   let va_ok v = Int64.compare v 0L >= 0 && Int64.compare v 0x1_0000_0000_0000L < 0 in
@@ -240,14 +274,16 @@ let stageable (d : Job_desc.t) ~first_oc ~n_oc =
   && small (p.in_c * p.in_h)
   && small (p.in_c * p.in_h * p.in_w)
   && small n_oc && small p.kh && small p.kw
-  && small (n_oc * p.in_c)
-  && small (n_oc * p.in_c * p.kh)
-  && small (n_oc * p.in_c * p.kh * p.kw)
+  && small (n_oc * w_in_c)
+  && small (n_oc * w_in_c * p.kh)
+  && small (n_oc * w_in_c * p.kh * p.kw)
   && small p.out_h && small p.out_w && small p.stride
+  && small (p.out_h * p.out_w)
+  && small (n_oc * p.out_h * p.out_w)
   && p.pad >= 0 && p.pad <= stage_max
   && va_ok d.input_va && va_ok d.input2_va && va_ok d.bias_va && va_ok d.output_va
   &&
-  let plane = p.out_h * p.out_w and per_oc = p.in_c * p.kh * p.kw in
+  let plane = p.out_h * p.out_w and per_oc = w_in_c * p.kh * p.kw in
   let ob = Int64.to_int d.output_va + (4 * first_oc * plane) in
   let oe = ob + (4 * n_oc * plane) in
   apart ~ob ~oe (Int64.to_int d.input_va) 0 (p.in_c * p.in_h * p.in_w)
@@ -257,15 +293,16 @@ let stageable (d : Job_desc.t) ~first_oc ~n_oc =
 (* Decode the job's read set into [st.xs], then resolve its output pages in
    order. False when an output page is a page object staging read from;
    raises what the streams raise. *)
-let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
+let stage ctx (d : Job_desc.t) ~first_oc ~n_oc ~w_in_c =
   let p = d.params in
   let in_c = p.in_c and in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
   let s = p.stride and pad = p.pad in
-  let plane = in_h * in_w and per_oc = in_c * kh * kw in
+  let plane = in_h * in_w and per_oc = w_in_c * kh * kw in
   let w_off = in_c * plane in
   let b_off = w_off + (n_oc * per_oc) in
-  if Float.Array.length st.xs < b_off + n_oc then
-    st.xs <- Float.Array.create (imax (b_off + n_oc) (2 * Float.Array.length st.xs));
+  let need = b_off + n_oc + (n_oc * p.out_h * p.out_w) in
+  if Float.Array.length st.xs < need then
+    st.xs <- Float.Array.create (imax need (2 * Float.Array.length st.xs));
   let nm = in_h + in_w + kh + kw in
   if Bytes.length st.mask < nm then st.mask <- Bytes.create (imax nm (2 * Bytes.length st.mask));
   let xs = st.xs and m = st.mask in
@@ -291,17 +328,18 @@ let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
       (if bb = 0 then 0.0 else stage_get ctx.c_bias (bb + (4 * (first_oc + r))))
   done;
   (* Both sources are staged in ascending VA order, as one run per page
-     where the mask has no gaps and element by element where it has. *)
+     where the mask has no gaps (the whole input when every row and column
+     is read) and element by element where it has. *)
   let wb = Int64.to_int d.input2_va + (4 * first_oc * per_oc) in
   if all_flagged m krows (kh + kw) then stage_run ctx.c_in2 xs ~dst:w_off ~va:wb ~n:(n_oc * per_oc)
   else
     for r = 0 to n_oc - 1 do
-      for ic = 0 to in_c - 1 do
+      for ic = 0 to w_in_c - 1 do
         for ky = 0 to kh - 1 do
           if flagged m (krows + ky) then
             for kx = 0 to kw - 1 do
               if flagged m (kcols + kx) then begin
-                let wi = (((((r * in_c) + ic) * kh) + ky) * kw) + kx in
+                let wi = (((((r * w_in_c) + ic) * kh) + ky) * kw) + kx in
                 Float.Array.unsafe_set xs (w_off + wi) (stage_get ctx.c_in2 (wb + (4 * wi)))
               end
             done
@@ -310,19 +348,21 @@ let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
     done;
   let inb = Int64.to_int d.input_va in
   let whole_rows = all_flagged m cols in_w in
-  for ic = 0 to in_c - 1 do
-    for iy = 0 to in_h - 1 do
-      if flagged m iy then begin
-        let row = ((ic * in_h) + iy) * in_w in
-        if whole_rows then stage_run ctx.c_in xs ~dst:row ~va:(inb + (4 * row)) ~n:in_w
-        else
-          for ix = 0 to in_w - 1 do
-            if flagged m (cols + ix) then
-              Float.Array.unsafe_set xs (row + ix) (stage_get ctx.c_in (inb + (4 * (row + ix))))
-          done
-      end
-    done
-  done;
+  if whole_rows && all_flagged m 0 in_h then stage_run ctx.c_in xs ~dst:0 ~va:inb ~n:(in_c * plane)
+  else
+    for ic = 0 to in_c - 1 do
+      for iy = 0 to in_h - 1 do
+        if flagged m iy then begin
+          let row = ((ic * in_h) + iy) * in_w in
+          if whole_rows then stage_run ctx.c_in xs ~dst:row ~va:(inb + (4 * row)) ~n:in_w
+          else
+            for ix = 0 to in_w - 1 do
+              if flagged m (cols + ix) then
+                Float.Array.unsafe_set xs (row + ix) (stage_get ctx.c_in (inb + (4 * (row + ix))))
+            done
+        end
+      done
+    done;
   let out_plane = p.out_h * p.out_w in
   let ob = Int64.to_int d.output_va + (4 * first_oc * out_plane) in
   let oe = ob + (4 * n_oc * out_plane) in
@@ -338,92 +378,295 @@ let stage ctx (d : Job_desc.t) ~first_oc ~n_oc =
 
 let[@inline] relu_if relu v = if relu && v < 0.0 then 0.0 else v
 
-(* The per-element loop's float operations, over the staged scratch.
-   Interior columns [[ox_lo, ox_hi]], where every kernel column is valid,
-   run in blocks of four adjacent outputs: one weight load feeds four
-   accumulators, and each still adds its own products in the loop's order.
-   Border columns and a block's remainder run one output at a time. *)
+(* The per-element loop's float operations, over the staged scratch; each
+   output goes to its cell of the scratch's output block, and [store_run]
+   writes the block out at the end. Every output is its bias, then its
+   [ic]/[ky]/[kx] products in the loop's order, then ReLU.
+
+   A position's valid kernel rows depend only on its output row, and its
+   valid kernel columns only on its output column, so a channel's plane
+   splits into rectangles of positions with equal tap ranges: the
+   interior, each border row and column, and the corners. [rect] walks one
+   rectangle in row order, across row ends, several positions at a time:
+   one weight load feeds independent accumulators, so the adds of
+   different outputs overlap instead of waiting on each other. Three-tap
+   ranges (3x3 kernels) go eight at a time with [kx] unrolled; the rest,
+   and a three-tap rectangle's last four to seven positions, go four at a
+   time, unrolled for five taps when the four positions are adjacent in a
+   row. Fewer than four positions left run one at a time. Arguments are
+   indices into [xs] (a float argument would be boxed); [x00] is the input
+   index of tap (0, 0, 0) of the rectangle's first position, maybe in the
+   padding, and [dst] its output cell. *)
+(* The position [rect] is at: its column in its row, the input index of
+   its tap (0, 0, 0) and its output cell. One record for the process
+   (kernels run on one domain): local refs stepped by a local function
+   would be captured, and so allocated, per call. *)
+type cursor = { mutable col : int; mutable x : int; mutable o : int }
+
+let cursor = { col = 0; x = 0; o = 0 }
+
+(* The next position in row order, across the end of a row. *)
+let[@inline] step c ~cols ~s ~row_back ~out_back =
+  if c.col + 1 = cols then begin
+    c.col <- 0;
+    c.x <- c.x + row_back;
+    c.o <- c.o + out_back
+  end
+  else begin
+    c.col <- c.col + 1;
+    c.x <- c.x + s;
+    c.o <- c.o + 1
+  end
+
+let rect xs ~in_c ~plane ~in_w ~kh ~kw ~s ~ky0 ~ky1 ~kx0 ~kx1 ~w_oc ~bias ~relu ~rows ~cols ~x00
+    ~dst ~out_w =
+  let b = Float.Array.unsafe_get xs bias in
+  let kn = kx1 - kx0 in
+  let w_oc = w_oc + kx0 and x00 = x00 + kx0 in
+  let row_step = s * in_w in
+  let row_back = row_step - ((cols - 1) * s) and out_back = out_w - (cols - 1) in
+  let c = cursor in
+  c.col <- 0;
+  c.x <- x00;
+  c.o <- dst;
+  let left = ref (rows * cols) in
+  while kn = 3 && !left >= 8 do
+    let xa = c.x and da = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xb = c.x and db = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xc = c.x and dc = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xd = c.x and dd = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xe = c.x and de = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xf = c.x and df = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xg = c.x and dg = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xh = c.x and dh = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let a0 = ref b and a1 = ref b and a2 = ref b and a3 = ref b in
+    let a4 = ref b and a5 = ref b and a6 = ref b and a7 = ref b in
+    for ic = 0 to in_c - 1 do
+      for ky = ky0 to ky1 - 1 do
+        let off = (ic * plane) + (ky * in_w) and w = w_oc + (((ic * kh) + ky) * kw) in
+        let w0 = Float.Array.unsafe_get xs w
+        and w1 = Float.Array.unsafe_get xs (w + 1)
+        and w2 = Float.Array.unsafe_get xs (w + 2) in
+        let i = xa + off in
+        a0 := !a0 +. (Float.Array.unsafe_get xs i *. w0);
+        a0 := !a0 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a0 := !a0 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xb + off in
+        a1 := !a1 +. (Float.Array.unsafe_get xs i *. w0);
+        a1 := !a1 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a1 := !a1 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xc + off in
+        a2 := !a2 +. (Float.Array.unsafe_get xs i *. w0);
+        a2 := !a2 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a2 := !a2 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xd + off in
+        a3 := !a3 +. (Float.Array.unsafe_get xs i *. w0);
+        a3 := !a3 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a3 := !a3 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xe + off in
+        a4 := !a4 +. (Float.Array.unsafe_get xs i *. w0);
+        a4 := !a4 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a4 := !a4 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xf + off in
+        a5 := !a5 +. (Float.Array.unsafe_get xs i *. w0);
+        a5 := !a5 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a5 := !a5 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xg + off in
+        a6 := !a6 +. (Float.Array.unsafe_get xs i *. w0);
+        a6 := !a6 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a6 := !a6 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+        let i = xh + off in
+        a7 := !a7 +. (Float.Array.unsafe_get xs i *. w0);
+        a7 := !a7 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+        a7 := !a7 +. (Float.Array.unsafe_get xs (i + 2) *. w2)
+      done
+    done;
+    Float.Array.unsafe_set xs da (relu_if relu !a0);
+    Float.Array.unsafe_set xs db (relu_if relu !a1);
+    Float.Array.unsafe_set xs dc (relu_if relu !a2);
+    Float.Array.unsafe_set xs dd (relu_if relu !a3);
+    Float.Array.unsafe_set xs de (relu_if relu !a4);
+    Float.Array.unsafe_set xs df (relu_if relu !a5);
+    Float.Array.unsafe_set xs dg (relu_if relu !a6);
+    Float.Array.unsafe_set xs dh (relu_if relu !a7);
+    left := !left - 8
+  done;
+  while !left >= 4 do
+    let xa = c.x and da = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xb = c.x and db = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xc = c.x and dc = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let xd = c.x and dd = c.o in
+    step c ~cols ~s ~row_back ~out_back;
+    let a0 = ref b and a1 = ref b and a2 = ref b and a3 = ref b in
+    if kn = 5 && xd - xa = 3 * s && xb - xa = s && xc - xb = s then
+      for ic = 0 to in_c - 1 do
+        for ky = ky0 to ky1 - 1 do
+          let i = xa + (ic * plane) + (ky * in_w) and w = w_oc + (((ic * kh) + ky) * kw) in
+          let w0 = Float.Array.unsafe_get xs w
+          and w1 = Float.Array.unsafe_get xs (w + 1)
+          and w2 = Float.Array.unsafe_get xs (w + 2)
+          and w3 = Float.Array.unsafe_get xs (w + 3)
+          and w4 = Float.Array.unsafe_get xs (w + 4) in
+          a0 := !a0 +. (Float.Array.unsafe_get xs i *. w0);
+          a0 := !a0 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+          a0 := !a0 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+          a0 := !a0 +. (Float.Array.unsafe_get xs (i + 3) *. w3);
+          a0 := !a0 +. (Float.Array.unsafe_get xs (i + 4) *. w4);
+          let i = i + s in
+          a1 := !a1 +. (Float.Array.unsafe_get xs i *. w0);
+          a1 := !a1 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+          a1 := !a1 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+          a1 := !a1 +. (Float.Array.unsafe_get xs (i + 3) *. w3);
+          a1 := !a1 +. (Float.Array.unsafe_get xs (i + 4) *. w4);
+          let i = i + s in
+          a2 := !a2 +. (Float.Array.unsafe_get xs i *. w0);
+          a2 := !a2 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+          a2 := !a2 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+          a2 := !a2 +. (Float.Array.unsafe_get xs (i + 3) *. w3);
+          a2 := !a2 +. (Float.Array.unsafe_get xs (i + 4) *. w4);
+          let i = i + s in
+          a3 := !a3 +. (Float.Array.unsafe_get xs i *. w0);
+          a3 := !a3 +. (Float.Array.unsafe_get xs (i + 1) *. w1);
+          a3 := !a3 +. (Float.Array.unsafe_get xs (i + 2) *. w2);
+          a3 := !a3 +. (Float.Array.unsafe_get xs (i + 3) *. w3);
+          a3 := !a3 +. (Float.Array.unsafe_get xs (i + 4) *. w4)
+        done
+      done
+    else
+      for ic = 0 to in_c - 1 do
+        for ky = ky0 to ky1 - 1 do
+          let off = (ic * plane) + (ky * in_w) and w = w_oc + (((ic * kh) + ky) * kw) in
+          for k = 0 to kn - 1 do
+            let w0 = Float.Array.unsafe_get xs (w + k) and i = off + k in
+            a0 := !a0 +. (Float.Array.unsafe_get xs (xa + i) *. w0);
+            a1 := !a1 +. (Float.Array.unsafe_get xs (xb + i) *. w0);
+            a2 := !a2 +. (Float.Array.unsafe_get xs (xc + i) *. w0);
+            a3 := !a3 +. (Float.Array.unsafe_get xs (xd + i) *. w0)
+          done
+        done
+      done;
+    Float.Array.unsafe_set xs da (relu_if relu !a0);
+    Float.Array.unsafe_set xs db (relu_if relu !a1);
+    Float.Array.unsafe_set xs dc (relu_if relu !a2);
+    Float.Array.unsafe_set xs dd (relu_if relu !a3);
+    left := !left - 4
+  done;
+  while !left > 0 do
+    let acc = ref b in
+    for ic = 0 to in_c - 1 do
+      for ky = ky0 to ky1 - 1 do
+        let xrow = c.x + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
+        for k = 0 to kn - 1 do
+          acc :=
+            !acc +. (Float.Array.unsafe_get xs (xrow + k) *. Float.Array.unsafe_get xs (wrow + k))
+        done
+      done
+    done;
+    Float.Array.unsafe_set xs c.o (relu_if relu !acc);
+    step c ~cols ~s ~row_back ~out_back;
+    decr left
+  done
+
+(* Encode [n] floats of [xs] from [src] as f32s into the buffer at [va],
+   resolving each page once, in ascending VA order. *)
+let store_run (s : stream) xs ~src ~va ~n =
+  let i = ref 0 in
+  while !i < n do
+    let a = va + (4 * !i) in
+    let page = a land lnot 0xFFF in
+    let p = if page = s.sbase then s.spage else s.smiss s a in
+    let off = a land 0xFFF in
+    let k = imin (n - !i) ((0x1000 - off) / 4) in
+    if off + (4 * k) > Bytes.length p then invalid_arg "index out of bounds";
+    let d = src + !i in
+    for j = 0 to k - 1 do
+      set32u_le p (off + (4 * j)) (Int32.bits_of_float (Float.Array.unsafe_get xs (d + j)))
+    done;
+    i := !i + k
+  done
+
+(* Valid taps of output coordinate [o] along an axis of [n] inputs: the
+   range [[lo o, hi o)] of kernel indices that land inside the input. *)
+let[@inline] tap_lo ~s ~pad o = imax 0 (pad - (o * s))
+let[@inline] tap_hi ~s ~pad ~k ~n o = imin k (n + pad - (o * s))
+
+
+(* One output channel's plane: its rectangles of equal tap ranges, each
+   through [rect]. The channel reads [in_c] input planes from [x_base]. *)
+let rect_plane ~xs (p : Job_desc.params) ~x_base ~in_c ~w_oc ~bias ~dst =
+  let in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
+  let out_h = p.out_h and out_w = p.out_w and s = p.stride and pad = p.pad in
+  let plane = in_h * in_w and relu = p.relu in
+  (* rows [ya, yb) share a row range, columns [xa, xb) a column range *)
+  let ya = ref 0 in
+  while !ya < out_h do
+    let ky0 = tap_lo ~s ~pad !ya and ky1 = tap_hi ~s ~pad ~k:kh ~n:in_h !ya in
+    let yb = ref (!ya + 1) in
+    while !yb < out_h && tap_lo ~s ~pad !yb = ky0 && tap_hi ~s ~pad ~k:kh ~n:in_h !yb = ky1 do
+      incr yb
+    done;
+    let xa = ref 0 in
+    while !xa < out_w do
+      let kx0 = tap_lo ~s ~pad !xa and kx1 = tap_hi ~s ~pad ~k:kw ~n:in_w !xa in
+      let xb = ref (!xa + 1) in
+      while !xb < out_w && tap_lo ~s ~pad !xb = kx0 && tap_hi ~s ~pad ~k:kw ~n:in_w !xb = kx1 do
+        incr xb
+      done;
+      rect xs ~in_c ~plane ~in_w ~kh ~kw ~s ~ky0 ~ky1 ~kx0 ~kx1 ~w_oc ~bias ~relu
+        ~rows:(!yb - !ya) ~cols:(!xb - !xa)
+        ~x00:(x_base + ((((!ya * s) - pad) * in_w) + (!xa * s)) - pad)
+        ~dst:(dst + (!ya * out_w) + !xa)
+        ~out_w;
+      xa := !xb
+    done;
+    ya := !yb
+  done
+
 let conv2d_staged ctx (d : Job_desc.t) ~first_oc ~n_oc =
   let p = d.params in
-  let in_c = p.in_c and in_h = p.in_h and in_w = p.in_w and kh = p.kh and kw = p.kw in
-  let out_h = p.out_h and out_w = p.out_w and s = p.stride and pad = p.pad in
-  let plane = in_h * in_w and per_oc = in_c * kh * kw in
-  let w_off = in_c * plane in
+  let plane = p.in_h * p.in_w and per_oc = p.in_c * p.kh * p.kw in
+  let out_plane = p.out_h * p.out_w in
+  let w_off = p.in_c * plane in
   let b_off = w_off + (n_oc * per_oc) in
-  let xs = st.xs and ob = Int64.to_int d.output_va and relu = p.relu in
-  let ox_lo = (pad + s - 1) / s in
-  let ox_hi = if in_w + pad < kw then -1 else imin (out_w - 1) ((in_w + pad - kw) / s) in
+  let o_off = b_off + n_oc in
   for r = 0 to n_oc - 1 do
-    let oc = first_oc + r in
-    let bias = Float.Array.unsafe_get xs (b_off + r) in
-    let w_oc = w_off + (r * per_oc) in
-    for oy = 0 to out_h - 1 do
-      let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin kh (in_h + pad - (oy * s)) in
-      let ox = ref 0 in
-      while !ox < out_w do
-        let ox0 = !ox in
-        (* index of input (0, oy*s - pad, ox0*s - pad), maybe in the padding *)
-        let x0 = ((((oy * s) - pad) * in_w) + (ox0 * s)) - pad in
-        if ox0 >= ox_lo && ox0 + 3 <= ox_hi then begin
-          let a0 = ref bias and a1 = ref bias and a2 = ref bias and a3 = ref bias in
-          for ic = 0 to in_c - 1 do
-            for ky = ky0 to ky1 - 1 do
-              let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
-              for kx = 0 to kw - 1 do
-                let w = Float.Array.unsafe_get xs (wrow + kx) and x = xrow + kx in
-                a0 := !a0 +. (Float.Array.unsafe_get xs x *. w);
-                a1 := !a1 +. (Float.Array.unsafe_get xs (x + s) *. w);
-                a2 := !a2 +. (Float.Array.unsafe_get xs (x + (2 * s)) *. w);
-                a3 := !a3 +. (Float.Array.unsafe_get xs (x + (3 * s)) *. w)
-              done
-            done
-          done;
-          let o = ob + (4 * ((((oc * out_h) + oy) * out_w) + ox0)) in
-          setf ctx.c_out o (relu_if relu !a0);
-          setf ctx.c_out (o + 4) (relu_if relu !a1);
-          setf ctx.c_out (o + 8) (relu_if relu !a2);
-          setf ctx.c_out (o + 12) (relu_if relu !a3);
-          ox := ox0 + 4
-        end
-        else begin
-          let kx0 = imax 0 (pad - (ox0 * s)) and kx1 = imin kw (in_w + pad - (ox0 * s)) in
-          let acc = ref bias in
-          for ic = 0 to in_c - 1 do
-            for ky = ky0 to ky1 - 1 do
-              let xrow = x0 + (ic * plane) + (ky * in_w) and wrow = w_oc + (((ic * kh) + ky) * kw) in
-              for kx = kx0 to kx1 - 1 do
-                acc :=
-                  !acc
-                  +. (Float.Array.unsafe_get xs (xrow + kx) *. Float.Array.unsafe_get xs (wrow + kx))
-              done
-            done
-          done;
-          setf ctx.c_out (ob + (4 * ((((oc * out_h) + oy) * out_w) + ox0))) (relu_if relu !acc);
-          ox := ox0 + 1
-        end
-      done
-    done
-  done
+    rect_plane ~xs:st.xs p ~x_base:0 ~in_c:p.in_c ~w_oc:(w_off + (r * per_oc)) ~bias:(b_off + r)
+      ~dst:(o_off + (r * out_plane))
+  done;
+  store_run ctx.c_out st.xs ~src:o_off
+    ~va:(Int64.to_int d.output_va + (4 * first_oc * out_plane))
+    ~n:(n_oc * out_plane)
+
+(* Stage the job when it fits; false sends it to its per-element loop. *)
+let staged ctx d ~first_oc ~n_oc ~w_in_c =
+  stageable d ~first_oc ~n_oc ~w_in_c
+  &&
+  match stage ctx d ~first_oc ~n_oc ~w_in_c with
+  | apart -> apart
+  | exception _ ->
+    clear_pages ();
+    false
 
 let conv2d ctx (d : Job_desc.t) =
   let p = d.params in
   check_conv_geometry p;
   let first_oc, n_oc = partition_range ~total:p.out_c ~part_idx:p.part_idx ~part_count:p.part_count in
-  let staged =
-    stageable d ~first_oc ~n_oc
-    &&
-    match stage ctx d ~first_oc ~n_oc with
-    | apart -> apart
-    | exception _ ->
-      clear_pages ();
-      false
-  in
-  if staged then conv2d_staged ctx d ~first_oc ~n_oc else conv2d_elements ctx d ~first_oc ~n_oc
+  if staged ctx d ~first_oc ~n_oc ~w_in_c:p.in_c then conv2d_staged ctx d ~first_oc ~n_oc
+  else conv2d_elements ctx d ~first_oc ~n_oc
 
-let depthwise ctx (d : Job_desc.t) =
+let depthwise_elements ctx (d : Job_desc.t) =
   let p = d.params in
-  check_conv_geometry p;
-  if p.in_c <> p.out_c then fail "depthwise needs in_c = out_c";
   let in_idx = chw ~h:p.in_h ~w:p.in_w in
   let out_idx = chw ~h:p.out_h ~w:p.out_w in
   let inb = Int64.to_int d.input_va
@@ -452,6 +695,28 @@ let depthwise ctx (d : Job_desc.t) =
     done
   done
 
+(* Channel [c] of a depthwise conv is a one-channel conv of input plane
+   [c] with weights [c]: [rect] over that plane. *)
+let depthwise_staged ctx (d : Job_desc.t) =
+  let p = d.params in
+  let n = p.out_c and plane = p.in_h * p.in_w and out_plane = p.out_h * p.out_w in
+  let taps = p.kh * p.kw in
+  let w_off = p.in_c * plane in
+  let b_off = w_off + (n * taps) in
+  let o_off = b_off + n in
+  for c = 0 to n - 1 do
+    rect_plane ~xs:st.xs p ~x_base:(c * plane) ~in_c:1 ~w_oc:(w_off + (c * taps)) ~bias:(b_off + c)
+      ~dst:(o_off + (c * out_plane))
+  done;
+  store_run ctx.c_out st.xs ~src:o_off ~va:(Int64.to_int d.output_va) ~n:(n * out_plane)
+
+let depthwise ctx (d : Job_desc.t) =
+  let p = d.params in
+  check_conv_geometry p;
+  if p.in_c <> p.out_c then fail "depthwise needs in_c = out_c";
+  if staged ctx d ~first_oc:0 ~n_oc:p.out_c ~w_in_c:1 then depthwise_staged ctx d
+  else depthwise_elements ctx d
+
 let fc ctx (d : Job_desc.t) =
   let p = d.params in
   let in_n = p.in_c * p.in_h * p.in_w in
@@ -471,6 +736,11 @@ let fc ctx (d : Job_desc.t) =
     setf ctx.c_out (ob + (4 * o)) r
   done
 
+let neg_inf_bits = Int32.to_int (Int32.bits_of_float neg_infinity) land 0xFFFF_FFFF
+
+(* A non-NaN f32's bits as an int ordered as the floats are. *)
+let[@inline] key b = if b land 0x8000_0000 = 0 then b else -(b land 0x7FFF_FFFF)
+
 let maxpool ctx (d : Job_desc.t) =
   let p = d.params in
   check_conv_geometry p;
@@ -484,16 +754,22 @@ let maxpool ctx (d : Job_desc.t) =
       let ky0 = imax 0 (pad - (oy * s)) and ky1 = imin p.kh (p.in_h + pad - (oy * s)) in
       for ox = 0 to p.out_w - 1 do
         let kx0 = imax 0 (pad - (ox * s)) and kx1 = imin p.kw (p.in_w + pad - (ox * s)) in
-        let best = ref neg_infinity in
+        (* [v > best] on the bits: NaNs never win, and [key] orders the
+           rest as floats, with -0 equal to +0. The winner is never a NaN,
+           so its bits are what [setf] would store. *)
+        let best = ref neg_inf_bits and best_key = ref (key neg_inf_bits) in
         for ky = ky0 to ky1 - 1 do
           let iy = (oy * s) + ky - pad in
           for kx = kx0 to kx1 - 1 do
             let ix = (ox * s) + kx - pad in
-            let v = getf ctx.c_in (inb + (4 * in_idx c iy ix)) in
-            if v > !best then best := v
+            let b = getb ctx.c_in (inb + (4 * in_idx c iy ix)) in
+            if not (is_nan_bits b) && key b > !best_key then begin
+              best := b;
+              best_key := key b
+            end
           done
         done;
-        setf ctx.c_out (ob + (4 * out_idx c oy ox)) !best
+        setb ctx.c_out (ob + (4 * out_idx c oy ox)) !best
       done
     done
   done
@@ -519,14 +795,18 @@ let flat_len (p : Job_desc.params) = p.out_c * p.out_h * p.out_w
 let relu ctx (d : Job_desc.t) =
   let inb = Int64.to_int d.input_va and ob = Int64.to_int d.output_va in
   for i = 0 to flat_len d.params - 1 do
-    let v = getf ctx.c_in (inb + (4 * i)) in
-    setf ctx.c_out (ob + (4 * i)) (if v < 0.0 then 0.0 else v)
+    let b = getb ctx.c_in (inb + (4 * i)) in
+    (* below zero: the sign set on a nonzero magnitude, NaNs excepted *)
+    setb ctx.c_out (ob + (4 * i))
+      (if is_nan_bits b then round_trip b
+       else if b land 0x8000_0000 <> 0 && b land 0x7FFF_FFFF <> 0 then 0
+       else b)
   done
 
 let copy ctx (d : Job_desc.t) =
   let inb = Int64.to_int d.input_va and ob = Int64.to_int d.output_va in
   for i = 0 to flat_len d.params - 1 do
-    setf ctx.c_out (ob + (4 * i)) (getf ctx.c_in (inb + (4 * i)))
+    setb ctx.c_out (ob + (4 * i)) (round_trip (getb ctx.c_in (inb + (4 * i))))
   done
 
 let add ctx (d : Job_desc.t) =
@@ -562,11 +842,11 @@ let concat2 ctx (d : Job_desc.t) =
   and in2b = Int64.to_int d.input2_va
   and ob = Int64.to_int d.output_va in
   for i = 0 to (p.in_c * plane) - 1 do
-    setf ctx.c_out (ob + (4 * i)) (getf ctx.c_in (inb + (4 * i)))
+    setb ctx.c_out (ob + (4 * i)) (round_trip (getb ctx.c_in (inb + (4 * i))))
   done;
   let off = p.in_c * plane in
   for i = 0 to (p.in2_c * plane) - 1 do
-    setf ctx.c_out (ob + (4 * (off + i))) (getf ctx.c_in2 (in2b + (4 * i)))
+    setb ctx.c_out (ob + (4 * (off + i))) (round_trip (getb ctx.c_in2 (in2b + (4 * i))))
   done
 
 let softmax ctx (d : Job_desc.t) =

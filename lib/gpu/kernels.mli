@@ -20,14 +20,19 @@
     once. Where the read set has no gaps, staging decodes it in runs: the
     whole weight block when every kernel row and column is read, and each
     read input row when every input column is; each page of a run is
-    resolved once and decoded in one loop. The interior columns of an
-    output row, where all [kw] kernel columns are valid, are computed in
-    blocks of four adjacent outputs that share each weight load; each
-    output keeps its own accumulator and adds its products in the loop's
-    order, and outputs are written in ascending column order. Border
-    columns and a row's remainder run one output at a time. Outputs are
-    bit-identical, and three rules keep the job indistinguishable from the
-    loop at the streams:
+    resolved once and decoded in one loop. A position's valid kernel rows
+    depend only on its output row and its valid kernel columns only on its
+    output column, so each channel's plane splits into rectangles of equal
+    tap ranges (the interior, each border row and column, the corners).
+    Each rectangle is walked in row order, across row ends, in blocks of
+    four positions (eight when the range is three taps wide) that share
+    each weight load; the tap loop is unrolled for ranges three and five
+    taps wide. Each output keeps its own accumulator and adds its
+    products in the loop's order; what is left of a rectangle (fewer than
+    four positions) runs one output at a time. Outputs go to the scratch
+    and are written at the end in ascending order, one page at a time.
+    Outputs are bit-identical, and three rules keep the job
+    indistinguishable from the loop at the streams:
     - staging resolves exactly the pages the loop reads, then the output
       pages in write order (translation has no side effects), though not in
       the loop's order;
@@ -39,8 +44,13 @@
     Pages are told apart by object identity, so a provider must give every
     written page its own object ([Device]'s shared zero page only serves
     reads). Jobs too large to stage (malformed descriptors only) also run
-    the loop. [Depthwise] and [Maxpool] keep the streams but compute each
-    output position's valid tap range once.
+    the loop. [Depthwise] stages the same way under the same rules: its
+    channel [c] is a one-channel conv of input plane [c], so its weight
+    block is one plane of taps per channel. [Maxpool], [Relu], [Copy] and
+    [Concat2] keep the streams but move and compare f32 bit patterns
+    instead of decoding and re-encoding them: a NaN, whose trip through a
+    double may quiet it, takes that trip, so every stored bit pattern is
+    the loop's.
 
     [Fc] is left as its loop: each weight is read exactly once per job, so
     decoding the weights into a scratch first would not save a single

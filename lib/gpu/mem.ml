@@ -371,32 +371,38 @@ let is_protected t pfn =
   else if pfn >= 0 && pfn < dense_limit then false
   else Hashtbl.mem t.spill_prot pfn
 
-let set_page t pfn64 b =
-  if Bytes.length b <> page_size then invalid_arg "Mem.set_page: wrong size";
-  let pfn = Int64.to_int pfn64 in
-  if is_protected t pfn then raise (Protected_page_write pfn64);
-  (* Blit over an already-materialized page rather than rebinding a fresh
-     copy: page buffers never escape (readers get copies), and replayed
-     memory images rewrite the same pfns every session. *)
+(* What [set_page] does to a page besides its bytes and generation: the
+   protection check and the dirty mark. *)
+let mark_dirty t pfn =
+  if is_protected t pfn then raise (Protected_page_write (Int64.of_int pfn));
   if pfn >= 0 && pfn < dense_limit then begin
     if pfn >= t.cap then grow t pfn;
-    let p0 = Array.unsafe_get t.pages pfn in
-    if p0 != Bytes.empty then Bytes.blit b 0 p0 0 page_size
-    else begin
-      Array.unsafe_set t.pages pfn (Bytes.copy b);
-      mat_push t pfn
-    end;
     if Bytes.unsafe_get t.dirtyb pfn = '\000' then begin
       Bytes.unsafe_set t.dirtyb pfn '\001';
       dirty_push t pfn
     end
   end
-  else begin
+  else Hashtbl.replace t.spill_dirty pfn ()
+
+let set_page t pfn64 b =
+  if Bytes.length b <> page_size then invalid_arg "Mem.set_page: wrong size";
+  let pfn = Int64.to_int pfn64 in
+  mark_dirty t pfn;
+  (* Blit over an already-materialized page rather than rebinding a fresh
+     copy: page buffers never escape (readers get copies), and replayed
+     memory images rewrite the same pfns every session. *)
+  if pfn >= 0 && pfn < dense_limit then begin
+    let p0 = Array.unsafe_get t.pages pfn in
+    if p0 != Bytes.empty then Bytes.blit b 0 p0 0 page_size
+    else begin
+      Array.unsafe_set t.pages pfn (Bytes.copy b);
+      mat_push t pfn
+    end
+  end
+  else
     (match Hashtbl.find_opt t.spill pfn with
     | Some p -> Bytes.blit b 0 p 0 page_size
     | None -> Hashtbl.replace t.spill pfn (Bytes.copy b));
-    Hashtbl.replace t.spill_dirty pfn ()
-  end;
   touch_gen t pfn
 
 let sorted_pfns dense len spill =

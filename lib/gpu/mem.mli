@@ -80,6 +80,12 @@ val page_rw : t -> int64 -> bytes
 val set_page : t -> int64 -> bytes -> unit
 (** Install page contents (must be exactly [page_size] bytes). *)
 
+val mark_dirty : t -> int -> unit
+(** [mark_dirty t pfn] is {!set_page} of the bytes the page already holds,
+    except that the generation stamp stays: the page joins the dirty set
+    (the cache flush it costs), and a protected page raises
+    {!Protected_page_write}. For re-installs that skip unchanged pages. *)
+
 val materialized_pages : t -> int64 list
 (** PFNs of all pages that have been written, sorted. *)
 

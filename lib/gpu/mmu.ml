@@ -35,11 +35,14 @@ let level_index va level =
   let shift = 12 + (9 * (3 - level)) in
   Int64.to_int (Int64.shift_right_logical va shift) land 0x1FF
 
-(* Read descriptor [idx] of the table page holding [table_pa] (page-aligned),
-   as a native int; 0 when the table page was never materialized. *)
-let desc_at mem table_pa idx =
-  let p = Mem.borrow_ro mem (Mem.page_index table_pa) in
+(* Read descriptor [idx] of table page [pfn] as a native int; 0 when the
+   table page was never materialized. *)
+let desc_in mem pfn idx =
+  let p = Mem.borrow_ro mem pfn in
   if p == Bytes.empty then 0 else Int64.to_int (Bytes.get_int64_le p (8 * idx))
+
+(* The same, by the table's (page-aligned) physical address. *)
+let desc_at mem table_pa idx = desc_in mem (Mem.page_index table_pa) idx
 
 let create mem ~fmt =
   let root = Mem.alloc_pages mem 1 in
@@ -110,48 +113,55 @@ let unmap_page t ~va =
     Mem.write_u64 t.mem (entry_addr l3 (level_index va 3)) 0L
   end
 
-let check_perm t e ~access =
-  let need bit msg = if e land bit = 0 then Error (Permission msg) else Ok () in
-  let access_ok =
-    match t.fmt with
-    | Sku.Lpae_v8 -> need bit_access "access-flag"
-    | Sku.Lpae_v7 -> Ok ()
-  in
-  match access_ok with
-  | Error _ as err -> err
-  | Ok () -> (
-    match access with
-    | `Read -> Ok ()
-    | `Write -> need bit_writable "write"
-    | `Exec -> need bit_executable "exec")
+(* Fault codes of [walk]: a result below zero is a fault, not a PA. *)
+let f_unmapped = -1
+let f_bad_format = -2
+let f_access_flag = -3
+let f_write = -4
+let f_exec = -5
 
-let translate t ~va ~access =
-  let e1 = desc_at t.mem t.root (level_index va 1) in
-  if e1 land desc_type_mask <> desc_table then Error Unmapped
+let check_perm t e ~access =
+  match t.fmt with
+  | Sku.Lpae_v8 when e land bit_access = 0 -> f_access_flag
+  | Sku.Lpae_v8 | Sku.Lpae_v7 -> (
+    match access with
+    | `Read -> 0
+    | `Write -> if e land bit_writable = 0 then f_write else 0
+    | `Exec -> if e land bit_executable = 0 then f_exec else 0)
+
+(* The walk on native ints: the PA, or a fault code. Only bits 38:0 of the
+   VA take part (the level indices and the in-page/in-block offset), so
+   [Int64.to_int] of any [int64] VA walks the same way. *)
+let translate_int t ~va ~access =
+  let e1 = desc_in t.mem (Mem.page_index t.root) ((va lsr 30) land 0x1FF) in
+  if e1 land desc_type_mask <> desc_table then f_unmapped
   else begin
-    let l2 = Int64.of_int (e1 land pa_mask) in
-    let e2 = desc_at t.mem l2 (level_index va 2) in
+    let e2 = desc_in t.mem ((e1 land pa_mask) lsr 12) ((va lsr 21) land 0x1FF) in
     let ty2 = e2 land desc_type_mask in
     if ty2 = desc_block then
-      match check_perm t e2 ~access with
-      | Error _ as err -> err
-      | Ok () ->
-        let base = e2 land pa_mask in
-        Ok (Int64.logor (Int64.of_int base) (Int64.logand va 0x1F_FFFFL))
+      let c = check_perm t e2 ~access in
+      if c < 0 then c else e2 land pa_mask lor (va land 0x1F_FFFF)
     else if ty2 = desc_table then begin
-      let l3 = Int64.of_int (e2 land pa_mask) in
-      let e3 = desc_at t.mem l3 (level_index va 3) in
-      if e3 land desc_type_mask <> desc_table then Error Unmapped
+      let e3 = desc_in t.mem ((e2 land pa_mask) lsr 12) ((va lsr 12) land 0x1FF) in
+      if e3 land desc_type_mask <> desc_table then f_unmapped
       else
-        match check_perm t e3 ~access with
-        | Error _ as err -> err
-        | Ok () ->
-          let base = e3 land pa_mask in
-          Ok (Int64.logor (Int64.of_int base) (Int64.logand va 0xFFFL))
+        let c = check_perm t e3 ~access in
+        if c < 0 then c else e3 land pa_mask lor (va land 0xFFF)
     end
-    else if e2 = 0 then Error Unmapped
-    else Error Bad_format
+    else if e2 = 0 then f_unmapped
+    else f_bad_format
   end
+
+let translate t ~va ~access =
+  let r = translate_int t ~va:(Int64.to_int va) ~access in
+  if r >= 0 then Ok (Int64.of_int r)
+  else
+    Error
+      (if r = f_unmapped then Unmapped
+       else if r = f_bad_format then Bad_format
+       else if r = f_access_flag then Permission "access-flag"
+       else if r = f_write then Permission "write"
+       else Permission "exec")
 
 (* The walkers below resolve each table page once and scan its descriptors
    with direct byte reads. *)

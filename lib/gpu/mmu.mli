@@ -48,6 +48,11 @@ val unmap_page : t -> va:int64 -> unit
 val translate : t -> va:int64 -> access:[ `Read | `Write | `Exec ] -> (int64, fault) result
 (** Walk the tables. Enforces validity, permissions and (v8) access flag. *)
 
+val translate_int : t -> va:int -> access:[ `Read | `Write | `Exec ] -> int
+(** {!translate} without allocation: the PA, or a negative number where
+    {!translate} gives an [Error] (call it for the fault). [va] is
+    [Int64.to_int] of the VA; only its bits 38:0 take part in the walk. *)
+
 val table_pages : t -> int64 list
 (** PFNs of every table page reachable from the root — the page-table part
     of the metastate. *)

@@ -126,3 +126,12 @@ let parse_header b =
       match op_of_code code with
       | None -> Error "shader: unknown opcode"
       | Some op -> Ok { version; gpu_id; op; tile; code_len }
+
+(* The fields [parse_header] checks, read in place: magic, GPU id and op
+   code, as little-endian at [off] of [b]. *)
+let header_matches b off ~gpu_id ~op =
+  off >= 0
+  && off + header_size <= Bytes.length b
+  && Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF = Int64.to_int magic
+  && Int64.equal (Bytes.get_int64_le b (off + 8)) gpu_id
+  && Int32.to_int (Bytes.get_int32_le b (off + 16)) land 0xFFFF_FFFF = op_code op

@@ -41,3 +41,8 @@ type header = { version : int; gpu_id : int64; op : op; tile : int; code_len : i
 val parse_header : bytes -> (header, string) result
 
 val header_size : int
+
+val header_matches : bytes -> int -> gpu_id:int64 -> op:op -> bool
+(** Whether the [header_size] bytes at the offset are a header that
+    {!parse_header} accepts with this [gpu_id] and [op], read in place
+    without allocating. False means: ask {!parse_header} what is wrong. *)

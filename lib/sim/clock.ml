@@ -16,12 +16,20 @@ let now_ns t = Int64.of_int t.now
 
 let now_s t = float_of_int t.now *. 1e-9
 
+(* A top-level loop rather than [List.iter] over a closure: a closure
+   capturing [old_now] would be allocated on every advance. *)
+let rec notify old_now new_now = function
+  | [] -> ()
+  | f :: tl ->
+    f old_now new_now;
+    notify old_now new_now tl
+
 let advance_int t d =
   if d < 0 then invalid_arg "Clock.advance_ns: negative delta";
   if d > 0 then begin
     let old_now = t.now in
     t.now <- old_now + d;
-    List.iter (fun f -> f old_now t.now) t.observers
+    notify old_now t.now t.observers
   end
 
 let advance_ns t d = advance_int t (Int64.to_int d)

@@ -19,9 +19,9 @@ let register_interrupt t ~irq ~name =
   Hashtbl.replace t.names irq name
 
 let route_of t ~irq =
-  match Hashtbl.find_opt t.routes irq with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Monitor: unknown irq %d" irq)
+  match Hashtbl.find t.routes irq with
+  | r -> r
+  | exception Not_found -> invalid_arg (Printf.sprintf "Monitor: unknown irq %d" irq)
 
 let require_secure caller what =
   match caller with

@@ -626,21 +626,54 @@ let gen_kcase ~mock =
      outside the reference's read set shows as an extra page resolved. Long
      rows at stride 1-2 give the staged conv blocks of four interior
      columns, remainders, outputs narrower than four and rows with no
-     interior column. *)
-  let* shape = frequency [ (4, return `Narrow); (1, return `Wide); (2, return `Long) ] in
-  let* in_c = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 4) in
-  let* in_h = int_range 1 (match shape with `Wide -> 5 | `Narrow -> 9 | `Long -> 6) in
-  let* in_w =
-    match shape with `Wide -> int_range 2048 2600 | `Narrow -> int_range 1 9 | `Long -> int_range 8 40
+     interior column. 3x3 kernels take the unrolled tap path on every
+     rectangle of equal tap ranges, and thin planes (one to four output
+     columns) run blocks of four across row ends. *)
+  let* shape =
+    frequency
+      [
+        (4, return `Narrow);
+        (1, return `Wide);
+        (2, return `Long);
+        (2, return `Three);
+        (2, return `Thin);
+      ]
   in
-  let* kh = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
-  let* kw = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
-  let* stride = int_range 1 (match shape with `Long -> 2 | `Narrow | `Wide -> 6) in
-  let* pad = int_range 0 3 in
+  let* in_c, in_h, in_w, kh, kw, stride, pad =
+    match shape with
+    | (`Narrow | `Wide | `Long) as shape ->
+      let* in_c = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 4) in
+      let* in_h = int_range 1 (match shape with `Wide -> 5 | `Narrow -> 9 | `Long -> 6) in
+      let* in_w =
+        match shape with
+        | `Wide -> int_range 2048 2600
+        | `Narrow -> int_range 1 9
+        | `Long -> int_range 8 40
+      in
+      let* kh = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
+      let* kw = int_range 1 (match shape with `Wide -> 2 | `Narrow | `Long -> 5) in
+      let* stride = int_range 1 (match shape with `Long -> 2 | `Narrow | `Wide -> 6) in
+      let* pad = int_range 0 3 in
+      return (in_c, in_h, in_w, kh, kw, stride, pad)
+    | `Three ->
+      (* 3x3 kernels, the zoo's common case: interior blocks, border rows
+         and columns and corners of every size *)
+      let* in_c = int_range 1 4 and* in_h = int_range 1 12 and* in_w = int_range 1 20 in
+      let* stride = int_range 1 2 and* pad = int_range 0 2 in
+      return (in_c, in_h, in_w, 3, 3, stride, pad)
+    | `Thin ->
+      (* output planes one to four columns wide *)
+      let* in_c = int_range 1 4 and* in_h = int_range 1 9 in
+      let* kh = int_range 1 5 and* kw = int_range 1 5 in
+      let* stride = int_range 1 3 and* pad = int_range 0 2 and* out_w = int_range 1 4 in
+      let in_w = max 1 (((out_w - 1) * stride) + kw - (2 * pad)) in
+      return (in_c, in_h, in_w, kh, kw, stride, pad)
+  in
   let out_h = ((in_h + (2 * pad) - kh) / stride) + 1
   and out_w = ((in_w + (2 * pad) - kw) / stride) + 1 in
   let* out_c =
-    if op = Shader.Conv2d then int_range 1 (match shape with `Long -> 8 | `Narrow | `Wide -> 6)
+    if op = Shader.Conv2d then
+      int_range 1 (match shape with `Long | `Three | `Thin -> 8 | `Narrow | `Wide -> 6)
     else return in_c
   in
   let* part_count = int_range 1 (out_c + 1) in
@@ -717,7 +750,7 @@ let kernel_value rng =
 let outcome f = match f () with () -> "ok" | exception e -> Printexc.to_string e
 
 let kernels_qcheck_flat_matches_reference =
-  qtest ~count:400 "kernels write the reference's bytes (Flat)" ~print:print_kcase
+  qtest ~count:630 "kernels write the reference's bytes (Flat)" ~print:print_kcase
     (gen_kcase ~mock:false) (fun c ->
       let run exec =
         let flat = Kernels.Flat.create () in
@@ -792,7 +825,7 @@ let mock_memory c =
   (table, log, { Kernels.c_in; c_in2; c_bias; c_out = stream "out" ~write:true })
 
 let kernels_qcheck_mock_matches_reference =
-  qtest ~count:400 "kernels resolve, fault and write as the reference (mock memory)"
+  qtest ~count:630 "kernels resolve, fault and write as the reference (mock memory)"
     ~print:print_kcase (gen_kcase ~mock:true) (fun c ->
       let run exec =
         let table, log, ctx = mock_memory c in
@@ -805,6 +838,118 @@ let kernels_qcheck_mock_matches_reference =
       let r, mem, resolved = run Kernels.execute
       and r', mem', resolved' = run Kernels_reference.execute in
       r = r' && mem = mem' && (r <> "ok" || resolved = resolved'))
+
+(* Relu, copy, concat and maxpool move or compare values without
+   decoding them. Over raw bit patterns — NaNs quiet and signaling with
+   payloads, signed zeros and infinities, subnormals — they must store
+   the bytes the reference's float loops store. *)
+let special_bits =
+  [|
+    0x00000000; 0x80000000; 0x7F800000; 0xFF800000; 0x7FC00000; 0xFFC00000; 0x7F800001;
+    0xFF800001; 0x7FA00000; 0x7FFFFFFF; 0xFFFFFFFF; 0x00000001; 0x80000001; 0x007FFFFF;
+    0x807FFFFF; 0x00800000; 0x80800000; 0x3F800000; 0xBF800000; 0x7F7FFFFF; 0xFF7FFFFF;
+  |]
+
+let narrow_bits = [| 0x00000000; 0x80000000; 0xBF800000; 0xFF800000; 0x7FC00000; 0x7F800001 |]
+
+let gen_move_case =
+  let open QCheck2.Gen in
+  let* op = oneofl [ Shader.Relu; Shader.Copy; Shader.Concat2; Shader.Maxpool ] in
+  let* in_c = int_range 1 3 and* in2_c = int_range 1 3 in
+  let* h = int_range 1 6 and* w = int_range 1 6 in
+  let* k = int_range 1 3 and* stride = int_range 1 3 and* pad = int_range 0 1 in
+  let params =
+    match op with
+    | Shader.Maxpool ->
+      {
+        Job_desc.default_params with
+        Job_desc.in_c;
+        in_h = h;
+        in_w = w;
+        out_c = in_c;
+        out_h = ((h + (2 * pad) - k) / stride) + 1;
+        out_w = ((w + (2 * pad) - k) / stride) + 1;
+        kh = k;
+        kw = k;
+        stride;
+        pad;
+      }
+    | Shader.Concat2 ->
+      {
+        Job_desc.default_params with
+        Job_desc.in_c;
+        in2_c;
+        in_h = h;
+        in_w = w;
+        out_c = in_c + in2_c;
+        out_h = h;
+        out_w = w;
+      }
+    | _ ->
+      {
+        Job_desc.default_params with
+        Job_desc.in_c;
+        in_h = h;
+        in_w = w;
+        out_c = in_c;
+        out_h = h;
+        out_w = w;
+      }
+  in
+  let* seed = int and* narrow = bool in
+  return (op, params, (seed, narrow))
+
+let kernels_move_special_values =
+  qtest ~count:300 "relu, copy, concat, maxpool store the reference's bits"
+    ~print:(fun (op, (p : Job_desc.params), (seed, narrow)) ->
+      Printf.sprintf "%s in %dx%dx%d (+%d) k%d s%d p%d seed %d narrow %b" (Shader.op_name op)
+        p.in_c p.in_h p.in_w p.in2_c p.kh p.stride p.pad seed narrow)
+    gen_move_case
+    (fun (op, params, (seed, narrow)) ->
+      let desc =
+        {
+          Job_desc.op;
+          shader_va = 0L;
+          input_va = 0x0L;
+          input2_va = 0x4000L;
+          bias_va = 0L;
+          output_va = 0x8000L;
+          params;
+          next_va = 0L;
+        }
+      in
+      let run exec =
+        let rng = Grt_util.Rng.create ~seed:(Int64.of_int seed) in
+        let pages =
+          Array.init 4 (fun _ ->
+              let b = Bytes.create 4096 in
+              for i = 0 to 1023 do
+                let bits =
+                  if narrow then
+                    (* ties of +0 and -0 below NaNs and infinities *)
+                    narrow_bits.(Grt_util.Rng.int rng (Array.length narrow_bits))
+                  else if Grt_util.Rng.int rng 2 = 0 then
+                    special_bits.(Grt_util.Rng.int rng (Array.length special_bits))
+                  else Grt_util.Rng.int rng 0x10000 lor (Grt_util.Rng.int rng 0x10000 lsl 16)
+                in
+                Bytes.set_int32_le b (4 * i) (Int32.of_int bits)
+              done;
+              b)
+        in
+        let stream () =
+          Kernels.new_stream (fun s va ->
+              let p = pages.((va lsr 12) land 3) in
+              s.Kernels.sbase <- va land lnot 0xFFF;
+              s.Kernels.spage <- p;
+              p)
+        in
+        let ctx =
+          { Kernels.c_in = stream (); c_in2 = stream (); c_bias = stream (); c_out = stream () }
+        in
+        let r = outcome (fun () -> exec ctx desc) in
+        (r, Array.map Bytes.to_string pages)
+      in
+      run Kernels.execute = run Kernels_reference.execute)
 
 (* ---- Device ---- *)
 
@@ -819,6 +964,33 @@ let device_identity_regs () =
   check Alcotest.int64 "gpu id" Sku.g71_mp8.Sku.gpu_id (Device.read_reg dev Regs.gpu_id);
   check Alcotest.int64 "shader present" 0xFFL (Device.read_reg dev Regs.shader_present_lo);
   check Alcotest.int64 "as present" 0xFFL (Device.read_reg dev Regs.as_present)
+
+(* Events due at the same instant fire latest-scheduled first. A power-on
+   and a power-off of the same cores that complete together: the off
+   applies first, so the cores end up on (oldest first would leave the
+   powered-off ones down). *)
+let device_event_ties_fire_newest_first () =
+  let dev, clock, _ = fresh_device () in
+  let up = Sku.g71_mp8.Sku.power_up_us * 1000 in
+  Device.write_reg dev Regs.shader_pwron_lo 0xFFL;
+  (* a power-off takes half as long; the write itself costs one access *)
+  Clock.advance_int clock ((up / 2) - Int64.to_int Grt_sim.Costs.mmio_access_ns);
+  Device.write_reg dev Regs.shader_pwroff_lo 0x0FL;
+  Clock.advance_int clock up;
+  check Alcotest.int64 "off, then on" 0xFFL (Device.read_reg dev Regs.shader_ready_lo);
+  (* the same pair one nanosecond apart fires in deadline order *)
+  let dev, clock, _ = fresh_device () in
+  Device.write_reg dev Regs.shader_pwron_lo 0xFFL;
+  Clock.advance_int clock ((up / 2) - Int64.to_int Grt_sim.Costs.mmio_access_ns - 1);
+  Device.write_reg dev Regs.shader_pwroff_lo 0x0FL;
+  Clock.advance_int clock up;
+  check Alcotest.int64 "off first by deadline" 0xFFL (Device.read_reg dev Regs.shader_ready_lo);
+  let dev, clock, _ = fresh_device () in
+  Device.write_reg dev Regs.shader_pwron_lo 0xFFL;
+  Clock.advance_int clock ((up / 2) - Int64.to_int Grt_sim.Costs.mmio_access_ns + 1);
+  Device.write_reg dev Regs.shader_pwroff_lo 0x0FL;
+  Clock.advance_int clock up;
+  check Alcotest.int64 "on first by deadline" 0xF0L (Device.read_reg dev Regs.shader_ready_lo)
 
 let device_power_sequence () =
   let dev, clock, _ = fresh_device () in
@@ -977,6 +1149,24 @@ let device_faults_on_unmapped_chain () =
       (Int64.compare (Device.read_reg dev Regs.mmu_irq_rawstat) 0L > 0)
   | Some Device.Mmu_irq -> ()
   | _ -> Alcotest.fail "expected a fault interrupt"
+
+(* The walk reads only a VA's low bits, but the fault reports all 64: a
+   chain head with bit 63 or bit 62 set is latched in AS_FAULTADDRESS and
+   named in the fault message as written. *)
+let device_fault_reports_full_va () =
+  List.iter
+    (fun va ->
+      let dev, _, _, _, _, _ = setup_job () in
+      submit dev va;
+      ignore (Device.wait_for_irq dev ~timeout_ns:1_000_000_000L);
+      check Alcotest.int64 "fault address" va (Device.read_reg dev (Regs.as_faultaddress_lo 0));
+      match Device.last_fault dev with
+      | Some msg ->
+        check Alcotest.string "fault message"
+          (Printf.sprintf "translation fault at %Lx: unmapped" va)
+          msg
+      | None -> Alcotest.fail "no fault recorded")
+    [ 0x8000_0000_0070_0000L; 0x4000_0000_0070_0000L; 0xC000_0000_0070_0000L ]
 
 let device_job_needs_power () =
   let dev, clock, mem = fresh_device () in
@@ -1189,11 +1379,14 @@ let () =
           Alcotest.test_case "flops positive" `Quick kernels_flops_positive;
           kernels_qcheck_flat_matches_reference;
           kernels_qcheck_mock_matches_reference;
+          kernels_move_special_values;
         ] );
       ( "device",
         [
           Alcotest.test_case "identity regs" `Quick device_identity_regs;
           Alcotest.test_case "power sequence" `Quick device_power_sequence;
+          Alcotest.test_case "event ties fire newest first" `Quick
+            device_event_ties_fire_newest_first;
           Alcotest.test_case "soft reset" `Quick device_soft_reset;
           Alcotest.test_case "irq masking" `Quick device_irq_masking;
           Alcotest.test_case "flush id changes" `Quick device_flush_id_changes;
@@ -1202,6 +1395,7 @@ let () =
           Alcotest.test_case "runs a job" `Quick device_runs_job;
           Alcotest.test_case "rejects foreign shader" `Quick device_rejects_foreign_shader;
           Alcotest.test_case "faults on unmapped chain" `Quick device_faults_on_unmapped_chain;
+          Alcotest.test_case "fault reports the full VA" `Quick device_fault_reports_full_va;
           Alcotest.test_case "job needs power" `Quick device_job_needs_power;
           Alcotest.test_case "wait timeout" `Quick device_wait_timeout;
           Alcotest.test_case "kernel TLB per chain" `Quick device_tlb_per_chain;

@@ -26,6 +26,7 @@ let record ?(net = Zoo.mnist) () =
   Orchestrate.record ~profile:Profile.wifi ~mode:Mode.Ours_mds ~sku ~net ~seed:42L ()
 
 let mnist_recording = lazy (record ())
+let zoo_recordings = lazy (List.map (fun net -> (net, record ~net ())) Zoo.all)
 
 let replay_both ?(blob = (Lazy.force mnist_recording).Orchestrate.blob) ~net ~input_seed () =
   let plan = Network.expand net in
@@ -49,18 +50,77 @@ let compiled_equals_interpreted_prop =
       && i.Replayer.reads_verified = c.Replayer.reads_verified
       && i.Replayer.reads_skipped_nondet = c.Replayer.reads_skipped_nondet)
 
+(* A replay on a client of its own, with the virtual nanoseconds it took
+   (the span [delay_s] measures) and its energy from a zeroed meter: a
+   later replay's [delay_s] and [energy_j] are differences of larger
+   totals, so they can round differently from a first replay's. *)
+let timed (g, clock, energy) replay =
+  Grt_sim.Energy.reset energy;
+  let t0 = Grt_sim.Clock.now_ns clock in
+  let r : Replayer.result = replay g energy in
+  (r, Int64.sub (Grt_sim.Clock.now_ns clock) t0)
+
+(* The recording with each poll for the clean-caches interrupt turned into
+   a wait on the GPU interrupt line. Polls read at their learned iteration,
+   so a flush that ends early goes unseen; a wait lasts exactly as long as
+   the flush, whose length is set by the pages dirtied since the last one.
+   A warm compiled replay that skips re-copying unchanged pages must still
+   leave them dirty, or it finishes early. *)
+let waiting_on_flushes (o : Orchestrate.record_outcome) =
+  let rec_t = o.Orchestrate.recording in
+  let entries =
+    Array.map
+      (function
+        | Recording.Poll { reg; mask; _ }
+          when reg = Grt_gpu.Regs.gpu_irq_rawstat
+               && Int64.equal mask Grt_gpu.Regs.irq_clean_caches_completed ->
+          Recording.Wait_irq { line = Grt_gpu.Device.Gpu_irq }
+        | e -> e)
+      rec_t.Recording.entries
+  in
+  Recording.sign ~key:Orchestrate.cloud_signing_key { rec_t with Recording.entries }
+
 let compiled_bit_identical_all_nets () =
-  (* The acceptance bar: bit-identical on every network in the zoo. *)
+  (* The acceptance bar: bit-identical on every network in the zoo, and the
+     same virtual delay and energy, for the first compiled replay on a
+     client and for a warm one after it; also when the replay waits out
+     each cache flush. *)
   List.iter
-    (fun net ->
-      let o = record ~net () in
-      let i, c = replay_both ~blob:o.Orchestrate.blob ~net ~input_seed:7L () in
-      check Alcotest.bool (net.Network.name ^ " bit-identical") true
-        (i.Replayer.output = c.Replayer.output);
-      check Alcotest.int
-        (net.Network.name ^ " same entries applied")
-        i.Replayer.entries_applied c.Replayer.entries_applied)
-    Zoo.all
+    (fun (net, o) ->
+      let plan = Network.expand net in
+      let input = Runner.input_values plan ~seed:7L in
+      let params = Runner.weight_values plan ~seed:42L in
+      List.iter
+        (fun (variant, blob) ->
+          let name = net.Network.name ^ variant in
+          let i, i_ns =
+            timed (Orchestrate.replay_gpushim ~sku ~seed:7L ()) (fun gpushim energy ->
+                Replayer.replay_segments ~gpushim ~signing_key:Orchestrate.cloud_signing_key
+                  ~blobs:[ blob ] ~input ~params ~energy ())
+          in
+          let prog = Orchestrate.compile_recording ~blob () in
+          let client = Orchestrate.replay_gpushim ~sku ~seed:7L () in
+          List.iter
+            (fun which ->
+              let c, c_ns =
+                timed client (fun gpushim energy ->
+                    Replayer.replay_compiled ~gpushim ~prog ~input ~params ~energy ())
+              in
+              let what = Printf.sprintf "%s %s" name which in
+              check Alcotest.bool (what ^ " bit-identical") true
+                (i.Replayer.output = c.Replayer.output);
+              check Alcotest.int (what ^ " same entries applied") i.Replayer.entries_applied
+                c.Replayer.entries_applied;
+              check Alcotest.int64 (what ^ " same virtual ns") i_ns c_ns;
+              if which = "first" then
+                check (Alcotest.float 0.) (what ^ " same delay") i.Replayer.delay_s
+                  c.Replayer.delay_s;
+              check
+                (Alcotest.option (Alcotest.float 0.))
+                (what ^ " same energy") i.Replayer.energy_j c.Replayer.energy_j)
+            [ "first"; "warm" ])
+        [ ("", o.Orchestrate.blob); (" waiting on flushes", waiting_on_flushes o) ])
+    (Lazy.force zoo_recordings)
 
 let warm_session_reuse_stays_identical () =
   (* Compile once, one session, many replays: hints and cached images must
@@ -80,6 +140,273 @@ let warm_session_reuse_stays_identical () =
         true
         (warm.Replayer.output = interp.Orchestrate.r.Replayer.output))
     [ 7L; 8L; 7L; 9L; 7L ]
+
+(* ---- Polls skip the iterations that cannot see a device event ----
+
+   [Gpushim.spin_poll] (the offloaded poll and both replayers) and
+   [Gpushim.reset_gpu] advance the clock over the iterations that must
+   read the value the last read saw. The references are the loops they
+   replace, one read and one spin per iteration, kept here. *)
+
+module Clock = Grt_sim.Clock
+module Energy = Grt_sim.Energy
+module Device = Grt_gpu.Device
+module Regs = Grt_gpu.Regs
+module Gpushim = Grt.Gpushim
+
+let rec reference_spin g ~reg ~mask ~cond ~max_iters ~spin_ns i =
+  if i >= max_iters then -1
+  else if Regs.poll_met cond ~mask (Device.read_reg (Gpushim.device g) reg) then i
+  else begin
+    Clock.advance_ns (Device.clock (Gpushim.device g)) spin_ns;
+    reference_spin g ~reg ~mask ~cond ~max_iters ~spin_ns (i + 1)
+  end
+
+(* [Gpushim.reset_gpu]'s loop, one read per microsecond. *)
+let reference_reset g =
+  let dev = Gpushim.device g in
+  let clock = Device.clock dev in
+  Device.write_reg dev Regs.gpu_command Regs.cmd_soft_reset;
+  let deadline = Int64.add (Clock.now_ns clock) 10_000_000L in
+  let rec wait () =
+    let v = Device.read_reg dev Regs.gpu_irq_rawstat in
+    if Int64.logand v Regs.irq_reset_completed <> 0L then
+      Device.write_reg dev Regs.gpu_irq_clear Regs.irq_reset_completed
+    else if Int64.compare (Clock.now_ns clock) deadline < 0 then begin
+      Clock.advance_ns clock 1_000L;
+      wait ()
+    end
+    else failwith "reference reset timeout"
+  in
+  wait ()
+
+(* Device commands that schedule events (power transitions, a cache flush
+   after dirtying memory, a soft reset, an MMU command), each after a gap
+   of virtual time, then one poll of a register those events change. *)
+type poll_case = {
+  commands : (int * int * int64) list;  (** gap ns, register, value *)
+  reg : int;
+  mask : int64;
+  cond : Regs.poll_cond;
+  max_iters : int;
+  spin_ns : int64;
+  start : int;
+}
+
+let gen_poll_case =
+  let open QCheck2.Gen in
+  let command =
+    oneofl
+      [
+        (Regs.shader_pwron_lo, 0xFFL);
+        (Regs.l2_pwron_lo, 0x1L);
+        (Regs.shader_pwroff_lo, 0x0FL);
+        (Regs.gpu_command, Regs.cmd_clean_caches);
+        (Regs.gpu_command, Regs.cmd_soft_reset);
+        (Regs.as_command 0, Regs.as_cmd_flush_mem);
+        (Regs.as_command 1, Regs.as_cmd_update);
+      ]
+  in
+  (* Multiples of the MMIO access time make an event land exactly on an
+     iteration's read, the boundary of the skip. *)
+  let ns bound = oneof [ int_bound bound; map (fun k -> k * 400) (int_bound (bound / 400)) ] in
+  let* commands =
+    list_size (int_range 0 4)
+      (let* gap = ns 40_000 and* reg, v = command in
+       return (gap, reg, v))
+  in
+  let* reg, mask =
+    oneofl
+      [
+        (Regs.shader_ready_lo, 0xFFL);
+        (Regs.shader_ready_lo, 0x0FL);
+        (Regs.l2_ready_lo, 0x1L);
+        (Regs.gpu_irq_rawstat, Regs.irq_clean_caches_completed);
+        (Regs.gpu_irq_rawstat, Regs.irq_reset_completed);
+        (Regs.gpu_irq_rawstat, Regs.irq_power_changed_all);
+        (Regs.gpu_status, 1L);
+        (Regs.as_status 0, Regs.as_status_flush_active);
+      ]
+  in
+  let* cond = oneofl [ Regs.Bits_set; Regs.Bits_clear ] in
+  let* max_iters = int_range 1 3000 and* spin_ns = map Int64.of_int (ns 3000) in
+  let* start = int_bound 3 in
+  return { commands; reg; mask; cond; max_iters; spin_ns; start }
+
+let print_poll_case c =
+  Printf.sprintf "commands [%s] poll %x mask %Lx %s max %d spin %Ld from %d"
+    (String.concat "; "
+       (List.map (fun (gap, r, v) -> Printf.sprintf "+%d %x<-%Lx" gap r v) c.commands))
+    c.reg c.mask
+    (match c.cond with Regs.Bits_set -> "set" | Regs.Bits_clear -> "clear")
+    c.max_iters c.spin_ns c.start
+
+let poll_skip_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"spin_poll, reset_gpu == the iteration loops"
+       ~print:print_poll_case
+       gen_poll_case (fun c ->
+         let run (spin, reset) =
+           let g, clock, energy = Orchestrate.replay_gpushim ~sku ~seed:5L () in
+           Gpushim.isolate g;
+           let dev = Gpushim.device g in
+           Grt_gpu.Mem.write_f32_array (Gpushim.mem g) 0x40000L (Array.make 3000 1.0);
+           List.iter
+             (fun (gap, reg, v) ->
+               Clock.advance_int clock gap;
+               Device.write_reg dev reg v)
+             c.commands;
+           let i =
+             spin g ~reg:c.reg ~mask:c.mask ~cond:c.cond ~max_iters:c.max_iters ~spin_ns:c.spin_ns
+               c.start
+           in
+           let polled = (i, Clock.now_ns clock, Energy.total_j energy, Device.read_reg dev c.reg) in
+           reset g;
+           (polled, Clock.now_ns clock, Energy.total_j energy)
+         in
+         run (Gpushim.spin_poll, Gpushim.reset_gpu) = run (reference_spin, reference_reset)))
+
+(* The interpreted replay of [Replayer.replay_segments] with the reference
+   poll loop: the same session steps, the same per-entry work. Returns the
+   output, virtual ns, energy and each poll's first-success iteration in
+   entry order; a poll that exhausts its budget raises [Ref_timeout] with
+   its entry index once the GPU is reset and released. *)
+exception Ref_timeout of int * int64 * float
+
+let reference_replay ~blob ~input ~params =
+  let rec_t =
+    match Recording.verify_and_parse ~key:Orchestrate.cloud_signing_key blob with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let g, clock, energy = Orchestrate.replay_gpushim ~sku ~seed:7L () in
+  let dev = Gpushim.device g and mem = Gpushim.mem g in
+  let t0 = Clock.now_ns clock in
+  let slot_write (slot : Recording.slot) values = Grt_gpu.Mem.write_f32_array mem slot.pa values in
+  Gpushim.isolate g;
+  Gpushim.reset_gpu g;
+  Option.iter (fun slot -> slot_write slot input) (Recording.input_slot rec_t);
+  List.iter
+    (fun (name, values) ->
+      List.iter
+        (fun (s : Recording.slot) -> if s.slot_name = name then slot_write s values)
+        (Recording.param_slots rec_t))
+    params;
+  let store = Grt.Memsync.Store.create () and firsts = ref [] in
+  Array.iteri
+    (fun index entry ->
+      Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns;
+      match entry with
+      | Recording.Mem_load logged ->
+        ignore (Grt.Memsync.install store mem (Grt.Memsync.payload_of_logged logged))
+      | Recording.Reg_write { reg; value } -> Device.write_reg dev reg value
+      | Recording.Reg_read { reg; _ } -> ignore (Device.read_reg dev reg)
+      | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->
+        let i = reference_spin g ~reg ~mask ~cond ~max_iters ~spin_ns 0 in
+        if i < 0 then begin
+          Gpushim.reset_gpu g;
+          Gpushim.release g;
+          raise (Ref_timeout (index, Int64.sub (Clock.now_ns clock) t0, Energy.total_j energy))
+        end;
+        firsts := i :: !firsts
+      | Recording.Wait_irq _ -> ignore (Gpushim.wait_irq g ~timeout_ns:4_000_000_000L))
+    rec_t.Recording.entries;
+  let output =
+    match Recording.output_slot rec_t with
+    | Some s -> Grt_gpu.Mem.read_f32_array mem s.pa (s.actual_bytes / 4)
+    | None -> [||]
+  in
+  Gpushim.reset_gpu g;
+  Gpushim.release g;
+  (output, Int64.sub (Clock.now_ns clock) t0, Energy.total_j energy, List.rev !firsts)
+
+let poll_hints prog =
+  Array.to_list prog.Replay_prog.groups
+  |> List.concat_map (fun (g : Replay_prog.group) ->
+         Array.to_list g.ops
+         |> List.filter_map (function Replay_prog.Poll p -> Some p.hint | _ -> None))
+
+let replays_match_reference_polls () =
+  List.iter
+    (fun (net, o) ->
+      let blob = o.Orchestrate.blob and name = net.Network.name in
+      let plan = Network.expand net in
+      let input = Runner.input_values plan ~seed:7L in
+      let params = Runner.weight_values plan ~seed:42L in
+      let output, ns, joules, firsts = reference_replay ~blob ~input ~params in
+      check Alcotest.bool (name ^ " polls spin") true (List.exists (fun i -> i > 0) firsts);
+      let interp, i_ns =
+        timed (Orchestrate.replay_gpushim ~sku ~seed:7L ()) (fun gpushim energy ->
+            Replayer.replay_segments ~gpushim ~signing_key:Orchestrate.cloud_signing_key
+              ~blobs:[ blob ] ~input ~params ~energy ())
+      in
+      let prog = Orchestrate.compile_recording ~blob () in
+      let cold, c_ns =
+        timed (Orchestrate.replay_gpushim ~sku ~seed:7L ()) (fun gpushim energy ->
+            Replayer.replay_compiled ~gpushim ~prog ~input ~params ~energy ())
+      in
+      List.iter
+        (fun (what, (r : Replayer.result), r_ns) ->
+          let what = Printf.sprintf "%s %s" name what in
+          check Alcotest.bool (what ^ " output") true (r.output = output);
+          check Alcotest.int64 (what ^ " virtual ns") ns r_ns;
+          check (Alcotest.option (Alcotest.float 0.)) (what ^ " energy") (Some joules) r.energy_j)
+        [ ("interpreted", interp, i_ns); ("compiled", cold, c_ns) ];
+      check Alcotest.(list int) (name ^ " learned hints") firsts (poll_hints prog))
+    (Lazy.force zoo_recordings)
+
+(* A poll whose budget ends one iteration before its recorded success
+   times out at its own entry, at the reference's virtual time. *)
+let poll_timeout_matches_reference () =
+  let o = Lazy.force mnist_recording in
+  let rec_t = o.Orchestrate.recording and blob = o.Orchestrate.blob in
+  let plan = Network.expand Zoo.mnist in
+  let input = Runner.input_values plan ~seed:7L in
+  let params = Runner.weight_values plan ~seed:42L in
+  let _, _, _, firsts = reference_replay ~blob ~input ~params in
+  let entries = Array.copy rec_t.Recording.entries in
+  (* the first poll that succeeds after spinning; [k] counts polls *)
+  let k = ref 0 and target = ref (-1) in
+  Array.iteri
+    (fun i e ->
+      match e with
+      | Recording.Poll p ->
+        let first = List.nth firsts !k in
+        incr k;
+        if !target < 0 && first > 0 then begin
+          target := i;
+          entries.(i) <- Recording.Poll { p with max_iters = first }
+        end
+      | _ -> ())
+    entries;
+  check Alcotest.bool "found a spinning poll" true (!target >= 0);
+  let bad = Recording.sign ~key:Orchestrate.cloud_signing_key { rec_t with Recording.entries } in
+  let index, ns, joules =
+    match reference_replay ~blob:bad ~input ~params with
+    | _ -> Alcotest.fail "the reference did not time out"
+    | exception Ref_timeout (index, ns, joules) -> (index, ns, joules)
+  in
+  check Alcotest.int "reference times out at the tightened poll" !target index;
+  List.iter
+    (fun (what, replay) ->
+      let g, clock, energy = Orchestrate.replay_gpushim ~sku ~seed:7L () in
+      let t0 = Clock.now_ns clock in
+      match replay g energy with
+      | (_ : Replayer.result) -> Alcotest.failf "%s: no poll timeout" what
+      | exception Replayer.Divergence { kind = Replayer.Poll_timeout; index = i; _ } ->
+        check Alcotest.int (what ^ " timeout index") index i;
+        check Alcotest.int64 (what ^ " virtual ns") ns (Int64.sub (Clock.now_ns clock) t0);
+        check (Alcotest.float 0.) (what ^ " energy") joules (Energy.total_j energy))
+    [
+      ( "interpreted",
+        fun gpushim energy ->
+          Replayer.replay_segments ~gpushim ~signing_key:Orchestrate.cloud_signing_key
+            ~blobs:[ bad ] ~input ~params ~energy () );
+      ( "compiled",
+        fun gpushim energy ->
+          Replayer.replay_compiled ~gpushim ~prog:(Orchestrate.compile_recording ~blob:bad ())
+            ~input ~params ~energy () );
+    ]
 
 let compile_stats_sensible () =
   let blob = (Lazy.force mnist_recording).Orchestrate.blob in
@@ -417,7 +744,9 @@ let bench_row_json_schema () =
         "static_pages";
         "dynamic_loads";
         "warm_minor_words";
+        "cold_minor_words";
         "ceiling_warm_minor_words";
+        "ceiling_cold_minor_words";
       ];
     expect "bit_identical" is_bool;
     (* Round-trips through the parser (the bench writes these to disk). *)
@@ -435,6 +764,14 @@ let () =
           Alcotest.test_case "bit-identical on all nets" `Slow compiled_bit_identical_all_nets;
           Alcotest.test_case "warm session reuse" `Quick warm_session_reuse_stays_identical;
           Alcotest.test_case "compile stats" `Quick compile_stats_sensible;
+        ] );
+      ( "poll skip",
+        [
+          poll_skip_matches_reference;
+          Alcotest.test_case "replays match the reference loop" `Slow
+            replays_match_reference_polls;
+          Alcotest.test_case "poll timeout matches the reference loop" `Quick
+            poll_timeout_matches_reference;
         ] );
       ( "verification",
         [

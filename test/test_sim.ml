@@ -46,6 +46,24 @@ let clock_observers () =
   Clock.advance_ns c 32L;
   check Alcotest.int "observer saw all time" 42 !total
 
+(* The clock advance is the simulation's hottest operation; with the
+   energy meter attached (as on every replay client) it must not allocate. *)
+let clock_advance_allocates_nothing () =
+  let c = Clock.create () in
+  let e = Energy.create c in
+  Clock.advance_int c 1;
+  let w0 = Gc.minor_words () in
+  Clock.advance_int c 5;
+  let one = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words for one advance" 0. one;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Clock.advance_int c i
+  done;
+  let many = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words for 10k advances" 0. many;
+  check Alcotest.bool "the meter integrated" true (Energy.total_j e > 0.)
+
 let clock_time_span () =
   let c = Clock.create () in
   let v, span =
@@ -399,6 +417,7 @@ let () =
           Alcotest.test_case "rejects negative" `Quick clock_rejects_negative;
           Alcotest.test_case "advance_to" `Quick clock_advance_to;
           Alcotest.test_case "observers" `Quick clock_observers;
+          Alcotest.test_case "advance allocates nothing" `Quick clock_advance_allocates_nothing;
           Alcotest.test_case "time span" `Quick clock_time_span;
         ] );
       ( "counters",
