@@ -82,7 +82,7 @@ let commit_batch t ~trigger b site =
     done;
     if n_reads > 0 then history_update t site actuals;
     count t Metrics.Commits_sync 1;
-    Trace.event_opt t.trace (Trace.Commit { site = site.Wire.key; accesses = n });
+    Trace.commit_opt t.trace ~site:site.Wire.key ~accesses:n;
     log_applied t b actuals
 
 (* The batch empties whether the commit completes or raises (a
@@ -204,7 +204,7 @@ let offload_poll t site ~reg ~mask ~cond ~max_iters ~spin_ns =
     Link.round_trip t.link ~send_bytes:send ~recv_bytes:recv;
     count_poll_commit t;
     count t Metrics.Commits_sync 1;
-    Trace.event_opt t.trace (Trace.Commit { site = site.Wire.key; accesses = 2 });
+    Trace.commit_opt t.trace ~site:site.Wire.key ~accesses:2;
     match run () with
     | Some (iters, value) ->
       history_update t site [| value |];

@@ -823,15 +823,18 @@ let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity
   (row, svc)
 
 (* Measured on the default 10k-client fleet run by [bench/main.exe fleet]
-   (2-core x86-64, OCaml 5.1.1): 7.2k minor and 621 promoted words per
-   session. Expanding every client's network plan at context creation
-   brings the minor count back to ~28k; keeping every share group's
-   recording live at once (the old interleaving executor) doubled the
-   promoted count. Allocation counts are deterministic, so a breach is a
-   code change, not noise. *)
-let fleet_minor_words_ceiling = 18_000.
+   (2-core x86-64, OCaml 5.1.1): 2,258 minor and 274 promoted words per
+   session, with re-serves answered from resident blobs, a trace ring
+   that stores commits flat and receivers that hash no page until a
+   reference needs one (BENCH_fleet.json). The ceilings sit about 8%
+   above. Expanding every
+   client's network plan at context creation brings the minor count back
+   to ~28k; keeping every share group's recording live at once (the old
+   interleaving executor) doubled the promoted count. Allocation counts
+   are deterministic, so a breach is a code change, not noise. *)
+let fleet_minor_words_ceiling = 2_450.
 
-let fleet_promoted_words_ceiling = 930.
+let fleet_promoted_words_ceiling = 295.
 
 (* ---- Simulator raw speed (ROADMAP item 5) ----
 
@@ -865,19 +868,19 @@ type speed_row = {
 }
 
 (* Measured with array commits, interned sites, the FIFO speculation queue,
-   the one-pass signer and idle poll iterations skipped (BENCH_speed.json):
-   Naive 168.4, OursMDS 185.4, dedup 194.3, w4 183.0, MobileNet 187.3
-   minor-words/access. The ceilings leave ~25% headroom for
-   hashtable-resize and iteration-count jitter; a breach means a new
-   per-access allocation crept into the record path, not machine noise
-   (allocation counts are deterministic). *)
+   the one-pass signer, idle poll iterations skipped and commits written
+   flat into the trace ring (BENCH_speed.json): Naive 127.0, OursMDS
+   143.2, dedup 151.4, w4 143.3, MobileNet 141.0 minor-words/access. The
+   ceilings leave ~25% headroom for hashtable-resize and iteration-count
+   jitter; a breach means a new per-access allocation crept into the
+   record path, not machine noise (allocation counts are deterministic). *)
 let speed_ceilings =
   [
-    ("record/MNIST/Naive", 210.);
-    ("record/MNIST/OursMDS", 235.);
-    ("record/MNIST/OursMDS-dedup", 245.);
-    ("record/MNIST/OursMDS-w4", 230.);
-    ("record/MobileNet/OursMDS", 235.);
+    ("record/MNIST/Naive", 165.);
+    ("record/MNIST/OursMDS", 185.);
+    ("record/MNIST/OursMDS-dedup", 195.);
+    ("record/MNIST/OursMDS-w4", 185.);
+    ("record/MobileNet/OursMDS", 180.);
   ]
 
 let speed_ceiling label = List.assoc_opt label speed_ceilings

@@ -149,8 +149,8 @@ let idle_iterations t ~step ~spin ~left ~until =
 
 (* After a failed read, the iterations that would read the same value are
    skipped in one clock advance of their total length (a read plus a spin
-   each); the clock's observers integrate linearly, so virtual time and
-   energy match the iteration-by-iteration loop exactly. *)
+   each); energy is integrated from elapsed virtual time, so virtual time
+   and energy match the iteration-by-iteration loop exactly. *)
 let rec spin_from t ~reg ~mask ~cond ~max_iters ~spin ~step i =
   if i >= max_iters then -1
   else begin

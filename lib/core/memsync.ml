@@ -40,17 +40,51 @@ let hash_page b = Grt_util.Hashing.fnv1a_bytes b
 
 (* Content-addressed page store: hash of a full page body -> the body.
    Collisions are guarded at the lookup sites with [Bytes.equal]. Bodies are
-   shared, not copied: none is ever mutated (see memsync.mli). *)
-module Store = struct
-  type s = (int64, bytes) Hashtbl.t
+   shared, not copied: none is ever mutated (see memsync.mli).
 
-  let create () : s = Hashtbl.create 64
+   Receivers learn every body they install but resolve a hash reference
+   rarely, so [learn] only appends the body to [pending]; [find] hashes the
+   pending bodies, oldest first, into [table] before it looks up. A later
+   body replaces an earlier one of the same hash in both stores, so every
+   lookup sees what the store that hashed at [learn] would have held.
+   Senders hash each changed page anyway and insert with [learn_hashed],
+   after the bodies learned before it. *)
+module Store = struct
+  type s = {
+    table : (int64, bytes) Hashtbl.t;
+    mutable pending : bytes array;
+    mutable n_pending : int;
+  }
+
+  let create () = { table = Hashtbl.create 64; pending = [||]; n_pending = 0 }
+
+  let drain s =
+    for i = 0 to s.n_pending - 1 do
+      let b = s.pending.(i) in
+      Hashtbl.replace s.table (hash_page b) b;
+      s.pending.(i) <- Bytes.empty
+    done;
+    s.n_pending <- 0
+
+  let learn s data =
+    let n = s.n_pending in
+    if n = Array.length s.pending then begin
+      let grown = Array.make (max 16 (2 * n)) Bytes.empty in
+      Array.blit s.pending 0 grown 0 n;
+      s.pending <- grown
+    end;
+    s.pending.(n) <- data;
+    s.n_pending <- n + 1
 
   (* [h] must be [hash_page data]: lets a sender that already hashed the
      page for its lookups insert it without hashing it again. *)
-  let learn_hashed (s : s) h data = Hashtbl.replace s h data
-  let learn s data = learn_hashed s (hash_page data) data
-  let find (s : s) h = Hashtbl.find_opt s h
+  let learn_hashed s h data =
+    if s.n_pending > 0 then drain s;
+    Hashtbl.replace s.table h data
+
+  let find s h =
+    if s.n_pending > 0 then drain s;
+    Hashtbl.find_opt s.table h
 end
 
 (* A root or level-2 table page as of its generation stamp [gen] (-1:

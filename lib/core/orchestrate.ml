@@ -171,6 +171,10 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
 
 (* Assemble and sign the recording; build the slot binding table; ship the
    blob to the client and account the stats of the whole session. *)
+let client_accepts = function
+  | Ok () -> ()
+  | Error e -> failwith ("client rejected recording: " ^ e)
+
 let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
   let plan = Ctx.plan ctx in
   let slot_of_region kind name =
@@ -239,9 +243,7 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
   let blob = Recording.sign ~key:cloud_signing_key recording in
   (* The client downloads and verifies the recording. *)
   Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  (match Recording.verify ~key:cloud_signing_key blob with
-  | Ok () -> ()
-  | Error e -> failwith ("client rejected recording: " ^ e));
+  client_accepts (Recording.verify ~key:cloud_signing_key blob);
   Gpushim.release gpushim;
   Cloudvm.end_session vm;
   {
@@ -262,24 +264,32 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
    top to bottom. (The old dump printed a newest-first slice of 32, which
    interleaved topics and cut off exactly the establishment-era events that
    explain mispredict storms.) *)
-let dump_trace (ctx : Ctx.t) =
+let failure_dump (ctx : Ctx.t) =
   let tr = ctx.trace in
   let retained = Grt_sim.Trace.retained tr in
-  if retained > 0 then begin
+  if retained = 0 then ""
+  else begin
+    let b = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer b in
     let evicted = Grt_sim.Trace.count tr - retained in
-    Format.eprintf "--- recording failed; %d recorder event(s)%s ---@." retained
+    Format.fprintf ppf "--- recording failed; %d recorder event(s)%s ---@." retained
       (if evicted > 0 then
          Printf.sprintf " (%d older evicted; raise --trace-capacity)" evicted
        else "");
     List.iter
       (fun topic ->
-        Format.eprintf "[%s]@." topic;
+        Format.fprintf ppf "[%s]@." topic;
         List.iter
-          (fun e -> Format.eprintf "  %a@." Grt_sim.Trace.pp_event e)
+          (fun e -> Format.fprintf ppf "  %a@." Grt_sim.Trace.pp_event e)
           (Grt_sim.Trace.all ~topic tr))
       (Grt_sim.Trace.topics tr);
-    Format.eprintf "--- end of trace ---@."
+    Format.fprintf ppf "--- end of trace ---@.";
+    Buffer.contents b
   end
+
+let dump_trace ctx =
+  prerr_string (failure_dump ctx);
+  flush stderr
 
 (* Re-entrant per-session pipeline state: the stage reached so far plus the
    artifacts later stages need, so a session is a value that can be stepped
@@ -353,9 +363,14 @@ end
 let serve_cached (ctx : Ctx.t) ~blob =
   establish ctx;
   Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  match Recording.verify ~key:cloud_signing_key blob with
-  | Ok () -> ()
-  | Error e -> failwith ("client rejected recording: " ^ e)
+  client_accepts (Recording.verify ~key:cloud_signing_key blob)
+
+(* The same session over a resident blob: the download is charged the
+   same bytes, and the verdict is the resident's. *)
+let serve_resident (ctx : Ctx.t) resident =
+  establish ctx;
+  Link.one_way_to_client ctx.link ~bytes:(Recording.resident_length resident);
+  client_accepts (Recording.verify_resident ~key:cloud_signing_key resident)
 
 let record ?history ?inject_fault_after ?inject_outage_after ?config ?(granularity = `Monolithic)
     ?window ?trace_capacity ?observe ~profile ~mode ~sku ~net ~seed () =

@@ -34,6 +34,11 @@ type record_outcome = {
   hists : Grt_sim.Hist.set option;  (** latency/size histograms, iff [observe] *)
 }
 
+val failure_dump : Session_ctx.t -> string
+(** The post-mortem text a failed {!Pipeline.run} prints to stderr: the
+    session's retained event ring, grouped by topic in first-appearance
+    order and oldest-first within each; [""] when the ring is empty. *)
+
 (** One recording session as a steppable value: establish → boot → attempt
     loop → finalize/sign held as re-entrant per-session state instead of a
     call stack, so callers can step it stage by stage. [run] produces
@@ -64,6 +69,12 @@ val serve_cached : Session_ctx.t -> blob:bytes -> unit
 (** The cache-hit path: establish the attested channel, download the
     already-signed [blob] over the session's link, and verify it — no dry
     run. Raises [Failure] if verification fails. *)
+
+val serve_resident : Session_ctx.t -> Recording.resident -> unit
+(** [serve_cached] over a {!Recording.resident}: the same establishment
+    and download bytes, and the resident's verdict
+    ({!Recording.verify_resident}), so a re-serve hashes and compares
+    nothing. The recording service serves through it. *)
 
 val record :
   ?history:Drivershim.history ->

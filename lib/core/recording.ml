@@ -478,6 +478,39 @@ let verify ~key blob =
     end;
     res
 
+(* A blob the recording service keeps for re-serving, plus the verdict
+   its first full check gave under a key. A re-serve under that key reads
+   the verdict: no hashing, no compare. The verdict is safe to keep only
+   while nobody can change the bytes it vouches for: a private copy, or
+   bytes the caller lends and keeps unchanged until [own] copies them. *)
+type resident = {
+  mutable rblob : string;
+  mutable lent : bool;  (* [rblob] is still the caller's bytes *)
+  mutable verdict : (Grt_tee.Crypto.key * (unit, string) result) option;
+}
+
+let resident_lent blob = { rblob = Bytes.unsafe_to_string blob; lent = true; verdict = None }
+
+let own r =
+  if r.lent then begin
+    r.rblob <- Bytes.to_string (Bytes.unsafe_of_string r.rblob);
+    r.lent <- false
+  end
+
+let resident_length r = String.length r.rblob
+
+let verify_resident ~key r =
+  match r.verdict with
+  | Some (k, res) when String.equal k key ->
+    Grt_util.Memo_stats.hit verify_stats;
+    res
+  | _ ->
+    Grt_util.Memo_stats.miss verify_stats;
+    (* [verify_raw] only reads the blob. *)
+    let res = verify_raw ~key (Bytes.unsafe_of_string r.rblob) in
+    r.verdict <- Some (key, res);
+    res
+
 let count_entries t what =
   Array.fold_left
     (fun acc e ->

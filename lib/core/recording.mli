@@ -77,6 +77,34 @@ val verify_and_parse : key:Grt_tee.Crypto.key -> bytes -> (t, string) result
 (** [parse_signed] followed by an eager [verify_chunk] on every chunk: the
     full check for callers that need the entries. Not memoized. *)
 
+(** {2 Resident blobs}
+
+    What the recording service keeps of a published recording and serves
+    from: the signed blob, which nobody may change while it is resident,
+    plus the verdict of the first full check under a key. *)
+
+type resident
+
+val resident_lent : bytes -> resident
+(** A resident over [blob] itself, without a copy. The caller must keep
+    [blob] unchanged until it calls {!own}: a kept verdict vouches for
+    these bytes. *)
+
+val own : resident -> unit
+(** Copy a lent resident's bytes, once; from then on the lender may change
+    its bytes without reaching the resident. The verdict is kept: the copy
+    holds the bytes it vouches for. *)
+
+val resident_length : resident -> int
+(** Bytes of the signed blob, as downloaded. *)
+
+val verify_resident : key:Grt_tee.Crypto.key -> resident -> (unit, string) result
+(** The verdict {!verify} gives the resident's bytes. The first call under
+    a key runs the full check and keeps its verdict; a later call under
+    the same key returns it without hashing or comparing a byte. Counted
+    as a miss, then hits, of the [recording.verify] memo statistics; the
+    resident's bytes are not charged to that memo. *)
+
 (** {2 Streaming access}
 
     The replay compiler parses the signed header once and defers each

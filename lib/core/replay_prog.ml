@@ -70,6 +70,7 @@ type t = {
   root : int64;
   groups : group array;
   stats : stats;
+  mutable uncached_dynamic : int;
 }
 
 let source t = t.source
@@ -201,12 +202,8 @@ let compile ?tracer (v : Recording.verified) =
       v.Recording.vchunks
   in
   let groups = compact_groups groups in
-  {
-    source = rec_t;
-    root = v.Recording.vroot;
-    groups;
-    stats = stats_of groups ~entries:(Array.length entries);
-  }
+  let stats = stats_of groups ~entries:(Array.length entries) in
+  { source = rec_t; root = v.Recording.vroot; groups; stats; uncached_dynamic = stats.dynamic_loads }
 
 (* Static lowering decodes page records before any chunk hash is checked,
    so a tampered or malformed body surfaces here as [Failure]: report it as

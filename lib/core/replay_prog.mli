@@ -69,6 +69,10 @@ type t = {
   root : int64;  (** Merkle root over chunk hashes — the identity attested *)
   groups : group array;
   stats : stats;
+  mutable uncached_dynamic : int;
+      (** [Load_dynamic] ops whose [cached] is still [None]; the executor
+          counts it down as it caches them, and needs a content store only
+          while it is positive *)
 }
 
 val source : t -> Recording.t

@@ -249,13 +249,7 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
      entirely. While it exists, every entry that would have fed the
      interpreter's store must feed this one, or a later hash reference
      could dangle. *)
-  let needs_store =
-    Array.exists
-      (fun (g : group) ->
-        Array.exists (function Load_dynamic { cached = None; _ } -> true | _ -> false) g.ops)
-      prog.groups
-  in
-  let store = if needs_store then Some (Memsync.Store.create ()) else None in
+  let store = if prog.uncached_dynamic > 0 then Some (Memsync.Store.create ()) else None in
   let step () =
     tally.applied <- tally.applied + 1;
     Grt_sim.Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns
@@ -318,10 +312,11 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
               d.stamps <- install_image mem pages d.stamps
             | None ->
               let s =
-                match store with Some s -> s | None -> assert false (* needs_store saw us *)
+                match store with Some s -> s | None -> assert false (* counted as uncached *)
               in
               let pages = Array.of_list (install s mem (Memsync.payload_of_logged d.logged)) in
               d.cached <- Some pages;
+              prog.uncached_dynamic <- prog.uncached_dynamic - 1;
               d.stamps <-
                 Some
                   (mem, Array.map (fun (pfn, _) -> Mem.page_gen_at mem (Int64.to_int pfn)) pages)))

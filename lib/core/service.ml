@@ -98,7 +98,7 @@ type keyed = {
 
 type entry = {
   keyed : keyed;
-  mutable blob : bytes option;
+  mutable blob : Recording.resident option;  (* the published recording *)
   mutable inflight : bool;
   mutable settled_ns : int64;  (* global instant the latest recording ended *)
   mutable settled_by : int;  (* the client that ran it *)
@@ -283,7 +283,7 @@ let evict_if_full t ~for_client =
       Hashtbl.remove t.cache e.keyed.key;
       e.keyed.evictions <- e.keyed.evictions + 1;
       Metrics.incr t.svc Metrics.Svc_evictions;
-      let blob_bytes = match e.blob with Some b -> Bytes.length b | None -> 0 in
+      let blob_bytes = match e.blob with Some b -> Recording.resident_length b | None -> 0 in
       Trace.event t.svc_trace
         (Trace.Evict { label = e.keyed.label; client = for_client; blob_bytes });
       Tracer.instant_opt (obs_tracer t) ~cat:Tracer.Svc_evict
@@ -406,19 +406,19 @@ let report_of ctx (spec : client_spec) (e : entry) outcome ~blob_bytes =
    fail live (ARQ collapse on a degraded channel, verification failure):
    keep the fleet running and report the client as failed. *)
 let serve t spec (e : entry) ctx ~coalesced =
-  let blob = Option.get e.blob in
+  let resident = Option.get e.blob in
   match
     Tracer.span_opt ctx.Ctx.tracer ~cat:Tracer.Svc_serve_cached
       ~args:[ ("key", e.keyed.label) ]
       ~name:"serve-cached"
-      (fun () -> Orchestrate.serve_cached ctx ~blob)
+      (fun () -> Orchestrate.serve_resident ctx resident)
   with
   | () ->
     e.keyed.hits <- e.keyed.hits + 1;
     Metrics.incr t.svc (if coalesced then Metrics.Svc_coalesced else Metrics.Svc_cache_hits);
     report_of ctx spec e
       (if coalesced then Coalesced else Cache_hit)
-      ~blob_bytes:(Bytes.length blob)
+      ~blob_bytes:(Recording.resident_length resident)
   | exception exn ->
     Metrics.incr t.svc Metrics.Svc_failures;
     report_of ctx spec e (Failed (Printexc.to_string exn)) ~blob_bytes:0
@@ -437,7 +437,9 @@ let record_into t spec (e : entry) ctx =
   | outcome ->
     let cross = Spec_history.cross_hits history - cross0 in
     if cross > 0 then Metrics.add ctx.Ctx.metrics Metrics.Spec_cross_hits cross;
-    e.blob <- Some outcome.Orchestrate.blob;
+    (* Lent: the outcome reaches the caller only when [run] returns, and
+       [run] makes the residents that are left its own first. *)
+    e.blob <- Some (Recording.resident_lent outcome.Orchestrate.blob);
     e.inflight <- false;
     e.keyed.recordings <- e.keyed.recordings + 1;
     Metrics.incr t.svc Metrics.Svc_recordings;
@@ -647,6 +649,10 @@ let run ?(observe = false) t specs =
     specs;
   publish_promotions t x;
   finalize_obs t reports;
+  (* The reports hand every recorded blob to the caller: a blob still
+     resident is copied now, so changing a report's bytes cannot change
+     what later runs serve. One evicted during the run is never copied. *)
+  Hashtbl.iter (fun _ e -> Option.iter Recording.own e.blob) t.cache;
   (reports, { rs_virtual_ns = x.makespan_ns; rs_yields = 0; rs_switches = 0 })
 
 (* ---- aggregation, stats, cache listing ---- *)
@@ -675,7 +681,7 @@ let stats t =
   let resident, resident_bytes =
     Hashtbl.fold
       (fun _ e (n, b) ->
-        (n + 1, b + (match e.blob with Some blob -> Bytes.length blob | None -> 0)))
+        (n + 1, b + (match e.blob with Some blob -> Recording.resident_length blob | None -> 0)))
       t.cache (0, 0)
   in
   {
@@ -709,7 +715,7 @@ let cache_listing t =
     (fun key (k : keyed) acc ->
       let resident, blob_bytes =
         match Hashtbl.find_opt t.cache key with
-        | Some { blob = Some b; _ } -> (true, Bytes.length b)
+        | Some { blob = Some b; _ } -> (true, Recording.resident_length b)
         | Some { blob = None; _ } -> (true, 0)
         | None -> (false, 0)
       in

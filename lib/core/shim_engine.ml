@@ -334,4 +334,4 @@ let dispatch_speculative t ~site ~category ~send ~recv ~regs ~predicted ~actual 
   note_inflight_depth t;
   count t Metrics.Commits_speculated 1;
   count t (category_key category) 1;
-  Trace.event_opt t.trace (Trace.Speculate { site = site.Wire.key; checks = Array.length regs })
+  Trace.speculate_opt t.trace ~site:site.Wire.key ~checks:(Array.length regs)

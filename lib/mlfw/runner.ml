@@ -2,19 +2,15 @@ module Session = Grt_runtime.Session
 module Job_desc = Grt_gpu.Job_desc
 module Shader = Grt_gpu.Shader
 
-type t = {
-  plan : Network.plan;
-  session : Session.t;
-  mutable regions : (string * Session.region) list;
-}
+module Names = Hashtbl.Make (String)
+
+(* Buffer name -> its region; a name registered twice resolves to the
+   later region. *)
+type t = { plan : Network.plan; session : Session.t; regions : Session.region Names.t }
 
 let plan t = t.plan
 let session t = t.session
-
-let region t name =
-  match List.assoc_opt name t.regions with
-  | Some r -> r
-  | None -> raise Not_found
+let region t name = Names.find t.regions name
 
 let job_fan_in (j : Network.job_spec) =
   let p = j.Network.mat in
@@ -56,14 +52,14 @@ let input_values plan ~seed =
   Array.init n (fun _ -> Grt_util.Rng.float rng 1.0)
 
 let setup ~session ~plan ~seed ~load_weights =
-  let t = { plan; session; regions = [] } in
+  let t = { plan; session; regions = Names.create (List.length plan.Network.buffers) } in
   List.iter
     (fun (b : Network.buffer_spec) ->
       let r =
         Session.alloc session ~name:b.Network.bname ~usage:b.Network.busage
           ~model_bytes:b.Network.model_bytes ~actual_bytes:b.Network.actual_bytes
       in
-      t.regions <- (b.Network.bname, r) :: t.regions)
+      Names.replace t.regions b.Network.bname r)
     plan.Network.buffers;
   if load_weights then
     List.iter

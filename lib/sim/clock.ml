@@ -4,11 +4,11 @@
    and replayer step goes through it — and an [int64] counter would box on
    every add and compare. The public API stays [int64]; the [_int] variants
    below let same-process hot paths (the device's event queue, the energy
-   integrator) avoid the boxing entirely. *)
+   meter's reads) avoid the boxing entirely. *)
 
-type t = { mutable now : int; mutable observers : (int -> int -> unit) list }
+type t = { mutable now : int }
 
-let create () = { now = 0; observers = [] }
+let create () = { now = 0 }
 
 let now_int t = t.now
 
@@ -16,21 +16,9 @@ let now_ns t = Int64.of_int t.now
 
 let now_s t = float_of_int t.now *. 1e-9
 
-(* A top-level loop rather than [List.iter] over a closure: a closure
-   capturing [old_now] would be allocated on every advance. *)
-let rec notify old_now new_now = function
-  | [] -> ()
-  | f :: tl ->
-    f old_now new_now;
-    notify old_now new_now tl
-
 let advance_int t d =
   if d < 0 then invalid_arg "Clock.advance_ns: negative delta";
-  if d > 0 then begin
-    let old_now = t.now in
-    t.now <- old_now + d;
-    notify old_now t.now t.observers
-  end
+  t.now <- t.now + d
 
 let advance_ns t d = advance_int t (Int64.to_int d)
 
@@ -41,8 +29,6 @@ let advance_s t s =
 let advance_to_int t deadline = if deadline > t.now then advance_int t (deadline - t.now)
 
 let advance_to t deadline = advance_to_int t (Int64.to_int deadline)
-
-let on_advance_int t f = t.observers <- f :: t.observers
 
 type span = { start_ns : int64; stop_ns : int64 }
 

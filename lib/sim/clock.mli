@@ -2,8 +2,9 @@
 
     Every delay in the reproduction — register MMIO latency, network round
     trips, GPU job execution, driver compute — is modeled by advancing a
-    virtual clock measured in nanoseconds. Observers (e.g. the energy meter)
-    can subscribe to advances to integrate over time.
+    virtual clock measured in nanoseconds. Whatever integrates over time
+    (the energy meter) reads the clock when asked, so an advance does
+    nothing but move the time.
 
     Every session owns its clock. A fleet run places a session on the
     shared timeline at [arrival + now] and expresses a wait on another
@@ -40,10 +41,6 @@ val advance_int : t -> int -> unit
 
 val advance_to_int : t -> int -> unit
 (** [advance_to] with an unboxed deadline. *)
-
-val on_advance_int : t -> (int -> int -> unit) -> unit
-(** [on_advance_int t f] registers [f old_now new_now] (unboxed ns), called
-    on every advance (the energy integrator). *)
 
 type span = { start_ns : int64; stop_ns : int64 }
 

@@ -15,8 +15,9 @@ val rail_power_w : rail -> float
 type t
 
 val create : Clock.t -> t
-(** Attaches to the clock: every advance integrates the currently active
-    rails. [Soc_base] is always active. *)
+(** A meter on [clock]: each rail's draw is integrated over the virtual
+    time it spends active, computed from the clock when read. [Soc_base]
+    is always active. *)
 
 val set_active : t -> rail -> bool -> unit
 val with_rail : t -> rail -> (unit -> 'a) -> 'a

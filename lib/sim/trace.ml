@@ -15,10 +15,12 @@ type payload =
   | Promote of { label : string; client : int }
   | Rearm of { label : string; client : int }
 
+let shim_topic = "shim"
+
 let payload_topic = function
   | Degraded _ | Healthy _ | Link_down _ | Retransmit _ | Window_stall _ | Profile_swap _ ->
     "link"
-  | Commit _ | Speculate _ | Rollback _ | Replay_live _ -> "shim"
+  | Commit _ | Speculate _ | Rollback _ | Replay_live _ -> shim_topic
   | Evict _ | Promote _ | Rearm _ -> "service"
 
 (* Render the historical detail strings byte-for-byte: the stderr post-
@@ -50,33 +52,90 @@ type event = { at_ns : int64; payload : payload }
 let topic e = payload_topic e.payload
 let detail e = render e.payload
 
-(* The ring starts empty and doubles on demand up to [cap], so a session
-   that logs a handful of events never pays for the full ring. Until the
-   array reaches [cap] it only fills (oldest at 0, [next] = [total]); from
-   then on it wraps. *)
+(* The ring keeps events in flat parallel arrays: the virtual ns, a kind
+   tag, and for the recorder's per-commit events (commit, speculate) the
+   interned site key and an int argument, so those writes allocate nothing.
+   Every other payload is stored as given in [boxed]. [event] values are
+   built only when a reader asks for them. The arrays start empty and grow
+   eightfold on demand up to [cap] (8, 64, 512, ...), so a session that
+   logs a handful of events never pays for the full ring, and a recording
+   that fills it copies an eighth of it, not all of it, on the way. Until
+   they reach [cap] they only fill (oldest at 0, [next] = [total]); from
+   then on the ring wraps. *)
+let k_boxed = '\000'
+let k_commit = '\001'
+let k_speculate = '\002'
+
 type t = {
   clock : Clock.t;
   cap : int;
-  mutable ring : event array;
+  mutable ns : int array;
+  mutable kinds : Bytes.t;
+  mutable sites : string array;
+  mutable args : int array;
+  mutable boxed : payload array;
   mutable next : int;
   mutable total : int;
 }
 
 let create ?(capacity = 4096) clock =
-  { clock; cap = max 1 capacity; ring = [||]; next = 0; total = 0 }
+  {
+    clock;
+    cap = max 1 capacity;
+    ns = [||];
+    kinds = Bytes.empty;
+    sites = [||];
+    args = [||];
+    boxed = [||];
+    next = 0;
+    total = 0;
+  }
 
-let push t e =
-  let len = Array.length t.ring in
-  if t.next = len && len < t.cap then begin
-    let ring = Array.make (min t.cap (max 8 (2 * len))) e in
-    Array.blit t.ring 0 ring 0 len;
-    t.ring <- ring
-  end;
-  t.ring.(t.next) <- e;
-  t.next <- (if t.next + 1 = t.cap then 0 else t.next + 1);
-  t.total <- t.total + 1
+let grow t len =
+  let n = min t.cap (max 8 (8 * len)) in
+  let extend a fill =
+    let a' = Array.make n fill in
+    Array.blit a 0 a' 0 len;
+    a'
+  in
+  t.ns <- extend t.ns 0;
+  t.sites <- extend t.sites "";
+  t.args <- extend t.args 0;
+  t.boxed <- extend t.boxed (Window_stall { inflight = 0 });
+  let kinds = Bytes.make n k_boxed in
+  Bytes.blit t.kinds 0 kinds 0 len;
+  t.kinds <- kinds
 
-let event t payload = push t { at_ns = Clock.now_ns t.clock; payload }
+(* Claim the slot of the next event, stamped with the current virtual time. *)
+let slot t kind =
+  let len = Array.length t.ns in
+  if t.next = len && len < t.cap then grow t len;
+  let i = t.next in
+  t.next <- (if i + 1 = t.cap then 0 else i + 1);
+  t.total <- t.total + 1;
+  Array.unsafe_set t.ns i (Clock.now_int t.clock);
+  Bytes.unsafe_set t.kinds i kind;
+  i
+
+let flat t kind site arg =
+  let i = slot t kind in
+  Array.unsafe_set t.sites i site;
+  Array.unsafe_set t.args i arg
+
+let commit t ~site ~accesses = flat t k_commit site accesses
+let speculate t ~site ~checks = flat t k_speculate site checks
+
+let commit_opt t ~site ~accesses =
+  match t with Some t -> commit t ~site ~accesses | None -> ()
+
+let speculate_opt t ~site ~checks =
+  match t with Some t -> speculate t ~site ~checks | None -> ()
+
+let event t payload =
+  match payload with
+  | Commit { site; accesses } -> commit t ~site ~accesses
+  | Speculate { site; checks } -> speculate t ~site ~checks
+  | _ -> Array.unsafe_set t.boxed (slot t k_boxed) payload
 
 let event_opt t payload = match t with Some t -> event t payload | None -> ()
 
@@ -84,26 +143,44 @@ let count t = t.total
 let retained t = min t.total t.cap
 let capacity t = t.cap
 
+let topic_at t i =
+  if Bytes.get t.kinds i = k_boxed then payload_topic t.boxed.(i) else shim_topic
+
+let event_at t i =
+  let payload =
+    match Bytes.get t.kinds i with
+    | c when c = k_commit -> Commit { site = t.sites.(i); accesses = t.args.(i) }
+    | c when c = k_speculate -> Speculate { site = t.sites.(i); checks = t.args.(i) }
+    | _ -> t.boxed.(i)
+  in
+  { at_ns = Int64.of_int t.ns.(i); payload }
+
+(* Slot of the [k]-th most recent retained event. *)
+let nth_newest t k =
+  let len = Array.length t.ns in
+  (t.next - 1 - k + len) mod len
+
 let recent ?topic:want t n =
-  let len = Array.length t.ring in
   let kept = retained t in
-  let matches e = match want with None -> true | Some w -> String.equal (topic e) w in
-  let rec go i collected acc =
-    if collected >= n || i >= kept then List.rev acc
+  let matches i = match want with None -> true | Some w -> String.equal (topic_at t i) w in
+  let rec go k collected acc =
+    if collected >= n || k >= kept then List.rev acc
     else
-      let e = t.ring.((t.next - 1 - i + len) mod len) in
-      if matches e then go (i + 1) (collected + 1) (e :: acc) else go (i + 1) collected acc
+      let i = nth_newest t k in
+      if matches i then go (k + 1) (collected + 1) (event_at t i :: acc)
+      else go (k + 1) collected acc
   in
   go 0 0 []
 
 let all ?topic t = List.rev (recent ?topic t t.cap)
 
 let topics t =
-  List.fold_left
-    (fun acc e ->
-      let tp = topic e in
-      if List.mem tp acc then acc else acc @ [ tp ])
-    [] (all t)
+  let acc = ref [] in
+  for k = retained t - 1 downto 0 do
+    let tp = topic_at t (nth_newest t k) in
+    if not (List.mem tp !acc) then acc := tp :: !acc
+  done;
+  List.rev !acc
 
 let pp_event ppf e =
   Format.fprintf ppf "[%8.3f ms] %-12s %s" (Int64.to_float e.at_ns *. 1e-6) (topic e) (detail e)

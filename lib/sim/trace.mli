@@ -3,7 +3,10 @@
     Components append timestamped events; tests, the failure post-mortem
     dump and the JSONL export can inspect them. Keeping the trace bounded
     (a ring of [capacity] events) makes it safe to leave enabled during
-    long benchmark sweeps.
+    long benchmark sweeps. The ring stores events in flat arrays, so the
+    recorder's per-commit writes ({!commit}, {!speculate}) allocate nothing
+    once the ring has grown to full size; {!event} values are built only
+    when a reader asks for them.
 
     Payloads are a typed variant — a typo'd field is a compile error and the
     event stream is machine-readable ({!to_jsonl}) — while {!render} and
@@ -48,14 +51,26 @@ type t
 
 val create : ?capacity:int -> Clock.t -> t
 (** A ring retaining the newest [capacity] events (default 4096, at least
-    1). It starts empty and doubles on demand up to [capacity], so a quiet
-    session allocates a few slots rather than the whole ring; once full it
-    wraps, evicting the oldest event. *)
+    1). It starts empty and grows eightfold on demand up to [capacity], so
+    a quiet session allocates a few slots rather than the whole ring; once
+    full it wraps, evicting the oldest event. *)
 
 val event : t -> payload -> unit
 val event_opt : t option -> payload -> unit
 (** The shared optional-trace helper (formerly duplicated in [Link] and
     [Shim_engine]); no-op on [None]. *)
+
+val commit : t -> site:string -> accesses:int -> unit
+(** [event t (Commit { site; accesses })] without building the payload:
+    the hot-path form, which allocates nothing once the ring is full size.
+    [site] is kept by reference (callers pass an interned site key). *)
+
+val speculate : t -> site:string -> checks:int -> unit
+(** [event t (Speculate { site; checks })], allocation-free like
+    {!commit}. *)
+
+val commit_opt : t option -> site:string -> accesses:int -> unit
+val speculate_opt : t option -> site:string -> checks:int -> unit
 
 val recent : ?topic:string -> t -> int -> event list
 (** Most recent events first; optionally filtered by topic. *)

@@ -348,6 +348,68 @@ let recording_verify_memo_admits_on_second_sight () =
     check Alcotest.bool "and stays rejected" true (Result.is_error (verify ()))
   done
 
+(* A resident's verdict is the full check's ([Recording.verify] on a miss):
+   [Ok] for a signed blob, the chunk's error for the blob with one chunk
+   byte flipped, and the header's under another key. Only the first call
+   under a key checks; the rest reuse its verdict. Once owned, the resident
+   holds its own copy: overwriting the bytes it was lent changes nothing,
+   and the verdict it kept still holds. *)
+let recording_resident_verdicts () =
+  let resident b =
+    let r = Recording.resident_lent b in
+    Recording.own r;
+    r
+  in
+  let module M = Grt_util.Memo_stats in
+  let stats () =
+    match List.find_opt (fun c -> M.name c = "recording.verify") (M.all ()) with
+    | Some c -> M.snapshot c
+    | None -> Alcotest.fail "recording.verify never registered"
+  in
+  let verdict = Alcotest.(result unit string) in
+  let blob =
+    Recording.sign ~key:"k"
+      {
+        Recording.workload = "resident";
+        gpu_id = 0x7e5L;
+        entries = Array.init 300 (fun i -> Recording.Reg_write { reg = 4 * i; value = Int64.of_int i });
+        slots = [];
+      }
+  in
+  let flipped = Bytes.copy blob in
+  let at = Bytes.length flipped - 5 in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 0x01));
+  List.iter
+    (fun (what, b) ->
+      let full = Recording.verify ~key:"k" b in
+      let r = resident b in
+      check Alcotest.int (what ^ ": length") (Bytes.length b) (Recording.resident_length r);
+      let s0 = stats () in
+      check verdict (what ^ ": first use") full (Recording.verify_resident ~key:"k" r);
+      check Alcotest.int (what ^ ": first use checks") (s0.M.s_misses + 1) (stats ()).M.s_misses;
+      let s1 = stats () in
+      for _ = 1 to 3 do
+        check verdict (what ^ ": re-use") full (Recording.verify_resident ~key:"k" r)
+      done;
+      check Alcotest.int (what ^ ": re-uses hit") (s1.M.s_hits + 3) (stats ()).M.s_hits;
+      check Alcotest.int (what ^ ": nothing charged to the memo") s1.M.s_resident_bytes
+        (stats ()).M.s_resident_bytes;
+      check verdict (what ^ ": another key")
+        (Recording.verify ~key:"other" b)
+        (Recording.verify_resident ~key:"other" r);
+      check verdict (what ^ ": back to the first key") full (Recording.verify_resident ~key:"k" r))
+    [ ("signed", blob); ("flipped", flipped) ];
+  check verdict "the flipped blob fails its chunk"
+    (Error "recording: chunk at entry 256 failed verification")
+    (Recording.verify_resident ~key:"k" (resident flipped));
+  let lent = Recording.resident_lent blob in
+  check verdict "lent" (Ok ()) (Recording.verify_resident ~key:"k" lent);
+  Recording.own lent;
+  let fresh = resident blob in
+  Bytes.fill blob 0 (Bytes.length blob) '\000';
+  check verdict "owned after its verdict" (Ok ()) (Recording.verify_resident ~key:"k" lent);
+  check verdict "owned before any verdict" (Ok ()) (Recording.verify_resident ~key:"k" fresh)
+
 (* A blob the key vouches for whose one entry holds byte [b] [from_end]
    bytes before the blob's end: [entry] is signed alone, the byte is set,
    and the chunk hash, the Merkle root (a lone chunk's own hash) and the
@@ -870,6 +932,7 @@ let () =
           Alcotest.test_case "one-byte fields decode strictly" `Quick recording_decoder_strict;
           Alcotest.test_case "verify memo admits on second sight" `Quick
             recording_verify_memo_admits_on_second_sight;
+          Alcotest.test_case "resident verdicts" `Quick recording_resident_verdicts;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
           recording_qcheck_sign_matches_reference;

@@ -451,6 +451,54 @@ let deep_queue_rollback_is_exact () =
         (Bytes.equal clean_blob o.Orchestrate.blob))
     (List.concat_map (fun w -> List.map (fun d -> (w, d)) [ 3; 581; 909; 1032; 2000 ]) [ 1; 4 ])
 
+(* The post-mortem text of a recording with an injected misprediction
+   over a lossy link: speculate and commit events (written flat), a
+   rollback, the replay going live and link window stalls (boxed). The
+   pins were taken from the ring that stored every event boxed. *)
+let failure_dump_text_unchanged () =
+  let dump ?trace_capacity ~window () =
+    let options =
+      {
+        Grt.Session_ctx.default_options with
+        Grt.Session_ctx.inject_fault_after = Some 5;
+        window;
+        trace_capacity;
+        history = Some (Drivershim.fresh_history ());
+      }
+    in
+    let ctx =
+      Grt.Session_ctx.create ~options ~cfg:(Mode.default_config Mode.Ours_mds)
+        ~profile:Profile.cellular ~sku:Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist ~seed:11L
+        ~granularity:`Monolithic ()
+    in
+    ignore (Orchestrate.Pipeline.run (Orchestrate.Pipeline.create ctx));
+    Orchestrate.failure_dump ctx
+  in
+  let full = dump ~window:4 () in
+  check Alcotest.int "full dump length" 56724 (String.length full);
+  check Alcotest.string "full dump digest" "083ff2b3b528ecaef312bbe8ec91127d"
+    (Digest.to_hex (Digest.string full));
+  check Alcotest.string "small ring dump"
+    (String.concat ""
+       [
+         "--- recording failed; 12 recorder event(s) (652 older evicted; raise --trace-capacity) ---\n";
+         "[shim]\n";
+         "  [7343.845 ms] shim         speculate site=kbase_job_irq_handler@control#9053c2d76faae3e2 checks=1\n";
+         "  [7393.992 ms] shim         speculate site=kbase_job_irq_handler@control#3a1ca49387de5603 checks=1\n";
+         "  [7444.141 ms] shim         speculate site=<cold>@hot_exit#9184966a0f36a84 checks=3\n";
+         "  [7444.142 ms] shim         speculate site=kbase_gpu_cache_clean@poll#a2b904225b25c1ab checks=0\n";
+         "  [7444.156 ms] shim         speculate site=poll:GPU_IRQ_RAWSTAT:20000:set checks=1\n";
+         "  [7444.156 ms] shim         speculate site=kbase_gpu_cache_clean@unlock#a2b8dc225b257db3 checks=0\n";
+         "  [7444.157 ms] shim         speculate site=kbase_pm_do_poweroff@poll#8110d7ce29743eea checks=0\n";
+         "  [7444.217 ms] shim         speculate site=poll:SHADER_READY_LO:ff:clear checks=1\n";
+         "  [7444.218 ms] shim         speculate site=kbase_pm_do_poweroff@unlock#81140fce2979b712 checks=0\n";
+         "  [7444.218 ms] shim         speculate site=<cold>@sync#64fdc4beb0bd4630 checks=0\n";
+         "  [7444.219 ms] shim         speculate site=<cold>@sync#649e04beb01a92f0 checks=0\n";
+         "  [7444.219 ms] shim         speculate site=<cold>@sync#64be04beb050f2f0 checks=0\n";
+         "--- end of trace ---\n";
+       ])
+    (dump ~trace_capacity:12 ~window:1 ())
+
 let () =
   Alcotest.run "faultlink"
     [
@@ -482,4 +530,6 @@ let () =
         ] );
       ( "rollback",
         [ Alcotest.test_case "deep-queue rollback is exact" `Slow deep_queue_rollback_is_exact ] );
+      ( "trace",
+        [ Alcotest.test_case "failure dump text unchanged" `Quick failure_dump_text_unchanged ] );
     ]

@@ -501,6 +501,44 @@ let hash_ref_unknown_rejected () =
   | Error e -> Alcotest.failf "wrong error: %s" (Memsync.decode_error_message e)
   | Ok _ -> Alcotest.fail "unknown reference decoded"
 
+(* The store hashes learned bodies only when a lookup needs them. Against
+   a store that hashes every body as it is learned, every lookup — of known
+   content, of content learned again in another body, of a hash never
+   learned — returns the very same body (physically), so the later body of
+   a hash still replaces the earlier one. *)
+let store_lazy_matches_eager =
+  let contents =
+    Array.init 4 (fun i -> Rng.bytes (Rng.create ~seed:(Int64.of_int (100 + i))) Mem.page_size)
+  in
+  let hashes = Array.map Memsync.hash_page contents in
+  let gen =
+    QCheck2.Gen.(list_size (int_bound 80) (pair (int_bound 2) (int_bound 11)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"lazy store == eager store"
+       ~print:QCheck2.Print.(list (pair int int))
+       gen
+       (fun ops ->
+         (* twelve bodies over four contents: repeats in distinct bodies *)
+         let bodies = Array.init 12 (fun i -> Bytes.copy contents.(i mod 4)) in
+         let store = Memsync.Store.create () and eager = Hashtbl.create 8 in
+         let same h =
+           match (Memsync.Store.find store h, Hashtbl.find_opt eager h) with
+           | Some a, Some b -> a == b
+           | None, None -> true
+           | _ -> false
+         in
+         List.for_all
+           (fun (op, i) ->
+             match op with
+             | 0 | 1 ->
+               Memsync.Store.learn store bodies.(i);
+               Hashtbl.replace eager (Memsync.hash_page bodies.(i)) bodies.(i);
+               true
+             | _ -> same hashes.(i mod 4) && same (Int64.of_int i))
+           ops
+         && Array.for_all same hashes))
+
 (* ---- tagged records in recordings ---- *)
 
 let recording_roundtrips_tagged_records () =
@@ -610,6 +648,7 @@ let () =
           Alcotest.test_case "dedup re-ships as hash reference" `Quick
             dedup_fires_on_reshipped_content;
           Alcotest.test_case "unknown hash reference rejected" `Quick hash_ref_unknown_rejected;
+          store_lazy_matches_eager;
           Alcotest.test_case "tagged records roundtrip recordings" `Quick
             recording_roundtrips_tagged_records;
         ] );

@@ -620,6 +620,74 @@ let hostile_records_rejected () =
       ("a 100-byte untagged page", load ~tagged:false Grt.Memsync.Enc_raw short);
     ]
 
+(* Hash references resolve in both replayers: one to a raw page (the
+   compiler resolves it) and one to a delta's result (only the executor's
+   store can). Four tagged loads are appended to the MNIST recording; every
+   replay — interpreted, compiled cold and compiled warm — must install A,
+   A, B, B at the four pages and keep the recording's output. *)
+let hash_references_replay () =
+  let key = Orchestrate.cloud_signing_key in
+  let o = Lazy.force mnist_recording in
+  let rec_t = o.Orchestrate.recording in
+  let pfn = 0x80000L in
+  let page seed = Grt_util.Rng.bytes (Grt_util.Rng.create ~seed) Grt_gpu.Mem.page_size in
+  let a = page 21L and b = page 22L in
+  let href p =
+    let h = Bytes.create 8 in
+    Bytes.set_int64_le h 0 (Grt.Memsync.hash_page p);
+    h
+  in
+  let load k enc body =
+    Recording.Mem_load { Grt.Memsync.tagged = true; records = [ (Int64.add pfn (Int64.of_int k), enc, body) ] }
+  in
+  let delta_b = Grt_util.Delta.diff ~old_:(Bytes.make Grt_gpu.Mem.page_size '\000') ~fresh:b in
+  let blob =
+    Recording.sign ~key
+      {
+        rec_t with
+        Recording.entries =
+          Array.append rec_t.Recording.entries
+            [|
+              load 0 Grt.Memsync.Enc_raw a;
+              load 1 Grt.Memsync.Enc_hash_ref (href a);
+              load 2 Grt.Memsync.Enc_delta delta_b;
+              load 3 Grt.Memsync.Enc_hash_ref (href b);
+            |];
+      }
+  in
+  let plan = Network.expand Zoo.mnist in
+  let input = Runner.input_values plan ~seed:7L in
+  let params = Runner.weight_values plan ~seed:42L in
+  let reference = Orchestrate.replay_recording ~sku ~blob:o.Orchestrate.blob ~input ~params ~seed:7L () in
+  let installed what g =
+    List.iteri
+      (fun k want ->
+        check Alcotest.bytes
+          (Printf.sprintf "%s: page %d" what k)
+          want
+          (Grt_gpu.Mem.get_page (Grt.Gpushim.mem g) (Int64.add pfn (Int64.of_int k))))
+      [ a; a; b; b ]
+  in
+  let g, _, _ = Orchestrate.replay_gpushim ~sku ~seed:7L () in
+  let r =
+    Replayer.replay_segments ~gpushim:g ~signing_key:key ~blobs:[ blob ] ~input ~params ()
+  in
+  installed "interpreted" g;
+  check Alcotest.bool "interpreted output" true
+    (r.Replayer.output = reference.Orchestrate.r.Replayer.output);
+  let prog = Orchestrate.compile_recording ~blob () in
+  check Alcotest.int "two loads left to the executor" 2 (Replay_prog.stats prog).Replay_prog.dynamic_loads;
+  check Alcotest.int "both uncached before the first replay" 2 prog.Replay_prog.uncached_dynamic;
+  List.iter
+    (fun what ->
+      let g, _, _ = Orchestrate.replay_gpushim ~sku ~seed:7L () in
+      let r = Replayer.replay_compiled ~gpushim:g ~prog ~input ~params () in
+      installed what g;
+      check Alcotest.bool (what ^ " output") true
+        (r.Replayer.output = reference.Orchestrate.r.Replayer.output);
+      check Alcotest.int (what ^ ": every load cached") 0 prog.Replay_prog.uncached_dynamic)
+    [ "compiled cold"; "compiled warm" ]
+
 let divergence_releases_gpu () =
   (* An exception mid-execution must still reset and release the GPU so the
      session object remains usable for the next replay. *)
@@ -783,6 +851,7 @@ let () =
             tampered_rc_body_rejected_at_compile;
           Alcotest.test_case "hostile blobs rejected cheaply" `Quick hostile_blobs_rejected_cheaply;
           Alcotest.test_case "hostile page records rejected" `Quick hostile_records_rejected;
+          Alcotest.test_case "hash references replay" `Quick hash_references_replay;
           Alcotest.test_case "divergence releases GPU" `Quick divergence_releases_gpu;
         ] );
       ( "attestation",

@@ -109,6 +109,25 @@ let second_client_hits () =
       check Alcotest.bool "served the recorded bytes" true (hit.Service.blob_bytes > 0)
   | _ -> Alcotest.fail "expected 1 report"
 
+(* The service serves a copy of the recorded blob: overwriting the bytes
+   the recorder's report carries changes neither the next serve's verdict
+   nor the bytes it downloads. *)
+let published_blob_is_private () =
+  let svc = Service.create () in
+  let blob =
+    match Service.run svc [ spec ~id:0 ~at_ms:0 () ] with
+    | [ { Service.outcome = Service.Recorded o; _ } ], _ -> o.Orchestrate.blob
+    | _ -> Alcotest.fail "expected one recording"
+  in
+  let len = Bytes.length blob in
+  Bytes.fill blob 0 len '\xff';
+  let reports, _ = Service.run svc [ spec ~id:1 ~at_ms:60_000 (); spec ~id:2 ~at_ms:61_000 () ] in
+  List.iter
+    (fun r ->
+      check Alcotest.string "served, not rejected" "cache_hit" (Service.outcome_name r.Service.outcome);
+      check Alcotest.int "the recorded byte count" len r.Service.blob_bytes)
+    reports
+
 (* Simultaneous same-key arrivals: exactly one records, the rest coalesce
    onto the in-flight recording. *)
 let coalescing () =
@@ -589,6 +608,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "second client hits" `Quick second_client_hits;
+          Alcotest.test_case "published blob is private" `Quick published_blob_is_private;
           Alcotest.test_case "eviction + cheap re-record" `Quick eviction_rerecord;
           Alcotest.test_case "service counters + aggregate" `Quick service_counter_view;
           Alcotest.test_case "simultaneous arrivals coalesce (effects)" `Quick coalescing;

@@ -36,16 +36,6 @@ let clock_advance_to () =
   Clock.advance_to c 400L;
   check Alcotest.int64 "forward" 400L (Clock.now_ns c)
 
-let clock_observers () =
-  let c = Clock.create () in
-  let total = ref 0 in
-  Clock.on_advance_int c (fun old_now new_now -> total := !total + (new_now - old_now));
-  Clock.advance_ns c 10L;
-  Clock.advance_ns c 0L;
-  (* zero advance must not fire *)
-  Clock.advance_ns c 32L;
-  check Alcotest.int "observer saw all time" 42 !total
-
 (* The clock advance is the simulation's hottest operation; with the
    energy meter attached (as on every replay client) it must not allocate. *)
 let clock_advance_allocates_nothing () =
@@ -280,6 +270,51 @@ let energy_reset () =
   Energy.reset e;
   check (Alcotest.float 1e-9) "reset" 0.0 (Energy.total_j e)
 
+(* The meter integrates when read; a model integrating on every advance,
+   as the meter once did, must read the same joules on every rail, bit for
+   bit, through advances, toggles, resets and direct charges. *)
+let energy_matches_per_advance_model =
+  let rails = Energy.[| Soc_base; Cpu_busy; Radio_tx; Radio_rx; Gpu_busy |] in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"read-time integration == per-advance model"
+       ~print:QCheck2.Print.(list (pair int int))
+       QCheck2.Gen.(list_size (int_bound 60) (pair (int_bound 4) (int_bound 5_000_000)))
+       (fun ops ->
+         let c = Clock.create () in
+         Clock.advance_int c 77;
+         let e = Energy.create c in
+         let active = Array.make 5 false and ns = Array.make 5 0 and joules = Array.make 5 0. in
+         active.(0) <- true;
+         let model_j i =
+           joules.(i) +. (Energy.rail_power_w rails.(i) *. float_of_int ns.(i) *. 1e-9)
+         in
+         List.iter
+           (fun (op, x) ->
+             match op with
+             | 0 | 1 ->
+               Clock.advance_int c x;
+               Array.iteri (fun i on -> if on then ns.(i) <- ns.(i) + x) active
+             | 2 ->
+               let i = 1 + (x mod 4) in
+               active.(i) <- not active.(i);
+               Energy.set_active e rails.(i) active.(i)
+             | 3 ->
+               Energy.charge_j e rails.(x mod 5) 0.25;
+               joules.(x mod 5) <- joules.(x mod 5) +. 0.25
+             | _ ->
+               if x mod 7 = 0 then begin
+                 Energy.reset e;
+                 Array.fill ns 0 5 0;
+                 Array.fill joules 0 5 0.
+               end)
+           ops;
+         List.for_all
+           (fun (r, j) ->
+             let i = ref 0 in
+             Array.iteri (fun k r' -> if r' = r then i := k) rails;
+             Float.equal j (model_j !i))
+           (Energy.by_rail_j e)))
+
 (* ---- Trace ---- *)
 
 let trace_recent_order () =
@@ -395,6 +430,119 @@ let trace_ring_matches_fixed_array =
          && Trace.capacity t = Array.length r.Ref_ring.ring
          && String.equal (Trace.to_jsonl t) (Ref_ring.to_jsonl r)))
 
+(* Once the ring has grown to full size, the recorder's per-commit writes
+   only store ints and a site reference. *)
+let trace_flat_writes_allocate_nothing () =
+  let c = Clock.create () in
+  let t = Trace.create ~capacity:64 c in
+  let site = "kbase_job_submit@control#1" in
+  for i = 1 to 100 do
+    Trace.commit t ~site ~accesses:i
+  done;
+  let some_t = Some t in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Clock.advance_int c 3;
+    Trace.commit t ~site ~accesses:i;
+    Trace.speculate t ~site ~checks:(i land 3);
+    Trace.commit_opt some_t ~site ~accesses:i;
+    Trace.speculate_opt None ~site ~checks:i
+  done;
+  check (Alcotest.float 0.) "minor words for 30k flat writes" 0. (Gc.minor_words () -. w0);
+  check Alcotest.int "all counted" 30_100 (Trace.count t);
+  match Trace.recent t 2 with
+  | [ newest; older ] ->
+    check Alcotest.string "newest rebuilt on read" "commit site=kbase_job_submit@control#1 accesses=10000"
+      (Trace.detail newest);
+    check Alcotest.string "older rebuilt on read" "speculate site=kbase_job_submit@control#1 checks=0"
+      (Trace.detail older);
+    check Alcotest.int64 "timestamped" (Clock.now_ns c) newest.Trace.at_ns
+  | _ -> Alcotest.fail "expected two events"
+
+(* A list model of the ring: every event ever written, newest first; the
+   ring must show the newest [capacity] of them. Writes mix the flat entry
+   points with boxed payloads (a [Commit] written through [event] too), and
+   the push counts run through growth and several wraps. *)
+let gen_flat_mix =
+  let open QCheck2.Gen in
+  let* cap = oneofl [ 1; 3; 8; 9; 64 ] in
+  let* pushes = int_bound (4 * cap + 20) in
+  let* salt = int_bound 10_000 in
+  return (cap, pushes, salt)
+
+let trace_flat_mix_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"flat and boxed events == list model"
+       ~print:(fun (cap, pushes, salt) -> Printf.sprintf "cap=%d pushes=%d salt=%d" cap pushes salt)
+       gen_flat_mix
+       (fun (cap, pushes, salt) ->
+         let c = Clock.create () in
+         let t = Trace.create ~capacity:cap c in
+         let rng = Random.State.make [| salt |] in
+         let sites = [| "a@control#1"; "poll:GPU_IRQ_RAWSTAT:100:set"; "<cold>@sync#2" |] in
+         let model = ref [] in
+         for i = 1 to pushes do
+           Clock.advance_ns c (Int64.of_int (Random.State.int rng 4));
+           let site = sites.(Random.State.int rng 3) in
+           let payload =
+             match Random.State.int rng 7 with
+             | 0 ->
+               Trace.commit t ~site ~accesses:i;
+               Trace.Commit { site; accesses = i }
+             | 1 ->
+               Trace.speculate t ~site ~checks:(i mod 5);
+               Trace.Speculate { site; checks = i mod 5 }
+             | 2 ->
+               let p = Trace.Commit { site; accesses = -i } in
+               Trace.event t p;
+               p
+             | 3 ->
+               let p = Trace.Rollback { site; reg = "CMD"; predicted = 1L; actual = Int64.of_int i } in
+               Trace.event t p;
+               p
+             | 4 ->
+               let p = Trace.Window_stall { inflight = i } in
+               Trace.event t p;
+               p
+             | 5 ->
+               let p = Trace.Retransmit { op = "round_trip"; attempt = i; outage = i land 1 = 0 } in
+               Trace.event t p;
+               p
+             | _ ->
+               let p = Trace.Evict { label = "k"; client = i; blob_bytes = 2 * i } in
+               Trace.event t p;
+               p
+           in
+           model := { Trace.at_ns = Clock.now_ns c; payload } :: !model
+         done;
+         let kept = List.filteri (fun i _ -> i < cap) !model in
+         let recent ?topic n =
+           let m = match topic with None -> kept | Some w -> List.filter (fun e -> Trace.topic e = w) kept in
+           List.filteri (fun i _ -> i < n) m
+         in
+         let topics =
+           List.fold_left
+             (fun acc e -> if List.mem (Trace.topic e) acc then acc else acc @ [ Trace.topic e ])
+             [] (List.rev kept)
+         in
+         let jsonl =
+           String.concat ""
+             (List.map (fun e -> Grt_util.Json.to_string (Trace.event_json e) ^ "\n") (List.rev kept))
+         in
+         let pp es = List.map (Format.asprintf "%a" Trace.pp_event) es in
+         List.for_all
+           (fun topic ->
+             Trace.all ?topic t = List.rev (recent ?topic cap)
+             && pp (Trace.all ?topic t) = pp (List.rev (recent ?topic cap))
+             && List.for_all
+                  (fun n -> Trace.recent ?topic t n = recent ?topic n)
+                  [ 0; 1; 2; cap - 1; cap; cap + 1 ])
+           [ None; Some "shim"; Some "link"; Some "service"; Some "absent" ]
+         && Trace.topics t = topics
+         && Trace.count t = pushes
+         && Trace.retained t = List.length kept
+         && String.equal (Trace.to_jsonl t) jsonl))
+
 (* ---- Costs ---- *)
 
 let costs_sane () =
@@ -416,7 +564,6 @@ let () =
           Alcotest.test_case "advances" `Quick clock_advances;
           Alcotest.test_case "rejects negative" `Quick clock_rejects_negative;
           Alcotest.test_case "advance_to" `Quick clock_advance_to;
-          Alcotest.test_case "observers" `Quick clock_observers;
           Alcotest.test_case "advance allocates nothing" `Quick clock_advance_allocates_nothing;
           Alcotest.test_case "time span" `Quick clock_time_span;
         ] );
@@ -440,6 +587,7 @@ let () =
           Alcotest.test_case "with_rail restores" `Quick energy_with_rail_restores;
           Alcotest.test_case "direct charge" `Quick energy_charge_j;
           Alcotest.test_case "reset" `Quick energy_reset;
+          energy_matches_per_advance_model;
         ] );
       ( "trace",
         [
@@ -447,6 +595,8 @@ let () =
           Alcotest.test_case "topic filter" `Quick trace_topic_filter;
           Alcotest.test_case "ring eviction" `Quick trace_ring_eviction;
           trace_ring_matches_fixed_array;
+          Alcotest.test_case "flat writes allocate nothing" `Quick trace_flat_writes_allocate_nothing;
+          trace_flat_mix_matches_model;
         ] );
       ("costs", [ Alcotest.test_case "sane relationships" `Quick costs_sane ]);
     ]
