@@ -477,7 +477,7 @@ let memsync_sweep_one ~variant ~tweak ~pages ~rounds ~dirtied ~dup_rate =
           (1 + Option.value ~default:0 (Hashtbl.find_opt enc_counts n));
         if r.Memsync.enc = Memsync.Enc_hash_ref then incr hash_hits)
       p.Memsync.records;
-    ignore (Memsync.receive receiver mem_r p)
+    ignore (Memsync.receive receiver mem_r (Memsync.logged p))
   done;
   let elapsed = wall_seconds () -. t0 in
   let reproduced =

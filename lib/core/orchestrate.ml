@@ -57,7 +57,7 @@ let establish (ctx : Ctx.t) =
   Tracer.span_opt ctx.tracer ~cat:Tracer.Establish ~name:"establish" @@ fun () ->
   let channel =
     match
-      Grt_tee.Channel.establish ~link:ctx.link ~verification_key:cloud_signing_key
+      Channel.establish ~link:ctx.link ~verification_key:cloud_signing_key
         ~vm_signing_key:cloud_signing_key ~vm_measurement:cloud_measurement
         ~expected:cloud_measurement
         ~nonce:(Grt_util.Hashing.combine ctx.seed 0x6e6f6e6365L)
@@ -65,7 +65,7 @@ let establish (ctx : Ctx.t) =
     | Ok c -> c
     | Error e -> failwith ("attestation failed: " ^ e)
   in
-  ignore (Grt_tee.Channel.session_key channel)
+  ignore (Channel.session_key channel)
 
 (* Boot the recording VM: the image picks the device tree (and thus the
    driver binding) matching the client's attested GPU (§6). *)
@@ -96,7 +96,7 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
     let shim =
       Drivershim.create ~cfg:ctx.cfg ~link:ctx.link ~gpushim ~cloud_mem ~metrics:ctx.metrics
         ~trace:ctx.trace ?tracer:ctx.tracer ?hists:ctx.hists ~history:ctx.history
-        ?sync_store:ctx.sync_store ~wire_overhead:Grt_tee.Channel.wire_overhead
+        ?sync_store:ctx.sync_store ~wire_overhead:Channel.wire_overhead
         ~replay_prefix:prefix ()
     in
     (match ctx.inject_fault_after with
@@ -145,13 +145,7 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
          locally (§4.2). The dominant cost — driver reload and GPU job
          re-preparation on the cloud — is charged here; the log replay
          itself advances the clock as it runs in the next attempt. *)
-      Tracer.span_opt ctx.tracer ~cat:Tracer.Rollback_recovery
-        ~args:[ ("cause", "mispredict") ] ~name:"rollback" (fun () ->
-          Hist.record_opt ctx.hists Hist.Rollback_depth (List.length valid_log);
-          Ctx.charge_rollback ctx
-            (rollback_cost_s ~entries_so_far:(List.length valid_log) ~jit_kernels:10));
-      Gpushim.release gpushim;
-      attempt (n + 1) valid_log
+      rollback n gpushim ~cause:"mispredict" valid_log
     | e when is_link_down e ->
       (* The ARQ gave up mid-session. Recovery mirrors a misprediction:
          restart from the longest validated log prefix and fast-forward
@@ -159,13 +153,15 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
          still in flight were never validated, so they are replayed live. *)
       let valid_log = Drivershim.validated_prefix shim in
       Metrics.add ctx.metrics Metrics.Recovery_link_downs 1;
-      Tracer.span_opt ctx.tracer ~cat:Tracer.Rollback_recovery
-        ~args:[ ("cause", "link_down") ] ~name:"rollback" (fun () ->
-          Hist.record_opt ctx.hists Hist.Rollback_depth (List.length valid_log);
-          Ctx.charge_rollback ctx
-            (rollback_cost_s ~entries_so_far:(List.length valid_log) ~jit_kernels:10));
-      Gpushim.release gpushim;
-      attempt (n + 1) valid_log
+      rollback n gpushim ~cause:"link_down" valid_log
+  and rollback n gpushim ~cause valid_log =
+    Tracer.span_opt ctx.tracer ~cat:Tracer.Rollback_recovery ~args:[ ("cause", cause) ]
+      ~name:"rollback" (fun () ->
+        Hist.record_opt ctx.hists Hist.Rollback_depth (List.length valid_log);
+        Ctx.charge_rollback ctx
+          (rollback_cost_s ~entries_so_far:(List.length valid_log) ~jit_kernels:10));
+    Gpushim.release gpushim;
+    attempt (n + 1) valid_log
   in
   attempt 0 []
 
@@ -408,44 +404,37 @@ let compile_recording ?tracer ~blob () =
   | Ok prog -> prog
   | Error e -> raise (Replayer.Rejected e)
 
-let replay_gpushim ~sku ~seed () =
+(* A fresh client session (own clock and energy meter). [salt] keeps the
+   clients of single recordings and of segment lists apart. *)
+let fresh_client ~salt ~sku ~seed =
   let clock = Grt_sim.Clock.create () in
   let energy = Grt_sim.Energy.create clock in
   let cfg = Mode.default_config Mode.Ours_mds in
   let gpushim =
-    Gpushim.create ~clock ~sku ~energy
-      ~session_salt:(Grt_util.Hashing.combine seed 0x7265706CL)
-      ~cfg ()
+    Gpushim.create ~clock ~sku ~energy ~session_salt:(Grt_util.Hashing.combine seed salt) ~cfg ()
   in
   (gpushim, clock, energy)
 
-let replay_compiled ~sku ~prog ~input ~params ~seed () =
-  let gpushim, clock, energy = replay_gpushim ~sku ~seed () in
+let replay_gpushim ~sku ~seed () = fresh_client ~salt:0x7265706CL ~sku ~seed
+
+(* Run [replay] on a client; setup is the virtual time it spent before its
+   stimuli. *)
+let replay_on (gpushim, clock, energy) replay =
   let t0 = Grt_sim.Clock.now_s clock in
-  let r = Replayer.replay_compiled ~gpushim ~prog ~input ~params ~energy () in
+  let r = replay gpushim energy in
   { r; setup_s = Grt_sim.Clock.now_s clock -. t0 -. r.Replayer.delay_s }
+
+let replay_compiled ~sku ~prog ~input ~params ~seed () =
+  replay_on (replay_gpushim ~sku ~seed ()) (fun gpushim energy ->
+      Replayer.replay_compiled ~gpushim ~prog ~input ~params ~energy ())
+
+let replay_blobs client ~blobs ~input ~params =
+  replay_on client (fun gpushim energy ->
+      Replayer.replay_segments ~gpushim ~signing_key:cloud_signing_key ~blobs ~input ~params
+        ~energy ())
 
 let replay_recording ~sku ~blob ~input ~params ~seed () =
-  let gpushim, clock, energy = replay_gpushim ~sku ~seed () in
-  let t0 = Grt_sim.Clock.now_s clock in
-  let r =
-    Replayer.replay_segments ~gpushim ~signing_key:cloud_signing_key ~blobs:[ blob ] ~input
-      ~params ~energy ()
-  in
-  { r; setup_s = Grt_sim.Clock.now_s clock -. t0 -. r.Replayer.delay_s }
+  replay_blobs (replay_gpushim ~sku ~seed ()) ~blobs:[ blob ] ~input ~params
 
 let replay_segments ~sku ~blobs ~input ~params ~seed () =
-  let clock = Grt_sim.Clock.create () in
-  let energy = Grt_sim.Energy.create clock in
-  let cfg = Mode.default_config Mode.Ours_mds in
-  let gpushim =
-    Gpushim.create ~clock ~sku ~energy
-      ~session_salt:(Grt_util.Hashing.combine seed 0x7365676CL)
-      ~cfg ()
-  in
-  let t0 = Grt_sim.Clock.now_s clock in
-  let r =
-    Replayer.replay_segments ~gpushim ~signing_key:cloud_signing_key ~blobs ~input ~params
-      ~energy ()
-  in
-  { r; setup_s = Grt_sim.Clock.now_s clock -. t0 -. r.Replayer.delay_s }
+  replay_blobs (fresh_client ~salt:0x7365676CL ~sku ~seed) ~blobs ~input ~params

@@ -49,7 +49,7 @@ let rec pop_memloads t =
     count t Metrics.Recovery_pages (List.length logged.Memsync.records);
     List.iter
       (fun (pfn, page) -> Memsync.note_shipped t.downlink pfn page)
-      (Gpushim.load_pages t.gpushim (Memsync.payload_of_logged logged));
+      (Gpushim.load_pages t.gpushim logged);
     t.append e;
     pop_memloads t
   | _ -> ()
@@ -112,7 +112,8 @@ let wait_irq t ~timeout_us =
       (* Local status exchange, no network: the cloud's memory learns the
          GPU-written words directly. *)
       if t.cfg.Mode.continuous_validation then Grt_gpu.Mem.unprotect_all t.cloud_mem;
-      ignore (Memsync.receive t.downlink t.cloud_mem (Gpushim.upload_meta t.gpushim));
+      ignore
+        (Memsync.receive t.downlink t.cloud_mem (Memsync.logged (Gpushim.upload_meta t.gpushim)));
       Some got
     | None -> fail "no interrupt while replaying the log")
   | Some _ -> fail "log does not expect an interrupt wait here"

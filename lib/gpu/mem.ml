@@ -41,7 +41,6 @@ type t = {
   spill_dirty : (int, unit) Hashtbl.t;
   spill_prot : (int, unit) Hashtbl.t;
   mutable prot_list : int list; (* dense protected pfns, unordered *)
-  mutable prot_sorted : int64 list option; (* memoized sorted materialization *)
 }
 
 let create () =
@@ -63,7 +62,6 @@ let create () =
     spill_dirty = Hashtbl.create 8;
     spill_prot = Hashtbl.create 8;
     prot_list = [];
-    prot_sorted = None;
   }
 
 let grow t pfn =
@@ -136,30 +134,19 @@ let protect_page t pfn =
       t.prot_list <- pfn :: t.prot_list
     end
   end
-  else Hashtbl.replace t.spill_prot pfn ();
-  t.prot_sorted <- None
+  else Hashtbl.replace t.spill_prot pfn ()
 
 let protect_pages t pfns = List.iter (fun pfn -> protect_page t (Int64.to_int pfn)) pfns
 
 let unprotect_all t =
   List.iter (fun pfn -> Bytes.set t.protb pfn '\000') t.prot_list;
   t.prot_list <- [];
-  Hashtbl.reset t.spill_prot;
-  t.prot_sorted <- Some []
+  Hashtbl.reset t.spill_prot
 
 let protected_pfns t =
-  match t.prot_sorted with
-  | Some l -> l
-  | None ->
-    let l =
-      Hashtbl.fold
-        (fun k () acc -> Int64.of_int k :: acc)
-        t.spill_prot
-        (List.rev_map Int64.of_int t.prot_list)
-      |> List.sort Int64.compare
-    in
-    t.prot_sorted <- Some l;
-    l
+  Hashtbl.fold (fun k () acc -> Int64.of_int k :: acc) t.spill_prot
+    (List.rev_map Int64.of_int t.prot_list)
+  |> List.sort Int64.compare
 
 let page_of_addr addr = Int64.shift_right_logical addr page_shift
 

@@ -120,3 +120,4 @@ val protect_page : t -> int -> unit
 
 val unprotect_all : t -> unit
 val protected_pfns : t -> int64 list
+(** The protected set, sorted; built on each call. *)

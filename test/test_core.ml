@@ -555,7 +555,7 @@ let memsync_apply_and_note () =
      holds it, so its own next sync does not echo the page back. *)
   let back = Memsync.create (Mode.default_config Mode.Ours_m) in
   Memsync.register_region back (mk_region ~name:"cmd" ~usage:Session.Cmd ~pa ~bytes:64);
-  ignore (Memsync.receive back dst p);
+  ignore (Memsync.receive back dst (Memsync.logged p));
   check Alcotest.int64 "applied" 0x1234L (Mem.read_u32 dst pa);
   let echo = Memsync.sync_meta back dst in
   check Alcotest.int "no echo" 0 (List.length echo.Memsync.records)

@@ -447,18 +447,18 @@ let mmu_differential =
 (* ---- targeted unit tests ---- *)
 
 (* protected_pfns materializes sorted regardless of protect order, across
-   the dense/spill boundary, with the memoized list invalidated by further
-   protects and cleared by unprotect_all. *)
+   the dense/spill boundary, reflects further protects and is cleared by
+   unprotect_all. *)
 let protected_ordering () =
   let mem = Mem.create () in
   Mem.protect_pages mem [ 0x10001L; 0x3FFL; 0x100L ];
   check (Alcotest.list Alcotest.int64) "sorted across dense/spill" [ 0x100L; 0x3FFL; 0x10001L ]
     (Mem.protected_pfns mem);
-  (* Second call returns the memoized list, still sorted. *)
-  check (Alcotest.list Alcotest.int64) "memoized read stable" [ 0x100L; 0x3FFL; 0x10001L ]
+  (* A second call reads the same sorted list. *)
+  check (Alcotest.list Alcotest.int64) "repeated read stable" [ 0x100L; 0x3FFL; 0x10001L ]
     (Mem.protected_pfns mem);
   Mem.protect_pages mem [ 0x200L; 0x10000L ];
-  check (Alcotest.list Alcotest.int64) "invalidated and re-sorted"
+  check (Alcotest.list Alcotest.int64) "later protects re-sorted"
     [ 0x100L; 0x200L; 0x3FFL; 0x10000L; 0x10001L ]
     (Mem.protected_pfns mem);
   (* Duplicate protects do not duplicate entries. *)

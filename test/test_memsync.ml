@@ -116,7 +116,7 @@ let run_script combo script =
         if r.Memsync.enc = Memsync.Enc_hash_ref && not (Hashtbl.mem decoded h) then ok := false;
         Hashtbl.replace decoded h ())
       p.Memsync.records;
-    ignore (Memsync.receive to_ mem_to p)
+    ignore (Memsync.receive to_ mem_to (Memsync.logged p))
   in
   let down = Hashtbl.create 64 and up = Hashtbl.create 64 in
   List.iter
@@ -468,7 +468,7 @@ let dedup_fires_on_reshipped_content () =
   let mem_s, mem_r, sender, receiver, first = mk_pair cfg ~pages:4 in
   let ship () =
     let p = Memsync.sync_meta sender mem_s in
-    ignore (Memsync.receive receiver mem_r p);
+    ignore (Memsync.receive receiver mem_r (Memsync.logged p));
     p
   in
   ignore (ship ());
@@ -496,7 +496,7 @@ let hash_ref_unknown_rejected () =
   let body = Bytes.create 8 in
   Bytes.set_int64_le body 0 0xDEAD_BEEFL;
   let logged = { Memsync.tagged = true; records = [ (4L, Memsync.Enc_hash_ref, body) ] } in
-  match Memsync.install store mem (Memsync.payload_of_logged logged) with
+  match Memsync.install store mem logged with
   | Error (Memsync.Unknown_hash h) -> check Alcotest.int64 "names the missing hash" 0xDEAD_BEEFL h
   | Error e -> Alcotest.failf "wrong error: %s" (Memsync.decode_error_message e)
   | Ok _ -> Alcotest.fail "unknown reference decoded"

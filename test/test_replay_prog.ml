@@ -298,7 +298,7 @@ let reference_replay ~blob ~input ~params =
       Clock.advance_ns clock Grt_sim.Costs.replayer_step_ns;
       match entry with
       | Recording.Mem_load logged ->
-        ignore (Grt.Memsync.install store mem (Grt.Memsync.payload_of_logged logged))
+        ignore (Grt.Memsync.install store mem logged)
       | Recording.Reg_write { reg; value } -> Device.write_reg dev reg value
       | Recording.Reg_read { reg; _ } -> ignore (Device.read_reg dev reg)
       | Recording.Poll { reg; mask; cond; max_iters; spin_ns } ->

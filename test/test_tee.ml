@@ -1,10 +1,11 @@
 (* Tests for the TEE substrate: crypto seal/open, attestation, world
-   isolation (TZASC) and the attested channel. *)
+   isolation (TZASC), the attested channel and the replay-path modules
+   [Grt] re-exports. *)
 
 module Crypto = Grt_tee.Crypto
 module Attestation = Grt_tee.Attestation
 module Worlds = Grt_tee.Worlds
-module Channel = Grt_tee.Channel
+module Channel = Grt.Channel
 module Profile = Grt_net.Profile
 module Link = Grt_net.Link
 module Frame = Grt_net.Frame
@@ -177,6 +178,30 @@ let channel_tamper_rejected () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "tampered message accepted")
 
+(* ---- re-exports ---- *)
+
+(* [Grt]'s replay-path modules are [Grt_tee]'s own, not copies: the same
+   values, and the same exception constructor. *)
+let reexports_are_the_library () =
+  let same name a b = check Alcotest.bool name true (a == b) in
+  same "Recording.sign" Grt.Recording.sign Grt_tee.Recording.sign;
+  same "Replay_prog.compile" Grt.Replay_prog.compile Grt_tee.Replay_prog.compile;
+  same "Replayer.replay_compiled" Grt.Replayer.replay_compiled Grt_tee.Replayer.replay_compiled;
+  same "Gpushim.create" Grt.Gpushim.create Grt_tee.Gpushim.create;
+  same "Memsync.install" Grt.Memsync.install Grt_tee.Memsync.install;
+  same "Mode.default_config" Grt.Mode.default_config Grt_tee.Mode.default_config;
+  let clock = Grt_sim.Clock.create () in
+  let gpushim =
+    Grt_tee.Gpushim.create ~clock ~sku:Grt_gpu.Sku.g71_mp8 ~session_salt:1L
+      ~cfg:(Grt_tee.Mode.default_config Grt_tee.Mode.Ours_mds) ()
+  in
+  match
+    Grt_tee.Replayer.replay_segments ~gpushim ~signing_key:"k"
+      ~blobs:[ Bytes.of_string "not a recording" ] ~input:[||] ~params:[] ()
+  with
+  | exception Grt.Replayer.Rejected _ -> ()
+  | _ -> Alcotest.fail "a malformed blob replayed"
+
 let () =
   Alcotest.run "grt_tee"
     [
@@ -210,4 +235,6 @@ let () =
           Alcotest.test_case "eavesdropper cannot read" `Quick channel_eavesdropper_cannot_read;
           Alcotest.test_case "tamper rejected" `Quick channel_tamper_rejected;
         ] );
+      ( "reexports",
+        [ Alcotest.test_case "Grt re-exports Grt_tee's values" `Quick reexports_are_the_library ] );
     ]
