@@ -171,7 +171,7 @@ let faults () =
    replay or per cold start exceed its checked-in ceilings fails the run. *)
 let replay ~enforce () =
   hr "Replay throughput: interpreted vs compiled (host replays/sec)";
-  Printf.printf "%-12s %8s %12s %12s %12s %9s %8s %8s %8s %8s %10s %9s %10s %9s %4s\n" "NN"
+  Printf.printf "%-18s %8s %12s %12s %12s %9s %8s %8s %8s %8s %10s %9s %10s %9s %4s\n" "NN"
     "entries" "interp(r/s)" "cold(r/s)" "warm(r/s)" "speedup" "fused" "static" "dynamic" "bitexact"
     "words/warm" "ceiling" "words/cold" "ceiling" "ok";
   let rows = E.replay_bench ctx in
@@ -187,7 +187,7 @@ let replay ~enforce () =
       if not ok then failed := ("replay " ^ r.E.workload) :: !failed;
       let show f = match ceiling with Some c -> Printf.sprintf "%.0f" (f c) | None -> "-" in
       Printf.printf
-        "%-12s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s %10.0f %9s %10.0f %9s %4s\n"
+        "%-18s %8d %12.1f %12.1f %12.1f %8.1fx %8d %8d %8d %8s %10.0f %9s %10.0f %9s %4s\n"
         r.E.workload r.E.entries r.E.interpreted_rps r.E.compiled_cold_rps r.E.compiled_warm_rps
         r.E.warm_speedup r.E.fused_writes r.E.static_pages r.E.dynamic_loads
         (if r.E.bit_identical then "yes" else "NO")

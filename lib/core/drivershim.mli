@@ -82,10 +82,10 @@ val create :
     register accesses, commits, speculation (by {!category}), polls and
     memory sync all count there, so a store shared by every attempt of a
     session counts the whole session. [trace] receives commit / speculate /
-    rollback events under topic ["shim"]. [tracer] gets nested spans per
-    commit / validation / offloaded poll; [hists] gets commit batch sizes
-    and speculation validation latencies. All three observers default to
-    off. *)
+    rollback events under topic ["shim"]; it defaults to a fresh ring on
+    the link's clock. [tracer] gets nested spans per commit / validation /
+    offloaded poll; [hists] gets commit batch sizes and speculation
+    validation latencies. Both default to off. *)
 
 val backend : t -> Grt_driver.Backend.t
 (** The instrumented-driver interface. *)

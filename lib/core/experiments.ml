@@ -643,18 +643,21 @@ let host_rate ?(min_elapsed = 0.05) ~reps ~max_reps f =
    few replays after the first; so are the words of a cold start (compile
    plus a first replay on a fresh client) once the process-wide codec memo
    has seen the blob. [replay_words_ceilings] pins both per row, about 8%
-   above the measured values (BENCH_replay.json, warm / cold: MNIST 4.9k /
-   44.0k, AlexNet 11.9k / 99.6k, MobileNet 20.9k / 176.8k, SqueezeNet
-   19.9k / 170.6k, ResNet12 21.6k / 177.0k, VGG16 19.1k / 157.0k); a
+   above the measured values (BENCH_replay.json, warm / cold: MNIST 4.3k /
+   33.8k, AlexNet 10.5k / 75.0k, MobileNet 18.2k / 132.5k, SqueezeNet
+   17.3k / 127.8k, ResNet12 18.9k / 132.5k, VGG16 16.7k / 117.8k,
+   MNIST/fastpath 4.3k / 39.8k, MobileNet/fastpath 18.2k / 156.0k); a
    breach means a new allocation on that replay path. *)
 let replay_words_ceilings =
   [
-    ("MNIST", 5_350., 47_500.);
-    ("AlexNet", 12_900., 107_500.);
-    ("MobileNet", 22_600., 191_000.);
-    ("SqueezeNet", 21_500., 184_200.);
-    ("ResNet12", 23_300., 191_100.);
-    ("VGG16", 20_600., 169_500.);
+    ("MNIST", 4_700., 36_550.);
+    ("AlexNet", 11_350., 81_050.);
+    ("MobileNet", 19_700., 143_150.);
+    ("SqueezeNet", 18_650., 138_100.);
+    ("ResNet12", 20_450., 143_150.);
+    ("VGG16", 18_100., 127_250.);
+    ("MNIST/fastpath", 4_700., 43_050.);
+    ("MobileNet/fastpath", 19_700., 168_550.);
   ]
 
 let replay_words_ceiling workload =
@@ -662,11 +665,24 @@ let replay_words_ceiling workload =
     (fun (w, warm, cold) -> if String.equal w workload then Some (warm, cold) else None)
     replay_words_ceilings
 
-let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
+(* Every Zoo NN in the default (untagged) page-record format, plus MNIST
+   and MobileNet in the fleet's tagged format ([Service.fastpath_cfg]),
+   the blobs every fleet client replays: only tagged programs carry
+   [Load_dynamic] ops. *)
+let replay_rows =
+  List.map (fun net -> (net, `Default)) Zoo.all @ [ (Zoo.mnist, `Fastpath); (Zoo.mobilenet, `Fastpath) ]
+
+let replay_bench ?(rows = replay_rows) ?(iters = 3) ctx =
   List.map
-    (fun net ->
-      let mds = record_outcome ctx ~profile:Profile.wifi ~mode:Mode.Ours_mds net in
-      let blob = mds.Orchestrate.blob in
+    (fun (net, format) ->
+      let blob =
+        match format with
+        | `Default -> (record_outcome ctx ~profile:Profile.wifi ~mode:Mode.Ours_mds net).Orchestrate.blob
+        | `Fastpath ->
+          (Orchestrate.record ~config:Service.fastpath_cfg ~profile:Profile.wifi ~mode:Mode.Ours_mds
+             ~sku:ctx.sku ~net ~seed:ctx.seed ())
+            .Orchestrate.blob
+      in
       let plan = Network.expand net in
       let input = Grt_mlfw.Runner.input_values plan ~seed:ctx.seed in
       let params = Grt_mlfw.Runner.weight_values plan ~seed:ctx.seed in
@@ -727,7 +743,8 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
       in
       let st = Replay_prog.stats prog in
       {
-        workload = net.Network.name;
+        workload =
+          (match format with `Default -> net.Network.name | `Fastpath -> net.Network.name ^ "/fastpath");
         entries = st.Replay_prog.entries;
         interpreted_rps;
         compiled_cold_rps;
@@ -740,7 +757,7 @@ let replay_bench ?(nets = Zoo.all) ?(iters = 3) ctx =
         warm_minor_words;
         cold_minor_words;
       })
-    nets
+    rows
 
 (* ---- Fleet: the recording service under a Zipf client population ---- *)
 

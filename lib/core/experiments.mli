@@ -247,9 +247,17 @@ type replay_bench_row = {
           fresh client *)
 }
 
-val replay_bench : ?nets:Grt_mlfw.Network.t list -> ?iters:int -> ctx -> replay_bench_row list
+val replay_bench :
+  ?rows:(Grt_mlfw.Network.t * [ `Default | `Fastpath ]) list -> ?iters:int -> ctx -> replay_bench_row list
 (** Host-side replay throughput, interpreted vs compiled (cold and warm),
-    plus the compiled-path correctness check (ROADMAP item 2). *)
+    plus the compiled-path correctness check (ROADMAP item 2), one row per
+    [rows] entry. A [`Default] row replays the NN recorded in the default
+    (untagged) page-record format; a [`Fastpath] row replays it recorded
+    with {!Service.fastpath_cfg} (tagged), the format fleet clients replay
+    and the only one whose programs carry [Load_dynamic] ops, and its
+    workload is the NN's name with a ["/fastpath"] suffix. [rows] defaults
+    to every Zoo NN as [`Default] plus MNIST and MobileNet as
+    [`Fastpath]. *)
 
 val replay_words_ceiling : string -> (float * float) option
 (** Checked-in ceilings on minor words per warm replay and per cold start

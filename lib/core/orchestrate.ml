@@ -355,18 +355,14 @@ end
 
 (* Serve an already-recorded blob to a fresh client: the attested channel
    still has to be established and the download + verification still happen
-   — only the dry run is skipped (the service's cache-hit path). *)
-let serve_cached (ctx : Ctx.t) ~blob =
-  establish ctx;
-  Link.one_way_to_client ctx.link ~bytes:(Bytes.length blob);
-  client_accepts (Recording.verify ~key:cloud_signing_key blob)
-
-(* The same session over a resident blob: the download is charged the
-   same bytes, and the verdict is the resident's. *)
+   — only the dry run is skipped (the service's cache-hit path). The
+   verdict is the resident's, so a re-serve hashes nothing. *)
 let serve_resident (ctx : Ctx.t) resident =
   establish ctx;
   Link.one_way_to_client ctx.link ~bytes:(Recording.resident_length resident);
   client_accepts (Recording.verify_resident ~key:cloud_signing_key resident)
+
+let serve_cached ctx ~blob = serve_resident ctx (Recording.resident_lent blob)
 
 let record ?history ?inject_fault_after ?inject_outage_after ?config ?(granularity = `Monolithic)
     ?window ?trace_capacity ?observe ~profile ~mode ~sku ~net ~seed () =

@@ -65,16 +65,18 @@ module Pipeline : sig
       ["finished"] — for progress surfaces. *)
 end
 
-val serve_cached : Session_ctx.t -> blob:bytes -> unit
-(** The cache-hit path: establish the attested channel, download the
-    already-signed [blob] over the session's link, and verify it — no dry
-    run. Raises [Failure] if verification fails. *)
-
 val serve_resident : Session_ctx.t -> Recording.resident -> unit
-(** [serve_cached] over a {!Recording.resident}: the same establishment
-    and download bytes, and the resident's verdict
-    ({!Recording.verify_resident}), so a re-serve hashes and compares
-    nothing. The recording service serves through it. *)
+(** The cache-hit path: establish the attested channel, download the
+    resident's already-signed blob over the session's link, and take the
+    resident's verdict ({!Recording.verify_resident}) — no dry run. The
+    first serve under the cloud key runs the full check; a re-serve
+    hashes and compares nothing. The recording service serves through
+    it. Raises [Failure] if verification fails. *)
+
+val serve_cached : Session_ctx.t -> blob:bytes -> unit
+(** [serve_resident] over a one-use {!Recording.resident_lent} [blob]: the
+    same download bytes and a full {!Recording.verify} of [blob] on every
+    call. *)
 
 val record :
   ?history:Drivershim.history ->

@@ -12,14 +12,14 @@ type t = {
   downlink : Memsync.t;
   clock : Grt_sim.Clock.t;
   metrics : Metrics.t;
-  trace : Grt_sim.Trace.t option;
+  trace : Grt_sim.Trace.t;
   append : Recording.entry -> unit; (* onto the shim's interaction log *)
   sniff : int -> int64 -> unit; (* root/head sniffing on replayed writes *)
   mutable prefix : Recording.entry list; (* oldest first; empty once live *)
   mutable replayed : int;
 }
 
-let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ~metrics ?trace ~append ~sniff prefix =
+let create ~cfg ~gpushim ~cloud_mem ~downlink ~clock ~metrics ~trace ~append ~sniff prefix =
   { cfg; gpushim; cloud_mem; downlink; clock; metrics; trace; append; sniff; prefix; replayed = 0 }
 
 let count t key v = Metrics.add t.metrics key v
@@ -32,7 +32,7 @@ let active t = match t.prefix with [] -> false | _ :: _ -> true
 let note_pop t =
   t.replayed <- t.replayed + 1;
   if t.prefix = [] then
-    Grt_sim.Trace.event_opt t.trace (Grt_sim.Trace.Replay_live { replayed = t.replayed })
+    Grt_sim.Trace.event t.trace (Grt_sim.Trace.Replay_live { replayed = t.replayed })
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Recovery_diverged m)) fmt
 

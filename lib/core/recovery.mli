@@ -28,7 +28,7 @@ val create :
   downlink:Memsync.t ->
   clock:Grt_sim.Clock.t ->
   metrics:Grt_sim.Metrics.t ->
-  ?trace:Grt_sim.Trace.t ->
+  trace:Grt_sim.Trace.t ->
   append:(Recording.entry -> unit) ->
   sniff:(int -> int64 -> unit) ->
   Recording.entry list ->

@@ -88,7 +88,7 @@ type t = {
   gpushim : Gpushim.t;
   cloud_mem : Grt_gpu.Mem.t;
   metrics : Metrics.t;
-  trace : Grt_sim.Trace.t option;
+  trace : Grt_sim.Trace.t;
   tracer : Tracer.t option;
   hists : Hist.set option;
   history : Spec_history.t;
@@ -128,14 +128,14 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
   if reg = Regs.js_head_lo 0 || reg = Regs.js_head_next_lo 0 then head.lo <- v;
   if reg = Regs.js_head_hi 0 || reg = Regs.js_head_next_hi 0 then head.hi <- v
 
-let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?trace ?tracer ?hists ?history ?sync_store
-    ?(wire_overhead = 0) ?(replay_prefix = []) () =
+let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?(trace = Trace.create (Link.clock link))
+    ?tracer ?hists ?history ?sync_store ?(wire_overhead = 0) ?(replay_prefix = []) () =
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
   let log = { items = []; len = 0 } in
   let sniff = sniff_root_and_head ~gpushim ~downlink ~head in
   let recovery =
-    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ~metrics ?trace
+    Recovery.create ~cfg ~gpushim ~cloud_mem ~downlink ~clock:(Link.clock link) ~metrics ~trace
       ~append:(log_push log) ~sniff replay_prefix
   in
   {
@@ -253,7 +253,7 @@ let validate_body t o =
     if not (Int64.equal predicted actual) then begin
       let reg = o.o_regs.(i) and site = o.o_site.Wire.key in
       count t Metrics.Spec_mispredicts 1;
-      Trace.event_opt t.trace (Trace.Rollback { site; reg = Regs.name reg; predicted; actual });
+      Trace.event t.trace (Trace.Rollback { site; reg = Regs.name reg; predicted; actual });
       (* Everything logged before this commit is validated truth; the
          recovery replays it locally on both sides. *)
       let valid_log = log_prefix t.log o.o_log_mark in
@@ -334,4 +334,4 @@ let dispatch_speculative t ~site ~category ~send ~recv ~regs ~predicted ~actual 
   note_inflight_depth t;
   count t Metrics.Commits_speculated 1;
   count t (category_key category) 1;
-  Trace.speculate_opt t.trace ~site:site.Wire.key ~checks:(Array.length regs)
+  Trace.speculate t.trace ~site:site.Wire.key ~checks:(Array.length regs)

@@ -102,8 +102,3 @@ let run ?between_layers t =
       last_layer := j.Network.layer;
       submit_job t j)
     t.plan.Network.jobs
-
-let run_one t i =
-  match List.nth_opt t.plan.Network.jobs i with
-  | Some j -> submit_job t j
-  | None -> invalid_arg "Runner.run_one: job index out of range"

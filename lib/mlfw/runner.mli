@@ -37,6 +37,3 @@ val run : ?between_layers:(prev:int -> next:int -> unit) -> t -> unit
 (** Build and submit every job chain in order. [between_layers] fires at
     every layer boundary — the hook the recorder uses to cut per-layer
     recording segments (Figure 2). *)
-
-val run_one : t -> int -> unit
-(** Build and submit only job [i] (for tests). *)

@@ -27,7 +27,7 @@ type t = {
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t option;
   metrics : Metrics.t;
-  trace : Trace.t option;
+  trace : Trace.t;
   tracer : Tracer.t option;
   hists : Hist.set option;
   rng : Grt_util.Rng.t;
@@ -46,7 +46,7 @@ type t = {
   mutable outage_countdown : int option;
 }
 
-let create ~clock ?energy ?(metrics = Metrics.create ()) ?trace ?tracer ?hists
+let create ~clock ?energy ?(metrics = Metrics.create ()) ?(trace = Trace.create clock) ?tracer ?hists
     ?(seed = 0x4C494E4BL) ?(window = 1) profile =
   if window < 1 then invalid_arg "Link.create: window must be >= 1";
   {
@@ -88,7 +88,7 @@ let set_profile t p =
      clamp), so one clock advance retires the whole span. The degraded-health
      ring deliberately carries over: channel history survives a handover. *)
   if t.pipe_count > 0 then begin
-    Trace.event_opt t.trace (Trace.Profile_swap { draining = t.pipe_count });
+    Trace.event t.trace (Trace.Profile_swap { draining = t.pipe_count });
     let newest = t.pipe_done.((t.pipe_head + t.pipe_count - 1) mod t.window) in
     Grt_sim.Clock.advance_to_int t.clock newest;
     t.pipe_head <- 0;
@@ -134,11 +134,11 @@ let note_transfer t ~retransmitted =
   | Healthy when t.ring_fill >= health_ring_size / 2 && rate >= degraded_trip ->
     t.health <- Degraded;
     count t Metrics.Net_degraded_entries 1;
-    Trace.event_opt t.trace (Trace.Degraded { rate })
+    Trace.event t.trace (Trace.Degraded { rate })
   | Degraded when rate <= degraded_clear ->
     t.health <- Healthy;
     count t Metrics.Net_degraded_exits 1;
-    Trace.event_opt t.trace (Trace.Healthy { rate })
+    Trace.event t.trace (Trace.Healthy { rate })
   | _ -> ()
 
 let rto t attempt =
@@ -182,7 +182,7 @@ let rec stall_for_slot t =
   reap t;
   if t.pipe_count >= t.window then begin
     count t Metrics.Net_window_stalls 1;
-    Trace.event_opt t.trace (Trace.Window_stall { inflight = t.pipe_count });
+    Trace.event t.trace (Trace.Window_stall { inflight = t.pipe_count });
     Grt_sim.Clock.advance_to_int t.clock t.pipe_done.(t.pipe_head);
     pipe_pop t;
     stall_for_slot t
@@ -238,7 +238,7 @@ let charge_attempt t charge ~send_bytes ~recv_bytes =
 
 let fail_down t ~op ~extra ~retransmitted =
   count t Metrics.Net_link_downs 1;
-  Trace.event_opt t.trace
+  Trace.event t.trace
     (Trace.Link_down { op; attempts = Costs.link_max_attempts; extra_s = extra });
   Grt_sim.Clock.advance_s t.clock extra;
   note_transfer t ~retransmitted;
@@ -264,7 +264,7 @@ let run_arq t ~op ~legs ~charge ~send_bytes ~recv_bytes =
       extra := !extra +. detect t a;
       if a > 1 then begin
         count t Metrics.Net_retransmits 1;
-        Trace.event_opt t.trace (Trace.Retransmit { op; attempt = a; outage = true });
+        Trace.event t.trace (Trace.Retransmit { op; attempt = a; outage = true });
         charge_attempt t charge ~send_bytes ~recv_bytes
       end
     done;
@@ -286,7 +286,7 @@ let run_arq t ~op ~legs ~charge ~send_bytes ~recv_bytes =
           fail_down t ~op ~extra:!extra ~retransmitted:true;
         if a > 1 then begin
           count t Metrics.Net_retransmits 1;
-          Trace.event_opt t.trace (Trace.Retransmit { op; attempt = a; outage = false });
+          Trace.event t.trace (Trace.Retransmit { op; attempt = a; outage = false });
           charge_attempt t charge ~send_bytes ~recv_bytes
         end;
         let ok = ref true in

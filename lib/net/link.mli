@@ -50,9 +50,10 @@ val create :
     stop-and-wait) is the sliding-window size: how many exchanges may be in
     flight before a send stalls; raises [Invalid_argument] if < 1. [trace]
     receives retransmit / link-down / degraded-transition / window events
-    under topic ["link"]. [tracer] gets a [Link_exchange] span per exchange;
-    [hists] gets the charged latency ([Rtt_ns]) and go-back-N span sizes
-    ([Gbn_span]). All three observers default to off and cost nothing.
+    under topic ["link"]; it defaults to a fresh ring on [clock]. [tracer]
+    gets a [Link_exchange] span per exchange; [hists] gets the charged
+    latency ([Rtt_ns]) and go-back-N span sizes ([Gbn_span]). Both default
+    to off and cost nothing.
     [metrics] is the counter store every exchange bumps ([net.*]); pass the
     session's store, or read the counts back from the one you passed — the
     link has no counter readers of its own. It defaults to a fresh store. *)

@@ -125,19 +125,11 @@ let flat t kind site arg =
 let commit t ~site ~accesses = flat t k_commit site accesses
 let speculate t ~site ~checks = flat t k_speculate site checks
 
-let commit_opt t ~site ~accesses =
-  match t with Some t -> commit t ~site ~accesses | None -> ()
-
-let speculate_opt t ~site ~checks =
-  match t with Some t -> speculate t ~site ~checks | None -> ()
-
 let event t payload =
   match payload with
   | Commit { site; accesses } -> commit t ~site ~accesses
   | Speculate { site; checks } -> speculate t ~site ~checks
   | _ -> Array.unsafe_set t.boxed (slot t k_boxed) payload
-
-let event_opt t payload = match t with Some t -> event t payload | None -> ()
 
 let count t = t.total
 let retained t = min t.total t.cap

@@ -56,9 +56,6 @@ val create : ?capacity:int -> Clock.t -> t
     full it wraps, evicting the oldest event. *)
 
 val event : t -> payload -> unit
-val event_opt : t option -> payload -> unit
-(** The shared optional-trace helper (formerly duplicated in [Link] and
-    [Shim_engine]); no-op on [None]. *)
 
 val commit : t -> site:string -> accesses:int -> unit
 (** [event t (Commit { site; accesses })] without building the payload:
@@ -68,9 +65,6 @@ val commit : t -> site:string -> accesses:int -> unit
 val speculate : t -> site:string -> checks:int -> unit
 (** [event t (Speculate { site; checks })], allocation-free like
     {!commit}. *)
-
-val commit_opt : t option -> site:string -> accesses:int -> unit
-val speculate_opt : t option -> site:string -> checks:int -> unit
 
 val recent : ?topic:string -> t -> int -> event list
 (** Most recent events first; optionally filtered by topic. *)

@@ -414,7 +414,7 @@ let verify_and_parse ~key blob =
 
 (* Header, then each chunk's hash over its byte range in place: no copies,
    no entry decoding. *)
-let verify_raw ~key blob =
+let verify ~key blob =
   try
     let h = parse_header ~key blob in
     let pos = ref h.h_body and first = ref 0 in
@@ -428,55 +428,7 @@ let verify_raw ~key blob =
     Ok ()
   with Failure msg -> Error msg
 
-(* The verdict on a byte-identical blob under the same key is
-   deterministic, and every client the recording service serves re-verifies
-   the same few blobs, so a small content-keyed memo short-circuits the
-   repeats. A hit is trusted only after comparing the stored blob in full,
-   so a key collision cannot leak a wrong verdict. Only the verdict is kept:
-   callers that need entries parse. A blob is copied in only on its second
-   verification: the first one remembers just its memo key in [seen], so a
-   solo recording, verified once, costs no copy and no residency. *)
-let memo_cap = 32
-let seen_cap = 1024
-
-let verify_memo : (int, bytes * string * (unit, string) result) Hashtbl.t = Hashtbl.create 16
-let seen : (int, unit) Hashtbl.t = Hashtbl.create 64
-
 let verify_stats = Grt_util.Memo_stats.register "recording.verify"
-
-let verify ~key blob =
-  let memo_key = Grt_util.Hashing.quick_sparse ~seed:(Hashtbl.hash key) blob in
-  match Hashtbl.find_opt verify_memo memo_key with
-  | Some (b, k, res) when String.equal k key && Bytes.equal b blob ->
-    Grt_util.Memo_stats.hit verify_stats;
-    res
-  | prior ->
-    Grt_util.Memo_stats.miss verify_stats;
-    (match prior with
-    | Some _ -> Grt_util.Memo_stats.mismatch verify_stats
-    | None -> ());
-    let res = verify_raw ~key blob in
-    if not (Hashtbl.mem seen memo_key) then begin
-      if Hashtbl.length seen >= seen_cap then Hashtbl.reset seen;
-      Hashtbl.replace seen memo_key ()
-    end
-    else begin
-      Hashtbl.remove seen memo_key;
-      let footprint = Bytes.length blob + String.length key in
-      if Hashtbl.length verify_memo >= memo_cap then begin
-        Grt_util.Memo_stats.evicted verify_stats ~entries:(Hashtbl.length verify_memo);
-        Hashtbl.reset verify_memo
-      end;
-      (match (Hashtbl.mem verify_memo memo_key, prior) with
-      | false, _ -> Grt_util.Memo_stats.added verify_stats ~bytes:footprint
-      | true, Some (b, k, _) ->
-        Grt_util.Memo_stats.replaced verify_stats
-          ~old_bytes:(Bytes.length b + String.length k)
-          ~bytes:footprint
-      | true, None -> ());
-      Hashtbl.replace verify_memo memo_key (Bytes.copy blob, key, res)
-    end;
-    res
 
 (* A blob the recording service keeps for re-serving, plus the verdict
    its first full check gave under a key. A re-serve under that key reads
@@ -506,8 +458,8 @@ let verify_resident ~key r =
     res
   | _ ->
     Grt_util.Memo_stats.miss verify_stats;
-    (* [verify_raw] only reads the blob. *)
-    let res = verify_raw ~key (Bytes.unsafe_of_string r.rblob) in
+    (* [verify] only reads the blob. *)
+    let res = verify ~key (Bytes.unsafe_of_string r.rblob) in
     r.verdict <- Some (key, res);
     res
 

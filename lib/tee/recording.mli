@@ -69,9 +69,8 @@ val verify : key:Crypto.key -> bytes -> (unit, string) result
     root, body layout, then every chunk hash over its byte range in the
     blob. Decodes no entries and copies no chunk. [Ok ()] exactly when
     [verify_and_parse] would succeed on a blob [sign] produced, or on any
-    tampering of one. Verdicts are memoized (keyed on key and blob
-    content, hits confirmed by a full comparison); a blob is copied into
-    the memo on its second verification, not its first. *)
+    tampering of one. Nothing is memoized: every call checks the bytes it
+    is given. A verdict kept across calls belongs to a {!resident}. *)
 
 val verify_and_parse : key:Crypto.key -> bytes -> (t, string) result
 (** [parse_signed] followed by an eager [verify_chunk] on every chunk: the

@@ -158,28 +158,6 @@ let stats_of groups ~entries =
     groups;
   { entries; ops = !ops; fused_writes = !fused; static_pages = !static_pages; dynamic_loads = !dyn; polls = !polls }
 
-(* Rebuild every op with freshly allocated boxes and arrays, in execution
-   order. Lowering interleaves op allocation with the recording's 4 KiB page
-   payloads, so the boxed registers/values the executor dereferences per
-   entry end up scattered across the heap; copying them last packs the hot
-   data contiguously and measurably cuts cache misses in the warm loop. The
-   page payload bytes themselves are shared, not copied — they are cold
-   until a (re)install. *)
-let compact_groups groups =
-  let box v = Int64.logor v 0L in
-  let compact_op = function
-    | Write_run { regs; values } ->
-      Write_run { regs = Array.copy regs; values = Array.map box values }
-    | Read { reg; value; verify; index } -> Read { reg; value = box value; verify; index }
-    | Poll { reg; mask; cond; max_iters; spin_ns; index; hint } ->
-      Poll { reg; mask = box mask; cond; max_iters; spin_ns = box spin_ns; index; hint }
-    | Wait_irq _ as op -> op
-    | Load_static { pages; learn; stamps } ->
-      Load_static { pages = Array.map (fun (pfn, data) -> (box pfn, data)) pages; learn; stamps }
-    | Load_dynamic _ as op -> op
-  in
-  Array.map (fun (g : group) -> { g with ops = Array.map compact_op g.ops }) groups
-
 let compile ?tracer (v : Recording.verified) =
   Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_compile ~name:"compile"
     ~args:
@@ -201,7 +179,6 @@ let compile ?tracer (v : Recording.verified) =
         })
       v.Recording.vchunks
   in
-  let groups = compact_groups groups in
   let stats = stats_of groups ~entries:(Array.length entries) in
   { source = rec_t; root = v.Recording.vroot; groups; stats; uncached_dynamic = stats.dynamic_loads }
 

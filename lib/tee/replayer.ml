@@ -200,11 +200,11 @@ let replay_segments ~gpushim ~signing_key ~blobs ~input ~params ?energy () =
    first-success iteration is re-learned for the next execution. *)
 let exec_poll gpushim ~clock ~dev ~reg ~mask ~cond ~max_iters ~spin_ns ~index ~hint =
   if hint > 0 && hint < max_iters then begin
-    Grt_sim.Clock.advance_ns clock
-      (Int64.mul (Int64.of_int hint) (Int64.add spin_ns Grt_sim.Costs.mmio_access_ns));
+    let spin = Int64.to_int spin_ns in
+    Grt_sim.Clock.advance_int clock (hint * (spin + Int64.to_int Grt_sim.Costs.mmio_access_ns));
     if Grt_gpu.Regs.poll_met cond ~mask (Device.read_reg dev reg) then hint
     else begin
-      Grt_sim.Clock.advance_ns clock spin_ns;
+      Grt_sim.Clock.advance_int clock spin;
       poll_live gpushim ~reg ~mask ~cond ~max_iters ~spin_ns ~index (hint + 1)
     end
   end

@@ -81,25 +81,6 @@ let quick_sub ?(seed = 0x1B873593) b ~pos ~len =
     invalid_arg "Hashing.quick_sub: slice out of bounds";
   quick_range seed b ~pos ~len
 
-(* Sparse memo key for megabyte-scale buffers (signed recording blobs):
-   samples one 8-byte word per 64-byte cache line plus the tail word, so the
-   key costs an eighth of [quick]. Only safe where the memo verifies hits
-   with a full [Bytes.equal] — a collision between buffers differing solely
-   in unsampled bytes degrades to a recompute, never a wrong answer. *)
-let quick_sparse ?(seed = 0x1B873593) b =
-  let n = Bytes.length b in
-  if n < 128 then quick ~seed b
-  else begin
-    let h = ref (seed + n) in
-    let i = ref 0 in
-    while !i + 8 <= n do
-      h := (!h lxor Int64.to_int (Bytes.get_int64_le b !i)) * 0x100000001B3;
-      i := !i + 64
-    done;
-    h := (!h lxor Int64.to_int (Bytes.get_int64_le b (n - 8))) * 0x100000001B3;
-    !h
-  end
-
 let crc_table =
   lazy
     (let t = Array.make 256 0l in

@@ -33,12 +33,6 @@ val quick_sub : ?seed:int -> bytes -> pos:int -> len:int -> int
 (** [quick] over the slice [pos, pos + len) in place, with no copy. Raises
     [Invalid_argument] if the slice is out of bounds. *)
 
-val quick_sparse : ?seed:int -> bytes -> int
-(** Like [quick] but samples one word per 64-byte line (falling back to
-    [quick] under 128 bytes). Intended for memo keys over large blobs where
-    the caller verifies hits with a full comparison; collisions merely cost
-    a recompute. *)
-
 val crc32 : bytes -> int32
 (** CRC-32 (IEEE polynomial), used for framing checksums on the simulated
     network channel. *)

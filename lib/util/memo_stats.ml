@@ -36,11 +36,6 @@ let hit t = t.hits <- t.hits + 1
 let miss t = t.misses <- t.misses + 1
 let mismatch t = t.mismatches <- t.mismatches + 1
 
-let evicted t ~entries =
-  t.evictions <- t.evictions + entries;
-  t.resident <- 0;
-  t.resident_bytes <- 0
-
 let dropped t ~entries ~bytes =
   t.evictions <- t.evictions + entries;
   t.resident <- t.resident - entries;
@@ -49,8 +44,6 @@ let dropped t ~entries ~bytes =
 let added t ~bytes =
   t.resident <- t.resident + 1;
   t.resident_bytes <- t.resident_bytes + bytes
-
-let replaced t ~old_bytes ~bytes = t.resident_bytes <- t.resident_bytes - old_bytes + bytes
 
 type snap = {
   s_hits : int;

@@ -1,11 +1,14 @@
 (** Process-wide profiling registry for the content-keyed memo tables.
 
-    The hot-path memos (range-coder encode/decode, recording verify) are
-    pure caches: they can only change performance, never
-    bytes. That also makes them invisible — a memo that thrashes or whose
-    quick-key collides shows up as wall-clock, not as a counter. Each memo
+    The hot-path memos (range-coder encode/decode) are pure caches: they
+    can only change performance, never bytes. That also makes them
+    invisible — a memo that thrashes or whose quick-key collides shows up
+    as wall-clock, not as a counter. Each memo
     registers one [t] here and bumps it from its own hit/miss branches, so
-    [bench speed --json] can attribute cache behaviour per memo.
+    [bench speed --json] can attribute cache behaviour per memo. The
+    [recording.verify] cell counts the verdicts resident blobs keep
+    ([Recording.verify_resident]): a miss per first check under a key, a
+    hit per re-serve; it holds no table, so its gauges stay 0.
 
     Counters are plain [int] cells on the host side of the simulation: they
     are deliberately outside the virtual clock, the typed {!Metrics} plane
@@ -16,8 +19,8 @@
     - [mismatches]  quick-key matched but the full compare failed (the
                     collision the full verification exists to catch); every
                     mismatch is also counted as a miss
-    - [evictions]   entries dropped by capacity resets or with an old
-                    generation, summed
+    - [evictions]   entries dropped with an old generation or overwritten
+                    by a colliding key, summed
     - [resident] / [resident_bytes]  live-entry gauges over every table of
       the memo (approximate key + payload footprint as reported by the call
       site)
@@ -39,10 +42,6 @@ val hit : t -> unit
 val miss : t -> unit
 val mismatch : t -> unit
 
-val evicted : t -> entries:int -> unit
-(** A capacity reset dropped [entries] live entries: adds to the eviction
-    counter and zeroes both resident gauges. *)
-
 val dropped : t -> entries:int -> bytes:int -> unit
 (** [entries] live entries occupying [bytes] left the memo while the rest
     stayed (an old generation, or an entry overwritten by a colliding key):
@@ -50,10 +49,6 @@ val dropped : t -> entries:int -> bytes:int -> unit
 
 val added : t -> bytes:int -> unit
 (** A new entry became resident, occupying roughly [bytes]. *)
-
-val replaced : t -> old_bytes:int -> bytes:int -> unit
-(** An existing entry was overwritten in place (quick-key collision):
-    resident count is unchanged, the byte gauge moves by the difference. *)
 
 type snap = {
   s_hits : int;

@@ -301,52 +301,51 @@ let recording_qcheck_signature =
          && verdicts_agree blob && rejected flipped && rejected truncated
          && if Bytes.equal spliced blob then verdicts_agree spliced else rejected spliced))
 
-(* The verify memo copies a blob in on its second verification only: a
-   blob verified once costs no residency, the second verification admits
-   it, and the third hits. A blob mutated after admission is verified
-   again, never served the verdict of the bytes it used to hold. *)
-let recording_verify_memo_admits_on_second_sight () =
-  let module M = Grt_util.Memo_stats in
-  let stats () =
-    match List.find_opt (fun c -> M.name c = "recording.verify") (M.all ()) with
-    | Some c -> M.snapshot c
-    | None -> Alcotest.fail "recording.verify never registered"
-  in
+(* [Recording.verify] checks the bytes it is given, in place, on every
+   call: repeated checks of a ~1 MB blob allocate a small budget that does
+   not grow with the blob (no copy), a blob mutated in place is rejected
+   every time, and [Orchestrate.serve_cached] takes the same verdict. *)
+let recording_verify_checks_in_place () =
+  let key = Grt.Orchestrate.cloud_signing_key in
   let blob =
-    Recording.sign ~key:"k"
+    Recording.sign ~chunk_entries:16_384 ~key
       {
-        Recording.workload = "second-sight";
+        Recording.workload = "in-place";
         gpu_id = 0x5eedL;
-        entries = Array.init 200 (fun i -> Recording.Reg_write { reg = 4 * i; value = Int64.of_int i });
+        entries =
+          Array.init 90_000 (fun i ->
+              Recording.Reg_write { reg = 4 * (i land 0xfff); value = Int64.of_int (i * 0x9E3779B1) });
         slots = [];
       }
   in
-  let verify () = Recording.verify ~key:"k" blob in
-  let s0 = stats () in
-  check Alcotest.bool "first verification" true (Result.is_ok (verify ()));
-  let s1 = stats () in
-  check Alcotest.int "a first sight is a miss" (s0.M.s_misses + 1) s1.M.s_misses;
-  check Alcotest.int "and keeps nothing resident" s0.M.s_resident s1.M.s_resident;
-  check Alcotest.int "nor any bytes" s0.M.s_resident_bytes s1.M.s_resident_bytes;
-  check Alcotest.bool "second verification" true (Result.is_ok (verify ()));
-  let s2 = stats () in
-  check Alcotest.int "the second sight misses" (s1.M.s_misses + 1) s2.M.s_misses;
-  if s2.M.s_resident_bytes < Bytes.length blob then
-    Alcotest.fail "the second verification did not admit the blob";
-  check Alcotest.bool "third verification" true (Result.is_ok (verify ()));
-  check Alcotest.int "the third hits" (s2.M.s_hits + 1) (stats ()).M.s_hits;
-  (* Flip a byte of the admitted blob in place, inside the last chunk.
-     Whether or not the sparse memo key samples it, the first look misses
-     (a stale entry under the same key fails the full compare), and no
-     later look returns the old verdict. *)
+  if Bytes.length blob < 900_000 then Alcotest.failf "blob is only %d bytes" (Bytes.length blob);
+  let verdict = Alcotest.(result unit string) in
+  check verdict "first verification" (Ok ()) (Recording.verify ~key blob);
+  let budget = 1_024. in
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to 4 do
+    ignore (Recording.verify ~key blob)
+  done;
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) /. 4. in
+  if words > budget then Alcotest.failf "verify allocated %.0f words per call" words;
+  let serve blob =
+    let ctx =
+      Grt.Session_ctx.create ~cfg:(Mode.default_config Mode.Ours_mds) ~profile:Profile.wifi
+        ~sku:Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mnist ~seed:5L ~granularity:`Monolithic ()
+    in
+    match Grt.Orchestrate.serve_cached ctx ~blob with
+    | () -> Ok ()
+    | exception Failure e -> Error e
+  in
+  let as_served = function Ok () -> Ok () | Error e -> Error ("client rejected recording: " ^ e) in
+  check verdict "served like verified" (as_served (Recording.verify ~key blob)) (serve blob);
   let at = Bytes.length blob - 3 in
   Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x20));
-  let hits = (stats ()).M.s_hits in
-  check Alcotest.bool "the mutated blob is rejected" true (Result.is_error (verify ()));
-  check Alcotest.int "not by a hit" hits (stats ()).M.s_hits;
   for _ = 1 to 3 do
-    check Alcotest.bool "and stays rejected" true (Result.is_error (verify ()))
-  done
+    check Alcotest.bool "the mutated blob is rejected" true (Result.is_error (Recording.verify ~key blob))
+  done;
+  check verdict "the mutated blob is served like verified" (as_served (Recording.verify ~key blob))
+    (serve blob)
 
 (* A resident's verdict is the full check's ([Recording.verify] on a miss):
    [Ok] for a signed blob, the chunk's error for the blob with one chunk
@@ -930,8 +929,7 @@ let () =
           Alcotest.test_case "counts and slots" `Quick recording_counts_and_slots;
           Alcotest.test_case "garbage rejected" `Quick recording_garbage_rejected;
           Alcotest.test_case "one-byte fields decode strictly" `Quick recording_decoder_strict;
-          Alcotest.test_case "verify memo admits on second sight" `Quick
-            recording_verify_memo_admits_on_second_sight;
+          Alcotest.test_case "verify checks in place" `Quick recording_verify_checks_in_place;
           Alcotest.test_case "resident verdicts" `Quick recording_resident_verdicts;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;

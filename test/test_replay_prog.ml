@@ -783,7 +783,7 @@ let bench_row_json_schema () =
   (* The bench's machine-readable row must carry exactly the printed
      fields, with the types the plotting scripts expect. *)
   let ctx = E.create_ctx () in
-  let rows = E.replay_bench ~nets:[ Zoo.mnist ] ~iters:1 ctx in
+  let rows = E.replay_bench ~rows:[ (Zoo.mnist, `Default) ] ~iters:1 ctx in
   check Alcotest.int "one row per net" 1 (List.length rows);
   let row = List.hd rows in
   check Alcotest.bool "bit-identical" true row.E.bit_identical;

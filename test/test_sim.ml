@@ -439,14 +439,12 @@ let trace_flat_writes_allocate_nothing () =
   for i = 1 to 100 do
     Trace.commit t ~site ~accesses:i
   done;
-  let some_t = Some t in
   let w0 = Gc.minor_words () in
   for i = 1 to 10_000 do
     Clock.advance_int c 3;
     Trace.commit t ~site ~accesses:i;
     Trace.speculate t ~site ~checks:(i land 3);
-    Trace.commit_opt some_t ~site ~accesses:i;
-    Trace.speculate_opt None ~site ~checks:i
+    Trace.commit t ~site ~accesses:i
   done;
   check (Alcotest.float 0.) "minor words for 30k flat writes" 0. (Gc.minor_words () -. w0);
   check Alcotest.int "all counted" 30_100 (Trace.count t);
