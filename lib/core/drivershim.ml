@@ -33,7 +33,7 @@ let commit_batch t ~trigger b site =
   let n = Wire.length b and n_reads = Wire.n_reads b in
   count t Metrics.Commits_total 1;
   count t Metrics.Commits_accesses n;
-  Hist.record_opt t.hists Hist.Commit_accesses n;
+  Metrics.observe t.metrics Hist.Commit_accesses n;
   if t.epoch_tainted && not (Queue.is_empty t.outstanding) then begin
     count t Metrics.Spec_epoch_stalls 1;
     drain t
@@ -161,7 +161,7 @@ let log_poll t ~reg ~mask ~cond ~max_iters ~spin_ns =
 let count_poll_commit t =
   count t Metrics.Commits_total 1;
   count t Metrics.Commits_accesses 2;
-  Hist.record_opt t.hists Hist.Commit_accesses 2
+  Metrics.observe t.metrics Hist.Commit_accesses 2
 
 (* One offloaded polling loop in one message each way, speculated when the
    site's history is confident (§4.3). *)

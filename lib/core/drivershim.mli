@@ -66,7 +66,6 @@ val create :
   metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   ?tracer:Grt_sim.Tracer.t ->
-  ?hists:Grt_sim.Hist.set ->
   ?history:history ->
   ?sync_store:Memsync.Store.s ->
   ?wire_overhead:int ->
@@ -81,11 +80,12 @@ val create :
     [metrics] is the session's counter store and the shim's only tally:
     register accesses, commits, speculation (by {!category}), polls and
     memory sync all count there, so a store shared by every attempt of a
-    session counts the whole session. [trace] receives commit / speculate /
+    session counts the whole session. An observed store also gets commit
+    batch sizes, speculation validation latencies and memsync wire sizes
+    ({!Grt_sim.Metrics.observe}). [trace] receives commit / speculate /
     rollback events under topic ["shim"]; it defaults to a fresh ring on
     the link's clock. [tracer] gets nested spans per commit / validation /
-    offloaded poll; [hists] gets commit batch sizes and speculation
-    validation latencies. Both default to off. *)
+    offloaded poll; it defaults to off. *)
 
 val backend : t -> Grt_driver.Backend.t
 (** The instrumented-driver interface. *)

@@ -3,7 +3,6 @@ module Sku = Grt_gpu.Sku
 module Network = Grt_mlfw.Network
 module Metrics = Grt_sim.Metrics
 module Tracer = Grt_sim.Tracer
-module Hist = Grt_sim.Hist
 module Ctx = Session_ctx
 
 let cloud_signing_key : Grt_tee.Crypto.key = "grt-cloud-recording-service-v1"
@@ -22,7 +21,6 @@ type record_outcome = {
       (* per-layer recording segments when recorded with [`Per_layer]
          granularity (Figure 2); empty otherwise *)
   tracer : Grt_sim.Tracer.t option;
-  hists : Grt_sim.Hist.set option;
 }
 
 (* Misprediction recovery (§4.2): both parties restart and replay the
@@ -95,7 +93,7 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
     let cloud_mem = Grt_gpu.Mem.create () in
     let shim =
       Drivershim.create ~cfg:ctx.cfg ~link:ctx.link ~gpushim ~cloud_mem ~metrics:ctx.metrics
-        ~trace:ctx.trace ?tracer:ctx.tracer ?hists:ctx.hists ~history:ctx.history
+        ~trace:ctx.trace ?tracer:ctx.tracer ~history:ctx.history
         ?sync_store:ctx.sync_store ~wire_overhead:Channel.wire_overhead
         ~replay_prefix:prefix ()
     in
@@ -157,7 +155,7 @@ let attempt_loop (ctx : Ctx.t) ~devicetree =
   and rollback n gpushim ~cause valid_log =
     Tracer.span_opt ctx.tracer ~cat:Tracer.Rollback_recovery ~args:[ ("cause", cause) ]
       ~name:"rollback" (fun () ->
-        Hist.record_opt ctx.hists Hist.Rollback_depth (List.length valid_log);
+        Metrics.observe ctx.metrics Grt_sim.Hist.Rollback_depth (List.length valid_log);
         Ctx.charge_rollback ctx
           (rollback_cost_s ~entries_so_far:(List.length valid_log) ~jit_kernels:10));
     Gpushim.release gpushim;
@@ -252,7 +250,6 @@ let finalize_and_sign (ctx : Ctx.t) ~vm ~gpushim ~shim ~runner =
     counters = ctx.metrics;
     segments;
     tracer = ctx.tracer;
-    hists = ctx.hists;
   }
 
 (* Failure post-mortem: the whole retained event ring, grouped by topic and
@@ -395,8 +392,8 @@ type replay_outcome = { r : Replayer.result; setup_s : float }
    (distinct from the cloud's recording-service key). *)
 let client_attestation_key : Grt_tee.Crypto.key = "grt-client-tee-attestation-v1"
 
-let compile_recording ?tracer ~blob () =
-  match Replay_prog.of_blob ?tracer ~key:cloud_signing_key blob with
+let compile_recording ~blob () =
+  match Replay_prog.of_blob ~key:cloud_signing_key blob with
   | Ok prog -> prog
   | Error e -> raise (Replayer.Rejected e)
 

@@ -24,14 +24,15 @@ type record_outcome = {
           RTTs, sync bytes, commits, speculation and its Fig. 8 categories,
           register accesses, polls, retransmits, link-down recoveries) read
           by its {!Grt_sim.Metrics.key}. Counts cover the whole session,
-          every attempt after a rollback or link-down included. *)
+          every attempt after a rollback or link-down included. Recorded
+          with [observe], the store also carries the session's
+          latency/size histograms ({!Grt_sim.Metrics.hists}). *)
   segments : bytes list;
       (** per-layer recording segments when recorded with [`Per_layer]
           granularity (Figure 2); empty otherwise *)
   tracer : Grt_sim.Tracer.t option;
       (** the session's span tracer, when recorded with [observe] — export
           with {!Grt_sim.Tracer.to_chrome_json} / summarize in a report *)
-  hists : Grt_sim.Hist.set option;  (** latency/size histograms, iff [observe] *)
 }
 
 val failure_dump : Session_ctx.t -> string
@@ -105,7 +106,8 @@ val record :
     link's sliding-window size; above 1 it also caps the speculative commits
     in flight. [trace_capacity] sizes the diagnostic event
     ring dumped on failure. [observe] (default false) turns on the span
-    tracer and histograms, surfaced in the outcome; observation never moves
+    tracer and histograms, surfaced in the outcome's [tracer] and
+    [counters]; observation never moves
     the virtual clock, so observed and default runs produce identical
     recordings, counters and energy. Window size and fault draws may move
     the clock, energy and counters — never the signed recording bytes. *)
@@ -139,7 +141,7 @@ val replay_recording :
 val client_attestation_key : Grt_tee.Crypto.key
 (** The client TEE's signing identity for replay-attestation tokens. *)
 
-val compile_recording : ?tracer:Grt_sim.Tracer.t -> blob:bytes -> unit -> Replay_prog.t
+val compile_recording : blob:bytes -> unit -> Replay_prog.t
 (** Header-verify and lower a signed blob once (see {!Replay_prog}); chunk
     hashes are checked streamingly at execution. Raises {!Replayer.Rejected}
     on a bad blob. *)

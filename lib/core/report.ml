@@ -52,7 +52,7 @@ let of_outcome ~workload ~mode ~profile ~seed (o : Orchestrate.record_outcome) =
     ]
   in
   let base =
-    match o.hists with
+    match Grt_sim.Metrics.hists o.counters with
     | Some hs -> base @ [ ("histograms", Grt_sim.Hist.set_json hs) ]
     | None -> base
   in

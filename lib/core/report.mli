@@ -24,8 +24,8 @@ val of_outcome :
   Orchestrate.record_outcome ->
   Grt_util.Json.t
 (** Build the report document. [histograms] and [phases] members are
-    present iff the outcome carries a {!Grt_sim.Hist.set} /
-    {!Grt_sim.Tracer.t} (i.e. the session ran with [observe]). *)
+    present iff the outcome's store carries a {!Grt_sim.Hist.set} and the
+    outcome a {!Grt_sim.Tracer.t} (i.e. the session ran with [observe]). *)
 
 val validate : Grt_util.Json.t -> (unit, string) result
 (** Structural schema check: schema/version match, the session and summary

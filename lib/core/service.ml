@@ -174,7 +174,7 @@ let key_hist tbl label =
   match Hashtbl.find_opt tbl label with
   | Some h -> h
   | None ->
-    let h = Hist.create ~name:label () in
+    let h = Hist.create () in
     Hashtbl.add tbl label h;
     h
 

@@ -33,7 +33,6 @@ type t = {
   metrics : Grt_sim.Metrics.t;
   trace : Grt_sim.Trace.t;
   tracer : Grt_sim.Tracer.t option;
-  hists : Grt_sim.Hist.set option;
   link : Link.t;
   history : Spec_history.t;
   sync_store : Memsync.Store.s option;
@@ -45,14 +44,13 @@ type t = {
 let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~granularity () =
   let clock = match clock with Some c -> c | None -> Grt_sim.Clock.create () in
   let energy = Grt_sim.Energy.create clock in
-  let metrics = Grt_sim.Metrics.create () in
+  let metrics = Grt_sim.Metrics.create ~observed:options.observe () in
   let trace = Grt_sim.Trace.create ?capacity:options.trace_capacity clock in
   let tracer = if options.observe then Some (Grt_sim.Tracer.create clock) else None in
-  let hists = if options.observe then Some (Grt_sim.Hist.create_set ()) else None in
   (* The link's fault draws derive from the session seed so a lossy run is
      exactly reproducible. *)
   let link =
-    Link.create ~clock ~energy ~metrics ~trace ?tracer ?hists
+    Link.create ~clock ~energy ~metrics ~trace ?tracer
       ~seed:(Grt_util.Hashing.combine seed 0x6C696E6BL)
       ~window:options.window profile
   in
@@ -68,7 +66,6 @@ let create ?(options = default_options) ?clock ~cfg ~profile ~sku ~net ~seed ~gr
     metrics;
     trace;
     tracer;
-    hists;
     link;
     history = (match options.history with Some h -> h | None -> Spec_history.create ());
     sync_store = options.sync_store;

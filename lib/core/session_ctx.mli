@@ -22,7 +22,7 @@ type options = {
           attempt, forcing one rollback *)
   window : int;  (** link sliding-window size; 1 = stop-and-wait *)
   trace_capacity : int option;  (** diagnostic event-ring size *)
-  observe : bool;  (** create the span tracer + histogram registry *)
+  observe : bool;  (** create the span tracer and an observed metrics store *)
 }
 
 val default_options : options
@@ -41,10 +41,11 @@ type t = {
   granularity : [ `Monolithic | `Per_layer ];
   clock : Grt_sim.Clock.t;
   energy : Grt_sim.Energy.t;
-  metrics : Grt_sim.Metrics.t;  (** the session's one counter store *)
+  metrics : Grt_sim.Metrics.t;
+      (** the session's one counter store; observed (it carries the
+          session's histograms) iff [observe] *)
   trace : Grt_sim.Trace.t;  (** link + shim event ring, dumped on failure *)
   tracer : Grt_sim.Tracer.t option;  (** span tracer; present iff [observe] *)
-  hists : Grt_sim.Hist.set option;  (** latency/size histograms; iff [observe] *)
   link : Grt_net.Link.t;
   history : Spec_history.t;  (** shared across attempts (and sessions, §7.3) *)
   sync_store : Memsync.Store.s option;  (** fleet-shared content store *)

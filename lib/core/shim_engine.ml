@@ -90,7 +90,6 @@ type t = {
   metrics : Metrics.t;
   trace : Grt_sim.Trace.t;
   tracer : Tracer.t option;
-  hists : Hist.set option;
   history : Spec_history.t;
   wire_overhead : int;
   downlink : Memsync.t;
@@ -129,7 +128,7 @@ let sniff_root_and_head ~gpushim ~downlink ~head reg v =
   if reg = Regs.js_head_hi 0 || reg = Regs.js_head_next_hi 0 then head.hi <- v
 
 let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?(trace = Trace.create (Link.clock link))
-    ?tracer ?hists ?history ?sync_store ?(wire_overhead = 0) ?(replay_prefix = []) () =
+    ?tracer ?history ?sync_store ?(wire_overhead = 0) ?(replay_prefix = []) () =
   let downlink = Memsync.create ?shared:sync_store cfg in
   let head = { lo = 0L; hi = 0L } in
   let log = { items = []; len = 0 } in
@@ -146,7 +145,6 @@ let create ~cfg ~link ~gpushim ~cloud_mem ~metrics ?(trace = Trace.create (Link.
     metrics;
     trace;
     tracer;
-    hists;
     history = (match history with Some h -> h | None -> Spec_history.create ());
     wire_overhead;
     downlink;
@@ -246,7 +244,7 @@ let log_applied t b (actuals : int64 array) =
    prediction. *)
 let validate_body t o =
   Link.wait_until_int t.link o.o_completion;
-  Hist.record_opt t.hists Hist.Spec_validate_ns
+  Metrics.observe t.metrics Hist.Spec_validate_ns
     (Grt_sim.Clock.now_int (Link.clock t.link) - o.o_dispatched);
   for i = 0 to Array.length o.o_regs - 1 do
     let predicted = o.o_predicted.(i) and actual = o.o_actual.(i) in

@@ -24,7 +24,7 @@ let payload_metrics t (payload : Memsync.sync_payload) =
         count t Metrics.Sync_cross_saved_bytes
           (Memsync.tagged_record_wire ~pfn:r.Memsync.pfn ~body:r.Memsync.body - r.Memsync.wire)
       end;
-      Hist.record_opt t.hists Hist.Sync_page_wire r.Memsync.wire)
+      Metrics.observe t.metrics Hist.Sync_page_wire r.Memsync.wire)
     payload.Memsync.records
 
 let down t =
@@ -39,7 +39,7 @@ let down t =
   count t Metrics.Sync_down_wire_bytes wire;
   count t Metrics.Sync_down_raw_bytes (payload.Memsync.raw_bytes + data_bytes);
   payload_metrics t payload;
-  Hist.record_opt t.hists Hist.Sync_down_wire wire;
+  Metrics.observe t.metrics Hist.Sync_down_wire wire;
   Link.one_way_to_client t.link ~bytes:wire;
   let logged = Memsync.logged payload in
   ignore (Gpushim.load_pages t.gpushim logged);
@@ -62,7 +62,7 @@ let up t =
   count t Metrics.Sync_up_wire_bytes wire;
   count t Metrics.Sync_up_raw_bytes (payload.Memsync.raw_bytes + data_bytes);
   payload_metrics t payload;
-  Hist.record_opt t.hists Hist.Sync_up_wire wire;
+  Metrics.observe t.metrics Hist.Sync_up_wire wire;
   Link.one_way_from_client t.link ~bytes:wire;
   (* Install the client's changes (job status words); the downlink learns
      them, so they are not shipped back. *)

@@ -2,7 +2,6 @@ module Costs = Grt_sim.Costs
 module Metrics = Grt_sim.Metrics
 module Trace = Grt_sim.Trace
 module Tracer = Grt_sim.Tracer
-module Hist = Grt_sim.Hist
 
 type health = Healthy | Degraded
 
@@ -29,7 +28,6 @@ type t = {
   metrics : Metrics.t;
   trace : Trace.t;
   tracer : Tracer.t option;
-  hists : Hist.set option;
   rng : Grt_util.Rng.t;
   window : int;
   pipe_send : int array; (* length [window]; unused when window = 1 *)
@@ -46,7 +44,7 @@ type t = {
   mutable outage_countdown : int option;
 }
 
-let create ~clock ?energy ?(metrics = Metrics.create ()) ?(trace = Trace.create clock) ?tracer ?hists
+let create ~clock ?energy ?(metrics = Metrics.create ()) ?(trace = Trace.create clock) ?tracer
     ?(seed = 0x4C494E4BL) ?(window = 1) profile =
   if window < 1 then invalid_arg "Link.create: window must be >= 1";
   {
@@ -56,7 +54,6 @@ let create ~clock ?energy ?(metrics = Metrics.create ()) ?(trace = Trace.create 
     metrics;
     trace;
     tracer;
-    hists;
     rng = Grt_util.Rng.create ~seed;
     window;
     pipe_send = Array.make window 0;
@@ -194,7 +191,7 @@ let rec stall_for_slot t =
 let resend_span t =
   if t.pipe_count > 0 then begin
     count t Metrics.Net_gbn_retransmits t.pipe_count;
-    Hist.record_opt t.hists Hist.Gbn_span t.pipe_count;
+    Metrics.observe t.metrics Grt_sim.Hist.Gbn_span t.pipe_count;
     for i = 0 to t.pipe_count - 1 do
       let s = (t.pipe_head + i) mod t.window in
       account t ~send_bytes:t.pipe_send.(s) ~recv_bytes:t.pipe_recv.(s)
@@ -221,8 +218,8 @@ let leg_outcome t =
    ARQ loop costs no closure per exchange. *)
 type charge = Charge_exchange | Charge_push_to_client | Charge_push_from_client
 
-let charge_attempt t charge ~send_bytes ~recv_bytes =
-  (match charge with
+let charge_once t charge ~send_bytes ~recv_bytes =
+  match charge with
   | Charge_exchange -> account t ~send_bytes ~recv_bytes
   | Charge_push_to_client ->
     count t Metrics.Net_msgs 1;
@@ -231,7 +228,10 @@ let charge_attempt t charge ~send_bytes ~recv_bytes =
   | Charge_push_from_client ->
     count t Metrics.Net_msgs 1;
     count t Metrics.Net_bytes_rx recv_bytes;
-    charge_radio t ~tx_bytes:recv_bytes ~rx_bytes:0);
+    charge_radio t ~tx_bytes:recv_bytes ~rx_bytes:0
+
+let charge_attempt t charge ~send_bytes ~recv_bytes =
+  charge_once t charge ~send_bytes ~recv_bytes;
   (* Go-back-N: the whole unacked span goes out again with the resent
      frame. A no-op under stop-and-wait (the pipe is empty). *)
   if t.window > 1 then resend_span t
@@ -331,7 +331,7 @@ let round_trip_run t ~send_bytes ~recv_bytes =
   in
   let latency = Profile.round_trip_s t.profile ~send_bytes ~recv_bytes +. extra in
   let lat_ns = int_of_float (latency *. 1e9) in
-  Hist.record_opt t.hists Hist.Rtt_ns lat_ns;
+  Metrics.observe t.metrics Grt_sim.Hist.Rtt_ns lat_ns;
   Grt_sim.Clock.advance_int t.clock lat_ns;
   ignore (deliver_at t (Grt_sim.Clock.now_int t.clock))
 
@@ -351,7 +351,7 @@ let async_send_run t ~send_bytes ~recv_bytes =
   in
   let latency = Profile.round_trip_s t.profile ~send_bytes ~recv_bytes +. extra in
   let lat_ns = int_of_float (latency *. 1e9) in
-  Hist.record_opt t.hists Hist.Rtt_ns lat_ns;
+  Metrics.observe t.metrics Grt_sim.Hist.Rtt_ns lat_ns;
   let completion = deliver_at t (Grt_sim.Clock.now_int t.clock + lat_ns) in
   if t.window > 1 then begin
     let slot = (t.pipe_head + t.pipe_count) mod t.window in
@@ -376,33 +376,29 @@ let wait_until_int t deadline =
   end
 
 (* One-way pushes retransmit on payload loss only; the tiny reverse ack is
-   assumed reliable (its loss would be repaired by the next exchange). *)
-let one_way_to_client t ~bytes =
-  Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:"one_way_to_client" (fun () ->
-      if t.window > 1 then stall_for_slot t;
-      count t Metrics.Net_msgs 1;
-      count t Metrics.Net_bytes_tx bytes;
-      charge_radio t ~tx_bytes:0 ~rx_bytes:bytes;
-      let extra =
-        run_arq t ~op:"one_way_to_client" ~legs:1 ~charge:Charge_push_to_client
-          ~send_bytes:bytes ~recv_bytes:0
-      in
-      Grt_sim.Clock.advance_int t.clock
-        (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
-      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)))
+   assumed reliable (its loss would be repaired by the next exchange).
+   [charge] names the direction: the cloud sends the bytes to the client,
+   or receives them from it. *)
+let one_way_run t charge ~op ~bytes =
+  if t.window > 1 then stall_for_slot t;
+  let send_bytes = match charge with Charge_push_to_client -> bytes | _ -> 0 in
+  let recv_bytes = bytes - send_bytes in
+  charge_once t charge ~send_bytes ~recv_bytes;
+  let extra = run_arq t ~op ~legs:1 ~charge ~send_bytes ~recv_bytes in
+  Grt_sim.Clock.advance_int t.clock
+    (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
+  ignore (deliver_at t (Grt_sim.Clock.now_int t.clock))
+
+let one_way t charge ~op ~bytes =
+  match t.tracer with
+  | None -> one_way_run t charge ~op ~bytes
+  | Some _ ->
+    Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:op (fun () ->
+        one_way_run t charge ~op ~bytes)
+
+let one_way_to_client t ~bytes = one_way t Charge_push_to_client ~op:"one_way_to_client" ~bytes
 
 let one_way_from_client t ~bytes =
-  Tracer.span_opt t.tracer ~cat:Tracer.Link_exchange ~name:"one_way_from_client" (fun () ->
-      if t.window > 1 then stall_for_slot t;
-      count t Metrics.Net_msgs 1;
-      count t Metrics.Net_bytes_rx bytes;
-      charge_radio t ~tx_bytes:bytes ~rx_bytes:0;
-      let extra =
-        run_arq t ~op:"one_way_from_client" ~legs:1 ~charge:Charge_push_from_client
-          ~send_bytes:0 ~recv_bytes:bytes
-      in
-      Grt_sim.Clock.advance_int t.clock
-        (int_of_float ((Profile.one_way_s t.profile bytes +. extra) *. 1e9));
-      ignore (deliver_at t (Grt_sim.Clock.now_int t.clock)))
+  one_way t Charge_push_from_client ~op:"one_way_from_client" ~bytes
 
 let inflight t = t.pipe_count

@@ -40,7 +40,6 @@ val create :
   ?metrics:Grt_sim.Metrics.t ->
   ?trace:Grt_sim.Trace.t ->
   ?tracer:Grt_sim.Tracer.t ->
-  ?hists:Grt_sim.Hist.set ->
   ?seed:int64 ->
   ?window:int ->
   Profile.t ->
@@ -51,12 +50,13 @@ val create :
     flight before a send stalls; raises [Invalid_argument] if < 1. [trace]
     receives retransmit / link-down / degraded-transition / window events
     under topic ["link"]; it defaults to a fresh ring on [clock]. [tracer]
-    gets a [Link_exchange] span per exchange; [hists] gets the charged
-    latency ([Rtt_ns]) and go-back-N span sizes ([Gbn_span]). Both default
-    to off and cost nothing.
+    gets a [Link_exchange] span per exchange; it defaults to off and costs
+    nothing.
     [metrics] is the counter store every exchange bumps ([net.*]); pass the
     session's store, or read the counts back from the one you passed — the
-    link has no counter readers of its own. It defaults to a fresh store. *)
+    link has no counter readers of its own. It defaults to a fresh store.
+    An observed store also gets the charged latency ([Rtt_ns]) and
+    go-back-N span sizes ([Gbn_span]) through {!Grt_sim.Metrics.observe}. *)
 
 val profile : t -> Profile.t
 

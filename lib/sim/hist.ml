@@ -3,7 +3,6 @@ module Json = Grt_util.Json
 let buckets = 63
 
 type t = {
-  h_name : string;
   counts : int array;
   mutable count : int;
   mutable sum : int64;
@@ -11,10 +10,7 @@ type t = {
   mutable max_v : int;
 }
 
-let create ?(name = "") () =
-  { h_name = name; counts = Array.make buckets 0; count = 0; sum = 0L; min_v = 0; max_v = 0 }
-
-let name t = t.h_name
+let create () = { counts = Array.make buckets 0; count = 0; sum = 0L; min_v = 0; max_v = 0 }
 
 (* Bucket 0 holds v <= 0; bucket i >= 1 holds 2^(i-1) <= v < 2^i. *)
 let bucket_index v =
@@ -101,11 +97,6 @@ let summary_json t =
       ("p99", Json.float (quantile t 0.99));
     ]
 
-let pp ppf t =
-  Format.fprintf ppf "%s: n=%d sum=%Ld min=%d p50=%.0f p90=%.0f p99=%.0f max=%d" t.h_name
-    t.count t.sum (min_value t) (quantile t 0.50) (quantile t 0.90) (quantile t 0.99)
-    (max_value t)
-
 (* ---- the session registry ---- *)
 
 type key =
@@ -117,8 +108,6 @@ type key =
   | Sync_down_wire
   | Sync_up_wire
   | Sync_page_wire
-  | Replay_chunk_bytes
-  | Replay_exec_entries
   | Svc_turnaround_us
   | Svc_ttfb_us
   | Svc_coalesce_wait_us
@@ -134,8 +123,6 @@ let key_name = function
   | Sync_down_wire -> "sync.down_wire_bytes"
   | Sync_up_wire -> "sync.up_wire_bytes"
   | Sync_page_wire -> "sync.page_wire_bytes"
-  | Replay_chunk_bytes -> "replay.chunk_bytes"
-  | Replay_exec_entries -> "replay.exec_entries"
   | Svc_turnaround_us -> "svc.turnaround_us"
   | Svc_ttfb_us -> "svc.ttfb_us"
   | Svc_coalesce_wait_us -> "svc.coalesce_wait_us"
@@ -145,8 +132,8 @@ let key_name = function
 let all_keys =
   [
     Rtt_ns; Commit_accesses; Spec_validate_ns; Rollback_depth; Gbn_span; Sync_down_wire;
-    Sync_up_wire; Sync_page_wire; Replay_chunk_bytes; Replay_exec_entries;
-    Svc_turnaround_us; Svc_ttfb_us; Svc_coalesce_wait_us; Svc_turnstile_wait_us; Sched_runnable;
+    Sync_up_wire; Sync_page_wire; Svc_turnaround_us; Svc_ttfb_us; Svc_coalesce_wait_us;
+    Svc_turnstile_wait_us; Sched_runnable;
   ]
 
 let key_index = function
@@ -158,23 +145,40 @@ let key_index = function
   | Sync_down_wire -> 5
   | Sync_up_wire -> 6
   | Sync_page_wire -> 7
-  | Replay_chunk_bytes -> 8
-  | Replay_exec_entries -> 9
-  | Svc_turnaround_us -> 10
-  | Svc_ttfb_us -> 11
-  | Svc_coalesce_wait_us -> 12
-  | Svc_turnstile_wait_us -> 13
-  | Sched_runnable -> 14
+  | Svc_turnaround_us -> 8
+  | Svc_ttfb_us -> 9
+  | Svc_coalesce_wait_us -> 10
+  | Svc_turnstile_wait_us -> 11
+  | Sched_runnable -> 12
 
-type set = t array
+let () = List.iteri (fun i k -> assert (key_index k = i)) all_keys
 
-let create_set () = Array.of_list (List.map (fun k -> create ~name:(key_name k) ()) all_keys)
-let get (s : set) k = s.(key_index k)
+(* One cell per key, filled when the key is first observed or read: a
+   served session sees only its link's keys, so an untouched key costs one
+   word. *)
+type set = t option array
+
+let create_set () = Array.make (List.length all_keys) None
+
+let get (s : set) k =
+  let i = key_index k in
+  match s.(i) with
+  | Some h -> h
+  | None ->
+    let h = create () in
+    s.(i) <- Some h;
+    h
+
 let record s k v = observe (get s k) v
-let record_opt s k v = match s with Some s -> record s k v | None -> ()
 
 let merge_set ~into (src : set) =
-  Array.iteri (fun i h -> merge ~into:(Array.get (into : set) i) h) src
+  List.iter
+    (fun k -> Option.iter (fun h -> merge ~into:(get into k) h) src.(key_index k))
+    all_keys
 
-let set_json s =
-  Json.Obj (List.map (fun k -> (key_name k, summary_json (get s k))) all_keys)
+(* An untouched key reads as this empty histogram, so every key is listed. *)
+let empty = create ()
+
+let set_json (s : set) =
+  let summary k = summary_json (Option.value s.(key_index k) ~default:empty) in
+  Json.Obj (List.map (fun k -> (key_name k, summary k)) all_keys)

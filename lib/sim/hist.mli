@@ -11,13 +11,13 @@
     min/max.
 
     A {!set} is the session-wide registry: one histogram per typed {!key},
-    threaded as an [option] beside the metrics handle so default runs pay
-    nothing and stay byte-identical. *)
+    each made when its key is first observed. A recording session's set
+    lives in its {!Metrics} store (an observed store carries one; see
+    {!Metrics.observe}), so no layer threads a set of its own. *)
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 
 val observe : t -> int -> unit
 (** Record one non-negative sample (negative samples clamp to bucket 0). *)
@@ -49,8 +49,6 @@ val buckets : int
 val summary_json : t -> Grt_util.Json.t
 (** [{"count":..,"sum":..,"min":..,"max":..,"p50":..,"p90":..,"p99":..}] *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 The session registry} *)
 
 type key =
@@ -63,8 +61,6 @@ type key =
   | Sync_down_wire  (** cloud→client memsync wire bytes per event (§5) *)
   | Sync_up_wire  (** client→cloud memsync wire bytes per event (§5) *)
   | Sync_page_wire  (** wire bytes per shipped page record, header included *)
-  | Replay_chunk_bytes  (** recording-chunk bytes hashed per streaming verify *)
-  | Replay_exec_entries  (** log entries applied per compiled replay *)
   | Svc_turnaround_us  (** fleet: session turnaround, arrival to outcome (µs) *)
   | Svc_ttfb_us
       (** fleet: time-to-first-byte — virtual µs from arrival until the
@@ -82,11 +78,12 @@ val all_keys : key list
 type set
 
 val create_set : unit -> set
+(** A set with no histogram made yet. *)
+
 val get : set -> key -> t
+(** The key's histogram, made empty on first use. *)
 
 val record : set -> key -> int -> unit
-val record_opt : set option -> key -> int -> unit
-(** No-op on [None] — the zero-cost-when-disabled path. *)
 
 val merge_set : into:set -> set -> unit
 (** {!merge} every keyed histogram pointwise — how SLO sets from several
@@ -94,4 +91,5 @@ val merge_set : into:set -> set -> unit
     min/max/bucket sums, so merge order cannot change a report. *)
 
 val set_json : set -> Grt_util.Json.t
-(** Object keyed by {!key_name}, each value a {!summary_json}. *)
+(** Object keyed by {!key_name} over every key, each value a
+    {!summary_json}; a key never observed reads as an empty histogram. *)

@@ -256,10 +256,13 @@ let () = List.iteri (fun i k -> assert (index k = i)) all
 (* The store: one int cell per key at [index], plus a bitmap of the keys
    ever bumped. A bump is an array update and a byte update, and allocates
    nothing. The bitmap keeps "never bumped" apart from "bumped by 0": only
-   touched keys appear in [to_alist] and [pp]. *)
-type t = { cells : int array; touched : Bytes.t }
+   touched keys appear in [to_alist] and [pp]. An observed store also
+   carries the session's histograms. *)
+type t = { cells : int array; touched : Bytes.t; hists : Hist.set option }
 
-let create () = { cells = Array.make n_keys 0; touched = Bytes.make ((n_keys + 7) / 8) '\000' }
+let create ?(observed = false) () =
+  let hists = if observed then Some (Hist.create_set ()) else None in
+  { cells = Array.make n_keys 0; touched = Bytes.make ((n_keys + 7) / 8) '\000'; hists }
 
 let is_touched t i = Char.code (Bytes.unsafe_get t.touched (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -277,6 +280,9 @@ let add64 t k v = add t k (Int64.to_int v)
 let incr t k = add t k 1
 let get_int t k = Array.unsafe_get t.cells (index k)
 let get t k = Int64.of_int (get_int t k)
+
+let observe t k v = match t.hists with None -> () | Some s -> Hist.record s k v
+let hists t = t.hists
 
 let merge_into ~dst ~src =
   for i = 0 to n_keys - 1 do

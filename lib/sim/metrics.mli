@@ -15,7 +15,10 @@
     A recording session owns one [t], shared by its link, shims and
     recovery; no layer keeps a counter of its own beside it. A session
     count therefore covers the whole session, every attempt after a
-    rollback included. *)
+    rollback included. It is the session's one observation store too: an
+    observed store carries the session's {!Hist.set}, every layer records
+    samples through {!observe} (a no-op that allocates nothing on an
+    unobserved store), and readers take the set with {!hists}. *)
 
 type key =
   | Net_msgs
@@ -119,8 +122,9 @@ val of_name : string -> key option
 
 type t
 
-val create : unit -> t
-(** A fresh store: every key at zero, none touched. *)
+val create : ?observed:bool -> unit -> t
+(** A fresh store: every key at zero, none touched. [observed] (default
+    [false]) gives it an empty {!Hist.set}. *)
 
 val add : t -> key -> int -> unit
 val add64 : t -> key -> int64 -> unit
@@ -133,9 +137,16 @@ val get_int : t -> key -> int
 val to_alist : t -> (string * int) list
 (** The touched keys as [(name, value)], sorted by name. *)
 
+val observe : t -> Hist.key -> int -> unit
+(** Record one sample in the store's histogram for the key, made on the
+    key's first sample. A no-op on an unobserved store. *)
+
+val hists : t -> Hist.set option
+(** The store's histograms: [Some] iff it was made [~observed:true]. *)
+
 val merge_into : dst:t -> src:t -> unit
 (** Adds every touched key of [src] into [dst], which marks it touched
-    there too. *)
+    there too. Counters only: histograms are not merged. *)
 
 val pp : Format.formatter -> t -> unit
 (** One line per touched key, in {!to_alist} order: the name padded to 40

@@ -10,9 +10,6 @@ type category =
   | Memsync_down
   | Memsync_up
   | Link_exchange
-  | Replay_compile
-  | Replay_verify
-  | Replay_execute
   | Svc_cache_lookup
   | Svc_coalesce_wait
   | Svc_turnstile_wait
@@ -31,9 +28,6 @@ let category_name = function
   | Memsync_down -> "memsync-down"
   | Memsync_up -> "memsync-up"
   | Link_exchange -> "link-exchange"
-  | Replay_compile -> "replay-compile"
-  | Replay_verify -> "replay-verify"
-  | Replay_execute -> "replay-execute"
   | Svc_cache_lookup -> "svc-cache-lookup"
   | Svc_coalesce_wait -> "svc-coalesce-wait"
   | Svc_turnstile_wait -> "svc-turnstile-wait"
@@ -45,9 +39,8 @@ let category_name = function
 let all_categories =
   [
     Establish; Boot; Commit; Validate_speculation; Rollback_recovery; Poll_offload;
-    Memsync_down; Memsync_up; Link_exchange; Replay_compile; Replay_verify; Replay_execute;
-    Svc_cache_lookup; Svc_coalesce_wait; Svc_turnstile_wait; Svc_record; Svc_serve_cached;
-    Svc_evict; Svc_promotion;
+    Memsync_down; Memsync_up; Link_exchange; Svc_cache_lookup; Svc_coalesce_wait;
+    Svc_turnstile_wait; Svc_record; Svc_serve_cached; Svc_evict; Svc_promotion;
   ]
 
 type span = {

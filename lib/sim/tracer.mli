@@ -26,9 +26,6 @@ type category =
   | Memsync_down  (** cloud→client metastate dump (§5) *)
   | Memsync_up  (** client→cloud dump with a forwarded interrupt (§5) *)
   | Link_exchange  (** one wire exchange (round trip, async send, push) *)
-  | Replay_compile  (** lowering a recording into a replay program *)
-  | Replay_verify  (** streaming chunk-hash check before execution *)
-  | Replay_execute  (** feeding a compiled replay program to the GPU *)
   | Svc_cache_lookup  (** recording-service cache decision at admission *)
   | Svc_coalesce_wait  (** waiting on an in-flight recording for the same key *)
   | Svc_turnstile_wait  (** queued behind the per-key recording turnstile *)

@@ -2,7 +2,7 @@ type key = string
 
 let derive k label = Printf.sprintf "%s/%Lx" label (Grt_util.Hashing.fnv1a_string (k ^ "|" ^ label))
 
-let mac ~key data = Grt_util.Hashing.hmac ~key data
+let mac ?len ~key data = Grt_util.Hashing.hmac ?len ~key data
 
 let verify ~key data tag = Int64.equal (mac ~key data) tag
 

@@ -12,7 +12,9 @@ type key = string
 val derive : key -> string -> key
 (** [derive k label] — independent subkey derivation. *)
 
-val mac : key:key -> bytes -> int64
+val mac : ?len:int -> key:key -> bytes -> int64
+(** [len] MACs that prefix of the buffer, without copying it. *)
+
 val verify : key:key -> bytes -> int64 -> bool
 
 val seal : key:key -> nonce:int64 -> bytes -> bytes

@@ -1,4 +1,5 @@
 module Byte_buf = Grt_util.Byte_buf
+module Hashing = Grt_util.Hashing
 module Device = Grt_gpu.Device
 module Regs = Grt_gpu.Regs
 
@@ -193,23 +194,6 @@ type verified = {
   vroot : int64;
 }
 
-(* Merkle fold over the leaf hashes: pairwise [Hashing.combine], odd leaf
-   promoted; a single leaf is its own root; zero leaves hash the empty
-   string (an empty entry log still has a well-defined identity). *)
-let merkle_root hashes =
-  let rec up = function
-    | [] -> Grt_util.Hashing.fnv1a_bytes Bytes.empty
-    | [ h ] -> h
-    | hs ->
-      let rec pair = function
-        | a :: b :: rest -> Grt_util.Hashing.combine a b :: pair rest
-        | [ a ] -> [ a ]
-        | [] -> []
-      in
-      up (pair hs)
-  in
-  up hashes
-
 (* The exact number of bytes [add_entry] writes for [e]. *)
 let entry_size = function
   | Reg_write _ -> 13
@@ -226,6 +210,28 @@ let entry_size = function
         acc + framing + Byte_buf.varint_size len + len)
       (1 + Byte_buf.varint_size (List.length records))
       records
+
+(* [f ~first ~count ~body ~len ~hash_at] per chunk, in order: its first
+   entry, entry count, body offset and length, and the offset of its
+   signed hash. The [chunks] metas start at offset [metas] of [blob], and
+   the first body at [body]. Every meta is read in bounds before [f] sees
+   it, but the running offsets are unchecked sums of declared sizes until
+   [parse_header] has vouched for them. Returns the offset just past the
+   metas. *)
+let iter_chunks blob ~metas ~chunks ~body f =
+  let r = Byte_buf.Reader.of_bytes blob in
+  Byte_buf.Reader.skip r metas;
+  let first = ref 0 and body = ref body in
+  for _ = 1 to chunks do
+    let count = Byte_buf.Reader.varint r in
+    let len = Byte_buf.Reader.varint r in
+    let hash_at = Byte_buf.Reader.pos r in
+    Byte_buf.Reader.skip r 8;
+    f ~first:!first ~count ~body:!body ~len ~hash_at;
+    first := !first + count;
+    body := !body + len
+  done;
+  Byte_buf.Reader.pos r
 
 (* One pass, one buffer. The chunk byte lengths come from [entry_size], so
    the header's length is known before anything is written: the blob is
@@ -263,44 +269,38 @@ let sign ?(chunk_entries = default_chunk_entries) ~key t =
   let header_len = !header_len in
   let buf = Byte_buf.create ~capacity:(header_len + 8 + !body_len) () in
   Byte_buf.add_bytes buf (Byte_buf.contents prefix);
-  let hash_at =
-    Array.mapi
-      (fun c len ->
-        Byte_buf.add_varint buf (chunk_count c);
-        Byte_buf.add_varint buf len;
-        let at = Byte_buf.length buf in
-        Byte_buf.add_i64 buf 0L;
-        at)
-      chunk_len
-  in
+  Array.iteri
+    (fun c len ->
+      Byte_buf.add_varint buf (chunk_count c);
+      Byte_buf.add_varint buf len;
+      Byte_buf.add_i64 buf 0L)
+    chunk_len;
   Byte_buf.add_i64 buf 0L (* Merkle root *);
   Byte_buf.add_i64 buf 0L (* MAC *);
   Array.iter (add_entry buf) t.entries;
   let blob = Byte_buf.release buf in
   if Bytes.length blob <> header_len + 8 + !body_len then
     failwith "Recording.sign: entry sizes disagree with the serialized body";
-  let pos = ref (header_len + 8) in
-  let hashes =
-    Array.mapi
-      (fun c len ->
-        let h = Grt_util.Hashing.fnv1a_sub blob ~pos:!pos ~len in
-        Bytes.set_int64_le blob hash_at.(c) h;
-        pos := !pos + len;
-        h)
-      chunk_len
-  in
-  Bytes.set_int64_le blob (header_len - 8) (merkle_root (Array.to_list hashes));
-  Bytes.set_int64_le blob header_len (Crypto.mac ~key (Bytes.sub blob 0 header_len));
+  let merkle = Hashing.merkle_create n_chunks in
+  ignore
+    (iter_chunks blob ~metas:(Byte_buf.length prefix) ~chunks:n_chunks ~body:(header_len + 8)
+       (fun ~first:_ ~count:_ ~body ~len ~hash_at ->
+         Bytes.set_int64_le blob hash_at (Hashing.fnv1a_sub blob ~pos:body ~len);
+         Hashing.merkle_push_at merkle blob hash_at));
+  Bytes.set_int64_le blob (header_len - 8) (Hashing.merkle_root merkle);
+  Bytes.set_int64_le blob header_len (Crypto.mac ~len:header_len ~key blob);
   blob
 
 (* The signed header, decoded and checked: MAC, Merkle root, and that the
    chunk metas tile the rest of the blob exactly and sum to the declared
-   entry total. [h_body] is the offset of the first chunk body. *)
+   entry total. The metas stay where they are in the blob, from offset
+   [h_metas]; [h_body] is the offset of the first chunk body. *)
 type header = {
   h_workload : string;
   h_gpu_id : int64;
   h_slots : slot list;
-  h_metas : (int * int * int64) array;  (** (entry count, byte length, hash) per chunk *)
+  h_chunks : int;
+  h_metas : int;
   h_root : int64;
   h_body : int;
 }
@@ -328,39 +328,36 @@ let parse_header ~key blob =
   let slots = List.init n_slots (fun _ -> read_slot r) in
   let total_entries = Byte_buf.Reader.varint r in
   let n_chunks = read_count r ~min_bytes:10 "chunk" in
-  let metas =
-    Array.init n_chunks (fun _ ->
-        let count = Byte_buf.Reader.varint r in
-        let len = Byte_buf.Reader.varint r in
-        let hash = Byte_buf.Reader.i64 r in
-        (count, len, hash))
+  let metas = Byte_buf.Reader.pos r in
+  (* One walk over the metas sums the declared sizes and folds the Merkle
+     root over the hashes in place; the verdicts wait for the MAC. The sums
+     stop at the blob's length, so no sum of declared sizes can wrap. *)
+  let merkle = Hashing.merkle_create n_chunks in
+  let body_len = ref 0 and entries = ref 0 and entries_ok = ref true in
+  let metas_end =
+    iter_chunks blob ~metas ~chunks:n_chunks ~body:0 (fun ~first:_ ~count ~body:_ ~len ~hash_at ->
+        Hashing.merkle_push_at merkle blob hash_at;
+        body_len := if len > Bytes.length blob - !body_len then Bytes.length blob else !body_len + len;
+        if count > total_entries - !entries then entries_ok := false
+        else entries := !entries + count)
   in
+  Byte_buf.Reader.skip r (metas_end - metas);
   let root = Byte_buf.Reader.i64 r in
   let header_len = Byte_buf.Reader.pos r in
   let tag = Byte_buf.Reader.i64 r in
-  if not (Crypto.verify ~key (Bytes.sub blob 0 header_len) tag) then
+  if not (Int64.equal (Crypto.mac ~len:header_len ~key blob) tag) then
     failwith "recording: signature verification failed";
-  if not (Int64.equal root (merkle_root (Array.to_list (Array.map (fun (_, _, h) -> h) metas))))
-  then failwith "recording: Merkle root does not cover the chunk hashes";
-  (* Compared by subtraction so that no sum of declared sizes can wrap. *)
-  let body_left =
-    Array.fold_left
-      (fun left (_, len, _) ->
-        if len > left then failwith "recording: truncated chunk bodies";
-        left - len)
-      (Byte_buf.Reader.remaining r) metas
-  in
-  if body_left <> 0 then failwith "recording: trailing bytes after chunks";
-  let entries_left =
-    Array.fold_left
-      (fun left (count, _, _) -> if count > left then -1 else left - count)
-      total_entries metas
-  in
-  if entries_left <> 0 then failwith "recording: chunk entry counts disagree with header";
+  if not (Int64.equal root (Hashing.merkle_root merkle)) then
+    failwith "recording: Merkle root does not cover the chunk hashes";
+  if !body_len > Byte_buf.Reader.remaining r then failwith "recording: truncated chunk bodies";
+  if !body_len < Byte_buf.Reader.remaining r then failwith "recording: trailing bytes after chunks";
+  if not (!entries_ok && !entries = total_entries) then
+    failwith "recording: chunk entry counts disagree with header";
   {
     h_workload = workload;
     h_gpu_id = gpu_id;
     h_slots = slots;
+    h_chunks = n_chunks;
     h_metas = metas;
     h_root = root;
     h_body = Byte_buf.Reader.pos r;
@@ -378,18 +375,19 @@ let parse_chunk_entries chunk =
 let parse_signed ~key blob =
   try
     let h = parse_header ~key blob in
-    let pos = ref h.h_body and first = ref 0 in
-    let chunks =
-      Array.map
-        (fun (count, len, hash) ->
-          let c =
-            { chunk_first = !first; chunk_count = count; chunk_hash = hash; chunk_raw = Bytes.sub blob !pos len }
-          in
-          pos := !pos + len;
-          first := !first + count;
-          c)
-        h.h_metas
-    in
+    let chunks = ref [] in
+    ignore
+      (iter_chunks blob ~metas:h.h_metas ~chunks:h.h_chunks ~body:h.h_body
+         (fun ~first ~count ~body ~len ~hash_at ->
+           chunks :=
+             {
+               chunk_first = first;
+               chunk_count = count;
+               chunk_hash = Bytes.get_int64_le blob hash_at;
+               chunk_raw = Bytes.sub blob body len;
+             }
+             :: !chunks));
+    let chunks = Array.of_list (List.rev !chunks) in
     let entries = Array.concat (Array.to_list (Array.map parse_chunk_entries chunks)) in
     Ok
       {
@@ -400,7 +398,7 @@ let parse_signed ~key blob =
   with Failure msg -> Error msg
 
 let verify_chunk c =
-  Int64.equal (Grt_util.Hashing.fnv1a_bytes c.chunk_raw) c.chunk_hash
+  Int64.equal (Hashing.fnv1a_bytes c.chunk_raw) c.chunk_hash
 
 let chunk_failed first = Printf.sprintf "recording: chunk at entry %d failed verification" first
 
@@ -417,14 +415,11 @@ let verify_and_parse ~key blob =
 let verify ~key blob =
   try
     let h = parse_header ~key blob in
-    let pos = ref h.h_body and first = ref 0 in
-    Array.iter
-      (fun (count, len, hash) ->
-        if not (Int64.equal (Grt_util.Hashing.fnv1a_sub blob ~pos:!pos ~len) hash) then
-          failwith (chunk_failed !first);
-        pos := !pos + len;
-        first := !first + count)
-      h.h_metas;
+    ignore
+      (iter_chunks blob ~metas:h.h_metas ~chunks:h.h_chunks ~body:h.h_body
+         (fun ~first ~count:_ ~body ~len ~hash_at ->
+           if not (Hashing.fnv1a_sub_matches blob ~pos:body ~len ~hash_at) then
+             failwith (chunk_failed first)));
     Ok ()
   with Failure msg -> Error msg
 

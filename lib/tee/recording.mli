@@ -136,7 +136,4 @@ val verify_chunk : chunk -> bool
 (** [verify_chunk c] recomputes [c.chunk_raw]'s hash against the signed
     [c.chunk_hash]. *)
 
-val merkle_root : int64 list -> int64
-(** Pairwise [Hashing.combine] fold; the identity attested for a replay. *)
-
 val count_entries : t -> [ `Writes | `Reads | `Polls | `Irqs | `Mem_pages ] -> int

@@ -158,14 +158,7 @@ let stats_of groups ~entries =
     groups;
   { entries; ops = !ops; fused_writes = !fused; static_pages = !static_pages; dynamic_loads = !dyn; polls = !polls }
 
-let compile ?tracer (v : Recording.verified) =
-  Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_compile ~name:"compile"
-    ~args:
-      [
-        ("entries", string_of_int (Array.length v.Recording.vrec.Recording.entries));
-        ("chunks", string_of_int (Array.length v.Recording.vchunks));
-      ]
-  @@ fun () ->
+let compile (v : Recording.verified) =
   let rec_t = v.Recording.vrec in
   let entries = rec_t.Recording.entries in
   let store = Memsync.Store.create () in
@@ -185,7 +178,7 @@ let compile ?tracer (v : Recording.verified) =
 (* Static lowering decodes page records before any chunk hash is checked,
    so a tampered or malformed body surfaces here as [Failure]: report it as
    a typed error like a bad header. *)
-let of_blob ?tracer ~key blob =
+let of_blob ~key blob =
   match Recording.parse_signed ~key blob with
   | Error _ as e -> e
-  | Ok v -> ( try Ok (compile ?tracer v) with Failure msg -> Error ("replay_prog: " ^ msg))
+  | Ok v -> ( try Ok (compile v) with Failure msg -> Error ("replay_prog: " ^ msg))

@@ -79,13 +79,13 @@ val source : t -> Recording.t
 val root : t -> int64
 val stats : t -> stats
 
-val compile : ?tracer:Grt_sim.Tracer.t -> Recording.verified -> t
+val compile : Recording.verified -> t
 (** Raises [Failure] on a page record {!Memsync.decode_record} can never
     decode (see {!of_blob}). Records that need the live replay — deltas,
     and hash references to content the compile-time store has not seen —
     are left to the executor, which rejects them if they fail there. *)
 
-val of_blob : ?tracer:Grt_sim.Tracer.t -> key:Crypto.key -> bytes -> (t, string) result
+val of_blob : key:Crypto.key -> bytes -> (t, string) result
 (** [parse_signed] + [compile]: header-verified, chunk hashes left to the
     executor's streaming check. A page record that fails to decode during
     static lowering (a tampered chunk, or a signed but malformed record) is

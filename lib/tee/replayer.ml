@@ -240,7 +240,7 @@ let install_image mem pages stamps =
             Mem.page_gen_at mem (Int64.to_int pfn))
           pages )
 
-let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
+let exec_prog ~gpushim (prog : Replay_prog.t) tally =
   let open Replay_prog in
   let dev = Gpushim.device gpushim and mem = Gpushim.mem gpushim in
   let clock = Device.clock dev in
@@ -258,16 +258,11 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
     (fun (g : group) ->
       if not g.checked then begin
         let c = g.chunk in
-        Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_verify ~name:"chunk"
-          ~args:[ ("entry", string_of_int c.Recording.chunk_first) ]
-          (fun () ->
-            Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_chunk_bytes
-              (Bytes.length c.Recording.chunk_raw);
-            if not (Recording.verify_chunk c) then
-              raise
-                (Rejected
-                   (Printf.sprintf "recording: chunk at entry %d failed verification"
-                      c.Recording.chunk_first)));
+        if not (Recording.verify_chunk c) then
+          raise
+            (Rejected
+               (Printf.sprintf "recording: chunk at entry %d failed verification"
+                  c.Recording.chunk_first));
         g.checked <- true
       end;
       Array.iter
@@ -326,9 +321,6 @@ let exec_prog ~gpushim ?tracer ?hists (prog : Replay_prog.t) tally =
 (* Batch sessions reuse one shim: power-cycle back to the pristine state
    the recording was made against (free on a fresh shim), then run the same
    recorded-cost soft reset the interpreter runs. *)
-let replay_compiled ~gpushim ~prog ~input ~params ?energy ?tracer ?hists () =
+let replay_compiled ~gpushim ~prog ~input ~params ?energy () =
   session ~gpushim ~recordings:[ Replay_prog.source prog ] ~input ~params ?energy ~cold:true
-    (fun tally ->
-      Grt_sim.Tracer.span_opt tracer ~cat:Grt_sim.Tracer.Replay_execute ~name:"execute" (fun () ->
-          exec_prog ~gpushim ?tracer ?hists prog tally);
-      Grt_sim.Hist.record_opt hists Grt_sim.Hist.Replay_exec_entries tally.applied)
+    (exec_prog ~gpushim prog)

@@ -63,8 +63,6 @@ val replay_compiled :
   input:float array ->
   params:(string * float array) list ->
   ?energy:Grt_sim.Energy.t ->
-  ?tracer:Grt_sim.Tracer.t ->
-  ?hists:Grt_sim.Hist.set ->
   unit ->
   result
 (** The fast path: execute a compiled replay program (see {!Replay_prog}).

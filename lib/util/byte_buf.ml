@@ -101,18 +101,24 @@ module Reader = struct
     v
 
   (* At most 9 bytes (63 bits, enough for [max_int]); a longer run or one
-     that sets the sign bit is malformed, not a huge or negative count. *)
+     that sets the sign bit is malformed, not a huge or negative count.
+     Top-level, so that no closure over [r] is allocated per call. *)
+  let rec varint_from r shift acc =
+    let b = u8 r in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc
+    else if shift = 56 then failwith "Byte_buf.Reader: varint longer than 9 bytes"
+    else varint_from r (shift + 7) acc
+
   let varint r =
-    let rec go shift acc =
-      let b = u8 r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc
-      else if shift = 56 then failwith "Byte_buf.Reader: varint longer than 9 bytes"
-      else go (shift + 7) acc
-    in
-    let v = go 0 0 in
+    let v = varint_from r 0 0 in
     if v < 0 then failwith "Byte_buf.Reader: varint out of range";
     v
+
+  let skip r n =
+    if n < 0 then failwith "Byte_buf.Reader: negative length";
+    need r n;
+    r.pos <- r.pos + n
 
   let bytes r n =
     if n < 0 then failwith "Byte_buf.Reader: negative length";

@@ -46,6 +46,10 @@ module Reader : sig
   val u32 : r -> int
   val i64 : r -> int64
   val varint : r -> int
+
+  val skip : r -> int -> unit
+  (** Step over [n] bytes, failing like [bytes] if fewer are left. *)
+
   val bytes : r -> int -> bytes
   val string : r -> string
 end

@@ -19,8 +19,9 @@ let step h w shift =
    word at a time: the recorder's pages and blobs are mostly zero words, and
    a zero word costs one multiply. A non-zero word takes its eight byte
    steps in index order, each byte taken from the word, so the digest is the
-   byte loop's. The caller checks bounds. *)
-let fnv1a_range h b ~pos ~len =
+   byte loop's. The caller checks bounds. Inlined: an [int64] a call
+   returns is boxed. *)
+let[@inline] fnv1a_range h b ~pos ~len =
   let h = ref h and i = ref pos in
   let stop = pos + len in
   while !i <= stop - 8 do
@@ -38,25 +39,67 @@ let fnv1a_range h b ~pos ~len =
   done;
   !h
 
-let fnv1a_sub b ~pos ~len =
-  (* [pos + len] can wrap past [max_int]; [Bytes.length b - pos] cannot
-     once [pos] is in range. *)
+(* [pos + len] can wrap past [max_int]; [Bytes.length b - pos] cannot
+   once [pos] is in range. *)
+let check_slice what b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b || len > Bytes.length b - pos then
-    invalid_arg "Hashing.fnv1a_sub: slice out of bounds";
+    invalid_arg (what ^ ": slice out of bounds")
+
+let fnv1a_sub b ~pos ~len =
+  check_slice "Hashing.fnv1a_sub" b ~pos ~len;
   fnv1a_range fnv_offset b ~pos ~len
+
+let fnv1a_sub_matches b ~pos ~len ~hash_at =
+  check_slice "Hashing.fnv1a_sub_matches" b ~pos ~len;
+  check_slice "Hashing.fnv1a_sub_matches" b ~pos:hash_at ~len:8;
+  Int64.equal (fnv1a_range fnv_offset b ~pos ~len) (Bytes.get_int64_le b hash_at)
 
 let fnv1a_bytes ?(seed = fnv_offset) b = fnv1a_range seed b ~pos:0 ~len:(Bytes.length b)
 
 let fnv1a_string s = fnv1a_bytes (Bytes.unsafe_of_string s)
 
-let combine a b =
+let[@inline] combine a b =
   let h = Int64.logxor a (Int64.add b 0x9E3779B97F4A7C15L) in
   Int64.mul (Int64.logxor h (Int64.shift_right_logical h 29)) fnv_prime
 
-let hmac ~key data =
-  let inner = fnv1a_bytes ~seed:(fnv1a_string ("grt-ipad:" ^ key)) data in
+let hmac ?len ~key b =
+  let len = match len with Some len -> len | None -> Bytes.length b in
+  check_slice "Hashing.hmac" b ~pos:0 ~len;
+  let inner = fnv1a_range (fnv1a_string ("grt-ipad:" ^ key)) b ~pos:0 ~len in
   let outer_seed = fnv1a_string ("grt-opad:" ^ key) in
   combine outer_seed inner
+
+(* [stack] holds the roots of the complete subtrees so far, largest first.
+   Leaf [i] closes one subtree per trailing 1 bit of [i], as a binary
+   counter carries; the root folds the stack from the right, where the
+   level-by-level fold promotes an odd node. In this module, no digest is
+   boxed. *)
+type merkle = { stack : Bytes.t; mutable depth : int; mutable leaves : int }
+
+let merkle_create n =
+  let rec bits n = if n = 0 then 0 else 1 + bits (n lsr 1) in
+  { stack = Bytes.create (8 * max 1 (bits n)); depth = 0; leaves = 0 }
+
+let merkle_push_at m b at =
+  let h = ref (Bytes.get_int64_le b at) and i = ref m.leaves in
+  while !i land 1 = 1 do
+    m.depth <- m.depth - 1;
+    h := combine (Bytes.get_int64_le m.stack (8 * m.depth)) !h;
+    i := !i lsr 1
+  done;
+  Bytes.set_int64_le m.stack (8 * m.depth) !h;
+  m.depth <- m.depth + 1;
+  m.leaves <- m.leaves + 1
+
+let merkle_root m =
+  if m.depth = 0 then fnv1a_bytes Bytes.empty
+  else begin
+    let h = ref (Bytes.get_int64_le m.stack (8 * (m.depth - 1))) in
+    for d = m.depth - 2 downto 0 do
+      h := combine (Bytes.get_int64_le m.stack (8 * d)) !h
+    done;
+    !h
+  end
 
 (* Process-internal memo key: FNV-style fold over 8-byte words, so the
    dependency chain advances a word at a time instead of a byte at a time.
@@ -77,8 +120,7 @@ let quick_range seed b ~pos ~len =
 let quick ?(seed = 0x1B873593) b = quick_range seed b ~pos:0 ~len:(Bytes.length b)
 
 let quick_sub ?(seed = 0x1B873593) b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b || len > Bytes.length b - pos then
-    invalid_arg "Hashing.quick_sub: slice out of bounds";
+  check_slice "Hashing.quick_sub" b ~pos ~len;
   quick_range seed b ~pos ~len
 
 let crc_table =

@@ -14,13 +14,34 @@ val fnv1a_sub : bytes -> pos:int -> len:int -> int64
 (** Hash a slice of a byte buffer. Raises [Invalid_argument] unless
     [0 <= pos], [0 <= len] and [pos + len <= Bytes.length b]. *)
 
+val fnv1a_sub_matches : bytes -> pos:int -> len:int -> hash_at:int -> bool
+(** Whether [fnv1a_sub b ~pos ~len] equals the little-endian digest stored
+    at [hash_at] in the same buffer; allocates nothing. Raises
+    [Invalid_argument] if either range is out of bounds. *)
+
 val fnv1a_string : string -> int64
 
 val combine : int64 -> int64 -> int64
 (** Mix two hash values into one (order-sensitive). *)
 
-val hmac : key:string -> bytes -> int64
-(** Keyed hash: distinct keys produce unrelated digests for the same data. *)
+val hmac : ?len:int -> key:string -> bytes -> int64
+(** Keyed hash: distinct keys produce unrelated digests for the same data.
+    [len] (default: the whole buffer) hashes that prefix in place;
+    [Invalid_argument] if it is out of bounds, as in {!fnv1a_sub}. *)
+
+type merkle
+(** A streaming Merkle root: pairwise {!combine} level by level, an odd
+    node promoted; one leaf is its own root, none give
+    [fnv1a_bytes Bytes.empty]. *)
+
+val merkle_create : int -> merkle
+(** An empty fold with room for the given number of leaves. *)
+
+val merkle_push_at : merkle -> bytes -> int -> unit
+(** Push the next leaf, the little-endian digest at the given offset;
+    allocates nothing. *)
+
+val merkle_root : merkle -> int64
 
 val quick : ?seed:int -> bytes -> int
 (** Fast word-at-a-time content key for process-internal memo tables. This

@@ -245,7 +245,7 @@ let session_tally_covers_every_attempt () =
            (fun acc c -> acc + get (Drivershim.category_key c))
            0 Drivershim.all_categories);
       let commit_sizes =
-        match o.Orchestrate.hists with
+        match Metrics.hists o.Orchestrate.counters with
         | Some hs -> Grt_sim.Hist.count (Grt_sim.Hist.get hs Grt_sim.Hist.Commit_accesses)
         | None -> Alcotest.fail (label "observed run lost its histograms")
       in
@@ -269,7 +269,7 @@ let accesses_counter_matches_histogram () =
       let label s = Printf.sprintf "%s: %s" net.Grt_mlfw.Network.name s in
       let get = Metrics.get_int o.Orchestrate.counters in
       check Alcotest.bool (label "polls were offloaded") true (get Metrics.Poll_offloaded > 0);
-      match o.Orchestrate.hists with
+      match Metrics.hists o.Orchestrate.counters with
       | None -> Alcotest.fail (label "observed run lost its histograms")
       | Some hs ->
         let h = Grt_sim.Hist.get hs Grt_sim.Hist.Commit_accesses in

@@ -129,13 +129,6 @@ let hist_merge_equals_union =
       in
       buckets_equal 0)
 
-let hist_record_opt_none_is_noop () =
-  (* The zero-cost path: recording into an absent set must not raise. *)
-  Hist.record_opt None Hist.Rtt_ns 123;
-  let s = Hist.create_set () in
-  Hist.record_opt (Some s) Hist.Rtt_ns 123;
-  check Alcotest.int "recorded" 1 (Hist.count (Hist.get s Hist.Rtt_ns))
-
 (* ---- Tracer: self/total attribution, exception safety, Chrome export ---- *)
 
 let tracer_self_total () =
@@ -253,7 +246,8 @@ let observation_is_zero_cost () =
     (Grt_sim.Metrics.to_alist d.Grt.Orchestrate.counters)
     (Grt_sim.Metrics.to_alist o.Grt.Orchestrate.counters);
   check Alcotest.bool "default run carries no tracer" true (d.Grt.Orchestrate.tracer = None);
-  check Alcotest.bool "default run carries no hists" true (d.Grt.Orchestrate.hists = None)
+  check Alcotest.bool "default run carries no hists" true
+    (Grt_sim.Metrics.hists d.Grt.Orchestrate.counters = None)
 
 let session_trace_balanced () =
   let o = Lazy.force observed in
@@ -270,7 +264,7 @@ let session_trace_balanced () =
 
 let session_histograms_populated () =
   let o = Lazy.force observed in
-  match o.Grt.Orchestrate.hists with
+  match Grt_sim.Metrics.hists o.Grt.Orchestrate.counters with
   | None -> Alcotest.fail "observed run lost its histograms"
   | Some hs ->
     let rtt = Hist.get hs Hist.Rtt_ns in
@@ -582,7 +576,6 @@ let () =
         [
           Alcotest.test_case "bucket boundaries" `Quick hist_bucket_boundaries;
           Alcotest.test_case "exact count/sum/min/max" `Quick hist_exact_stats;
-          Alcotest.test_case "record_opt None is a no-op" `Quick hist_record_opt_none_is_noop;
           hist_quantile_monotone;
           hist_merge_equals_union;
         ] );

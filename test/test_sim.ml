@@ -195,6 +195,59 @@ let metrics_bump_allocates_nothing () =
   check Alcotest.int "bumps landed" (9_999 * 10_000 / 2)
     (List.fold_left (fun acc k -> acc + Metrics.get_int m k) 0 Metrics.all)
 
+(* The store is the session's one observation store: on an unobserved
+   store [observe] is free and leaves the counters alone; an observed one
+   makes a histogram only for the keys it sees, yet reports every key. *)
+let metrics_observe_both_stores () =
+  let module Hist = Grt_sim.Hist in
+  let keys = Array.of_list Hist.all_keys in
+  let n = Array.length keys in
+  let plain = Metrics.create () in
+  Metrics.add plain Metrics.Net_msgs 3;
+  let before = Metrics.to_alist plain in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Metrics.observe plain keys.(i mod n) i
+  done;
+  check (Alcotest.float 0.) "minor words for 10k unobserved samples" 0. (Gc.minor_words () -. w0);
+  check Alcotest.(list (pair string int)) "counters unchanged" before (Metrics.to_alist plain);
+  check Alcotest.bool "no histograms" true (Metrics.hists plain = None);
+  let observed = Metrics.create ~observed:true () in
+  List.iter (Metrics.observe observed Hist.Rtt_ns) [ 5; 9 ];
+  Metrics.observe observed Hist.Commit_accesses 3;
+  check Alcotest.(list (pair string int)) "samples bump no counter" [] (Metrics.to_alist observed);
+  match Metrics.hists observed with
+  | None -> Alcotest.fail "observed store carries no histograms"
+  | Some s ->
+    let one = Obj.reachable_words (Obj.repr (Hist.create ())) in
+    let words = Obj.reachable_words (Obj.repr s) in
+    if words >= 3 * one then
+      Alcotest.failf "two touched keys hold %d words (one histogram is %d)" words one;
+    let counts =
+      match Hist.set_json s with
+      | Grt_util.Json.Obj members ->
+        List.map
+          (fun (k, v) ->
+            match v with
+            | Grt_util.Json.Obj f -> (k, List.assoc "count" f)
+            | _ -> Alcotest.failf "%s: not a summary" k)
+          members
+      | _ -> Alcotest.fail "set_json is not an object"
+    in
+    check
+      Alcotest.(list string)
+      "every key listed" (List.map Hist.key_name Hist.all_keys) (List.map fst counts);
+    List.iter
+      (fun (k, c) ->
+        let want =
+          if k = Hist.key_name Hist.Rtt_ns then 2
+          else if k = Hist.key_name Hist.Commit_accesses then 1
+          else 0
+        in
+        check Alcotest.bool (k ^ " count") true (c = Grt_util.Json.int want))
+      counts;
+    check Alcotest.int "listing makes no histogram" words (Obj.reachable_words (Obj.repr s))
+
 let metrics_names_roundtrip () =
   List.iter
     (fun key ->
@@ -576,6 +629,7 @@ let () =
           Alcotest.test_case "name roundtrip" `Quick metrics_names_roundtrip;
           Alcotest.test_case "pp matches Counters.pp" `Quick metrics_pp_matches_counters;
           Alcotest.test_case "bump allocates nothing" `Quick metrics_bump_allocates_nothing;
+          Alcotest.test_case "observe on both kinds of store" `Quick metrics_observe_both_stores;
           metrics_match_counters_model;
         ] );
       ( "energy",
