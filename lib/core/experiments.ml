@@ -840,16 +840,18 @@ let fleet ?(options = Service.default_fleet) ?(observe = false) ?(cache_capacity
   (row, svc)
 
 (* Measured on the default 10k-client fleet run by [bench/main.exe fleet]
-   (2-core x86-64, OCaml 5.1.1): 2,258 minor and 274 promoted words per
+   (2-core x86-64, OCaml 5.1.1): 2,061 minor and 281 promoted words per
    session, with re-serves answered from resident blobs, a trace ring
-   that stores commits flat and receivers that hash no page until a
-   reference needs one (BENCH_fleet.json). The ceilings sit about 8%
-   above. Expanding every
+   that stores commits flat, receivers that hash no page until a
+   reference needs one and memsync receives that build no logged form
+   (BENCH_fleet.json). The minor ceiling came down by the 162 words per
+   session that last change saved (from 2,450), keeping its headroom; the
+   promoted one stays about 5% above. Expanding every
    client's network plan at context creation brings the minor count back
    to ~28k; keeping every share group's recording live at once (the old
    interleaving executor) doubled the promoted count. Allocation counts
    are deterministic, so a breach is a code change, not noise. *)
-let fleet_minor_words_ceiling = 2_450.
+let fleet_minor_words_ceiling = 2_288.
 
 let fleet_promoted_words_ceiling = 295.
 
@@ -885,19 +887,23 @@ type speed_row = {
 }
 
 (* Measured with array commits, interned sites, the FIFO speculation queue,
-   the one-pass signer, idle poll iterations skipped and commits written
-   flat into the trace ring (BENCH_speed.json): Naive 127.0, OursMDS
-   143.2, dedup 151.4, w4 143.3, MobileNet 141.0 minor-words/access. The
-   ceilings leave ~25% headroom for hashtable-resize and iteration-count
-   jitter; a breach means a new per-access allocation crept into the
-   record path, not machine noise (allocation counts are deterministic). *)
+   the one-pass signer, idle poll iterations skipped, commits written flat
+   into the trace ring, and memsync receiving live records straight from
+   the sender's (a coded page decoded over the live page) and checking
+   blobs without building their slot tables (BENCH_speed.json): Naive
+   121.1, OursMDS 136.0, dedup 141.6, w4 136.1, MobileNet 120.2
+   minor-words/access. Each ceiling came down by what its row gained
+   then (from 165/185/195/185/180), so the headroom that absorbs
+   hashtable-resize and iteration-count jitter stays what it was; a breach
+   means a new per-access allocation crept into the record path, not
+   machine noise (allocation counts are deterministic). *)
 let speed_ceilings =
   [
-    ("record/MNIST/Naive", 165.);
-    ("record/MNIST/OursMDS", 185.);
-    ("record/MNIST/OursMDS-dedup", 195.);
-    ("record/MNIST/OursMDS-w4", 185.);
-    ("record/MobileNet/OursMDS", 180.);
+    ("record/MNIST/Naive", 158.8);
+    ("record/MNIST/OursMDS", 177.6);
+    ("record/MNIST/OursMDS-dedup", 186.1);
+    ("record/MNIST/OursMDS-w4", 177.6);
+    ("record/MobileNet/OursMDS", 158.9);
   ]
 
 let speed_ceiling label = List.assoc_opt label speed_ceilings

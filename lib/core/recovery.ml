@@ -112,8 +112,7 @@ let wait_irq t ~timeout_us =
       (* Local status exchange, no network: the cloud's memory learns the
          GPU-written words directly. *)
       if t.cfg.Mode.continuous_validation then Grt_gpu.Mem.unprotect_all t.cloud_mem;
-      ignore
-        (Memsync.receive t.downlink t.cloud_mem (Memsync.logged (Gpushim.upload_meta t.gpushim)));
+      Memsync.receive_payload t.downlink t.cloud_mem (Gpushim.upload_meta t.gpushim);
       Some got
     | None -> fail "no interrupt while replaying the log")
   | Some _ -> fail "log does not expect an interrupt wait here"

@@ -41,9 +41,8 @@ let down t =
   payload_metrics t payload;
   Metrics.observe t.metrics Hist.Sync_down_wire wire;
   Link.one_way_to_client t.link ~bytes:wire;
-  let logged = Memsync.logged payload in
-  ignore (Gpushim.load_pages t.gpushim logged);
-  if logged.Memsync.records <> [] then log_push t.log (Recording.Mem_load logged);
+  Gpushim.load_payload t.gpushim payload;
+  if payload.Memsync.records <> [] then log_push t.log (Recording.Mem_load (Memsync.logged payload));
   (* Continuous validation (§5): the dumped metastate now belongs to the
      GPU; unmap it from the CPU until the job interrupt returns it. *)
   if t.cfg.Mode.continuous_validation then
@@ -66,4 +65,4 @@ let up t =
   Link.one_way_from_client t.link ~bytes:wire;
   (* Install the client's changes (job status words); the downlink learns
      them, so they are not shipped back. *)
-  ignore (Memsync.receive t.downlink t.cloud_mem (Memsync.logged payload))
+  Memsync.receive_payload t.downlink t.cloud_mem payload

@@ -20,7 +20,10 @@ exception Protected_page_write of int64
    - [dirtyb.(pfn) <> '\000'] iff pfn is in [dl.(0..dl_len)], exactly once,
      so [dirty_bytes] is a counter read and [clear_dirty] is O(dirty).
    - [gens.(pfn)] only ever increases, and advances exactly when the
-     original Hashtbl implementation stamped the page. *)
+     original Hashtbl implementation stamped the page.
+   - a dense pfn is protected iff [protb.(pfn)] holds the current
+     [prot_epoch] (1..255; 0 is never current), so [unprotect_all] moves
+     the epoch on instead of clearing each page. *)
 
 let dense_limit = 1 lsl 16
 
@@ -29,7 +32,7 @@ type t = {
   mutable pages : bytes array; (* Bytes.empty = unmaterialized *)
   mutable gens : int array; (* 0 = never written *)
   mutable dirtyb : Bytes.t; (* per-pfn dirty flag *)
-  mutable protb : Bytes.t; (* per-pfn protected flag *)
+  mutable protb : Bytes.t; (* per-pfn protection epoch *)
   mutable mat : int array; (* materialized dense pfns, append order *)
   mutable mat_len : int;
   mutable dl : int array; (* dirty dense pfns, append order *)
@@ -40,7 +43,7 @@ type t = {
   spill_gens : (int, int) Hashtbl.t;
   spill_dirty : (int, unit) Hashtbl.t;
   spill_prot : (int, unit) Hashtbl.t;
-  mutable prot_list : int list; (* dense protected pfns, unordered *)
+  mutable prot_epoch : int;
 }
 
 let create () =
@@ -61,7 +64,7 @@ let create () =
     spill_gens = Hashtbl.create 8;
     spill_dirty = Hashtbl.create 8;
     spill_prot = Hashtbl.create 8;
-    prot_list = [];
+    prot_epoch = 1;
   }
 
 let grow t pfn =
@@ -126,27 +129,43 @@ let page_gen_at t pfn =
 
 let page_gen t pfn = Int64.of_int (page_gen_at t (Int64.to_int pfn))
 
+let rec next_moved t pfns ~len ~seen i =
+  if i >= len then len
+  else
+    let pfn = Array.unsafe_get pfns i in
+    if pfn < 0 || pfn >= Array.length seen || page_gen_at t pfn > Array.unsafe_get seen pfn then i
+    else next_moved t pfns ~len ~seen (i + 1)
+
 let protect_page t pfn =
   if pfn >= 0 && pfn < dense_limit then begin
     if pfn >= t.cap then grow t pfn;
-    if Bytes.get t.protb pfn = '\000' then begin
-      Bytes.set t.protb pfn '\001';
-      t.prot_list <- pfn :: t.prot_list
-    end
+    Bytes.unsafe_set t.protb pfn (Char.unsafe_chr t.prot_epoch)
   end
   else Hashtbl.replace t.spill_prot pfn ()
 
 let protect_pages t pfns = List.iter (fun pfn -> protect_page t (Int64.to_int pfn)) pfns
 
+(* Every byte still holding the old epoch goes stale at once. A byte holds
+   255 epochs, so one call in 255 clears them all and starts over at 1. *)
 let unprotect_all t =
-  List.iter (fun pfn -> Bytes.set t.protb pfn '\000') t.prot_list;
-  t.prot_list <- [];
-  Hashtbl.reset t.spill_prot
+  if t.prot_epoch < 255 then t.prot_epoch <- t.prot_epoch + 1
+  else begin
+    Bytes.fill t.protb 0 t.cap '\000';
+    t.prot_epoch <- 1
+  end;
+  if Hashtbl.length t.spill_prot > 0 then Hashtbl.reset t.spill_prot
+
+let is_protected t pfn =
+  if pfn >= 0 && pfn < t.cap then Char.code (Bytes.unsafe_get t.protb pfn) = t.prot_epoch
+  else if pfn >= 0 && pfn < dense_limit then false
+  else Hashtbl.mem t.spill_prot pfn
 
 let protected_pfns t =
-  Hashtbl.fold (fun k () acc -> Int64.of_int k :: acc) t.spill_prot
-    (List.rev_map Int64.of_int t.prot_list)
-  |> List.sort Int64.compare
+  let l = ref (Hashtbl.fold (fun k () acc -> Int64.of_int k :: acc) t.spill_prot []) in
+  for pfn = t.cap - 1 downto 0 do
+    if is_protected t pfn then l := Int64.of_int pfn :: !l
+  done;
+  List.sort Int64.compare !l
 
 let page_of_addr addr = Int64.shift_right_logical addr page_shift
 
@@ -188,7 +207,7 @@ let spill_rw t pfn =
 let borrow_rw t pfn =
   if pfn >= 0 && pfn < dense_limit then begin
     if pfn >= t.cap then grow t pfn;
-    if Bytes.unsafe_get t.protb pfn <> '\000' then
+    if Char.code (Bytes.unsafe_get t.protb pfn) = t.prot_epoch then
       raise (Protected_page_write (Int64.of_int pfn));
     let p0 = Array.unsafe_get t.pages pfn in
     let p =
@@ -352,11 +371,6 @@ let write_bytes t addr b =
 let get_page t pfn =
   let p = borrow_ro t (Int64.to_int pfn) in
   if p == Bytes.empty then Bytes.make page_size '\000' else Bytes.copy p
-
-let is_protected t pfn =
-  if pfn >= 0 && pfn < t.cap then Bytes.unsafe_get t.protb pfn <> '\000'
-  else if pfn >= 0 && pfn < dense_limit then false
-  else Hashtbl.mem t.spill_prot pfn
 
 (* What [set_page] does to a page besides its bytes and generation: the
    protection check and the dirty mark. *)

@@ -63,6 +63,13 @@ val borrow_ro : t -> int -> bytes
 val page_gen_at : t -> int -> int
 (** Unboxed {!page_gen} by int PFN ([0] if the page was never written). *)
 
+val next_moved : t -> int array -> len:int -> seen:int array -> int -> int
+(** [next_moved t pfns ~len ~seen i] is the first index [j] in [[i, len)]
+    whose page [p = pfns.(j)] has moved past what an observer recorded:
+    [p] lies outside [seen], or {!page_gen_at} [p] is above [seen.(p)].
+    [len] if none has. One loop over the pfns, for scans that skip
+    unchanged pages. *)
+
 val get_page : t -> int64 -> bytes
 (** [get_page t pfn] returns a copy of the page (zeroes if never written). *)
 
@@ -116,8 +123,17 @@ val protect_pages : t -> int64 list -> unit
 (** Add PFNs to the protected set. *)
 
 val protect_page : t -> int -> unit
-(** [protect_pages] for one PFN, unboxed. *)
+(** [protect_pages] for one PFN, unboxed; allocates nothing below
+    {!dense_limit}. *)
 
 val unprotect_all : t -> unit
+(** Empty the protected set in O(1): protection is an epoch per page, and
+    this moves the epoch on. Allocates nothing. *)
+
+val is_protected : t -> int -> bool
+(** Whether a write to the page at an int PFN raises
+    {!Protected_page_write}. *)
+
 val protected_pfns : t -> int64 list
-(** The protected set, sorted; built on each call. *)
+(** The protected set, sorted; built on each call by a scan of every dense
+    page (a diagnostic, not a hot path). *)

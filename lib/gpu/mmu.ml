@@ -166,12 +166,43 @@ let translate t ~va ~access =
 (* The walkers below resolve each table page once and scan its descriptors
    with direct byte reads. *)
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* [child_table] of a materialized page whose bounds the caller checked. *)
+let[@inline] child_unchecked page i =
+  let w = get64u page (8 * i) in
+  let e = Int64.to_int (if Sys.big_endian then bswap64 w else w) in
+  if e land desc_type_mask = desc_table then (e land pa_mask) lsr 12 else -1
+
+let child_table page i =
+  if page == Bytes.empty then -1
+  else if i < 0 || i > 511 || Bytes.length page < 4096 then invalid_arg "Mmu.child_table"
+  else child_unchecked page i
+
+(* The hot loop of the incremental walk: bounds are checked once, and each
+   slot is a word read, a decode and a compare. *)
+let next_child_change page (slots : int array) i =
+  if Array.length slots < 512 then invalid_arg "Mmu.next_child_change";
+  let j = ref (max i 0) in
+  if page == Bytes.empty then
+    while !j < 512 && Array.unsafe_get slots !j = -1 do
+      incr j
+    done
+  else begin
+    if Bytes.length page < 4096 then invalid_arg "Mmu.next_child_change";
+    while !j < 512 && child_unchecked page !j = Array.unsafe_get slots !j do
+      incr j
+    done
+  end;
+  !j
+
 let iter_child_tables mem pfn f =
   let p = Mem.borrow_ro mem pfn in
   if p != Bytes.empty then
     for i = 0 to 511 do
-      let e = Int64.to_int (Bytes.get_int64_le p (8 * i)) in
-      if e land desc_type_mask = desc_table then f i ((e land pa_mask) lsr 12)
+      let c = child_table p i in
+      if c >= 0 then f i c
     done
 
 let iter_table_pfns t f =

@@ -62,14 +62,20 @@ val iter_table_pfns : t -> (int -> unit) -> unit
     pfn as a native int, root first then walk order (each table reached
     once — unsorted). *)
 
-val iter_child_tables : Mem.t -> int -> (int -> int -> unit) -> unit
-(** [iter_child_tables mem pfn f] calls [f i child] for each descriptor
-    slot [i] of the table page [pfn] that holds a table descriptor, in slot
-    order, with the pfn [child] it points to (at the root these are the
-    level-2 tables, at level 2 the level-3 ones; block and page entries
-    are skipped). Nothing if the page was never materialized. It is the
-    table-descriptor decoder {!iter_table_pfns} uses; memsync re-reads
-    with it only the table pages whose generation stamp moved. *)
+val child_table : bytes -> int -> int
+(** [child_table page i] is the pfn that descriptor slot [i] of a table
+    page points to as a table (at the root a level-2 table, at level 2 a
+    level-3 one), or [-1] for any other entry; [page] is the table's
+    {!Mem.borrow_ro} buffer, and the [Bytes.empty] of a never-materialized
+    page reads [-1] in every slot. The one table-descriptor decoder: memsync
+    re-reads with it, slot by slot, only the table pages whose generation
+    stamp moved. *)
+
+val next_child_change : bytes -> int array -> int -> int
+(** [next_child_change page slots i] is the first slot [j >= i] whose
+    {!child_table} differs from [slots.(j)], or 512 when none does:
+    [slots] (512 long) holds what the caller read at its last visit, and
+    each slot is read and compared once, in order, in one loop. *)
 
 val mapped_spans : t -> (int64 * int * flags) list
 (** [(va, bytes, flags)] for every mapped leaf, coalesced over contiguous

@@ -206,6 +206,11 @@ let load_pages t logged =
   count t Metrics.Client_downloads;
   Memsync.receive t.uplink t.mem logged
 
+let load_payload t payload =
+  require_isolation t;
+  count t Metrics.Client_downloads;
+  Memsync.receive_payload t.uplink t.mem payload
+
 (* Cold power cycle between replay sessions that share one shim: pristine
    registers plus a clean dirty-page ledger, so the next session's cache
    flushes cost what the recording's did. Memory contents survive — every

@@ -91,10 +91,13 @@ val upload_meta : t -> Memsync.sync_payload
     (e.g. job statuses the GPU wrote). *)
 
 val load_pages : t -> Memsync.logged -> (int64 * bytes) list
-(** Install a cloud→client dump in its logged form — live, or a logged
-    entry replayed during recovery — into client memory through the
-    uplink's receiver side ({!Memsync.receive}); returns the installed
-    pages. *)
+(** Install a cloud→client dump in its logged form — a logged entry
+    replayed during recovery — into client memory through the uplink's
+    receiver side ({!Memsync.receive}); returns the installed pages. *)
+
+val load_payload : t -> Memsync.sync_payload -> unit
+(** {!load_pages} of a live cloud→client dump, straight from the sender's
+    records ({!Memsync.receive_payload}). *)
 
 val power_cycle : t -> unit
 (** Cold power cycle (pristine register file, clean dirty ledger), for

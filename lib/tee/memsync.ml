@@ -89,15 +89,8 @@ end
 
 (* A root or level-2 table page as of its generation stamp [gen] (-1:
    never read): [slots.(i)] is the pfn its descriptor [i] points to as a
-   table, or -1. [prev] is the slot array before the last re-read. A
-   level-2 table is reached from [mult] root descriptors. *)
-type pt_table = {
-  tpfn : int;
-  mutable gen : int;
-  mutable slots : int array;
-  mutable prev : int array;
-  mutable mult : int;
-}
+   table, or -1. A level-2 table is reached from [mult] root descriptors. *)
+type pt_table = { tpfn : int; mutable gen : int; slots : int array; mutable mult : int }
 
 type t = {
   cfg : Mode.config;
@@ -118,9 +111,11 @@ type t = {
   mutable scan : int array;  (* [scan_len] pfns: the meta set the last sync scanned *)
   mutable scan_len : int;
   mutable examined : int array;
-      (* per-pfn generation at last examination (-1 = never), grown on
-         demand up to [Mem.dense_limit]; pages above it are examined on
-         every sync *)
+      (* per-pfn generation at last examination (-1 = never), or
+         [installed g] when this endpoint's own receive installed the page,
+         stamping it [g], and nothing has examined it since; grown on demand
+         up to [Mem.dense_limit]; pages above it are examined on every
+         sync *)
   baseline : (int, bytes) Hashtbl.t;
       (* last contents examined per pfn (int-keyed; pfns fit native ints) *)
   sent_store : Store.s;
@@ -163,15 +158,32 @@ let create ?shared cfg =
 
 (* Sorted union of the sorted, duplicate-free [a.(0..na)] and [b.(0..nb)]
    into [out] (at least [na + nb] long); returns the union's length. *)
-let union_into a na b nb out =
+let union_into (a : int array) na (b : int array) nb (out : int array) =
+  if na > Array.length a || nb > Array.length b || na + nb > Array.length out then
+    invalid_arg "Memsync.union_into";
   let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < na || !j < nb do
-    let x = if !i < na then a.(!i) else max_int in
-    let y = if !j < nb then b.(!j) else max_int in
-    out.(!k) <- (if x <= y then x else y);
-    incr k;
-    if x <= y then incr i;
-    if y <= x then incr j
+  while !i < na && !j < nb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if x < y then begin
+      Array.unsafe_set out !k x;
+      incr i
+    end
+    else begin
+      Array.unsafe_set out !k y;
+      incr j;
+      if x = y then incr i
+    end;
+    incr k
+  done;
+  while !i < na do
+    Array.unsafe_set out !k (Array.unsafe_get a !i);
+    incr i;
+    incr k
+  done;
+  while !j < nb do
+    Array.unsafe_set out !k (Array.unsafe_get b !j);
+    incr j;
+    incr k
   done;
   !k
 
@@ -220,7 +232,7 @@ let bump t pfn d =
     Hashtbl.replace t.pt_refs pfn c
   end
 
-let new_table tpfn = { tpfn; gen = -1; slots = Array.make 512 (-1); prev = Array.make 512 (-1); mult = 0 }
+let new_table tpfn = { tpfn; gen = -1; slots = Array.make 512 (-1); mult = 0 }
 
 let register_pt_root t ~root_pa =
   let root_pfn = Mem.page_index root_pa in
@@ -229,33 +241,35 @@ let register_pt_root t ~root_pa =
     bump t root_pfn 1
   end
 
-(* Re-reads [n]'s page if its stamp moved, leaving the old slots in
-   [n.prev]; returns whether it did. *)
-let reread mem n =
+(* Re-reads [n]'s page if its stamp moved, in one pass that compares each
+   descriptor slot as it reads it. A changed root slot detaches the level-2
+   table it pointed to and attaches the new one; a changed level-2 slot
+   moves its level-3 table's count by [n.mult] (nothing while no root
+   reaches [n]). Reads are pure, so applying each change as its slot is
+   read counts what reading the whole page first would. *)
+let rec refresh t mem n ~root =
   let g = Mem.page_gen_at mem n.tpfn in
-  g <> n.gen
-  && begin
-    let slots = n.prev in
-    Array.fill slots 0 512 (-1);
-    Mmu.iter_child_tables mem n.tpfn (fun i c -> slots.(i) <- c);
-    n.prev <- n.slots;
-    n.slots <- slots;
+  if g <> n.gen then begin
     n.gen <- g;
-    true
-  end
-
-let refresh_l2 t mem n =
-  if reread mem n && n.mult > 0 then
-    for i = 0 to 511 do
-      let a = n.prev.(i) and b = n.slots.(i) in
-      if a <> b then begin
+    let page = Mem.borrow_ro mem n.tpfn in
+    let i = ref (Mmu.next_child_change page n.slots 0) in
+    while !i < 512 do
+      let a = n.slots.(!i) and b = Mmu.child_table page !i in
+      n.slots.(!i) <- b;
+      if root then begin
+        if a >= 0 then detach t a;
+        if b >= 0 then attach t mem b
+      end
+      else if n.mult > 0 then begin
         if a >= 0 then bump t a (-n.mult);
         if b >= 0 then bump t b n.mult
-      end
+      end;
+      i := Mmu.next_child_change page n.slots (!i + 1)
     done
+  end
 
 (* One more root descriptor points to the level-2 table [pfn]. *)
-let attach t mem pfn =
+and attach t mem pfn =
   bump t pfn 1;
   let n =
     match List.find_opt (fun n -> n.tpfn = pfn) t.pt_l2s with
@@ -263,28 +277,24 @@ let attach t mem pfn =
     | None ->
       let n = new_table pfn in
       t.pt_l2s <- n :: t.pt_l2s;
-      ignore (reread mem n);
+      refresh t mem n ~root:false;
       n
   in
   n.mult <- n.mult + 1;
   Array.iter (fun c -> if c >= 0 then bump t c 1) n.slots
 
-let detach t pfn =
+and detach t pfn =
   bump t pfn (-1);
   let n = List.find (fun n -> n.tpfn = pfn) t.pt_l2s in
   n.mult <- n.mult - 1;
   Array.iter (fun c -> if c >= 0 then bump t c (-1)) n.slots;
   if n.mult = 0 then t.pt_l2s <- List.filter (fun m -> m != n) t.pt_l2s
 
-let refresh_root t mem r =
-  if reread mem r then
-    for i = 0 to 511 do
-      let a = r.prev.(i) and b = r.slots.(i) in
-      if a <> b then begin
-        if a >= 0 then detach t a;
-        if b >= 0 then attach t mem b
-      end
-    done
+let rec refresh_all t mem ~root = function
+  | [] -> ()
+  | n :: rest ->
+    refresh t mem n ~root;
+    refresh_all t mem ~root rest
 
 let insertion_sort a n =
   for i = 1 to n - 1 do
@@ -314,14 +324,8 @@ let still_visited t a n =
    are refreshed first, so a root descriptor that attaches or detaches one
    counts its current slots. *)
 let pt_walk t mem =
-  let rec refresh f t mem = function
-    | [] -> ()
-    | n :: rest ->
-      f t mem n;
-      refresh f t mem rest
-  in
-  refresh refresh_l2 t mem t.pt_l2s;
-  refresh refresh_root t mem t.pt_roots;
+  refresh_all t mem ~root:false t.pt_l2s;
+  refresh_all t mem ~root:true t.pt_roots;
   if t.fresh_len > 0 || t.gone then begin
     (* [fresh] is a handful of pfns, except on the first walk; a pfn can
        leave and come back in one walk, so both sides are filtered. *)
@@ -346,14 +350,9 @@ let pt_walk t mem =
   end;
   t.walk_len
 
-(* The meta set (table pages ∪ metastate-region pages) into [t.scan], with
-   [t.examined] grown to cover every pfn of it below the dense limit. *)
-let collect_meta t mem =
-  let np = pt_walk t mem and nr = Array.length t.region_pfns in
-  if Array.length t.scan < np + nr then t.scan <- Array.make (2 * (np + nr)) 0;
-  let n = union_into t.walk np t.region_pfns nr t.scan in
-  t.scan_len <- n;
-  let top = if n = 0 then -1 else min t.scan.(n - 1) (Mem.dense_limit - 1) in
+(* Grows [t.examined] to cover [top] (capped at the dense limit). *)
+let track t top =
+  let top = min top (Mem.dense_limit - 1) in
   let have = Array.length t.examined in
   if top >= have then begin
     let len = ref (max have 1024) in
@@ -364,6 +363,20 @@ let collect_meta t mem =
     Array.blit t.examined 0 grown 0 have;
     t.examined <- grown
   end
+
+(* The [examined] mark of a page this endpoint installed at stamp [g]
+   (stamps are at least 1 once written, so marks are below -2 and never
+   pass for an examination). *)
+let installed g = -2 - g
+
+(* The meta set (table pages ∪ metastate-region pages) into [t.scan], with
+   [t.examined] grown to cover every pfn of it below the dense limit. *)
+let collect_meta t mem =
+  let np = pt_walk t mem and nr = Array.length t.region_pfns in
+  if Array.length t.scan < np + nr then t.scan <- Array.make (2 * (np + nr)) 0;
+  let n = union_into t.walk np t.region_pfns nr t.scan in
+  t.scan_len <- n;
+  if n > 0 then track t t.scan.(n - 1)
 
 let meta_pfns t = List.init t.scan_len (fun i -> Int64.of_int t.scan.(i))
 
@@ -505,24 +518,26 @@ let sync_meta t mem =
   let pfns = t.scan and total = t.scan_len and examined = t.examined in
   let tracked = Array.length examined in
   let records = ref [] and wire = ref 0 and raw = ref 0 and visited = ref 0 in
-  for i = 0 to total - 1 do
-    let pfn = Array.unsafe_get pfns i in
+  (* Stamps only increase, and an unchanged stamp means unchanged bytes:
+     a page whose stamp has not moved since it was last examined holds what
+     it held then, so only the others are visited. *)
+  let i = ref (Mem.next_moved mem pfns ~len:total ~seen:examined 0) in
+  while !i < total do
+    let pfn = Array.unsafe_get pfns !i in
     let gen = Mem.page_gen_at mem pfn in
-    (* Stamps only increase, and an unchanged stamp means unchanged bytes:
-       a page whose stamp has not moved since it was last examined holds
-       what it held then. *)
-    let unchanged = pfn < tracked && gen <= Array.unsafe_get examined pfn in
-    if not unchanged then begin
-      incr visited;
-      if pfn < tracked then Array.unsafe_set examined pfn gen;
-      (* Compare in place against the baseline; copy only when the page
-         actually changed. That copy is the page's one body: the record,
-         both baselines and every store share it read-only. *)
+    let seen = if pfn < tracked then Array.unsafe_get examined pfn else -1 in
+    incr visited;
+    if pfn < tracked then Array.unsafe_set examined pfn gen;
+    (* A page this endpoint installed and nobody wrote since holds its
+       baseline: no lookup, no compare. Any other page is compared in place
+       against the baseline and copied only when it actually changed. That
+       copy is the page's one body: the record, both baselines and every
+       store share it read-only. *)
+    if seen <> installed gen then begin
       let view = Mem.borrow_ro mem pfn in
       let view = if view == Bytes.empty then zero_page else view in
       let prev = try Hashtbl.find t.baseline pfn with Not_found -> Bytes.empty in
-      let same = prev != Bytes.empty && Bytes.equal prev view in
-      if not same then begin
+      if not (prev != Bytes.empty && Bytes.equal prev view) then begin
         raw := !raw + Mem.page_size;
         let current = Bytes.copy view in
         let previous = if prev == Bytes.empty then None else Some prev in
@@ -531,7 +546,8 @@ let sync_meta t mem =
         wire := !wire + r.wire;
         Hashtbl.replace t.baseline pfn current
       end
-    end
+    end;
+    i := Mem.next_moved mem pfns ~len:total ~seen:examined (!i + 1)
   done;
   {
     records = List.rev !records;
@@ -553,48 +569,100 @@ let full_page b =
   if Bytes.length b = Mem.page_size then Ok b
   else Error (Malformed (Printf.sprintf "a %d-byte body is not a page" (Bytes.length b)))
 
+(* The one decoder of coded bodies: writes the page over [dst], which
+   holds the base page when [enc] is a delta. *)
+let decode_over dst enc body =
+  match enc with
+  | Enc_raw_rc -> Grt_util.Range_coder.decode_into body dst
+  | Enc_delta -> Grt_util.Delta.apply_in_place ~page:dst ~delta:body
+  | Enc_delta_rc -> Grt_util.Delta.apply_in_place ~page:dst ~delta:(Grt_util.Range_coder.decode body)
+  | Enc_raw | Enc_hash_ref -> invalid_arg "Memsync.decode_over: not a coded body"
+
+(* [decode_over] into [dst], a page the caller hands over. *)
+let decoded dst enc body =
+  match decode_over dst enc body with () -> Ok dst | exception Failure m -> Error (Malformed m)
+
 let decode_record store mem pfn enc body =
-  let decoded f = try full_page (f ()) with Failure m -> Error (Malformed m) in
   match enc with
   | Enc_raw -> full_page body
-  | Enc_raw_rc -> decoded (fun () -> Grt_util.Range_coder.decode body)
+  | Enc_raw_rc -> decoded (Bytes.create Mem.page_size) enc body
   | Enc_delta | Enc_delta_rc -> (
     match mem with
     | None -> Error Needs_memory
     | Some mem ->
-      (* [Delta.apply] copies its base, so the live page is only borrowed. *)
+      (* The live page is only read: the delta patches a copy. *)
       let base = Mem.borrow_ro mem (Int64.to_int pfn) in
-      let base = if base == Bytes.empty then zero_page else base in
-      decoded (fun () ->
-          let delta = if enc = Enc_delta_rc then Grt_util.Range_coder.decode body else body in
-          Grt_util.Delta.apply ~old_:base ~delta))
+      decoded (if base == Bytes.empty then Bytes.make Mem.page_size '\000' else Bytes.copy base) enc body)
   | Enc_hash_ref -> (
     if Bytes.length body <> 8 then Error (Malformed "hash reference is not 8 bytes")
     else
       let h = Bytes.get_int64_le body 0 in
       match Store.find store h with Some page -> Ok page | None -> Error (Unknown_hash h))
 
+(* Installs one decoded page into [mem]; the page itself is kept by the
+   caller, and learned by [store] when [tagged]. *)
+let install_record store mem ~tagged pfn enc body =
+  match decode_record store (Some mem) pfn enc body with
+  | Error _ as e -> e
+  | Ok page as ok ->
+    Mem.set_page mem pfn page;
+    if tagged then Store.learn store page;
+    ok
+
 let install store mem (l : logged) =
-  let live = Some mem in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (pfn, enc, body) :: rest -> (
-      match decode_record store live pfn enc body with
+      match install_record store mem ~tagged:l.tagged pfn enc body with
       | Error _ as e -> e
-      | Ok page ->
-        Mem.set_page mem pfn page;
-        if l.tagged then Store.learn store page;
-        go ((pfn, page) :: acc) rest)
+      | Ok page -> go ((pfn, page) :: acc) rest)
   in
   go [] l.records
 
-let receive t mem l =
-  match install t.recv_store mem l with
-  | Ok pages ->
-    (* The peer holds these contents now: never echo them back. *)
-    List.iter (fun (pfn, page) -> Hashtbl.replace t.baseline (Int64.to_int pfn) page) pages;
-    pages
-  | Error e -> failwith ("Memsync.receive: " ^ decode_error_message e)
+let receive_failed e = failwith ("Memsync.receive: " ^ decode_error_message e)
+
+(* The receiver holds [page] at [pfn] now: teach the baseline that the peer
+   holds it too (so it is not echoed back), and mark the stamp the install
+   left, so the next scan takes the page for its baseline without a lookup
+   or a compare. *)
+let hold t mem pfn page =
+  let p = Int64.to_int pfn in
+  Hashtbl.replace t.baseline p page;
+  if p >= 0 && p < Mem.dense_limit then begin
+    track t p;
+    Array.unsafe_set t.examined p (installed (Mem.page_gen_at mem p))
+  end
+
+let receive t mem (l : logged) =
+  List.map
+    (fun (pfn, enc, body) ->
+      match install_record t.recv_store mem ~tagged:l.tagged pfn enc body with
+      | Ok page ->
+        hold t mem pfn page;
+        (pfn, page)
+      | Error e -> receive_failed e)
+    l.records
+
+(* One sender record, received without its logged form. A coded body is
+   decoded over the live page itself, which must then hold the sender's
+   page: the receiver keeps that body, as it keeps an untagged record's
+   full page, so nothing is allocated or copied twice. *)
+let receive_sent t mem ~tagged (r : page_record) =
+  match if tagged then r.enc else Enc_raw with
+  | (Enc_raw | Enc_hash_ref) as enc -> (
+    match install_record t.recv_store mem ~tagged r.pfn enc (if tagged then r.body else r.data) with
+    | Ok page -> hold t mem r.pfn page
+    | Error e -> receive_failed e)
+  | Enc_raw_rc | Enc_delta | Enc_delta_rc ->
+    let live = Mem.page_rw mem r.pfn in
+    (match decode_over live r.enc r.body with
+    | () -> ()
+    | exception Failure m -> receive_failed (Malformed m));
+    if not (Bytes.equal live r.data) then failwith "Memsync.receive: a page decoded to other bytes than were sent";
+    Store.learn t.recv_store r.data;
+    hold t mem r.pfn r.data
+
+let receive_payload t mem (p : sync_payload) = List.iter (receive_sent t mem ~tagged:p.tagged) p.records
 
 let note_shipped t pfn contents =
   Hashtbl.replace t.baseline (Int64.to_int pfn) contents;

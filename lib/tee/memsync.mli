@@ -14,30 +14,36 @@
       just arrived is not echoed back.
 
     Callers only send a payload, receive one, or install a logged entry
-    ({!logged}, {!install}, {!receive}, {!decode_record}); no
-    other module reads or writes a page record's encoding, and none but
-    {!install} decides whether a record is decoded and learned.
+    ({!logged}, {!install}, {!receive}, {!receive_payload},
+    {!decode_record}); no other module reads or writes a page record's
+    encoding, and none but this module decides whether a record is decoded
+    and learned.
 
     Metastate = page-table pages (walked from the registered roots) plus the
     materialized pages of regions mapped as [Code] or [Cmd]. Program data
     (inputs, weights, activations) is never shipped in meta-only mode; in
     Naive mode its *model-scale* size is charged per referenced buffer.
 
-    One scan per sync: [sync_meta] walks the registered page-table roots,
-    merges the table pages with the (sorted, eagerly maintained) metastate
-    region pages, and skips every page whose {!Grt_gpu.Mem.page_gen} stamp
-    has not moved since that pfn was last examined. Stamps only increase and
-    an unchanged stamp means unchanged bytes, so a skipped page still
-    matches its baseline. With [Mode.memsync_tagged] the wire switches to
-    tagged page records carrying the cheapest encoding per page, including
-    an 8-byte reference to content the peer provably holds.
+    One scan per sync: [sync_meta] walks the registered page-table roots
+    (re-reading only the tables whose stamp moved), merges the table pages
+    with the (sorted, eagerly maintained) metastate region pages, and skips
+    every page whose {!Grt_gpu.Mem.page_gen} stamp has not moved since that
+    pfn was last examined. Stamps only increase and an unchanged stamp means
+    unchanged bytes, so a skipped page still matches its baseline; a page
+    this endpoint's own receive installed, unwritten since, is visited but
+    taken for its baseline without a compare. With [Mode.memsync_tagged]
+    the wire switches to tagged page records carrying the cheapest encoding
+    per page, including an 8-byte reference to content the peer provably
+    holds.
 
     {b One body per changed page.} [sync_meta] copies a changed page out of
     the live memory once; that copy is the record's [data], the new baseline
-    entry and what every store learns. A decoded body is likewise shared by
-    the receiver's baseline and store. No body is ever mutated, and none is
-    a live {!Grt_gpu.Mem} page buffer — installing one copies it into the
-    receiving memory. *)
+    entry and what every store learns, and a live receiver
+    ({!receive_payload}) keeps it too. A body decoded from a logged entry is
+    likewise shared by the receiver's baseline and store. No body is ever
+    mutated, and none is a live {!Grt_gpu.Mem} page buffer — installing one
+    copies it into the receiving memory, and a live coded record is decoded
+    over the receiving page itself. *)
 
 type region = {
   name : string;
@@ -168,18 +174,28 @@ val decode_record :
 val install : Store.s -> Grt_gpu.Mem.t -> logged -> ((int64 * bytes) list, decode_error) result
 (** Install a logged payload into [mem] in record order, returning the
     installed [(pfn, page)]s. Every record is decoded through
-    {!decode_record}; tagged records are also learned by [store], so a
-    later reference — in this payload or a later one — resolves. Stops at
-    the first record that does not decode. *)
+    {!decode_record} into a page of its own; tagged records are also
+    learned by [store], so a later reference — in this payload or a later
+    one — resolves. Stops at the first record that does not decode. *)
 
 val receive : t -> Grt_gpu.Mem.t -> logged -> (int64 * bytes) list
-(** Receiver: {!install} through [t]'s receiver store, then teach [t]'s
-    baseline that the peer holds the installed pages, so they are not
-    echoed back. Deliberately does {e not} feed [t]'s shipped-content
-    store: hash references must only point at content this sender shipped
-    itself, or a recording's references could dangle on replay. Raises
-    [Failure] on a record that does not decode — the payloads it sees come
-    from the peer endpoint of the same session or from its own log. *)
+(** Receiver: {!install} through [t]'s receiver store, record by record,
+    teaching [t]'s baseline that the peer holds each installed page, so it
+    is not echoed back. A page installed here whose stamp has not moved by
+    the next {!sync_meta} still counts in its [visited] but is neither
+    looked up nor compared: it holds its baseline. Deliberately does {e not}
+    feed [t]'s shipped-content store: hash references must only point at
+    content this sender shipped itself, or a recording's references could
+    dangle on replay. Raises [Failure] on a record that does not decode —
+    the payloads it sees come from the peer endpoint of the same session
+    or from its own log. *)
+
+val receive_payload : t -> Grt_gpu.Mem.t -> sync_payload -> unit
+(** {!receive} of [logged p], read straight from the sender's records: the
+    live exchanges of a session. A coded body is decoded over the live
+    page, which must come out equal to the record's [data] (or this raises
+    [Failure]); the receiver then keeps that body, as it keeps an
+    untagged record's full page. *)
 
 val note_shipped : t -> int64 -> bytes -> unit
 (** Re-teach the sender state while replaying a validated log prefix

@@ -152,18 +152,24 @@ let add_slot buf s =
   Byte_buf.add_varint buf s.actual_bytes;
   Byte_buf.add_varint buf s.model_bytes
 
-let read_slot r =
-  let slot_name = Byte_buf.Reader.string r in
+(* Reads one slot of the table, calling [f ~name_at ~name_len ~kind
+   ~fields_at ~actual_bytes ~model_bytes]: where its name lies, its kind,
+   and the offset of its two i64 addresses. Every field is read in bounds
+   and the kind byte is checked before [f] sees the slot. *)
+let slot_fields r f =
+  let name_len = Byte_buf.Reader.varint r in
+  let name_at = Byte_buf.Reader.pos r in
+  Byte_buf.Reader.skip r name_len;
   let kind =
     match kind_of_int (Byte_buf.Reader.u8 r) with
     | Some k -> k
     | None -> failwith "recording: bad slot kind"
   in
-  let va = Byte_buf.Reader.i64 r in
-  let pa = Byte_buf.Reader.i64 r in
+  let fields_at = Byte_buf.Reader.pos r in
+  Byte_buf.Reader.skip r 16;
   let actual_bytes = Byte_buf.Reader.varint r in
   let model_bytes = Byte_buf.Reader.varint r in
-  { slot_name; kind; va; pa; actual_bytes; model_bytes }
+  f ~name_at ~name_len ~kind ~fields_at ~actual_bytes ~model_bytes
 
 (* ---- wire format (version 2) ----
 
@@ -298,7 +304,8 @@ let sign ?(chunk_entries = default_chunk_entries) ~key t =
 type header = {
   h_workload : string;
   h_gpu_id : int64;
-  h_slots : slot list;
+  h_slots_at : int;  (* offset of the slot table, checked by [slot_fields] *)
+  h_n_slots : int;
   h_chunks : int;
   h_metas : int;
   h_root : int64;
@@ -325,7 +332,11 @@ let parse_header ~key blob =
   let workload = Byte_buf.Reader.string r in
   let gpu_id = Byte_buf.Reader.i64 r in
   let n_slots = read_count r ~min_bytes:20 "slot" in
-  let slots = List.init n_slots (fun _ -> read_slot r) in
+  let slots_at = Byte_buf.Reader.pos r in
+  (* Stepped over in place: a verdict needs the table checked, not built. *)
+  for _ = 1 to n_slots do
+    slot_fields r (fun ~name_at:_ ~name_len:_ ~kind:_ ~fields_at:_ ~actual_bytes:_ ~model_bytes:_ -> ())
+  done;
   let total_entries = Byte_buf.Reader.varint r in
   let n_chunks = read_count r ~min_bytes:10 "chunk" in
   let metas = Byte_buf.Reader.pos r in
@@ -356,12 +367,28 @@ let parse_header ~key blob =
   {
     h_workload = workload;
     h_gpu_id = gpu_id;
-    h_slots = slots;
+    h_slots_at = slots_at;
+    h_n_slots = n_slots;
     h_chunks = n_chunks;
     h_metas = metas;
     h_root = root;
     h_body = Byte_buf.Reader.pos r;
   }
+
+let decode_slots blob h =
+  let r = Byte_buf.Reader.of_bytes blob in
+  Byte_buf.Reader.skip r h.h_slots_at;
+  let slot ~name_at ~name_len ~kind ~fields_at ~actual_bytes ~model_bytes =
+    {
+      slot_name = Bytes.sub_string blob name_at name_len;
+      kind;
+      va = Bytes.get_int64_le blob fields_at;
+      pa = Bytes.get_int64_le blob (fields_at + 8);
+      actual_bytes;
+      model_bytes;
+    }
+  in
+  List.init h.h_n_slots (fun _ -> slot_fields r slot)
 
 let parse_chunk_entries chunk =
   let r = Byte_buf.Reader.of_bytes chunk.chunk_raw in
@@ -391,7 +418,7 @@ let parse_signed ~key blob =
     let entries = Array.concat (Array.to_list (Array.map parse_chunk_entries chunks)) in
     Ok
       {
-        vrec = { workload = h.h_workload; gpu_id = h.h_gpu_id; entries; slots = h.h_slots };
+        vrec = { workload = h.h_workload; gpu_id = h.h_gpu_id; entries; slots = decode_slots blob h };
         vchunks = chunks;
         vroot = h.h_root;
       }

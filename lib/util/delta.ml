@@ -55,11 +55,10 @@ let diff ~old_ ~fresh =
     spans;
   Byte_buf.contents out
 
-let apply ~old_ ~delta =
+let apply_in_place ~page ~delta =
   let r = Byte_buf.Reader.of_bytes delta in
   let total = Byte_buf.Reader.varint r in
-  if total <> Bytes.length old_ then failwith "Delta.apply: base length mismatch";
-  let fresh = Bytes.copy old_ in
+  if total <> Bytes.length page then failwith "Delta.apply: base length mismatch";
   let count = Byte_buf.Reader.varint r in
   let pos = ref 0 in
   for _ = 1 to count do
@@ -68,8 +67,13 @@ let apply ~old_ ~delta =
     if gap > total - !pos || len > total - !pos - gap then
       failwith "Delta.apply: span outside the base";
     pos := !pos + gap;
-    let data = Byte_buf.Reader.bytes r len in
-    Bytes.blit data 0 fresh !pos len;
+    let at = Byte_buf.Reader.pos r in
+    Byte_buf.Reader.skip r len;
+    Bytes.blit delta at page !pos len;
     pos := !pos + len
-  done;
+  done
+
+let apply ~old_ ~delta =
+  let fresh = Bytes.copy old_ in
+  apply_in_place ~page:fresh ~delta;
   fresh

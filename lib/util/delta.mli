@@ -14,3 +14,8 @@ val apply : old_:bytes -> delta:bytes -> bytes
 (** [apply ~old_ ~delta] reconstructs the fresh buffer into a new one;
     [old_] is only read. Raises [Failure] if the delta does not match
     [old_]'s length, names a span outside it, or is truncated. *)
+
+val apply_in_place : page:bytes -> delta:bytes -> unit
+(** [apply_in_place ~page ~delta] is {!apply} with [~old_:page], written
+    over [page] itself. It fails like {!apply}, and a span that fails to
+    read leaves the spans before it written. *)

@@ -379,15 +379,35 @@ let encode data =
     Memo.add encode_memo key { prefix = Bytes.sub data 0 t; len = n; coded };
     Bytes.copy coded
 
+(* The plain bytes [e] holds, into [out] (its length [e.len]). *)
+let expand e out =
+  let t = Bytes.length e.prefix in
+  Bytes.blit e.prefix 0 out 0 t;
+  Bytes.fill out t (e.len - t) '\000'
+
+let decode_miss key blob =
+  let out = decode_raw blob in
+  let t = trimmed_length out in
+  Memo.add decode_memo key { prefix = Bytes.sub out 0 t; len = Bytes.length out; coded = Bytes.copy blob };
+  out
+
 let decode blob =
   let key = Hashing.quick blob in
   match Memo.find decode_memo key holds_coded blob 0 with
   | Some e ->
-    let out = Bytes.make e.len '\000' in
-    Bytes.blit e.prefix 0 out 0 (Bytes.length e.prefix);
+    let out = Bytes.create e.len in
+    expand e out;
     out
+  | None -> decode_miss key blob
+
+let wrong_length n dst =
+  failwith (Printf.sprintf "Range_coder.decode_into: %d bytes into a %d-byte buffer" n (Bytes.length dst))
+
+let decode_into blob dst =
+  let key = Hashing.quick blob in
+  match Memo.find decode_memo key holds_coded blob 0 with
+  | Some e -> if e.len = Bytes.length dst then expand e dst else wrong_length e.len dst
   | None ->
-    let out = decode_raw blob in
-    let t = trimmed_length out in
-    Memo.add decode_memo key { prefix = Bytes.sub out 0 t; len = Bytes.length out; coded = Bytes.copy blob };
-    out
+    let out = decode_miss key blob in
+    if Bytes.length out = Bytes.length dst then Bytes.blit out 0 dst 0 (Bytes.length out)
+    else wrong_length (Bytes.length out) dst

@@ -29,6 +29,13 @@ val decode : bytes -> bytes
     more than about [1422 * b] bytes of output (8 bits over the
     ~0.0056-bit floor a symbol costs once the model saturates). *)
 
+val decode_into : bytes -> bytes -> unit
+(** [decode_into blob dst] writes [decode blob] over [dst], which must be
+    exactly as long as the plain bytes, without allocating them on a memo
+    hit. The memo sees the same lookup, miss and entry as {!decode}. Raises
+    [Failure] like {!decode}, or on a length mismatch, after which [dst]
+    is unchanged. *)
+
 val min_coded_length : int -> int
 (** [min_coded_length n] is a lower bound on [Bytes.length (encode x)] for
     every [x] of length [n >= 0]; it is 17 for [n = 4096], exactly the

@@ -115,6 +115,7 @@ let set_page t pfn b =
 
 let protect_pages t pfns = List.iter (fun p -> Hashtbl.replace t.prot p ()) pfns
 let unprotect_all t = Hashtbl.reset t.prot
+let is_protected t pfn = Hashtbl.mem t.prot pfn
 
 let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int64.compare
 

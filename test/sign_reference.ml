@@ -124,3 +124,74 @@ let sign ?(chunk_entries = Recording.default_chunk_entries) ~key (t : Recording.
   Byte_buf.add_i64 blob (Grt_tee.Crypto.mac ~key hdr);
   Byte_buf.add_bytes blob body;
   Byte_buf.contents blob
+
+(* The verdict-only check as it was before it stepped over the slot table:
+   every slot is decoded with the reader and dropped, the chunk metas are
+   read into a list, and the checks run in the same order with the same
+   messages. The property suite in test_core holds [Recording.verify] to
+   it on mutated blobs. *)
+module Reader = Byte_buf.Reader
+
+let read_count r ~min_bytes what =
+  let n = Reader.varint r in
+  if n > Reader.remaining r / min_bytes then
+    failwith (Printf.sprintf "recording: %s count %d exceeds the blob" what n);
+  n
+
+let read_slot r =
+  let name = Reader.string r in
+  if Reader.u8 r > 2 then failwith "recording: bad slot kind";
+  let va = Reader.i64 r in
+  let pa = Reader.i64 r in
+  let actual = Reader.varint r in
+  let model = Reader.varint r in
+  (name, va, pa, actual, model)
+
+let verify ~key blob =
+  try
+    let r = Reader.of_bytes blob in
+    if Reader.u32 r <> magic then failwith "recording: bad magic";
+    let v = Reader.u16 r in
+    if v <> version then failwith (Printf.sprintf "recording: unsupported version %d" v);
+    ignore (Reader.string r);
+    ignore (Reader.i64 r);
+    let n_slots = read_count r ~min_bytes:20 "slot" in
+    ignore (List.init n_slots (fun _ -> read_slot r));
+    let total_entries = Reader.varint r in
+    let n_chunks = read_count r ~min_bytes:10 "chunk" in
+    let metas =
+      List.init n_chunks (fun _ ->
+          let count = Reader.varint r in
+          let len = Reader.varint r in
+          (count, len, Reader.i64 r))
+    in
+    let root = Reader.i64 r in
+    let header_len = Reader.pos r in
+    let tag = Reader.i64 r in
+    if not (Int64.equal (Grt_tee.Crypto.mac ~key (Bytes.sub blob 0 header_len)) tag) then
+      failwith "recording: signature verification failed";
+    if not (Int64.equal root (merkle_root (List.map (fun (_, _, h) -> h) metas))) then
+      failwith "recording: Merkle root does not cover the chunk hashes";
+    let body_len =
+      List.fold_left
+        (fun acc (_, len, _) -> if len > Bytes.length blob - acc then Bytes.length blob else acc + len)
+        0 metas
+    in
+    if body_len > Reader.remaining r then failwith "recording: truncated chunk bodies";
+    if body_len < Reader.remaining r then failwith "recording: trailing bytes after chunks";
+    let entries_ok, entries =
+      List.fold_left
+        (fun (ok, n) (count, _, _) -> if count > total_entries - n then (false, n) else (ok, n + count))
+        (true, 0) metas
+    in
+    if not (entries_ok && entries = total_entries) then
+      failwith "recording: chunk entry counts disagree with header";
+    ignore
+      (List.fold_left
+         (fun (first, at) (count, len, h) ->
+           if not (Int64.equal (Grt_util.Hashing.fnv1a_sub blob ~pos:at ~len) h) then
+             failwith (Printf.sprintf "recording: chunk at entry %d failed verification" first);
+           (first + count, at + len))
+         (0, Reader.pos r) metas);
+    Ok ()
+  with Failure msg -> Error msg

@@ -301,6 +301,92 @@ let recording_qcheck_signature =
          && verdicts_agree blob && rejected flipped && rejected truncated
          && if Bytes.equal spliced blob then verdicts_agree spliced else rejected spliced))
 
+(* Mutated slot tables: [Recording.verify] steps over the slots without
+   decoding them, and must give the verdict (and the message) of
+   [Sign_reference.verify], which decodes each slot and drops it. A blob
+   signs a few entries behind zero to five named slots; a mutation flips a
+   bit in the header, truncates the blob, or inflates a slot's name length
+   (a one-byte varint made larger, or made a long varint), then the header
+   MAC is recomputed over the original header range, so a mutation that
+   keeps the layout passes the MAC and reaches the later checks. *)
+let recording_qcheck_verify_slots =
+  let gen_slot =
+    QCheck2.Gen.(
+      map3
+        (fun name kind (va, size) ->
+          {
+            Recording.slot_name = name;
+            kind = (match kind with 0 -> `Input | 1 -> `Output | _ -> `Param);
+            va = Int64.of_int (va * 4096);
+            pa = Int64.of_int (0x8000 + va);
+            actual_bytes = size;
+            model_bytes = 2 * size;
+          })
+        (string_size ~gen:printable (int_bound 12))
+        (int_bound 2)
+        (pair small_nat small_nat))
+  in
+  let gen_mutation =
+    QCheck2.Gen.(
+      oneof
+        [
+          map2 (fun pos bit -> `Flip (pos, bit)) small_nat (int_bound 7);
+          map (fun cut -> `Truncate cut) small_nat;
+          map2 (fun slot by -> `Inflate (slot, by)) small_nat (int_range 1 200);
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name:"verify over mutated slot tables equals the decoding check"
+       QCheck2.Gen.(
+         triple (list_size (int_bound 5) gen_slot) (list_size (int_range 1 6) gen_entry) gen_mutation)
+       (fun (slots, entries, mutation) ->
+         let blob =
+           Recording.sign ~chunk_entries:2 ~key:"k"
+             { Recording.workload = "slots"; gpu_id = 0x77L; entries = Array.of_list entries; slots }
+         in
+         let body = fst (Sign_reference.chunk_bounds ~chunk_entries:2 (Array.of_list entries)) in
+         let header_len = Bytes.length blob - Bytes.length body - 8 in
+         (* the slot table starts after magic, version, "slots" and the GPU id *)
+         let slots_at = 4 + 2 + 1 + 5 + 8 + 1 in
+         let name_len_offsets =
+           let at = ref slots_at in
+           List.map
+             (fun (s : Recording.slot) ->
+               let here = !at in
+               at :=
+                 here + 1 + String.length s.Recording.slot_name + 1 + 16
+                 + Grt_util.Byte_buf.varint_size s.Recording.actual_bytes
+                 + Grt_util.Byte_buf.varint_size s.Recording.model_bytes;
+               here)
+             slots
+         in
+         let mutated =
+           match mutation with
+           | `Flip (pos, bit) ->
+             let b = Bytes.copy blob in
+             let pos = pos mod header_len in
+             Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+             b
+           | `Truncate cut -> Bytes.sub blob 0 (cut mod Bytes.length blob)
+           | `Inflate (slot, by) -> (
+             let b = Bytes.copy blob in
+             match name_len_offsets with
+             | [] -> b
+             | offsets ->
+               let at = List.nth offsets (slot mod List.length offsets) in
+               Bytes.set_uint8 b at (min 0xFF (Bytes.get_uint8 b at + by));
+               b)
+         in
+         if Bytes.length mutated >= header_len + 8 then
+           Bytes.set_int64_le mutated header_len
+             (Grt_tee.Crypto.mac ~key:"k" (Bytes.sub mutated 0 header_len));
+         let got = Recording.verify ~key:"k" mutated and want = Sign_reference.verify ~key:"k" mutated in
+         if got = want then true
+         else
+           QCheck2.Test.fail_reportf "verify %s, reference %s"
+             (match got with Ok () -> "accepts" | Error e -> e)
+             (match want with Ok () -> "accepts" | Error e -> e)))
+
 (* [Recording.verify] checks the bytes it is given, in place, on every
    call: repeated checks of a ~1 MB blob allocate a small budget that does
    not grow with the blob (no copy), a blob mutated in place is rejected
@@ -334,6 +420,30 @@ let recording_verify_checks_in_place () =
     let all = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) /. 4. in
     Float.max minor all
   in
+  (* A check steps over the slot table as it steps over the chunk metas:
+     4,000 named slots cost no more than none (the parent decoded every
+     slot, about 20 words each, to drop the table). *)
+  let slotted =
+    Recording.sign ~key
+      {
+        Recording.workload = "slots";
+        gpu_id = 0x5eedL;
+        entries = [| Recording.Wait_irq { line = Grt_gpu.Device.Job_irq } |];
+        slots =
+          List.init 4_000 (fun i ->
+              {
+                Recording.slot_name = Printf.sprintf "buffer-%d" i;
+                kind = (if i mod 2 = 0 then `Input else `Param);
+                va = Int64.of_int (i * 4096);
+                pa = Int64.of_int (0x80000 + (i * 4096));
+                actual_bytes = 4096;
+                model_bytes = 4096;
+              });
+      }
+  in
+  let words = words_per_call slotted in
+  if words > budget then
+    Alcotest.failf "verify of a blob with 4,000 slots allocated %.0f words per call" words;
   let chunked = sign 64 in
   let words = words_per_call chunked in
   if words > budget then
@@ -948,6 +1058,7 @@ let () =
           Alcotest.test_case "resident verdicts" `Quick recording_resident_verdicts;
           recording_qcheck_roundtrip;
           recording_qcheck_signature;
+          recording_qcheck_verify_slots;
           recording_qcheck_sign_matches_reference;
         ] );
       ( "memsync",

@@ -180,6 +180,48 @@ let codec_actuals () =
     ("OursMDS-no-delta", tuple_of (cold { base with Mode.delta_dumps = false }));
   ]
 
+(* Memsync beyond MNIST: MobileNet runs 104 jobs of page-table churn, so
+   its rows pin what the incremental table walk, the stamp skips and the
+   encoder chain do over a long session, untagged and tagged. Captured
+   before the scan learned which pages its own endpoint installed. *)
+let memsync_tuple_of (o : O.record_outcome) =
+  let c = Grt_sim.Metrics.get_int o.O.counters in
+  Printf.sprintf
+    "blob=%016Lx visited=%d meta=%d enc=[raw:%d,raw_rc:%d,delta:%d,delta_rc:%d,hash_ref:%d] \
+     sync_wire=%d"
+    (Grt_util.Hashing.fnv1a_bytes o.O.blob)
+    (c Sync_pages_visited) (c Sync_pages_meta) (c Sync_enc_raw) (c Sync_enc_raw_rc)
+    (c Sync_enc_delta) (c Sync_enc_delta_rc) (c Sync_enc_hash_ref)
+    (c Sync_down_wire_bytes + c Sync_up_wire_bytes)
+
+let memsync_expected =
+  [
+    ( "MobileNet",
+      "blob=02203e6522db9ed1 visited=931 meta=42080 \
+       enc=[raw:0,raw_rc:311,delta:0,delta_rc:207,hash_ref:0] sync_wire=31871" );
+    ( "MobileNet-tagged",
+      "blob=c528e130bdadd7b8 visited=931 meta=42080 \
+       enc=[raw:0,raw_rc:311,delta:207,delta_rc:0,hash_ref:0] sync_wire=27497" );
+  ]
+
+let memsync_actuals () =
+  let mobilenet config =
+    memsync_tuple_of
+      (O.record ~history:(Grt.Drivershim.fresh_history ()) ~config ~profile:Grt_net.Profile.wifi
+         ~mode:Mode.Ours_mds ~sku:Grt_gpu.Sku.g71_mp8 ~net:Grt_mlfw.Zoo.mobilenet ~seed:42L ())
+  in
+  let base = Mode.default_config Mode.Ours_mds in
+  [
+    ("MobileNet", mobilenet base);
+    ("MobileNet-tagged", mobilenet { base with Mode.memsync_tagged = true });
+  ]
+
+let memsync_golden () =
+  let got = memsync_actuals () in
+  List.iter
+    (fun (name, want) -> check Alcotest.string name want (List.assoc name got))
+    memsync_expected
+
 let codec_golden () =
   let got = codec_actuals () in
   List.iter
@@ -296,7 +338,7 @@ let () =
      asserting, for refreshing the expected table after an intentional
      behaviour change. *)
   if Sys.getenv_opt "GOLDEN_CAPTURE" <> None then begin
-    List.iter (fun (name, t) -> Printf.printf "    (%S, %S);\n" name t) (actuals () @ codec_actuals ());
+    List.iter (fun (name, t) -> Printf.printf "    (%S, %S);\n" name t) (actuals () @ codec_actuals () @ memsync_actuals ());
     Printf.printf "  fleet: %S\n" (fleet_digest ());
     Printf.printf "  fleet clocks: %S\n" (fleet_clocks (fleet_specs ()));
     Printf.printf "  lossy clocks: %S\n" (fleet_clocks (lossy_fleet_specs ()))
@@ -309,6 +351,7 @@ let () =
             Alcotest.test_case "fixed-seed outcome stats" `Quick golden;
             Alcotest.test_case "six blobs byte-identical" `Quick six_blobs_byte_identical;
             Alcotest.test_case "codec ablation stats" `Quick codec_golden;
+            Alcotest.test_case "MobileNet memsync stats" `Quick memsync_golden;
             Alcotest.test_case "re-record stability" `Quick rerun_stable;
             Alcotest.test_case "fleet smoke pin" `Quick fleet_pin;
             Alcotest.test_case "fleet clock pins" `Quick fleet_clock_pins;

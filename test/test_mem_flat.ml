@@ -44,6 +44,9 @@ type op =
   | Borrow_poke of int * int * int (* page_rw + in-place byte write *)
   | Alloc of int
   | Protect of int list (* pool idxs *)
+  | Protect_page of int (* the unboxed single-page entry point *)
+  | Is_protected of int
+  | Cycle of int * int (* rounds of protect-one-page-then-unprotect-all, pool idx *)
   | Unprotect
   | Clear_dirty
   | Audit
@@ -74,6 +77,11 @@ let gen_op : op QCheck2.Gen.t =
       (2, map3 (fun i o v -> Borrow_poke (i, o, v)) idx (int_bound 4095) (int_bound 0xFF));
       (1, map (fun n -> Alloc (1 + n)) (int_bound 7));
       (2, map (fun is -> Protect is) (list_size (int_range 1 4) idx));
+      (2, map (fun i -> Protect_page i) idx);
+      (2, map (fun i -> Is_protected i) idx);
+      (* up to 300 rounds: crosses the point where the protection epoch
+         wraps *)
+      (1, map2 (fun n i -> Cycle (n, i)) (int_range 1 300) idx);
       (1, return Unprotect);
       (1, return Clear_dirty);
       (2, return Audit);
@@ -97,6 +105,9 @@ let print_op = function
   | Borrow_poke (i, o, v) -> Printf.sprintf "Borrow_poke(%#x,%#x,%#x)" pool.(i) o v
   | Alloc n -> Printf.sprintf "Alloc(%d)" n
   | Protect is -> Printf.sprintf "Protect(%s)" (String.concat "," (List.map (fun i -> Printf.sprintf "%#x" pool.(i)) is))
+  | Protect_page i -> Printf.sprintf "Protect_page(%#x)" pool.(i)
+  | Is_protected i -> Printf.sprintf "Is_protected(%#x)" pool.(i)
+  | Cycle (n, i) -> Printf.sprintf "Cycle(%d,%#x)" n pool.(i)
   | Unprotect -> "Unprotect"
   | Clear_dirty -> "Clear_dirty"
   | Audit -> "Audit"
@@ -142,6 +153,11 @@ let audit op mem rf observed =
   cmp "materialized" (Mem.materialized_pages mem) (Ref.materialized_pages rf);
   cmp "dirty" (Mem.dirty_pages mem) (Ref.dirty_pages rf);
   cmp "protected" (Mem.protected_pfns mem) (Ref.protected_pfns rf);
+  Array.iter
+    (fun pfn ->
+      if Mem.is_protected mem pfn <> Ref.is_protected rf (Int64.of_int pfn) then
+        fail_op op (Printf.sprintf "is_protected %#x disagrees" pfn))
+    pool;
   if Mem.dirty_bytes mem <> Ref.dirty_bytes rf then
     fail_op op (Printf.sprintf "dirty_bytes: %d vs %d" (Mem.dirty_bytes mem) (Ref.dirty_bytes rf));
   Array.iter
@@ -221,6 +237,27 @@ let run_script ops =
       | Protect is ->
         let pfns = List.map (fun i -> Int64.of_int pool.(i)) is in
         both op (fun () -> Mem.protect_pages mem pfns) (fun () -> Ref.protect_pages rf pfns) eq_unit show_unit
+      | Protect_page i ->
+        both op
+          (fun () -> Mem.protect_page mem pool.(i))
+          (fun () -> Ref.protect_pages rf [ Int64.of_int pool.(i) ])
+          eq_unit show_unit
+      | Is_protected i ->
+        both op
+          (fun () -> Mem.is_protected mem pool.(i))
+          (fun () -> Ref.is_protected rf (Int64.of_int pool.(i)))
+          ( = ) string_of_bool
+      | Cycle (n, i) ->
+        let cycle protect unprotect () =
+          for k = 1 to n do
+            protect pool.((i + k) mod Array.length pool);
+            unprotect ()
+          done
+        in
+        both op
+          (cycle (Mem.protect_page mem) (fun () -> Mem.unprotect_all mem))
+          (cycle (fun pfn -> Ref.protect_pages rf [ Int64.of_int pfn ]) (fun () -> Ref.unprotect_all rf))
+          eq_unit show_unit
       | Unprotect ->
         both op (fun () -> Mem.unprotect_all mem) (fun () -> Ref.unprotect_all rf) eq_unit show_unit
       | Clear_dirty ->
@@ -472,6 +509,40 @@ let protected_ordering () =
   Mem.write_u8 mem (Int64.shift_left 0x200L 12) 7;
   check Alcotest.int "write lands after unprotect" 7 (Mem.read_u8 mem (Int64.shift_left 0x200L 12))
 
+(* Continuous validation protects the metastate before every job and
+   unprotects it after: neither step allocates, and a write in between
+   still traps. Epochs wrap every 255 rounds, so 600 rounds cross it
+   twice. *)
+let protection_allocates_nothing () =
+  let mem = Mem.create () in
+  let first = Mem.page_index (Mem.alloc_pages mem 200) in
+  for i = 0 to 199 do
+    Mem.write_u8 mem (Int64.shift_left (Int64.of_int (first + i)) Mem.page_shift) 1
+  done;
+  let round () =
+    for i = 0 to 199 do
+      Mem.protect_page mem (first + i)
+    done;
+    Mem.unprotect_all mem
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 600 do
+    round ()
+  done;
+  check (Alcotest.float 0.) "minor words for 600 protect/unprotect rounds of 200 pages" 0.
+    (Gc.minor_words () -. w0);
+  for i = 0 to 199 do
+    Mem.protect_page mem (first + i)
+  done;
+  let addr = Int64.shift_left (Int64.of_int (first + 7)) Mem.page_shift in
+  (match Mem.write_u8 mem addr 2 with
+  | () -> Alcotest.fail "a write to a protected page went through"
+  | exception Mem.Protected_page_write p -> check Alcotest.int64 "trap pfn" (Int64.of_int (first + 7)) p);
+  Mem.unprotect_all mem;
+  Mem.write_u8 mem addr 2;
+  check Alcotest.int "write lands after unprotect" 2 (Mem.read_u8 mem addr)
+
 let gen_monotone () =
   let mem = Mem.create () in
   let addr = Int64.shift_left 0x100L 12 in
@@ -494,5 +565,6 @@ let () =
         [
           Alcotest.test_case "protected_pfns ordering" `Quick protected_ordering;
           Alcotest.test_case "write_gen monotone" `Quick gen_monotone;
+          Alcotest.test_case "protection allocates nothing" `Quick protection_allocates_nothing;
         ] );
     ]

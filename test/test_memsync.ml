@@ -244,13 +244,17 @@ let visited_scales_with_dirty () =
 
    Scripts interleave page writes, new mappings under the registered root
    (so table pages appear between syncs), new Code/Cmd regions (one may sit
-   on a table page, one above the dense limit) and idle syncs. After every
-   sync a test-side reference walks the tables, unions the region pages,
-   sorts, and byte-compares every meta page against its own baseline: the
-   sender must ship exactly the pages the reference finds changed, in pfn
-   order, over a scope of exactly the reference set. An idle re-sync then
-   ships nothing and visits only the pages above the dense limit, which
-   carry no examined stamp. *)
+   on a table page, one above the dense limit), pages the scanning endpoint
+   receives from its peer (logged records, or payload records whose delta
+   is decoded over the live page) and idle syncs. After every sync a
+   test-side reference walks the tables, unions the region pages, sorts,
+   and byte-compares every meta page against its own baseline, which a
+   received page also sets: the sender must ship exactly the pages the
+   reference finds changed, in pfn order, over a scope of exactly the
+   reference set, and visit exactly the pages whose stamp moved since the
+   reference last looked (every page above the dense limit, which carries
+   no examined stamp). An idle re-sync then ships nothing and visits only
+   those high pages. *)
 
 type meta_step =
   | Poke of int * int * int  (* writable-page pick, offset, value *)
@@ -258,6 +262,7 @@ type meta_step =
   | Fresh_region of bool * int  (* Code (else Cmd), pages *)
   | Table_region of int * int  (* table-page pick, pages: a region on a table page *)
   | High_region of int * int  (* pfn offset above the dense limit, pages *)
+  | Receive of int * int * bool  (* non-table meta page pick, content seed, as a payload delta *)
   | Sync
 
 let gen_meta_script =
@@ -270,6 +275,7 @@ let gen_meta_script =
         (1, map2 (fun c n -> Fresh_region (c, n)) bool (int_range 1 3));
         (2, map2 (fun i n -> Table_region (i, n)) nat (int_range 1 3));
         (1, map2 (fun o n -> High_region (o, n)) (int_bound 7) (int_range 1 2));
+        (3, map3 (fun i seed delta -> Receive (i, seed, delta)) nat small_nat bool);
         (3, return Sync);
       ]
   in
@@ -281,6 +287,7 @@ let print_meta_step = function
   | Fresh_region (c, n) -> Printf.sprintf "Fresh_region(%s,%d)" (if c then "code" else "cmd") n
   | Table_region (i, n) -> Printf.sprintf "Table_region(%d,%d)" i n
   | High_region (o, n) -> Printf.sprintf "High_region(%d,%d)" o n
+  | Receive (i, seed, delta) -> Printf.sprintf "Receive(%d,%d,%b)" i seed delta
   | Sync -> "Sync"
 
 let scan_matches_reference cfg script =
@@ -307,8 +314,14 @@ let scan_matches_reference cfg script =
     region_pfns := List.init pages (fun i -> Int64.add first (Int64.of_int i)) @ !region_pfns
   in
   let ok = ref true in
+  let stamps = Hashtbl.create 64 in
+  let moved pfn =
+    Int64.to_int pfn >= Mem.dense_limit || Hashtbl.find_opt stamps pfn <> Some (Mem.page_gen mem pfn)
+  in
   let sync () =
     let want_set = List.sort_uniq Int64.compare (tables () @ !region_pfns) in
+    let want_visited = List.length (List.filter moved want_set) in
+    List.iter (fun pfn -> Hashtbl.replace stamps pfn (Mem.page_gen mem pfn)) want_set;
     let want =
       List.filter_map
         (fun pfn ->
@@ -324,6 +337,7 @@ let scan_matches_reference cfg script =
     let shipped = List.map (fun (r : Memsync.page_record) -> (r.Memsync.pfn, r.Memsync.data)) p.Memsync.records in
     if shipped <> want then ok := false;
     if p.Memsync.total <> List.length want_set then ok := false;
+    if p.Memsync.visited <> want_visited then ok := false;
     if Memsync.meta_pfns ms <> want_set then ok := false;
     let idle = Memsync.sync_meta ms mem in
     let high = List.length (List.filter (fun pfn -> Int64.to_int pfn >= Mem.dense_limit) want_set) in
@@ -351,6 +365,31 @@ let scan_matches_reference cfg script =
         add_region Session.Cmd (Int64.shift_left (List.nth tbl (i mod List.length tbl)) Mem.page_shift) n
       | High_region (off, n) ->
         add_region Session.Code (Int64.shift_left (Int64.of_int (Mem.dense_limit + off)) Mem.page_shift) n
+      | Receive (i, seed, delta) -> (
+        let tbl = tables () in
+        match List.filter (fun p -> not (List.mem p tbl)) !region_pfns with
+        | [] -> ()
+        | l ->
+          let pfn = List.nth l (i mod List.length l) in
+          let page = Mem.get_page mem pfn in
+          Bytes.blit (Rng.bytes (Rng.create ~seed:(Int64.of_int (seed + 1))) 64) 0 page (seed mod 64 * 64) 64;
+          if delta then
+            let body = Grt_util.Delta.diff ~old_:(Mem.get_page mem pfn) ~fresh:page in
+            Memsync.receive_payload ms mem
+              {
+                Memsync.records =
+                  [ { Memsync.pfn; data = page; enc = Memsync.Enc_delta; body; wire = 0; cross = false } ];
+                tagged = true;
+                wire_bytes = 0;
+                raw_bytes = 0;
+                visited = 0;
+                total = 0;
+              }
+          else
+            ignore
+              (Memsync.receive ms mem
+                 { Memsync.tagged = false; records = [ (pfn, Memsync.Enc_raw, page) ] });
+          Hashtbl.replace baseline pfn page)
       | Sync -> sync ())
     script;
   sync ();
